@@ -3,6 +3,7 @@ tuple arithmetic on direct powers, coset representatives, and folding."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -129,9 +130,10 @@ class Subgroup:
         return len(self.members)
 
     def __contains__(self, i: int) -> bool:
-        return i in self._member_set()
+        return i in self._member_set
 
-    def _member_set(self):
+    @functools.cached_property
+    def _member_set(self) -> frozenset[int]:
         return frozenset(self.members)
 
     def as_group(self, name: str | None = None) -> FiniteGroup:
@@ -196,10 +198,14 @@ class Homomorphism:
     mapping: tuple[tuple[int, int], ...]  # (element of source, image in target)
 
     def apply(self, i: int) -> int:
-        for a, b in self.mapping:
-            if a == i:
-                return b
-        raise InvalidParams(f"element {i} outside the domain")
+        try:
+            return self._map[i]
+        except KeyError:
+            raise InvalidParams(f"element {i} outside the domain") from None
+
+    @functools.cached_property
+    def _map(self) -> dict[int, int]:
+        return dict(self.mapping)
 
     @property
     def image(self) -> Subgroup:

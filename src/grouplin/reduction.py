@@ -3,6 +3,7 @@ equations, and exact payoff evaluation on either side of a template."""
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,11 +14,17 @@ from .errors import CapExceeded, InvalidParams, MissingVariable, enum_cap
 from .fourier import noise_weights
 from .groups import (
     CosetDecomposition,
+    FiniteGroup,
     GroupPower,
     Template,
     identity_hom,
     fold,
 )
+
+
+# Equations per block in the kernels that run over a system's encoding: their
+# scratch memory stays small next to the system itself.
+EQUATION_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -94,12 +101,91 @@ class LinSystem:
         if total != 1:
             raise InvalidParams(f"weights sum to {total}, not 1")
         vs = set(self.variables)
+        if len(vs) != len(self.variables):
+            raise InvalidParams("variable names must be distinct")
         for e in self.equations:
             for v, _ in e.terms:
                 if v not in vs:
                     raise InvalidParams(f"equation uses unknown variable {v}")
             if e.rhs not in self.template.h1:
                 raise InvalidParams(f"rhs {e.rhs} outside Dom(phi)")
+
+    @functools.cached_property
+    def arrays(self) -> SystemArrays:
+        """The integer encoding the solvers and ``evaluate`` run on; built on
+        first use and kept for the life of the system."""
+        index = {v: k for k, v in enumerate(self.variables)}
+        eqs, m = self.equations, len(self.equations)
+        # weight classes are keyed on (num, den): hashing Fractions is slower
+        classes: dict[tuple[int, int], int] = {}
+        wcls = (
+            classes.setdefault((eq.weight.numerator, eq.weight.denominator), len(classes))
+            for eq in eqs
+        )
+        return SystemArrays(
+            var_ids=np.fromiter(
+                (index[v] for eq in eqs for v, _ in eq.terms), np.int32, 3 * m
+            ).reshape(m, 3),
+            signs=np.fromiter((s for eq in eqs for _, s in eq.terms), np.int8, 3 * m).reshape(m, 3),
+            rhs=np.fromiter((eq.rhs for eq in eqs), np.int16, m),
+            weight_class=np.fromiter(wcls, np.int32, m),
+            weights=tuple(Fraction(*key) for key in classes),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class SystemArrays:
+    """A side-independent integer view of a system: equation ``e`` reads
+    ``prod_j var_ids[e, j] ** signs[e, j] = rhs[e]`` (``rhs`` in G1) with
+    weight ``weights[weight_class[e]]``. Weights stay exact ``Fraction``s;
+    kernels count hits per weight class and weigh the counts at the end."""
+
+    var_ids: np.ndarray       # int32 [m, 3], positions in LinSystem.variables
+    signs: np.ndarray         # int8 [m, 3], +1 or -1
+    rhs: np.ndarray           # int16 [m], an element of Dom(phi) in G1
+    weight_class: np.ndarray  # int32 [m], index into ``weights``
+    weights: tuple[Fraction, ...]
+
+    def weigh(self, counts) -> Fraction:
+        """Sum over weight classes of weight times count, exactly."""
+        return sum(
+            (w * int(c) for w, c in zip(self.weights, counts) if c), Fraction(0)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class SideTables:
+    """One side of a template as int arrays: the group's Cayley table and
+    inverses, and the map of G1 right-hand sides into it (identity on side
+    1, phi on side 2)."""
+
+    group: FiniteGroup
+    table: np.ndarray     # [n, n]
+    inverses: np.ndarray  # [n]
+    rhs_map: np.ndarray   # [|G1|], -1 outside Dom(phi)
+
+    def term_values(self, values: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        """``values ** signs`` elementwise, for signs in {+1, -1}."""
+        return np.where(signs < 0, self.inverses[values], values)
+
+    def products(self, t0, t1, t2) -> np.ndarray:
+        """``t0 * t1 * t2`` elementwise, through the Cayley table."""
+        return self.table[self.table[t0, t1], t2]
+
+
+def side_tables(template: Template, side: int) -> SideTables:
+    if side not in (1, 2):
+        raise InvalidParams("side must be 1 or 2")
+    group = template.g1 if side == 1 else template.g2
+    rhs_map = np.full(len(template.g1), -1, dtype=np.int16)
+    for a, b in template.phi.mapping:
+        rhs_map[a] = a if side == 1 else b
+    return SideTables(
+        group,
+        np.array(group.table, dtype=np.int16),
+        np.array(group.inverses, dtype=np.int16),
+        rhs_map,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,10 +345,17 @@ def build_system(lc: LabelCoverInstance, template: Template, params: ReductionPa
     return LinSystem(template, tuple(variables), equations)
 
 
-def _term_value(group, assignment, var, sign):
-    if var not in assignment:
-        raise MissingVariable(var)
-    return group.pow_sign(int(assignment[var]), sign)
+def _assignment_values(system: LinSystem, assignment: dict, order: int) -> np.ndarray:
+    """The assignment as an array in variable order; every variable must be
+    present with a value in ``0..order-1``."""
+    for x in system.variables:
+        if x not in assignment:
+            raise MissingVariable(x)
+    values = [int(assignment[x]) for x in system.variables]
+    for x, val in zip(system.variables, values):
+        if not 0 <= val < order:
+            raise InvalidParams(f"value {val} of {x} outside 0..{order - 1}")
+    return np.array(values, dtype=np.int16)
 
 
 def evaluate(system: LinSystem, assignment: dict, side: int) -> Fraction:
@@ -270,22 +363,16 @@ def evaluate(system: LinSystem, assignment: dict, side: int) -> Fraction:
 
     On side 2 the constants are interpreted through phi.
     """
-    if side not in (1, 2):
-        raise InvalidParams("side must be 1 or 2")
-    template = system.template
-    group = template.g1 if side == 1 else template.g2
-    for x in system.variables:
-        if x not in assignment:
-            raise MissingVariable(x)
-    total = Fraction(0)
-    for eq in system.equations:
-        acc = group.identity
-        for var, sign in eq.terms:
-            acc = group.mul(acc, _term_value(group, assignment, var, sign))
-        rhs = eq.rhs if side == 1 else template.phi.apply(eq.rhs)
-        if acc == rhs:
-            total += eq.weight
-    return total
+    tables = side_tables(system.template, side)
+    values = _assignment_values(system, assignment, len(tables.group))
+    enc = system.arrays
+    counts = np.zeros(len(enc.weights), dtype=np.int64)
+    for lo in range(0, len(enc.rhs), EQUATION_BLOCK):
+        sl = slice(lo, lo + EQUATION_BLOCK)
+        t = tables.term_values(values[enc.var_ids[sl]], enc.signs[sl])
+        hit = tables.products(t[:, 0], t[:, 1], t[:, 2]) == tables.rhs_map[enc.rhs[sl]]
+        counts += np.bincount(enc.weight_class[sl][hit], minlength=len(enc.weights))
+    return enc.weigh(counts)
 
 
 def payoff_distribution(

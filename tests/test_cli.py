@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from grouplin import catalog, io
 from grouplin.cli import main
 from grouplin.reduction import ReductionParams, build_system, projection_family
@@ -79,6 +81,26 @@ def test_reduce_eval_solve_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", system_path, "--method", "derand")
     assert code == 0
     assert io.parse_frac(json.loads(out)["value"]) >= Fraction(1, 2)
+
+
+@pytest.mark.parametrize("bad", [7, -1])
+def test_eval_rejects_out_of_range_values(tmp_path, capsys, bad):
+    lc_path = write(tmp_path, "lc.json", io.lc_to_obj(catalog.label_cover("lc_tiny")))
+    code, out, _ = run(capsys, "reduce", lc_path, "--template", "z4_to_z2", "--eps", "1/4")
+    assert code == 0
+    system_obj = json.loads(out)
+    system_path = write(tmp_path, "system.json", system_obj)
+    assignment = dict.fromkeys(system_obj["variables"], 0)
+    a_path = write(tmp_path, "ok.json", assignment)
+    code, out, _ = run(capsys, "eval", system_path, "--assignment", a_path)
+    assert code == 0
+    assignment[system_obj["variables"][0]] = bad
+    a_path = write(tmp_path, "bad.json", assignment)
+    for side in ("g1", "g2"):
+        code, out, err = run(capsys, "eval", system_path, "--assignment", a_path, "--side", side)
+        assert code == 2
+        assert out == ""
+        assert "outside" in err
 
 
 def test_solve_noncubic_requires_c(tmp_path, capsys):

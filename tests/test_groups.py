@@ -23,7 +23,7 @@ from grouplin import (
     subgroup_closure,
     validate_template,
 )
-from grouplin import catalog
+from grouplin import InvalidParams, catalog
 from grouplin.groups import CosetDecomposition
 from grouplin.reduction import LinEquation
 
@@ -284,3 +284,12 @@ def test_group_power_flat_encoding_is_row_major():
     assert power.coords(6) == (1, 2)
     flats = [power.index(c) for c in itertools.product(range(4), repeat=2)]
     assert flats == sorted(flats)
+
+
+def test_subgroup_membership_and_homomorphism_lookup():
+    t = catalog.template("s3_a3_incl")
+    assert [x in t.h1 for x in range(6)] == [True, False, False, False, True, True]
+    assert 7 not in t.h1
+    assert [t.phi.apply(h) for h in t.h1.members] == [0, 4, 5]
+    with pytest.raises(InvalidParams, match="outside the domain"):
+        t.phi.apply(1)

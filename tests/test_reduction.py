@@ -266,3 +266,47 @@ def test_side2_interprets_constants_through_phi():
     assert evaluate(system, {"x": 1, "y": 1, "z": 0}, 2) == 0
     # on side 1 the right-hand side stays 3 in z4
     assert evaluate(system, {"x": 1, "y": 1, "z": 1}, 1) == 1
+
+
+@pytest.mark.parametrize("bad", [7, -1])
+def test_evaluate_rejects_out_of_range_values(bad):
+    t, lc = catalog.template("z4_to_z2"), catalog.label_cover("lc_tiny")
+    system = build_system(lc, t, ReductionParams(Fraction(1, 4)))
+    assignment = dict.fromkeys(system.variables, 0)
+    assignment[system.variables[-1]] = bad
+    for side in (1, 2):
+        with pytest.raises(InvalidParams, match="outside"):
+            evaluate(system, assignment, side)
+
+
+def test_evaluate_range_is_the_sides_group():
+    # 2 is an element of Z4 (side 1) but not of Z2 (side 2)
+    t = catalog.template("z4_to_z2")
+    eq = LinEquation((("x", 1), ("y", 1), ("z", 1)), 2, Fraction(1))
+    system = LinSystem(t, ("x", "y", "z"), (eq,))
+    assert evaluate(system, {"x": 2, "y": 0, "z": 0}, 1) == 1
+    with pytest.raises(InvalidParams):
+        evaluate(system, {"x": 2, "y": 0, "z": 0}, 2)
+
+
+def test_system_rejects_repeated_variable_names():
+    t = catalog.template("z2_id")
+    eq = LinEquation((("x", 1), ("y", 1), ("y", 1)), 0, Fraction(1))
+    with pytest.raises(InvalidParams, match="distinct"):
+        LinSystem(t, ("x", "y", "x"), (eq,))
+
+
+def test_system_arrays_encode_equations():
+    t = catalog.template("s3_sign")
+    eqs = (
+        LinEquation((("y", 1), ("x", -1), ("y", 1)), 4, Fraction(1, 3)),
+        LinEquation((("x", 1), ("x", 1), ("x", 1)), 1, Fraction(1, 3)),
+        LinEquation((("x", -1), ("y", 1), ("x", 1)), 0, Fraction(2, 6)),
+    )
+    enc = LinSystem(t, ("x", "y", "unused"), eqs).arrays
+    assert enc.var_ids.tolist() == [[1, 0, 1], [0, 0, 0], [0, 1, 0]]
+    assert enc.signs.tolist() == [[1, -1, 1], [1, 1, 1], [-1, 1, 1]]
+    assert enc.rhs.tolist() == [4, 1, 0]
+    assert enc.weight_class.tolist() == [0, 0, 0]
+    assert enc.weights == (Fraction(1, 3),)
+    assert enc.weigh([3]) == 1

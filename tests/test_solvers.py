@@ -188,3 +188,90 @@ def test_non_cubic_never_rejects_satisfiable_instances():
             result = non_cubic_solve(system, t, c)
             if opt >= c:
                 assert result["status"] == "accept"
+
+
+def test_derandomize_all_ties_take_first_member():
+    # x*y*z = e and x*y*z = (12) with equal weight: on side 2 (Z2) exactly
+    # one holds, on side 1 (S3) the product is uniform while any variable is
+    # free; the last variable ties between e and (12). Every step ties.
+    t = catalog.template("s3_sign")
+    eqs = [
+        LinEquation((("x", 1), ("y", 1), ("z", 1)), 0, Fraction(1, 2)),
+        LinEquation((("x", 1), ("y", 1), ("z", 1)), 1, Fraction(1, 2)),
+    ]
+    system = make_system(t, eqs)
+    for side in (1, 2):
+        h = t.h1 if side == 1 else t.h2
+        assert derandomize(system, t, side) == dict.fromkeys("xyz", h.members[0])
+
+
+def test_derandomize_every_candidate_ties_on_a_balanced_system():
+    # each equation pins one variable to the identity or to the generator
+    # with equal weight, so every variable scores the same for each value
+    t = catalog.template("z2_id")
+    eqs = [
+        LinEquation(((v, 1), ("w", 1), ("w", -1)), rhs, Fraction(1, 6))
+        for v in ("a", "b", "c")
+        for rhs in (0, 1)
+    ]
+    system = LinSystem(t, ("a", "b", "c", "w"), tuple(eqs))
+    for side in (1, 2):
+        assert derandomize(system, t, side) == {"a": 0, "b": 0, "c": 0, "w": 0}
+
+
+def test_derandomize_takes_a_strictly_better_later_element():
+    # x * y * y^-1 = 2 forces x = 2, the last element of Z3
+    t = catalog.template("z3_id")
+    eqs = [
+        LinEquation((("x", 1), ("y", 1), ("y", -1)), 2, Fraction(2, 3)),
+        LinEquation((("y", 1), ("y", 1), ("y", 1)), 0, Fraction(1, 3)),
+    ]
+    system = LinSystem(t, ("x", "y"), tuple(eqs))
+    assignment = derandomize(system, t, 1)
+    assert assignment["x"] == 2
+    assert evaluate(system, assignment, 1) == 1
+
+
+def test_derandomize_takes_a_strictly_better_later_element_in_s3():
+    # over A3 = {0, 4, 5}: x * y * y^-1 = 5 forces x to the last member
+    t = catalog.template("s3_a3_incl")
+    eqs = [
+        LinEquation((("x", 1), ("y", 1), ("y", -1)), 5, Fraction(1, 2)),
+        LinEquation((("y", 1), ("z", 1), ("z", -1)), 0, Fraction(1, 2)),
+    ]
+    system = LinSystem(t, ("x", "y", "z"), tuple(eqs))
+    assignment = derandomize(system, t, 1)
+    assert assignment == {"x": 5, "y": 0, "z": 0}
+    assert evaluate(system, assignment, 1) == 1
+
+
+def test_derandomize_counts_duplicate_equations_like_merged_ones():
+    t = catalog.template("z3_id")
+    a = LinEquation((("x", 1), ("y", 1), ("y", -1)), 1, Fraction(1, 4))
+    b = LinEquation((("x", 1), ("y", 1), ("y", -1)), 2, Fraction(1, 3))
+    split = LinSystem(t, ("x", "y"), (a, a, b, LinEquation(a.terms, 0, Fraction(1, 6))))
+    merged = LinSystem(
+        t, ("x", "y"), (LinEquation(a.terms, 1, Fraction(1, 2)), b, split.equations[3])
+    )
+    assert derandomize(split, t, 1) == derandomize(merged, t, 1) == {"x": 1, "y": 0}
+
+
+def test_brute_force_keeps_lexicographically_first_optimum():
+    t = catalog.template("z3_id")
+    system = make_system(t, [LinEquation((("x", 1), ("y", 1), ("y", -1)), 1, Fraction(1))])
+    # y is free: (1, 0), (1, 1), (1, 2) are all optimal
+    assert brute_force_opt(system, 1) == (1, {"x": 1, "y": 0})
+
+
+def test_brute_force_spans_several_blocks():
+    t = catalog.template("z2_id")
+    names = tuple(f"x{i}" for i in range(12))
+    eqs = [
+        LinEquation(((names[i], 1), (names[i + 1], 1), (names[i + 1], 1)), 1, Fraction(1, 11))
+        for i in range(11)
+    ]
+    system = LinSystem(t, names, tuple(eqs))
+    value, assignment = brute_force_opt(system, 1)
+    # x_i = 1 for i < 11 is forced; x11 is free and takes 0
+    assert value == 1
+    assert [assignment[x] for x in names] == [1] * 11 + [0]
