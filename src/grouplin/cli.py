@@ -24,10 +24,10 @@ from .decoder import (
 from .errors import CapExceeded, GroupLinError, InvalidParams, NoOmega
 from .reduction import (
     ReductionParams,
+    best_labeling,
     build_system,
     evaluate,
     evaluate_family,
-    lc_value,
     projection_family,
 )
 from .reps import irreps
@@ -167,22 +167,11 @@ def run_pipeline(
 ) -> dict:
     """Chain reduction, planted completeness, solver, and decoder into one
     report. ``family`` defaults to the side-2 planted projections of the best
-    Label Cover labeling (found exhaustively)."""
-    import itertools
-
+    Label Cover labeling (found exhaustively, within the enumeration cap)."""
     eps, delta = io.parse_frac(eps), io.parse_frac(delta)
     params = ReductionParams(eps, seed=seed)
+    lc_opt, h_d, h_e = best_labeling(lc)
     system = build_system(lc, template, params)
-
-    best = None
-    for d_combo in itertools.product(lc.d_labels, repeat=len(lc.u_names)):
-        for e_combo in itertools.product(lc.e_labels, repeat=len(lc.v_names)):
-            h_d = dict(zip(lc.u_names, d_combo))
-            h_e = dict(zip(lc.v_names, e_combo))
-            val = lc_value(lc, h_d, h_e)
-            if best is None or val > best[0]:
-                best = (val, h_d, h_e)
-    lc_opt, h_d, h_e = best
 
     proj1 = projection_family(lc, template, h_d, h_e, side=1)
     completeness = evaluate_family(lc, template, params, proj1, side=1)
@@ -200,7 +189,7 @@ def run_pipeline(
         "completeness": completeness,
         "system_size": {
             "variables": len(system.variables),
-            "equations": len(system.equations),
+            "equations": len(system.arrays),
         },
         "solver": {
             "random_expectation": expectation,

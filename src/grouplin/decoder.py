@@ -19,6 +19,7 @@ from .reduction import (
     AssignmentFamily,
     LabelCoverInstance,
     ReductionParams,
+    composed_inverse,
     lc_value,
     payoff_distribution,
     powers,
@@ -30,10 +31,19 @@ log = logging.getLogger(__name__)
 _TIE = 1e-12
 
 
-def kappa(delta: Fraction, eps: Fraction, d_size: int | None = None) -> int:
-    """Truncation degree ceil((log2 delta - 2) / log2(1 - eps)).
+def _ln(x: Fraction) -> float:
+    """Natural log of a rational in (0, 1), accurate near 0 and near 1."""
+    if x > Fraction(1, 2):
+        return math.log1p(-float(1 - x))
+    return math.log(x.numerator) - math.log(x.denominator)
 
-    When ``d_size`` is given the result is clamped to [1, d_size], since no
+
+def kappa(delta: Fraction, eps: Fraction, d_size: int | None = None) -> int:
+    """Truncation degree: the least k >= 1 with (1 - eps)^k <= delta / 4.
+
+    Exact: a float estimate of log(delta/4) / log(1 - eps) is only a first
+    guess, checked and corrected by one step in rational arithmetic. When
+    ``d_size`` is given the result is clamped to [1, d_size], since no
     representation of the power has a larger degree; a clamp is logged.
     """
     delta, eps = Fraction(delta), Fraction(eps)
@@ -41,12 +51,15 @@ def kappa(delta: Fraction, eps: Fraction, d_size: int | None = None) -> int:
         raise InvalidParams(f"eps must be in (0,1), got {eps}")
     if not 0 < delta < 4:
         raise InvalidParams(f"delta must be in (0,4), got {delta}")
-    ratio = (math.log2(float(delta)) - 2.0) / math.log2(1.0 - float(eps))
-    if abs(ratio - round(ratio)) < 1e-9:
-        value = int(round(ratio))
-    else:
-        value = int(math.ceil(ratio))
-    value = max(value, 1)
+    q, target = 1 - eps, delta / 4
+    value = max(1, math.ceil(_ln(target) / _ln(q)))
+    # the float guess is off by less than one, so checking value - 1 and
+    # value settles it
+    below = q ** (value - 1)
+    if below * q > target:
+        value += 1
+    elif value > 1 and below <= target:
+        value -= 1
     if d_size is None:
         return value
     clamped = min(value, d_size)
@@ -205,16 +218,6 @@ def build_fns(ctx: DecoderContext, omega: UnitaryRep, v: str, u: str):
     return right_table(ctx, omega, v), left_table(ctx, omega, u)
 
 
-def _edge_geometry(ctx: DecoderContext, pi: dict) -> np.ndarray:
-    """Flat index of (a o pi)^-1 for every a in G1^E."""
-    positions = ctx.pd.compose_positions(pi, ctx.lc.e_labels)
-    out = np.empty(ctx.pe.n, dtype=np.int64)
-    for a in range(ctx.pe.n):
-        coords = ctx.pe.coords(a)
-        out[a] = ctx.pd.inv(ctx.pd.index([coords[p] for p in positions]))
-    return out
-
-
 def _subgroup_average(omega: UnitaryRep, members) -> np.ndarray:
     return np.mean(omega.matrices[np.array(members)], axis=0)
 
@@ -242,7 +245,7 @@ def trivial_term_bound(ctx: DecoderContext, omega: UnitaryRep):
         a_fn, b_fn = build_fns(ctx, omega, v, u)
         m = convolve(b_fn, b_fn).values
         a_hat_1 = np.mean(a_fn.values, axis=0)
-        ap_inv = _edge_geometry(ctx, pi)
+        ap_inv = composed_inverse(ctx.pe, ctx.pd, pi, ctx.lc.e_labels)
         edge_sum = 0.0 + 0.0j
         for a in range(ctx.pe.n):
             base = ap_inv[a]
@@ -282,7 +285,7 @@ def high_degree_mass(ctx: DecoderContext, omega: UnitaryRep, kappa_value: int) -
                 )
         a_hat_1 = np.mean(a_fn.values, axis=0)
         centered = a_fn.values - a_hat_1
-        ap_inv = _edge_geometry(ctx, pi)
+        ap_inv = composed_inverse(ctx.pe, ctx.pd, pi, ctx.lc.e_labels)
         edge_sum = np.einsum("gxy,gyx->", centered, w_table[ap_inv])
         total += edge_sum / ctx.pe.n
     return abs(total / len(ctx.lc.edges))

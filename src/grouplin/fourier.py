@@ -261,22 +261,28 @@ def convolve(f: GroupFn, h: GroupFn) -> GroupFn:
     return MatrixFn(power, out)
 
 
-def noise_weights(power: GroupPower, eps: Fraction) -> list[Fraction]:
-    """Exact probability of each noise tuple: per coordinate the tuple is the
-    identity with probability 1-eps and uniform otherwise."""
+def noise_classes(power: GroupPower) -> np.ndarray:
+    """The noise class of every tuple in flat order: its number of
+    non-identity coordinates."""
+    return (power.coords_matrix() != power.group.identity).sum(axis=1)
+
+
+def noise_class_weights(power: GroupPower, eps: Fraction) -> list[Fraction]:
+    """Exact probability of one noise tuple of class k, for k = 0..m: per
+    coordinate the tuple is the identity with probability 1-eps and uniform
+    otherwise."""
     if not 0 < eps < 1:
         raise InvalidParams(f"noise rate must be in (0,1), got {eps}")
     size = len(power.group)
     w_id = (1 - eps) + Fraction(eps, size)
     w_other = Fraction(eps, size)
-    e = power.group.identity
-    out = []
-    for nu in range(power.n):
-        w = Fraction(1)
-        for c in power.coords(nu):
-            w *= w_id if c == e else w_other
-        out.append(w)
-    return out
+    return [w_id ** (power.m - k) * w_other**k for k in range(power.m + 1)]
+
+
+def noise_weights(power: GroupPower, eps: Fraction) -> list[Fraction]:
+    """Exact probability of each noise tuple, in flat order."""
+    by_class = noise_class_weights(power, eps)
+    return [by_class[k] for k in noise_classes(power)]
 
 
 def noise_apply(fn: GroupFn, eps: Fraction) -> GroupFn:

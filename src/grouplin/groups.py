@@ -360,6 +360,7 @@ class GroupPower:
         self._weights = [base ** (self.m - 1 - k) for k in range(self.m)]
         idx = np.arange(self.n)
         self._coords = np.stack([(idx // w) % base for w in self._weights], axis=1)
+        self._table = np.asarray(group.table)
 
     def coords(self, idx: int) -> tuple[int, ...]:
         out = []
@@ -402,15 +403,18 @@ class GroupPower:
 
     def mul_with(self, i: int, idx: np.ndarray) -> np.ndarray:
         """Flat indices of ``tuple(i) * tuple(j)`` for all j in ``idx``."""
-        t = np.asarray(self.group.table)
         a = np.asarray(self.coords(i))
-        return self.encode(t[a[None, :], self.coords_matrix()[idx]])
+        return self.encode(self._table[a[None, :], self.coords_matrix()[idx]])
 
     def mul_all_right(self, j: int) -> np.ndarray:
         """Flat indices of ``tuple(i) * tuple(j)`` for every i in order."""
-        t = np.asarray(self.group.table)
         b = np.asarray(self.coords(j))
-        return self.encode(t[self.coords_matrix(), b[None, :]])
+        return self.encode(self._table[self.coords_matrix(), b[None, :]])
+
+    def mul_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Flat indices of ``tuple(x) * tuple(y)``, elementwise over the
+        broadcast of two arrays of flat indices."""
+        return self.encode(self._table[self._coords[x], self._coords[y]])
 
     def encode(self, coords: np.ndarray) -> np.ndarray:
         w = np.asarray(self._weights)
@@ -439,13 +443,30 @@ class GroupTuple:
         return self.power.coords(self.flat)
 
 
+def coset_arrays(sub: Subgroup, power: GroupPower) -> tuple[np.ndarray, np.ndarray]:
+    """Right-coset data of every tuple of ``power`` under ``sub`` acting
+    diagonally: ``rep[g]`` is the lexicographically least tuple of ``H*g``
+    and ``witness[g]`` the h in H with ``rep[g] = h * g``.
+
+    One vectorised pass over |H| translates of the power; the witness is
+    unique because h -> h*g is injective.
+    """
+    if sub.parent != power.group:
+        raise InvalidParams("subgroup and power must share a group")
+    members = np.asarray(sub.members)
+    diagonal = power.encode(np.repeat(members[:, None], power.m, axis=1))
+    translates = power.mul_array(diagonal[:, None], np.arange(power.n)[None, :])
+    best = translates.argmin(axis=0)
+    return translates[best, np.arange(power.n)], members[best]
+
+
 class CosetDecomposition:
     """Right-coset data for a subgroup acting diagonally on a power.
 
     For a queried tuple ``g`` returns the representative ``g_dag`` (the
     lexicographically least tuple in the coset ``H*g``) and the witness
-    ``h`` in H with ``g_dag = h * g``. Computed on demand and cached; the
-    full coset structure of the power is never materialized.
+    ``h`` in H with ``g_dag = h * g``, read from ``coset_arrays``, which runs
+    once on the first query.
     """
 
     def __init__(self, sub: Subgroup, power: GroupPower):
@@ -453,21 +474,14 @@ class CosetDecomposition:
             raise InvalidParams("subgroup and power must share a group")
         self.subgroup = sub
         self.power = power
-        self._cache: dict[int, tuple[int, int]] = {}
+
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return coset_arrays(self.subgroup, self.power)
 
     def data(self, flat: int) -> tuple[int, int]:
-        hit = self._cache.get(flat)
-        if hit is not None:
-            return hit
-        best = None
-        best_h = None
-        for h in self.subgroup.members:
-            cand = self.power.act(h, flat)
-            if best is None or cand < best:
-                best, best_h = cand, h
-        out = (best, best_h)
-        self._cache[flat] = out
-        return out
+        rep, witness = self._arrays
+        return int(rep[flat]), int(witness[flat])
 
 
 def coset_data(sub: Subgroup, g: GroupTuple) -> tuple[GroupTuple, int]:
@@ -486,13 +500,11 @@ def fold(values, power: GroupPower, phi: Homomorphism) -> np.ndarray:
     vals = np.asarray(values, dtype=np.int64)
     if vals.shape != (power.n,):
         raise InvalidParams(f"table must have {power.n} entries")
-    cosets = CosetDecomposition(phi.source, power)
-    phi_map = phi.as_dict()
-    out = np.empty(power.n, dtype=np.int64)
-    for g in range(power.n):
-        rep, h = cosets.data(g)
-        out[g] = g2.mul(g2.inv(phi_map[h]), int(vals[rep]))
-    return out
+    rep, witness = coset_arrays(phi.source, power)
+    phi_inv = np.zeros(len(power.group), dtype=np.int64)
+    for h, image in phi.mapping:
+        phi_inv[h] = g2.inv(image)
+    return np.asarray(g2.table, dtype=np.int64)[phi_inv[witness], vals[rep]]
 
 
 def cube_image(group: FiniteGroup) -> frozenset[int]:

@@ -27,8 +27,8 @@ from .groups import (
 from .reduction import (
     AssignmentFamily,
     LabelCoverInstance,
-    LinEquation,
     LinSystem,
+    SystemArrays,
     make_label_cover,
 )
 
@@ -187,30 +187,59 @@ def load_lc(ref: str, base_dir: str = ".") -> LabelCoverInstance:
 # -- systems ----------------------------------------------------------------
 
 def system_to_obj(system: LinSystem, template_ref: str) -> dict:
+    enc, names = system.arrays, system.variables
+    weights = [frac_str(w) for w in enc.weights]
     return {
         "template": template_ref,
-        "variables": list(system.variables),
+        "variables": list(names),
         "equations": [
             {
-                "terms": [[v, s] for v, s in eq.terms],
-                "rhs": eq.rhs,
-                "weight": frac_str(eq.weight),
+                "terms": [[names[x], s], [names[y], t], [names[z], r]],
+                "rhs": h,
+                "weight": weights[c],
             }
-            for eq in system.equations
+            for (x, y, z), (s, t, r), h, c in zip(
+                enc.var_ids.tolist(),
+                enc.signs.tolist(),
+                enc.rhs.tolist(),
+                enc.weight_class.tolist(),
+            )
         ],
     }
 
 
 def obj_to_system(obj: dict, template: Template) -> LinSystem:
-    equations = tuple(
-        LinEquation(
-            tuple((str(v), int(s)) for v, s in eq["terms"]),
-            int(eq["rhs"]),
-            parse_frac(eq["weight"]),
-        )
-        for eq in obj["equations"]
+    """A system from its JSON object, encoded straight into arrays; the
+    system validates the encoding."""
+    variables = tuple(str(v) for v in obj["variables"])
+    index = {v: k for k, v in enumerate(variables)}
+    eqs = obj["equations"]
+    terms = [eq["terms"] for eq in eqs]
+    if any(len(t) != 3 for t in terms):
+        raise InvalidParams("an equation has exactly three terms")
+    flat = [term for t in terms for term in t]
+    try:
+        var_ids = np.fromiter((index[str(v)] for v, _ in flat), np.int64, len(flat))
+    except KeyError as exc:
+        raise InvalidParams(f"equation uses unknown variable {exc.args[0]}") from None
+    # each distinct weight text is parsed once; equal values share a class
+    classes: dict[Fraction, int] = {}
+    by_text: dict[str, int] = {}
+
+    def weight_class(raw) -> int:
+        text = str(raw)
+        if text not in by_text:
+            by_text[text] = classes.setdefault(parse_frac(raw), len(classes))
+        return by_text[text]
+
+    arrays = SystemArrays(
+        var_ids=var_ids.reshape(-1, 3),
+        signs=np.fromiter((int(s) for _, s in flat), np.int64, len(flat)).reshape(-1, 3),
+        rhs=np.fromiter((int(eq["rhs"]) for eq in eqs), np.int64, len(eqs)),
+        weight_class=np.fromiter((weight_class(eq["weight"]) for eq in eqs), np.int64, len(eqs)),
+        weights=tuple(classes),
     )
-    return LinSystem(template, tuple(str(v) for v in obj["variables"]), equations)
+    return LinSystem.from_arrays(template, variables, arrays)
 
 
 def load_system(path: str, template: Template | None = None):

@@ -4,19 +4,19 @@ equations, and exact payoff evaluation on either side of a template."""
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import CapExceeded, InvalidParams, MissingVariable, enum_cap
-from .fourier import noise_weights
+from .fourier import noise_class_weights, noise_classes
 from .groups import (
-    CosetDecomposition,
     FiniteGroup,
     GroupPower,
     Template,
+    coset_arrays,
     identity_hom,
     fold,
 )
@@ -88,49 +88,106 @@ class LinEquation:
             raise InvalidParams("weights must be non-negative")
 
 
-@dataclass(frozen=True)
 class LinSystem:
-    """A weighted equation system over a template; weights sum to one."""
+    """A weighted equation system over a template; weights sum to one.
 
-    template: Template
-    variables: tuple[str, ...]
-    equations: tuple[LinEquation, ...]
+    The system is its integer encoding ``arrays``, which the solvers and
+    ``evaluate`` run on; ``equations`` decodes it into ``LinEquation``s on
+    first use. ``LinSystem(template, variables, equations)`` encodes
+    hand-built equations and ``LinSystem.from_arrays`` takes an encoding as
+    it is; both validate the encoding.
+    """
 
-    def __post_init__(self):
-        total = sum((e.weight for e in self.equations), Fraction(0))
-        if total != 1:
-            raise InvalidParams(f"weights sum to {total}, not 1")
-        vs = set(self.variables)
-        if len(vs) != len(self.variables):
+    def __init__(self, template: Template, variables, equations):
+        variables, equations = tuple(variables), tuple(equations)
+        self._set(template, variables, _encode(variables, equations))
+        self.__dict__["equations"] = equations
+
+    @classmethod
+    def from_arrays(cls, template: Template, variables, arrays: SystemArrays) -> LinSystem:
+        system = cls.__new__(cls)
+        system._set(template, tuple(variables), arrays)
+        return system
+
+    def _set(self, template, variables, arrays):
+        if len(set(variables)) != len(variables):
             raise InvalidParams("variable names must be distinct")
-        for e in self.equations:
-            for v, _ in e.terms:
-                if v not in vs:
-                    raise InvalidParams(f"equation uses unknown variable {v}")
-            if e.rhs not in self.template.h1:
-                raise InvalidParams(f"rhs {e.rhs} outside Dom(phi)")
+        _validate(template, len(variables), arrays)
+        self.template = template
+        self.variables = variables
+        self.arrays = SystemArrays(
+            arrays.var_ids.astype(np.int32, copy=False),
+            arrays.signs.astype(np.int8, copy=False),
+            arrays.rhs.astype(np.int16, copy=False),
+            arrays.weight_class.astype(np.int32, copy=False),
+            tuple(arrays.weights),
+        )
 
     @functools.cached_property
-    def arrays(self) -> SystemArrays:
-        """The integer encoding the solvers and ``evaluate`` run on; built on
-        first use and kept for the life of the system."""
-        index = {v: k for k, v in enumerate(self.variables)}
-        eqs, m = self.equations, len(self.equations)
-        # weight classes are keyed on (num, den): hashing Fractions is slower
-        classes: dict[tuple[int, int], int] = {}
-        wcls = (
-            classes.setdefault((eq.weight.numerator, eq.weight.denominator), len(classes))
-            for eq in eqs
+    def equations(self) -> tuple[LinEquation, ...]:
+        enc, names = self.arrays, self.variables
+        return tuple(
+            LinEquation(
+                ((names[x], s), (names[y], t), (names[z], r)), h, enc.weights[c]
+            )
+            for (x, y, z), (s, t, r), h, c in zip(
+                enc.var_ids.tolist(),
+                enc.signs.tolist(),
+                enc.rhs.tolist(),
+                enc.weight_class.tolist(),
+            )
         )
-        return SystemArrays(
-            var_ids=np.fromiter(
-                (index[v] for eq in eqs for v, _ in eq.terms), np.int32, 3 * m
-            ).reshape(m, 3),
-            signs=np.fromiter((s for eq in eqs for _, s in eq.terms), np.int8, 3 * m).reshape(m, 3),
-            rhs=np.fromiter((eq.rhs for eq in eqs), np.int16, m),
-            weight_class=np.fromiter(wcls, np.int32, m),
-            weights=tuple(Fraction(*key) for key in classes),
-        )
+
+
+def _encode(variables: tuple[str, ...], equations: tuple[LinEquation, ...]) -> SystemArrays:
+    """The encoding of hand-built equations; weight classes in order of
+    first occurrence."""
+    index = {v: k for k, v in enumerate(variables)}
+    m = len(equations)
+    names = [v for eq in equations for v, _ in eq.terms]
+    for v in names:
+        if v not in index:
+            raise InvalidParams(f"equation uses unknown variable {v}")
+    # weight classes are keyed on (num, den): hashing Fractions is slower
+    classes: dict[tuple[int, int], int] = {}
+    wcls = (
+        classes.setdefault((eq.weight.numerator, eq.weight.denominator), len(classes))
+        for eq in equations
+    )
+    return SystemArrays(
+        var_ids=np.fromiter((index[v] for v in names), np.int64, 3 * m).reshape(m, 3),
+        signs=np.fromiter((s for eq in equations for _, s in eq.terms), np.int64, 3 * m).reshape(m, 3),
+        rhs=np.fromiter((eq.rhs for eq in equations), np.int64, m),
+        weight_class=np.fromiter(wcls, np.int64, m),
+        weights=tuple(Fraction(*key) for key in classes),
+    )
+
+
+def _validate(template: Template, n_vars: int, enc: SystemArrays) -> None:
+    """Every check a system must pass, vectorised over its equations."""
+    m = len(enc.rhs)
+    if enc.var_ids.shape != (m, 3) or enc.signs.shape != (m, 3):
+        raise InvalidParams("an equation has exactly three terms")
+    if enc.weight_class.shape != (m,):
+        raise InvalidParams("one weight class per equation")
+    if m and not 0 <= enc.var_ids.min() <= enc.var_ids.max() < n_vars:
+        raise InvalidParams(f"variable ids must lie in 0..{n_vars - 1}")
+    bad_sign = (enc.signs != 1) & (enc.signs != -1)
+    if bad_sign.any():
+        raise InvalidParams(f"exponent must be +-1, got {enc.signs[bad_sign][0]}")
+    in_dom = np.zeros(len(template.g1), dtype=bool)
+    in_dom[list(template.h1.members)] = True
+    inside = (enc.rhs >= 0) & (enc.rhs < len(in_dom))
+    inside[inside] = in_dom[enc.rhs[inside]]
+    if not inside.all():
+        raise InvalidParams(f"rhs {enc.rhs[~inside][0]} outside Dom(phi)")
+    if any(w < 0 for w in enc.weights):
+        raise InvalidParams("weights must be non-negative")
+    if m and not 0 <= enc.weight_class.min() <= enc.weight_class.max() < len(enc.weights):
+        raise InvalidParams("weight class out of range")
+    total = enc.weigh(np.bincount(enc.weight_class, minlength=len(enc.weights)))
+    if total != 1:
+        raise InvalidParams(f"weights sum to {total}, not 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +202,9 @@ class SystemArrays:
     rhs: np.ndarray           # int16 [m], an element of Dom(phi) in G1
     weight_class: np.ndarray  # int32 [m], index into ``weights``
     weights: tuple[Fraction, ...]
+
+    def __len__(self) -> int:
+        return len(self.rhs)
 
     def weigh(self, counts) -> Fraction:
         """Sum over weight classes of weight times count, exactly."""
@@ -251,98 +311,227 @@ def _check_family_shape(lc, pe, pd, family):
             raise InvalidParams(f"family table for {u} must have {pd.n} entries")
 
 
-def raw_equations(lc: LabelCoverInstance, template: Template, params: ReductionParams):
-    """Yield (terms, rhs, weight) for every tuple of the sampling procedure.
+_SIGNS = np.array([1, -1])
 
-    One equation per (edge, a, b, nu, s1, s2):
+
+def composed_inverse(pe: GroupPower, pd: GroupPower, pi: dict, e_labels) -> np.ndarray:
+    """Flat index in G1^D of (a o pi)^-1 for every a in G1^E."""
+    positions = pd.compose_positions(pi, e_labels)
+    return pd.inv_array()[pd.encode(pe.coords_matrix()[:, positions])]
+
+
+@dataclass(frozen=True, eq=False)
+class Tuples:
+    """Tuples (edge, a, b, nu, s1, s2) of the sampling procedure as int
+    arrays that broadcast to one shape; raveled in C order they list the
+    tuples in the procedure's order. ``b`` and ``c`` are the flat indices of
+    b^s1 and c^s2, where c = b^-1 (a o pi)^-1 nu; ``k`` is nu's noise class.
+    The tuple's equation is
+
+        v[a_rep] * u[b^s1]^s1 * u[c^s2]^s2 = h_a.
+    """
+
+    a: np.ndarray
+    a_rep: np.ndarray
+    h_a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    k: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return np.broadcast_shapes(
+            self.a.shape, self.b.shape, self.c.shape, self.s1.shape, self.s2.shape, self.k.shape
+        )
+
+
+class Geometry:
+    """The tuple geometry of the reduction for one instance and template:
+    coset data of G1^E under Dom(phi), inverses in G1^D and noise classes,
+    shared by every edge."""
+
+    def __init__(self, lc: LabelCoverInstance, template: Template):
+        self.lc = lc
+        self.pe, self.pd = powers(lc, template)
+        self.a_rep, self.h_a = coset_arrays(template.h1, self.pe)
+        self.inv_d = self.pd.inv_array()
+        self.noise_class = noise_classes(self.pd)
+
+    def edge_tuples(self, pi: dict) -> Tuples:
+        """Every tuple of one edge, on the grid [a, b, nu, s1, s2]."""
+        ap_inv = composed_inverse(self.pe, self.pd, pi, self.lc.e_labels)
+        a, d = np.arange(self.pe.n), np.arange(self.pd.n)
+        mid = self.pd.mul_array(self.inv_d[None, :], ap_inv[:, None])
+        c = self.pd.mul_array(mid[:, :, None], d[None, None, :])
+        return self._tuples(
+            a[:, None, None, None, None],
+            d[None, :, None, None, None],
+            c[:, :, :, None, None],
+            d[None, None, :, None, None],
+            _SIGNS[:, None],
+            _SIGNS[None, :],
+        )
+
+    def sampled_tuples(self, edge, a, b, nu, s1, s2) -> Tuples:
+        """The tuples of drawn (edge, a, b, nu, s1, s2), one per draw."""
+        ap_inv = np.stack(
+            [composed_inverse(self.pe, self.pd, pi, self.lc.e_labels) for _, _, pi in self.lc.edge_maps()]
+        )
+        mid = self.pd.mul_array(self.inv_d[b], ap_inv[edge, a])
+        return self._tuples(a, b, self.pd.mul_array(mid, nu), nu, s1, s2)
+
+    def _tuples(self, a, b, c, nu, s1, s2) -> Tuples:
+        return Tuples(
+            a=a,
+            a_rep=self.a_rep[a],
+            h_a=self.h_a[a],
+            b=np.where(s1 > 0, b, self.inv_d[b]),
+            c=np.where(s2 > 0, c, self.inv_d[c]),
+            s1=s1,
+            s2=s2,
+            k=self.noise_class[nu],
+        )
+
+
+def _class_weights(lc, pe, pd, eps) -> list[Fraction]:
+    """Weight of a tuple whose noise has class k, for k = 0..|D|: the edge,
+    a, b and sign probabilities times the noise probability."""
+    base = Fraction(1, len(lc.edges) * pe.n * pd.n * 4)
+    return [base * w for w in noise_class_weights(pd, eps)]
+
+
+def _sampled_draws(lc, pe, pd, params):
+    """(edge, a, b, nu, s1, s2) for every sample, drawn in the order the
+    seed fixes: edge, a, b, then nu coordinate by coordinate, then signs."""
+    rng = np.random.default_rng(params.seed)
+    g1, eps = pd.group, float(params.eps)
+    draws = np.empty((params.sample_count, 5), dtype=np.int64)
+    nu_coords = np.empty((params.sample_count, pd.m), dtype=np.int64)
+    for i in range(params.sample_count):
+        draws[i, 0] = rng.integers(len(lc.edges))
+        draws[i, 1] = rng.integers(pe.n)
+        draws[i, 2] = rng.integers(pd.n)
+        for j in range(pd.m):
+            nu_coords[i, j] = (
+                g1.identity if rng.random() >= eps else int(rng.integers(len(g1)))
+            )
+        draws[i, 3] = 1 if rng.integers(2) == 0 else -1
+        draws[i, 4] = 1 if rng.integers(2) == 0 else -1
+    edge, a, b, s1, s2 = draws.T
+    return edge, a, b, pd.encode(nu_coords), s1, s2
+
+
+def _tuple_arrays(lc: LabelCoverInstance, template: Template, params: ReductionParams):
+    """The encoding of the reduction with one equation per tuple, before
+    identical equations are merged, and whether merging can change it.
+    Unused weight classes are dropped.
+
+    In exact mode (terms, rhs) determines the tuple within an edge, and the
+    variables name the edge's endpoints, so only parallel u-v edges can
+    repeat an equation; sampled draws can repeat one anyway.
+    """
+    geo = Geometry(lc, template)
+    pe, pd = geo.pe, geo.pd
+    u_off = {u: k * pd.n for k, u in enumerate(lc.u_names)}
+    v_off = {v: len(lc.u_names) * pd.n + k * pe.n for k, v in enumerate(lc.v_names)}
+    if params.mode == "exact":
+        m = _check_exact_cap(lc, pe, pd, params.cap)
+        # one block per edge; the weight class is the noise class
+        blocks = []
+        for u, v, pi in lc.edge_maps():
+            t = geo.edge_tuples(pi)
+            blocks.append((t, u_off[u], v_off[v], t.k))
+        weights = _class_weights(lc, pe, pd, params.eps)
+        mergeable = len({(u, v) for u, v, _ in lc.edges}) < len(lc.edges)
+    else:
+        # one block of all draws, each of weight 1/samples
+        edge, a, b, nu, s1, s2 = _sampled_draws(lc, pe, pd, params)
+        m = len(edge)
+        u0 = np.array([u_off[u] for u, _, _ in lc.edges])[edge]
+        v0 = np.array([v_off[v] for _, v, _ in lc.edges])[edge]
+        blocks = [(geo.sampled_tuples(edge, a, b, nu, s1, s2), u0, v0, 0)]
+        weights = [Fraction(1, params.sample_count)]
+        mergeable = True
+    var_ids = np.empty((m, 3), dtype=np.int32)
+    signs = np.empty((m, 3), dtype=np.int8)
+    rhs = np.empty(m, dtype=np.int16)
+    cls = np.empty(m, dtype=np.int32)
+    lo = 0
+    for t, u0, v0, k in blocks:
+        shape = t.shape
+        hi = lo + int(np.prod(shape))
+        ids, sg = var_ids[lo:hi].reshape(*shape, 3), signs[lo:hi].reshape(*shape, 3)
+        ids[..., 0] = v0 + t.a_rep
+        ids[..., 1] = u0 + t.b
+        ids[..., 2] = u0 + t.c
+        sg[..., 0] = 1
+        sg[..., 1] = t.s1
+        sg[..., 2] = t.s2
+        rhs[lo:hi].reshape(shape)[...] = t.h_a
+        cls[lo:hi].reshape(shape)[...] = k
+        lo = hi
+    return SystemArrays(var_ids, signs, rhs, *_compact(cls, weights)), mergeable
+
+
+def _merge(enc: SystemArrays) -> SystemArrays:
+    """Identical (terms, rhs) merged into one equation at the position of
+    the first, with the summed weight."""
+    rows = np.concatenate([enc.var_ids, enc.signs, enc.rhs[:, None]], axis=1)
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    group = rank[inverse.reshape(-1)]
+    keep = first[order]
+    n_cls = len(enc.weights)
+    counts = np.bincount(group * n_cls + enc.weight_class, minlength=len(keep) * n_cls)
+    vectors, vector_of = np.unique(counts.reshape(len(keep), n_cls), axis=0, return_inverse=True)
+    weight_class, weights = _compact(
+        vector_of.reshape(-1), [enc.weigh(row) for row in vectors]
+    )
+    return SystemArrays(enc.var_ids[keep], enc.signs[keep], enc.rhs[keep], weight_class, weights)
+
+
+def _compact(weight_class: np.ndarray, weights) -> tuple[np.ndarray, tuple[Fraction, ...]]:
+    """Weight classes with unused ones dropped and equal ones joined."""
+    used = np.bincount(weight_class, minlength=len(weights)) > 0
+    ids: dict[Fraction, int] = {}
+    remap = np.array([ids.setdefault(w, len(ids)) if u else -1 for w, u in zip(weights, used)])
+    return remap[weight_class].astype(np.int32), tuple(ids)
+
+
+def _variables(lc: LabelCoverInstance, pe: GroupPower, pd: GroupPower) -> tuple[str, ...]:
+    names = [var_u(u, b) for u in lc.u_names for b in range(pd.n)]
+    return tuple(names + [var_v(v, a) for v in lc.v_names for a in range(pe.n)])
+
+
+def tuple_system(lc: LabelCoverInstance, template: Template, params: ReductionParams) -> LinSystem:
+    """The reduction with one equation per tuple of the sampling procedure
+    (or per draw, in sampled mode), identical equations not merged.
+
+    The tuple (edge, a, b, nu, s1, s2) gives the equation
 
         v[a_rep] * u[b^s1]^s1 * u[c^s2]^s2 = h_a,   c = b^-1 (a o pi)^-1 nu
 
     with weight the product of the edge, a, b, nu, and sign probabilities.
     """
-    pe, pd = powers(lc, template)
-    _check_exact_cap(lc, pe, pd, params.cap)
-    cosets = CosetDecomposition(template.h1, pe)
-    nu_w = noise_weights(pd, params.eps)
-    base = Fraction(1, len(lc.edges)) * Fraction(1, pe.n) * Fraction(1, pd.n) * Fraction(1, 4)
-    for u, v, pi in lc.edge_maps():
-        positions = pd.compose_positions(pi, lc.e_labels)
-        for a in range(pe.n):
-            a_rep, h_a = cosets.data(a)
-            va = var_v(v, a_rep)
-            a_coords = pe.coords(a)
-            ap = pd.index([a_coords[p] for p in positions])
-            ap_inv = pd.inv(ap)
-            for b in range(pd.n):
-                b_inv = pd.inv(b)
-                mid = pd.mul(b_inv, ap_inv)
-                ub = {1: var_u(u, b), -1: var_u(u, b_inv)}
-                for nu in range(pd.n):
-                    c = pd.mul(mid, nu)
-                    c_inv = pd.inv(c)
-                    w = base * nu_w[nu]
-                    uc = {1: var_u(u, c), -1: var_u(u, c_inv)}
-                    for s1 in (1, -1):
-                        for s2 in (1, -1):
-                            yield (
-                                ((va, 1), (ub[s1], s1), (uc[s2], s2)),
-                                h_a,
-                                w,
-                            )
-
-
-def _sampled_equations(lc, template, params):
-    pe, pd = powers(lc, template)
-    rng = np.random.default_rng(params.seed)
-    cosets = CosetDecomposition(template.h1, pe)
-    g1 = template.g1
-    w = Fraction(1, params.sample_count)
-    edge_list = lc.edge_maps()
-    for _ in range(params.sample_count):
-        u, v, pi = edge_list[rng.integers(len(edge_list))]
-        positions = pd.compose_positions(pi, lc.e_labels)
-        a = int(rng.integers(pe.n))
-        b = int(rng.integers(pd.n))
-        nu_coords = [
-            g1.identity if rng.random() >= float(params.eps) else int(rng.integers(len(g1)))
-            for _ in range(pd.m)
-        ]
-        nu = pd.index(nu_coords)
-        s1 = 1 if rng.integers(2) == 0 else -1
-        s2 = 1 if rng.integers(2) == 0 else -1
-        a_rep, h_a = cosets.data(a)
-        a_coords = pe.coords(a)
-        ap_inv = pd.inv(pd.index([a_coords[p] for p in positions]))
-        c = pd.mul(pd.mul(pd.inv(b), ap_inv), nu)
-        terms = (
-            (var_v(v, a_rep), 1),
-            (var_u(u, pd.pow_sign(b, s1)), s1),
-            (var_u(u, pd.pow_sign(c, s2)), s2),
-        )
-        yield terms, h_a, w
+    enc, _ = _tuple_arrays(lc, template, params)
+    return LinSystem.from_arrays(template, _variables(lc, *powers(lc, template)), enc)
 
 
 def build_system(lc: LabelCoverInstance, template: Template, params: ReductionParams) -> LinSystem:
     """The weighted equation system of the reduction, with exact weights.
 
     Equations with identical (terms, rhs) are merged by summing weights; the
-    term order of the construction is preserved, not sorted.
+    term order of the construction is preserved, not sorted, and equations
+    keep the order of the tuples (edge, a, b, nu, s1, s2).
     """
-    pe, pd = powers(lc, template)
-    gen = (
-        raw_equations(lc, template, params)
-        if params.mode == "exact"
-        else _sampled_equations(lc, template, params)
-    )
-    merged: dict[tuple, Fraction] = defaultdict(Fraction)
-    for terms, rhs, w in gen:
-        merged[(terms, rhs)] += w
-    variables = [var_u(u, b) for u in lc.u_names for b in range(pd.n)]
-    variables += [var_v(v, a) for v in lc.v_names for a in range(pe.n)]
-    equations = tuple(
-        LinEquation(terms, rhs, w) for (terms, rhs), w in merged.items()
-    )
-    return LinSystem(template, tuple(variables), equations)
+    enc, mergeable = _tuple_arrays(lc, template, params)
+    if mergeable:
+        enc = _merge(enc)
+    return LinSystem.from_arrays(template, _variables(lc, *powers(lc, template)), enc)
 
 
 def _assignment_values(system: LinSystem, assignment: dict, order: int) -> np.ndarray:
@@ -387,45 +576,43 @@ def payoff_distribution(
     Returns the probability mass of each group element
     z = A'_v(a) * B_u(b^s1)^s1 * B_u(c^s2)^s2, where A' is A_v folded over
     the identity (side 1) or over phi (side 2). The mass at the identity is
-    the payoff of the family.
+    the payoff of the family. Elements are listed in the order the tuples
+    first reach them.
+
+    Tuples are counted per (z, noise class), so exact arithmetic touches
+    only the |D|+1 class weights.
     """
     if side != family.side:
         raise InvalidParams("family built for the other side")
-    pe, pd = powers(lc, template)
+    geo = Geometry(lc, template)
+    pe, pd = geo.pe, geo.pd
     _check_exact_cap(lc, pe, pd, params.cap)
     _check_family_shape(lc, pe, pd, family)
     group = template.g1 if side == 1 else template.g2
     hom = identity_hom(template.h1) if side == 1 else template.phi
-    nu_w = noise_weights(pd, params.eps)
-    base = Fraction(1, len(lc.edges)) * Fraction(1, pe.n) * Fraction(1, pd.n) * Fraction(1, 4)
-    mass: dict[int, Fraction] = defaultdict(Fraction)
-    for u, v, pi in lc.edge_maps():
-        positions = pd.compose_positions(pi, lc.e_labels)
+    table = np.asarray(group.table, dtype=np.int64)
+    inverses = np.asarray(group.inverses, dtype=np.int64)
+    n_cls = pd.m + 1
+    counts = np.zeros(len(group) * n_cls, dtype=np.int64)
+    first_hit: dict[int, tuple[int, int]] = {}
+    for e, (u, v, pi) in enumerate(lc.edge_maps()):
+        t = geo.edge_tuples(pi)
         a_folded = fold(family.a_tables[v], pe, hom)
         b_table = np.asarray(family.b_tables[u], dtype=np.int64)
-        for a in range(pe.n):
-            za = int(a_folded[a])
-            a_coords = pe.coords(a)
-            ap_inv = pd.inv(pd.index([a_coords[p] for p in positions]))
-            for b in range(pd.n):
-                b_inv = pd.inv(b)
-                mid = pd.mul(b_inv, ap_inv)
-                tb = {
-                    1: int(b_table[b]),
-                    -1: group.inv(int(b_table[b_inv])),
-                }
-                for nu in range(pd.n):
-                    c = pd.mul(mid, nu)
-                    tc = {
-                        1: int(b_table[c]),
-                        -1: group.inv(int(b_table[pd.inv(c)])),
-                    }
-                    w = base * nu_w[nu]
-                    for s1 in (1, -1):
-                        zb = group.mul(za, tb[s1])
-                        for s2 in (1, -1):
-                            mass[group.mul(zb, tc[s2])] += w
-    return dict(mass)
+        tb = np.where(t.s1 > 0, b_table[t.b], inverses[b_table[t.b]])
+        tc = np.where(t.s2 > 0, b_table[t.c], inverses[b_table[t.c]])
+        z = table[table[a_folded[t.a], tb], tc].reshape(-1)
+        k = np.broadcast_to(t.k, t.shape).reshape(-1)
+        counts += np.bincount(z * n_cls + k, minlength=len(counts))
+        values, first = np.unique(z, return_index=True)
+        for val, pos in zip(values.tolist(), first.tolist()):
+            first_hit.setdefault(val, (e, pos))
+    weights = _class_weights(lc, pe, pd, params.eps)
+    by_z = counts.reshape(len(group), n_cls)
+    return {
+        z: sum((w * int(c) for w, c in zip(weights, by_z[z]) if c), Fraction(0))
+        for z in sorted(first_hit, key=first_hit.__getitem__)
+    }
 
 
 def evaluate_family(
@@ -488,3 +675,28 @@ def lc_value(lc: LabelCoverInstance, h_d: dict[str, str], h_e: dict[str, str]) -
         1 for u, v, pi in lc.edge_maps() if str(pi[str(h_d[u])]) == str(h_e[v])
     )
     return Fraction(hits, len(lc.edges))
+
+
+def best_labeling(lc: LabelCoverInstance, cap: int | None = None):
+    """An optimal labeling, by exhaustive search: (value, h_d, h_e).
+
+    Labelings are tried with U then V in order and labels in order; the
+    first optimum wins. The search evaluates |D|^|U| * |E|^|V| labelings on
+    every edge, and that count is held to the enumeration cap.
+    """
+    n_labelings = len(lc.d_labels) ** len(lc.u_names) * len(lc.e_labels) ** len(lc.v_names)
+    limit = enum_cap(cap)
+    if n_labelings * len(lc.edges) > limit:
+        raise CapExceeded(
+            f"{n_labelings} labelings x {len(lc.edges)} edges ="
+            f" {n_labelings * len(lc.edges)} edge checks exceed the cap {limit}"
+        )
+    best = None
+    for d_combo in itertools.product(lc.d_labels, repeat=len(lc.u_names)):
+        for e_combo in itertools.product(lc.e_labels, repeat=len(lc.v_names)):
+            h_d = dict(zip(lc.u_names, d_combo))
+            h_e = dict(zip(lc.v_names, e_combo))
+            val = lc_value(lc, h_d, h_e)
+            if best is None or val > best[0]:
+                best = (val, h_d, h_e)
+    return best

@@ -51,6 +51,7 @@ from .reduction import (
     family_assignment,
     powers,
     projection_family,
+    tuple_system,
 )
 from .reps import eta, irreps, multiplicity, regular_representation
 from .solvers import brute_force_opt, derandomize, non_cubic_solve, random_expectation
@@ -392,26 +393,17 @@ def _check_two_paths(seed):
 
 
 def _check_merge_invariance(seed):
-    from .reduction import raw_equations
-
     t = catalog.template("z2_id")
     lc = catalog.label_cover("lc1")
     params = ReductionParams(Fraction(1, 4))
     system = build_system(lc, t, params)
+    tuples = tuple_system(lc, t, params)
     rng = np.random.default_rng(seed)
     bad = 0
     for _ in range(5):
         assignment = {x: int(rng.integers(2)) for x in system.variables}
         merged_val = evaluate(system, assignment, side=1)
-        raw_val = Fraction(0)
-        g = t.g1
-        for terms, rhs, w in raw_equations(lc, t, params):
-            acc = g.identity
-            for var, s in terms:
-                acc = g.mul(acc, g.pow_sign(assignment[var], s))
-            if acc == rhs:
-                raw_val += w
-        bad += merged_val != raw_val
+        bad += merged_val != evaluate(tuples, assignment, side=1)
     return bad == 0, float(bad), ""
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceeded, InvalidParams, enum_cap
-from .groups import Template, is_unsatisfiable_equation
+from .groups import Template, cube_image
 from .reduction import (
     EQUATION_BLOCK,
     LinSystem,
@@ -93,12 +93,15 @@ def brute_force_opt(system: LinSystem, side: int, cap: int | None = None):
     assignment (variables in system order, values ascending) wins.
     """
     tables = side_tables(system.template, side)
+    enc = system.arrays
     n, n_vars = len(tables.group), len(system.variables)
     n_assign = n**n_vars
     limit = enum_cap(cap)
-    if n_assign > limit:
-        raise CapExceeded(f"{n_assign} assignments exceed the cap {limit}")
-    enc = system.arrays
+    if n_assign * len(enc) > limit:
+        raise CapExceeded(
+            f"{n_assign} assignments x {len(enc)} equations = {n_assign * len(enc)}"
+            f" evaluations exceed the cap {limit}"
+        )
     rhs = tables.rhs_map[enc.rhs]
     one_hot = np.zeros((len(rhs), len(enc.weights)), dtype=np.int64)
     one_hot[np.arange(len(rhs)), enc.weight_class] = 1
@@ -192,15 +195,29 @@ def derandomize(system: LinSystem, template: Template, side: int) -> dict[str, i
     return {x: int(val) for x, val in zip(system.variables, values)}
 
 
+def unsatisfiable_mask(system: LinSystem, template: Template) -> np.ndarray:
+    """Which equations are x^3 = h or x^-3 = h with phi(h)^{+-1} not a cube
+    in G2 (the test of ``groups.is_unsatisfiable_equation``), as a bool
+    array over the system's encoding."""
+    enc = system.arrays
+    g2 = side_tables(template, 2)
+    cubes = np.zeros(len(g2.group), dtype=bool)
+    cubes[list(cube_image(template.g2))] = True
+    v, s = enc.var_ids, enc.signs
+    cubic = (v[:, 0] == v[:, 1]) & (v[:, 1] == v[:, 2]) & (s[:, 0] == s[:, 1]) & (s[:, 1] == s[:, 2])
+    target = g2.term_values(g2.rhs_map[enc.rhs], s[:, 0])
+    return cubic & ~cubes[target]
+
+
 def non_cubic_solve(system: LinSystem, template: Template, c: Fraction) -> dict:
     """Reject when unsatisfiable equations outweigh 1-c; otherwise return the
     derandomized subgroup assignment on side 2 with its exact value."""
     c = Fraction(c)
     if not 0 < c <= 1:
         raise InvalidParams(f"c must be in (0,1], got {c}")
-    unsat = sum(
-        (eq.weight for eq in system.equations if is_unsatisfiable_equation(eq, template)),
-        Fraction(0),
+    enc = system.arrays
+    unsat = enc.weigh(
+        np.bincount(enc.weight_class[unsatisfiable_mask(system, template)], minlength=len(enc.weights))
     )
     if unsat > 1 - c:
         return {"status": "reject", "unsat_weight": unsat}

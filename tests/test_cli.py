@@ -5,7 +5,7 @@ import pytest
 
 from grouplin import catalog, io
 from grouplin.cli import main
-from grouplin.reduction import ReductionParams, build_system, projection_family
+from grouplin.reduction import ReductionParams, build_system, make_label_cover, projection_family
 
 
 def run(capsys, *argv):
@@ -182,6 +182,22 @@ def test_cap_exceeded_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "reduce", lc_path, "--template", "z2_id", "--eps", "1/4")
     assert code == 3
     assert "cap" in err.lower()
+
+
+def test_pipeline_labeling_search_over_the_cap_exits_3(tmp_path, capsys):
+    # 2^21 labelings of 21 left vertices, each on one edge: over the
+    # default enumeration cap before anything is built
+    u_names = [f"u{i}" for i in range(21)]
+    lc = make_label_cover(
+        ["d0", "d1"], ["e0"], u_names, ["v0"], [(u, "v0", {"d0": "e0", "d1": "e0"}) for u in u_names]
+    )
+    lc_path = write(tmp_path, "lc.json", io.lc_to_obj(lc))
+    code, out, err = run(
+        capsys, "pipeline", lc_path, "--template", "z2_id", "--eps", "1/4", "--delta", "1/4"
+    )
+    assert code == 3
+    assert out == ""
+    assert "labelings" in err
 
 
 def test_invalid_eps_exit_code(tmp_path, capsys):

@@ -83,6 +83,34 @@ def test_kappa_clamps_to_label_count():
     assert kappa(Fraction(1, 4), Fraction(1, 2), d_size=10) == 4
 
 
+@pytest.mark.parametrize(
+    "eps, k",
+    [(Fraction(1, 2), 3), (Fraction(1, 3), 5), (Fraction(1, 4001), 11000)],
+)
+def test_kappa_is_exact_at_the_boundary(eps, k):
+    # (1 - eps)^k = delta / 4 exactly: k is the least degree that reaches it
+    delta = 4 * (1 - eps) ** k
+    tiny = Fraction(1, 10**30)
+    assert kappa(delta, eps) == k
+    assert kappa(delta + tiny, eps) == k
+    assert kappa(delta - tiny, eps) == k + 1
+
+
+def test_kappa_is_the_least_degree():
+    for eps in (Fraction(1, 7), Fraction(2, 3), Fraction(99, 100)):
+        for delta in (Fraction(1, 10**40), Fraction(1, 3), Fraction(3, 1), 4 - Fraction(1, 10**20)):
+            k = kappa(delta, eps)
+            assert k >= 1 and (1 - eps) ** k <= delta / 4
+            assert k == 1 or (1 - eps) ** (k - 1) > delta / 4
+
+
+def test_kappa_clamp_logs_the_raw_degree(caplog):
+    delta = 4 * Fraction(2, 3) ** 5
+    with caplog.at_level("WARNING", logger="grouplin.decoder"):
+        assert kappa(delta - Fraction(1, 10**30), Fraction(1, 3), d_size=2) == 2
+    assert "truncation degree 6 clamped to |D| = 2" in caplog.text
+
+
 def test_kappa_rejects_bad_params():
     with pytest.raises(InvalidParams):
         kappa(Fraction(4), Fraction(1, 2))

@@ -18,7 +18,8 @@ from grouplin import (
     make_label_cover,
     projection_family,
 )
-from grouplin.reduction import LinEquation, LinSystem, powers, raw_equations
+from grouplin.reduction import LinEquation, LinSystem, best_labeling, powers
+from reference_reduction import raw_equations
 
 
 @pytest.fixture(scope="module")
@@ -310,3 +311,17 @@ def test_system_arrays_encode_equations():
     assert enc.weight_class.tolist() == [0, 0, 0]
     assert enc.weights == (Fraction(1, 3),)
     assert enc.weigh([3]) == 1
+
+
+def test_best_labeling_is_the_first_optimum():
+    lc2 = catalog.label_cover("lc2")
+    assert best_labeling(lc2) == (1, {"u0": "d1", "u1": "d0"}, {"v0": "e1"})
+    # every labeling of lc_tiny satisfies its one edge: the first one wins
+    assert best_labeling(catalog.label_cover("lc_tiny")) == (1, {"u0": "d0"}, {"v0": "e0"})
+
+
+def test_best_labeling_cap_counts_labelings_times_edges():
+    lc2 = catalog.label_cover("lc2")  # 2^2 * 2^1 labelings, 2 edges
+    with pytest.raises(CapExceeded, match="8 labelings x 2 edges = 16"):
+        best_labeling(lc2, cap=15)
+    assert best_labeling(lc2, cap=16)[0] == 1

@@ -1,0 +1,182 @@
+"""The geometry kernel behind ``build_system``, ``tuple_system`` and
+``payoff_distribution``, and the array-backed ``io.obj_to_system``, against
+the per-tuple reference loops in ``reference_reduction``: identical
+equations, Fractions and bytes."""
+
+import copy
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_reduction as ref
+from grouplin import (
+    AssignmentFamily,
+    InvalidParams,
+    ReductionParams,
+    build_system,
+    catalog,
+    io,
+    make_label_cover,
+    payoff_distribution,
+)
+from grouplin.cli import main
+from grouplin.reduction import LinEquation, tuple_system
+
+TEMPLATES = sorted(catalog.templates())
+EPS_CHOICES = (Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(7, 9))
+# tuples per edge, so that the reference loops stay fast
+EDGE_BUDGET = 1500
+TOTAL_BUDGET = 3000
+
+
+@st.composite
+def instances(draw):
+    """A catalog template and a small Label Cover instance over it. Edges
+    pick their endpoints at random, so parallel u-v edges (the only source
+    of merged equations in exact mode) are common."""
+    tname = draw(st.sampled_from(TEMPLATES))
+    t = catalog.template(tname)
+    n = len(t.g1)
+    shapes = [
+        (d, e) for d in (1, 2) for e in (1, 2) if 4 * n ** (e + 2 * d) <= EDGE_BUDGET
+    ]
+    d, e = draw(st.sampled_from(shapes))
+    per_edge = 4 * n ** (e + 2 * d)
+    d_labels = [f"d{i}" for i in range(d)]
+    e_labels = [f"e{i}" for i in range(e)]
+    u_names = [f"u{i}" for i in range(draw(st.integers(1, 2)))]
+    v_names = [f"v{i}" for i in range(draw(st.integers(1, 2)))]
+    edge = st.tuples(
+        st.sampled_from(u_names),
+        st.sampled_from(v_names),
+        st.fixed_dictionaries({dl: st.sampled_from(e_labels) for dl in d_labels}),
+    )
+    edges = draw(st.lists(edge, min_size=1, max_size=min(3, TOTAL_BUDGET // per_edge)))
+    lc = make_label_cover(d_labels, e_labels, u_names, v_names, edges)
+    return tname, t, lc, draw(st.sampled_from(EPS_CHOICES))
+
+
+def _params(draw, eps):
+    if draw(st.booleans()):
+        return ReductionParams(eps)
+    return ReductionParams(
+        eps, mode="sampled", sample_count=draw(st.integers(1, 120)), seed=draw(st.integers(0, 999))
+    )
+
+
+def _weights(enc):
+    return [enc.weights[c] for c in enc.weight_class]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=instances(), data=st.data())
+def test_build_system_matches_reference(case, data):
+    tname, t, lc, eps = case
+    params = _params(data.draw, eps)
+    system, expect = build_system(lc, t, params), ref.build_system(lc, t, params)
+    enc, ref_enc = system.arrays, expect.arrays
+    assert system.variables == expect.variables
+    assert enc.var_ids.tolist() == ref_enc.var_ids.tolist()
+    assert enc.signs.tolist() == ref_enc.signs.tolist()
+    assert enc.rhs.tolist() == ref_enc.rhs.tolist()
+    assert _weights(enc) == _weights(ref_enc)
+    assert len(set(enc.weights)) == len(enc.weights)
+    assert system.equations == expect.equations
+    assert io.canonical_dumps(io.system_to_obj(system, tname)) == io.canonical_dumps(
+        ref.system_to_obj(expect, tname)
+    )
+    # the unmerged tuples, in the procedure's order
+    raw = ref.raw_equations if params.mode == "exact" else ref.sampled_equations
+    unmerged = tuple(LinEquation(*row) for row in raw(lc, t, params))
+    assert tuple_system(lc, t, params).equations == unmerged
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=instances(), side=st.sampled_from((1, 2)), data=st.data())
+def test_payoff_distribution_matches_reference(case, side, data):
+    _, t, lc, eps = case
+    params = ReductionParams(eps)
+    pe, pd = ref.powers(lc, t)
+    order = len(t.g1 if side == 1 else t.g2)
+    table = lambda size: np.array(data.draw(st.lists(st.integers(0, order - 1), min_size=size, max_size=size)))
+    family = AssignmentFamily(
+        side, {v: table(pe.n) for v in lc.v_names}, {u: table(pd.n) for u in lc.u_names}
+    )
+    got = payoff_distribution(lc, t, params, family, side)
+    expect = ref.payoff_distribution(lc, t, params, family, side)
+    assert got == expect
+    assert list(got) == list(expect)  # elements in order of first reach
+
+
+def test_parallel_edges_merge_like_the_reference():
+    t = catalog.template("z3_id")
+    pi = {"d0": "e0"}
+    lc = make_label_cover(["d0"], ["e0"], ["u0"], ["v0"], [("u0", "v0", pi), ("u0", "v0", pi)])
+    params = ReductionParams(Fraction(1, 4))
+    system, tuples = build_system(lc, t, params), tuple_system(lc, t, params)
+    assert 2 * len(system.arrays) == len(tuples.arrays)
+    assert system.equations == ref.build_system(lc, t, params).equations
+
+
+def test_equations_view_is_built_once():
+    system = build_system(catalog.label_cover("lc1"), catalog.template("z2_id"), ReductionParams(Fraction(1, 4)))
+    assert system.equations is system.equations
+
+
+@pytest.mark.parametrize("lc_name", ("lc_tiny", "lc1"))
+@pytest.mark.parametrize("tname", TEMPLATES)
+def test_cli_reduce_gives_reference_bytes(tname, lc_name, capsys):
+    code = main(["reduce", lc_name, "--template", tname, "--eps", "1/8"])
+    out = capsys.readouterr().out
+    assert code == 0
+    expect = ref.build_system(
+        catalog.label_cover(lc_name), catalog.template(tname), ReductionParams(Fraction(1, 8))
+    )
+    assert out == io.canonical_dumps(ref.system_to_obj(expect, tname))
+
+
+# -- obj_to_system --------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def a3_obj():
+    # Dom(phi) = A3 = {0, 4, 5}, so rhs 1 lies outside it
+    t = catalog.template("s3_a3_incl")
+    system = build_system(catalog.label_cover("lc_tiny"), t, ReductionParams(Fraction(1, 8)))
+    return t, io.system_to_obj(system, "s3_a3_incl"), system
+
+
+def test_obj_to_system_roundtrip(a3_obj):
+    t, obj, system = a3_obj
+    loaded = io.obj_to_system(obj, t)
+    assert io.system_to_obj(loaded, "s3_a3_incl") == obj
+    assert loaded.equations == system.equations
+    assert _weights(loaded.arrays) == _weights(system.arrays)
+
+
+def _negative_weight(obj):
+    w0, w1 = (io.parse_frac(eq["weight"]) for eq in obj["equations"][:2])
+    obj["equations"][0]["weight"] = io.frac_str(-w0)
+    obj["equations"][1]["weight"] = io.frac_str(w1 + 2 * w0)
+
+
+MALFORMED = {
+    "arity": (lambda obj: obj["equations"][0]["terms"].pop(), "three terms"),
+    "sign": (lambda obj: obj["equations"][0]["terms"][1].__setitem__(1, 2), "exponent"),
+    "negative-weight": (_negative_weight, "non-negative"),
+    "unknown-variable": (lambda obj: obj["equations"][0]["terms"][2].__setitem__(0, "w9[0]"), "unknown variable w9"),
+    "rhs": (lambda obj: obj["equations"][0].__setitem__("rhs", 1), "outside Dom"),
+    "weight-sum": (lambda obj: obj["equations"][0].__setitem__("weight", "1/1"), "sum"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_obj_to_system_rejects_malformed_equations(a3_obj, case):
+    t, obj, _ = a3_obj
+    bad = copy.deepcopy(obj)
+    mutate, message = MALFORMED[case]
+    mutate(bad)
+    with pytest.raises(InvalidParams, match=message):
+        io.obj_to_system(bad, t)

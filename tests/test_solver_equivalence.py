@@ -21,7 +21,9 @@ from grouplin import (
     projection_family,
     random_expectation,
 )
+from grouplin.groups import is_unsatisfiable_equation
 from grouplin.reduction import LinEquation, LinSystem
+from grouplin.solvers import non_cubic_solve, unsatisfiable_mask
 
 TEMPLATES = sorted(catalog.templates())
 EPS = Fraction(1, 8)
@@ -73,6 +75,16 @@ def test_kernels_match_reference_on_small_systems(system, side, data):
     assert evaluate(system, other, side) == ref.evaluate(system, other, side)
     if order ** len(system.variables) <= 1296:
         assert brute_force_opt(system, side) == ref.brute_force_opt(system, side)
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=small_systems())
+def test_unsatisfiable_mask_matches_the_equation_check(system):
+    t = system.template
+    expect = [is_unsatisfiable_equation(eq, t) for eq in system.equations]
+    assert unsatisfiable_mask(system, t).tolist() == expect
+    weight = sum((eq.weight for eq, bad in zip(system.equations, expect) if bad), Fraction(0))
+    assert non_cubic_solve(system, t, Fraction(1, 2))["unsat_weight"] == weight
 
 
 def _check_catalog_case(system, t, lc, side):

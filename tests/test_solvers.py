@@ -13,6 +13,7 @@ from grouplin import (
     random_expectation,
 )
 from grouplin.reduction import LinEquation, LinSystem
+from grouplin.solvers import unsatisfiable_mask
 
 
 def make_system(template, equations):
@@ -275,3 +276,30 @@ def test_brute_force_spans_several_blocks():
     # x_i = 1 for i < 11 is forced; x11 is free and takes 0
     assert value == 1
     assert [assignment[x] for x in names] == [1] * 11 + [0]
+
+
+def test_brute_force_cap_counts_equations():
+    # 4 assignments but 11 equations: 44 evaluations
+    t = catalog.template("z2_id")
+    eqs = [
+        LinEquation((("x", 1), ("y", 1), ("y", s)), r, Fraction(1, 11))
+        for s, r in [(1, 0), (1, 1), (-1, 0), (-1, 1)] * 2 + [(1, 0), (1, 1), (-1, 0)]
+    ]
+    system = LinSystem(t, ("x", "y"), tuple(eqs))
+    with pytest.raises(CapExceeded, match="4 assignments x 11 equations = 44"):
+        brute_force_opt(system, 1, cap=43)
+    assert brute_force_opt(system, 1, cap=44)[0] == Fraction(6, 11)
+
+
+def test_unsatisfiable_mask_on_cube_equations():
+    # in Z3 every cube is 0, so x^3 = h and x^-3 = h fail for h != 0
+    t = catalog.template("z3_id")
+    eqs = (
+        LinEquation((("x", 1), ("x", 1), ("x", 1)), 1, Fraction(1, 4)),
+        LinEquation((("x", -1), ("x", -1), ("x", -1)), 2, Fraction(1, 4)),
+        LinEquation((("x", 1), ("x", 1), ("x", 1)), 0, Fraction(1, 4)),
+        LinEquation((("x", 1), ("x", -1), ("x", 1)), 1, Fraction(1, 4)),
+    )
+    system = LinSystem(t, ("x",), eqs)
+    assert unsatisfiable_mask(system, t).tolist() == [True, True, False, False]
+    assert non_cubic_solve(system, t, Fraction(1, 2))["unsat_weight"] == Fraction(1, 2)
