@@ -443,21 +443,25 @@ class GroupTuple:
         return self.power.coords(self.flat)
 
 
-def coset_arrays(sub: Subgroup, power: GroupPower) -> tuple[np.ndarray, np.ndarray]:
-    """Right-coset data of every tuple of ``power`` under ``sub`` acting
-    diagonally: ``rep[g]`` is the lexicographically least tuple of ``H*g``
-    and ``witness[g]`` the h in H with ``rep[g] = h * g``.
+def coset_arrays(
+    sub: Subgroup, power: GroupPower, index: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Right-coset data of the tuples ``index`` of ``power`` (all of them
+    by default) under ``sub`` acting diagonally: ``rep[i]`` is the
+    lexicographically least tuple of ``H*g`` for ``g = index[i]`` and
+    ``witness[i]`` the h in H with ``rep[i] = h * g``.
 
-    One vectorised pass over |H| translates of the power; the witness is
-    unique because h -> h*g is injective.
+    One vectorised pass over the |H| translates of the queried tuples; the
+    witness is unique because h -> h*g is injective.
     """
     if sub.parent != power.group:
         raise InvalidParams("subgroup and power must share a group")
+    index = np.arange(power.n) if index is None else np.asarray(index)
     members = np.asarray(sub.members)
     diagonal = power.encode(np.repeat(members[:, None], power.m, axis=1))
-    translates = power.mul_array(diagonal[:, None], np.arange(power.n)[None, :])
+    translates = power.mul_array(diagonal[:, None], index[None, :])
     best = translates.argmin(axis=0)
-    return translates[best, np.arange(power.n)], members[best]
+    return translates[best, np.arange(len(index))], members[best]
 
 
 class CosetDecomposition:
@@ -490,17 +494,19 @@ def coset_data(sub: Subgroup, g: GroupTuple) -> tuple[GroupTuple, int]:
     return GroupTuple(g.power, rep), h
 
 
-def fold(values, power: GroupPower, phi: Homomorphism) -> np.ndarray:
+def fold(values, power: GroupPower, phi: Homomorphism, cosets=None) -> np.ndarray:
     """Fold a table ``G1^N -> G2`` over ``phi``.
 
     The result f' satisfies f'(h*g) = phi(h) * f'(g) for every h in the
-    domain subgroup. Folding is idempotent.
+    domain subgroup. Folding is idempotent. ``cosets``, if given, is
+    ``coset_arrays(phi.source, power)``, so that one coset pass serves
+    several tables.
     """
     g2 = phi.target
     vals = np.asarray(values, dtype=np.int64)
     if vals.shape != (power.n,):
         raise InvalidParams(f"table must have {power.n} entries")
-    rep, witness = coset_arrays(phi.source, power)
+    rep, witness = coset_arrays(phi.source, power) if cosets is None else cosets
     phi_inv = np.zeros(len(power.group), dtype=np.int64)
     for h, image in phi.mapping:
         phi_inv[h] = g2.inv(image)

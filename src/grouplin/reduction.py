@@ -15,6 +15,7 @@ from .fourier import noise_class_weights, noise_classes
 from .groups import (
     FiniteGroup,
     GroupPower,
+    Subgroup,
     Template,
     coset_arrays,
     identity_hom,
@@ -314,10 +315,12 @@ def _check_family_shape(lc, pe, pd, family):
 _SIGNS = np.array([1, -1])
 
 
-def composed_inverse(pe: GroupPower, pd: GroupPower, pi: dict, e_labels) -> np.ndarray:
-    """Flat index in G1^D of (a o pi)^-1 for every a in G1^E."""
+def composed_inverse(pe: GroupPower, pd: GroupPower, pi: dict, e_labels, a=None) -> np.ndarray:
+    """Flat index in G1^D of (a o pi)^-1 for the flat indices ``a`` of G1^E
+    (every a, in order, by default)."""
     positions = pd.compose_positions(pi, e_labels)
-    return pd.inv_array()[pd.encode(pe.coords_matrix()[:, positions])]
+    coords = pe.coords_matrix() if a is None else pe.coords_matrix()[a]
+    return pd.inv_array()[pd.encode(coords[:, positions])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,14 +353,20 @@ class Tuples:
 class Geometry:
     """The tuple geometry of the reduction for one instance and template:
     coset data of G1^E under Dom(phi), inverses in G1^D and noise classes,
-    shared by every edge."""
+    shared by every edge. The coset data of all of G1^E is computed on the
+    first exact enumeration; sampled tuples look up only the drawn a."""
 
-    def __init__(self, lc: LabelCoverInstance, template: Template):
+    def __init__(self, lc: LabelCoverInstance, h1: Subgroup, pe: GroupPower, pd: GroupPower):
         self.lc = lc
-        self.pe, self.pd = powers(lc, template)
-        self.a_rep, self.h_a = coset_arrays(template.h1, self.pe)
-        self.inv_d = self.pd.inv_array()
-        self.noise_class = noise_classes(self.pd)
+        self.h1 = h1
+        self.pe, self.pd = pe, pd
+        self.inv_d = pd.inv_array()
+        self.noise_class = noise_classes(pd)
+
+    @functools.cached_property
+    def cosets(self) -> tuple[np.ndarray, np.ndarray]:
+        """``coset_arrays(h1, pe)``: a_rep and h_a for every a in G1^E."""
+        return coset_arrays(self.h1, self.pe)
 
     def edge_tuples(self, pi: dict) -> Tuples:
         """Every tuple of one edge, on the grid [a, b, nu, s1, s2]."""
@@ -365,8 +374,11 @@ class Geometry:
         a, d = np.arange(self.pe.n), np.arange(self.pd.n)
         mid = self.pd.mul_array(self.inv_d[None, :], ap_inv[:, None])
         c = self.pd.mul_array(mid[:, :, None], d[None, None, :])
+        a_rep, h_a = self.cosets
         return self._tuples(
             a[:, None, None, None, None],
+            a_rep[:, None, None, None, None],
+            h_a[:, None, None, None, None],
             d[None, :, None, None, None],
             c[:, :, :, None, None],
             d[None, None, :, None, None],
@@ -376,17 +388,19 @@ class Geometry:
 
     def sampled_tuples(self, edge, a, b, nu, s1, s2) -> Tuples:
         """The tuples of drawn (edge, a, b, nu, s1, s2), one per draw."""
-        ap_inv = np.stack(
-            [composed_inverse(self.pe, self.pd, pi, self.lc.e_labels) for _, _, pi in self.lc.edge_maps()]
-        )
-        mid = self.pd.mul_array(self.inv_d[b], ap_inv[edge, a])
-        return self._tuples(a, b, self.pd.mul_array(mid, nu), nu, s1, s2)
+        ap_inv = np.empty(len(a), dtype=np.int64)
+        for e, (_, _, pi) in enumerate(self.lc.edge_maps()):
+            drawn = edge == e
+            ap_inv[drawn] = composed_inverse(self.pe, self.pd, pi, self.lc.e_labels, a[drawn])
+        mid = self.pd.mul_array(self.inv_d[b], ap_inv)
+        a_rep, h_a = coset_arrays(self.h1, self.pe, a)
+        return self._tuples(a, a_rep, h_a, b, self.pd.mul_array(mid, nu), nu, s1, s2)
 
-    def _tuples(self, a, b, c, nu, s1, s2) -> Tuples:
+    def _tuples(self, a, a_rep, h_a, b, c, nu, s1, s2) -> Tuples:
         return Tuples(
             a=a,
-            a_rep=self.a_rep[a],
-            h_a=self.h_a[a],
+            a_rep=a_rep,
+            h_a=h_a,
             b=np.where(s1 > 0, b, self.inv_d[b]),
             c=np.where(s2 > 0, c, self.inv_d[c]),
             s1=s1,
@@ -432,12 +446,13 @@ def _tuple_arrays(lc: LabelCoverInstance, template: Template, params: ReductionP
     variables name the edge's endpoints, so only parallel u-v edges can
     repeat an equation; sampled draws can repeat one anyway.
     """
-    geo = Geometry(lc, template)
-    pe, pd = geo.pe, geo.pd
+    pe, pd = powers(lc, template)
+    exact = params.mode == "exact"
+    m = _check_exact_cap(lc, pe, pd, params.cap) if exact else params.sample_count
+    geo = Geometry(lc, template.h1, pe, pd)
     u_off = {u: k * pd.n for k, u in enumerate(lc.u_names)}
     v_off = {v: len(lc.u_names) * pd.n + k * pe.n for k, v in enumerate(lc.v_names)}
-    if params.mode == "exact":
-        m = _check_exact_cap(lc, pe, pd, params.cap)
+    if exact:
         # one block per edge; the weight class is the noise class
         blocks = []
         for u, v, pi in lc.edge_maps():
@@ -448,7 +463,6 @@ def _tuple_arrays(lc: LabelCoverInstance, template: Template, params: ReductionP
     else:
         # one block of all draws, each of weight 1/samples
         edge, a, b, nu, s1, s2 = _sampled_draws(lc, pe, pd, params)
-        m = len(edge)
         u0 = np.array([u_off[u] for u, _, _ in lc.edges])[edge]
         v0 = np.array([v_off[v] for _, v, _ in lc.edges])[edge]
         blocks = [(geo.sampled_tuples(edge, a, b, nu, s1, s2), u0, v0, 0)]
@@ -584,10 +598,10 @@ def payoff_distribution(
     """
     if side != family.side:
         raise InvalidParams("family built for the other side")
-    geo = Geometry(lc, template)
-    pe, pd = geo.pe, geo.pd
+    pe, pd = powers(lc, template)
     _check_exact_cap(lc, pe, pd, params.cap)
     _check_family_shape(lc, pe, pd, family)
+    geo = Geometry(lc, template.h1, pe, pd)
     group = template.g1 if side == 1 else template.g2
     hom = identity_hom(template.h1) if side == 1 else template.phi
     table = np.asarray(group.table, dtype=np.int64)
@@ -595,9 +609,10 @@ def payoff_distribution(
     n_cls = pd.m + 1
     counts = np.zeros(len(group) * n_cls, dtype=np.int64)
     first_hit: dict[int, tuple[int, int]] = {}
+    folded = {v: fold(family.a_tables[v], pe, hom, geo.cosets) for v in lc.v_names}
     for e, (u, v, pi) in enumerate(lc.edge_maps()):
         t = geo.edge_tuples(pi)
-        a_folded = fold(family.a_tables[v], pe, hom)
+        a_folded = folded[v]
         b_table = np.asarray(family.b_tables[u], dtype=np.int64)
         tb = np.where(t.s1 > 0, b_table[t.b], inverses[b_table[t.b]])
         tc = np.where(t.s2 > 0, b_table[t.c], inverses[b_table[t.c]])
@@ -677,7 +692,7 @@ def lc_value(lc: LabelCoverInstance, h_d: dict[str, str], h_e: dict[str, str]) -
     return Fraction(hits, len(lc.edges))
 
 
-def best_labeling(lc: LabelCoverInstance, cap: int | None = None):
+def best_labeling(lc: LabelCoverInstance):
     """An optimal labeling, by exhaustive search: (value, h_d, h_e).
 
     Labelings are tried with U then V in order and labels in order; the
@@ -685,7 +700,7 @@ def best_labeling(lc: LabelCoverInstance, cap: int | None = None):
     every edge, and that count is held to the enumeration cap.
     """
     n_labelings = len(lc.d_labels) ** len(lc.u_names) * len(lc.e_labels) ** len(lc.v_names)
-    limit = enum_cap(cap)
+    limit = enum_cap()
     if n_labelings * len(lc.edges) > limit:
         raise CapExceeded(
             f"{n_labelings} labelings x {len(lc.edges)} edges ="

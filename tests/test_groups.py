@@ -24,7 +24,7 @@ from grouplin import (
     validate_template,
 )
 from grouplin import InvalidParams, catalog
-from grouplin.groups import CosetDecomposition
+from grouplin.groups import CosetDecomposition, coset_arrays
 from grouplin.reduction import LinEquation
 
 
@@ -223,6 +223,24 @@ def test_fold_equivariance(seed):
         g = int(rng.integers(power.n))
         h = int(rng.choice(t.h1.members))
         assert folded[power.act(h, g)] == t.g2.mul(t.phi.apply(h), int(folded[g]))
+
+
+def test_coset_arrays_on_an_index_match_the_full_pass():
+    t = catalog.template("s3_a3_incl")
+    power = GroupPower(t.g1, ["a", "b"])
+    rep, witness = coset_arrays(t.h1, power)
+    index = np.random.default_rng(5).integers(power.n, size=50)  # repeats too
+    part_rep, part_witness = coset_arrays(t.h1, power, index)
+    assert np.array_equal(part_rep, rep[index])
+    assert np.array_equal(part_witness, witness[index])
+
+
+def test_fold_reuses_given_cosets():
+    t = catalog.template("s3_sign")
+    power = GroupPower(t.g1, ["a", "b"])
+    table = np.random.default_rng(4).integers(0, 2, size=power.n)
+    cosets = coset_arrays(t.phi.source, power)
+    assert np.array_equal(fold(table, power, t.phi, cosets), fold(table, power, t.phi))
 
 
 def test_coset_representative_constant_on_cosets():

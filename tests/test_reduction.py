@@ -16,8 +16,11 @@ from grouplin import (
     family_assignment,
     lc_value,
     make_label_cover,
+    payoff_distribution,
     projection_family,
 )
+from grouplin import reduction
+from grouplin.groups import coset_arrays
 from grouplin.reduction import LinEquation, LinSystem, best_labeling, powers
 from reference_reduction import raw_equations
 
@@ -203,6 +206,36 @@ def test_exact_mode_cap(z2_setup):
         build_system(lc, t, ReductionParams(Fraction(1, 4), cap=10))
 
 
+def test_exact_cap_is_checked_before_the_coset_pass(z2_setup, monkeypatch):
+    t, lc = z2_setup
+
+    def no_coset_pass(*args):
+        raise AssertionError("coset pass before the cap check")
+
+    monkeypatch.setattr(reduction, "coset_arrays", no_coset_pass)
+    params = ReductionParams(Fraction(1, 4), cap=10)
+    with pytest.raises(CapExceeded):
+        build_system(lc, t, params)
+    fam = projection_family(lc, t, {"u0": "d0"}, {"v0": "e0"}, side=1)
+    with pytest.raises(CapExceeded):
+        payoff_distribution(lc, t, params, fam, side=1)
+
+
+def test_sampled_mode_looks_up_only_the_drawn_cosets(monkeypatch):
+    t = catalog.template("s3_sign")
+    lc = catalog.label_cover("lc1")
+    queried = []
+
+    def recording(sub, power, index=None):
+        queried.append(None if index is None else len(index))
+        return coset_arrays(sub, power, index)
+
+    monkeypatch.setattr(reduction, "coset_arrays", recording)
+    params = ReductionParams(Fraction(1, 4), mode="sampled", sample_count=7, seed=1)
+    assert len(build_system(lc, t, params).arrays) <= 7
+    assert queried == [7]
+
+
 def test_lc_value_examples():
     lc1 = catalog.label_cover("lc1")
     assert lc_value(lc1, {"u0": "d0"}, {"v0": "e0"}) == 1
@@ -320,8 +353,10 @@ def test_best_labeling_is_the_first_optimum():
     assert best_labeling(catalog.label_cover("lc_tiny")) == (1, {"u0": "d0"}, {"v0": "e0"})
 
 
-def test_best_labeling_cap_counts_labelings_times_edges():
+def test_best_labeling_cap_counts_labelings_times_edges(monkeypatch):
     lc2 = catalog.label_cover("lc2")  # 2^2 * 2^1 labelings, 2 edges
+    monkeypatch.setenv("GROUPLIN_CAP", "15")
     with pytest.raises(CapExceeded, match="8 labelings x 2 edges = 16"):
-        best_labeling(lc2, cap=15)
-    assert best_labeling(lc2, cap=16)[0] == 1
+        best_labeling(lc2)
+    monkeypatch.setenv("GROUPLIN_CAP", "16")
+    assert best_labeling(lc2)[0] == 1
