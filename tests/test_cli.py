@@ -5,7 +5,9 @@ import pytest
 
 from grouplin import catalog, io
 from grouplin.cli import main
-from grouplin.reduction import ReductionParams, build_system, make_label_cover, projection_family
+from grouplin.reduction import make_label_cover, projection_family
+
+from checks import assert_checks
 
 
 def run(capsys, *argv):
@@ -256,22 +258,15 @@ def test_selftest_unreachable_tolerance(capsys):
     assert "FAIL" in out
 
 
+def test_selftest_unknown_module_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "fouier"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_canonical_json_roundtrip_is_byte_identical():
-    t = catalog.template("z2_id")
-    lc = catalog.label_cover("lc1")
-    system = build_system(lc, t, ReductionParams(Fraction(1, 2)))
-    objs = [
-        io.group_to_obj(catalog.group("s3")),
-        io.lc_to_obj(catalog.label_cover("lc2")),
-        io.template_to_obj(catalog.template("z4_to_z2"), "z4", "z2"),
-        io.system_to_obj(system, "z2_id"),
-        io.family_to_obj(
-            projection_family(lc, t, {"u0": "d0"}, {"v0": "e0"}, side=2)
-        ),
-    ]
-    for obj in objs:
-        text = io.canonical_dumps(obj)
-        assert io.canonical_dumps(json.loads(text)) == text
+    assert_checks("io:json-canonical-roundtrip")
 
 
 def test_group_json_parses_back_to_same_group(tmp_path):

@@ -30,6 +30,8 @@ from grouplin import (
 from grouplin.decoder import expected_character, left_table, right_table
 from grouplin.reduction import powers
 
+from checks import assert_checks
+
 EPS = Fraction(1, 8)
 DELTA = Fraction(1, 4)
 
@@ -183,20 +185,7 @@ def test_right_table_values_are_unitary(ctx_a3):
 
 
 def test_left_table_skew_symmetry_random_tables():
-    t = catalog.template("s3_a3_incl")
-    lc = catalog.label_cover("lc1")
-    pe, pd = powers(lc, t)
-    rng = np.random.default_rng(0)
-    fam = AssignmentFamily(
-        2,
-        {"v0": rng.integers(0, 6, size=pe.n)},
-        {"u0": rng.integers(0, 6, size=pd.n)},
-    )
-    ctx = make_context(lc, t, EPS, DELTA, fam)
-    omega = ctx.g2_irreps.irreps[2]
-    b_fn = left_table(ctx, omega, "u0")
-    inv = ctx.pd.inv_array()
-    assert np.abs(b_fn.values[inv] - b_fn.values.conj().transpose(0, 2, 1)).max() < 1e-12
+    assert_checks("decoder:skew-symmetry")
 
 
 def test_left_table_collapses_for_self_inverse_groups(ctx_z2):
@@ -249,11 +238,8 @@ def test_trivial_term_for_trivial_rep(ctx_z2):
     assert measured <= 1 + 1e-9
 
 
-def test_trivial_term_all_nontrivial_reps(ctx_a3, ctx_sign):
-    for ctx in (ctx_a3, ctx_sign):
-        for rep in ctx.g2_irreps.irreps[1:]:
-            measured, penalty = trivial_term_bound(ctx, rep)
-            assert measured <= penalty + 1e-9
+def test_trivial_term_all_nontrivial_reps():
+    assert_checks("decoder:trivial-term-penalty")
 
 
 def test_subgroup_average_is_zero_for_eta_zero():
@@ -270,21 +256,12 @@ def test_high_degree_mass_vanishes_beyond_label_count(ctx_z2):
     assert high_degree_mass(ctx_z2, omega, 4) <= 2 * (1 / 16) * omega.dim
 
 
-def test_high_degree_mass_under_attenuation_bound(ctx_z2, ctx_a3):
-    for ctx in (ctx_z2, ctx_a3):
-        one_minus = 1 - float(ctx.eps)
-        for rep in ctx.g2_irreps.irreps[1:]:
-            for k in (1, 2):
-                mass = high_degree_mass(ctx, rep, k)
-                assert mass <= 2 * one_minus**k * rep.dim + 1e-9
+def test_high_degree_mass_under_attenuation_bound():
+    assert_checks("decoder:high-degree-smoothing")
 
 
-def test_high_degree_mass_at_threshold(ctx_z2, ctx_a3, ctx_sign):
-    for ctx in (ctx_z2, ctx_a3, ctx_sign):
-        k = kappa(ctx.delta, ctx.eps)
-        for rep in ctx.g2_irreps.irreps[1:]:
-            mass = high_degree_mass(ctx, rep, k)
-            assert mass <= rep.dim * float(ctx.delta) / 2 + 1e-9
+def test_high_degree_mass_at_threshold():
+    assert_checks("decoder:high-degree-smoothing")
 
 
 # -- influences and decoding ----------------------------------------------------
@@ -382,20 +359,12 @@ def test_derandomize_never_loses_value(ctx_a3):
     assert float(rounded) >= value - 1e-12
 
 
-def test_averaging_consistency(ctx_z2, ctx_a3):
-    for ctx in (ctx_z2, ctx_a3):
-        total = sum(
-            rep.dim * expected_character(ctx, rep) for rep in ctx.g2_irreps.irreps
-        )
-        assert complex(total) == pytest.approx(
-            len(ctx.template.g2) * float(ctx.value), abs=1e-9
-        )
+def test_averaging_consistency():
+    assert_checks("decoder:averaging-consistency")
 
 
-def test_simulation_matches_analytic_value(ctx_a3):
-    strategy, value, _ = decode(ctx_a3)
-    mean, sigma = simulate_strategy(ctx_a3.lc, strategy, samples=100_000, seed=2)
-    assert abs(mean - value) <= 3 * sigma
+def test_simulation_matches_analytic_value():
+    assert_checks("decoder:strategy-simulation")
 
 
 def test_strategy_rejects_overweight_maps():

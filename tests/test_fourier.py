@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,10 @@ from grouplin import (
     similar,
     transform,
 )
+from grouplin import selftest
 from grouplin.errors import CapExceeded
+
+from checks import assert_checks, assert_passes
 
 
 @pytest.fixture(scope="module")
@@ -71,17 +75,7 @@ def test_inversion_of_a_delta(z2_setup):
 
 
 def test_roundtrip_over_s3_squared():
-    iset = irreps(catalog.group("s3"))
-    power = GroupPower(iset.group, ["p0", "p1"])
-    rhos = product_irreps(iset, power.labels)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        f = ScalarFn(
-            power, rng.standard_normal(power.n) + 1j * rng.standard_normal(power.n)
-        )
-        back = inverse(transform(f, rhos), rhos)
-        assert np.abs(back.values - f.values).max() < 1e-9
-        assert plancherel_gap(f, rhos) < 1e-9
+    assert_checks("fourier:roundtrip+plancherel")
 
 
 def test_roundtrip_over_z2_squared_is_tight():
@@ -120,24 +114,8 @@ def test_two_point_convolution(z2_setup):
     assert out.values[1] == pytest.approx((2 * 3 + 5 * -1) / 2)
 
 
-def test_convolution_coefficients_factorize(s3_setup):
-    _, power, rhos = s3_setup
-    rng = np.random.default_rng(2)
-    f = MatrixFn(
-        power,
-        rng.standard_normal((power.n, 2, 2)) + 1j * rng.standard_normal((power.n, 2, 2)),
-    )
-    h = MatrixFn(
-        power,
-        rng.standard_normal((power.n, 2, 2)) + 1j * rng.standard_normal((power.n, 2, 2)),
-    )
-    conv_t = transform(convolve(f, h), rhos)
-    tf, th = transform(f, rhos), transform(h, rhos)
-    for rho in rhos:
-        expected = np.einsum(
-            "ikxz,kjzy->ijxy", tf.blocks[rho.comps], th.blocks[rho.comps]
-        )
-        assert np.abs(conv_t.blocks[rho.comps] - expected).max() < 1e-9
+def test_convolution_coefficients_factorize():
+    assert_checks("fourier:convolution-coefficients")
 
 
 def test_noise_on_constant_function_is_identity():
@@ -156,22 +134,7 @@ def test_noise_halves_the_sign_character(z2_setup):
 
 
 def test_noise_attenuates_by_degree_exactly():
-    iset = irreps(catalog.group("z2"))
-    power = GroupPower(iset.group, ["x", "y", "z"])
-    rhos = product_irreps(iset, power.labels)
-    rng = np.random.default_rng(3)
-    f = ScalarFn(power, rng.integers(-8, 8, size=power.n).astype(complex))
-    eps = Fraction(1, 2)
-    noisy = noise_apply(f, eps)
-    for rho in rhos:
-        got = coeff(noisy, rho, 0, 0)
-        want = float(1 - eps) ** rho.degree * coeff(f, rho, 0, 0)
-        assert abs(got - want) < 1e-12
-    degree_two = [r for r in rhos if r.degree == 2]
-    assert degree_two and all(
-        abs(coeff(noisy, r, 0, 0) - 0.25 * coeff(f, r, 0, 0)) < 1e-12
-        for r in degree_two
-    )
+    assert_checks("fourier:noise-attenuation")
 
 
 def test_noise_on_matrix_functions():
@@ -213,17 +176,9 @@ def test_pullback_of_two_signs_is_constant():
 
 
 def test_pullback_is_unitary():
-    iset = irreps(catalog.group("s3"))
-    pe = GroupPower(iset.group, ["e0"])
-    rhos_d = product_irreps(iset, ["d0", "d1"])
-    pi = {"d0": "e0", "d1": "e0"}
-    rng = np.random.default_rng(4)
-    for rho in rhos_d:
-        mats = pullback(rho, pi, ["e0"]).matrices(pe)
-        for _ in range(3):
-            g = int(rng.integers(pe.n))
-            eye = np.eye(rho.dim)
-            assert np.abs(mats[g] @ mats[g].conj().T - eye).max() < 1e-9
+    (check,) = selftest.lookup("fourier:pullback")
+    assert_passes(check)
+    assert_passes(replace(check, name="pullback[s3]", args=("s3",)))
 
 
 def test_similar_relation_and_orthogonality():
@@ -258,10 +213,7 @@ def test_similar_implies_degree_bound():
 
 
 def test_product_irrep_completeness():
-    for name, m in (("z2", 3), ("s3", 2)):
-        iset = irreps(catalog.group(name))
-        rhos = product_irreps(iset, [f"p{k}" for k in range(m)])
-        assert sum(r.dim**2 for r in rhos) == len(iset.group) ** m
+    assert_checks("fourier:product-completeness")
 
 
 def test_power_cap_enforced():

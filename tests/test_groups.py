@@ -24,8 +24,10 @@ from grouplin import (
     validate_template,
 )
 from grouplin import InvalidParams, catalog
-from grouplin.groups import CosetDecomposition, coset_arrays
+from grouplin.groups import coset_arrays
 from grouplin.reduction import LinEquation
+
+from checks import assert_checks
 
 
 def perm_compose(p, q):
@@ -194,12 +196,7 @@ def test_fold_z2_identity_template():
 
 
 def test_fold_is_idempotent():
-    rng = np.random.default_rng(3)
-    t = catalog.template("s3_sign")
-    power = GroupPower(t.g1, ["a", "b"])
-    table = rng.integers(0, 2, size=power.n)
-    once = fold(table, power, t.phi)
-    assert np.array_equal(fold(once, power, t.phi), once)
+    assert_checks("groups:fold")
 
 
 def test_fold_to_trivial_image_constant_on_cosets():
@@ -244,14 +241,7 @@ def test_fold_reuses_given_cosets():
 
 
 def test_coset_representative_constant_on_cosets():
-    t = catalog.template("s3_a3_incl")
-    power = GroupPower(t.g1, ["a", "b"])
-    cosets = CosetDecomposition(t.h1, power)
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        g = int(rng.integers(power.n))
-        reps = {cosets.data(power.act(h, g))[0] for h in t.h1.members}
-        assert len(reps) == 1
+    assert_checks("groups:cosets")
 
 
 @pytest.mark.parametrize(
@@ -263,9 +253,7 @@ def test_is_cubic_examples(tname, expected):
 
 
 def test_is_cubic_agrees_with_cube_enumeration():
-    for t in catalog.templates().values():
-        cubes = {t.g2.cube(g) for g in range(len(t.g2))}
-        assert is_cubic(t) == all(h in cubes for h in t.h2.members)
+    assert_checks("groups:cubic")
 
 
 def test_s3_cube_image_misses_three_cycles():

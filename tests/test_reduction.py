@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +20,10 @@ from grouplin import (
     payoff_distribution,
     projection_family,
 )
-from grouplin import reduction
+from grouplin import reduction, selftest
 from grouplin.groups import coset_arrays
 from grouplin.reduction import LinEquation, LinSystem, best_labeling, powers
+from checks import assert_checks, assert_passes
 from reference_reduction import raw_equations
 
 
@@ -36,11 +38,8 @@ def test_raw_tuple_count(z2_setup):
     assert len(raw) == 128  # 1 edge * 2 * 4 * 4 * 4
 
 
-def test_weights_sum_to_one(z2_setup):
-    t, lc = z2_setup
-    for eps in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):
-        system = build_system(lc, t, ReductionParams(eps))
-        assert sum((e.weight for e in system.equations), Fraction(0)) == 1
+def test_weights_sum_to_one():
+    assert_checks("reduction:weights-sum")
 
 
 def test_specific_tuple_weight(z2_setup):
@@ -110,30 +109,13 @@ def test_planted_family_value_is_exact(z2_setup):
 
 
 def test_planted_value_formula_across_templates():
-    lc = catalog.label_cover("lc1")
-    eps = Fraction(1, 8)
+    check = selftest.lookup("reduction:completeness-value")[0]
     for tname in ("z2_id", "z3_id", "s3_sign"):
-        t = catalog.template(tname)
-        fam = projection_family(lc, t, {"u0": "d1"}, {"v0": "e0"}, side=1)
-        value = evaluate_family(lc, t, ReductionParams(eps), fam, side=1)
-        assert value == 1 - eps * (1 - Fraction(1, len(t.g1)))
+        assert_passes(replace(check, name=f"completeness-value[{tname}]", args=(tname,)))
 
 
-def test_family_and_system_paths_agree(z2_setup):
-    t, lc = z2_setup
-    params = ReductionParams(Fraction(1, 4))
-    system = build_system(lc, t, params)
-    pe, pd = powers(lc, t)
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        fam = AssignmentFamily(
-            2,
-            {"v0": rng.integers(0, 2, size=pe.n)},
-            {"u0": rng.integers(0, 2, size=pd.n)},
-        )
-        via_family = evaluate_family(lc, t, params, fam, side=2)
-        via_system = evaluate(system, family_assignment(lc, t, fam), side=2)
-        assert via_family == via_system
+def test_family_and_system_paths_agree():
+    assert_checks("reduction:two-path-agreement")
 
 
 def test_merging_preserves_value(z2_setup):
@@ -188,16 +170,8 @@ def test_constant_identity_family_counts_identity_constants():
         assert value == identity_weight
 
 
-def test_sampled_mode_concentrates(z2_setup):
-    t, lc = z2_setup
-    fam = projection_family(lc, t, {"u0": "d0"}, {"v0": "e0"}, side=1)
-    exact = evaluate_family(lc, t, ReductionParams(Fraction(1, 4)), fam, side=1)
-    n = 4096
-    params = ReductionParams(Fraction(1, 4), mode="sampled", sample_count=n, seed=0)
-    system = build_system(lc, t, params)
-    assert sum((e.weight for e in system.equations), Fraction(0)) == 1
-    sampled = evaluate(system, family_assignment(lc, t, fam), side=1)
-    assert abs(float(sampled - exact)) <= 4 / np.sqrt(n)
+def test_sampled_mode_concentrates():
+    assert_checks("reduction:sampling-concentration")
 
 
 def test_exact_mode_cap(z2_setup):

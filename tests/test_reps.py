@@ -7,7 +7,6 @@ from grouplin import (
     eta,
     irreps,
     multiplicity,
-    regular_representation,
     restrict,
     right_regular,
     subgroup,
@@ -15,13 +14,14 @@ from grouplin import (
     trivial_subgroup,
 )
 from grouplin import catalog
+from grouplin.selftest import GROUP_NAMES
 
-GROUPS = ("z2", "z3", "z4", "z2xz2", "s3", "d4", "q8")
+from checks import assert_checks
 
 
 @pytest.fixture(scope="module")
 def irrep_sets():
-    return {name: irreps(catalog.group(name)) for name in GROUPS}
+    return {name: irreps(catalog.group(name)) for name in GROUP_NAMES}
 
 
 @pytest.mark.parametrize(
@@ -66,11 +66,8 @@ def test_multiplicity_of_irrep_in_itself(irrep_sets):
             assert multiplicity(rep, rep) == 1
 
 
-def test_regular_representation_multiplicities(irrep_sets):
-    for name, iset in irrep_sets.items():
-        reg = regular_representation(catalog.group(name))
-        for rep in iset.irreps:
-            assert multiplicity(rep, reg) == rep.dim
+def test_regular_representation_multiplicities():
+    assert_checks("reps:regular-multiplicities")
 
 
 def test_coset_representation_of_s3_over_a3(irrep_sets):
@@ -138,51 +135,26 @@ def test_eta_z4_over_even_subgroup(irrep_sets):
     "key,expected",
     [("s3/a3", 2), ("s3/<(12)>", 3), ("z4/{0,2}", 2), ("q8/center", 4)],
 )
-def test_induced_trivial_multiplicity_sum(irrep_sets, key, expected):
+def test_induced_trivial_multiplicity_sum(key, expected):
     g, h = catalog.subgroup_pairs()[key]
-    iset = irrep_sets[g.name]
-    total = sum(rep.dim * eta(rep, h) for rep in iset.irreps)
-    assert total == expected == len(g) // len(h)
+    assert expected == len(g) // len(h)
+    assert_checks(f"reps:induced-trivial-sum[{key}]")
 
 
-def test_entry_orthogonality(irrep_sets):
-    for name, iset in irrep_sets.items():
-        n = len(catalog.group(name))
-        rows, dims = [], []
-        for rep in iset.irreps:
-            for i in range(rep.dim):
-                for j in range(rep.dim):
-                    rows.append(rep.matrices[:, i, j])
-                    dims.append(rep.dim)
-        m = np.stack(rows)
-        gram = m @ m.conj().T / n
-        assert np.abs(gram - np.diag([1.0 / d for d in dims])).max() < 1e-9
+def test_entry_orthogonality():
+    assert_checks("reps:entry-orthogonality")
 
 
-def test_character_dimension_sum(irrep_sets):
-    for name, iset in irrep_sets.items():
-        g = catalog.group(name)
-        total = sum(rep.dim * character(rep) for rep in iset.irreps)
-        expected = np.zeros(len(g), dtype=complex)
-        expected[g.identity] = len(g)
-        assert np.abs(total - expected).max() < 1e-9
-        assert sum(d * d for d in iset.dims()) == len(g)
+def test_character_dimension_sum():
+    assert_checks("reps:character-dim-sum")
 
 
-def test_nontrivial_entries_sum_to_zero(irrep_sets):
-    for iset in irrep_sets.values():
-        for rep in iset.irreps[1:]:
-            assert np.abs(rep.matrices.sum(axis=0)).max() < 1e-9
+def test_nontrivial_entries_sum_to_zero():
+    assert_checks("reps:nontrivial-entry-sums")
 
 
 def test_trace_and_product_tensor_identities():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    d = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert abs(np.trace(np.kron(a, c)) - np.trace(a) * np.trace(c)) < 1e-12
-    assert np.abs(np.kron(a @ b, c @ d) - np.kron(a, c) @ np.kron(b, d)).max() < 1e-12
+    assert_checks("reps:tensor-trace")
 
 
 def test_irreps_rejects_bad_tolerance():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,30 +13,17 @@ from grouplin import (
     non_cubic_solve,
     random_expectation,
 )
+from grouplin import selftest
 from grouplin.reduction import LinEquation, LinSystem
+from grouplin.selftest import random_system
 from grouplin.solvers import unsatisfiable_mask
+
+from checks import assert_checks, assert_passes
 
 
 def make_system(template, equations):
     names = sorted({v for eq in equations for v, _ in eq.terms})
     return LinSystem(template, tuple(names), tuple(equations))
-
-
-def random_system(template, rng, n_vars=4, n_eqs=5):
-    names = [f"x{i}" for i in range(n_vars)]
-    weights = [int(rng.integers(1, 6)) for _ in range(n_eqs)]
-    total = sum(weights)
-    merged = {}
-    for w in weights:
-        terms = tuple(
-            (names[int(rng.integers(n_vars))], 1 if rng.integers(2) else -1)
-            for _ in range(3)
-        )
-        rhs = int(rng.choice(template.h1.members))
-        key = (terms, rhs)
-        merged[key] = merged.get(key, Fraction(0)) + Fraction(w, total)
-    eqs = tuple(LinEquation(t, r, w) for (t, r), w in merged.items())
-    return LinSystem(template, tuple(names), eqs)
 
 
 def test_brute_force_single_equation():
@@ -93,13 +81,9 @@ def test_random_expectation_unsatisfiable_cube_is_zero():
 
 @pytest.mark.parametrize("tname", ["z2_id", "z4_to_z2", "s3_sign"])
 def test_distinct_variable_equations_hit_inverse_subgroup_order(tname):
-    t = catalog.template(tname)
-    eqs = [
-        LinEquation((("x", 1), ("y", -1), ("z", 1)), t.g1.identity, Fraction(1, 2)),
-        LinEquation((("z", 1), ("x", 1), ("y", 1)), min(t.h1.members), Fraction(1, 2)),
-    ]
-    system = make_system(t, eqs)
-    assert random_expectation(system, t, 2) == Fraction(1, len(t.h2))
+    (check,) = selftest.lookup("solvers:distinct-variable-expectation")
+    assert tname in check.args
+    assert_passes(replace(check, args=(tname,)))
 
 
 def test_derandomize_beats_expectation_on_weighted_pair():
@@ -129,22 +113,11 @@ def test_derandomize_satisfiable_equation_reaches_one():
 
 
 def test_derandomize_dominates_expectation_on_random_systems():
-    t = catalog.template("z2_id")
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        system = random_system(t, rng)
-        expectation = random_expectation(system, t, 2)
-        value = evaluate(system, derandomize(system, t, 2), 2)
-        assert value >= expectation
+    assert_checks("solvers:derandomize-dominates")
 
 
 def test_brute_force_dominates_derandomize():
-    t = catalog.template("z2_id")
-    rng = np.random.default_rng(1)
-    for _ in range(15):
-        system = random_system(t, rng, n_vars=3, n_eqs=4)
-        opt, _ = brute_force_opt(system, 2)
-        assert opt >= evaluate(system, derandomize(system, t, 2), 2)
+    assert_checks("solvers:brute-dominates")
 
 
 def test_non_cubic_rejects_all_unsatisfiable_system():
@@ -179,16 +152,7 @@ def test_cubic_template_never_rejects():
 
 
 def test_non_cubic_never_rejects_satisfiable_instances():
-    t = catalog.template("z3_id")
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        system = random_system(t, rng, n_vars=3, n_eqs=4)
-        _, opt_assignment = brute_force_opt(system, 1)
-        opt = evaluate(system, opt_assignment, 1)
-        for c in (Fraction(1, 2), Fraction(3, 4)):
-            result = non_cubic_solve(system, t, c)
-            if opt >= c:
-                assert result["status"] == "accept"
+    assert_checks("solvers:unsatisfiable-rejection-sound")
 
 
 def test_derandomize_all_ties_take_first_member():
