@@ -117,8 +117,8 @@ def quaternion8() -> FiniteGroup:
 
 
 @functools.lru_cache(maxsize=None)
-def groups(heavy: bool = False) -> dict[str, FiniteGroup]:
-    out = {
+def groups() -> dict[str, FiniteGroup]:
+    return {
         "z2": cyclic(2),
         "z3": cyclic(3),
         "z4": cyclic(4),
@@ -127,9 +127,6 @@ def groups(heavy: bool = False) -> dict[str, FiniteGroup]:
         "d4": dihedral4(),
         "q8": quaternion8(),
     }
-    if heavy:
-        out["s4"] = symmetric4()
-    return out
 
 
 def group(name: str) -> FiniteGroup:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParams, NoOmega
-from .fourier import MatrixFn, ScalarFn, convolve, noise_weights, product_irreps
+from .fourier import MatrixFn, ScalarFn, convolve, inverse, noise_apply, product_irreps, transform
 from .groups import GroupPower, Template, fold
 from .reduction import (
     AssignmentFamily,
@@ -183,17 +183,18 @@ def select_omega(ctx: DecoderContext) -> OmegaChoice:
     Raises NoOmega when every margin is negative, which means the family
     value is below the promise threshold.
     """
+    omegas = ctx.g2_irreps.irreps
+    margins = [penalized_margin(ctx, omega) for omega in omegas[1:]]
     best: OmegaChoice | None = None
-    for idx, omega in enumerate(ctx.g2_irreps.irreps):
-        if idx == 0:
-            continue
-        margin = penalized_margin(ctx, omega)
-        if margin < 0:
-            continue
-        if best is None or margin > best.margin + _TIE:
-            best = OmegaChoice(idx, omega, eta(omega, ctx.template.h2), margin)
+    for idx, margin in enumerate(margins, start=1):
+        if margin >= 0 and (best is None or margin > best.margin + _TIE):
+            best = OmegaChoice(idx, omegas[idx], eta(omegas[idx], ctx.template.h2), margin)
     if best is None:
-        raise NoOmega("no non-trivial representation has non-negative margin")
+        closest = int(np.argmax(margins)) + 1
+        raise NoOmega(
+            "no non-trivial representation has non-negative margin; the largest"
+            f" is {margins[closest - 1]:.6g}, at irrep {closest}"
+        )
     return best
 
 
@@ -239,20 +240,15 @@ def trivial_term_bound(ctx: DecoderContext, omega: UnitaryRep):
     if abs(float(np.real(np.trace(avg))) - penalty) > 1e-9:
         raise InvalidParams("trace of the subgroup average must equal eta")
 
-    nu_w = [float(w) for w in noise_weights(ctx.pd, ctx.eps)]
     total = 0.0 + 0.0j
     for u, v, pi in ctx.lc.edge_maps():
         a_fn, b_fn = build_fns(ctx, omega, v, u)
         m = convolve(b_fn, b_fn).values
         a_hat_1 = np.mean(a_fn.values, axis=0)
+        traces = ScalarFn(ctx.pd, np.einsum("xy,gyx->g", a_hat_1, m))
+        smoothed = noise_apply(traces, ctx.eps).values
         ap_inv = composed_inverse(ctx.pe, ctx.pd, pi, ctx.lc.e_labels)
-        edge_sum = 0.0 + 0.0j
-        for a in range(ctx.pe.n):
-            base = ap_inv[a]
-            for nu in range(ctx.pd.n):
-                idx = ctx.pd.mul(int(base), nu)
-                edge_sum += nu_w[nu] * np.trace(a_hat_1 @ m[idx])
-        total += edge_sum / ctx.pe.n
+        total += np.mean(smoothed[ap_inv])
     measured = abs(total / len(ctx.lc.edges))
     return measured, penalty
 
@@ -264,25 +260,18 @@ def high_degree_mass(ctx: DecoderContext, omega: UnitaryRep, kappa_value: int) -
     total = 0.0 + 0.0j
     for u, v, pi in ctx.lc.edge_maps():
         a_fn, b_fn = build_fns(ctx, omega, v, u)
-        m = convolve(b_fn, b_fn).values
-        n_mat = m.shape[1]
-        w_table = np.zeros((ctx.pd.n, n_mat, n_mat), dtype=complex)
+        table = transform(convolve(b_fn, b_fn), ctx.prod_d)
+        scaled = {}
         for rho in ctx.prod_d:
-            mats = rho.matrices(ctx.pd)
-            block = np.einsum("gxy,gij->ijxy", m, np.conj(mats)) / ctx.pd.n
-            diag_trace = float(
-                np.real(np.einsum("iixx->", block))
-            )
+            block = table.blocks[rho.comps]
+            diag_trace = float(np.real(np.einsum("iixx->", block)))
             if diag_trace < -1e-9:
                 raise InvalidParams(
                     f"diagonal coefficient trace {diag_trace} is negative"
                 )
-            if rho.degree >= kappa_value:
-                w_table += (
-                    rho.dim
-                    * one_minus_eps**rho.degree
-                    * np.einsum("ijxy,gij->gxy", block, mats)
-                )
+            high = rho.degree >= kappa_value
+            scaled[rho.comps] = block * (one_minus_eps**rho.degree if high else 0.0)
+        w_table = inverse(replace(table, blocks=scaled), ctx.prod_d).values
         a_hat_1 = np.mean(a_fn.values, axis=0)
         centered = a_fn.values - a_hat_1
         ap_inv = composed_inverse(ctx.pe, ctx.pd, pi, ctx.lc.e_labels)
@@ -308,14 +297,13 @@ def influence_probs(ctx: DecoderContext, omega: UnitaryRep, which, kappa_value: 
         power, rhos, labels = ctx.pd, ctx.prod_d, ctx.lc.d_labels
     else:
         raise InvalidParams("which must start with 'v' or 'u'")
-    scalar = ScalarFn(power, fn_values[:, r, c])
+    table = transform(ScalarFn(power, fn_values[:, r, c]), rhos)
     out = {l: 0.0 for l in labels}
     for rho in rhos:
         deg = rho.degree
         if deg == 0 or deg >= kappa_value:
             continue
-        mats = rho.matrices(power)
-        block = np.einsum("g,gij->ij", scalar.values, np.conj(mats)) / power.n
+        block = table.blocks[rho.comps]
         mass = rho.dim * float(np.sum(np.abs(block) ** 2)) / deg
         if mass == 0.0:
             continue

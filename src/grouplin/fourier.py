@@ -2,11 +2,15 @@
 
 Functions live on ``G^D`` as dense tables in row-major tuple order. The
 Fourier basis is the set of matrix entries of product representations,
-identified with tuples of irreducibles of the base group.
+identified with tuples of irreducibles of the base group. They are tensor
+products of base irreducibles, so the transform, its inverse and noise each
+apply one |G| x |G| base matrix along every axis of the table in turn
+(separation of variables): O(m |G|^(m+1)) per entry.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +21,7 @@ from .errors import CapExceeded, DimensionMismatch, IncompleteTable, InvalidPara
 from .groups import GroupPower
 from .reps import IrrepSet
 
-_DENSE_DIM_LIMIT = 64  # above this, representations stay entrywise
+_DENSE_DIM_LIMIT = 64  # above this, dense (n, dim, dim) matrices are refused
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,25 +65,31 @@ class ProductIrrep:
         Refused above the dense limit; use ``entry_table`` there instead.
         """
         self._check_power(power)
-        if self.dim > _DENSE_DIM_LIMIT:
-            raise CapExceeded(
-                f"dimension {self.dim} above the dense limit; use entry_table"
-            )
-        coords = power.coords_matrix()
-        out = np.ones((power.n, 1, 1), dtype=complex)
-        for pos, c in enumerate(self.comps):
-            comp = self.base.irreps[c].matrices[coords[:, pos]]
-            out = np.einsum("gab,gcd->gacbd", out, comp).reshape(
-                power.n, out.shape[1] * comp.shape[1], out.shape[2] * comp.shape[2]
-            )
-        return out
+        return self._tensor(power.coords_matrix())
 
     def entry_table(self, power: GroupPower, i: int, j: int) -> np.ndarray:
         """The scalar function g -> rho_{i,j}(g) as a dense table."""
         self._check_power(power)
-        coords = power.coords_matrix()
+        return self._entries(power.coords_matrix(), i, j)
+
+    def _tensor(self, coords: np.ndarray) -> np.ndarray:
+        """The matrices at tuples given by coordinates, one column per component."""
+        if self.dim > _DENSE_DIM_LIMIT:
+            raise CapExceeded(
+                f"dimension {self.dim} above the dense limit; use entry_table"
+            )
+        n = len(coords)
+        out = np.ones((n, 1, 1), dtype=complex)
+        for pos, c in enumerate(self.comps):
+            comp = self.base.irreps[c].matrices[coords[:, pos]]
+            out = np.einsum("gab,gcd->gacbd", out, comp).reshape(
+                n, out.shape[1] * comp.shape[1], out.shape[2] * comp.shape[2]
+            )
+        return out
+
+    def _entries(self, coords: np.ndarray, i: int, j: int) -> np.ndarray:
         ci, cj = self.entry_coords(i), self.entry_coords(j)
-        out = np.ones(power.n, dtype=complex)
+        out = np.ones(len(coords), dtype=complex)
         for pos, c in enumerate(self.comps):
             out = out * self.base.irreps[c].matrices[coords[:, pos], ci[pos], cj[pos]]
         return out
@@ -170,58 +180,81 @@ class FourierTable:
         return block[i, j]
 
 
-def _coefficient_block(fn: GroupFn, rho: ProductIrrep) -> np.ndarray:
-    if rho.dim <= _DENSE_DIM_LIMIT:
-        mats = rho.matrices(fn.power)
-        if isinstance(fn, ScalarFn):
-            return np.einsum("g,gij->ij", fn.values, np.conj(mats)) / fn.power.n
-        return np.einsum("gxy,gij->ijxy", fn.values, np.conj(mats)) / fn.power.n
-    shape = (rho.dim, rho.dim) + fn.values.shape[1:]
-    block = np.empty(shape, dtype=complex)
-    for i in range(rho.dim):
-        for j in range(rho.dim):
-            block[i, j] = coeff(fn, rho, i, j)
-    return block
+def _base_entries(base: IrrepSet) -> np.ndarray:
+    """(|G|, |G|): column (c, i, j), row-major, holds g -> rho_c(g)_ij; the
+    columns of one irreducible are contiguous, in irreducible order."""
+    n = len(base.group)
+    return np.concatenate([r.matrices.reshape(n, -1) for r in base.irreps], axis=1)
+
+
+def _per_axis(power: GroupPower, flat: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Contract each of the m group axes of ``flat`` (|G|^m rows in row-major
+    tuple order) with axis 0 of ``mat``; the result has the same layout.
+
+    Each step contracts the leading axis and appends the result as the last
+    one, so after m steps the group axes are back in order, behind the
+    trailing matrix axes."""
+    values = flat.reshape(power.n, -1)
+    for _ in range(power.m):
+        values = values.reshape(len(power.group), -1).T @ mat
+    return values.reshape(-1, power.n).T.reshape(flat.shape)
+
+
+@functools.lru_cache(maxsize=4096)
+def _block_index(dims: tuple[int, ...], comps: tuple[int, ...]) -> np.ndarray:
+    """(dim, dim) rows of the block of the product irreducible ``comps`` (of
+    base irreducibles of dimensions ``dims``) in a per-axis coefficient array:
+    entry (i, j) combines the base columns (c_k, i_k, j_k), first position
+    most significant, in the Kronecker order of ``ProductIrrep.matrices``."""
+    starts = np.cumsum([0] + [d * d for d in dims])  # starts[-1] = |G|
+    index = np.zeros((1, 1), dtype=np.int64)
+    for c in comps:
+        d = dims[c]
+        cols = starts[c] + np.arange(d * d).reshape(d, d)
+        index = index[:, None, :, None] * starts[-1] + cols[None, :, None, :]
+        index = index.reshape(index.shape[0] * index.shape[1], -1)
+    index.flags.writeable = False  # shared by every caller
+    return index
+
+
+def _check_rhos(rhos, power: GroupPower, base: IrrepSet) -> None:
+    for rho in rhos:
+        rho._check_power(power)
+        if rho.base is not base:
+            raise DimensionMismatch("representations of different irreducible sets")
 
 
 def transform(fn: GroupFn, rhos: tuple[ProductIrrep, ...]) -> FourierTable:
-    """The full Fourier transform of ``fn``."""
+    """The Fourier transform of ``fn``: one block per representation passed."""
     if not rhos:
         raise InvalidParams("pass the product representations to expand in")
     base = rhos[0].base
-    blocks = {rho.comps: _coefficient_block(fn, rho) for rho in rhos}
+    _check_rhos(rhos, fn.power, base)
+    forward = np.conj(_base_entries(base)) / len(base.group)
+    coeffs = _per_axis(fn.power, fn.values, forward)
+    dims = base.dims()
+    blocks = {rho.comps: coeffs[_block_index(dims, rho.comps)] for rho in rhos}
     return FourierTable(fn.power, base, blocks, fn.matrix_size)
 
 
 def inverse(table: FourierTable, rhos: tuple[ProductIrrep, ...]) -> GroupFn:
     """Fourier inversion: F(g) = sum_rho dim_rho sum_ij F^(rho_ij) rho_ij(g)."""
-    power = table.power
-    if table.matrix_size is None:
-        out = np.zeros(power.n, dtype=complex)
-    else:
-        out = np.zeros((power.n, table.matrix_size, table.matrix_size), dtype=complex)
+    power, base = table.power, table.base
+    _check_rhos(rhos, power, base)
+    extra = () if table.matrix_size is None else (table.matrix_size,) * 2
+    coeffs = np.zeros((power.n,) + extra, dtype=complex)
+    dims = base.dims()
     seen = set()
     for rho in rhos:
         block = table.blocks.get(rho.comps)
         if block is None:
             raise IncompleteTable(f"no block for components {rho.comps}")
         seen.add(rho.comps)
-        if rho.dim <= _DENSE_DIM_LIMIT:
-            mats = rho.matrices(power)
-            if table.matrix_size is None:
-                out += rho.dim * np.einsum("ij,gij->g", block, mats)
-            else:
-                out += rho.dim * np.einsum("ijxy,gij->gxy", block, mats)
-        else:
-            for i in range(rho.dim):
-                for j in range(rho.dim):
-                    entry = rho.entry_table(power, i, j)
-                    if table.matrix_size is None:
-                        out += rho.dim * block[i, j] * entry
-                    else:
-                        out += rho.dim * entry[:, None, None] * block[i, j]
+        coeffs[_block_index(dims, rho.comps)] = block
     if len(seen) < len(table.blocks):
         raise IncompleteTable("representations passed do not cover the table")
+    backward = _base_entries(base) * np.repeat(dims, [d * d for d in dims])
+    out = _per_axis(power, coeffs, backward.T)
     if table.matrix_size is None:
         return ScalarFn(power, out)
     return MatrixFn(power, out)
@@ -279,24 +312,15 @@ def noise_class_weights(power: GroupPower, eps: Fraction) -> list[Fraction]:
     return [w_id ** (power.m - k) * w_other**k for k in range(power.m + 1)]
 
 
-def noise_weights(power: GroupPower, eps: Fraction) -> list[Fraction]:
-    """Exact probability of each noise tuple, in flat order."""
-    by_class = noise_class_weights(power, eps)
-    return [by_class[k] for k in noise_classes(power)]
-
-
 def noise_apply(fn: GroupFn, eps: Fraction) -> GroupFn:
-    """H(a) = E_nu[F(a * nu)] with the exact product noise distribution."""
-    power = fn.power
-    weights = noise_weights(power, Fraction(eps))
-    out = np.zeros_like(fn.values, dtype=complex)
-    for nu, w in enumerate(weights):
-        if w == 0:
-            continue
-        out += float(w) * fn.values[power.mul_all_right(nu)]
-    if fn.matrix_size is None:
-        return ScalarFn(power, out)
-    return MatrixFn(power, out)
+    """H(a) = E_nu[F(a * nu)] with the product noise distribution: per
+    coordinate, v <- (1 - eps) v + eps * mean(v)."""
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise InvalidParams(f"noise rate must be in (0,1), got {eps}")
+    size = len(fn.power.group)
+    kernel = (1 - float(eps)) * np.eye(size) + float(eps) / size
+    return type(fn)(fn.power, _per_axis(fn.power, fn.values, kernel))
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,24 +341,11 @@ class PullbackRep:
 
     def matrices(self, e_power: GroupPower) -> np.ndarray:
         self._check(e_power)
-        coords = e_power.coords_matrix()
-        out = np.ones((e_power.n, 1, 1), dtype=complex)
-        for pos, c in enumerate(self.rho.comps):
-            comp = self.rho.base.irreps[c].matrices[coords[:, self.positions[pos]]]
-            out = np.einsum("gab,gcd->gacbd", out, comp).reshape(
-                e_power.n, out.shape[1] * comp.shape[1], out.shape[2] * comp.shape[2]
-            )
-        return out
+        return self.rho._tensor(e_power.coords_matrix()[:, list(self.positions)])
 
     def entry_table(self, e_power: GroupPower, i: int, j: int) -> np.ndarray:
         self._check(e_power)
-        coords = e_power.coords_matrix()
-        ci, cj = self.rho.entry_coords(i), self.rho.entry_coords(j)
-        out = np.ones(e_power.n, dtype=complex)
-        for pos, c in enumerate(self.rho.comps):
-            mats = self.rho.base.irreps[c].matrices
-            out = out * mats[coords[:, self.positions[pos]], ci[pos], cj[pos]]
-        return out
+        return self.rho._entries(e_power.coords_matrix()[:, list(self.positions)], i, j)
 
     def _check(self, e_power: GroupPower) -> None:
         if e_power.labels != self.e_labels or e_power.group != self.rho.base.group:

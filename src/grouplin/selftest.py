@@ -676,7 +676,8 @@ def registry() -> tuple[Check, ...]:
     add("fourier", "convolution-coefficients[s3]", _check_convolution)
     add("fourier", "noise-attenuation[z2^3]", _check_noise, tol=1e-12)
     add("fourier", "product-completeness", _check_product_completeness)
-    add("fourier", "pullback[z2]", _check_pullback, "z2")
+    for name in ("z2", "s3"):
+        add("fourier", f"pullback[{name}]", _check_pullback, name)
 
     for tname in ("z2_id", "z3_id", "z4_to_z2", "s3_sign", "s3_a3_incl"):
         for eps in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):

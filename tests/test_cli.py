@@ -176,6 +176,8 @@ def test_decode_exit_code_on_promise_violation(tmp_path, capsys):
     )
     assert code == 4
     assert "promise" in err
+    # the folded all-zero family has value 1/2, so the sign irrep's margin is 0 - delta
+    assert "the largest is -0.25, at irrep 1" in err
 
 
 def test_cap_exceeded_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,10 +21,7 @@ from grouplin import (
     similar,
     transform,
 )
-from grouplin import selftest
 from grouplin.errors import CapExceeded
-
-from checks import assert_checks, assert_passes
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +70,6 @@ def test_inversion_of_a_delta(z2_setup):
     assert np.abs(back.values - f.values).max() < 1e-12
 
 
-def test_roundtrip_over_s3_squared():
-    assert_checks("fourier:roundtrip+plancherel")
-
-
 def test_roundtrip_over_z2_squared_is_tight():
     iset = irreps(catalog.group("z2"))
     power = GroupPower(iset.group, ["p0", "p1"])
@@ -114,10 +106,6 @@ def test_two_point_convolution(z2_setup):
     assert out.values[1] == pytest.approx((2 * 3 + 5 * -1) / 2)
 
 
-def test_convolution_coefficients_factorize():
-    assert_checks("fourier:convolution-coefficients")
-
-
 def test_noise_on_constant_function_is_identity():
     iset = irreps(catalog.group("z3"))
     power = GroupPower(iset.group, ["p0", "p1"])
@@ -131,10 +119,6 @@ def test_noise_halves_the_sign_character(z2_setup):
     sign = ScalarFn(power, rhos[1].entry_table(power, 0, 0))
     out = noise_apply(sign, Fraction(1, 2))
     assert np.abs(out.values - sign.values / 2).max() < 1e-12
-
-
-def test_noise_attenuates_by_degree_exactly():
-    assert_checks("fourier:noise-attenuation")
 
 
 def test_noise_on_matrix_functions():
@@ -175,12 +159,6 @@ def test_pullback_of_two_signs_is_constant():
     assert np.abs(pb.entry_table(pe, 0, 0) - 1.0).max() < 1e-12
 
 
-def test_pullback_is_unitary():
-    (check,) = selftest.lookup("fourier:pullback")
-    assert_passes(check)
-    assert_passes(replace(check, name="pullback[s3]", args=("s3",)))
-
-
 def test_similar_relation_and_orthogonality():
     iset = irreps(catalog.group("z2"))
     pe = GroupPower(iset.group, ["e0"])
@@ -210,10 +188,6 @@ def test_similar_implies_degree_bound():
         for rho in rhos_d:
             if similar(tau, rho, pi):
                 assert tau.degree <= rho.degree
-
-
-def test_product_irrep_completeness():
-    assert_checks("fourier:product-completeness")
 
 
 def test_power_cap_enforced():
