@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParams, NoOmega
-from .fourier import MatrixFn, ScalarFn, convolve, inverse, noise_apply, product_irreps, transform
+from .fourier import MatrixFn, _block_product, inverse, product_irreps, transform
 from .groups import GroupPower, Template, fold
 from .reduction import (
     AssignmentFamily,
@@ -223,8 +223,37 @@ def _subgroup_average(omega: UnitaryRep, members) -> np.ndarray:
     return np.mean(omega.matrices[np.array(members)], axis=0)
 
 
+def _edge_terms(ctx: DecoderContext, omega: UnitaryRep, kappa_value: int):
+    """Per edge: A's values, a^_1 and W((a o pi)^-1) for every a in G1^E.
+
+    W is B*B with each degree-d block scaled by (1-eps)^d where d >= kappa and
+    zeroed elsewhere; by the convolution theorem its blocks are the squares of
+    the blocks of B^, so W is one inverse transform. Every squared block has a
+    non-negative diagonal trace, since B(g^-1) = B(g)^dagger; this is checked.
+    """
+    one_minus_eps = 1.0 - float(ctx.eps)
+    for u, v, pi in ctx.lc.edge_maps():
+        a_fn, b_fn = build_fns(ctx, omega, v, u)
+        b_hat = transform(b_fn, ctx.prod_d)
+        squares = _block_product(b_hat, b_hat)
+        scaled = {}
+        for rho in ctx.prod_d:
+            block = squares.blocks[rho.comps]
+            diag_trace = float(np.real(np.einsum("iixx->", block)))
+            if diag_trace < -1e-9:
+                raise InvalidParams(
+                    f"diagonal coefficient trace {diag_trace} is negative"
+                )
+            high = rho.degree >= kappa_value
+            scaled[rho.comps] = block * (one_minus_eps**rho.degree if high else 0.0)
+        w_table = inverse(replace(squares, blocks=scaled), ctx.prod_d).values
+        ap_inv = composed_inverse(ctx.pe, ctx.pd, pi, ctx.lc.e_labels)
+        yield a_fn.values, np.mean(a_fn.values, axis=0), w_table[ap_inv]
+
+
 def trivial_term_bound(ctx: DecoderContext, omega: UnitaryRep):
-    """Measured trivial-coefficient term of the payoff expansion.
+    """Measured trivial-coefficient term of the payoff expansion,
+    |E_edges E_a tr(a^_1 T_{1-eps}(B*B)((a o pi)^-1))|.
 
     Returns (measured, eta); the analysis guarantees measured <= eta. Also
     verifies that averaging omega over Im(phi) yields a Hermitian projection
@@ -241,14 +270,8 @@ def trivial_term_bound(ctx: DecoderContext, omega: UnitaryRep):
         raise InvalidParams("trace of the subgroup average must equal eta")
 
     total = 0.0 + 0.0j
-    for u, v, pi in ctx.lc.edge_maps():
-        a_fn, b_fn = build_fns(ctx, omega, v, u)
-        m = convolve(b_fn, b_fn).values
-        a_hat_1 = np.mean(a_fn.values, axis=0)
-        traces = ScalarFn(ctx.pd, np.einsum("xy,gyx->g", a_hat_1, m))
-        smoothed = noise_apply(traces, ctx.eps).values
-        ap_inv = composed_inverse(ctx.pe, ctx.pd, pi, ctx.lc.e_labels)
-        total += np.mean(smoothed[ap_inv])
+    for _, a_hat_1, w in _edge_terms(ctx, omega, 0):
+        total += np.mean(np.einsum("xy,gyx->g", a_hat_1, w))
     measured = abs(total / len(ctx.lc.edges))
     return measured, penalty
 
@@ -256,27 +279,9 @@ def trivial_term_bound(ctx: DecoderContext, omega: UnitaryRep):
 def high_degree_mass(ctx: DecoderContext, omega: UnitaryRep, kappa_value: int) -> float:
     """Contribution of representations of degree >= kappa to the expansion,
     after the noise attenuation is absorbed as (1-eps)^degree factors."""
-    one_minus_eps = 1.0 - float(ctx.eps)
     total = 0.0 + 0.0j
-    for u, v, pi in ctx.lc.edge_maps():
-        a_fn, b_fn = build_fns(ctx, omega, v, u)
-        table = transform(convolve(b_fn, b_fn), ctx.prod_d)
-        scaled = {}
-        for rho in ctx.prod_d:
-            block = table.blocks[rho.comps]
-            diag_trace = float(np.real(np.einsum("iixx->", block)))
-            if diag_trace < -1e-9:
-                raise InvalidParams(
-                    f"diagonal coefficient trace {diag_trace} is negative"
-                )
-            high = rho.degree >= kappa_value
-            scaled[rho.comps] = block * (one_minus_eps**rho.degree if high else 0.0)
-        w_table = inverse(replace(table, blocks=scaled), ctx.prod_d).values
-        a_hat_1 = np.mean(a_fn.values, axis=0)
-        centered = a_fn.values - a_hat_1
-        ap_inv = composed_inverse(ctx.pe, ctx.pd, pi, ctx.lc.e_labels)
-        edge_sum = np.einsum("gxy,gyx->", centered, w_table[ap_inv])
-        total += edge_sum / ctx.pe.n
+    for a_values, a_hat_1, w in _edge_terms(ctx, omega, kappa_value):
+        total += np.einsum("gxy,gyx->", a_values - a_hat_1, w) / ctx.pe.n
     return abs(total / len(ctx.lc.edges))
 
 
@@ -290,14 +295,15 @@ def influence_probs(ctx: DecoderContext, omega: UnitaryRep, which, kappa_value: 
     """
     side, name, r, c = which
     if side == "v":
-        fn_values = right_table(ctx, omega, name).values
-        power, rhos, labels = ctx.pe, ctx.prod_e, ctx.lc.e_labels
+        fn = right_table(ctx, omega, name)
+        rhos, labels = ctx.prod_e, ctx.lc.e_labels
     elif side == "u":
-        fn_values = left_table(ctx, omega, name).values
-        power, rhos, labels = ctx.pd, ctx.prod_d, ctx.lc.d_labels
+        fn = left_table(ctx, omega, name)
+        rhos, labels = ctx.prod_d, ctx.lc.d_labels
     else:
         raise InvalidParams("which must start with 'v' or 'u'")
-    table = transform(ScalarFn(power, fn_values[:, r, c]), rhos)
+    # the (r, c) entry as a 1 x 1 matrix table
+    table = transform(replace(fn, values=fn.values[:, r : r + 1, c : c + 1]), rhos)
     out = {l: 0.0 for l in labels}
     for rho in rhos:
         deg = rho.degree
@@ -337,13 +343,18 @@ def _apply_leftover(probs: dict, rule: str) -> dict:
     return dict(probs)
 
 
-def expected_strategy_value(lc: LabelCoverInstance, strategy: Strategy) -> float:
-    """E over edges of the probability that the sampled labels agree."""
+def _agreement(lc: LabelCoverInstance, u_probs: dict, v_probs: dict) -> float:
+    """E over edges of the probability that labels drawn from the maps agree."""
     total = 0.0
     for u, v, pi in lc.edge_maps():
-        pu, pv = strategy.u_probs[u], strategy.v_probs[v]
+        pu, pv = u_probs[u], v_probs[v]
         total += sum(pu.get(d, 0.0) * pv.get(str(pi[d]), 0.0) for d in lc.d_labels)
     return total / len(lc.edges)
+
+
+def expected_strategy_value(lc: LabelCoverInstance, strategy: Strategy) -> float:
+    """E over edges of the probability that the sampled labels agree."""
+    return _agreement(lc, strategy.u_probs, strategy.v_probs)
 
 
 def decode(ctx: DecoderContext):
@@ -401,22 +412,12 @@ def derandomize_strategy(lc: LabelCoverInstance, strategy: Strategy):
     """
     v_dist = {v: dict(strategy.v_probs[v]) for v in lc.v_names}
     u_dist = {u: dict(strategy.u_probs[u]) for u in lc.u_names}
-
-    def expectation() -> float:
-        total = 0.0
-        for u, v, pi in lc.edge_maps():
-            pu, pv = u_dist[u], v_dist[v]
-            total += sum(
-                pu.get(d, 0.0) * pv.get(str(pi[d]), 0.0) for d in lc.d_labels
-            )
-        return total / len(lc.edges)
-
     h_e: dict[str, str] = {}
     for v in lc.v_names:
         best_label, best_val = None, None
         for e in lc.e_labels:
             v_dist[v] = {e: 1.0}
-            val = expectation()
+            val = _agreement(lc, u_dist, v_dist)
             if best_val is None or val > best_val + _TIE:
                 best_label, best_val = e, val
         v_dist[v] = {best_label: 1.0}
@@ -426,7 +427,7 @@ def derandomize_strategy(lc: LabelCoverInstance, strategy: Strategy):
         best_label, best_val = None, None
         for d in lc.d_labels:
             u_dist[u] = {d: 1.0}
-            val = expectation()
+            val = _agreement(lc, u_dist, v_dist)
             if best_val is None or val > best_val + _TIE:
                 best_label, best_val = d, val
         u_dist[u] = {best_label: 1.0}

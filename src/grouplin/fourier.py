@@ -6,20 +6,27 @@ identified with tuples of irreducibles of the base group. They are tensor
 products of base irreducibles, so the transform, its inverse and noise each
 apply one |G| x |G| base matrix along every axis of the table in turn
 (separation of variables): O(m |G|^(m+1)) per entry.
+
+Convolution goes through the same kernel by the convolution theorem: each
+block of F*H is the product of the matching blocks of F^ and H^. ``convolve``
+costs two transforms, one block product and one inverse, plus the irreps of
+the base group; the direct sum over the group that defines it is kept only as
+a check (selftest ``fourier:convolution-coefficients`` and the test
+reference).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, IncompleteTable, InvalidParams
 from .groups import GroupPower
-from .reps import IrrepSet
+from .reps import IrrepSet, irreps
 
 _DENSE_DIM_LIMIT = 64  # above this, dense (n, dim, dim) matrices are refused
 
@@ -271,27 +278,29 @@ def plancherel_gap(fn: GroupFn, rhos: tuple[ProductIrrep, ...]) -> float:
     return abs(lhs - rhs)
 
 
+def _block_product(tf: FourierTable, th: FourierTable) -> FourierTable:
+    """The convolution theorem, block by block: (F*H)^(rho) = F^(rho) H^(rho),
+    as products of (d, d) blocks whose entries are scalars or N x N matrices."""
+    spec = "ik,kj->ij" if tf.matrix_size is None else "ikxz,kjzy->ijxy"
+    blocks = {comps: np.einsum(spec, b, th.blocks[comps]) for comps, b in tf.blocks.items()}
+    return replace(tf, blocks=blocks)
+
+
 def convolve(f: GroupFn, h: GroupFn) -> GroupFn:
-    """(F*H)(g) = |G^D|^-1 sum_t F(t) H(t^-1 g)."""
+    """(F*H)(g) = |G^D|^-1 sum_t F(t) H(t^-1 g).
+
+    Computed by the convolution theorem: transform both, multiply the blocks
+    and invert, over every product irreducible of the base group's irreps.
+    The result does not depend on the choice of basis.
+    """
     if f.power is not h.power and (
         f.power.labels != h.power.labels or f.power.group != h.power.group
     ):
         raise DimensionMismatch("convolution needs a common power")
     if f.matrix_size != h.matrix_size:
         raise DimensionMismatch("matrix sizes differ")
-    power = f.power
-    out = np.zeros_like(h.values if f.matrix_size else f.values, dtype=complex)
-    all_g = np.arange(power.n)
-    for t in range(power.n):
-        idx = power.mul_with(power.inv(t), all_g)
-        if f.matrix_size is None:
-            out += f.values[t] * h.values[idx]
-        else:
-            out += np.einsum("xy,gyz->gxz", f.values[t], h.values[idx])
-    out /= power.n
-    if f.matrix_size is None:
-        return ScalarFn(power, out)
-    return MatrixFn(power, out)
+    rhos = product_irreps(irreps(f.power.group), f.power.labels)
+    return inverse(_block_product(transform(f, rhos), transform(h, rhos)), rhos)
 
 
 def noise_classes(power: GroupPower) -> np.ndarray:

@@ -401,11 +401,6 @@ class GroupPower:
         inv = np.asarray(self.group.inverses)
         return self.encode(inv[self.coords_matrix()])
 
-    def mul_with(self, i: int, idx: np.ndarray) -> np.ndarray:
-        """Flat indices of ``tuple(i) * tuple(j)`` for all j in ``idx``."""
-        a = np.asarray(self.coords(i))
-        return self.encode(self._table[a[None, :], self.coords_matrix()[idx]])
-
     def mul_all_right(self, j: int) -> np.ndarray:
         """Flat indices of ``tuple(i) * tuple(j)`` for every i in order."""
         b = np.asarray(self.coords(j))
@@ -431,18 +426,6 @@ class GroupPower:
         return out
 
 
-@dataclass(frozen=True)
-class GroupTuple:
-    """A tuple in a direct power, stored by its flat index."""
-
-    power: GroupPower
-    flat: int
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return self.power.coords(self.flat)
-
-
 def coset_arrays(
     sub: Subgroup, power: GroupPower, index: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -462,36 +445,6 @@ def coset_arrays(
     translates = power.mul_array(diagonal[:, None], index[None, :])
     best = translates.argmin(axis=0)
     return translates[best, np.arange(len(index))], members[best]
-
-
-class CosetDecomposition:
-    """Right-coset data for a subgroup acting diagonally on a power.
-
-    For a queried tuple ``g`` returns the representative ``g_dag`` (the
-    lexicographically least tuple in the coset ``H*g``) and the witness
-    ``h`` in H with ``g_dag = h * g``, read from ``coset_arrays``, which runs
-    once on the first query.
-    """
-
-    def __init__(self, sub: Subgroup, power: GroupPower):
-        if sub.parent != power.group:
-            raise InvalidParams("subgroup and power must share a group")
-        self.subgroup = sub
-        self.power = power
-
-    @functools.cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return coset_arrays(self.subgroup, self.power)
-
-    def data(self, flat: int) -> tuple[int, int]:
-        rep, witness = self._arrays
-        return int(rep[flat]), int(witness[flat])
-
-
-def coset_data(sub: Subgroup, g: GroupTuple) -> tuple[GroupTuple, int]:
-    """Representative and witness for the coset of ``g`` under ``sub``."""
-    rep, h = CosetDecomposition(sub, g.power).data(g.flat)
-    return GroupTuple(g.power, rep), h
 
 
 def fold(values, power: GroupPower, phi: Homomorphism, cosets=None) -> np.ndarray:

@@ -303,13 +303,21 @@ def _check_exact_cap(lc, pe, pd, cap):
     return raw
 
 
-def _check_family_shape(lc, pe, pd, family):
-    for v in lc.v_names:
-        if v not in family.a_tables or len(family.a_tables[v]) != pe.n:
-            raise InvalidParams(f"family table for {v} must have {pe.n} entries")
-    for u in lc.u_names:
-        if u not in family.b_tables or len(family.b_tables[u]) != pd.n:
-            raise InvalidParams(f"family table for {u} must have {pd.n} entries")
+def _check_family_shape(lc, template, pe, pd, family):
+    """Every vertex has a table with one entry per tuple, valued in
+    0..|G|-1 for the group G of the family's side."""
+    order = len(template.g1 if family.side == 1 else template.g2)
+    sides = ((lc.v_names, family.a_tables, pe.n), (lc.u_names, family.b_tables, pd.n))
+    for names, tables, n in sides:
+        for x in names:
+            if x not in tables or len(tables[x]) != n:
+                raise InvalidParams(f"family table for {x} must have {n} entries")
+            values = np.asarray(tables[x])
+            bad = values[(values < 0) | (values >= order)]
+            if len(bad):
+                raise InvalidParams(
+                    f"value {bad[0]} in the family table for {x} outside 0..{order - 1}"
+                )
 
 
 _SIGNS = np.array([1, -1])
@@ -600,7 +608,7 @@ def payoff_distribution(
         raise InvalidParams("family built for the other side")
     pe, pd = powers(lc, template)
     _check_exact_cap(lc, pe, pd, params.cap)
-    _check_family_shape(lc, pe, pd, family)
+    _check_family_shape(lc, template, pe, pd, family)
     geo = Geometry(lc, template.h1, pe, pd)
     group = template.g1 if side == 1 else template.g2
     hom = identity_hom(template.h1) if side == 1 else template.phi
@@ -648,7 +656,7 @@ def family_assignment(
 ) -> dict[str, int]:
     """The variable assignment encoded by a family of tables."""
     pe, pd = powers(lc, template)
-    _check_family_shape(lc, pe, pd, family)
+    _check_family_shape(lc, template, pe, pd, family)
     out: dict[str, int] = {}
     for u in lc.u_names:
         table = family.b_tables[u]

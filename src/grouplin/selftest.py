@@ -46,7 +46,7 @@ from .fourier import (
     similar,
     transform,
 )
-from .groups import CosetDecomposition, GroupPower, fold, full_subgroup, is_cubic, trivial_subgroup
+from .groups import GroupPower, coset_arrays, fold, full_subgroup, is_cubic, trivial_subgroup
 from .reduction import (
     AssignmentFamily,
     LinEquation,
@@ -174,15 +174,14 @@ def _check_cosets(seed, tname):
     t = catalog.template(tname)
     rng = np.random.default_rng(seed)
     power = GroupPower(t.g1, ["n0", "n1"])
-    cosets = CosetDecomposition(t.h1, power)
     bad = 0
     for _ in range(20):
         g = int(rng.integers(power.n))
-        rep, h = cosets.data(g)
+        rep, h = (int(x[0]) for x in coset_arrays(t.h1, power, [g]))
         if power.act(h, g) != rep:
             bad += 1
-        reps = {cosets.data(power.act(m, g))[0] for m in t.h1.members}
-        if reps != {rep}:
+        orbit = [power.act(m, g) for m in t.h1.members]
+        if set(coset_arrays(t.h1, power, orbit)[0].tolist()) != {rep}:
             bad += 1
     return bad == 0, float(bad), ""
 
@@ -307,17 +306,24 @@ def _check_entry_expansion(seed):
 
 
 def _check_convolution(seed):
+    # the convolution theorem against the defining sum
+    # (F*H)(g) = |G|^-1 sum_t F(t) H(t^-1 g)
     iset = _irreps("s3", seed)
     power = GroupPower(iset.group, ["p0"])
     rhos = product_irreps(iset, power.labels)
     rng = np.random.default_rng(seed)
     f = MatrixFn(power, rng.standard_normal((power.n, 2, 2)) + 1j * rng.standard_normal((power.n, 2, 2)))
     h = MatrixFn(power, rng.standard_normal((power.n, 2, 2)) + 1j * rng.standard_normal((power.n, 2, 2)))
-    conv_table = transform(convolve(f, h), rhos)
+    direct = np.zeros_like(f.values)
+    for g in range(power.n):
+        for t in range(power.n):
+            direct[g] += f.values[t] @ h.values[power.mul(power.inv(t), g)]
+    direct /= power.n
+    worst = float(np.abs(convolve(f, h).values - direct).max())
+    direct_table = transform(MatrixFn(power, direct), rhos)
     tf, th = transform(f, rhos), transform(h, rhos)
-    worst = 0.0
     for rho in rhos:
-        lhs = conv_table.blocks[rho.comps]
+        lhs = direct_table.blocks[rho.comps]
         rhs = np.einsum("ikxz,kjzy->ijxy", tf.blocks[rho.comps], th.blocks[rho.comps])
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst, ""

@@ -1,7 +1,9 @@
 """Reference Fourier code: the per-representation dense and entrywise sums
-that the per-axis kernel in ``grouplin.fourier`` replaces, and the decoder's
-expansions written out over explicit representation matrices. They are slow
-and obviously correct; the equivalence tests hold the kernel to them.
+that the per-axis kernel in ``grouplin.fourier`` replaces, the direct
+group-domain convolution sum that the convolution theorem replaces, and the
+decoder's expansions written out over explicit representation matrices on top
+of that sum. They are slow and obviously correct; the equivalence tests hold
+the kernel to them.
 
 Each block is a sum over the whole power against ``ProductIrrep.matrices``
 (or ``entry_table`` above the dense limit), and noise is the sum over every
@@ -20,7 +22,6 @@ from grouplin.fourier import (
     MatrixFn,
     ScalarFn,
     coeff,
-    convolve,
 )
 from grouplin.reduction import composed_inverse
 
@@ -90,6 +91,21 @@ def noise_apply(fn, eps):
             continue
         out += float(w) * fn.values[power.mul_all_right(nu)]
     return type(fn)(power, out)
+
+
+def convolve(f, h):
+    """(F*H)(g) = |G^D|^-1 sum_t F(t) H(t^-1 g), summed over t."""
+    power = f.power
+    out = np.zeros_like(h.values if f.matrix_size else f.values, dtype=complex)
+    all_g = np.arange(power.n)
+    for t in range(power.n):
+        idx = power.mul_array(power.inv(t), all_g)
+        if f.matrix_size is None:
+            out += f.values[t] * h.values[idx]
+        else:
+            out += np.einsum("xy,gyz->gxz", f.values[t], h.values[idx])
+    out /= power.n
+    return type(f)(power, out)
 
 
 def trivial_term_sum(ctx, omega) -> float:

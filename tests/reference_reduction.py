@@ -148,7 +148,7 @@ def payoff_distribution(lc, template, params, family, side):
         raise InvalidParams("family built for the other side")
     pe, pd = powers(lc, template)
     _check_exact_cap(lc, pe, pd, params.cap)
-    _check_family_shape(lc, pe, pd, family)
+    _check_family_shape(lc, template, pe, pd, family)
     group = template.g1 if side == 1 else template.g2
     hom = identity_hom(template.h1) if side == 1 else template.phi
     nu_w = noise_weights(pd, params.eps)

@@ -204,6 +204,22 @@ def test_pipeline_labeling_search_over_the_cap_exits_3(tmp_path, capsys):
     assert "labelings" in err
 
 
+@pytest.mark.parametrize("bad", [7, -1])
+@pytest.mark.parametrize("table", ["A", "B"])
+def test_decode_and_pipeline_reject_out_of_range_family_values(tmp_path, capsys, table, bad):
+    t, lc = catalog.template("z2_id"), catalog.label_cover("lc1")
+    fam = io.family_to_obj(projection_family(lc, t, {"u0": "d0"}, {"v0": "e0"}, side=2))
+    next(iter(fam[table].values()))[0] = bad
+    fam_path = write(tmp_path, "family.json", fam)
+    lc_path = write(tmp_path, "lc.json", io.lc_to_obj(lc))
+    common = ["--template", "z2_id", "--family", fam_path, "--eps", "1/4", "--delta", "1/4"]
+    for command in ("decode", "pipeline"):
+        code, out, err = run(capsys, command, lc_path, *common)
+        assert code == 2
+        assert out == ""
+        assert "outside" in err
+
+
 def test_invalid_eps_exit_code(tmp_path, capsys):
     lc_path = write(tmp_path, "lc.json", io.lc_to_obj(catalog.label_cover("lc1")))
     code, _, _ = run(capsys, "reduce", lc_path, "--template", "z2_id", "--eps", "0")

@@ -30,8 +30,6 @@ from grouplin import (
 from grouplin.decoder import expected_character, left_table, right_table
 from grouplin.reduction import powers
 
-from checks import assert_checks
-
 EPS = Fraction(1, 8)
 DELTA = Fraction(1, 4)
 
@@ -184,10 +182,6 @@ def test_right_table_values_are_unitary(ctx_a3):
     assert np.abs(prods - eye).max() < 1e-12
 
 
-def test_left_table_skew_symmetry_random_tables():
-    assert_checks("decoder:skew-symmetry")
-
-
 def test_left_table_collapses_for_self_inverse_groups(ctx_z2):
     omega = ctx_z2.g2_irreps.irreps[1]
     b_fn = left_table(ctx_z2, omega, "u0")
@@ -238,10 +232,6 @@ def test_trivial_term_for_trivial_rep(ctx_z2):
     assert measured <= 1 + 1e-9
 
 
-def test_trivial_term_all_nontrivial_reps():
-    assert_checks("decoder:trivial-term-penalty")
-
-
 def test_subgroup_average_is_zero_for_eta_zero():
     ctx = planted_context("s3_a3_incl")
     omega = ctx.g2_irreps.irreps[2]
@@ -254,14 +244,6 @@ def test_high_degree_mass_vanishes_beyond_label_count(ctx_z2):
     omega = ctx_z2.g2_irreps.irreps[1]
     assert high_degree_mass(ctx_z2, omega, 3) == pytest.approx(0, abs=1e-15)
     assert high_degree_mass(ctx_z2, omega, 4) <= 2 * (1 / 16) * omega.dim
-
-
-def test_high_degree_mass_under_attenuation_bound():
-    assert_checks("decoder:high-degree-smoothing")
-
-
-def test_high_degree_mass_at_threshold():
-    assert_checks("decoder:high-degree-smoothing")
 
 
 # -- influences and decoding ----------------------------------------------------
@@ -357,14 +339,6 @@ def test_derandomize_never_loses_value(ctx_a3):
     strategy, value, _ = decode(ctx_a3)
     _, _, rounded = derandomize_strategy(ctx_a3.lc, strategy)
     assert float(rounded) >= value - 1e-12
-
-
-def test_averaging_consistency():
-    assert_checks("decoder:averaging-consistency")
-
-
-def test_simulation_matches_analytic_value():
-    assert_checks("decoder:strategy-simulation")
 
 
 def test_strategy_rejects_overweight_maps():

@@ -1,7 +1,8 @@
-"""The per-axis Fourier kernel behind ``transform``, ``inverse`` and
-``noise_apply``, and the decoder expansions built on it, against the
-per-representation sums in ``reference_fourier``: equal blocks, round trips,
-noise output and decoder quantities to 1e-12."""
+"""The per-axis Fourier kernel behind ``transform``, ``inverse``,
+``noise_apply`` and ``convolve``, and the decoder expansions built on it,
+against the per-representation and group-domain sums in ``reference_fourier``:
+equal blocks, round trips, noise and convolution output and decoder
+quantities to 1e-12."""
 
 import functools
 from fractions import Fraction
@@ -21,6 +22,7 @@ from grouplin import (
     MatrixFn,
     ScalarFn,
     catalog,
+    convolve,
     high_degree_mass,
     influence_probs,
     inverse,
@@ -44,6 +46,8 @@ POWERS = [
     for m in range(1, 12)
     if len(catalog.group(name)) ** m <= MAX_N
 ]
+# the direct convolution sum is O(n^2), so it runs on the powers up to 600
+CONV_POWERS = [(name, m) for name, m in POWERS if len(catalog.group(name)) ** m <= 600]
 EPS = (Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(7, 9))
 
 
@@ -109,6 +113,17 @@ def test_kernel_matches_reference(name, m, seed, size, eps):
     noisy = noise_apply(fn, eps)
     assert type(noisy) is type(fn)
     assert gap(noisy.values, ref.noise_apply(fn, eps).values) <= TOL
+
+
+@pytest.mark.parametrize("name,m", CONV_POWERS, ids=lambda x: str(x))
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from((None, 2)))
+def test_convolve_matches_direct_sum(name, m, seed, size):
+    power, _ = setup(name, m)
+    f, h = random_fn(power, seed, size), random_fn(power, seed + 1, size)
+    got = convolve(f, h)
+    assert type(got) is type(f) and got.power is power
+    assert gap(got.values, ref.convolve(f, h).values) <= TOL
 
 
 def test_errors_match_reference():

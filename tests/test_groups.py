@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from grouplin import (
     GroupPower,
-    GroupTuple,
     NoExtension,
     NoInverse,
     NotAssociative,
-    coset_data,
     fold,
     full_subgroup,
     identity_hom,
@@ -159,9 +157,8 @@ def test_validate_template_sign_map():
 def test_coset_data_full_group_z2():
     z2 = catalog.group("z2")
     power = GroupPower(z2, ["a", "b"])
-    g = GroupTuple(power, power.index((1, 0)))
-    rep, h = coset_data(full_subgroup(z2), g)
-    assert rep.coords == (0, 1)
+    (rep,), (h,) = coset_arrays(full_subgroup(z2), power, [power.index((1, 0))])
+    assert power.coords(rep) == (0, 1)
     assert h == 1
 
 
@@ -171,20 +168,20 @@ def test_coset_data_trivial_subgroup():
     from grouplin import trivial_subgroup
 
     for flat in range(power.n):
-        rep, h = coset_data(trivial_subgroup(z4), GroupTuple(power, flat))
-        assert rep.flat == flat and h == z4.identity
+        (rep,), (h,) = coset_arrays(trivial_subgroup(z4), power, [flat])
+        assert rep == flat and h == z4.identity
 
 
 def test_coset_data_a3_on_a_transposition():
     s3 = catalog.group("s3")
     a3 = subgroup(s3, (0, 4, 5))
     power = GroupPower(s3, ["a"])
-    g = GroupTuple(power, s3.elements.index("(12)"))
+    g = s3.elements.index("(12)")
     # oracle: enumerate the whole coset A3*(12)
-    coset = sorted(s3.mul(h, g.flat) for h in a3.members)
-    rep, h = coset_data(a3, g)
-    assert rep.flat == min(coset)
-    assert s3.mul(h, g.flat) == rep.flat
+    coset = sorted(s3.mul(h, g) for h in a3.members)
+    (rep,), (h,) = coset_arrays(a3, power, [g])
+    assert rep == min(coset)
+    assert s3.mul(h, g) == rep
 
 
 def test_fold_z2_identity_template():

@@ -265,6 +265,31 @@ def test_family_shape_validated():
         evaluate_family(lc, t, ReductionParams(Fraction(1, 4)), bad, side=2)
 
 
+@pytest.mark.parametrize("bad", [7, -1])
+@pytest.mark.parametrize("table", ["a", "b"])
+def test_family_values_validated(z2_setup, table, bad):
+    t, lc = z2_setup
+    fam = projection_family(lc, t, {"u0": "d0"}, {"v0": "e0"}, side=2)
+    tables = fam.a_tables if table == "a" else fam.b_tables
+    name = next(iter(tables))
+    tables[name] = tables[name].copy()
+    tables[name][0] = bad
+    with pytest.raises(InvalidParams, match="outside"):
+        payoff_distribution(lc, t, ReductionParams(Fraction(1, 4)), fam, side=2)
+    with pytest.raises(InvalidParams, match="outside"):
+        family_assignment(lc, t, fam)
+
+
+def test_family_range_is_the_sides_group():
+    # 2 is an element of Z4 (side 1) but not of Z2 (side 2)
+    t, lc = catalog.template("z4_to_z2"), catalog.label_cover("lc_tiny")
+    pe, pd = powers(lc, t)
+    tables = ({"v0": np.full(pe.n, 2)}, {"u0": np.zeros(pd.n, dtype=int)})
+    family_assignment(lc, t, AssignmentFamily(1, *tables))
+    with pytest.raises(InvalidParams, match="outside"):
+        family_assignment(lc, t, AssignmentFamily(2, *tables))
+
+
 def test_side2_interprets_constants_through_phi():
     t = catalog.template("z4_to_z2")
     eq = LinEquation((("x", 1), ("y", 1), ("z", 1)), 3, Fraction(1))
