@@ -85,7 +85,7 @@ def _cmd_reduce(args) -> int:
     lc = io.load_lc(args.lc)
     template = io.load_template(args.template)
     system = build_system(lc, template, _params(args))
-    _emit(io.system_to_obj(system, args.template))
+    io.write_system(system, args.template, sys.stdout)
     return 0
 
 

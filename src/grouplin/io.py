@@ -41,7 +41,7 @@ def frac_str(x: Fraction) -> str:
 def parse_frac(s) -> Fraction:
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     text = str(s).strip().lower()
     try:
@@ -208,16 +208,107 @@ def system_to_obj(system: LinSystem, template_ref: str) -> dict:
     }
 
 
+# One equation as ``canonical_dumps`` lays it out inside the system object:
+# rhs, (name, sign) x 3, weight. Names and weights arrive JSON-escaped.
+_EQUATION = """    {
+      "rhs": %d,
+      "terms": [
+        [
+          %s,
+          %d
+        ],
+        [
+          %s,
+          %d
+        ],
+        [
+          %s,
+          %d
+        ]
+      ],
+      "weight": %s
+    }"""
+WRITE_CHUNK = 4096  # equations rendered per write: ~1 MB of text
+
+
+def write_system(system: LinSystem, template_ref: str, out) -> None:
+    """Write ``canonical_dumps(system_to_obj(system, template_ref))`` to the
+    text stream ``out``, straight from the arrays: equations are rendered a
+    chunk at a time, and each name and weight is JSON-escaped once, so
+    neither the per-equation objects nor the whole text are ever built. A
+    valid system has an equation and a variable (its weights sum to 1), so
+    neither list is empty."""
+    enc = system.arrays
+    names = [json.dumps(v) for v in system.variables]
+    weights = [json.dumps(frac_str(w)) for w in enc.weights]
+    out.write('{\n  "equations": [\n')
+    for lo in range(0, len(enc), WRITE_CHUNK):
+        sl = slice(lo, lo + WRITE_CHUNK)
+        rows = zip(
+            enc.rhs[sl].tolist(),
+            enc.var_ids[sl].tolist(),
+            enc.signs[sl].tolist(),
+            enc.weight_class[sl].tolist(),
+        )
+        out.write(
+            (",\n" if lo else "")
+            + ",\n".join(
+                _EQUATION % (h, names[x], s, names[y], t, names[z], r, weights[c])
+                for h, (x, y, z), (s, t, r), c in rows
+            )
+        )
+    out.write(
+        '\n  ],\n  "template": '
+        + json.dumps(template_ref)
+        + ',\n  "variables": [\n    '
+        + ",\n    ".join(names)
+        + "\n  ]\n}\n"
+    )
+
+
+def _object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise InvalidParams(f"{what} must be a JSON object, not {type(obj).__name__}")
+    return obj
+
+
+def _list(obj: dict, key: str) -> list:
+    value = obj.get(key)
+    if not isinstance(value, list):
+        raise InvalidParams(f'"{key}" must be a JSON list, not {type(value).__name__}')
+    return value
+
+
+def _integers(values: list, what: str) -> np.ndarray:
+    """JSON integers as int64; a bool, a float or a number past int64 is
+    refused rather than truncated."""
+    if not all(type(v) is int for v in values):
+        bad = next(v for v in values if type(v) is not int)
+        raise InvalidParams(f"{what} must be an integer, got {json.dumps(bad)}")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise InvalidParams(f"{what} {max(values, key=abs)} is out of range") from None
+
+
 def obj_to_system(obj: dict, template: Template) -> LinSystem:
     """A system from its JSON object, encoded straight into arrays; the
     system validates the encoding."""
-    variables = tuple(str(v) for v in obj["variables"])
+    obj = _object(obj, "a system")
+    variables = tuple(str(v) for v in _list(obj, "variables"))
     index = {v: k for k, v in enumerate(variables)}
-    eqs = obj["equations"]
-    terms = [eq["terms"] for eq in eqs]
-    if any(len(t) != 3 for t in terms):
+    eqs = _list(obj, "equations")
+    try:
+        terms = [eq["terms"] for eq in eqs]
+        rhs = [eq["rhs"] for eq in eqs]
+        raw_weights = [eq["weight"] for eq in eqs]
+    except (KeyError, TypeError):
+        raise InvalidParams('an equation is an object with "terms", "rhs" and "weight"') from None
+    if any(type(t) is not list or len(t) != 3 for t in terms):
         raise InvalidParams("an equation has exactly three terms")
     flat = [term for t in terms for term in t]
+    if any(type(term) is not list or len(term) != 2 for term in flat):
+        raise InvalidParams("a term is a [variable, sign] pair")
     try:
         var_ids = np.fromiter((index[str(v)] for v, _ in flat), np.int64, len(flat))
     except KeyError as exc:
@@ -234,9 +325,9 @@ def obj_to_system(obj: dict, template: Template) -> LinSystem:
 
     arrays = SystemArrays(
         var_ids=var_ids.reshape(-1, 3),
-        signs=np.fromiter((int(s) for _, s in flat), np.int64, len(flat)).reshape(-1, 3),
-        rhs=np.fromiter((int(eq["rhs"]) for eq in eqs), np.int64, len(eqs)),
-        weight_class=np.fromiter((weight_class(eq["weight"]) for eq in eqs), np.int64, len(eqs)),
+        signs=_integers([s for _, s in flat], "a sign").reshape(-1, 3),
+        rhs=_integers(rhs, "rhs"),
+        weight_class=np.fromiter(map(weight_class, raw_weights), np.int64, len(eqs)),
         weights=tuple(classes),
     )
     return LinSystem.from_arrays(template, variables, arrays)
@@ -245,8 +336,10 @@ def obj_to_system(obj: dict, template: Template) -> LinSystem:
 def load_system(path: str, template: Template | None = None):
     """Returns (system, template_ref); resolves the template when not given."""
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = _object(json.load(fh), "a system file")
     ref = obj.get("template", "")
+    if not isinstance(ref, str):
+        raise InvalidParams(f'"template" must be a string, not {type(ref).__name__}')
     if template is None:
         template = load_template(ref, os.path.dirname(os.path.abspath(path)))
     return obj_to_system(obj, template), ref
@@ -278,5 +371,5 @@ def load_family(path: str) -> AssignmentFamily:
 
 def load_assignment(path: str) -> dict[str, int]:
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return {str(k): int(v) for k, v in obj.items()}
+        obj = _object(json.load(fh), "an assignment file")
+    return dict(zip(obj, _integers(list(obj.values()), "a value").tolist()))

@@ -9,6 +9,7 @@ canonical survivors are unitarized.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,10 +171,17 @@ def irreps(group: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> IrrepSet:
 
     Deterministic given ``seed``. Retries with a fresh random Hermitian (up
     to 8 times) if an eigenvalue collision produces a reducible block, and
-    raises DecompositionFailed if the retry budget is exhausted.
+    raises DecompositionFailed if the retry budget is exhausted. Memoized
+    per (group, seed, tol): callers share the returned set, so its matrices
+    are read-only.
     """
     if not 0 < tol <= 1e-6:
         raise InvalidParams(f"tol must be in (0, 1e-6], got {tol}")
+    return _irreps(group, seed, tol)
+
+
+@functools.lru_cache(maxsize=64)
+def _irreps(group: FiniteGroup, seed: int, tol: float) -> IrrepSet:
     n = len(group)
     reg = _regular_matrices(group)
     rng = np.random.default_rng(seed)
@@ -214,6 +222,8 @@ def irreps(group: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> IrrepSet:
         except DecompositionFailed as exc:
             last = str(exc)
             continue
+        for rep in out:
+            rep.matrices.flags.writeable = False
         return result
     raise DecompositionFailed(
         f"{group.name}: regular representation did not split cleanly: {last}"

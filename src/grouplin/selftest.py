@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from io import StringIO
 from typing import Callable
 
 import numpy as np
@@ -632,19 +633,25 @@ def _check_simulation(seed, tname):
 
 
 def _check_json_roundtrip(seed):
+    """Canonical JSON reads back to the same bytes, and the streaming
+    system writer gives exactly those bytes."""
     t = catalog.template("z2_id")
     lc = catalog.label_cover("lc1")
+    system = build_system(lc, t, ReductionParams(Fraction(1, 2)))
     objs = [
         io.group_to_obj(catalog.group("s3")),
         io.lc_to_obj(catalog.label_cover("lc2")),
         io.template_to_obj(catalog.template("z4_to_z2"), "z4", "z2"),
-        io.system_to_obj(build_system(lc, t, ReductionParams(Fraction(1, 2))), "z2_id"),
+        io.system_to_obj(system, "z2_id"),
         io.family_to_obj(projection_family(lc, t, {"u0": "d0"}, {"v0": "e0"}, side=2)),
     ]
     bad = 0
     for obj in objs:
         text = io.canonical_dumps(obj)
         bad += io.canonical_dumps(json.loads(text)) != text
+    written = StringIO()
+    io.write_system(system, "z2_id", written)
+    bad += written.getvalue() != io.canonical_dumps(objs[3])
     return bad == 0, float(bad), ""
 
 

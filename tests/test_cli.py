@@ -105,6 +105,50 @@ def test_eval_rejects_out_of_range_values(tmp_path, capsys, bad):
         assert "outside" in err
 
 
+def _set_first(path, value):
+    """An edit that sets ``path`` of the first equation to ``value``."""
+
+    def edit(obj):
+        target = obj["equations"][0]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return obj
+
+    return edit
+
+
+# case -> (edit of the system object, edit of the assignment object)
+MALFORMED_FILES = {
+    "equations-not-a-list": (lambda s: {**s, "equations": 5}, None),
+    "system-not-an-object": (lambda s: [1, 2], None),
+    "rhs-past-int64": (_set_first(("rhs",), 10**20), None),
+    "rhs-float": (_set_first(("rhs",), 0.5), None),
+    "sign-float": (_set_first(("terms", 0, 1), 1.9), None),
+    "sign-bool": (_set_first(("terms", 0, 1), True), None),
+    "assignment-not-an-object": (None, lambda a: [0]),
+    "value-float": (None, lambda a: {**a, next(iter(a)): 1.7}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_eval_rejects_malformed_files_with_exit_2(tmp_path, capsys, case):
+    """No traceback and no truncation: a malformed field is an error."""
+    code, out, _ = run(capsys, "reduce", "lc_tiny", "--template", "z2_id", "--eps", "1/4")
+    system = json.loads(out)
+    assignment = dict.fromkeys(system["variables"], 0)
+    edit_system, edit_assignment = MALFORMED_FILES[case]
+    if edit_system:
+        system = edit_system(system)
+    if edit_assignment:
+        assignment = edit_assignment(assignment)
+    s_path = write(tmp_path, "system.json", system)
+    a_path = write(tmp_path, "assignment.json", assignment)
+    code, out, err = run(capsys, "eval", s_path, "--assignment", a_path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: InvalidParams")
+
+
 def test_solve_noncubic_requires_c(tmp_path, capsys):
     lc_path = write(tmp_path, "lc.json", io.lc_to_obj(catalog.label_cover("lc1")))
     code, out, _ = run(capsys, "reduce", lc_path, "--template", "z3_id", "--eps", "1/4")

@@ -192,10 +192,6 @@ def test_fold_z2_identity_template():
     assert list(folded) == [0, 1]
 
 
-def test_fold_is_idempotent():
-    assert_checks("groups:fold")
-
-
 def test_fold_to_trivial_image_constant_on_cosets():
     z2 = catalog.group("z2")
     phi = make_homomorphism(full_subgroup(z2), z2, {0: 0, 1: 0})

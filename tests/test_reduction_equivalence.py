@@ -1,9 +1,10 @@
 """The geometry kernel behind ``build_system``, ``tuple_system`` and
-``payoff_distribution``, and the array-backed ``io.obj_to_system``, against
-the per-tuple reference loops in ``reference_reduction``: identical
-equations, Fractions and bytes."""
+``payoff_distribution``, the array-backed ``io.obj_to_system`` and the
+streaming ``io.write_system``, against the per-tuple reference loops in
+``reference_reduction``: identical equations, Fractions and bytes."""
 
 import copy
+import io as text_io
 from fractions import Fraction
 
 import numpy as np
@@ -23,13 +24,16 @@ from grouplin import (
     payoff_distribution,
 )
 from grouplin.cli import main
-from grouplin.reduction import LinEquation, tuple_system
+from grouplin.reduction import LinEquation, LinSystem, tuple_system
 
 TEMPLATES = sorted(catalog.templates())
 EPS_CHOICES = (Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(7, 9))
 # tuples per edge, so that the reference loops stay fast
 EDGE_BUDGET = 1500
 TOTAL_BUDGET = 3000
+# names that JSON must escape: quotes, backslashes, controls, non-ASCII
+# (one past the BMP); no brackets, so variable names stay distinct
+NAMES = st.text(alphabet='a"\\/\n\x00\u00e9\u2603\U0001F600', max_size=3)
 
 
 @st.composite
@@ -47,8 +51,8 @@ def instances(draw):
     per_edge = 4 * n ** (e + 2 * d)
     d_labels = [f"d{i}" for i in range(d)]
     e_labels = [f"e{i}" for i in range(e)]
-    u_names = [f"u{i}" for i in range(draw(st.integers(1, 2)))]
-    v_names = [f"v{i}" for i in range(draw(st.integers(1, 2)))]
+    u_names = ["u" + x for x in draw(st.lists(NAMES, min_size=1, max_size=2, unique=True))]
+    v_names = ["v" + x for x in draw(st.lists(NAMES, min_size=1, max_size=2, unique=True))]
     edge = st.tuples(
         st.sampled_from(u_names),
         st.sampled_from(v_names),
@@ -71,6 +75,19 @@ def _weights(enc):
     return [enc.weights[c] for c in enc.weight_class]
 
 
+def assert_same_text(got: str, expect: str) -> None:
+    """Exact equality, compared line by line so that a failure reports the
+    first differing line: pytest's diff of two multi-megabyte strings takes
+    minutes."""
+    assert got.splitlines(keepends=True) == expect.splitlines(keepends=True)
+
+
+def _written(system, template_ref) -> str:
+    out = text_io.StringIO()
+    io.write_system(system, template_ref, out)
+    return out.getvalue()
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=instances(), data=st.data())
 def test_build_system_matches_reference(case, data):
@@ -85,13 +102,37 @@ def test_build_system_matches_reference(case, data):
     assert _weights(enc) == _weights(ref_enc)
     assert len(set(enc.weights)) == len(enc.weights)
     assert system.equations == expect.equations
-    assert io.canonical_dumps(io.system_to_obj(system, tname)) == io.canonical_dumps(
-        ref.system_to_obj(expect, tname)
+    assert_same_text(
+        io.canonical_dumps(io.system_to_obj(system, tname)),
+        io.canonical_dumps(ref.system_to_obj(expect, tname)),
     )
     # the unmerged tuples, in the procedure's order
     raw = ref.raw_equations if params.mode == "exact" else ref.sampled_equations
     unmerged = tuple(LinEquation(*row) for row in raw(lc, t, params))
     assert tuple_system(lc, t, params).equations == unmerged
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=instances(), ref_name=NAMES, data=st.data())
+def test_write_system_matches_reference(case, ref_name, data):
+    """Exact and sampled systems, with parallel edges and names to escape.
+    The lc1 pairs of the CLI test below span several write chunks."""
+    _, t, lc, eps = case
+    params = _params(data.draw, eps)
+    expect = ref.build_system(lc, t, params)
+    assert_same_text(
+        _written(build_system(lc, t, params), ref_name),
+        io.canonical_dumps(ref.system_to_obj(expect, ref_name)),
+    )
+
+
+def test_write_system_single_equation():
+    t = catalog.template("s3_a3_incl")
+    names = ('x"\\', "y\u00e9", "z\U0001F600")
+    system = LinSystem(t, names, [LinEquation(((names[0], 1), (names[1], -1), (names[2], 1)), 4, Fraction(1))])
+    expect = io.canonical_dumps(ref.system_to_obj(system, 'tpl"\\\u2603'))
+    assert _written(system, 'tpl"\\\u2603') == expect
+    assert '"rhs": 4' in expect and len(system.arrays) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -118,7 +159,9 @@ def test_parallel_edges_merge_like_the_reference():
     params = ReductionParams(Fraction(1, 4))
     system, tuples = build_system(lc, t, params), tuple_system(lc, t, params)
     assert 2 * len(system.arrays) == len(tuples.arrays)
-    assert system.equations == ref.build_system(lc, t, params).equations
+    expect = ref.build_system(lc, t, params)
+    assert system.equations == expect.equations
+    assert_same_text(_written(system, "z3_id"), io.canonical_dumps(ref.system_to_obj(expect, "z3_id")))
 
 
 def test_equations_view_is_built_once():
@@ -129,13 +172,16 @@ def test_equations_view_is_built_once():
 @pytest.mark.parametrize("lc_name", ("lc_tiny", "lc1"))
 @pytest.mark.parametrize("tname", TEMPLATES)
 def test_cli_reduce_gives_reference_bytes(tname, lc_name, capsys):
-    code = main(["reduce", lc_name, "--template", tname, "--eps", "1/8"])
-    out = capsys.readouterr().out
-    assert code == 0
-    expect = ref.build_system(
-        catalog.label_cover(lc_name), catalog.template(tname), ReductionParams(Fraction(1, 8))
-    )
-    assert out == io.canonical_dumps(ref.system_to_obj(expect, tname))
+    sampled = ["--mode", "sampled", "--samples", "300", "--seed", "7"]
+    for extra, params in (
+        ([], ReductionParams(Fraction(1, 8))),
+        (sampled, ReductionParams(Fraction(1, 8), mode="sampled", sample_count=300, seed=7)),
+    ):
+        code = main(["reduce", lc_name, "--template", tname, "--eps", "1/8", *extra])
+        out = capsys.readouterr().out
+        assert code == 0
+        expect = ref.build_system(catalog.label_cover(lc_name), catalog.template(tname), params)
+        assert_same_text(out, io.canonical_dumps(ref.system_to_obj(expect, tname)))
 
 
 # -- obj_to_system --------------------------------------------------------------
@@ -160,23 +206,49 @@ def _negative_weight(obj):
     w0, w1 = (io.parse_frac(eq["weight"]) for eq in obj["equations"][:2])
     obj["equations"][0]["weight"] = io.frac_str(-w0)
     obj["equations"][1]["weight"] = io.frac_str(w1 + 2 * w0)
+    return obj
 
 
+def _put(*path, value):
+    """A mutation that sets ``value`` at ``path`` in the system object."""
+
+    def mutate(obj):
+        *head, last = path
+        target = obj
+        for key in head:
+            target = target[key]
+        target[last] = value
+        return obj
+
+    return mutate
+
+
+EQ = ("equations", 0)
+# case -> (mutation returning the malformed object, expected message)
 MALFORMED = {
-    "arity": (lambda obj: obj["equations"][0]["terms"].pop(), "three terms"),
-    "sign": (lambda obj: obj["equations"][0]["terms"][1].__setitem__(1, 2), "exponent"),
+    "arity": (_put(*EQ, "terms", value=[["w", 1], ["w", 1]]), "three terms"),
+    "sign": (_put(*EQ, "terms", 1, 1, value=2), "exponent"),
     "negative-weight": (_negative_weight, "non-negative"),
-    "unknown-variable": (lambda obj: obj["equations"][0]["terms"][2].__setitem__(0, "w9[0]"), "unknown variable w9"),
-    "rhs": (lambda obj: obj["equations"][0].__setitem__("rhs", 1), "outside Dom"),
-    "weight-sum": (lambda obj: obj["equations"][0].__setitem__("weight", "1/1"), "sum"),
+    "unknown-variable": (_put(*EQ, "terms", 2, 0, value="w9[0]"), "unknown variable w9"),
+    "rhs": (_put(*EQ, "rhs", value=1), "outside Dom"),
+    "weight-sum": (_put(*EQ, "weight", value="1/1"), "sum"),
+    "top-level-list": (lambda obj: [1, 2], "must be a JSON object, not list"),
+    "equations-not-a-list": (_put("equations", value=5), '"equations" must be a JSON list, not int'),
+    "variables-missing": (lambda obj: {k: v for k, v in obj.items() if k != "variables"}, '"variables" must be a JSON list'),
+    "equation-not-an-object": (_put(*EQ, value=[1, 2]), "an equation is an object"),
+    "term-not-a-pair": (_put(*EQ, "terms", 0, value="u0"), r"\[variable, sign\] pair"),
+    "rhs-overflow": (_put(*EQ, "rhs", value=10**20), "rhs 100000000000000000000 is out of range"),
+    "rhs-float": (_put(*EQ, "rhs", value=0.5), "rhs must be an integer, got 0.5"),
+    "sign-float": (_put(*EQ, "terms", 0, 1, value=1.9), "sign must be an integer, got 1.9"),
+    "sign-bool": (_put(*EQ, "terms", 0, 1, value=True), "sign must be an integer, got true"),
+    "weight-bool": (_put(*EQ, "weight", value=True), "not a rational"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_obj_to_system_rejects_malformed_equations(a3_obj, case):
     t, obj, _ = a3_obj
-    bad = copy.deepcopy(obj)
     mutate, message = MALFORMED[case]
-    mutate(bad)
+    bad = mutate(copy.deepcopy(obj))
     with pytest.raises(InvalidParams, match=message):
         io.obj_to_system(bad, t)
