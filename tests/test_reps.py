@@ -12,6 +12,7 @@ from grouplin import (
     subgroup,
     trivial_multiplicity,
     trivial_subgroup,
+    UnitaryRep,
 )
 from grouplin import catalog, reps
 from grouplin.selftest import GROUP_NAMES
@@ -145,6 +146,21 @@ def test_induced_trivial_multiplicity_sum(key, expected):
     g, h = catalog.subgroup_pairs()[key]
     assert expected == len(g) // len(h)
     assert_checks(f"reps:induced-trivial-sum[{key}]")
+
+
+def test_trace_and_product_tensor_identities(irrep_sets):
+    # The random-matrix identities live in reps:tensor-trace; here they are
+    # held on the library's own irreps: rho (x) sigma is a unitary rep whose
+    # character is the product of characters. For S3, 2 (x) 2 = 1 + sign + 2.
+    iset = irrep_sets["s3"]
+    triv, sign, two = iset.irreps
+    tensor = UnitaryRep(
+        two.group, np.stack([np.kron(a, b) for a, b in zip(two.matrices, two.matrices)])
+    )
+    assert np.allclose(character(tensor), character(two) ** 2, atol=1e-12)
+    assert tensor.homomorphism_residual() < 1e-9
+    assert tensor.unitarity_residual() < 1e-9
+    assert [multiplicity(r, tensor) for r in (triv, sign, two)] == [1, 1, 1]
 
 
 def test_irreps_rejects_bad_tolerance():
