@@ -3,76 +3,128 @@ template: exhaustive optimum, the exact expectation of the random subgroup
 assignment, its derandomization, and the accept/reject routine that handles
 unsatisfiable cube equations.
 
-The first three run on the system's integer encoding (``LinSystem.arrays``):
-hits are counted per weight class in int64, and exact ``Fraction``
-arithmetic touches only the few distinct weights.
+The first three run on the system's integer encoding (``LinSystem.arrays``)
+and stay exact. ``brute_force_opt`` counts hits per weight class in int64
+and weighs the counts as ``Fraction``s. ``random_expectation`` and
+``derandomize`` score each distinct equation pattern once per call and sum
+integer weight numerators over the weights' common denominator.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import CapExceeded, InvalidParams, enum_cap
 from .groups import Template, cube_image
-from .reduction import (
-    EQUATION_BLOCK,
-    LinSystem,
-    SideTables,
-    evaluate,
-    side_tables,
-)
+from .reduction import LinSystem, SideTables, evaluate, side_tables
 
 # Cells of (assignment or pattern) x (equation or grid point) per kernel
 # block, which bounds the kernels' scratch memory.
 _BLOCK_CELLS = 1 << 18
 
+# Rows (equations, or equations touching one variable) looked up at once,
+# which bounds the solvers' scratch memory.
+_KEY_BLOCK = 1 << 14
+
 # A slot of an equation is coded as one int. Codes 0..n-1 are known term
 # values (the sign already applied); code n + 2*k + s is unknown k (k = 0, 1,
 # 2) raised to +1 (s = 0) or -1 (s = 1). The three slot codes and the rhs make
-# up the equation's pattern: its hits over the unknowns depend on nothing else.
+# up the equation's pattern key: its hits over the unknowns depend on nothing
+# else. A key is split into a shape, the unknown slots' part, which never
+# changes, and the rhs plus the term values of fixed slots.
 _UNKNOWN_CODES = 6
 
 
-def _constants(template: Template, side: int) -> np.ndarray:
-    """The constants subgroup, ascending: Dom(phi) on side 1, Im(phi) on 2."""
+def _side(system: LinSystem, template: Template, side: int):
+    """The side's tables and constants subgroup, ascending: Dom(phi) on side
+    1, Im(phi) on side 2. ``template`` must have the system's G1, G2 and phi,
+    since the tables come from the system and the constants from it."""
     if side not in (1, 2):
         raise InvalidParams("side must be 1 or 2")
+    _check_template(system, template)
     h = template.h1 if side == 1 else template.h2
-    return np.array(h.members, dtype=np.int16)
+    return side_tables(system.template, side), np.array(h.members, dtype=np.int16)
+
+
+def _check_template(system: LinSystem, template: Template) -> None:
+    own = system.template
+    same = template is own or (template.g1.table, template.g2.table, template.phi.mapping) == (
+        own.g1.table,
+        own.g2.table,
+        own.phi.mapping,
+    )
+    if not same:
+        raise InvalidParams(
+            f"template {template.name!r} differs from the system's template {own.name!r}"
+            " in G1, G2 or phi"
+        )
+
+
+def _numerators(enc, max_hits: int):
+    """Each equation's weight times the weights' common denominator, and
+    that denominator. The numerators are int64 when every score (weight
+    times at most ``max_hits`` hits, summed) fits, Python ints otherwise."""
+    denom = math.lcm(*(w.denominator for w in enc.weights))
+    used = np.bincount(enc.weight_class, minlength=len(enc.weights))
+    nums = [w.numerator * (denom // w.denominator) if c else 0 for w, c in zip(enc.weights, used)]
+    fits = max_hits * sum(num * int(c) for num, c in zip(nums, used)) < 2**63
+    return np.array(nums, dtype=np.int64 if fits else object)[enc.weight_class], denom
 
 
 class _Patterns:
-    """Hit counts of slot-coded equations as the unknowns range over h^3."""
+    """Hit counts of pattern keys as the unknowns range over h^3. Each key is
+    scored once per instance: the keys seen so far stay sorted, with their
+    hit rows, and only keys missing from them are scored."""
 
     def __init__(self, tables: SideTables, h: np.ndarray):
         n, k = len(tables.group), len(h)
         self.tables, self.n, self.k = tables, n, k
+        self.radix = radix = n + _UNKNOWN_CODES
+        # key = ((c0 * radix + c1) * radix + c2) * n + rhs for slot codes c
+        place = np.array([radix * radix * n, radix * n, n], dtype=np.int64)
+        # shape s has slot states s // 49, s // 7 % 7, s % 7: 0 is a fixed
+        # slot, 1 + c a slot with unknown code n + c
+        states = np.indices((7, 7, 7)).reshape(3, -1)
+        self.shape_keys = place @ np.where(states > 0, n - 1 + states, 0)
+        self.shape_pos = place @ (states == 1)  # slots of unknown 0 ...
+        self.shape_neg = place @ (states == 2)  # ... and of its inverse
         unknowns = h[np.indices((k, k, k)).reshape(3, -1)]  # [3, k^3]
         # row c: the value of a slot with code c at every grid point
-        self.slot_values = np.empty((n + _UNKNOWN_CODES, k**3), dtype=np.int16)
+        self.slot_values = np.empty((radix, k**3), dtype=np.int16)
         self.slot_values[:n] = np.arange(n, dtype=np.int16)[:, None]
         self.slot_values[n::2] = unknowns
         self.slot_values[n + 1 :: 2] = tables.inverses[unknowns]
+        # the last key is a sentinel above every real key
+        self.keys = np.array([np.iinfo(np.int64).max])
+        self.hits = np.zeros((1, k), dtype=np.int64)
 
-    def count(self, codes: np.ndarray, rhs: np.ndarray, weight_class: np.ndarray, n_classes: int) -> np.ndarray:
-        """Hits of the equations (slot codes [r, 3], rhs [r]) per weight class,
-        summed over unknowns 1 and 2: int64 [classes, |h|], one column per
-        value of unknown 0. An unknown the equation does not use multiplies
-        its hits by |h|, so each column is |h|^2 times the expected hits.
+    def fixed_keys(self, value: int) -> np.ndarray:
+        """Per shape, the key part its unknown-0 slots take once unknown 0
+        is fixed to ``value``."""
+        return self.shape_pos * value + self.shape_neg * int(self.tables.inverses[value])
 
-        Hits are computed once per distinct pattern among the rows.
-        """
-        n, radix = self.n, self.n + _UNKNOWN_CODES
-        c = codes.astype(np.int64)
-        key = ((c[:, 0] * radix + c[:, 1]) * radix + c[:, 2]) * n + rhs
-        uniq, inverse = np.unique(key, return_inverse=True)
-        flat = weight_class.astype(np.int64) * len(uniq) + inverse
-        per_class = np.bincount(flat, minlength=n_classes * len(uniq)).reshape(n_classes, len(uniq))
-        rest = uniq // n
-        slots = np.stack([rest // (radix * radix), rest // radix % radix, rest % radix], axis=1)
-        return per_class @ self._hits(slots, uniq % n)
+    def score(self, shape: np.ndarray, known: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        """Weighted hits of the keys (shapes plus known parts), summed over
+        the rows and over unknowns 1 and 2: one entry per value of unknown
+        0. An unknown the equation does not use multiplies its hits by |h|,
+        so each entry is |h|^2 times the expected weighted hits."""
+        key = self.shape_keys[shape] + known
+        pos = np.searchsorted(self.keys, key)
+        miss = self.keys[pos] != key
+        if miss.any():
+            new = np.unique(key[miss])
+            at = np.searchsorted(self.keys, new)
+            rest, radix = new // self.n, self.radix
+            slots = np.stack([rest // (radix * radix), rest // radix % radix, rest % radix], axis=1)
+            self.hits = np.insert(self.hits, at, self._hits(slots, new % self.n), axis=0)
+            self.keys = np.insert(self.keys, at, new)
+            pos = np.searchsorted(self.keys, key)
+        per_key = np.zeros(len(self.keys), dtype=weight.dtype)
+        np.add.at(per_key, pos, weight)
+        return per_key @ self.hits
 
     def _hits(self, slots: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         k, vals = self.k, self.slot_values
@@ -124,44 +176,63 @@ def brute_force_opt(system: LinSystem, side: int, cap: int | None = None):
     return best_val, {x: int(v) for x, v in zip(system.variables, best)}
 
 
+def _ranks(v: np.ndarray) -> np.ndarray:
+    """int8 [3, m]: the rank of each slot's variable (``v``, [3, m]) among
+    the distinct variables of its equation, 0 for the smallest."""
+    a, b, c = v
+    lo = np.minimum(np.minimum(a, b), c)
+    mid = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+    return (v > lo).astype(np.int8) + ((v > mid) & (mid > lo))
+
+
+def _shapes(ranks: np.ndarray, neg: np.ndarray, rank: np.ndarray | int) -> np.ndarray:
+    """The shapes of equations (columns of ``ranks`` and of ``neg``, the
+    negative signs) seen from their variable of the given rank: that
+    variable is unknown 0, larger ones follow in order, smaller ones are
+    fixed."""
+    d = ranks - np.int8(rank)
+    state = np.where(d >= 0, 1 + 2 * d + neg, 0).astype(np.int16)
+    return state[0] * 49 + state[1] * 7 + state[2]
+
+
 def random_expectation(system: LinSystem, template: Template, side: int) -> Fraction:
     """Exact expected weight satisfied by independent uniform values from the
     constants subgroup (Dom(phi) on side 1, Im(phi) on side 2).
 
-    An equation's hit probability depends only on its pattern (repetitions,
-    signs, rhs), so it is computed once per pattern.
+    An equation's hit probability depends only on its pattern key
+    (repetitions, signs, rhs), so it is computed once per key.
     """
-    h = _constants(template, side)
-    tables = side_tables(system.template, side)
+    tables, h = _side(system, template, side)
     patterns = _Patterns(tables, h)
     enc = system.arrays
-    hits = np.zeros(len(enc.weights), dtype=np.int64)
-    for lo in range(0, len(enc.rhs), EQUATION_BLOCK):
-        sl = slice(lo, lo + EQUATION_BLOCK)
-        v = enc.var_ids[sl]
-        # unknown k is the k-th distinct variable of the equation
-        u1 = (v[:, 1] != v[:, 0]).astype(np.int32)
-        u2 = np.where(v[:, 2] == v[:, 0], 0, np.where(v[:, 2] == v[:, 1], u1, u1 + 1))
-        unknown = np.stack([np.zeros_like(u1), u1, u2], axis=1)
-        codes = patterns.n + 2 * unknown + (enc.signs[sl] < 0)
-        rhs = tables.rhs_map[enc.rhs[sl]]
-        hits += patterns.count(codes, rhs, enc.weight_class[sl], len(enc.weights)).sum(axis=1)
-    return enc.weigh(hits) / len(h) ** 3
+    weight, denom = _numerators(enc, len(h) ** 3)
+    total = 0
+    for lo in range(0, len(enc), _KEY_BLOCK):
+        sl = slice(lo, lo + _KEY_BLOCK)
+        shape = _shapes(_ranks(enc.var_ids[sl].T), enc.signs[sl].T < 0, 0)
+        total += int(patterns.score(shape, tables.rhs_map[enc.rhs[sl]], weight[sl]).sum())
+    return Fraction(total, denom * len(h) ** 3)
 
 
-def _incidence(var_ids: np.ndarray, n_vars: int):
-    """CSR of the equations touching each variable, each listed once and in
-    system order: ``eqs[indptr[x]:indptr[x + 1]]`` touch variable ``x``."""
-    v = var_ids
+def _incidence(var_ids: np.ndarray, signs: np.ndarray, n_vars: int):
+    """The equations touching each variable, each listed once, as rows
+    grouped by variable: variable x owns rows ``indptr[x]:indptr[x + 1]``,
+    and row r is equation ``eqs[r]`` with its shape seen from x,
+    ``shape[r]``."""
+    v = var_ids.T
     first = np.ones(v.shape, dtype=bool)
-    first[:, 1] = v[:, 1] != v[:, 0]
-    first[:, 2] = (v[:, 2] != v[:, 0]) & (v[:, 2] != v[:, 1])
-    eqs = np.broadcast_to(np.arange(len(v), dtype=np.int32)[:, None], v.shape)[first]
+    first[1] = v[1] != v[0]
+    first[2] = (v[2] != v[0]) & (v[2] != v[1])
     var = v[first]
-    order = np.argsort(var, kind="stable")
     indptr = np.zeros(n_vars + 1, dtype=np.int64)
     np.cumsum(np.bincount(var, minlength=n_vars), out=indptr[1:])
-    return eqs[order], indptr
+    order = np.argsort(var)
+    del var  # freed before the gathers below, which set the peak memory
+    eqs = np.broadcast_to(np.arange(len(var_ids), dtype=np.int32), v.shape)[first][order]
+    ranks, neg = _ranks(v), signs.T < 0
+    # the shape of each equation seen from the variable in each slot
+    seen = np.stack([_shapes(ranks, neg, ranks[j]) for j in range(3)])
+    return eqs, seen[first][order], indptr
 
 
 def derandomize(system: LinSystem, template: Template, side: int) -> dict[str, int]:
@@ -170,28 +241,27 @@ def derandomize(system: LinSystem, template: Template, side: int) -> dict[str, i
 
     Variable x is scored on the equations that touch it: earlier variables
     are fixed, x is unknown 0, and later ones are unknowns 1 and 2, uniform
-    on the constants subgroup.
+    on the constants subgroup. Scores are weight numerators over the
+    weights' common denominator times hits, so they compare exactly.
     """
-    h = _constants(template, side)
-    tables = side_tables(system.template, side)
+    tables, h = _side(system, template, side)
     patterns = _Patterns(tables, h)
     enc = system.arrays
-    rhs = tables.rhs_map[enc.rhs]
-    eqs_of, indptr = _incidence(enc.var_ids, len(system.variables))
-    values = np.zeros(len(system.variables), dtype=np.int16)
+    eqs, shape, indptr = _incidence(enc.var_ids, enc.signs, len(system.variables))
+    weight, _ = _numerators(enc, len(h) ** 2)
+    # the rhs plus the key parts of the slots already fixed, per equation
+    known = tables.rhs_map[enc.rhs].astype(np.int64)
+    values = np.empty(len(system.variables), dtype=np.int16)
     for x in range(len(system.variables)):
-        hits = np.zeros((len(enc.weights), len(h)), dtype=np.int64)
-        for lo in range(indptr[x], indptr[x + 1], EQUATION_BLOCK):
-            eqs = eqs_of[lo : min(lo + EQUATION_BLOCK, indptr[x + 1])]
-            v, signs = enc.var_ids[eqs], enc.signs[eqs]
-            first_free = np.where(v > x, v, np.iinfo(v.dtype).max).min(axis=1)
-            unknown = np.where(v == x, 0, np.where(v == first_free[:, None], 1, 2))
-            codes = np.where(
-                v < x, tables.term_values(values[v], signs), patterns.n + 2 * unknown + (signs < 0)
-            )
-            hits += patterns.count(codes, rhs[eqs], enc.weight_class[eqs], len(enc.weights))
-        scores = [enc.weigh(hits[:, c]) for c in range(len(h))]
-        values[x] = h[max(range(len(h)), key=scores.__getitem__)]
+        end = indptr[x + 1]
+        blocks = [slice(lo, min(lo + _KEY_BLOCK, end)) for lo in range(indptr[x], end, _KEY_BLOCK)]
+        score = np.zeros(len(h), dtype=weight.dtype)
+        for b in blocks:
+            score += patterns.score(shape[b], known[eqs[b]], weight[eqs[b]])
+        values[x] = h[np.argmax(score)]
+        fixed = patterns.fixed_keys(values[x])
+        for b in blocks:
+            known[eqs[b]] += fixed[shape[b]]
     return {x: int(val) for x, val in zip(system.variables, values)}
 
 
@@ -199,6 +269,7 @@ def unsatisfiable_mask(system: LinSystem, template: Template) -> np.ndarray:
     """Which equations are x^3 = h or x^-3 = h with phi(h)^{+-1} not a cube
     in G2 (the test of ``groups.is_unsatisfiable_equation``), as a bool
     array over the system's encoding."""
+    _check_template(system, template)
     enc = system.arrays
     g2 = side_tables(template, 2)
     cubes = np.zeros(len(g2.group), dtype=bool)

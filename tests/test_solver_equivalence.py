@@ -21,7 +21,12 @@ from grouplin import (
     projection_family,
     random_expectation,
 )
-from grouplin.groups import is_unsatisfiable_equation
+from grouplin.groups import (
+    full_subgroup,
+    is_unsatisfiable_equation,
+    make_homomorphism,
+    validate_template,
+)
 from grouplin.reduction import LinEquation, LinSystem
 from grouplin.solvers import non_cubic_solve, unsatisfiable_mask
 
@@ -30,12 +35,28 @@ EPS = Fraction(1, 8)
 DELTA = Fraction(1, 4)
 
 
+def s4_sign():
+    """S4 -> Z2 by permutation parity, a template the catalog does not hold:
+    |H1| = 24 on side 1."""
+    s4, z2 = catalog.group("s4"), catalog.group("z2")
+    parity = {}
+    for g, label in enumerate(s4.elements):  # a label lists the images of 0..3
+        p = [int(c) for c in label]
+        parity[g] = sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2
+    return validate_template(s4, z2, make_homomorphism(full_subgroup(s4), z2, parity), "s4_sign")
+
+
+S4_SIGN = s4_sign()
+SMALL_TEMPLATES = [catalog.template(name) for name in TEMPLATES] + [S4_SIGN]
+
+
 @st.composite
-def small_systems(draw):
+def small_systems(draw, templates=SMALL_TEMPLATES):
     """A few equations over a few variables. Terms may repeat a variable,
     some variables may go unused, weights are unequal, and identical
-    equations are either merged or kept apart."""
-    t = catalog.template(draw(st.sampled_from(TEMPLATES)))
+    equations are either merged or kept apart. Templates are the catalog's
+    and S4 -> Z2."""
+    t = draw(st.sampled_from(templates))
     n_vars = draw(st.integers(1, 5))
     names = draw(st.permutations([f"x{i}" for i in range(n_vars)]))
     used = names[: draw(st.integers(1, n_vars))]
@@ -61,9 +82,7 @@ def small_systems(draw):
     return LinSystem(t, tuple(names), eqs)
 
 
-@settings(max_examples=100, deadline=None)
-@given(system=small_systems(), side=st.sampled_from((1, 2)), data=st.data())
-def test_kernels_match_reference_on_small_systems(system, side, data):
+def _check_small_system(system, side, data):
     t = system.template
     assignment = derandomize(system, t, side)
     assert assignment == ref.derandomize(system, t, side)
@@ -75,6 +94,20 @@ def test_kernels_match_reference_on_small_systems(system, side, data):
     assert evaluate(system, other, side) == ref.evaluate(system, other, side)
     if order ** len(system.variables) <= 1296:
         assert brute_force_opt(system, side) == ref.brute_force_opt(system, side)
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=small_systems(), side=st.sampled_from((1, 2)), data=st.data())
+def test_kernels_match_reference_on_small_systems(system, side, data):
+    _check_small_system(system, side, data)
+
+
+@settings(max_examples=50, deadline=None)
+@given(system=small_systems([S4_SIGN]), data=st.data())
+def test_kernels_match_reference_on_small_s4_systems(system, data):
+    # side 1 draws the unknowns from all 24 elements of S4
+    for side in (1, 2):
+        _check_small_system(system, side, data)
 
 
 @settings(max_examples=100, deadline=None)
