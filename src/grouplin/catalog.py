@@ -126,13 +126,12 @@ def groups() -> dict[str, FiniteGroup]:
         "s3": symmetric3(),
         "d4": dihedral4(),
         "q8": quaternion8(),
+        "s4": symmetric4(),
     }
 
 
 def group(name: str) -> FiniteGroup:
     name = name.lower()
-    if name == "s4":
-        return symmetric4()
     pool = groups()
     if name not in pool:
         raise KeyError(f"unknown catalog group {name!r}")

@@ -108,7 +108,6 @@ def make_context(
     family: AssignmentFamily,
     seed: int = 0,
     leftover: str = "giveup",
-    cap: int | None = None,
 ) -> DecoderContext:
     eps, delta = Fraction(eps), Fraction(delta)
     if leftover not in ("giveup", "normalize"):
@@ -120,8 +119,7 @@ def make_context(
         raise InvalidParams(
             f"need 1/|Im(phi)| + delta <= 1 - eps, got {Fraction(1, h2) + delta} > {1 - eps}"
         )
-    params = ReductionParams(eps, cap=cap)
-    mass = payoff_distribution(lc, template, params, family, side=2)
+    mass = payoff_distribution(lc, template, ReductionParams(eps), family, side=2)
     value = mass.get(template.g2.identity, Fraction(0))
     if value < Fraction(1, h2) + delta:
         log.warning(
@@ -214,15 +212,6 @@ def left_table(ctx: DecoderContext, omega: UnitaryRep, u: str) -> MatrixFn:
     return MatrixFn(ctx.pd, (direct + reflected) / 2)
 
 
-def build_fns(ctx: DecoderContext, omega: UnitaryRep, v: str, u: str):
-    """The matrix tables the analysis works with, for one edge's endpoints."""
-    return right_table(ctx, omega, v), left_table(ctx, omega, u)
-
-
-def _subgroup_average(omega: UnitaryRep, members) -> np.ndarray:
-    return np.mean(omega.matrices[np.array(members)], axis=0)
-
-
 def _edge_terms(ctx: DecoderContext, omega: UnitaryRep, kappa_value: int):
     """Per edge: A's values, a^_1 and W((a o pi)^-1) for every a in G1^E.
 
@@ -233,8 +222,8 @@ def _edge_terms(ctx: DecoderContext, omega: UnitaryRep, kappa_value: int):
     """
     one_minus_eps = 1.0 - float(ctx.eps)
     for u, v, pi in ctx.lc.edge_maps():
-        a_fn, b_fn = build_fns(ctx, omega, v, u)
-        b_hat = transform(b_fn, ctx.prod_d)
+        a_fn = right_table(ctx, omega, v)
+        b_hat = transform(left_table(ctx, omega, u), ctx.prod_d)
         squares = _block_product(b_hat, b_hat)
         scaled = {}
         for rho in ctx.prod_d:
@@ -260,7 +249,7 @@ def trivial_term_bound(ctx: DecoderContext, omega: UnitaryRep):
     of trace eta.
     """
     penalty = eta(omega, ctx.template.h2)
-    avg = _subgroup_average(omega, ctx.template.h2.members)
+    avg = np.mean(omega.matrices[np.array(ctx.template.h2.members)], axis=0)
     if np.abs(avg - avg.conj().T).max() > 1e-9:
         raise InvalidParams("subgroup average of a unitary rep must be Hermitian")
     eigvals = np.linalg.eigvalsh(avg)
@@ -352,11 +341,6 @@ def _agreement(lc: LabelCoverInstance, u_probs: dict, v_probs: dict) -> float:
     return total / len(lc.edges)
 
 
-def expected_strategy_value(lc: LabelCoverInstance, strategy: Strategy) -> float:
-    """E over edges of the probability that the sampled labels agree."""
-    return _agreement(lc, strategy.u_probs, strategy.v_probs)
-
-
 def decode(ctx: DecoderContext):
     """Search the entry indices maximizing the truncated-influence strategy.
 
@@ -396,7 +380,7 @@ def decode(ctx: DecoderContext):
         for y in range(dim):
             for z in range(dim):
                 strategy = Strategy(v_maps(x, y), u_maps(y, z), k, ctx.leftover)
-                value = expected_strategy_value(ctx.lc, strategy)
+                value = _agreement(ctx.lc, strategy.u_probs, strategy.v_probs)
                 if best is None or value > best[1] + _TIE:
                     best = (strategy, value, (x, y, z))
     strategy, value, (x, y, z) = best

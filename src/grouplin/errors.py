@@ -18,9 +18,9 @@ def enum_cap(override: int | None = None) -> int:
     return int(env) if env else DEFAULT_ENUM_CAP
 
 
-def table_cap(override: int | None = None) -> int:
-    if override is not None:
-        return override
+def table_cap() -> int:
+    """Cap on dense tables over a direct power; GROUPLIN_CAP overrides the
+    default."""
     env = os.environ.get(_ENV_CAP)
     return int(env) if env else DEFAULT_TABLE_CAP
 

@@ -180,12 +180,6 @@ class FourierTable:
     blocks: dict  # comps tuple -> (d, d) or (d, d, N, N) array
     matrix_size: int | None
 
-    def get(self, rho: ProductIrrep, i: int, j: int):
-        block = self.blocks.get(rho.comps)
-        if block is None:
-            raise IncompleteTable(f"no block for components {rho.comps}")
-        return block[i, j]
-
 
 def _base_entries(base: IrrepSet) -> np.ndarray:
     """(|G|, |G|): column (c, i, j), row-major, holds g -> rho_c(g)_ij; the

@@ -211,9 +211,6 @@ class Homomorphism:
     def image(self) -> Subgroup:
         return subgroup(self.target, {b for _, b in self.mapping})
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.mapping)
-
 
 def make_homomorphism(source: Subgroup, target: FiniteGroup, mapping) -> Homomorphism:
     """Validate ``mapping`` (element index -> element index) as a homomorphism."""
@@ -299,7 +296,7 @@ def validate_template(
         raise InvalidParams("phi's domain must be a subgroup of g1")
     if phi.target is not g2 and phi.target != g2:
         raise InvalidParams("phi must map into g2")
-    phi_map = phi.as_dict()
+    phi_map = dict(phi.mapping)
 
     gens = _generating_set(g1)
     words = _words(g1, gens)
@@ -344,14 +341,14 @@ class GroupPower:
     lexicographically under element-index order.
     """
 
-    def __init__(self, group: FiniteGroup, labels, cap: int | None = None):
+    def __init__(self, group: FiniteGroup, labels):
         self.group = group
         self.labels = tuple(str(x) for x in labels)
         self.m = len(self.labels)
         if self.m == 0:
             raise InvalidParams("index set must be non-empty")
         self.n = len(group) ** self.m
-        limit = table_cap(cap)
+        limit = table_cap()
         if self.n > limit:
             raise CapExceeded(
                 f"|G|^|D| = {self.n} exceeds the table cap {limit}"

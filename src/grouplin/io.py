@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from io import StringIO
 
 import numpy as np
 
@@ -74,6 +75,38 @@ def jsonable(x):
     return x
 
 
+def _object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise InvalidParams(f"{what} must be a JSON object, not {type(obj).__name__}")
+    return obj
+
+
+def _list(obj: dict, key: str) -> list:
+    value = obj.get(key)
+    if not isinstance(value, list):
+        raise InvalidParams(f'"{key}" must be a JSON list, not {type(value).__name__}')
+    return value
+
+
+def _string(obj: dict, key: str) -> str:
+    value = obj.get(key)
+    if not isinstance(value, str):
+        raise InvalidParams(f'"{key}" must be a JSON string, not {type(value).__name__}')
+    return value
+
+
+def _integers(values: list, what: str) -> np.ndarray:
+    """JSON integers as int64; a bool, a float or a number past int64 is
+    refused rather than truncated."""
+    if not all(type(v) is int for v in values):
+        bad = next(v for v in values if type(v) is not int)
+        raise InvalidParams(f"{what} must be an integer, got {json.dumps(bad)}")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise InvalidParams(f"{what} {max(values, key=abs)} is out of range") from None
+
+
 # -- groups -----------------------------------------------------------------
 
 def group_to_obj(g: FiniteGroup) -> dict:
@@ -84,8 +117,13 @@ def group_to_obj(g: FiniteGroup) -> dict:
     }
 
 
-def obj_to_group(obj: dict) -> FiniteGroup:
-    return make_group(obj["elements"], obj["table"], obj.get("name", "group"))
+def obj_to_group(obj) -> FiniteGroup:
+    obj = _object(obj, "a group")
+    rows = _list(obj, "table")
+    if not all(type(row) is list for row in rows):
+        raise InvalidParams('"table" must be a list of rows')
+    table = [_integers(row, "a table entry") for row in rows]
+    return make_group(_list(obj, "elements"), table, obj.get("name", "group"))
 
 
 def _resolve_ref(ref: str, base_dir: str) -> str:
@@ -94,16 +132,24 @@ def _resolve_ref(ref: str, base_dir: str) -> str:
     return os.path.join(base_dir, ref)
 
 
-def load_group(ref: str, base_dir: str = ".") -> FiniteGroup:
-    """A group from a catalog name, a ``catalog:`` ref, or a JSON file."""
+def _load(ref: str, base_dir: str, lookup, from_obj):
+    """``lookup(name)`` for a catalog name or a ``catalog:`` ref, where an
+    unknown ``catalog:`` name raises KeyError; otherwise ``from_obj(obj,
+    file_dir)`` of the JSON file at ``ref``, relative to ``base_dir``."""
     if ref.startswith("catalog:"):
-        return catalog.group(ref.split(":", 1)[1])
+        return lookup(ref.split(":", 1)[1])
     try:
-        return catalog.group(ref)
+        return lookup(ref)
     except KeyError:
         pass
-    with open(_resolve_ref(ref, base_dir), encoding="utf-8") as fh:
-        return obj_to_group(json.load(fh))
+    path = _resolve_ref(ref, base_dir)
+    with open(path, encoding="utf-8") as fh:
+        return from_obj(json.load(fh), os.path.dirname(os.path.abspath(path)))
+
+
+def load_group(ref: str, base_dir: str = ".") -> FiniteGroup:
+    """A group from a catalog name, a ``catalog:`` ref, or a JSON file."""
+    return _load(ref, base_dir, catalog.group, lambda obj, _: obj_to_group(obj))
 
 
 # -- templates --------------------------------------------------------------
@@ -120,15 +166,19 @@ def template_to_obj(t: Template, g1_ref: str, g2_ref: str) -> dict:
     }
 
 
-def obj_to_template(obj: dict, base_dir: str = ".") -> Template:
-    g1 = load_group(obj["g1"], base_dir)
-    g2 = load_group(obj["g2"], base_dir)
-    hom_obj = obj["homomorphism"]
+def obj_to_template(obj, base_dir: str = ".") -> Template:
+    obj = _object(obj, "a template")
+    g1 = load_group(_string(obj, "g1"), base_dir)
+    g2 = load_group(_string(obj, "g2"), base_dir)
+    hom_obj = obj.get("homomorphism")
     if isinstance(hom_obj, str):
         with open(_resolve_ref(hom_obj, base_dir), encoding="utf-8") as fh:
             hom_obj = json.load(fh)
-    domain = [int(x) for x in hom_obj["domain"]]
-    mapping = {int(k): int(v) for k, v in hom_obj["map"].items()}
+    hom_obj = _object(hom_obj, '"homomorphism"')
+    domain = _integers(_list(hom_obj, "domain"), "a domain element").tolist()
+    map_obj = _object(hom_obj.get("map"), '"map"')
+    images = _integers(list(map_obj.values()), "a map value").tolist()
+    mapping = dict(zip(map(int, map_obj), images))
     if sorted(domain) == list(range(len(g1))):
         dom = full_subgroup(g1)
     else:
@@ -138,15 +188,7 @@ def obj_to_template(obj: dict, base_dir: str = ".") -> Template:
 
 
 def load_template(ref: str, base_dir: str = ".") -> Template:
-    if ref.startswith("catalog:"):
-        return catalog.template(ref.split(":", 1)[1])
-    try:
-        return catalog.template(ref)
-    except KeyError:
-        pass
-    path = _resolve_ref(ref, base_dir)
-    with open(path, encoding="utf-8") as fh:
-        return obj_to_template(json.load(fh), os.path.dirname(os.path.abspath(path)))
+    return _load(ref, base_dir, catalog.template, obj_to_template)
 
 
 # -- label cover ------------------------------------------------------------
@@ -163,49 +205,29 @@ def lc_to_obj(lc: LabelCoverInstance) -> dict:
     }
 
 
-def obj_to_lc(obj: dict) -> LabelCoverInstance:
+def obj_to_lc(obj) -> LabelCoverInstance:
+    obj = _object(obj, "a Label Cover instance")
+    edges = [_object(e, "an edge") for e in _list(obj, "edges")]
     return make_label_cover(
-        obj["D"],
-        obj["E"],
-        obj["U"],
-        obj["V"],
-        [(e["u"], e["v"], e["pi"]) for e in obj["edges"]],
+        _list(obj, "D"),
+        _list(obj, "E"),
+        _list(obj, "U"),
+        _list(obj, "V"),
+        [(e["u"], e["v"], _object(e.get("pi"), '"pi"')) for e in edges],
     )
 
 
 def load_lc(ref: str, base_dir: str = ".") -> LabelCoverInstance:
-    if ref.startswith("catalog:"):
-        return catalog.label_cover(ref.split(":", 1)[1])
-    try:
-        return catalog.label_cover(ref)
-    except KeyError:
-        pass
-    with open(_resolve_ref(ref, base_dir), encoding="utf-8") as fh:
-        return obj_to_lc(json.load(fh))
+    return _load(ref, base_dir, catalog.label_cover, lambda obj, _: obj_to_lc(obj))
 
 
 # -- systems ----------------------------------------------------------------
 
 def system_to_obj(system: LinSystem, template_ref: str) -> dict:
-    enc, names = system.arrays, system.variables
-    weights = [frac_str(w) for w in enc.weights]
-    return {
-        "template": template_ref,
-        "variables": list(names),
-        "equations": [
-            {
-                "terms": [[names[x], s], [names[y], t], [names[z], r]],
-                "rhs": h,
-                "weight": weights[c],
-            }
-            for (x, y, z), (s, t, r), h, c in zip(
-                enc.var_ids.tolist(),
-                enc.signs.tolist(),
-                enc.rhs.tolist(),
-                enc.weight_class.tolist(),
-            )
-        ],
-    }
+    """The system's JSON object: what ``write_system`` writes, read back."""
+    out = StringIO()
+    write_system(system, template_ref, out)
+    return json.loads(out.getvalue())
 
 
 # One equation as ``canonical_dumps`` lays it out inside the system object:
@@ -232,8 +254,8 @@ WRITE_CHUNK = 4096  # equations rendered per write: ~1 MB of text
 
 
 def write_system(system: LinSystem, template_ref: str, out) -> None:
-    """Write ``canonical_dumps(system_to_obj(system, template_ref))`` to the
-    text stream ``out``, straight from the arrays: equations are rendered a
+    """Write the system as canonical JSON (the layout ``canonical_dumps``
+    gives its object) to the text stream ``out``, straight from the arrays: equations are rendered a
     chunk at a time, and each name and weight is JSON-escaped once, so
     neither the per-equation objects nor the whole text are ever built. A
     valid system has an equation and a variable (its weights sum to 1), so
@@ -264,31 +286,6 @@ def write_system(system: LinSystem, template_ref: str, out) -> None:
         + ",\n    ".join(names)
         + "\n  ]\n}\n"
     )
-
-
-def _object(obj, what: str) -> dict:
-    if not isinstance(obj, dict):
-        raise InvalidParams(f"{what} must be a JSON object, not {type(obj).__name__}")
-    return obj
-
-
-def _list(obj: dict, key: str) -> list:
-    value = obj.get(key)
-    if not isinstance(value, list):
-        raise InvalidParams(f'"{key}" must be a JSON list, not {type(value).__name__}')
-    return value
-
-
-def _integers(values: list, what: str) -> np.ndarray:
-    """JSON integers as int64; a bool, a float or a number past int64 is
-    refused rather than truncated."""
-    if not all(type(v) is int for v in values):
-        bad = next(v for v in values if type(v) is not int)
-        raise InvalidParams(f"{what} must be an integer, got {json.dumps(bad)}")
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise InvalidParams(f"{what} {max(values, key=abs)} is out of range") from None
 
 
 def obj_to_system(obj: dict, template: Template) -> LinSystem:
@@ -355,13 +352,17 @@ def family_to_obj(family: AssignmentFamily) -> dict:
     }
 
 
-def obj_to_family(obj: dict) -> AssignmentFamily:
-    side = {"g1": 1, "g2": 2, "1": 1, "2": 2}.get(str(obj["side"]).lower())
+def obj_to_family(obj) -> AssignmentFamily:
+    obj = _object(obj, "a family")
+    side = {"g1": 1, "g2": 2, "1": 1, "2": 2}.get(str(obj.get("side")).lower())
     if side is None:
-        raise InvalidParams(f"unknown family side {obj['side']!r}")
-    a_tables = {v: np.array(tbl, dtype=np.int64) for v, tbl in obj["A"].items()}
-    b_tables = {u: np.array(tbl, dtype=np.int64) for u, tbl in obj["B"].items()}
-    return AssignmentFamily(side, a_tables, b_tables)
+        raise InvalidParams(f"unknown family side {obj.get('side')!r}")
+    return AssignmentFamily(side, _tables(obj, "A"), _tables(obj, "B"))
+
+
+def _tables(obj: dict, key: str) -> dict:
+    tables = _object(obj.get(key), f'"{key}"')
+    return {name: _integers(_list(tables, name), f"a {key} table value") for name in tables}
 
 
 def load_family(path: str) -> AssignmentFamily:

@@ -277,8 +277,9 @@ class ReductionParams:
             raise InvalidParams(f"eps must be in (0,1), got {self.eps}")
         if self.mode not in ("exact", "sampled"):
             raise InvalidParams(f"unknown mode {self.mode}")
-        if self.mode == "sampled" and not self.sample_count:
-            raise InvalidParams("sampled mode needs sample_count")
+        count = self.sample_count
+        if self.mode == "sampled" and not (type(count) is int and count > 0):
+            raise InvalidParams(f"sampled mode needs a positive integer sample_count, got {count}")
 
 
 def var_u(u: str, b_flat: int) -> str:

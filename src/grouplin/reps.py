@@ -56,11 +56,6 @@ class UnitaryRep:
         return float(np.abs(prods - eye).max())
 
 
-def character(rep: UnitaryRep) -> np.ndarray:
-    """Trace of the representation, one complex value per element."""
-    return rep.character()
-
-
 @dataclass(frozen=True, eq=False)
 class IrrepSet:
     """A complete set of inequivalent irreducible unitary representations.
@@ -72,10 +67,6 @@ class IrrepSet:
     group: FiniteGroup
     irreps: tuple[UnitaryRep, ...]
     tol: float
-
-    @property
-    def trivial(self) -> UnitaryRep:
-        return self.irreps[0]
 
     def dims(self) -> tuple[int, ...]:
         return tuple(r.dim for r in self.irreps)
@@ -98,16 +89,6 @@ class IrrepSet:
         if worst > self.tol:
             raise DecompositionFailed(f"residual {worst:.3e} above tol {self.tol}")
         return worst
-
-
-def _regular_matrices(group: FiniteGroup) -> np.ndarray:
-    n = len(group)
-    mats = np.zeros((n, n, n))
-    for g in range(n):
-        for g2 in range(n):
-            g1 = group.mul(g2, group.inv(g))
-            mats[g, g1, g2] = 1.0
-    return mats
 
 
 def _random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -183,7 +164,7 @@ def irreps(group: FiniteGroup, seed: int = 0, tol: float = 1e-9) -> IrrepSet:
 @functools.lru_cache(maxsize=64)
 def _irreps(group: FiniteGroup, seed: int, tol: float) -> IrrepSet:
     n = len(group)
-    reg = _regular_matrices(group)
+    reg = regular_representation(group).matrices
     rng = np.random.default_rng(seed)
     last = "no attempt"
     for _ in range(8):

@@ -118,11 +118,6 @@ class Check:
         return CheckResult(self.id, bool(ok), float(residual), detail)
 
 
-@functools.cache
-def _irreps(name, seed):
-    return irreps(catalog.group(name), seed=seed)
-
-
 # -- group core ---------------------------------------------------------------
 
 def _check_group_axioms(seed, name):
@@ -199,7 +194,7 @@ def _check_cubic(seed, tname):
 
 def _check_entry_orthogonality(seed, name):
     # also the unitarity and homomorphism residuals of every irrep
-    iset = _irreps(name, seed)
+    iset = irreps(catalog.group(name), seed=seed)
     g = iset.group
     rows, dims = [], []
     res = 0.0
@@ -217,7 +212,7 @@ def _check_entry_orthogonality(seed, name):
 
 def _check_char_dim_sum(seed, name):
     # sum_rho dim * chi_rho is the regular character, and sum_rho dim^2 = |G|
-    iset = _irreps(name, seed)
+    iset = irreps(catalog.group(name), seed=seed)
     g = iset.group
     total = sum(r.dim * r.character() for r in iset.irreps)
     target = np.zeros(len(g), dtype=complex)
@@ -227,7 +222,7 @@ def _check_char_dim_sum(seed, name):
 
 
 def _check_entry_sums(seed, name):
-    iset = _irreps(name, seed)
+    iset = irreps(catalog.group(name), seed=seed)
     res = 0.0
     for rep in iset.irreps[1:]:
         res = max(res, float(np.abs(rep.matrices.sum(axis=0)).max()))
@@ -235,7 +230,7 @@ def _check_entry_sums(seed, name):
 
 
 def _check_regular_multiplicities(seed, name):
-    iset = _irreps(name, seed)
+    iset = irreps(catalog.group(name), seed=seed)
     reg = regular_representation(iset.group)
     bad = sum(1 for r in iset.irreps if multiplicity(r, reg) != r.dim)
     return bad == 0, float(bad), ""
@@ -243,7 +238,7 @@ def _check_regular_multiplicities(seed, name):
 
 def _check_frobenius_pair(seed, key):
     g, h = catalog.subgroup_pairs()[key]
-    iset = _irreps(g.name, seed)
+    iset = irreps(g, seed=seed)
     total = sum(r.dim * eta(r, h) for r in iset.irreps)
     expect = len(g) // len(h)
     return total == expect, float(abs(total - expect)), f"sum={total}"
@@ -251,7 +246,7 @@ def _check_frobenius_pair(seed, key):
 
 def _check_frobenius_degenerate(seed, name):
     g = catalog.group(name)
-    iset = _irreps(name, seed)
+    iset = irreps(g, seed=seed)
     bad = 0
     for h in (trivial_subgroup(g), full_subgroup(g)):
         total = sum(r.dim * eta(r, h) for r in iset.irreps)
@@ -271,7 +266,7 @@ def _check_tensor_trace(seed):
 # -- fourier ------------------------------------------------------------------
 
 def _check_roundtrip(seed):
-    iset = _irreps("s3", seed)
+    iset = irreps(catalog.group("s3"), seed=seed)
     power = GroupPower(iset.group, ["p0", "p1"])
     rhos = product_irreps(iset, power.labels)
     rng = np.random.default_rng(seed)
@@ -286,7 +281,7 @@ def _check_roundtrip(seed):
 
 def _check_entry_expansion(seed):
     # sum_ij F^(rho_ij) rho_ij(g) must equal the character-convolution form
-    iset = _irreps("s3", seed)
+    iset = irreps(catalog.group("s3"), seed=seed)
     power = GroupPower(iset.group, ["p0"])
     rhos = product_irreps(iset, power.labels)
     rng = np.random.default_rng(seed)
@@ -309,7 +304,7 @@ def _check_entry_expansion(seed):
 def _check_convolution(seed):
     # the convolution theorem against the defining sum
     # (F*H)(g) = |G|^-1 sum_t F(t) H(t^-1 g)
-    iset = _irreps("s3", seed)
+    iset = irreps(catalog.group("s3"), seed=seed)
     power = GroupPower(iset.group, ["p0"])
     rhos = product_irreps(iset, power.labels)
     rng = np.random.default_rng(seed)
@@ -332,7 +327,7 @@ def _check_convolution(seed):
 
 def _check_noise(seed):
     # every coefficient of degree d shrinks by (1 - eps)^d; all of d = 0..3 occur
-    iset = _irreps("z2", seed)
+    iset = irreps(catalog.group("z2"), seed=seed)
     power = GroupPower(iset.group, ["p0", "p1", "p2"])
     rhos = product_irreps(iset, power.labels)
     rng = np.random.default_rng(seed)
@@ -355,7 +350,7 @@ def _check_noise(seed):
 def _check_product_completeness(seed):
     bad = 0
     for name, m in (("z2", 3), ("s3", 2)):
-        iset = _irreps(name, seed)
+        iset = irreps(catalog.group(name), seed=seed)
         rhos = product_irreps(iset, [f"p{k}" for k in range(m)])
         if sum(r.dim**2 for r in rhos) != len(iset.group) ** m:
             bad += 1
@@ -363,7 +358,7 @@ def _check_product_completeness(seed):
 
 
 def _check_pullback(seed, name):
-    iset = _irreps(name, seed)
+    iset = irreps(catalog.group(name), seed=seed)
     d_labels, e_labels = ("d0", "d1"), ("e0",)
     pe = GroupPower(iset.group, e_labels)
     rhos_d = product_irreps(iset, d_labels)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from grouplin.decoder import build_fns
+from grouplin.decoder import left_table, right_table
 from grouplin.errors import IncompleteTable, InvalidParams
 from grouplin.fourier import (
     _DENSE_DIM_LIMIT,
@@ -113,7 +113,7 @@ def trivial_term_sum(ctx, omega) -> float:
     nu_w = [float(w) for w in noise_weights(ctx.pd, ctx.eps)]
     total = 0.0 + 0.0j
     for u, v, pi in ctx.lc.edge_maps():
-        a_fn, b_fn = build_fns(ctx, omega, v, u)
+        a_fn, b_fn = right_table(ctx, omega, v), left_table(ctx, omega, u)
         m = convolve(b_fn, b_fn).values
         a_hat_1 = np.mean(a_fn.values, axis=0)
         ap_inv = composed_inverse(ctx.pe, ctx.pd, pi, ctx.lc.e_labels)
@@ -131,7 +131,7 @@ def high_degree_mass(ctx, omega, kappa_value: int) -> float:
     one_minus_eps = 1.0 - float(ctx.eps)
     total = 0.0 + 0.0j
     for u, v, pi in ctx.lc.edge_maps():
-        a_fn, b_fn = build_fns(ctx, omega, v, u)
+        a_fn, b_fn = right_table(ctx, omega, v), left_table(ctx, omega, u)
         m = convolve(b_fn, b_fn).values
         n_mat = m.shape[1]
         w_table = np.zeros((ctx.pd.n, n_mat, n_mat), dtype=complex)

@@ -7,7 +7,6 @@ from grouplin import catalog, io
 from grouplin.cli import main
 from grouplin.reduction import make_label_cover, projection_family
 
-from checks import assert_checks
 
 
 def run(capsys, *argv):
@@ -105,11 +104,11 @@ def test_eval_rejects_out_of_range_values(tmp_path, capsys, bad):
         assert "outside" in err
 
 
-def _set_first(path, value):
-    """An edit that sets ``path`` of the first equation to ``value``."""
+def _set(path, value):
+    """An edit that sets ``path`` of a JSON object to ``value``."""
 
     def edit(obj):
-        target = obj["equations"][0]
+        target = obj
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
@@ -122,10 +121,10 @@ def _set_first(path, value):
 MALFORMED_FILES = {
     "equations-not-a-list": (lambda s: {**s, "equations": 5}, None),
     "system-not-an-object": (lambda s: [1, 2], None),
-    "rhs-past-int64": (_set_first(("rhs",), 10**20), None),
-    "rhs-float": (_set_first(("rhs",), 0.5), None),
-    "sign-float": (_set_first(("terms", 0, 1), 1.9), None),
-    "sign-bool": (_set_first(("terms", 0, 1), True), None),
+    "rhs-past-int64": (_set(("equations", 0, "rhs"), 10**20), None),
+    "rhs-float": (_set(("equations", 0, "rhs"), 0.5), None),
+    "sign-float": (_set(("equations", 0, "terms", 0, 1), 1.9), None),
+    "sign-bool": (_set(("equations", 0, "terms", 0, 1), True), None),
     "assignment-not-an-object": (None, lambda a: [0]),
     "value-float": (None, lambda a: {**a, next(iter(a)): 1.7}),
 }
@@ -147,6 +146,80 @@ def test_eval_rejects_malformed_files_with_exit_2(tmp_path, capsys, case):
     code, out, err = run(capsys, "eval", s_path, "--assignment", a_path)
     assert (code, out) == (2, "")
     assert err.startswith("error: InvalidParams")
+
+
+# input kind -> (a valid object of that kind, argv reading it from a path)
+INPUT_KINDS = {
+    "family": (
+        lambda: io.family_to_obj(
+            projection_family(
+                catalog.label_cover("lc1"), catalog.template("z2_id"), {"u0": "d0"}, {"v0": "e0"}, side=2
+            )
+        ),
+        lambda path: ["decode", "lc1", "--template", "z2_id", "--family", path, "--eps", "1/4", "--delta", "1/4"],
+    ),
+    "lc": (
+        lambda: io.lc_to_obj(catalog.label_cover("lc_tiny")),
+        lambda path: ["reduce", path, "--template", "z2_id", "--eps", "1/4"],
+    ),
+    "group": (
+        lambda: io.group_to_obj(catalog.group("z2")),
+        lambda path: ["verify-group", path],
+    ),
+    "template": (
+        lambda: io.template_to_obj(catalog.template("z4_to_z2"), "catalog:z4", "catalog:z2"),
+        lambda path: ["reduce", "lc_tiny", "--template", path, "--eps", "1/4"],
+    ),
+}
+
+# case -> (input kind, edit of the valid object)
+MALFORMED_INPUTS = {
+    "family-not-an-object": ("family", lambda f: [1, 2]),
+    "family-tables-not-an-object": ("family", lambda f: {**f, "A": [1, 2]}),
+    "family-table-not-a-list": ("family", lambda f: {**f, "B": {"u0": 3}}),
+    "family-value-float": ("family", _set(("A", "v0", 0), 0.7)),
+    "family-value-bool": ("family", _set(("B", "u0", 0), True)),
+    "lc-not-an-object": ("lc", lambda lc: [1, 2]),
+    "lc-edges-not-a-list": ("lc", lambda lc: {**lc, "edges": 5}),
+    "lc-edge-not-an-object": ("lc", lambda lc: {**lc, "edges": [5]}),
+    "lc-pi-not-an-object": ("lc", _set(("edges", 0, "pi"), [1])),
+    "group-not-an-object": ("group", lambda g: [1, 2]),
+    "group-row-not-a-list": ("group", _set(("table", 0), 5)),
+    "group-entry-float": ("group", _set(("table", 0, 0), 0.5)),
+    "group-entry-bool": ("group", _set(("table", 1, 1), False)),
+    "template-not-an-object": ("template", lambda t: [1, 2]),
+    "template-group-not-a-string": ("template", lambda t: {**t, "g1": 5}),
+    "template-hom-not-an-object": ("template", lambda t: {**t, "homomorphism": 5}),
+    "template-map-float": ("template", _set(("homomorphism", "map", "1"), 1.5)),
+    "template-domain-float": ("template", _set(("homomorphism", "domain", 1), 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_files_exit_2(tmp_path, capsys, case):
+    """No traceback and no truncation: a malformed family, Label Cover,
+    group or template file is an error."""
+    kind, edit = MALFORMED_INPUTS[case]
+    valid, argv = INPUT_KINDS[kind]
+    path = write(tmp_path, f"{kind}.json", edit(valid()))
+    code, out, err = run(capsys, *argv(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: InvalidParams")
+
+
+@pytest.mark.parametrize("kind", sorted(INPUT_KINDS))
+def test_valid_input_files_exit_0(tmp_path, capsys, kind):
+    valid, argv = INPUT_KINDS[kind]
+    path = write(tmp_path, f"{kind}.json", valid())
+    assert run(capsys, *argv(path))[0] == 0
+
+
+@pytest.mark.parametrize("samples", ["-3", "0"])
+def test_reduce_needs_a_positive_sample_count(capsys, samples):
+    argv = ["reduce", "lc_tiny", "--template", "z2_id", "--eps", "1/4", "--mode", "sampled"]
+    code, out, err = run(capsys, *argv, "--samples", samples)
+    assert (code, out) == (2, "")
+    assert "positive integer sample_count" in err
 
 
 def test_solve_noncubic_requires_c(tmp_path, capsys):
@@ -325,10 +398,6 @@ def test_selftest_unknown_module_exit_code(capsys):
         main(["selftest", "fouier"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
-
-
-def test_canonical_json_roundtrip_is_byte_identical():
-    assert_checks("io:json-canonical-roundtrip")
 
 
 def test_group_json_parses_back_to_same_group(tmp_path):

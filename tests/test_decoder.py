@@ -11,7 +11,6 @@ from grouplin import (
     ReductionParams,
     Strategy,
     alpha,
-    build_fns,
     catalog,
     decode,
     derandomize_strategy,
@@ -209,13 +208,6 @@ def test_folded_table_equivariance_through_omega():
         lhs = a_fn.values[pe.act(h, a)]
         rhs = omega.matrices[t.phi.apply(h)] @ a_fn.values[a]
         assert np.abs(lhs - rhs).max() < 1e-12
-
-
-def test_build_fns_returns_both_tables(ctx_z2):
-    omega = ctx_z2.g2_irreps.irreps[1]
-    a_fn, b_fn = build_fns(ctx_z2, omega, "v0", "u0")
-    assert a_fn.values.shape == (ctx_z2.pe.n, 1, 1)
-    assert b_fn.values.shape == (ctx_z2.pd.n, 1, 1)
 
 
 # -- measured bounds ------------------------------------------------------------

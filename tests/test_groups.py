@@ -25,7 +25,6 @@ from grouplin import InvalidParams, catalog
 from grouplin.groups import coset_arrays
 from grouplin.reduction import LinEquation
 
-from checks import assert_checks
 
 
 def perm_compose(p, q):
@@ -233,20 +232,12 @@ def test_fold_reuses_given_cosets():
     assert np.array_equal(fold(table, power, t.phi, cosets), fold(table, power, t.phi))
 
 
-def test_coset_representative_constant_on_cosets():
-    assert_checks("groups:cosets")
-
-
 @pytest.mark.parametrize(
     "tname,expected",
     [("z2_id", True), ("z3_id", False), ("z4_to_z2", True), ("s3_sign", True)],
 )
 def test_is_cubic_examples(tname, expected):
     assert is_cubic(catalog.template(tname)) is expected
-
-
-def test_is_cubic_agrees_with_cube_enumeration():
-    assert_checks("groups:cubic")
 
 
 def test_s3_cube_image_misses_three_cycles():
@@ -292,3 +283,7 @@ def test_subgroup_membership_and_homomorphism_lookup():
     assert [t.phi.apply(h) for h in t.h1.members] == [0, 4, 5]
     with pytest.raises(InvalidParams, match="outside the domain"):
         t.phi.apply(1)
+
+
+def test_catalog_builds_s4_once():
+    assert catalog.group("s4") is catalog.group("S4")

@@ -3,7 +3,6 @@ import pytest
 
 from grouplin import (
     NonIntegerMultiplicity,
-    character,
     eta,
     irreps,
     multiplicity,
@@ -63,12 +62,12 @@ def test_irreps_are_memoized_and_read_only():
 
 def test_character_of_trivial_and_sign(irrep_sets):
     iset = irrep_sets["s3"]
-    assert np.allclose(character(iset.irreps[0]), 1.0)
+    assert np.allclose(iset.irreps[0].character(), 1.0)
     s3 = catalog.group("s3")
-    sign_chi = character(iset.irreps[1])
+    sign_chi = iset.irreps[1].character()
     assert sign_chi[s3.elements.index("(12)")] == pytest.approx(-1)
     two_dim = iset.irreps[2]
-    assert character(two_dim)[s3.identity] == pytest.approx(2)
+    assert two_dim.character()[s3.identity] == pytest.approx(2)
 
 
 def test_multiplicity_of_irrep_in_itself(irrep_sets):
@@ -83,7 +82,7 @@ def test_coset_representation_of_s3_over_a3(irrep_sets):
     rep = right_regular(s3, a3)
     assert rep.dim == 2
     # oracle: even permutations fix both cosets, odd ones swap them
-    chi = character(rep)
+    chi = rep.character()
     expected = [2 if i in (0, 4, 5) else 0 for i in range(6)]
     assert np.allclose(chi, expected)
     assert multiplicity(irrep_sets["s3"].irreps[0], rep) == 1
@@ -110,7 +109,7 @@ def test_restriction_examples(irrep_sets):
     res_two = restrict(iset.irreps[2], a3)
     assert trivial_multiplicity(res_two) == 0
     # oracle: character of the restriction is (2, -1, -1)
-    assert np.allclose(sorted(np.real(character(res_two))), [-1, -1, 2])
+    assert np.allclose(sorted(np.real(res_two.character())), [-1, -1, 2])
 
 
 def test_eta_trivial_is_one(irrep_sets):
@@ -133,7 +132,7 @@ def test_eta_z4_over_even_subgroup(irrep_sets):
     h = subgroup(z4, (0, 2))
     # oracle: eta = (1 + chi(2)) / 2 for each character
     for rep in irrep_sets["z4"].irreps:
-        chi2 = complex(character(rep)[2])
+        chi2 = complex(rep.character()[2])
         expected = int(round((1 + chi2.real) / 2))
         assert eta(rep, h) == expected
 
@@ -157,7 +156,7 @@ def test_trace_and_product_tensor_identities(irrep_sets):
     tensor = UnitaryRep(
         two.group, np.stack([np.kron(a, b) for a, b in zip(two.matrices, two.matrices)])
     )
-    assert np.allclose(character(tensor), character(two) ** 2, atol=1e-12)
+    assert np.allclose(tensor.character(), two.character() ** 2, atol=1e-12)
     assert tensor.homomorphism_residual() < 1e-9
     assert tensor.unitarity_residual() < 1e-9
     assert [multiplicity(r, tensor) for r in (triv, sign, two)] == [1, 1, 1]
