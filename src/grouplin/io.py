@@ -122,6 +122,9 @@ def obj_to_group(obj) -> FiniteGroup:
     rows = _list(obj, "table")
     if not all(type(row) is list for row in rows):
         raise InvalidParams('"table" must be a list of rows')
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise InvalidParams(f'"table" row {i} has {len(row)} entries, where row 0 has {len(rows[0])}')
     table = [_integers(row, "a table entry") for row in rows]
     return make_group(_list(obj, "elements"), table, obj.get("name", "group"))
 
@@ -288,58 +291,109 @@ def write_system(system: LinSystem, template_ref: str, out) -> None:
     )
 
 
+class _Row:
+    """The value an equation object parses to once it is packed: no JSON
+    value is this object, so a scalar cannot stand in for an equation."""
+
+    __slots__ = ()
+
+
+_ROW = _Row()
+
+
+class _Packer:
+    """Packs equation objects into integer columns one at a time. As the
+    ``object_pairs_hook`` of ``json.load`` it sees every object the moment
+    the scanner closes it: an object with "rhs", "terms" and "weight" is
+    packed and replaced by ``_ROW``, so its dict, term lists and name
+    strings are freed straight away; any other object stays a dict.
+
+    Variables get provisional ids in order of first use, remapped to the
+    file's ``variables`` list at the end (sorted keys put it after
+    ``equations``). Each distinct weight text is parsed once; equal values
+    share a class, in order of first occurrence."""
+
+    def __init__(self):
+        self.ids: dict[str, int] = {}
+        self.var_ids: list = []
+        self.signs: list = []
+        self.rhs: list = []
+        self.weight_class: list = []
+        self.by_text: dict[str, int] = {}
+        self.classes: dict[Fraction, int] = {}
+
+    def __call__(self, pairs):
+        obj = dict(pairs)
+        try:
+            rhs, terms, weight = obj["rhs"], obj["terms"], obj["weight"]
+        except KeyError:
+            return obj
+        if type(terms) is not list or len(terms) != 3:
+            raise InvalidParams("an equation has exactly three terms")
+        a, b, c = terms
+        if not (type(a) is list and type(b) is list and type(c) is list and len(a) == len(b) == len(c) == 2):
+            raise InvalidParams("a term is a [variable, sign] pair")
+        ids = self.ids
+        self.var_ids += (
+            ids.setdefault(str(a[0]), len(ids)),
+            ids.setdefault(str(b[0]), len(ids)),
+            ids.setdefault(str(c[0]), len(ids)),
+        )
+        self.signs += (a[1], b[1], c[1])
+        self.rhs.append(rhs)
+        text = str(weight)
+        cls = self.by_text.get(text)
+        if cls is None:
+            cls = self.by_text[text] = self.classes.setdefault(parse_frac(weight), len(self.classes))
+        self.weight_class.append(cls)
+        return _ROW
+
+    def system(self, obj, template: Template) -> LinSystem:
+        """The system whose ``equations`` are exactly the rows packed so
+        far, in order; the system validates the encoding."""
+        variables = tuple(str(v) for v in _list(obj, "variables"))
+        eqs = _list(obj, "equations")
+        if not all(eq is _ROW for eq in eqs):
+            raise InvalidParams('an equation is an object with "terms", "rhs" and "weight"')
+        if len(eqs) != len(self.rhs):
+            raise InvalidParams('an object with "terms", "rhs" and "weight" lies outside "equations"')
+        index = {v: k for k, v in enumerate(variables)}
+        try:
+            remap = np.fromiter((index[v] for v in self.ids), np.int64, len(self.ids))
+        except KeyError as exc:
+            raise InvalidParams(f"equation uses unknown variable {exc.args[0]}") from None
+        arrays = SystemArrays(
+            var_ids=remap[np.array(self.var_ids, dtype=np.int64)].reshape(-1, 3),
+            signs=_integers(self.signs, "a sign").reshape(-1, 3),
+            rhs=_integers(self.rhs, "rhs"),
+            weight_class=np.array(self.weight_class, dtype=np.int64),
+            weights=tuple(self.classes),
+        )
+        return LinSystem.from_arrays(template, variables, arrays)
+
+
 def obj_to_system(obj: dict, template: Template) -> LinSystem:
-    """A system from its JSON object, encoded straight into arrays; the
-    system validates the encoding."""
+    """A system from its JSON object, each equation packed as the file
+    reader packs it."""
     obj = _object(obj, "a system")
-    variables = tuple(str(v) for v in _list(obj, "variables"))
-    index = {v: k for k, v in enumerate(variables)}
-    eqs = _list(obj, "equations")
-    try:
-        terms = [eq["terms"] for eq in eqs]
-        rhs = [eq["rhs"] for eq in eqs]
-        raw_weights = [eq["weight"] for eq in eqs]
-    except (KeyError, TypeError):
-        raise InvalidParams('an equation is an object with "terms", "rhs" and "weight"') from None
-    if any(type(t) is not list or len(t) != 3 for t in terms):
-        raise InvalidParams("an equation has exactly three terms")
-    flat = [term for t in terms for term in t]
-    if any(type(term) is not list or len(term) != 2 for term in flat):
-        raise InvalidParams("a term is a [variable, sign] pair")
-    try:
-        var_ids = np.fromiter((index[str(v)] for v, _ in flat), np.int64, len(flat))
-    except KeyError as exc:
-        raise InvalidParams(f"equation uses unknown variable {exc.args[0]}") from None
-    # each distinct weight text is parsed once; equal values share a class
-    classes: dict[Fraction, int] = {}
-    by_text: dict[str, int] = {}
-
-    def weight_class(raw) -> int:
-        text = str(raw)
-        if text not in by_text:
-            by_text[text] = classes.setdefault(parse_frac(raw), len(classes))
-        return by_text[text]
-
-    arrays = SystemArrays(
-        var_ids=var_ids.reshape(-1, 3),
-        signs=_integers([s for _, s in flat], "a sign").reshape(-1, 3),
-        rhs=_integers(rhs, "rhs"),
-        weight_class=np.fromiter(map(weight_class, raw_weights), np.int64, len(eqs)),
-        weights=tuple(classes),
-    )
-    return LinSystem.from_arrays(template, variables, arrays)
+    packer = _Packer()
+    rows = [packer(eq.items()) if type(eq) is dict else eq for eq in _list(obj, "equations")]
+    return packer.system({**obj, "equations": rows}, template)
 
 
 def load_system(path: str, template: Template | None = None):
-    """Returns (system, template_ref); resolves the template when not given."""
+    """Returns (system, template_ref); resolves the template when not given.
+    Each equation is packed into integer columns as soon as it is parsed,
+    so the file's equation objects are never all held at once."""
+    packer = _Packer()
     with open(path, encoding="utf-8") as fh:
-        obj = _object(json.load(fh), "a system file")
+        obj = _object(json.load(fh, object_pairs_hook=packer), "a system file")
     ref = obj.get("template", "")
     if not isinstance(ref, str):
         raise InvalidParams(f'"template" must be a string, not {type(ref).__name__}')
     if template is None:
         template = load_template(ref, os.path.dirname(os.path.abspath(path)))
-    return obj_to_system(obj, template), ref
+    return packer.system(obj, template), ref
 
 
 # -- families and assignments ------------------------------------------------

@@ -41,6 +41,10 @@ class LabelCoverInstance:
     def __post_init__(self):
         if not self.edges:
             raise InvalidParams("instance needs at least one edge")
+        for key, names in (("D", self.d_labels), ("E", self.e_labels), ("U", self.u_names), ("V", self.v_names)):
+            if len(set(names)) != len(names):
+                repeated = next(x for x in names if names.count(x) > 1)
+                raise InvalidParams(f"{repeated} appears more than once in {key}")
         if set(self.d_labels) & set(self.e_labels):
             raise InvalidParams("label sets must be disjoint")
         if set(self.u_names) & set(self.v_names):
@@ -306,10 +310,14 @@ def _check_exact_cap(lc, pe, pd, cap):
 
 def _check_family_shape(lc, template, pe, pd, family):
     """Every vertex has a table with one entry per tuple, valued in
-    0..|G|-1 for the group G of the family's side."""
+    0..|G|-1 for the group G of the family's side, and no other name has
+    one."""
     order = len(template.g1 if family.side == 1 else template.g2)
-    sides = ((lc.v_names, family.a_tables, pe.n), (lc.u_names, family.b_tables, pd.n))
-    for names, tables, n in sides:
+    sides = (("A", "V", lc.v_names, family.a_tables, pe.n), ("B", "U", lc.u_names, family.b_tables, pd.n))
+    for key, side, names, tables, n in sides:
+        for x in tables:
+            if x not in names:
+                raise InvalidParams(f"family {key} table for {x}, which is not a vertex in {side}")
         for x in names:
             if x not in tables or len(tables[x]) != n:
                 raise InvalidParams(f"family table for {x} must have {n} entries")

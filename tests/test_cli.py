@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,29 @@ def test_reduce_eval_solve_roundtrip(tmp_path, capsys):
     assert io.parse_frac(json.loads(out)["value"]) >= Fraction(1, 2)
 
 
+def test_eval_and_solve_read_any_json_layout(tmp_path, capsys):
+    """Compact separators, shuffled keys in each equation and ``variables``
+    before ``equations`` give the same stdout as the canonical file."""
+    code, canonical, _ = run(capsys, "reduce", "lc1", "--template", "s3_sign", "--eps", "1/8")
+    assert code == 0
+    obj = json.loads(canonical)
+    rng = random.Random(0)
+    equations = []
+    for eq in obj["equations"]:
+        keys = list(eq)
+        rng.shuffle(keys)
+        equations.append({k: eq[k] for k in keys})
+    relaid = {"variables": obj["variables"], "template": obj["template"], "equations": equations}
+    paths = [tmp_path / "canonical.json", tmp_path / "relaid.json"]
+    paths[0].write_text(canonical, encoding="utf-8")
+    paths[1].write_text(json.dumps(relaid, separators=(",", ":")), encoding="utf-8")
+    assignment = write(tmp_path, "assignment.json", dict.fromkeys(obj["variables"], 1))
+    for argv in (["eval", "--assignment", assignment], ["solve", "--method", "derand"]):
+        outs = [run(capsys, argv[0], str(path), *argv[1:]) for path in paths]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
+
+
 @pytest.mark.parametrize("bad", [7, -1])
 def test_eval_rejects_out_of_range_values(tmp_path, capsys, bad):
     lc_path = write(tmp_path, "lc.json", io.lc_to_obj(catalog.label_cover("lc_tiny")))
@@ -146,6 +170,7 @@ def test_eval_rejects_malformed_files_with_exit_2(tmp_path, capsys, case):
     code, out, err = run(capsys, "eval", s_path, "--assignment", a_path)
     assert (code, out) == (2, "")
     assert err.startswith("error: InvalidParams")
+    assert err.count("\n") == 1
 
 
 # input kind -> (a valid object of that kind, argv reading it from a path)
@@ -183,15 +208,26 @@ MALFORMED_INPUTS = {
     "lc-edges-not-a-list": ("lc", lambda lc: {**lc, "edges": 5}),
     "lc-edge-not-an-object": ("lc", lambda lc: {**lc, "edges": [5]}),
     "lc-pi-not-an-object": ("lc", _set(("edges", 0, "pi"), [1])),
+    "lc-repeated-label": ("lc", lambda lc: {**lc, "D": lc["D"] + lc["D"][:1]}),
+    "lc-repeated-vertex": ("lc", lambda lc: {**lc, "V": lc["V"] + lc["V"][:1]}),
+    "family-extra-vertex": ("family", _set(("A", "vX"), [0, 1])),
     "group-not-an-object": ("group", lambda g: [1, 2]),
     "group-row-not-a-list": ("group", _set(("table", 0), 5)),
     "group-entry-float": ("group", _set(("table", 0, 0), 0.5)),
     "group-entry-bool": ("group", _set(("table", 1, 1), False)),
+    "group-ragged-row": ("group", _set(("table", 1), [1])),
     "template-not-an-object": ("template", lambda t: [1, 2]),
     "template-group-not-a-string": ("template", lambda t: {**t, "g1": 5}),
     "template-hom-not-an-object": ("template", lambda t: {**t, "homomorphism": 5}),
     "template-map-float": ("template", _set(("homomorphism", "map", "1"), 1.5)),
     "template-domain-float": ("template", _set(("homomorphism", "domain", 1), 1.0)),
+}
+# case -> what its message must name
+MALFORMED_INPUT_MESSAGES = {
+    "lc-repeated-label": "d0 appears more than once in D",
+    "lc-repeated-vertex": "v0 appears more than once in V",
+    "family-extra-vertex": "family A table for vX, which is not a vertex in V",
+    "group-ragged-row": '"table" row 1 has 1 entries, where row 0 has 2',
 }
 
 
@@ -205,6 +241,8 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, case):
     code, out, err = run(capsys, *argv(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: InvalidParams")
+    assert MALFORMED_INPUT_MESSAGES.get(case, "") in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind", sorted(INPUT_KINDS))

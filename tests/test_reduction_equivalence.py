@@ -5,6 +5,8 @@ streaming ``io.write_system``, against the per-tuple reference loops in
 
 import copy
 import io as text_io
+import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -184,7 +186,56 @@ def test_cli_reduce_gives_reference_bytes(tname, lc_name, capsys):
         assert_same_text(out, io.canonical_dumps(ref.system_to_obj(expect, tname)))
 
 
-# -- obj_to_system --------------------------------------------------------------
+# -- obj_to_system and load_system ---------------------------------------------
+
+@pytest.fixture(scope="module")
+def system_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("systems")
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=instances(), ref_name=NAMES, data=st.data())
+def test_load_system_reads_back_what_write_system_writes(system_dir, case, ref_name, data):
+    """Exact and sampled systems, with parallel edges and names to escape;
+    weight classes come back in order of first occurrence."""
+    _, t, lc, eps = case
+    system = build_system(lc, t, _params(data.draw, eps))
+    path = system_dir / "system.json"
+    path.write_text(_written(system, ref_name), encoding="utf-8")
+    loaded, ref_back = io.load_system(str(path), t)
+    enc, back = system.arrays, loaded.arrays
+    assert ref_back == ref_name
+    assert loaded.variables == system.variables
+    assert back.var_ids.tolist() == enc.var_ids.tolist()
+    assert back.signs.tolist() == enc.signs.tolist()
+    assert back.rhs.tolist() == enc.rhs.tolist()
+    assert _weights(back) == _weights(enc)
+    assert back.weights == tuple(dict.fromkeys(_weights(enc)))
+
+
+def test_load_system_peak_memory_stays_near_the_file_size(tmp_path):
+    """The 32,768-equation z4_to_z2 system over two edges, read under
+    tracemalloc. Packing each equation as it is parsed keeps the peak at
+    about twice the file size (its bytes and its text are held together
+    while it is read); holding every equation object takes over 4x."""
+    t = catalog.template("z4_to_z2")
+    lc = make_label_cover(
+        ["d0", "d1"], ["e0", "e1"], ["u0", "u1"], ["v0"],
+        [("u0", "v0", {"d0": "e0", "d1": "e1"}), ("u1", "v0", {"d0": "e1", "d1": "e1"})],
+    )
+    system = build_system(lc, t, ReductionParams(Fraction(1, 8)))
+    assert len(system.arrays) == 32768
+    path = tmp_path / "system.json"
+    path.write_text(_written(system, "z4_to_z2"), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        loaded, _ = io.load_system(str(path), t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.arrays.var_ids.tolist() == system.arrays.var_ids.tolist()
+    assert peak < 2.5 * path.stat().st_size
+
 
 @pytest.fixture(scope="module")
 def a3_obj():
@@ -242,7 +293,19 @@ MALFORMED = {
     "sign-float": (_put(*EQ, "terms", 0, 1, value=1.9), "sign must be an integer, got 1.9"),
     "sign-bool": (_put(*EQ, "terms", 0, 1, value=True), "sign must be an integer, got true"),
     "weight-bool": (_put(*EQ, "weight", value=True), "not a rational"),
+    # a scalar, even one equal to an int, never stands in for an equation
+    "equation-false": (_put(*EQ, value=False), "an equation is an object"),
+    "equation-zero": (_put(*EQ, value=0), "an equation is an object"),
 }
+
+
+def _file_loader(tmp_path):
+    def load(obj, template):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        return io.load_system(str(path), template)[0]
+
+    return load
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -252,3 +315,28 @@ def test_obj_to_system_rejects_malformed_equations(a3_obj, case):
     bad = mutate(copy.deepcopy(obj))
     with pytest.raises(InvalidParams, match=message):
         io.obj_to_system(bad, t)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_load_system_rejects_malformed_equations(a3_obj, tmp_path, case):
+    t, obj, _ = a3_obj
+    mutate, message = MALFORMED[case]
+    bad = mutate(copy.deepcopy(obj))
+    with pytest.raises(InvalidParams, match=message):
+        _file_loader(tmp_path)(bad, t)
+
+
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda obj, eq: {**obj, "note": eq},
+        lambda obj, eq: _put(*EQ, "note", value=eq)(obj),
+    ],
+    ids=["top-level", "inside-an-equation"],
+)
+def test_load_system_rejects_an_equation_outside_equations(a3_obj, tmp_path, place):
+    t, obj, _ = a3_obj
+    obj = copy.deepcopy(obj)
+    bad = place(obj, copy.deepcopy(obj["equations"][1]))
+    with pytest.raises(InvalidParams, match='lies outside "equations"'):
+        _file_loader(tmp_path)(bad, t)
