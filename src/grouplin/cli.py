@@ -13,14 +13,7 @@ import logging
 import sys
 
 from . import io, selftest
-from .decoder import (
-    alpha,
-    decode,
-    derandomize_strategy,
-    kappa,
-    make_context,
-    simulate_strategy,
-)
+from .decoder import alpha, decode, derandomize_strategy, make_context
 from .errors import CapExceeded, GroupLinError, InvalidParams, NoOmega
 from .reduction import (
     ReductionParams,

@@ -308,6 +308,22 @@ def _check_exact_cap(lc, pe, pd, cap):
     return raw
 
 
+def _check_payoff_cap(lc, pe, pd, cap):
+    """The factored count's work, held to the enumeration cap: one cell per
+    (edge, a, b, s1) of the grid it counts over, plus, per left vertex with
+    an edge, |D| noise passes and one contraction over the |G1|^|D| points
+    of its h table. Every count is at most the number of tuples, which must
+    fit in int64."""
+    n_left = len({u for u, _, _ in lc.edges})
+    cells = len(lc.edges) * 2 * pe.n * pd.n + n_left * (pd.m + 1) * pd.n
+    limit = enum_cap(cap)
+    if cells > limit:
+        raise CapExceeded(f"the payoff distribution needs {cells} cells, cap is {limit}")
+    tuples = len(lc.edges) * pe.n * pd.n * pd.n * 4
+    if tuples >= 2**63:
+        raise CapExceeded(f"{tuples} tuples overflow the int64 counts")
+
+
 def _check_family_shape(lc, template, pe, pd, family):
     """Every vertex has a table with one entry per tuple, valued in
     0..|G|-1 for the group G of the family's side, and no other name has
@@ -385,12 +401,15 @@ class Geometry:
         """``coset_arrays(h1, pe)``: a_rep and h_a for every a in G1^E."""
         return coset_arrays(self.h1, self.pe)
 
+    def mid(self, pi: dict) -> np.ndarray:
+        """b^-1 (a o pi)^-1 on the grid [a, b] of one edge."""
+        ap_inv = composed_inverse(self.pe, self.pd, pi, self.lc.e_labels)
+        return self.pd.mul_array(self.inv_d[None, :], ap_inv[:, None])
+
     def edge_tuples(self, pi: dict) -> Tuples:
         """Every tuple of one edge, on the grid [a, b, nu, s1, s2]."""
-        ap_inv = composed_inverse(self.pe, self.pd, pi, self.lc.e_labels)
         a, d = np.arange(self.pe.n), np.arange(self.pd.n)
-        mid = self.pd.mul_array(self.inv_d[None, :], ap_inv[:, None])
-        c = self.pd.mul_array(mid[:, :, None], d[None, None, :])
+        c = self.pd.mul_array(self.mid(pi)[:, :, None], d[None, None, :])
         a_rep, h_a = self.cosets
         return self._tuples(
             a[:, None, None, None, None],
@@ -595,6 +614,23 @@ def evaluate(system: LinSystem, assignment: dict, side: int) -> Fraction:
     return enc.weigh(counts)
 
 
+def _noise_counts(tables, pd: GroupPower, order: int) -> np.ndarray:
+    """h[g, k, y] = #{nu of noise class k : f(y nu) = g}, summed over the
+    functions f: G1^D -> 0..order-1 given by their flat ``tables``.
+
+    One pass per axis j: nu_j = e keeps the class, and the other elements
+    raise it by one and together reach every value of y_j but y_j itself.
+    """
+    m, size = pd.m, len(pd.group)
+    h = np.zeros((order, m + 1, pd.n), dtype=np.int64)
+    for f in tables:
+        h[f, 0, np.arange(pd.n)] += 1
+    h = h.reshape((order, m + 1) + (size,) * m)
+    for j in range(m):
+        h[:, 1:] += (h.sum(axis=2 + j, keepdims=True) - h)[:, :-1]
+    return h.reshape(order, m + 1, pd.n)
+
+
 def payoff_distribution(
     lc: LabelCoverInstance,
     template: Template,
@@ -606,44 +642,51 @@ def payoff_distribution(
 
     Returns the probability mass of each group element
     z = A'_v(a) * B_u(b^s1)^s1 * B_u(c^s2)^s2, where A' is A_v folded over
-    the identity (side 1) or over phi (side 2). The mass at the identity is
-    the payoff of the family. Elements are listed in the order the tuples
-    first reach them.
+    the identity (side 1) or over phi (side 2) and c = b^-1 x_a nu with
+    x_a = (a o pi)^-1. The mass at the identity is the payoff of the family.
+    Elements with non-zero mass are listed in element order.
 
-    Tuples are counted per (z, noise class), so exact arithmetic touches
-    only the |D|+1 class weights.
+    The tuples are counted per (z, noise class) without enumerating them.
+    Write B^(s)(y) = B(y^s)^s. Per left vertex, h[g, k, y] counts the
+    (nu, s2) with nu of class k and B^(s2)(y nu) = g (``_noise_counts``),
+    and C[beta, y] counts the (edge, a, b, s1) with
+    A'(a) * B^(s1)(b) = beta and b^-1 x_a = y. Then z = beta * g, and
+    contracting C with h over y gives the counts. They stay in int64, and
+    exact arithmetic touches only the |D|+1 class weights.
     """
     if side != family.side:
         raise InvalidParams("family built for the other side")
     pe, pd = powers(lc, template)
-    _check_exact_cap(lc, pe, pd, params.cap)
+    _check_payoff_cap(lc, pe, pd, params.cap)
     _check_family_shape(lc, template, pe, pd, family)
     geo = Geometry(lc, template.h1, pe, pd)
     group = template.g1 if side == 1 else template.g2
     hom = identity_hom(template.h1) if side == 1 else template.phi
     table = np.asarray(group.table, dtype=np.int64)
     inverses = np.asarray(group.inverses, dtype=np.int64)
-    n_cls = pd.m + 1
-    counts = np.zeros(len(group) * n_cls, dtype=np.int64)
-    first_hit: dict[int, tuple[int, int]] = {}
+    n, n_cls = len(group), pd.m + 1
+    counts = np.zeros((n, n_cls), dtype=np.int64)
     folded = {v: fold(family.a_tables[v], pe, hom, geo.cosets) for v in lc.v_names}
-    for e, (u, v, pi) in enumerate(lc.edge_maps()):
-        t = geo.edge_tuples(pi)
-        a_folded = folded[v]
+    edges_at: dict[str, list] = {}
+    for u, v, pi in lc.edge_maps():
+        edges_at.setdefault(u, []).append((v, pi))
+    for u, edges in edges_at.items():
         b_table = np.asarray(family.b_tables[u], dtype=np.int64)
-        tb = np.where(t.s1 > 0, b_table[t.b], inverses[b_table[t.b]])
-        tc = np.where(t.s2 > 0, b_table[t.c], inverses[b_table[t.c]])
-        z = table[table[a_folded[t.a], tb], tc].reshape(-1)
-        k = np.broadcast_to(t.k, t.shape).reshape(-1)
-        counts += np.bincount(z * n_cls + k, minlength=len(counts))
-        values, first = np.unique(z, return_index=True)
-        for val, pos in zip(values.tolist(), first.tolist()):
-            first_hit.setdefault(val, (e, pos))
+        signed = (b_table, inverses[b_table[geo.inv_d]])  # B^(+1), B^(-1)
+        by_beta_y = np.zeros(n * pd.n, dtype=np.int64)
+        for v, pi in edges:
+            mid = geo.mid(pi)
+            for f in signed:
+                beta = table[folded[v][:, None], f[None, :]]
+                by_beta_y += np.bincount((beta * pd.n + mid).reshape(-1), minlength=n * pd.n)
+        h = _noise_counts(signed, pd, n).reshape(n * n_cls, pd.n)
+        by_beta_g = by_beta_y.reshape(n, pd.n) @ h.T
+        np.add.at(counts, table, by_beta_g.reshape(n, n, n_cls))
     weights = _class_weights(lc, pe, pd, params.eps)
-    by_z = counts.reshape(len(group), n_cls)
     return {
-        z: sum((w * int(c) for w, c in zip(weights, by_z[z]) if c), Fraction(0))
-        for z in sorted(first_hit, key=first_hit.__getitem__)
+        z: sum((w * int(k) for w, k in zip(weights, row) if k), Fraction(0))
+        for z, row in enumerate(counts.tolist())
+        if any(row)
     }
 
 
@@ -654,7 +697,9 @@ def evaluate_family(
     family: AssignmentFamily,
     side: int,
 ) -> Fraction:
-    """Payoff of a family by direct enumeration of the sampling procedure."""
+    """Payoff of a family: the identity mass of ``payoff_distribution``,
+    counted exactly over the sampling procedure without building the
+    system."""
     dist = payoff_distribution(lc, template, params, family, side)
     group = template.g1 if side == 1 else template.g2
     return dist.get(group.identity, Fraction(0))

@@ -421,23 +421,29 @@ def _check_completeness_value(seed, tname):
 
 
 def _check_two_paths(seed):
-    t = catalog.template("z2_id")
+    # the factored payoff count against evaluating the built system, on
+    # random families over an abelian and a non-abelian template
+    rng = np.random.default_rng(seed)
     lc = catalog.label_cover("lc1")
     params = ReductionParams(Fraction(1, 4))
-    system = build_system(lc, t, params)
-    pe, pd = powers(lc, t)
-    rng = np.random.default_rng(seed)
-    bad = 0
-    for _ in range(10):
-        fam = AssignmentFamily(
-            2,
-            {"v0": rng.integers(0, 2, size=pe.n)},
-            {"u0": rng.integers(0, 2, size=pd.n)},
-        )
-        via_family = evaluate_family(lc, t, params, fam, side=2)
-        via_system = evaluate(system, family_assignment(lc, t, fam), side=2)
-        bad += via_family != via_system
-    return bad == 0, float(bad), ""
+    bad, families = [], 0
+    for tname, side in (("z2_id", 2), ("s3_a3_incl", 1), ("s3_a3_incl", 2)):
+        t = catalog.template(tname)
+        system = build_system(lc, t, params)
+        pe, pd = powers(lc, t)
+        order = len(t.g1 if side == 1 else t.g2)
+        for _ in range(10 if tname == "z2_id" else 5):
+            fam = AssignmentFamily(
+                side,
+                {"v0": rng.integers(0, order, size=pe.n)},
+                {"u0": rng.integers(0, order, size=pd.n)},
+            )
+            via_family = evaluate_family(lc, t, params, fam, side=side)
+            via_system = evaluate(system, family_assignment(lc, t, fam), side=side)
+            families += 1
+            if via_family != via_system:
+                bad.append(f"{tname},side={side}")
+    return not bad, float(len(bad)), " ".join([f"families={families}", *bad])
 
 
 def _check_merge_invariance(seed):

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -166,6 +167,16 @@ def test_exact_mode_cap(z2_setup):
     t, lc = z2_setup
     with pytest.raises(CapExceeded):
         build_system(lc, t, ReductionParams(Fraction(1, 4), cap=10))
+
+
+def test_payoff_counts_that_could_overflow_int64_are_refused(z2_setup):
+    # 4 * 2^63 tuples on one edge could overflow a count, however high the
+    # cap; 4 * 2^60 cannot
+    _, lc = z2_setup
+    power = SimpleNamespace(n=2**21, m=21)
+    with pytest.raises(CapExceeded, match="overflow the int64 counts"):
+        reduction._check_payoff_cap(lc, power, power, cap=2**80)
+    reduction._check_payoff_cap(lc, SimpleNamespace(n=2**18, m=18), power, cap=2**80)
 
 
 def test_exact_cap_is_checked_before_the_coset_pass(z2_setup, monkeypatch):

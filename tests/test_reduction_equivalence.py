@@ -21,9 +21,13 @@ from grouplin import (
     ReductionParams,
     build_system,
     catalog,
+    evaluate,
+    evaluate_family,
+    family_assignment,
     io,
     make_label_cover,
     payoff_distribution,
+    projection_family,
 )
 from grouplin.cli import main
 from grouplin.reduction import LinEquation, LinSystem, tuple_system
@@ -151,7 +155,65 @@ def test_payoff_distribution_matches_reference(case, side, data):
     got = payoff_distribution(lc, t, params, family, side)
     expect = ref.payoff_distribution(lc, t, params, family, side)
     assert got == expect
-    assert list(got) == list(expect)  # elements in order of first reach
+    assert list(got) == sorted(expect)  # elements in element order
+
+
+CATALOG_PAIRS = [(t, lc) for t in TEMPLATES for lc in sorted(catalog.label_covers())]
+# tuples the per-tuple reference may walk per pair: every catalog pair but
+# s3_sign/lc2 and s3_a3_incl/lc2 (373,248 tuples each)
+REFERENCE_BUDGET = 40_000
+
+
+def _tuple_count(tname, lc_name):
+    lc, n = catalog.label_cover(lc_name), len(catalog.template(tname).g1)
+    return len(lc.edges) * 4 * n ** (len(lc.e_labels) + 2 * len(lc.d_labels))
+
+
+def _catalog_families(tname, lc_name, side, seed):
+    """The planted projection family of d0/e0 and a seeded random family."""
+    t, lc = catalog.template(tname), catalog.label_cover(lc_name)
+    pe, pd = ref.powers(lc, t)
+    order = len(t.g1 if side == 1 else t.g2)
+    rng = np.random.default_rng(seed)
+    planted = projection_family(
+        lc, t, {u: "d0" for u in lc.u_names}, {v: "e0" for v in lc.v_names}, side
+    )
+    random = AssignmentFamily(
+        side,
+        {v: rng.integers(0, order, size=pe.n) for v in lc.v_names},
+        {u: rng.integers(0, order, size=pd.n) for u in lc.u_names},
+    )
+    return t, lc, (planted, random)
+
+
+@pytest.mark.parametrize(
+    "tname,lc_name",
+    [
+        (tname, lc_name)
+        for tname, lc_name in CATALOG_PAIRS
+        if _tuple_count(tname, lc_name) <= REFERENCE_BUDGET
+    ],
+)
+def test_payoff_distribution_matches_reference_on_the_catalog(tname, lc_name):
+    params = ReductionParams(Fraction(1, 8))
+    for side in (1, 2):
+        t, lc, (_, random) = _catalog_families(tname, lc_name, side, seed=side)
+        expect = ref.payoff_distribution(lc, t, params, random, side)
+        got = payoff_distribution(lc, t, params, random, side)
+        assert got == expect
+        assert list(got) == sorted(expect)
+
+
+@pytest.mark.parametrize("tname,lc_name", CATALOG_PAIRS)
+def test_identity_mass_equals_evaluate_on_the_catalog(tname, lc_name):
+    params = ReductionParams(Fraction(1, 8))
+    system = build_system(catalog.label_cover(lc_name), catalog.template(tname), params)
+    for side in (1, 2):
+        t, lc, families = _catalog_families(tname, lc_name, side, seed=10 + side)
+        for family in families:
+            assert evaluate_family(lc, t, params, family, side) == evaluate(
+                system, family_assignment(lc, t, family), side
+            )
 
 
 def test_parallel_edges_merge_like_the_reference():
