@@ -218,6 +218,24 @@ def _cmd_selftest(args) -> int:
     return 0 if report.ok else 1
 
 
+def _at_least(low: int):
+    """An argparse type: an integer of at least ``low``, 0 or 1. A ``--seed``
+    is non-negative, as numpy's generators require, and a ``--cap`` positive,
+    whether or not the command reads it."""
+    kind = ("non-negative", "positive")[low]
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text[:40]!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grouplin",
@@ -231,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("irreps", help="complete set of irreducible unitary reps")
     p.add_argument("group")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(fn=_cmd_irreps)
 
@@ -241,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True)
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("eval", help="evaluate an assignment on a system")
@@ -255,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["brute", "expect", "derand", "noncubic"], required=True)
     p.add_argument("--side", choices=["g1", "g2"], default="g2")
     p.add_argument("--c", default=None)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_at_least(1), default=None)
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("decode", help="run the soundness decoder on a family")
@@ -265,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True)
     p.add_argument("--delta", required=True)
     p.add_argument("--leftover", choices=["giveup", "normalize"], default="giveup")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(fn=_cmd_decode)
 
     p = sub.add_parser("pipeline", help="reduce, solve, and decode in one run")
@@ -275,12 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True)
     p.add_argument("--family", default=None)
     p.add_argument("--leftover", choices=["giveup", "normalize"], default="giveup")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(fn=_cmd_pipeline)
 
     p = sub.add_parser("selftest", help="run the invariant suite")
     p.add_argument("module", nargs="?", default=None, choices=selftest.MODULES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(fn=_cmd_selftest)
 

@@ -13,16 +13,29 @@ _ENV_CAP = "GROUPLIN_CAP"
 def enum_cap(override: int | None = None) -> int:
     """Cap on exhaustive enumerations; GROUPLIN_CAP overrides the default."""
     if override is not None:
+        if override <= 0:
+            raise InvalidParams(f"cap must be a positive integer, got {override}")
         return override
-    env = os.environ.get(_ENV_CAP)
-    return int(env) if env else DEFAULT_ENUM_CAP
+    return _env_cap(DEFAULT_ENUM_CAP)
 
 
 def table_cap() -> int:
     """Cap on dense tables over a direct power; GROUPLIN_CAP overrides the
     default."""
+    return _env_cap(DEFAULT_TABLE_CAP)
+
+
+def _env_cap(default: int) -> int:
     env = os.environ.get(_ENV_CAP)
-    return int(env) if env else DEFAULT_TABLE_CAP
+    if not env:
+        return default
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise InvalidParams(f"{_ENV_CAP} must be a positive integer, got {env[:40]!r}")
+    return cap
 
 
 class GroupLinError(Exception):

@@ -100,11 +100,16 @@ def _integers(values: list, what: str) -> np.ndarray:
     refused rather than truncated."""
     if not all(type(v) is int for v in values):
         bad = next(v for v in values if type(v) is not int)
-        raise InvalidParams(f"{what} must be an integer, got {json.dumps(bad)}")
+        raise InvalidParams(f"{what} must be an integer, got {_shorten(json.dumps(bad))}")
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
-        raise InvalidParams(f"{what} {max(values, key=abs)} is out of range") from None
+        raise InvalidParams(f"{what} {_shorten(str(max(values, key=abs)))} is out of range") from None
+
+
+def _shorten(text: str, limit: int = 60) -> str:
+    """``text`` cut to ``limit`` characters, so a message stays one short line."""
+    return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
 # -- groups -----------------------------------------------------------------

@@ -100,7 +100,8 @@ class LinSystem:
     ``evaluate`` run on; ``equations`` decodes it into ``LinEquation``s on
     first use. ``LinSystem(template, variables, equations)`` encodes
     hand-built equations and ``LinSystem.from_arrays`` takes an encoding as
-    it is; both validate the encoding.
+    it is; both validate the encoding. ``side_view`` memoizes each side's
+    grouping of the equations on the system, as ``equations`` is.
     """
 
     def __init__(self, template: Template, variables, equations):
@@ -127,6 +128,10 @@ class LinSystem:
             arrays.weight_class.astype(np.int32, copy=False),
             tuple(arrays.weights),
         )
+
+    @functools.cached_property
+    def _side_views(self) -> dict[int, SideView]:
+        return {}
 
     @functools.cached_property
     def equations(self) -> tuple[LinEquation, ...]:
@@ -251,6 +256,82 @@ def side_tables(template: Template, side: int) -> SideTables:
         np.array(group.inverses, dtype=np.int16),
         rhs_map,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class SideView:
+    """A system's equations as one side sees them. Equations whose variable
+    ids, signs and side constant (``rhs_map[rhs]``) agree are one constraint
+    there: they form a group, scored once with their summed weight. Groups
+    are in key order; ``rep`` holds one equation of each group and ``group``
+    each equation's group. Both are None when the view is the system as it
+    is."""
+
+    rep: np.ndarray | None    # int32 [g]
+    group: np.ndarray | None  # int32 [m]
+
+    def rows(self, values: np.ndarray) -> np.ndarray:
+        """Per-equation ``values`` at each group's equation ``rep``."""
+        return values if self.rep is None else values.take(self.rep, axis=0)
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-equation ``values`` summed over each group, in their own
+        dtype (int64, or Python ints), so the sums stay exact."""
+        if self.group is None:
+            return values
+        out = np.zeros(len(self.rep), dtype=values.dtype)
+        np.add.at(out, self.group, values)
+        return out
+
+
+def side_view(system: LinSystem, side: int) -> SideView:
+    """The side's view of the system, computed once per (system, side)."""
+    views = system._side_views
+    if side not in views:
+        views[side] = _side_view(system, side)
+    return views[side]
+
+
+def _side_view(system: LinSystem, side: int) -> SideView:
+    """Equations with equal (variable ids, signs, side constant) grouped.
+    Nothing can merge where phi is injective on Dom(phi), so the system is
+    its own view there (always on side 1). Where the packed key would pass
+    int64 the rows stay unmerged: the same scores, only summed later."""
+    tables = side_tables(system.template, side)
+    dom = list(system.template.h1.members)
+    n_vars, order = len(system.variables), len(tables.group)
+    if len(set(tables.rhs_map[dom].tolist())) == len(dom) or n_vars**3 * 8 * order >= 2**63:
+        return SideView(None, None)
+    enc = system.arrays
+    # key = (((v0 * n_vars + v1) * n_vars + v2) * 8 + negative-sign bits)
+    # * |G| + side constant
+    key = enc.var_ids[:, 0].astype(np.int64)
+    for j in (1, 2):
+        key *= n_vars
+        key += enc.var_ids[:, j]
+    for j in range(3):
+        key *= 2
+        key += enc.signs[:, j] < 0
+    key *= order
+    key += tables.rhs_map[enc.rhs]
+    return _groups(key)
+
+
+def _groups(key: np.ndarray) -> SideView:
+    """The groups of equal keys; the system is its own view when all keys
+    differ. Any equation of a group serves as its ``rep``, so the sort
+    need not be stable."""
+    order = np.argsort(key)
+    key = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    del key
+    if new.all():
+        return SideView(None, None)
+    group = np.empty(len(order), dtype=np.int32)
+    group[order] = np.cumsum(new, dtype=np.int32) - 1
+    return SideView(order[new].astype(np.int32), group)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,8 +6,10 @@ unsatisfiable cube equations.
 The first three run on the system's integer encoding (``LinSystem.arrays``)
 and stay exact. ``brute_force_opt`` counts hits per weight class in int64
 and weighs the counts as ``Fraction``s. ``random_expectation`` and
-``derandomize`` score each distinct equation pattern once per call and sum
-integer weight numerators over the weights' common denominator.
+``derandomize`` run on the side's view of the system (``side_view``), where
+equations equal on that side are one row; they score each distinct equation
+pattern once per call and sum integer weight numerators over the weights'
+common denominator.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidParams, enum_cap
 from .groups import Template, cube_image
-from .reduction import LinSystem, SideTables, evaluate, side_tables
+from .reduction import LinSystem, SideTables, evaluate, side_tables, side_view
 
 # Cells of (assignment or pattern) x (equation or grid point) per kernel
 # block, which bounds the kernels' scratch memory.
@@ -72,6 +74,17 @@ def _numerators(enc, max_hits: int):
     nums = [w.numerator * (denom // w.denominator) if c else 0 for w, c in zip(enc.weights, used)]
     fits = max_hits * sum(num * int(c) for num, c in zip(nums, used)) < 2**63
     return np.array(nums, dtype=np.int64 if fits else object)[enc.weight_class], denom
+
+
+def _view_rows(system: LinSystem, side: int, tables: SideTables, max_hits: int):
+    """The rows the side scores, one per group of its ``side_view``: the
+    variable ids, signs and side constant shared by the group's equations,
+    and the group's summed weight numerator; then the weights' common
+    denominator."""
+    enc, view = system.arrays, side_view(system, side)
+    weight, denom = _numerators(enc, max_hits)
+    rhs = tables.rhs_map[view.rows(enc.rhs)]
+    return view.rows(enc.var_ids), view.rows(enc.signs), rhs, view.sums(weight), denom
 
 
 class _Patterns:
@@ -204,13 +217,12 @@ def random_expectation(system: LinSystem, template: Template, side: int) -> Frac
     """
     tables, h = _side(system, template, side)
     patterns = _Patterns(tables, h)
-    enc = system.arrays
-    weight, denom = _numerators(enc, len(h) ** 3)
+    var_ids, signs, rhs, weight, denom = _view_rows(system, side, tables, len(h) ** 3)
     total = 0
-    for lo in range(0, len(enc), _KEY_BLOCK):
+    for lo in range(0, len(rhs), _KEY_BLOCK):
         sl = slice(lo, lo + _KEY_BLOCK)
-        shape = _shapes(_ranks(enc.var_ids[sl].T), enc.signs[sl].T < 0, 0)
-        total += int(patterns.score(shape, tables.rhs_map[enc.rhs[sl]], weight[sl]).sum())
+        shape = _shapes(_ranks(var_ids[sl].T), signs[sl].T < 0, 0)
+        total += int(patterns.score(shape, rhs[sl], weight[sl]).sum())
     return Fraction(total, denom * len(h) ** 3)
 
 
@@ -246,11 +258,10 @@ def derandomize(system: LinSystem, template: Template, side: int) -> dict[str, i
     """
     tables, h = _side(system, template, side)
     patterns = _Patterns(tables, h)
-    enc = system.arrays
-    eqs, shape, indptr = _incidence(enc.var_ids, enc.signs, len(system.variables))
-    weight, _ = _numerators(enc, len(h) ** 2)
-    # the rhs plus the key parts of the slots already fixed, per equation
-    known = tables.rhs_map[enc.rhs].astype(np.int64)
+    var_ids, signs, rhs, weight, _ = _view_rows(system, side, tables, len(h) ** 2)
+    eqs, shape, indptr = _incidence(var_ids, signs, len(system.variables))
+    # the rhs plus the key parts of the slots already fixed, per row
+    known = rhs.astype(np.int64)
     values = np.empty(len(system.variables), dtype=np.int16)
     for x in range(len(system.variables)):
         end = indptr[x + 1]

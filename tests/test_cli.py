@@ -6,6 +6,7 @@ import pytest
 
 from grouplin import catalog, io
 from grouplin.cli import main
+from grouplin.errors import InvalidParams, table_cap
 from grouplin.reduction import make_label_cover, projection_family
 
 
@@ -341,6 +342,77 @@ def test_cap_exceeded_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "reduce", lc_path, "--template", "z2_id", "--eps", "1/4")
     assert code == 3
     assert "cap" in err.lower()
+
+
+def _system_file(tmp_path, capsys, template="z2_id"):
+    code, out, _ = run(capsys, "reduce", "lc1", "--template", template, "--eps", "1/4")
+    assert code == 0
+    path = tmp_path / "system.json"
+    path.write_text(out, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("method", ["brute", "derand"])
+@pytest.mark.parametrize("cap", ["-1", "0", "x"])
+def test_a_cap_below_one_exits_2_naming_it(tmp_path, capsys, cap, method):
+    path = _system_file(tmp_path, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", path, "--method", method, "--cap", cap])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument --cap: must be a positive integer, got '{cap}'" in out.err
+
+
+
+@pytest.mark.parametrize("env", ["-5", "0", "abc", "1.5"])
+def test_grouplin_cap_must_be_a_positive_integer(capsys, monkeypatch, env):
+    monkeypatch.setenv("GROUPLIN_CAP", env)
+    code, out, err = run(capsys, "reduce", "lc_tiny", "--template", "z2_id", "--eps", "1/4")
+    assert (code, out) == (2, "")
+    assert f"GROUPLIN_CAP must be a positive integer, got {env!r}" in err
+    with pytest.raises(InvalidParams, match="GROUPLIN_CAP"):
+        table_cap()
+
+
+SEEDED = {
+    "reduce": ["reduce", "lc_tiny", "--template", "z2_id", "--eps", "1/4"],
+    "reduce-sampled": ["reduce", "lc_tiny", "--template", "z2_id", "--eps", "1/4", "--mode", "sampled", "--samples", "5"],
+    "pipeline": ["pipeline", "lc_tiny", "--template", "z2_id", "--eps", "1/4", "--delta", "1/4"],
+    "decode": ["decode", "lc1", "--template", "z2_id", "--eps", "1/4", "--delta", "1/4"],
+    "irreps": ["irreps", "s3"],
+    "selftest": ["selftest", "io"],
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+@pytest.mark.parametrize("command", sorted(SEEDED))
+def test_a_bad_seed_exits_2_naming_the_option(tmp_path, capsys, command, seed):
+    argv = SEEDED[command]
+    if command == "decode":
+        t, lc = catalog.template("z2_id"), catalog.label_cover("lc1")
+        fam = projection_family(lc, t, {"u0": "d0"}, {"v0": "e0"}, side=2)
+        argv = [*argv, "--family", write(tmp_path, "family.json", io.family_to_obj(fam))]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", seed])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument --seed: must be a non-negative integer, got '{seed}'" in out.err
+
+
+@pytest.mark.parametrize("kind", ["a system file", "a long number"])
+def test_a_bad_assignment_gives_one_short_line(tmp_path, capsys, kind):
+    path = _system_file(tmp_path, capsys)
+    if kind == "a system file":
+        assignment = path
+    else:
+        assignment = tmp_path / "assignment.json"
+        assignment.write_text('{"u0[0]": 1' + "0" * 1000 + "}", encoding="utf-8")
+    code, out, err = run(capsys, "eval", path, "--assignment", str(assignment))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 200
 
 
 def test_pipeline_labeling_search_over_the_cap_exits_3(tmp_path, capsys):

@@ -1,0 +1,177 @@
+"""The side view of a system (``reduction.side_view``): on side 2, equations
+whose G1 constants differ by an element of ker(phi) are one constraint, and
+the solvers score each such group once. Grouped scores must equal the
+per-equation reference loops in ``reference_solvers``."""
+
+from fractions import Fraction
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_solvers as ref
+from grouplin import (
+    ReductionParams,
+    build_system,
+    catalog,
+    cli,
+    derandomize,
+    random_expectation,
+    reduction,
+    solvers,
+)
+from grouplin.reduction import LinEquation, LinSystem, side_tables, side_view
+from test_solver_equivalence import S4_SIGN, _check_small_system, small_systems
+
+EPS = Fraction(1, 8)
+DELTA = Fraction(1, 4)
+TEMPLATES = sorted(catalog.templates())
+# phi is injective on Dom(phi) on the other catalog templates
+KERNEL_TEMPLATES = [catalog.template("s3_sign"), catalog.template("z4_to_z2"), S4_SIGN]
+
+
+def kernel(template):
+    """ker(phi), a subgroup of Dom(phi)."""
+    return [a for a, b in template.phi.mapping if b == template.g2.identity]
+
+
+@st.composite
+def kernel_copies(draw):
+    """A small system whose equations each come with up to three copies
+    differing only in the constant, multiplied on the left or the right by
+    an element of ker(phi). Each equation's weight is split among its
+    copies, and the rows are shuffled."""
+    system = draw(small_systems(KERNEL_TEMPLATES))
+    t = system.template
+    ker = kernel(t)
+    rows = []
+    for eq in system.equations:
+        shifts = [t.g1.identity] + draw(st.lists(st.sampled_from(ker), max_size=3))
+        parts = draw(st.lists(st.integers(1, 4), min_size=len(shifts), max_size=len(shifts)))
+        for k, part in zip(shifts, parts):
+            rhs = t.g1.mul(eq.rhs, k) if draw(st.booleans()) else t.g1.mul(k, eq.rhs)
+            rows.append(LinEquation(eq.terms, rhs, eq.weight * Fraction(part, sum(parts))))
+    return LinSystem(t, system.variables, draw(st.permutations(rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=kernel_copies(), data=st.data())
+def test_kernel_copies_match_reference(system, data):
+    for side in (1, 2):
+        _check_small_system(system, side, data)
+
+
+def _keys(system, side):
+    """Per equation, its (variable ids, signs, side constant) as one row."""
+    enc = system.arrays
+    rhs = side_tables(system.template, side).rhs_map[enc.rhs]
+    return np.concatenate([enc.var_ids, enc.signs, rhs[:, None]], axis=1)
+
+
+@pytest.mark.parametrize(
+    "tname, lc_name, rows",
+    [("s3_sign", "lc1", 10368), ("z4_to_z2", "lc1", 2048), ("s3_sign", "lc_tiny", None)],
+)
+def test_side_two_groups_equations_equal_modulo_the_kernel(tname, lc_name, rows):
+    t = catalog.template(tname)
+    system = build_system(catalog.label_cover(lc_name), t, ReductionParams(EPS))
+    keys = _keys(system, 2)
+    distinct = len(np.unique(keys, axis=0))
+    assert distinct < len(system.arrays)
+    assert rows is None or distinct == rows
+    view = side_view(system, 2)
+    assert view.rep.dtype == view.group.dtype == np.int32
+    assert len(view.rep) == distinct and len(view.group) == len(system.arrays)
+    # each equation agrees with its group's rep, and each group is one key
+    assert (keys == keys[view.rep][view.group]).all()
+    assert np.array_equal(view.group[view.rep], np.arange(distinct))
+    weight, _ = solvers._numerators(system.arrays, 1)
+    assert view.sums(weight).sum() == weight.sum()
+
+
+@pytest.mark.parametrize("tname", TEMPLATES)
+def test_the_view_is_the_system_where_nothing_can_merge(tname):
+    t = catalog.template(tname)
+    system = build_system(catalog.label_cover("lc1"), t, ReductionParams(EPS))
+    sides = (1, 2) if len(kernel(t)) == 1 else (1,)
+    for side in sides:
+        view = side_view(system, side)
+        assert view.rep is None and view.group is None
+        assert view.rows(system.arrays.rhs) is system.arrays.rhs
+
+
+def test_keys_past_int64_leave_the_rows_unmerged():
+    # the key packs n_vars^3 * 8 * |G2| values; |G2| = 2 on z4_to_z2
+    t = catalog.template("z4_to_z2")
+    system = build_system(catalog.label_cover("lc_tiny"), t, ReductionParams(EPS))
+    enc = system.arrays
+    n = round(2 ** (59 / 3))
+    while n**3 * 16 >= 2**63:
+        n -= 1
+    assert (n + 1) ** 3 * 16 >= 2**63
+    # the largest count of variables that packs: the top variable id lands
+    # in the key's highest digits, so an overflow would split or join groups
+    top = SimpleNamespace(
+        template=t,
+        variables=range(n),
+        arrays=reduction.SystemArrays(
+            enc.var_ids + (n - 1 - enc.var_ids.max()), enc.signs, enc.rhs, enc.weight_class, enc.weights
+        ),
+    )
+    view = reduction._side_view(top, 2)
+    keys = _keys(system, 2)
+    assert len(view.rep) == len(np.unique(keys, axis=0)) < len(enc)
+    assert (keys == keys[view.rep][view.group]).all()
+    past = SimpleNamespace(template=t, variables=range(n + 1), arrays=enc)
+    view = reduction._side_view(past, 2)
+    assert view.rep is None and view.group is None
+
+
+def test_python_int_numerators_are_summed_per_group():
+    # z4_to_z2 maps 1 and 3 to 1, so on side 2 the first two equations are
+    # one row. Denominators near 2^61, 2^89 and 2^107 push the scores past
+    # int64; x = 1 wins side 2 by 1/s only, and x = 2 wins side 1.
+    t = catalog.template("z4_to_z2")
+    p, q, s = 2**61 - 1, 2**89 - 1, 2**107 - 1
+    w = Fraction(1, p) + Fraction(1, q) - Fraction(1, s)
+    eqs = [
+        LinEquation((("x", 1), ("y", 1), ("y", -1)), 1, Fraction(1, p)),
+        LinEquation((("x", 1), ("y", 1), ("y", -1)), 3, Fraction(1, q)),
+        LinEquation((("x", 1), ("z", 1), ("z", -1)), 2, w),
+        LinEquation((("y", 1), ("z", 1), ("z", 1)), 0, 1 - Fraction(1, p) - Fraction(1, q) - w),
+    ]
+    system = LinSystem(t, ("x", "y", "z"), eqs)
+    assert solvers._numerators(system.arrays, 8)[0].dtype == object
+    assert len(side_view(system, 2).rep) == 3
+    for side, x in ((1, 2), (2, 1)):
+        assignment = derandomize(system, t, side)
+        assert assignment["x"] == x
+        assert assignment == ref.derandomize(system, t, side)
+        assert random_expectation(system, t, side) == ref.random_expectation(system, t, side)
+
+
+def test_run_pipeline_groups_once_per_system_and_side(monkeypatch):
+    views, sorts = [], []
+    make_view, groups = reduction._side_view, reduction._groups
+
+    def counting_view(system, side):
+        views.append((system, side))
+        return make_view(system, side)
+
+    def counting_groups(key):
+        sorts.append(len(key))
+        return groups(key)
+
+    monkeypatch.setattr(reduction, "_side_view", counting_view)
+    monkeypatch.setattr(reduction, "_groups", counting_groups)
+    t = catalog.template("s3_sign")
+    cli.run_pipeline(catalog.label_cover("lc1"), t, EPS, DELTA)
+    # derandomize and random_expectation share one grouping of side 2
+    assert [side for _, side in views] == [2] and sorts == [len(views[0][0].arrays)]
+    system = views[0][0]
+    assert side_view(system, 2) is side_view(system, 2)
+    derandomize(system, t, 1)
+    random_expectation(system, t, 1)
+    assert [side for _, side in views] == [2, 1] and len(sorts) == 1

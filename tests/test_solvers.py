@@ -70,6 +70,17 @@ def test_brute_force_cap():
         brute_force_opt(system, 1, cap=4)
 
 
+@pytest.mark.parametrize("cap", [-1, 0])
+def test_caps_below_one_are_refused(cap):
+    t = catalog.template("z2_id")
+    system = make_system(t, [LinEquation((("x", 1), ("y", 1), ("z", 1)), 0, Fraction(1))])
+    message = f"cap must be a positive integer, got {cap}"
+    with pytest.raises(InvalidParams, match=message):
+        brute_force_opt(system, 1, cap=cap)
+    with pytest.raises(InvalidParams, match=message):
+        build_system(catalog.label_cover("lc_tiny"), t, ReductionParams(Fraction(1, 4), cap=cap))
+
+
 def test_random_expectation_free_equation():
     t = catalog.template("z2_id")
     system = make_system(
