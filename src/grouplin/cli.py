@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 
 from . import io, selftest
@@ -236,6 +237,18 @@ def _at_least(low: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type: a float tolerance in (0, 1e-6], the range ``irreps``
+    accepts. Looser values would make the float checks vacuous."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value <= 1e-6:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1e-6], got {text[:40]!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grouplin",
@@ -250,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("irreps", help="complete set of irreducible unitary reps")
     p.add_argument("group")
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(fn=_cmd_irreps)
 
     p = sub.add_parser("reduce", help="build the weighted equation system")
@@ -299,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the invariant suite")
     p.add_argument("module", nargs="?", default=None, choices=selftest.MODULES)
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(fn=_cmd_selftest)
 
     return parser

@@ -348,16 +348,22 @@ class GroupPower:
         if self.m == 0:
             raise InvalidParams("index set must be non-empty")
         self.n = len(group) ** self.m
-        limit = table_cap()
-        if self.n > limit:
-            raise CapExceeded(
-                f"|G|^|D| = {self.n} exceeds the table cap {limit}"
-            )
+        self.check_cap()
         base = len(group)
         self._weights = [base ** (self.m - 1 - k) for k in range(self.m)]
         idx = np.arange(self.n)
         self._coords = np.stack([(idx // w) % base for w in self._weights], axis=1)
         self._table = np.asarray(group.table)
+
+    def check_cap(self) -> None:
+        """Refuse the power when |G|^|D| exceeds the table cap. It runs on
+        construction, and again wherever a kept power is reused, since the
+        cap can change in between."""
+        limit = table_cap()
+        if self.n > limit:
+            raise CapExceeded(
+                f"|G|^|D| = {self.n} exceeds the table cap {limit}"
+            )
 
     def coords(self, idx: int) -> tuple[int, ...]:
         out = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +24,13 @@ from .groups import (
 
 
 # Equations per block in the kernels that run over a system's encoding: their
-# scratch memory stays small next to the system itself.
-EQUATION_BLOCK = 1024
+# scratch memory (under 1 MB a block) stays small next to the system itself.
+EQUATION_BLOCK = 16384
+
+# Supports kept at once (``support``). Each holds one exact encoding, about 21
+# bytes per equation, with its side views, so an eps sweep over a few
+# (instance, template) pairs reuses them while memory stays bounded.
+SUPPORT_CACHE = 4
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,8 @@ class LinSystem:
     first use. ``LinSystem(template, variables, equations)`` encodes
     hand-built equations and ``LinSystem.from_arrays`` takes an encoding as
     it is; both validate the encoding. ``side_view`` memoizes each side's
-    grouping of the equations on the system, as ``equations`` is.
+    grouping of the equations on the system, as ``equations`` is; the exact
+    systems of one ``Support`` share their arrays and so that memo.
     """
 
     def __init__(self, template: Template, variables, equations):
@@ -218,9 +224,11 @@ class SystemArrays:
 
     def weigh(self, counts) -> Fraction:
         """Sum over weight classes of weight times count, exactly."""
-        return sum(
-            (w * int(c) for w, c in zip(self.weights, counts) if c), Fraction(0)
-        )
+        return _weigh(self.weights, counts)
+
+
+def _weigh(weights, counts) -> Fraction:
+    return sum((w * int(c) for w, c in zip(weights, counts) if c), Fraction(0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,10 +273,12 @@ class SideView:
     there: they form a group, scored once with their summed weight. Groups
     are in key order; ``rep`` holds one equation of each group and ``group``
     each equation's group. Both are None when the view is the system as it
-    is."""
+    is. ``memo`` keeps what the solvers derive from the view's rows alone,
+    such as their incidence, for as long as the view lives."""
 
     rep: np.ndarray | None    # int32 [g]
     group: np.ndarray | None  # int32 [m]
+    memo: dict = field(default_factory=dict, repr=False)
 
     def rows(self, values: np.ndarray) -> np.ndarray:
         """Per-equation ``values`` at each group's equation ``rep``."""
@@ -285,7 +295,8 @@ class SideView:
 
 
 def side_view(system: LinSystem, side: int) -> SideView:
-    """The side's view of the system, computed once per (system, side)."""
+    """The side's view of the system, computed once per (system, side), or
+    once per (support, side) for the exact systems of one support."""
     views = system._side_views
     if side not in views:
         views[side] = _side_view(system, side)
@@ -363,8 +374,13 @@ class ReductionParams:
         if self.mode not in ("exact", "sampled"):
             raise InvalidParams(f"unknown mode {self.mode}")
         count = self.sample_count
-        if self.mode == "sampled" and not (type(count) is int and count > 0):
+        if type(count) is int and count > 0:
+            return
+        if self.mode == "sampled":
             raise InvalidParams(f"sampled mode needs a positive integer sample_count, got {count}")
+        if count is not None:
+            # exact mode draws nothing, but a count it is given must still be one
+            raise InvalidParams(f"exact mode takes only a positive integer sample_count, got {count}")
 
 
 def var_u(u: str, b_flat: int) -> str:
@@ -376,9 +392,9 @@ def var_v(v: str, a_flat: int) -> str:
 
 
 def powers(lc: LabelCoverInstance, template: Template) -> tuple[GroupPower, GroupPower]:
-    pe = GroupPower(template.g1, lc.e_labels)
-    pd = GroupPower(template.g1, lc.d_labels)
-    return pe, pd
+    """G1^E and G1^D, shared through the support of (lc, template)."""
+    sup = support(lc, template)
+    return sup.pe, sup.pd
 
 
 def _check_exact_cap(lc, pe, pd, cap):
@@ -467,8 +483,9 @@ class Tuples:
 class Geometry:
     """The tuple geometry of the reduction for one instance and template:
     coset data of G1^E under Dom(phi), inverses in G1^D and noise classes,
-    shared by every edge. The coset data of all of G1^E is computed on the
-    first exact enumeration; sampled tuples look up only the drawn a."""
+    shared by every edge. The coset data of all of G1^E is computed on first
+    use by an exact enumeration or a payoff count, and kept with the
+    ``Support``; sampled tuples look up only the drawn a."""
 
     def __init__(self, lc: LabelCoverInstance, h1: Subgroup, pe: GroupPower, pd: GroupPower):
         self.lc = lc
@@ -554,37 +571,32 @@ def _sampled_draws(lc, pe, pd, params):
     return edge, a, b, pd.encode(nu_coords), s1, s2
 
 
-def _tuple_arrays(lc: LabelCoverInstance, template: Template, params: ReductionParams):
-    """The encoding of the reduction with one equation per tuple, before
-    identical equations are merged, and whether merging can change it.
-    Unused weight classes are dropped.
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """An encoding before its weights are known: row ``e`` has the terms and
+    rhs of ``SystemArrays`` and stands for ``class_counts[row_class[e], k]``
+    tuples of class ``k``. With one tuple per row, ``class_counts`` is the
+    identity and ``row_class`` each tuple's class."""
 
-    In exact mode (terms, rhs) determines the tuple within an edge, and the
-    variables name the edge's endpoints, so only parallel u-v edges can
-    repeat an equation; sampled draws can repeat one anyway.
-    """
-    pe, pd = powers(lc, template)
-    exact = params.mode == "exact"
-    m = _check_exact_cap(lc, pe, pd, params.cap) if exact else params.sample_count
-    geo = Geometry(lc, template.h1, pe, pd)
-    u_off = {u: k * pd.n for k, u in enumerate(lc.u_names)}
-    v_off = {v: len(lc.u_names) * pd.n + k * pe.n for k, v in enumerate(lc.v_names)}
-    if exact:
-        # one block per edge; the weight class is the noise class
-        blocks = []
-        for u, v, pi in lc.edge_maps():
-            t = geo.edge_tuples(pi)
-            blocks.append((t, u_off[u], v_off[v], t.k))
-        weights = _class_weights(lc, pe, pd, params.eps)
-        mergeable = len({(u, v) for u, v, _ in lc.edges}) < len(lc.edges)
-    else:
-        # one block of all draws, each of weight 1/samples
-        edge, a, b, nu, s1, s2 = _sampled_draws(lc, pe, pd, params)
-        u0 = np.array([u_off[u] for u, _, _ in lc.edges])[edge]
-        v0 = np.array([v_off[v] for _, v, _ in lc.edges])[edge]
-        blocks = [(geo.sampled_tuples(edge, a, b, nu, s1, s2), u0, v0, 0)]
-        weights = [Fraction(1, params.sample_count)]
-        mergeable = True
+    var_ids: np.ndarray       # int32 [m, 3]
+    signs: np.ndarray         # int8 [m, 3]
+    rhs: np.ndarray           # int16 [m]
+    row_class: np.ndarray     # int32 [m]
+    class_counts: np.ndarray  # int64 [c, classes]
+
+    def weighed(self, weights) -> SystemArrays:
+        """The encoding with weight ``weights[k]`` per tuple of class ``k``;
+        unused row weights are dropped and equal ones joined."""
+        weight_class, row_weights = _compact(
+            self.row_class, [_weigh(weights, row) for row in self.class_counts.tolist()]
+        )
+        return SystemArrays(self.var_ids, self.signs, self.rhs, weight_class, row_weights)
+
+
+def _tuple_rows(blocks, n_cls: int) -> Rows:
+    """One row per tuple of the blocks (tuples, u offset, v offset, class),
+    in order."""
+    m = sum(int(np.prod(t.shape)) for t, _, _, _ in blocks)
     var_ids = np.empty((m, 3), dtype=np.int32)
     signs = np.empty((m, 3), dtype=np.int8)
     rhs = np.empty(m, dtype=np.int16)
@@ -603,26 +615,30 @@ def _tuple_arrays(lc: LabelCoverInstance, template: Template, params: ReductionP
         rhs[lo:hi].reshape(shape)[...] = t.h_a
         cls[lo:hi].reshape(shape)[...] = k
         lo = hi
-    return SystemArrays(var_ids, signs, rhs, *_compact(cls, weights)), mergeable
+    return Rows(var_ids, signs, rhs, cls, np.eye(n_cls, dtype=np.int64))
 
 
-def _merge(enc: SystemArrays) -> SystemArrays:
-    """Identical (terms, rhs) merged into one equation at the position of
-    the first, with the summed weight."""
-    rows = np.concatenate([enc.var_ids, enc.signs, enc.rhs[:, None]], axis=1)
-    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+def _merge(rows: Rows) -> Rows:
+    """Identical (terms, rhs) merged into one row at the position of the
+    first, with its tuples counted per class; ``rows`` has one tuple per
+    row. Row classes are the distinct count vectors, in sorted order."""
+    stacked = np.concatenate([rows.var_ids, rows.signs, rows.rhs[:, None]], axis=1)
+    _, first, inverse = np.unique(stacked, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     group = rank[inverse.reshape(-1)]
     keep = first[order]
-    n_cls = len(enc.weights)
-    counts = np.bincount(group * n_cls + enc.weight_class, minlength=len(keep) * n_cls)
+    n_cls = len(rows.class_counts)
+    counts = np.bincount(group * n_cls + rows.row_class, minlength=len(keep) * n_cls)
     vectors, vector_of = np.unique(counts.reshape(len(keep), n_cls), axis=0, return_inverse=True)
-    weight_class, weights = _compact(
-        vector_of.reshape(-1), [enc.weigh(row) for row in vectors]
+    return Rows(
+        rows.var_ids[keep],
+        rows.signs[keep],
+        rows.rhs[keep],
+        vector_of.reshape(-1).astype(np.int32),
+        vectors,
     )
-    return SystemArrays(enc.var_ids[keep], enc.signs[keep], enc.rhs[keep], weight_class, weights)
 
 
 def _compact(weight_class: np.ndarray, weights) -> tuple[np.ndarray, tuple[Fraction, ...]]:
@@ -633,9 +649,96 @@ def _compact(weight_class: np.ndarray, weights) -> tuple[np.ndarray, tuple[Fract
     return remap[weight_class].astype(np.int32), tuple(ids)
 
 
-def _variables(lc: LabelCoverInstance, pe: GroupPower, pd: GroupPower) -> tuple[str, ...]:
-    names = [var_u(u, b) for u in lc.u_names for b in range(pd.n)]
-    return tuple(names + [var_v(v, a) for v in lc.v_names for a in range(pe.n)])
+class Support:
+    """The eps-free part of the reduction of one instance and template.
+
+    For every eps the exact system has the same equations and variables;
+    eps sets only the |D|+1 noise-class weights. A support holds the powers
+    G1^E and G1^D, the tuple ``Geometry``, the variable names and, from the
+    first exact build that passes the cap, the exact encoding as ``Rows``.
+    Exact systems built from one support share those arrays, which are
+    read-only, and its ``side_views`` memo, so the solvers group and index
+    each side once. Sampled systems are drawn on every build.
+    """
+
+    def __init__(self, lc: LabelCoverInstance, template: Template):
+        self.lc = lc
+        self.pe = GroupPower(template.g1, lc.e_labels)
+        self.pd = GroupPower(template.g1, lc.d_labels)
+        self.geo = Geometry(lc, template.h1, self.pe, self.pd)
+        # (terms, rhs) determines the tuple within an edge, and the variables
+        # name the edge's endpoints, so only parallel u-v edges can repeat an
+        # exact equation; sampled draws can repeat one anyway
+        self.mergeable = len({(u, v) for u, v, _ in lc.edges}) < len(lc.edges)
+        self.side_views: dict[int, SideView] = {}
+        # the first variable of each left and of each right vertex
+        self.u_off = {u: k * self.pd.n for k, u in enumerate(lc.u_names)}
+        self.v_off = {v: len(lc.u_names) * self.pd.n + k * self.pe.n for k, v in enumerate(lc.v_names)}
+
+    @functools.cached_property
+    def variables(self) -> tuple[str, ...]:
+        lc, pe, pd = self.lc, self.pe, self.pd
+        names = [var_u(u, b) for u in lc.u_names for b in range(pd.n)]
+        return tuple(names + [var_v(v, a) for v in lc.v_names for a in range(pe.n)])
+
+    @functools.cached_property
+    def exact(self) -> Rows:
+        """The exact encoding, merged where parallel edges repeat equations.
+        Callers check the enumeration cap first."""
+        rows = _merge(self.tuple_rows()) if self.mergeable else self.tuple_rows()
+        for array in (rows.var_ids, rows.signs, rows.rhs, rows.row_class, rows.class_counts):
+            array.flags.writeable = False  # shared by every system built from it
+        return rows
+
+    def tuple_rows(self) -> Rows:
+        """One row per tuple (edge, a, b, nu, s1, s2), one block per edge;
+        the row class is the noise class."""
+        blocks = []
+        for u, v, pi in self.lc.edge_maps():
+            t = self.geo.edge_tuples(pi)
+            blocks.append((t, self.u_off[u], self.v_off[v], t.k))
+        return _tuple_rows(blocks, self.pd.m + 1)
+
+    def sampled_rows(self, params: ReductionParams) -> Rows:
+        """One row per draw, in one block of class 0."""
+        lc = self.lc
+        edge, a, b, nu, s1, s2 = _sampled_draws(lc, self.pe, self.pd, params)
+        u0 = np.array([self.u_off[u] for u, _, _ in lc.edges])[edge]
+        v0 = np.array([self.v_off[v] for _, v, _ in lc.edges])[edge]
+        block = (self.geo.sampled_tuples(edge, a, b, nu, s1, s2), u0, v0, 0)
+        return _tuple_rows([block], 1)
+
+
+@functools.lru_cache(maxsize=SUPPORT_CACHE)
+def _support(lc: LabelCoverInstance, template: Template) -> Support:
+    return Support(lc, template)
+
+
+def support(lc: LabelCoverInstance, template: Template) -> Support:
+    """The support of (lc, template), kept for the last ``SUPPORT_CACHE``
+    pairs. The table cap is checked on every call, as building the powers
+    checks it; the enumeration caps stay with the callers, which check them
+    on every call too."""
+    sup = _support(lc, template)
+    sup.pe.check_cap()
+    sup.pd.check_cap()
+    return sup
+
+
+def _system(lc, template, params: ReductionParams, merge: bool) -> LinSystem:
+    sup = support(lc, template)
+    if params.mode == "sampled":
+        rows = _merge(sup.sampled_rows(params)) if merge else sup.sampled_rows(params)
+        weights = [Fraction(1, params.sample_count)]
+        return LinSystem.from_arrays(template, sup.variables, rows.weighed(weights))
+    _check_exact_cap(lc, sup.pe, sup.pd, params.cap)
+    weights = _class_weights(lc, sup.pe, sup.pd, params.eps)
+    if sup.mergeable and not merge:
+        return LinSystem.from_arrays(template, sup.variables, sup.tuple_rows().weighed(weights))
+    system = LinSystem.from_arrays(template, sup.variables, sup.exact.weighed(weights))
+    # the support's rows are this system's rows, so their side views are too
+    system.__dict__["_side_views"] = sup.side_views
+    return system
 
 
 def tuple_system(lc: LabelCoverInstance, template: Template, params: ReductionParams) -> LinSystem:
@@ -648,8 +751,7 @@ def tuple_system(lc: LabelCoverInstance, template: Template, params: ReductionPa
 
     with weight the product of the edge, a, b, nu, and sign probabilities.
     """
-    enc, _ = _tuple_arrays(lc, template, params)
-    return LinSystem.from_arrays(template, _variables(lc, *powers(lc, template)), enc)
+    return _system(lc, template, params, merge=False)
 
 
 def build_system(lc: LabelCoverInstance, template: Template, params: ReductionParams) -> LinSystem:
@@ -657,12 +759,11 @@ def build_system(lc: LabelCoverInstance, template: Template, params: ReductionPa
 
     Equations with identical (terms, rhs) are merged by summing weights; the
     term order of the construction is preserved, not sorted, and equations
-    keep the order of the tuples (edge, a, b, nu, s1, s2).
+    keep the order of the tuples (edge, a, b, nu, s1, s2). In exact mode the
+    equations come from the support of (lc, template), so only the weights
+    are computed per call.
     """
-    enc, mergeable = _tuple_arrays(lc, template, params)
-    if mergeable:
-        enc = _merge(enc)
-    return LinSystem.from_arrays(template, _variables(lc, *powers(lc, template)), enc)
+    return _system(lc, template, params, merge=True)
 
 
 def _assignment_values(system: LinSystem, assignment: dict, order: int) -> np.ndarray:
@@ -737,10 +838,10 @@ def payoff_distribution(
     """
     if side != family.side:
         raise InvalidParams("family built for the other side")
-    pe, pd = powers(lc, template)
+    sup = support(lc, template)
+    pe, pd, geo = sup.pe, sup.pd, sup.geo
     _check_payoff_cap(lc, pe, pd, params.cap)
     _check_family_shape(lc, template, pe, pd, family)
-    geo = Geometry(lc, template.h1, pe, pd)
     group = template.g1 if side == 1 else template.g2
     hom = identity_hom(template.h1) if side == 1 else template.phi
     table = np.asarray(group.table, dtype=np.int64)
@@ -764,11 +865,7 @@ def payoff_distribution(
         by_beta_g = by_beta_y.reshape(n, pd.n) @ h.T
         np.add.at(counts, table, by_beta_g.reshape(n, n, n_cls))
     weights = _class_weights(lc, pe, pd, params.eps)
-    return {
-        z: sum((w * int(k) for w, k in zip(weights, row) if k), Fraction(0))
-        for z, row in enumerate(counts.tolist())
-        if any(row)
-    }
+    return {z: _weigh(weights, row) for z, row in enumerate(counts.tolist()) if any(row)}
 
 
 def evaluate_family(

@@ -9,7 +9,9 @@ and weighs the counts as ``Fraction``s. ``random_expectation`` and
 ``derandomize`` run on the side's view of the system (``side_view``), where
 equations equal on that side are one row; they score each distinct equation
 pattern once per call and sum integer weight numerators over the weights'
-common denominator.
+common denominator. The view, and the incidence ``derandomize`` builds on it,
+depend on no weight, so they are kept with the system (with its support, for
+an exact reduction) and serve every call.
 """
 
 from __future__ import annotations
@@ -244,7 +246,10 @@ def _incidence(var_ids: np.ndarray, signs: np.ndarray, n_vars: int):
     ranks, neg = _ranks(v), signs.T < 0
     # the shape of each equation seen from the variable in each slot
     seen = np.stack([_shapes(ranks, neg, ranks[j]) for j in range(3)])
-    return eqs, seen[first][order], indptr
+    out = eqs, seen[first][order], indptr
+    for array in out:
+        array.flags.writeable = False  # kept in the view's memo
+    return out
 
 
 def derandomize(system: LinSystem, template: Template, side: int) -> dict[str, int]:
@@ -259,7 +264,11 @@ def derandomize(system: LinSystem, template: Template, side: int) -> dict[str, i
     tables, h = _side(system, template, side)
     patterns = _Patterns(tables, h)
     var_ids, signs, rhs, weight, _ = _view_rows(system, side, tables, len(h) ** 2)
-    eqs, shape, indptr = _incidence(var_ids, signs, len(system.variables))
+    # the incidence depends on the view's rows alone, so it is kept with the view
+    memo = side_view(system, side).memo
+    if "incidence" not in memo:
+        memo["incidence"] = _incidence(var_ids, signs, len(system.variables))
+    eqs, shape, indptr = memo["incidence"]
     # the rhs plus the key parts of the slots already fixed, per row
     known = rhs.astype(np.int64)
     values = np.empty(len(system.variables), dtype=np.int16)

@@ -7,7 +7,7 @@ import pytest
 from grouplin import catalog, io
 from grouplin.cli import main
 from grouplin.errors import InvalidParams, table_cap
-from grouplin.reduction import make_label_cover, projection_family
+from grouplin.reduction import ReductionParams, make_label_cover, projection_family
 
 
 
@@ -253,12 +253,19 @@ def test_valid_input_files_exit_0(tmp_path, capsys, kind):
     assert run(capsys, *argv(path))[0] == 0
 
 
-@pytest.mark.parametrize("samples", ["-3", "0"])
-def test_reduce_needs_a_positive_sample_count(capsys, samples):
-    argv = ["reduce", "lc_tiny", "--template", "z2_id", "--eps", "1/4", "--mode", "sampled"]
+@pytest.mark.parametrize(
+    "samples,mode",
+    [("-3", "sampled"), ("0", "sampled"), ("-3", "exact"), ("0", "exact")],
+    ids=["-3", "0", "exact--3", "exact-0"],
+)
+def test_reduce_needs_a_positive_sample_count(capsys, samples, mode):
+    # exact mode draws nothing, but it refuses a count sampled mode would
+    argv = ["reduce", "lc_tiny", "--template", "z2_id", "--eps", "1/4", "--mode", mode]
     code, out, err = run(capsys, *argv, "--samples", samples)
     assert (code, out) == (2, "")
     assert "positive integer sample_count" in err
+    with pytest.raises(InvalidParams, match="positive integer sample_count"):
+        ReductionParams(Fraction(1, 4), mode=mode, sample_count=int(samples))
 
 
 def test_solve_noncubic_requires_c(tmp_path, capsys):
@@ -501,6 +508,17 @@ def test_selftest_unreachable_tolerance(capsys):
     code, out, _ = run(capsys, "selftest", "fourier", "--tol", "1e-15")
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "0.5", "2e-6", "inf", "x"])
+@pytest.mark.parametrize("argv", [["selftest", "fourier"], ["selftest", "reps"], ["irreps", "s3"]])
+def test_a_tolerance_outside_the_range_exits_2_naming_it(capsys, argv, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", tol])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument --tol: must be in (0, 1e-6], got '{tol}'" in out.err
 
 
 def test_selftest_unknown_module_exit_code(capsys):

@@ -153,6 +153,7 @@ def test_python_int_numerators_are_summed_per_group():
 
 
 def test_run_pipeline_groups_once_per_system_and_side(monkeypatch):
+    reduction._support.cache_clear()
     views, sorts = [], []
     make_view, groups = reduction._side_view, reduction._groups
 
@@ -168,7 +169,9 @@ def test_run_pipeline_groups_once_per_system_and_side(monkeypatch):
     monkeypatch.setattr(reduction, "_groups", counting_groups)
     t = catalog.template("s3_sign")
     cli.run_pipeline(catalog.label_cover("lc1"), t, EPS, DELTA)
-    # derandomize and random_expectation share one grouping of side 2
+    cli.run_pipeline(catalog.label_cover("lc1"), t, Fraction(3, 17), DELTA)
+    # derandomize and random_expectation, at both eps, share one grouping of
+    # side 2: the exact systems of one support share their side views
     assert [side for _, side in views] == [2] and sorts == [len(views[0][0].arrays)]
     system = views[0][0]
     assert side_view(system, 2) is side_view(system, 2)
