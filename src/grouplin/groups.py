@@ -353,6 +353,7 @@ class GroupPower:
         self._weights = [base ** (self.m - 1 - k) for k in range(self.m)]
         idx = np.arange(self.n)
         self._coords = np.stack([(idx // w) % base for w in self._weights], axis=1)
+        self._coords.flags.writeable = False  # coords_matrix() hands it to every caller
         self._table = np.asarray(group.table)
 
     def check_cap(self) -> None:

@@ -27,10 +27,12 @@ from .groups import (
 # scratch memory (under 1 MB a block) stays small next to the system itself.
 EQUATION_BLOCK = 16384
 
-# Supports kept at once (``support``). Each holds one exact encoding, about 21
-# bytes per equation, with its side views, so an eps sweep over a few
-# (instance, template) pairs reuses them while memory stays bounded.
-SUPPORT_CACHE = 4
+# Supports kept at once (``support``): the last (instance, template) pair, as
+# an eps sweep solves one pair again and again. A kept support holds its exact
+# encoding with both side views and their incidence after a solve, about 57
+# bytes per equation on s3_a3_incl/lc2 (21 MB for 373,248 equations), so
+# at most about 115 MB at the default cap of 2M tuples.
+SUPPORT_CACHE = 1
 
 
 @dataclass(frozen=True)
@@ -480,6 +482,11 @@ class Tuples:
         )
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False  # kept with a support, shared by every caller
+    return array
+
+
 class Geometry:
     """The tuple geometry of the reduction for one instance and template:
     coset data of G1^E under Dom(phi), inverses in G1^D and noise classes,
@@ -491,13 +498,14 @@ class Geometry:
         self.lc = lc
         self.h1 = h1
         self.pe, self.pd = pe, pd
-        self.inv_d = pd.inv_array()
-        self.noise_class = noise_classes(pd)
+        self.inv_d = _read_only(pd.inv_array())
+        self.noise_class = _read_only(noise_classes(pd))
 
     @functools.cached_property
     def cosets(self) -> tuple[np.ndarray, np.ndarray]:
         """``coset_arrays(h1, pe)``: a_rep and h_a for every a in G1^E."""
-        return coset_arrays(self.h1, self.pe)
+        a_rep, h_a = coset_arrays(self.h1, self.pe)
+        return _read_only(a_rep), _read_only(h_a)
 
     def mid(self, pi: dict) -> np.ndarray:
         """b^-1 (a o pi)^-1 on the grid [a, b] of one edge."""
@@ -687,7 +695,7 @@ class Support:
         Callers check the enumeration cap first."""
         rows = _merge(self.tuple_rows()) if self.mergeable else self.tuple_rows()
         for array in (rows.var_ids, rows.signs, rows.rhs, rows.row_class, rows.class_counts):
-            array.flags.writeable = False  # shared by every system built from it
+            _read_only(array)
         return rows
 
     def tuple_rows(self) -> Rows:

@@ -28,13 +28,6 @@ from test_reduction_equivalence import CATALOG_PAIRS, REFERENCE_BUDGET, _tuple_c
 EPS1, EPS2 = Fraction(1, 8), Fraction(3, 17)
 
 
-@pytest.fixture(autouse=True)
-def cold_support():
-    reduction._support.cache_clear()
-    yield
-    reduction._support.cache_clear()
-
-
 def _cold(build, lc, t, params):
     reduction._support.cache_clear()
     return build(lc, t, params)
@@ -154,9 +147,11 @@ def test_the_shared_arrays_are_read_only():
     t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
     system = build_system(lc, t, ReductionParams(EPS1))
     derandomize(system, t, 2)
-    rows = reduction.support(lc, t).exact
+    sup = reduction.support(lc, t)
+    rows, geo = sup.exact, sup.geo
     incidence = reduction.side_view(system, 2).memo["incidence"]
     shared = (rows.var_ids, rows.signs, rows.rhs, rows.row_class, rows.class_counts, *incidence)
+    shared += (sup.pe.coords_matrix(), sup.pd.coords_matrix(), geo.inv_d, geo.noise_class, *geo.cosets)
     enc = system.arrays
     assert enc.var_ids is rows.var_ids and enc.signs is rows.signs and enc.rhs is rows.rhs
     for array in shared:
