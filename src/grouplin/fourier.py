@@ -303,16 +303,15 @@ def noise_classes(power: GroupPower) -> np.ndarray:
     return (power.coords_matrix() != power.group.identity).sum(axis=1)
 
 
-def noise_class_weights(power: GroupPower, eps: Fraction) -> list[Fraction]:
-    """Exact probability of one noise tuple of class k, for k = 0..m: per
-    coordinate the tuple is the identity with probability 1-eps and uniform
-    otherwise."""
+def noise_class_weights(size: int, m: int, eps: Fraction) -> list[Fraction]:
+    """Exact probability of one noise tuple of class k in G^m, |G| = size,
+    for k = 0..m: per coordinate the tuple is the identity with probability
+    1-eps and uniform otherwise."""
     if not 0 < eps < 1:
         raise InvalidParams(f"noise rate must be in (0,1), got {eps}")
-    size = len(power.group)
     w_id = (1 - eps) + Fraction(eps, size)
     w_other = Fraction(eps, size)
-    return [w_id ** (power.m - k) * w_other**k for k in range(power.m + 1)]
+    return [w_id ** (m - k) * w_other**k for k in range(m + 1)]
 
 
 def noise_apply(fn: GroupFn, eps: Fraction) -> GroupFn:

@@ -29,10 +29,15 @@ EQUATION_BLOCK = 16384
 
 # Supports kept at once (``support``): the last (instance, template) pair, as
 # an eps sweep solves one pair again and again. A kept support holds its exact
-# encoding with both side views and their incidence after a solve, about 57
-# bytes per equation on s3_a3_incl/lc2 (21 MB for 373,248 equations), so
-# at most about 115 MB at the default cap of 2M tuples.
+# encoding with both side views, their incidence and the solvers' hit counts
+# after both solvers ran on both sides, about 62 bytes per equation on
+# s3_a3_incl/lc2 (23 MB for 373,248 equations), so at most about 125 MB at
+# the default cap of 2M tuples.
 SUPPORT_CACHE = 1
+
+# Class weights kept at once (``_class_weights``): a run builds its system
+# and counts its payoffs at one eps, and each entry is |D|+1 Fractions.
+CLASS_WEIGHTS_CACHE = 8
 
 
 @dataclass(frozen=True)
@@ -107,9 +112,11 @@ class LinSystem:
     ``evaluate`` run on; ``equations`` decodes it into ``LinEquation``s on
     first use. ``LinSystem(template, variables, equations)`` encodes
     hand-built equations and ``LinSystem.from_arrays`` takes an encoding as
-    it is; both validate the encoding. ``side_view`` memoizes each side's
-    grouping of the equations on the system, as ``equations`` is; the exact
-    systems of one ``Support`` share their arrays and so that memo.
+    it is; both validate the encoding. An exact system built from a
+    ``Support`` checks only its weights, as the support checks its rows
+    once. ``side_view`` memoizes each side's grouping of the equations on
+    the system, as ``equations`` is; the exact systems of one ``Support``
+    share their arrays and so that memo.
     """
 
     def __init__(self, template: Template, variables, equations):
@@ -123,10 +130,13 @@ class LinSystem:
         system._set(template, tuple(variables), arrays)
         return system
 
-    def _set(self, template, variables, arrays):
-        if len(set(variables)) != len(variables):
-            raise InvalidParams("variable names must be distinct")
-        _validate(template, len(variables), arrays)
+    def _set(self, template, variables, arrays, rows_checked: bool = False):
+        """Take the encoding as the system's. ``rows_checked`` skips the
+        checks of the variables and rows, which a support's exact rows pass
+        once; the weights are checked on every system."""
+        if not rows_checked:
+            _validate_rows(template, variables, arrays)
+        _validate_weights(arrays)
         self.template = template
         self.variables = variables
         self.arrays = SystemArrays(
@@ -181,24 +191,33 @@ def _encode(variables: tuple[str, ...], equations: tuple[LinEquation, ...]) -> S
     )
 
 
-def _validate(template: Template, n_vars: int, enc: SystemArrays) -> None:
-    """Every check a system must pass, vectorised over its equations."""
-    m = len(enc.rhs)
-    if enc.var_ids.shape != (m, 3) or enc.signs.shape != (m, 3):
+def _validate_rows(template: Template, variables: tuple[str, ...], rows) -> None:
+    """The checks on a system's variables and on the terms and constants of
+    its rows (``SystemArrays`` or ``Rows``), vectorised over the rows."""
+    if len(set(variables)) != len(variables):
+        raise InvalidParams("variable names must be distinct")
+    m, n_vars = len(rows.rhs), len(variables)
+    if rows.var_ids.shape != (m, 3) or rows.signs.shape != (m, 3):
         raise InvalidParams("an equation has exactly three terms")
-    if enc.weight_class.shape != (m,):
-        raise InvalidParams("one weight class per equation")
-    if m and not 0 <= enc.var_ids.min() <= enc.var_ids.max() < n_vars:
+    if m and not 0 <= rows.var_ids.min() <= rows.var_ids.max() < n_vars:
         raise InvalidParams(f"variable ids must lie in 0..{n_vars - 1}")
-    bad_sign = (enc.signs != 1) & (enc.signs != -1)
+    bad_sign = (rows.signs != 1) & (rows.signs != -1)
     if bad_sign.any():
-        raise InvalidParams(f"exponent must be +-1, got {enc.signs[bad_sign][0]}")
+        raise InvalidParams(f"exponent must be +-1, got {rows.signs[bad_sign][0]}")
     in_dom = np.zeros(len(template.g1), dtype=bool)
     in_dom[list(template.h1.members)] = True
-    inside = (enc.rhs >= 0) & (enc.rhs < len(in_dom))
-    inside[inside] = in_dom[enc.rhs[inside]]
+    inside = (rows.rhs >= 0) & (rows.rhs < len(in_dom))
+    inside[inside] = in_dom[rows.rhs[inside]]
     if not inside.all():
-        raise InvalidParams(f"rhs {enc.rhs[~inside][0]} outside Dom(phi)")
+        raise InvalidParams(f"rhs {rows.rhs[~inside][0]} outside Dom(phi)")
+
+
+def _validate_weights(enc: SystemArrays) -> None:
+    """The checks on a system's weights: one class per equation, in range,
+    and non-negative weights that sum to exactly 1."""
+    m = len(enc.rhs)
+    if enc.weight_class.shape != (m,):
+        raise InvalidParams("one weight class per equation")
     if any(w < 0 for w in enc.weights):
         raise InvalidParams("weights must be non-negative")
     if m and not 0 <= enc.weight_class.min() <= enc.weight_class.max() < len(enc.weights):
@@ -272,11 +291,11 @@ def side_tables(template: Template, side: int) -> SideTables:
 class SideView:
     """A system's equations as one side sees them. Equations whose variable
     ids, signs and side constant (``rhs_map[rhs]``) agree are one constraint
-    there: they form a group, scored once with their summed weight. Groups
-    are in key order; ``rep`` holds one equation of each group and ``group``
-    each equation's group. Both are None when the view is the system as it
-    is. ``memo`` keeps what the solvers derive from the view's rows alone,
-    such as their incidence, for as long as the view lives."""
+    there: they form a group, scored once. Groups are in key order; ``rep``
+    holds one equation of each group and ``group`` each equation's group.
+    Both are None when the view is the system as it is. ``memo`` keeps what
+    the solvers derive from the view's rows, such as their incidence and
+    their hit counts per weight class, for as long as the view lives."""
 
     rep: np.ndarray | None    # int32 [g]
     group: np.ndarray | None  # int32 [m]
@@ -285,15 +304,6 @@ class SideView:
     def rows(self, values: np.ndarray) -> np.ndarray:
         """Per-equation ``values`` at each group's equation ``rep``."""
         return values if self.rep is None else values.take(self.rep, axis=0)
-
-    def sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-equation ``values`` summed over each group, in their own
-        dtype (int64, or Python ints), so the sums stay exact."""
-        if self.group is None:
-            return values
-        out = np.zeros(len(self.rep), dtype=values.dtype)
-        np.add.at(out, self.group, values)
-        return out
 
 
 def side_view(system: LinSystem, side: int) -> SideView:
@@ -551,11 +561,18 @@ class Geometry:
         )
 
 
-def _class_weights(lc, pe, pd, eps) -> list[Fraction]:
+def _class_weights(lc, pe, pd, eps) -> tuple[Fraction, ...]:
     """Weight of a tuple whose noise has class k, for k = 0..|D|: the edge,
     a, b and sign probabilities times the noise probability."""
-    base = Fraction(1, len(lc.edges) * pe.n * pd.n * 4)
-    return [base * w for w in noise_class_weights(pd, eps)]
+    return _tuple_weights(len(lc.edges), pe.n, pd.n, pd.m, len(pd.group), Fraction(eps))
+
+
+@functools.lru_cache(maxsize=CLASS_WEIGHTS_CACHE)
+def _tuple_weights(n_edges: int, n_e: int, n_d: int, m: int, order: int, eps: Fraction):
+    """``_class_weights`` from the sizes they depend on, kept for the last
+    ``CLASS_WEIGHTS_CACHE`` of them."""
+    base = Fraction(1, n_edges * n_e * n_d * 4)
+    return tuple(base * w for w in noise_class_weights(order, m, eps))
 
 
 def _sampled_draws(lc, pe, pd, params):
@@ -665,12 +682,13 @@ class Support:
     G1^E and G1^D, the tuple ``Geometry``, the variable names and, from the
     first exact build that passes the cap, the exact encoding as ``Rows``.
     Exact systems built from one support share those arrays, which are
-    read-only, and its ``side_views`` memo, so the solvers group and index
-    each side once. Sampled systems are drawn on every build.
+    read-only, and its ``side_views`` memo, so the solvers group, index and
+    score each side once. Sampled systems are drawn on every build.
     """
 
     def __init__(self, lc: LabelCoverInstance, template: Template):
         self.lc = lc
+        self.template = template
         self.pe = GroupPower(template.g1, lc.e_labels)
         self.pd = GroupPower(template.g1, lc.d_labels)
         self.geo = Geometry(lc, template.h1, self.pe, self.pd)
@@ -691,9 +709,11 @@ class Support:
 
     @functools.cached_property
     def exact(self) -> Rows:
-        """The exact encoding, merged where parallel edges repeat equations.
-        Callers check the enumeration cap first."""
+        """The exact encoding, merged where parallel edges repeat equations,
+        with its variables and rows validated once for every system built
+        on it. Callers check the enumeration cap first."""
         rows = _merge(self.tuple_rows()) if self.mergeable else self.tuple_rows()
+        _validate_rows(self.template, self.variables, rows)
         for array in (rows.var_ids, rows.signs, rows.rhs, rows.row_class, rows.class_counts):
             _read_only(array)
         return rows
@@ -743,7 +763,8 @@ def _system(lc, template, params: ReductionParams, merge: bool) -> LinSystem:
     weights = _class_weights(lc, sup.pe, sup.pd, params.eps)
     if sup.mergeable and not merge:
         return LinSystem.from_arrays(template, sup.variables, sup.tuple_rows().weighed(weights))
-    system = LinSystem.from_arrays(template, sup.variables, sup.exact.weighed(weights))
+    system = LinSystem.__new__(LinSystem)
+    system._set(template, sup.variables, sup.exact.weighed(weights), rows_checked=True)
     # the support's rows are this system's rows, so their side views are too
     system.__dict__["_side_views"] = sup.side_views
     return system

@@ -539,6 +539,24 @@ def _check_distinct_var_expectation(seed, *tnames):
     return bad == 0, float(bad), ""
 
 
+def _check_warm_equals_cold(seed):
+    # the exact systems of one support share the solvers' kept hit counts, so
+    # each eps after the first solves warm; a copy with its own memo is cold
+    rng = np.random.default_rng(seed)
+    sweep = [Fraction(1, 8), Fraction(3, 17), Fraction(9, 10), Fraction(int(rng.integers(1, 99)), 100)]
+    lc = catalog.label_cover("lc_tiny")
+    bad = 0
+    for tname in catalog.templates():
+        t = catalog.template(tname)
+        for eps in sweep + sweep[:1]:
+            warm = build_system(lc, t, ReductionParams(eps))
+            cold = LinSystem.from_arrays(t, warm.variables, warm.arrays)
+            for side in (1, 2):
+                bad += derandomize(warm, t, side) != derandomize(cold, t, side)
+                bad += random_expectation(warm, t, side) != random_expectation(cold, t, side)
+    return bad == 0, float(bad), f"{len(catalog.templates())} pairs x {len(sweep) + 1} eps x 2 sides"
+
+
 def _check_noncubic_sound(seed):
     t = catalog.template("z3_id")
     rng = np.random.default_rng(seed)
@@ -713,6 +731,7 @@ def registry() -> tuple[Check, ...]:
         "s3_sign",
     )
     add("solvers", "unsatisfiable-rejection-sound", _check_noncubic_sound)
+    add("solvers", "warm-equals-cold[lc_tiny]", _check_warm_equals_cold)
 
     for tname in ("z2_id", "s3_sign", "s3_a3_incl"):
         add("decoder", f"averaging-consistency[{tname}]", _check_averaging, tname)

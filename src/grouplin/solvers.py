@@ -7,23 +7,30 @@ The first three run on the system's integer encoding (``LinSystem.arrays``)
 and stay exact. ``brute_force_opt`` counts hits per weight class in int64
 and weighs the counts as ``Fraction``s. ``random_expectation`` and
 ``derandomize`` run on the side's view of the system (``side_view``), where
-equations equal on that side are one row; they score each distinct equation
-pattern once per call and sum integer weight numerators over the weights'
-common denominator. The view, and the incidence ``derandomize`` builds on it,
-depend on no weight, so they are kept with the system (with its support, for
-an exact reduction) and serve every call.
+equations equal on that side are one row, and score each distinct equation
+pattern once per scoring pass. A row's weight is a sum of its weight
+classes' weights, so what they score is hits per weight class, which no
+weight enters: ``random_expectation`` keeps one total per class, and
+``derandomize`` keeps its path, the counts per class and the choice at each
+variable. Both are kept in the view's memo, next to the incidence
+``derandomize`` builds, with the system (with its support, for an exact
+reduction), for as long as the system's weight classes stay the same. A
+call then only weighs the counts with integer numerators over the weights'
+common denominator; ``derandomize`` rescores the path from the first
+variable whose choice the new weights change.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import CapExceeded, InvalidParams, enum_cap
 from .groups import Template, cube_image
-from .reduction import LinSystem, SideTables, evaluate, side_tables, side_view
+from .reduction import LinSystem, SideTables, SideView, evaluate, side_tables, side_view
 
 # Cells of (assignment or pattern) x (equation or grid point) per kernel
 # block, which bounds the kernels' scratch memory.
@@ -32,6 +39,11 @@ _BLOCK_CELLS = 1 << 18
 # Rows (equations, or equations touching one variable) looked up at once,
 # which bounds the solvers' scratch memory.
 _KEY_BLOCK = 1 << 14
+
+# A block of rows is counted on a dense grid of (row class, key) pairs when
+# the grid has at most this many cells per row, or at most this many cells.
+_DENSE_PER_ROW = 4
+_DENSE_PAIRS = 1 << 12
 
 # A slot of an equation is coded as one int. Codes 0..n-1 are known term
 # values (the sign already applied); code n + 2*k + s is unknown k (k = 0, 1,
@@ -67,26 +79,130 @@ def _check_template(system: LinSystem, template: Template) -> None:
         )
 
 
-def _numerators(enc, max_hits: int):
-    """Each equation's weight times the weights' common denominator, and
-    that denominator. The numerators are int64 when every score (weight
-    times at most ``max_hits`` hits, summed) fits, Python ints otherwise."""
-    denom = math.lcm(*(w.denominator for w in enc.weights))
-    used = np.bincount(enc.weight_class, minlength=len(enc.weights))
-    nums = [w.numerator * (denom // w.denominator) if c else 0 for w, c in zip(enc.weights, used)]
-    fits = max_hits * sum(num * int(c) for num, c in zip(nums, used)) < 2**63
-    return np.array(nums, dtype=np.int64 if fits else object)[enc.weight_class], denom
-
-
-def _view_rows(system: LinSystem, side: int, tables: SideTables, max_hits: int):
-    """The rows the side scores, one per group of its ``side_view``: the
-    variable ids, signs and side constant shared by the group's equations,
-    and the group's summed weight numerator; then the weights' common
+def _numerators(weights) -> tuple[list[int], int]:
+    """The weights times their common denominator, as Python ints, and that
     denominator."""
-    enc, view = system.arrays, side_view(system, side)
-    weight, denom = _numerators(enc, max_hits)
-    rhs = tables.rhs_map[view.rows(enc.rhs)]
-    return view.rows(enc.var_ids), view.rows(enc.signs), rhs, view.sums(weight), denom
+    denom = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (denom // w.denominator) for w in weights], denom
+
+
+def _small(values: np.ndarray, bound: int) -> np.ndarray:
+    """``values``, all in 0..bound, in the smallest unsigned dtype that holds
+    them."""
+    return values.astype(np.min_scalar_type(bound))
+
+
+def _row_classes(view: SideView, weight_class: np.ndarray, n_classes: int):
+    """Per row of the view, its vector of equation counts per weight class,
+    as an index into the distinct vectors, and those vectors as
+    ``((class, count), ...)`` with classes ascending. Where nothing merges, a
+    row's vector is its equation's class. A vector is coded as the digits of
+    one int64; where the code would pass int64 (many weight classes, or
+    large groups), every row keeps its own vector."""
+    if view.group is None:
+        return weight_class, [((c, 1),) for c in range(n_classes)]
+    size = np.bincount(view.group)
+    base = int(size.max()) + 1
+    if base**n_classes >= 2**63:
+        pair, count = np.unique(view.group.astype(np.int64) * n_classes + weight_class, return_counts=True)
+        vectors: list = [[] for _ in size]
+        for p, n in zip(pair.tolist(), count.tolist()):
+            vectors[p // n_classes].append((p % n_classes, n))
+        return _small(np.arange(len(size)), len(size)), vectors
+    place = base ** np.arange(n_classes, dtype=np.int64)
+    code = np.zeros(len(size), dtype=np.int64)
+    np.add.at(code, view.group, place[weight_class])
+    distinct, row_class = np.unique(code, return_inverse=True)
+    digits = (distinct[:, None] // place % base).tolist()
+    vectors = [tuple((c, n) for c, n in enumerate(row) if n) for row in digits]
+    return _small(row_class, len(distinct)), vectors
+
+
+class _Counts:
+    """A side view's rows by weight class, for one content of the system's
+    weight classes, and the hit counts the solvers derive from them, which
+    no weight enters. A row class is a distinct vector of equation counts
+    per weight class; where nothing merges it is the weight class.
+
+    ``totals`` holds ``random_expectation``'s hits over the whole grid, as
+    (weight class, hits) pairs. ``derandomize``'s path holds, per variable
+    in order, the row classes of its rows (``row_classes``), their int64
+    hit counts per value of the variable given the values chosen before it
+    (``counts``), and the choice (``choice``, an index into the constants
+    subgroup). Its first ``valid`` variables are one consistent path."""
+
+    def __init__(self, system: LinSystem, side: int):
+        enc = system.arrays
+        n = self.n_classes = len(enc.weights)
+        self.weight_class = _small(enc.weight_class, n)
+        self.row_class, self.vectors = _row_classes(side_view(system, side), self.weight_class, n)
+        self.totals = None
+        n_vars = len(system.variables)
+        self.row_classes: list = [None] * n_vars
+        self.counts: list = [None] * n_vars
+        self.choice = np.zeros(n_vars, dtype=np.int64)
+        self.valid = 0
+
+    def holds(self, system: LinSystem) -> bool:
+        """Whether the system has the weight classes these counts are for."""
+        enc = system.arrays
+        return len(enc.weights) == self.n_classes and np.array_equal(self.weight_class, enc.weight_class)
+
+    def numerators(self, weights) -> tuple[list[int], int]:
+        """Each row class's weight times the weights' common denominator,
+        as Python ints, and that denominator."""
+        nums, denom = _numerators(weights)
+        return [sum(nums[c] * n for c, n in vector) for vector in self.vectors], denom
+
+    def count(self, rows: np.ndarray, pos: np.ndarray, hits: np.ndarray):
+        """The hits of view rows whose keys sit at ``pos`` in the ``hits``
+        table, summed per row class: the row classes, ascending, and their
+        sums. The rows are counted per (row class, key) pair, densely where
+        the grid of pairs is small next to the rows, sorted otherwise."""
+        n_keys = len(hits)
+        pair = self.row_class[rows].astype(np.int64) * n_keys + pos
+        size = len(self.vectors) * n_keys
+        if size <= max(_DENSE_PER_ROW * len(rows), _DENSE_PAIRS):
+            n = np.bincount(pair, minlength=size)
+            pair = np.flatnonzero(n)
+            n = n[pair]
+        else:
+            pair, n = np.unique(pair, return_counts=True)
+        row_class, key = np.divmod(pair, n_keys)
+        first = np.flatnonzero(np.diff(row_class, prepend=-1))
+        return row_class[first], np.add.reduceat(hits[key] * n[:, None], first, axis=0)
+
+
+def _counts(system: LinSystem, side: int) -> _Counts:
+    """The view's ``_Counts`` for the system's weight classes, kept in the
+    view's memo and shared by the exact systems of one support. A system
+    whose weight classes differ replaces it: ``_compact`` can join equal
+    weights at some eps."""
+    memo = side_view(system, side).memo
+    kept = memo.get("counts")
+    if kept is None or not kept.holds(system):
+        kept = memo["counts"] = _Counts(system, side)
+    return kept
+
+
+def _merged(parts, width: int):
+    """``(row classes, sums)`` parts, each with its row classes ascending,
+    summed per row class."""
+    if len(parts) == 1:
+        return parts[0]
+    row_class = np.concatenate([q for q, _ in parts] + [np.zeros(0, dtype=np.int64)])
+    sums = np.concatenate([n for _, n in parts] + [np.zeros((0, width), dtype=np.int64)])
+    order = np.argsort(row_class, kind="stable")
+    row_class = row_class[order]
+    first = np.flatnonzero(np.diff(row_class, prepend=-1))
+    return row_class[first], np.add.reduceat(sums[order], first, axis=0)
+
+
+def _best(nums: list[int], counts: np.ndarray) -> int:
+    """The index i with the largest sum of ``nums[c] * counts[c, i]``, the
+    smallest on ties, in Python ints."""
+    scores = [sum(map(operator.mul, nums, col)) for col in counts.T.tolist()]
+    return scores.index(max(scores))
 
 
 class _Patterns:
@@ -121,11 +237,11 @@ class _Patterns:
         is fixed to ``value``."""
         return self.shape_pos * value + self.shape_neg * int(self.tables.inverses[value])
 
-    def score(self, shape: np.ndarray, known: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Weighted hits of the keys (shapes plus known parts), summed over
-        the rows and over unknowns 1 and 2: one entry per value of unknown
-        0. An unknown the equation does not use multiplies its hits by |h|,
-        so each entry is |h|^2 times the expected weighted hits."""
+    def lookup(self, shape: np.ndarray, known: np.ndarray) -> np.ndarray:
+        """The positions in ``hits`` of the keys (shapes plus known parts),
+        valid until the next lookup. Row ``hits[p]`` is the key's hits
+        summed over unknowns 1 and 2, one entry per value of unknown 0; an
+        unknown the equation does not use multiplies its hits by |h|."""
         key = self.shape_keys[shape] + known
         pos = np.searchsorted(self.keys, key)
         miss = self.keys[pos] != key
@@ -137,9 +253,7 @@ class _Patterns:
             self.hits = np.insert(self.hits, at, self._hits(slots, new % self.n), axis=0)
             self.keys = np.insert(self.keys, at, new)
             pos = np.searchsorted(self.keys, key)
-        per_key = np.zeros(len(self.keys), dtype=weight.dtype)
-        np.add.at(per_key, pos, weight)
-        return per_key @ self.hits
+        return pos
 
     def _hits(self, slots: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         k, vals = self.k, self.slot_values
@@ -215,16 +329,32 @@ def random_expectation(system: LinSystem, template: Template, side: int) -> Frac
     constants subgroup (Dom(phi) on side 1, Im(phi) on side 2).
 
     An equation's hit probability depends only on its pattern key
-    (repetitions, signs, rhs), so it is computed once per key.
+    (repetitions, signs, rhs), so it is computed once per key. The hits per
+    weight class are counted once, and kept with the view for as long as
+    the system's weight classes stay the same; a call only weighs them.
     """
     tables, h = _side(system, template, side)
-    patterns = _Patterns(tables, h)
-    var_ids, signs, rhs, weight, denom = _view_rows(system, side, tables, len(h) ** 3)
-    total = 0
-    for lo in range(0, len(rhs), _KEY_BLOCK):
-        sl = slice(lo, lo + _KEY_BLOCK)
-        shape = _shapes(_ranks(var_ids[sl].T), signs[sl].T < 0, 0)
-        total += int(patterns.score(shape, rhs[sl], weight[sl]).sum())
+    kept = _counts(system, side)
+    if kept.totals is None:
+        patterns = _Patterns(tables, h)
+        enc, view = system.arrays, side_view(system, side)
+        var_ids, signs = view.rows(enc.var_ids), view.rows(enc.signs)
+        rhs = tables.rhs_map[view.rows(enc.rhs)]
+        parts = []
+        for lo in range(0, len(rhs), _KEY_BLOCK):
+            sl = slice(lo, lo + _KEY_BLOCK)
+            shape = _shapes(_ranks(var_ids[sl].T), signs[sl].T < 0, 0)
+            pos = patterns.lookup(shape, rhs[sl])
+            hits = patterns.hits.sum(axis=1, keepdims=True)
+            parts.append(kept.count(np.arange(lo, lo + len(pos)), pos, hits))
+        row_class, sums = _merged(parts, 1)
+        totals: dict[int, int] = {}
+        for q, t in zip(row_class.tolist(), sums[:, 0].tolist()):
+            for c, n in kept.vectors[q]:
+                totals[c] = totals.get(c, 0) + n * t
+        kept.totals = sorted(totals.items())
+    nums, denom = _numerators(system.arrays.weights)
+    total = sum(nums[c] * t for c, t in kept.totals)
     return Fraction(total, denom * len(h) ** 3)
 
 
@@ -259,30 +389,52 @@ def derandomize(system: LinSystem, template: Template, side: int) -> dict[str, i
     Variable x is scored on the equations that touch it: earlier variables
     are fixed, x is unknown 0, and later ones are unknowns 1 and 2, uniform
     on the constants subgroup. Scores are weight numerators over the
-    weights' common denominator times hits, so they compare exactly.
+    weights' common denominator times hits, so they compare exactly. The
+    path of hits per row class is kept with the view: a call follows it
+    while its choices stay best under the system's weights, and rescores it
+    from the first variable where they do not.
     """
     tables, h = _side(system, template, side)
+    kept = _counts(system, side)
+    nums, _ = kept.numerators(system.arrays.weights)
+    start = 0
+    while start < kept.valid and _best(
+        [nums[c] for c in kept.row_classes[start]], kept.counts[start]
+    ) == kept.choice[start]:
+        start += 1
+    if start < len(system.variables):
+        _rescore(system, side, tables, h, kept, nums, start)
+    return {x: int(val) for x, val in zip(system.variables, h[kept.choice])}
+
+
+def _rescore(system, side, tables, h, kept: _Counts, nums: list[int], start: int) -> None:
+    """Replace the path from variable ``start`` on, the choices before it
+    fixed."""
     patterns = _Patterns(tables, h)
-    var_ids, signs, rhs, weight, _ = _view_rows(system, side, tables, len(h) ** 2)
+    enc, view = system.arrays, side_view(system, side)
     # the incidence depends on the view's rows alone, so it is kept with the view
-    memo = side_view(system, side).memo
-    if "incidence" not in memo:
-        memo["incidence"] = _incidence(var_ids, signs, len(system.variables))
-    eqs, shape, indptr = memo["incidence"]
+    if "incidence" not in view.memo:
+        var_ids, signs = view.rows(enc.var_ids), view.rows(enc.signs)
+        view.memo["incidence"] = _incidence(var_ids, signs, len(system.variables))
+    eqs, shape, indptr = view.memo["incidence"]
     # the rhs plus the key parts of the slots already fixed, per row
-    known = rhs.astype(np.int64)
-    values = np.empty(len(system.variables), dtype=np.int16)
+    known = tables.rhs_map[view.rows(enc.rhs)].astype(np.int64)
+    kept.valid = start
     for x in range(len(system.variables)):
         end = indptr[x + 1]
         blocks = [slice(lo, min(lo + _KEY_BLOCK, end)) for lo in range(indptr[x], end, _KEY_BLOCK)]
-        score = np.zeros(len(h), dtype=weight.dtype)
-        for b in blocks:
-            score += patterns.score(shape[b], known[eqs[b]], weight[eqs[b]])
-        values[x] = h[np.argmax(score)]
-        fixed = patterns.fixed_keys(values[x])
+        if x >= start:
+            parts = []
+            for b in blocks:
+                pos = patterns.lookup(shape[b], known[eqs[b]])
+                parts.append(kept.count(eqs[b], pos, patterns.hits))
+            cls, counts = _merged(parts, len(h))
+            kept.row_classes[x], kept.counts[x] = cls.tolist(), counts
+            kept.choice[x] = _best([nums[c] for c in kept.row_classes[x]], counts)
+            kept.valid = x + 1
+        fixed = patterns.fixed_keys(h[kept.choice[x]])
         for b in blocks:
             known[eqs[b]] += fixed[shape[b]]
-    return {x: int(val) for x, val in zip(system.variables, values)}
 
 
 def unsatisfiable_mask(system: LinSystem, template: Template) -> np.ndarray:

@@ -87,8 +87,14 @@ def test_side_two_groups_equations_equal_modulo_the_kernel(tname, lc_name, rows)
     # each equation agrees with its group's rep, and each group is one key
     assert (keys == keys[view.rep][view.group]).all()
     assert np.array_equal(view.group[view.rep], np.arange(distinct))
-    weight, _ = solvers._numerators(system.arrays, 1)
-    assert view.sums(weight).sum() == weight.sum()
+    # each row's class vector counts its group's equations per weight class
+    enc = system.arrays
+    counts = np.zeros((distinct, len(enc.weights)), dtype=np.int64)
+    np.add.at(counts, (view.group, enc.weight_class), 1)
+    kept = solvers._counts(system, 2)
+    assert [dict(kept.vectors[q]) for q in kept.row_class.tolist()] == [
+        {c: n for c, n in enumerate(row) if n} for row in counts.tolist()
+    ]
 
 
 @pytest.mark.parametrize("tname", TEMPLATES)
@@ -143,12 +149,54 @@ def test_python_int_numerators_are_summed_per_group():
         LinEquation((("y", 1), ("z", 1), ("z", 1)), 0, 1 - Fraction(1, p) - Fraction(1, q) - w),
     ]
     system = LinSystem(t, ("x", "y", "z"), eqs)
-    assert solvers._numerators(system.arrays, 8)[0].dtype == object
+    nums, _ = solvers._numerators(system.arrays.weights)
+    assert max(nums) >= 2**63  # so the scores are Python ints
     assert len(side_view(system, 2).rep) == 3
+    # the merged row's class weighs both equations
+    row_nums, _ = solvers._counts(system, 2).numerators(system.arrays.weights)
+    assert nums[0] + nums[1] in row_nums
     for side, x in ((1, 2), (2, 1)):
         assignment = derandomize(system, t, side)
         assert assignment["x"] == x
         assert assignment == ref.derandomize(system, t, side)
+        assert random_expectation(system, t, side) == ref.random_expectation(system, t, side)
+
+
+def test_many_weight_classes_keep_a_vector_per_row():
+    # 70 distinct weights, in pairs one kernel element apart, and some
+    # equations twice: the pairs merge on side 2, and 70 classes are too
+    # many to code a row's class counts in int64, so every row keeps its
+    # own vector
+    t = catalog.template("z4_to_z2")
+    rng = np.random.default_rng(5)
+    names = [f"x{i}" for i in range(5)]
+    eqs, total = [], 70 * 71 // 2 + 3 + 5
+    for k in range(35):
+        terms = tuple((names[int(rng.integers(5))], int(rng.choice((1, -1)))) for _ in range(3))
+        rhs = int(rng.integers(4))
+        eqs.append(LinEquation(terms, rhs, Fraction(2 * k + 1, total)))
+        eqs.append(LinEquation(terms, (rhs + 2) % 4, Fraction(2 * k + 2, total)))
+    eqs += eqs[2:6:2]  # weights 3/total and 5/total, twice each
+    system = LinSystem(t, names, eqs)
+    kept = solvers._counts(system, 2)
+    rows = len(side_view(system, 2).rep)
+    assert len(system.arrays.weights) == 70 and rows < 70
+    assert kept.row_class.tolist() == list(range(rows))
+    assert max(n for vector in kept.vectors for _, n in vector) == 2
+    for side in (1, 2):
+        assert derandomize(system, t, side) == ref.derandomize(system, t, side)
+        assert random_expectation(system, t, side) == ref.random_expectation(system, t, side)
+
+
+@pytest.mark.parametrize("tname", ("s3_sign", "z4_to_z2"))
+def test_rows_counted_by_sorting_match_the_reference(tname, monkeypatch):
+    # no dense grid, so every block is counted by sorting its pairs
+    monkeypatch.setattr(solvers, "_DENSE_PER_ROW", 0)
+    monkeypatch.setattr(solvers, "_DENSE_PAIRS", 0)
+    t = catalog.template(tname)
+    system = build_system(catalog.label_cover("lc_tiny"), t, ReductionParams(EPS))
+    for side in (1, 2):
+        assert derandomize(system, t, side) == ref.derandomize(system, t, side)
         assert random_expectation(system, t, side) == ref.random_expectation(system, t, side)
 
 

@@ -1,9 +1,12 @@
 """The array kernels of ``derandomize``, ``random_expectation``,
 ``evaluate`` and ``brute_force_opt`` against the per-equation reference loops
-in ``reference_solvers``: identical assignments and identical Fractions."""
+in ``reference_solvers``: identical assignments and identical Fractions.
+Systems that differ only in their weights and share one side-view memo, as
+the exact systems of one support do, must solve as if each were cold."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 import reference_solvers as ref
 from grouplin import (
     ReductionParams,
+    solvers,
     brute_force_opt,
     build_system,
     catalog,
@@ -27,7 +31,7 @@ from grouplin.groups import (
     make_homomorphism,
     validate_template,
 )
-from grouplin.reduction import LinEquation, LinSystem
+from grouplin.reduction import LinEquation, LinSystem, SystemArrays
 from grouplin.solvers import non_cubic_solve, unsatisfiable_mask
 
 TEMPLATES = sorted(catalog.templates())
@@ -151,3 +155,90 @@ def test_pipeline_report_matches_reference(tname, monkeypatch):
     monkeypatch.setattr(cli, "random_expectation", ref.random_expectation)
     monkeypatch.setattr(cli, "evaluate", ref.evaluate)
     assert report == cli.run_pipeline(lc, t, EPS, DELTA)
+
+
+def reweighed(system, weights):
+    """The system with other class weights, sharing its side views (and so
+    the solvers' memo) as the exact systems of one support do."""
+    enc = system.arrays
+    arrays = SystemArrays(enc.var_ids, enc.signs, enc.rhs, enc.weight_class, tuple(weights))
+    other = LinSystem.from_arrays(system.template, system.variables, arrays)
+    other.__dict__["_side_views"] = system._side_views
+    return other
+
+
+def cold(system):
+    """The same system with a memo of its own."""
+    return LinSystem.from_arrays(system.template, system.variables, system.arrays)
+
+
+@pytest.mark.parametrize("side", (1, 2))
+def test_weights_that_flip_a_middle_variable_replace_the_kept_tail(side, monkeypatch):
+    # over Z3: x = 1 wins alone; y = 1 (class 1) and y = 2 (class 2) pull
+    # against each other, so the weights pick y; z = y - x follows y
+    t = catalog.template("z3_id")
+    eqs = [
+        LinEquation((("x", 1), ("y", 1), ("y", -1)), 1, Fraction(1, 10)),
+        LinEquation((("y", 1), ("x", 1), ("x", -1)), 1, Fraction(4, 10)),
+        LinEquation((("y", 1), ("z", 1), ("z", -1)), 2, Fraction(3, 10)),
+        LinEquation((("z", 1), ("y", -1), ("x", 1)), 0, Fraction(2, 10)),
+    ]
+    one = LinSystem(t, ("x", "y", "z"), eqs)
+    two = reweighed(one, [Fraction(k, 10) for k in (1, 3, 4, 2)])
+    lookups = []
+    lookup = solvers._Patterns.lookup
+
+    def counting(self, shape, known):
+        lookups.append(len(shape))
+        return lookup(self, shape, known)
+
+    monkeypatch.setattr(solvers._Patterns, "lookup", counting)
+    expect = {"x": 1, "y": 1, "z": 0}, {"x": 1, "y": 2, "z": 1}
+    for system, assignment, scored in ((one, expect[0], 3), (two, expect[1], 2), (one, expect[0], 2)):
+        lookups.clear()
+        got = derandomize(system, t, side)
+        # x keeps its kept choice; y and z, one block each, are rescored
+        assert len(lookups) == scored
+        assert got == assignment == ref.derandomize(system, t, side)
+        assert random_expectation(system, t, side) == ref.random_expectation(system, t, side)
+    assert one._side_views is two._side_views
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=small_systems(), side=st.sampled_from((1, 2)), data=st.data())
+def test_weight_sweeps_over_one_shared_view_match_cold_solves(system, side, data):
+    t = system.template
+    n = len(system.arrays.weights)
+    used = np.bincount(system.arrays.weight_class, minlength=n).tolist()
+    for _ in range(4):
+        # distinct weights, as every built or loaded system has
+        raw = data.draw(st.lists(st.integers(1, 60), min_size=n, max_size=n, unique=True))
+        total = sum(r * c for r, c in zip(raw, used))
+        warm = reweighed(system, [Fraction(r, total) for r in raw])
+        assignment = derandomize(warm, t, side)
+        assert assignment == derandomize(cold(warm), t, side)
+        assert random_expectation(warm, t, side) == random_expectation(cold(warm), t, side)
+
+
+@pytest.mark.parametrize("side", (1, 2))
+def test_joined_weight_classes_replace_the_kept_counts(side):
+    # the second system joins classes 1 and 2 into one weight, as
+    # ``_compact`` does where weights meet at some eps
+    t = catalog.template("z4_to_z2")
+    eqs = [
+        LinEquation((("x", 1), ("y", 1), ("y", -1)), 1, Fraction(1, 10)),
+        LinEquation((("y", 1), ("x", 1), ("x", -1)), 1, Fraction(4, 10)),
+        LinEquation((("y", 1), ("z", 1), ("z", -1)), 2, Fraction(3, 10)),
+        LinEquation((("z", 1), ("y", -1), ("x", 1)), 3, Fraction(2, 10)),
+    ]
+    one = LinSystem(t, ("x", "y", "z"), eqs)
+    enc = one.arrays
+    joined = SystemArrays(
+        enc.var_ids, enc.signs, enc.rhs, np.array([0, 1, 1, 2]), (Fraction(1, 20), Fraction(2, 5), Fraction(3, 20))
+    )
+    two = LinSystem.from_arrays(t, one.variables, joined)
+    two.__dict__["_side_views"] = one._side_views
+    for system in (one, two, one):
+        assert derandomize(system, t, side) == ref.derandomize(system, t, side)
+        assert random_expectation(system, t, side) == ref.random_expectation(system, t, side)
+        assert solvers._counts(system, side).holds(system)

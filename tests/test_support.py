@@ -1,7 +1,9 @@
 """The eps-free support of the reduction (``reduction.support``): a build at
 one eps after a build at another, on a warm support, must equal a cold build,
 every cap must still be checked on every call, and the arrays systems share
-must be read-only."""
+must be read-only. A warm eps checks only its weights, computes its class
+weights once per run, and solves from the hit counts kept with the view
+without scoring a pattern."""
 
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ import reference_reduction as ref
 import reference_solvers as ref_solvers
 from grouplin import (
     CapExceeded,
+    InvalidParams,
     ReductionParams,
     build_system,
     catalog,
@@ -21,8 +24,8 @@ from grouplin import (
     reduction,
     solvers,
 )
-from grouplin.cli import main
-from grouplin.reduction import tuple_system
+from grouplin.cli import main, run_pipeline
+from grouplin.reduction import LinSystem, tuple_system
 from test_reduction_equivalence import CATALOG_PAIRS, REFERENCE_BUDGET, _tuple_count, instances
 
 EPS1, EPS2 = Fraction(1, 8), Fraction(3, 17)
@@ -217,3 +220,80 @@ def test_equal_instances_share_one_support():
     assert reduction.support(one, t) is reduction.support(two, t)
     rhs = build_system(one, t, ReductionParams(EPS1)).arrays.rhs
     assert build_system(two, t, ReductionParams(EPS2)).arrays.rhs is rhs
+
+
+def test_a_warm_eps_sweep_scores_no_pattern(monkeypatch):
+    t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
+    first = build_system(lc, t, ReductionParams(EPS1))
+    for side in (1, 2):
+        derandomize(first, t, side)
+        random_expectation(first, t, side)
+    scored = []
+    hits = solvers._Patterns._hits
+
+    def counting(self, slots, rhs):
+        scored.append(len(rhs))
+        return hits(self, slots, rhs)
+
+    monkeypatch.setattr(solvers._Patterns, "_hits", counting)
+    solved = {}
+    for eps in (EPS2, Fraction(1, 100), Fraction(9, 10), Fraction(1, 3), EPS1):
+        system = build_system(lc, t, ReductionParams(eps))
+        for side in (1, 2):
+            solved[system, side] = derandomize(system, t, side), random_expectation(system, t, side)
+    assert scored == []
+    # and every warm result is the cold one
+    for (system, side), result in solved.items():
+        fresh = LinSystem.from_arrays(t, system.variables, system.arrays)
+        assert result == (derandomize(fresh, t, side), random_expectation(fresh, t, side))
+    assert scored
+
+
+def test_a_warm_build_checks_only_its_weights(monkeypatch):
+    t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
+    passes = []
+    check = reduction._validate_rows
+
+    def counting(template, variables, rows):
+        passes.append(len(rows.rhs))
+        return check(template, variables, rows)
+
+    monkeypatch.setattr(reduction, "_validate_rows", counting)
+    build_system(lc, t, ReductionParams(EPS1))
+    assert passes == [31104]  # the support's rows, once
+    weights = build_system(lc, t, ReductionParams(EPS2)).arrays.weights
+    assert passes == [31104]
+    # sampled systems are checked row by row on every build
+    sampled = ReductionParams(EPS2, mode="sampled", sample_count=100, seed=1)
+    rows = [len(build_system(lc, t, sampled).arrays) for _ in range(2)]
+    assert passes == [31104, *rows]
+    # bad weights still raise on a warm build
+    w0, w1, w2 = weights
+    for bad, message in (((w0 + 2 * w1, -w1, w2), "non-negative"), ((2 * w0, w1, w2), "weights sum to")):
+        monkeypatch.setattr(reduction, "_class_weights", lambda *args, bad=bad: bad)
+        with pytest.raises(InvalidParams, match=message):
+            build_system(lc, t, ReductionParams(EPS2))
+    assert passes == [31104, *rows]
+
+
+def test_one_pipeline_run_computes_its_class_weights_once(monkeypatch):
+    t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
+    calls = []
+    weights = reduction.noise_class_weights
+
+    def counting(*args):
+        calls.append(args)
+        return weights(*args)
+
+    monkeypatch.setattr(reduction, "noise_class_weights", counting)
+    reduction._tuple_weights.cache_clear()
+    run_pipeline(lc, t, EPS1, Fraction(1, 4))
+    # build_system and both payoff_distribution calls share one computation
+    assert calls == [(6, 2, EPS1)]
+    info = reduction._tuple_weights.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (2, 1, reduction.CLASS_WEIGHTS_CACHE)
+    kept = reduction._class_weights(lc, *reduction.powers(lc, t), EPS1)
+    assert isinstance(kept, tuple) and all(isinstance(w, Fraction) for w in kept)
+    for k in range(reduction.CLASS_WEIGHTS_CACHE + 2):
+        reduction._class_weights(lc, *reduction.powers(lc, t), Fraction(1, k + 2))
+    assert reduction._tuple_weights.cache_info().currsize == reduction.CLASS_WEIGHTS_CACHE
