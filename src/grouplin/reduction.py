@@ -35,10 +35,6 @@ EQUATION_BLOCK = 16384
 # the default cap of 2M tuples.
 SUPPORT_CACHE = 1
 
-# Class weights kept at once (``_class_weights``): a run builds its system
-# and counts its payoffs at one eps, and each entry is |D|+1 Fractions.
-CLASS_WEIGHTS_CACHE = 8
-
 
 @dataclass(frozen=True)
 class LabelCoverInstance:
@@ -113,8 +109,8 @@ class LinSystem:
     first use. ``LinSystem(template, variables, equations)`` encodes
     hand-built equations and ``LinSystem.from_arrays`` takes an encoding as
     it is; both validate the encoding. An exact system built from a
-    ``Support`` checks only its weights, as the support checks its rows
-    once. ``side_view`` memoizes each side's grouping of the equations on
+    ``Support`` checks only its weights (``rows_checked``), as the support
+    checks its rows once. ``side_view`` memoizes each side's grouping of the equations on
     the system, as ``equations`` is; the exact systems of one ``Support``
     share their arrays and so that memo.
     """
@@ -125,9 +121,11 @@ class LinSystem:
         self.__dict__["equations"] = equations
 
     @classmethod
-    def from_arrays(cls, template: Template, variables, arrays: SystemArrays) -> LinSystem:
+    def from_arrays(
+        cls, template: Template, variables, arrays: SystemArrays, rows_checked: bool = False
+    ) -> LinSystem:
         system = cls.__new__(cls)
-        system._set(template, tuple(variables), arrays)
+        system._set(template, tuple(variables), arrays, rows_checked)
         return system
 
     def _set(self, template, variables, arrays, rows_checked: bool = False):
@@ -567,10 +565,10 @@ def _class_weights(lc, pe, pd, eps) -> tuple[Fraction, ...]:
     return _tuple_weights(len(lc.edges), pe.n, pd.n, pd.m, len(pd.group), Fraction(eps))
 
 
-@functools.lru_cache(maxsize=CLASS_WEIGHTS_CACHE)
+@functools.lru_cache(maxsize=1)
 def _tuple_weights(n_edges: int, n_e: int, n_d: int, m: int, order: int, eps: Fraction):
     """``_class_weights`` from the sizes they depend on, kept for the last
-    ``CLASS_WEIGHTS_CACHE`` of them."""
+    of them: a run builds its system and counts its payoffs at one eps."""
     base = Fraction(1, n_edges * n_e * n_d * 4)
     return tuple(base * w for w in noise_class_weights(order, m, eps))
 
@@ -763,8 +761,7 @@ def _system(lc, template, params: ReductionParams, merge: bool) -> LinSystem:
     weights = _class_weights(lc, sup.pe, sup.pd, params.eps)
     if sup.mergeable and not merge:
         return LinSystem.from_arrays(template, sup.variables, sup.tuple_rows().weighed(weights))
-    system = LinSystem.__new__(LinSystem)
-    system._set(template, sup.variables, sup.exact.weighed(weights), rows_checked=True)
+    system = LinSystem.from_arrays(template, sup.variables, sup.exact.weighed(weights), rows_checked=True)
     # the support's rows are this system's rows, so their side views are too
     system.__dict__["_side_views"] = sup.side_views
     return system

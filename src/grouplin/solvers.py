@@ -22,8 +22,10 @@ variable whose choice the new weights change.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -41,9 +43,8 @@ _BLOCK_CELLS = 1 << 18
 _KEY_BLOCK = 1 << 14
 
 # A block of rows is counted on a dense grid of (row class, key) pairs when
-# the grid has at most this many cells per row, or at most this many cells.
+# the grid has at most this many cells per row, and by sorting otherwise.
 _DENSE_PER_ROW = 4
-_DENSE_PAIRS = 1 << 12
 
 # A slot of an equation is coded as one int. Codes 0..n-1 are known term
 # values (the sign already applied); code n + 2*k + s is unknown k (k = 0, 1,
@@ -94,40 +95,47 @@ def _small(values: np.ndarray, bound: int) -> np.ndarray:
 
 def _row_classes(view: SideView, weight_class: np.ndarray, n_classes: int):
     """Per row of the view, its vector of equation counts per weight class,
-    as an index into the distinct vectors, and those vectors as
-    ``((class, count), ...)`` with classes ascending. Where nothing merges, a
-    row's vector is its equation's class. A vector is coded as the digits of
-    one int64; where the code would pass int64 (many weight classes, or
-    large groups), every row keeps its own vector."""
+    as an index into the distinct vectors, and those vectors as sparse rows
+    ``(start, cls, count)``: vector q counts ``count[i]`` equations of class
+    ``cls[i]`` for each i in ``start[q]:start[q + 1]``, classes ascending.
+    Where nothing merges, a row's vector is its equation's class. A vector
+    is coded as the digits of one int64; where the code would pass int64
+    (many weight classes, or large groups), every row keeps its own
+    vector."""
     if view.group is None:
-        return weight_class, [((c, 1),) for c in range(n_classes)]
+        q = np.arange(n_classes + 1)
+        return weight_class, q, _small(q[:-1], n_classes), np.ones(n_classes, dtype=np.uint8)
     size = np.bincount(view.group)
     base = int(size.max()) + 1
     if base**n_classes >= 2**63:
         pair, count = np.unique(view.group.astype(np.int64) * n_classes + weight_class, return_counts=True)
-        vectors: list = [[] for _ in size]
-        for p, n in zip(pair.tolist(), count.tolist()):
-            vectors[p // n_classes].append((p % n_classes, n))
-        return _small(np.arange(len(size)), len(size)), vectors
-    place = base ** np.arange(n_classes, dtype=np.int64)
-    code = np.zeros(len(size), dtype=np.int64)
-    np.add.at(code, view.group, place[weight_class])
-    distinct, row_class = np.unique(code, return_inverse=True)
-    digits = (distinct[:, None] // place % base).tolist()
-    vectors = [tuple((c, n) for c, n in enumerate(row) if n) for row in digits]
-    return _small(row_class, len(distinct)), vectors
+        q, cls = np.divmod(pair, n_classes)
+        row_class, n_vectors = _small(np.arange(len(size)), len(size)), len(size)
+    else:
+        place = base ** np.arange(n_classes, dtype=np.int64)
+        code = np.zeros(len(size), dtype=np.int64)
+        np.add.at(code, view.group, place[weight_class])
+        distinct, row_class = np.unique(code, return_inverse=True)
+        digits = distinct[:, None] // place % base
+        q, cls = np.nonzero(digits)
+        count = digits[q, cls]
+        row_class, n_vectors = _small(row_class, len(distinct)), len(distinct)
+    start = np.zeros(n_vectors + 1, dtype=np.int64)
+    np.cumsum(np.bincount(q, minlength=n_vectors), out=start[1:])
+    return row_class, start, _small(cls, n_classes), _small(count, base)
 
 
 class _Counts:
     """A side view's rows by weight class, for one content of the system's
-    weight classes, and the hit counts the solvers derive from them, which
-    no weight enters. A row class is a distinct vector of equation counts
-    per weight class; where nothing merges it is the weight class.
+    weight classes, and the hit counts per weight class the solvers derive
+    from them, which no weight enters. A row class is a distinct vector of
+    equation counts per weight class (``_row_classes``); where nothing
+    merges it is the weight class.
 
     ``totals`` holds ``random_expectation``'s hits over the whole grid, as
     (weight class, hits) pairs. ``derandomize``'s path holds, per variable
-    in order, the row classes of its rows (``row_classes``), their int64
-    hit counts per value of the variable given the values chosen before it
+    in order, the weight classes of its rows (``classes``), their int64 hit
+    counts per value of the variable given the values chosen before it
     (``counts``), and the choice (``choice``, an index into the constants
     subgroup). Its first ``valid`` variables are one consistent path."""
 
@@ -135,42 +143,77 @@ class _Counts:
         enc = system.arrays
         n = self.n_classes = len(enc.weights)
         self.weight_class = _small(enc.weight_class, n)
-        self.row_class, self.vectors = _row_classes(side_view(system, side), self.weight_class, n)
+        self.source = weakref.ref(enc.weight_class)
+        self.row_class, self.vec_start, self.vec_class, self.vec_count = _row_classes(
+            side_view(system, side), self.weight_class, n
+        )
         self.totals = None
         n_vars = len(system.variables)
-        self.row_classes: list = [None] * n_vars
+        self.classes: list = [None] * n_vars
         self.counts: list = [None] * n_vars
         self.choice = np.zeros(n_vars, dtype=np.int64)
         self.valid = 0
 
     def holds(self, system: LinSystem) -> bool:
-        """Whether the system has the weight classes these counts are for."""
+        """Whether the system has the weight classes these counts are for:
+        the array they were last checked against, while it lives, or one
+        equal to it."""
         enc = system.arrays
-        return len(enc.weights) == self.n_classes and np.array_equal(self.weight_class, enc.weight_class)
-
-    def numerators(self, weights) -> tuple[list[int], int]:
-        """Each row class's weight times the weights' common denominator,
-        as Python ints, and that denominator."""
-        nums, denom = _numerators(weights)
-        return [sum(nums[c] * n for c, n in vector) for vector in self.vectors], denom
+        if self.source() is enc.weight_class:
+            return True
+        if len(enc.weights) == self.n_classes and np.array_equal(self.weight_class, enc.weight_class):
+            self.source = weakref.ref(enc.weight_class)
+            return True
+        return False
 
     def count(self, rows: np.ndarray, pos: np.ndarray, hits: np.ndarray):
         """The hits of view rows whose keys sit at ``pos`` in the ``hits``
         table, summed per row class: the row classes, ascending, and their
         sums. The rows are counted per (row class, key) pair, densely where
-        the grid of pairs is small next to the rows, sorted otherwise."""
+        the grid of pairs has at most ``_DENSE_PER_ROW`` cells per row,
+        sorted otherwise."""
         n_keys = len(hits)
         pair = self.row_class[rows].astype(np.int64) * n_keys + pos
-        size = len(self.vectors) * n_keys
-        if size <= max(_DENSE_PER_ROW * len(rows), _DENSE_PAIRS):
+        size = (len(self.vec_start) - 1) * n_keys
+        if size <= _DENSE_PER_ROW * len(rows):
             n = np.bincount(pair, minlength=size)
             pair = np.flatnonzero(n)
             n = n[pair]
         else:
             pair, n = np.unique(pair, return_counts=True)
         row_class, key = np.divmod(pair, n_keys)
-        first = np.flatnonzero(np.diff(row_class, prepend=-1))
+        first = _firsts(row_class)
         return row_class[first], np.add.reduceat(hits[key] * n[:, None], first, axis=0)
+
+    def by_class(self, row_class: np.ndarray, sums: np.ndarray):
+        """Sums per row class (``row_class`` ascending) as sums per weight
+        class: the weight classes, ascending, and their sums, each row
+        class's sums counted once per equation of the class in its vector.
+        The plan for all row classes, the common case, is kept."""
+        if len(row_class) == len(self.vec_start) - 1:
+            plan = self.every_row_class
+        else:
+            plan = self._plan(row_class)
+        n, order, count, classes, first = plan
+        return classes, np.add.reduceat(sums.repeat(n, axis=0)[order] * count, first, axis=0)
+
+    @functools.cached_property
+    def every_row_class(self):
+        """``_plan`` for all row classes."""
+        return self._plan(np.arange(len(self.vec_start) - 1))
+
+    def _plan(self, row_class: np.ndarray):
+        """How ``by_class`` gathers the given row classes' vector entries
+        and sums them per weight class."""
+        lo = self.vec_start[row_class]
+        n = self.vec_start[row_class + 1] - lo
+        end = np.cumsum(n)
+        entry = np.arange(end[-1] if len(end) else 0) + np.repeat(lo - end + n, n)
+        order = np.argsort(self.vec_class[entry], kind="stable")
+        entry = entry[order]
+        cls = self.vec_class[entry]
+        first = _firsts(cls)
+        return n, order, self.vec_count[entry, None], cls[first], first
 
 
 def _counts(system: LinSystem, side: int) -> _Counts:
@@ -194,8 +237,16 @@ def _merged(parts, width: int):
     sums = np.concatenate([n for _, n in parts] + [np.zeros((0, width), dtype=np.int64)])
     order = np.argsort(row_class, kind="stable")
     row_class = row_class[order]
-    first = np.flatnonzero(np.diff(row_class, prepend=-1))
+    first = _firsts(row_class)
     return row_class[first], np.add.reduceat(sums[order], first, axis=0)
+
+
+def _firsts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal ``values`` starts."""
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def _best(nums: list[int], counts: np.ndarray) -> int:
@@ -347,12 +398,8 @@ def random_expectation(system: LinSystem, template: Template, side: int) -> Frac
             pos = patterns.lookup(shape, rhs[sl])
             hits = patterns.hits.sum(axis=1, keepdims=True)
             parts.append(kept.count(np.arange(lo, lo + len(pos)), pos, hits))
-        row_class, sums = _merged(parts, 1)
-        totals: dict[int, int] = {}
-        for q, t in zip(row_class.tolist(), sums[:, 0].tolist()):
-            for c, n in kept.vectors[q]:
-                totals[c] = totals.get(c, 0) + n * t
-        kept.totals = sorted(totals.items())
+        classes, totals = kept.by_class(*_merged(parts, 1))
+        kept.totals = list(zip(classes.tolist(), totals[:, 0].tolist()))
     nums, denom = _numerators(system.arrays.weights)
     total = sum(nums[c] * t for c, t in kept.totals)
     return Fraction(total, denom * len(h) ** 3)
@@ -390,16 +437,16 @@ def derandomize(system: LinSystem, template: Template, side: int) -> dict[str, i
     are fixed, x is unknown 0, and later ones are unknowns 1 and 2, uniform
     on the constants subgroup. Scores are weight numerators over the
     weights' common denominator times hits, so they compare exactly. The
-    path of hits per row class is kept with the view: a call follows it
+    path of hits per weight class is kept with the view: a call follows it
     while its choices stay best under the system's weights, and rescores it
     from the first variable where they do not.
     """
     tables, h = _side(system, template, side)
     kept = _counts(system, side)
-    nums, _ = kept.numerators(system.arrays.weights)
+    nums, _ = _numerators(system.arrays.weights)
     start = 0
     while start < kept.valid and _best(
-        [nums[c] for c in kept.row_classes[start]], kept.counts[start]
+        [nums[c] for c in kept.classes[start]], kept.counts[start]
     ) == kept.choice[start]:
         start += 1
     if start < len(system.variables):
@@ -428,9 +475,9 @@ def _rescore(system, side, tables, h, kept: _Counts, nums: list[int], start: int
             for b in blocks:
                 pos = patterns.lookup(shape[b], known[eqs[b]])
                 parts.append(kept.count(eqs[b], pos, patterns.hits))
-            cls, counts = _merged(parts, len(h))
-            kept.row_classes[x], kept.counts[x] = cls.tolist(), counts
-            kept.choice[x] = _best([nums[c] for c in kept.row_classes[x]], counts)
+            cls, counts = kept.by_class(*_merged(parts, len(h)))
+            kept.classes[x], kept.counts[x] = cls.tolist(), counts
+            kept.choice[x] = _best([nums[c] for c in kept.classes[x]], counts)
             kept.valid = x + 1
         fixed = patterns.fixed_keys(h[kept.choice[x]])
         for b in blocks:

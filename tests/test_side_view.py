@@ -3,6 +3,7 @@ whose G1 constants differ by an element of ker(phi) are one constraint, and
 the solvers score each such group once. Grouped scores must equal the
 per-equation reference loops in ``reference_solvers``."""
 
+import operator
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -23,7 +24,7 @@ from grouplin import (
     solvers,
 )
 from grouplin.reduction import LinEquation, LinSystem, side_tables, side_view
-from test_solver_equivalence import S4_SIGN, _check_small_system, small_systems
+from test_solver_equivalence import S4_SIGN, _check_small_system, reweighed, small_systems
 
 EPS = Fraction(1, 8)
 DELTA = Fraction(1, 4)
@@ -35,6 +36,12 @@ KERNEL_TEMPLATES = [catalog.template("s3_sign"), catalog.template("z4_to_z2"), S
 def kernel(template):
     """ker(phi), a subgroup of Dom(phi)."""
     return [a for a, b in template.phi.mapping if b == template.g2.identity]
+
+
+def vector(kept, q):
+    """Row class q's equation counts per weight class, as a dict."""
+    span = slice(kept.vec_start[q], kept.vec_start[q + 1])
+    return dict(zip(kept.vec_class[span].tolist(), kept.vec_count[span].tolist()))
 
 
 @st.composite
@@ -92,7 +99,7 @@ def test_side_two_groups_equations_equal_modulo_the_kernel(tname, lc_name, rows)
     counts = np.zeros((distinct, len(enc.weights)), dtype=np.int64)
     np.add.at(counts, (view.group, enc.weight_class), 1)
     kept = solvers._counts(system, 2)
-    assert [dict(kept.vectors[q]) for q in kept.row_class.tolist()] == [
+    assert [vector(kept, q) for q in kept.row_class.tolist()] == [
         {c: n for c, n in enumerate(row) if n} for row in counts.tolist()
     ]
 
@@ -152,9 +159,10 @@ def test_python_int_numerators_are_summed_per_group():
     nums, _ = solvers._numerators(system.arrays.weights)
     assert max(nums) >= 2**63  # so the scores are Python ints
     assert len(side_view(system, 2).rep) == 3
-    # the merged row's class weighs both equations
-    row_nums, _ = solvers._counts(system, 2).numerators(system.arrays.weights)
-    assert nums[0] + nums[1] in row_nums
+    # the merged row's class counts both equations, one per weight class
+    kept = solvers._counts(system, 2)
+    merged = kept.row_class[side_view(system, 2).group[0]]
+    assert vector(kept, merged) == {c: 1 for c in system.arrays.weight_class[:2].tolist()}
     for side, x in ((1, 2), (2, 1)):
         assignment = derandomize(system, t, side)
         assert assignment["x"] == x
@@ -166,7 +174,8 @@ def test_many_weight_classes_keep_a_vector_per_row():
     # 70 distinct weights, in pairs one kernel element apart, and some
     # equations twice: the pairs merge on side 2, and 70 classes are too
     # many to code a row's class counts in int64, so every row keeps its
-    # own vector
+    # own vector. The path keeps counts per weight class, so a warm call
+    # with other weights weighs at most 70 per variable, not one per row.
     t = catalog.template("z4_to_z2")
     rng = np.random.default_rng(5)
     names = [f"x{i}" for i in range(5)]
@@ -182,17 +191,47 @@ def test_many_weight_classes_keep_a_vector_per_row():
     rows = len(side_view(system, 2).rep)
     assert len(system.arrays.weights) == 70 and rows < 70
     assert kept.row_class.tolist() == list(range(rows))
-    assert max(n for vector in kept.vectors for _, n in vector) == 2
+    assert kept.vec_count.max() == 2
+    used = np.bincount(system.arrays.weight_class).tolist()
+    raw = [(37 * k) % 71 + 1 for k in range(70)]
+    other = reweighed(system, [Fraction(r, sum(map(operator.mul, raw, used))) for r in raw])
+    for side in (1, 2):
+        for s in (system, other, system):
+            assert derandomize(s, t, side) == ref.derandomize(s, t, side)
+            assert random_expectation(s, t, side) == ref.random_expectation(s, t, side)
+        kept = solvers._counts(system, side)
+        assert all(len(cls) == len(set(cls)) <= 70 for cls in kept.classes)
+
+
+def test_rows_that_share_weight_classes_are_kept_per_weight_class():
+    # s3_sign/lc_tiny with 45 weight classes drawn at random: 4^45 passes
+    # int64, so every side-2 row keeps its own vector, and many rows share
+    # classes. Each variable keeps one count per weight class, ascending.
+    t = catalog.template("s3_sign")
+    built = build_system(catalog.label_cover("lc_tiny"), t, ReductionParams(EPS))
+    enc = built.arrays
+    weight_class = np.random.default_rng(11).integers(45, size=len(enc)).astype(np.int32)
+    used = np.bincount(weight_class, minlength=45).tolist()
+    raw = [(17 * k) % 47 + 1 for k in range(45)]
+    total = sum(map(operator.mul, raw, used))
+    arrays = reduction.SystemArrays(
+        enc.var_ids, enc.signs, enc.rhs, weight_class, tuple(Fraction(r, total) for r in raw)
+    )
+    system = LinSystem.from_arrays(t, built.variables, arrays)
+    rows = len(side_view(system, 2).rep)
+    assert solvers._counts(system, 2).row_class.tolist() == list(range(rows))
     for side in (1, 2):
         assert derandomize(system, t, side) == ref.derandomize(system, t, side)
         assert random_expectation(system, t, side) == ref.random_expectation(system, t, side)
+        kept = solvers._counts(system, side)
+        assert all(cls == sorted(set(cls)) for cls in kept.classes)
+        assert max(map(len, kept.classes)) > 1
 
 
 @pytest.mark.parametrize("tname", ("s3_sign", "z4_to_z2"))
 def test_rows_counted_by_sorting_match_the_reference(tname, monkeypatch):
     # no dense grid, so every block is counted by sorting its pairs
     monkeypatch.setattr(solvers, "_DENSE_PER_ROW", 0)
-    monkeypatch.setattr(solvers, "_DENSE_PAIRS", 0)
     t = catalog.template(tname)
     system = build_system(catalog.label_cover("lc_tiny"), t, ReductionParams(EPS))
     for side in (1, 2):

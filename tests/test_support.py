@@ -291,9 +291,9 @@ def test_one_pipeline_run_computes_its_class_weights_once(monkeypatch):
     # build_system and both payoff_distribution calls share one computation
     assert calls == [(6, 2, EPS1)]
     info = reduction._tuple_weights.cache_info()
-    assert (info.hits, info.misses, info.maxsize) == (2, 1, reduction.CLASS_WEIGHTS_CACHE)
+    assert (info.hits, info.misses, info.maxsize) == (2, 1, 1)
     kept = reduction._class_weights(lc, *reduction.powers(lc, t), EPS1)
     assert isinstance(kept, tuple) and all(isinstance(w, Fraction) for w in kept)
-    for k in range(reduction.CLASS_WEIGHTS_CACHE + 2):
+    for k in range(3):
         reduction._class_weights(lc, *reduction.powers(lc, t), Fraction(1, k + 2))
-    assert reduction._tuple_weights.cache_info().currsize == reduction.CLASS_WEIGHTS_CACHE
+    assert reduction._tuple_weights.cache_info().currsize == 1
