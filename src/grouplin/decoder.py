@@ -5,6 +5,7 @@ the analysis bounds."""
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -38,13 +39,13 @@ def _ln(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def kappa(delta: Fraction, eps: Fraction, d_size: int | None = None) -> int:
+def kappa(delta: Fraction, eps: Fraction) -> int:
     """Truncation degree: the least k >= 1 with (1 - eps)^k <= delta / 4.
 
     Exact: a float estimate of log(delta/4) / log(1 - eps) is only a first
-    guess, checked and corrected by one step in rational arithmetic. When
-    ``d_size`` is given the result is clamped to [1, d_size], since no
-    representation of the power has a larger degree; a clamp is logged.
+    guess, checked and corrected by one step in rational arithmetic. It is
+    not clamped to |D|: the influences keep degrees 0 < deg < k, so a clamp
+    to |D| would drop the degree-|D| terms.
     """
     delta, eps = Fraction(delta), Fraction(eps)
     if not 0 < eps < 1:
@@ -60,12 +61,7 @@ def kappa(delta: Fraction, eps: Fraction, d_size: int | None = None) -> int:
         value += 1
     elif value > 1 and below <= target:
         value -= 1
-    if d_size is None:
-        return value
-    clamped = min(value, d_size)
-    if clamped != value:
-        log.warning("truncation degree %d clamped to |D| = %d", value, d_size)
-    return clamped
+    return value
 
 
 def alpha(delta: Fraction, eps: Fraction, g1_size: int, g2_size: int) -> Fraction:
@@ -350,36 +346,20 @@ def decode(ctx: DecoderContext):
     """
     choice = select_omega(ctx)
     omega = choice.omega
-    k = kappa(ctx.delta, ctx.eps, d_size=len(ctx.lc.d_labels))
+    k = kappa(ctx.delta, ctx.eps)
     dim = omega.dim
-    v_cache: dict[tuple[int, int], dict] = {}
-    u_cache: dict[tuple[int, int], dict] = {}
 
-    def v_maps(x, y):
-        if (x, y) not in v_cache:
-            v_cache[(x, y)] = {
-                v: _apply_leftover(
-                    influence_probs(ctx, omega, ("v", v, x, y), k), ctx.leftover
-                )
-                for v in ctx.lc.v_names
-            }
-        return v_cache[(x, y)]
-
-    def u_maps(y, z):
-        if (y, z) not in u_cache:
-            u_cache[(y, z)] = {
-                u: _apply_leftover(
-                    influence_probs(ctx, omega, ("u", u, y, z), k), ctx.leftover
-                )
-                for u in ctx.lc.u_names
-            }
-        return u_cache[(y, z)]
+    @functools.cache
+    def maps(side, r, c):
+        """The label maps of every vertex of the side, for entry (r, c)."""
+        names = ctx.lc.v_names if side == "v" else ctx.lc.u_names
+        return {x: _apply_leftover(influence_probs(ctx, omega, (side, x, r, c), k), ctx.leftover) for x in names}
 
     best = None
     for x in range(dim):
         for y in range(dim):
             for z in range(dim):
-                strategy = Strategy(v_maps(x, y), u_maps(y, z), k, ctx.leftover)
+                strategy = Strategy(maps("v", x, y), maps("u", y, z), k, ctx.leftover)
                 value = _agreement(ctx.lc, strategy.u_probs, strategy.v_probs)
                 if best is None or value > best[1] + _TIE:
                     best = (strategy, value, (x, y, z))
@@ -396,26 +376,22 @@ def derandomize_strategy(lc: LabelCoverInstance, strategy: Strategy):
     """
     v_dist = {v: dict(strategy.v_probs[v]) for v in lc.v_names}
     u_dist = {u: dict(strategy.u_probs[u]) for u in lc.u_names}
-    h_e: dict[str, str] = {}
-    for v in lc.v_names:
-        best_label, best_val = None, None
-        for e in lc.e_labels:
-            v_dist[v] = {e: 1.0}
-            val = _agreement(lc, u_dist, v_dist)
-            if best_val is None or val > best_val + _TIE:
-                best_label, best_val = e, val
-        v_dist[v] = {best_label: 1.0}
-        h_e[v] = best_label
-    h_d: dict[str, str] = {}
-    for u in lc.u_names:
-        best_label, best_val = None, None
-        for d in lc.d_labels:
-            u_dist[u] = {d: 1.0}
-            val = _agreement(lc, u_dist, v_dist)
-            if best_val is None or val > best_val + _TIE:
-                best_label, best_val = d, val
-        u_dist[u] = {best_label: 1.0}
-        h_d[u] = best_label
+
+    def fix(dist, names, labels) -> dict[str, str]:
+        chosen = {}
+        for x in names:
+            best_label, best_val = None, None
+            for label in labels:
+                dist[x] = {label: 1.0}
+                val = _agreement(lc, u_dist, v_dist)
+                if best_val is None or val > best_val + _TIE:
+                    best_label, best_val = label, val
+            dist[x] = {best_label: 1.0}
+            chosen[x] = best_label
+        return chosen
+
+    h_e = fix(v_dist, lc.v_names, lc.e_labels)
+    h_d = fix(u_dist, lc.u_names, lc.d_labels)
     return h_d, h_e, lc_value(lc, h_d, h_e)
 
 

@@ -289,8 +289,8 @@ def side_tables(template: Template, side: int) -> SideTables:
 class SideView:
     """A system's equations as one side sees them. Equations whose variable
     ids, signs and side constant (``rhs_map[rhs]``) agree are one constraint
-    there: they form a group, scored once. Groups are in key order; ``rep``
-    holds one equation of each group and ``group`` each equation's group.
+    there: they form a group, scored once. Groups ascend in their ``_codes``;
+    ``rep`` holds one equation of each group and ``group`` each equation's.
     Both are None when the view is the system as it is. ``memo`` keeps what
     the solvers derive from the view's rows, such as their incidence and
     their hit counts per weight class, for as long as the view lives."""
@@ -314,28 +314,50 @@ def side_view(system: LinSystem, side: int) -> SideView:
 
 
 def _side_view(system: LinSystem, side: int) -> SideView:
-    """Equations with equal (variable ids, signs, side constant) grouped.
-    Nothing can merge where phi is injective on Dom(phi), so the system is
-    its own view there (always on side 1). Where the packed key would pass
-    int64 the rows stay unmerged: the same scores, only summed later."""
+    """Equations with equal (variable ids, signs, side constant) grouped,
+    through the rows' ``_codes``. Nothing can merge where phi is injective
+    on Dom(phi), so the system is its own view there (always on side 1)."""
     tables = side_tables(system.template, side)
     dom = list(system.template.h1.members)
-    n_vars, order = len(system.variables), len(tables.group)
-    if len(set(tables.rhs_map[dom].tolist())) == len(dom) or n_vars**3 * 8 * order >= 2**63:
+    if len(set(tables.rhs_map[dom].tolist())) == len(dom):
         return SideView(None, None)
     enc = system.arrays
-    # key = (((v0 * n_vars + v1) * n_vars + v2) * 8 + negative-sign bits)
-    # * |G| + side constant
-    key = enc.var_ids[:, 0].astype(np.int64)
-    for j in (1, 2):
-        key *= n_vars
-        key += enc.var_ids[:, j]
-    for j in range(3):
-        key *= 2
-        key += enc.signs[:, j] < 0
-    key *= order
-    key += tables.rhs_map[enc.rhs]
-    return _groups(key)
+    columns, sizes = _row_columns(enc, tables.rhs_map[enc.rhs], len(system.variables), len(tables.group))
+    return _groups(_codes(columns, sizes))
+
+
+def _row_columns(rows, rhs: np.ndarray, n_vars: int, order: int):
+    """An equation row's columns for ``_codes``: variables, negative signs, constant."""
+    return [*rows.var_ids.T, *(rows.signs.T < 0), rhs], [n_vars] * 3 + [2] * 3 + [order]
+
+
+def _codes(columns, sizes) -> np.ndarray:
+    """One int64 per row of the non-negative int ``columns``, column j below
+    ``sizes[j]``: codes are equal exactly where rows are equal, and ascend
+    in the rows' lexicographic order. The columns are mixed-radix digits,
+    the first the most significant; where the next digit would pass int64,
+    the code so far is first replaced by its rank among the distinct codes,
+    which keeps both properties. The number of rows times any size must
+    stay within int64."""
+    code = np.asarray(columns[0]).astype(np.int64)
+    bound = int(sizes[0])  # every code is below it
+    for column, size in zip(columns[1:], sizes[1:]):
+        size = int(size)
+        if bound * size > 2**63:
+            distinct, code = np.unique(code, return_inverse=True)
+            bound = len(distinct)
+        code *= size
+        code += column
+        bound *= size
+    return code
+
+
+def _firsts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal ``values`` starts."""
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def _groups(key: np.ndarray) -> SideView:
@@ -343,16 +365,13 @@ def _groups(key: np.ndarray) -> SideView:
     differ. Any equation of a group serves as its ``rep``, so the sort
     need not be stable."""
     order = np.argsort(key)
-    key = key[order]
-    new = np.empty(len(key), dtype=bool)
-    new[:1] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
+    first = _firsts(key[order])
     del key
-    if new.all():
+    if len(first) == len(order):
         return SideView(None, None)
     group = np.empty(len(order), dtype=np.int32)
-    group[order] = np.cumsum(new, dtype=np.int32) - 1
-    return SideView(order[new].astype(np.int32), group)
+    group[order] = np.repeat(np.arange(len(first), dtype=np.int32), np.diff(first, append=len(order)))
+    return SideView(order[first].astype(np.int32), group)
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,7 +431,6 @@ def _check_exact_cap(lc, pe, pd, cap):
     limit = enum_cap(cap)
     if raw > limit:
         raise CapExceeded(f"exact mode needs {raw} tuples, cap is {limit}")
-    return raw
 
 
 def _check_payoff_cap(lc, pe, pd, cap):
@@ -644,23 +662,21 @@ def _tuple_rows(blocks, n_cls: int) -> Rows:
 def _merge(rows: Rows) -> Rows:
     """Identical (terms, rhs) merged into one row at the position of the
     first, with its tuples counted per class; ``rows`` has one tuple per
-    row. Row classes are the distinct count vectors, in sorted order."""
-    stacked = np.concatenate([rows.var_ids, rows.signs, rows.rhs[:, None]], axis=1)
-    _, first, inverse = np.unique(stacked, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    group = rank[inverse.reshape(-1)]
-    keep = first[order]
+    row. Row classes are the distinct count vectors, in lexicographic
+    order. Rows and vectors are told apart by their ``_codes``."""
+    code = _codes(*_row_columns(rows, rows.rhs, int(rows.var_ids.max()) + 1, int(rows.rhs.max()) + 1))
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    keep = np.sort(first)
+    group = np.searchsorted(keep, first)[inverse]  # groups in order of first occurrence
     n_cls = len(rows.class_counts)
-    counts = np.bincount(group * n_cls + rows.row_class, minlength=len(keep) * n_cls)
-    vectors, vector_of = np.unique(counts.reshape(len(keep), n_cls), axis=0, return_inverse=True)
+    counts = np.bincount(group * n_cls + rows.row_class, minlength=len(keep) * n_cls).reshape(len(keep), n_cls)
+    _, at, vector_of = np.unique(_codes(counts.T, counts.max(axis=0) + 1), return_index=True, return_inverse=True)
     return Rows(
         rows.var_ids[keep],
         rows.signs[keep],
         rows.rhs[keep],
-        vector_of.reshape(-1).astype(np.int32),
-        vectors,
+        vector_of.astype(np.int32),
+        counts[at],
     )
 
 
@@ -913,18 +929,10 @@ def family_assignment(
     lc: LabelCoverInstance, template: Template, family: AssignmentFamily
 ) -> dict[str, int]:
     """The variable assignment encoded by a family of tables."""
-    pe, pd = powers(lc, template)
-    _check_family_shape(lc, template, pe, pd, family)
-    out: dict[str, int] = {}
-    for u in lc.u_names:
-        table = family.b_tables[u]
-        for b in range(pd.n):
-            out[var_u(u, b)] = int(table[b])
-    for v in lc.v_names:
-        table = family.a_tables[v]
-        for a in range(pe.n):
-            out[var_v(v, a)] = int(table[a])
-    return out
+    sup = support(lc, template)
+    _check_family_shape(lc, template, sup.pe, sup.pd, family)
+    tables = [family.b_tables[u] for u in lc.u_names] + [family.a_tables[v] for v in lc.v_names]
+    return dict(zip(sup.variables, np.concatenate(tables).tolist()))
 
 
 def projection_family(
@@ -938,15 +946,9 @@ def projection_family(
     pe, pd = powers(lc, template)
     epos = {l: k for k, l in enumerate(lc.e_labels)}
     dpos = {l: k for k, l in enumerate(lc.d_labels)}
-    psi = template.witness if side == 2 else tuple(range(len(template.g1)))
-    a_tables = {}
-    for v in lc.v_names:
-        k = epos[str(h_e[v])]
-        a_tables[v] = np.array([psi[pe.coords(a)[k]] for a in range(pe.n)])
-    b_tables = {}
-    for u in lc.u_names:
-        k = dpos[str(h_d[u])]
-        b_tables[u] = np.array([psi[pd.coords(b)[k]] for b in range(pd.n)])
+    psi = np.array(template.witness if side == 2 else range(len(template.g1)))
+    a_tables = {v: psi[pe.coords_matrix()[:, epos[str(h_e[v])]]] for v in lc.v_names}
+    b_tables = {u: psi[pd.coords_matrix()[:, dpos[str(h_d[u])]]] for u in lc.u_names}
     return AssignmentFamily(side, a_tables, b_tables)
 
 

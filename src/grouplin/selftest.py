@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import catalog, io
+from .cli import SELFTEST_MODULES as MODULES
 from .decoder import (
     expected_character,
     high_degree_mass,
@@ -53,6 +54,7 @@ from .reduction import (
     LinEquation,
     LinSystem,
     ReductionParams,
+    _codes,
     build_system,
     evaluate,
     evaluate_family,
@@ -64,7 +66,6 @@ from .reduction import (
 from .reps import eta, irreps, multiplicity, regular_representation
 from .solvers import brute_force_opt, derandomize, non_cubic_solve, random_expectation
 
-MODULES = ("groups", "reps", "fourier", "reduction", "solvers", "decoder", "io")
 GROUP_NAMES = ("z2", "z3", "z4", "z2xz2", "s3", "d4", "q8", "s4")
 
 
@@ -461,6 +462,22 @@ def _check_merge_invariance(seed):
     return bad == 0, float(bad), ""
 
 
+def _check_row_codes(seed):
+    """``_codes`` against a sort of the rows as tuples, in numbers and in
+    order, also where column sizes up to 2^32 make the code be ranked."""
+    rng = np.random.default_rng(seed)
+    bad = ranked = 0
+    for _ in range(40):
+        sizes = rng.integers(1, 2**32, size=int(rng.integers(1, 7)), endpoint=True).tolist()
+        # three values per column, so that rows repeat
+        rows = list(zip(*(rng.integers(0, size, size=3)[rng.integers(0, 3, size=40)].tolist() for size in sizes)))
+        rank = {row: k for k, row in enumerate(sorted(set(rows)))}
+        _, inverse = np.unique(_codes(np.array(rows).T, sizes), return_inverse=True)
+        bad += inverse.tolist() != [rank[r] for r in rows]
+        ranked += math.prod(sizes) > 2**63
+    return bad == 0 and ranked > 0, float(bad), f"40 cases, {ranked} ranked"
+
+
 def _check_sampling(seed):
     # a sampled system's weights sum to 1 and its value is near the exact one
     t = catalog.template("z2_id")
@@ -718,6 +735,7 @@ def registry() -> tuple[Check, ...]:
         add("reduction", f"completeness-value[{tname}]", _check_completeness_value, tname)
     add("reduction", "two-path-agreement", _check_two_paths)
     add("reduction", "merge-invariance", _check_merge_invariance)
+    add("reduction", "row-codes", _check_row_codes)
     add("reduction", "sampling-concentration", _check_sampling)
 
     add("solvers", "derandomize-dominates", _check_derandomize_dominates)

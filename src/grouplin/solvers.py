@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidParams, enum_cap
 from .groups import Template, cube_image
-from .reduction import LinSystem, SideTables, SideView, evaluate, side_tables, side_view
+from .reduction import LinSystem, SideTables, SideView, _codes, _firsts, evaluate, side_tables, side_view
 
 # Cells of (assignment or pattern) x (equation or grid point) per kernel
 # block, which bounds the kernels' scratch memory.
@@ -241,14 +241,6 @@ def _merged(parts, width: int):
     return row_class[first], np.add.reduceat(sums[order], first, axis=0)
 
 
-def _firsts(values: np.ndarray) -> np.ndarray:
-    """Where each run of equal ``values`` starts."""
-    new = np.empty(len(values), dtype=bool)
-    new[:1] = True
-    np.not_equal(values[1:], values[:-1], out=new[1:])
-    return np.flatnonzero(new)
-
-
 def _best(nums: list[int], counts: np.ndarray) -> int:
     """The index i with the largest sum of ``nums[c] * counts[c, i]``, the
     smallest on ties, in Python ints."""
@@ -337,6 +329,7 @@ def brute_force_opt(system: LinSystem, side: int, cap: int | None = None):
     rhs = tables.rhs_map[enc.rhs]
     one_hot = np.zeros((len(rhs), len(enc.weights)), dtype=np.int64)
     one_hot[np.arange(len(rhs)), enc.weight_class] = 1
+    sizes = one_hot.sum(axis=0) + 1
     # the first variable is the most significant digit: lexicographic order
     place = n ** np.arange(n_vars - 1, -1, -1, dtype=np.int64)
     step = max(1, _BLOCK_CELLS // len(rhs))
@@ -347,8 +340,9 @@ def brute_force_opt(system: LinSystem, side: int, cap: int | None = None):
         values = (idx[:, None] // place % n).astype(np.int16)
         t = tables.term_values(values[:, enc.var_ids], enc.signs)
         hit = tables.products(t[..., 0], t[..., 1], t[..., 2]) == rhs
-        rows, first = np.unique(hit @ one_hot, axis=0, return_index=True)
-        row_vals = [enc.weigh(r) for r in rows]
+        counts = hit @ one_hot
+        _, first = np.unique(_codes(counts.T, sizes), return_index=True)
+        row_vals = [enc.weigh(r) for r in counts[first]]
         top = max(row_vals)
         if best_val is None or top > best_val:
             pick = min(int(f) for f, v in zip(first, row_vals) if v == top)

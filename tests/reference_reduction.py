@@ -20,6 +20,7 @@ from grouplin.io import frac_str
 from grouplin.reduction import (
     LinEquation,
     LinSystem,
+    Rows,
     _check_exact_cap,
     _check_family_shape,
     powers,
@@ -141,6 +142,30 @@ def build_system(lc, template, params):
     variables += [var_v(v, a) for v in lc.v_names for a in range(pe.n)]
     equations = tuple(LinEquation(terms, rhs, w) for (terms, rhs), w in merged.items())
     return LinSystem(template, tuple(variables), equations)
+
+
+def merge(rows):
+    """``reduction._merge`` through ``np.unique(axis=0)``: identical (terms,
+    rhs) merged into one row at the position of the first, with its tuples
+    counted per class; row classes are the distinct count vectors, in
+    sorted order."""
+    stacked = np.concatenate([rows.var_ids, rows.signs, rows.rhs[:, None]], axis=1)
+    _, first, inverse = np.unique(stacked, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    group = rank[inverse.reshape(-1)]
+    keep = first[order]
+    n_cls = len(rows.class_counts)
+    counts = np.bincount(group * n_cls + rows.row_class, minlength=len(keep) * n_cls)
+    vectors, vector_of = np.unique(counts.reshape(len(keep), n_cls), axis=0, return_inverse=True)
+    return Rows(
+        rows.var_ids[keep],
+        rows.signs[keep],
+        rows.rhs[keep],
+        vector_of.reshape(-1).astype(np.int32),
+        vectors,
+    )
 
 
 def payoff_distribution(lc, template, params, family, side):

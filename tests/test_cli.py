@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import grouplin
 from grouplin import catalog, io
 from grouplin.cli import main
 from grouplin.errors import InvalidParams, table_cap
@@ -305,7 +310,7 @@ def test_decode_command(tmp_path, capsys):
     assert report["omega"] == 1
     assert report["eta"] == 0
     assert abs(report["margin"] - 0.625) < 1e-9
-    assert report["kappa"] == 2
+    assert report["kappa"] == 21  # not clamped to |D| = 2
     assert report["derandomized"]["value"] == "1/1"
     assert report["family_value"] == "15/16"
 
@@ -526,6 +531,18 @@ def test_selftest_unknown_module_exit_code(capsys):
         main(["selftest", "fouier"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_the_cli_imports_selftest_only_for_its_subcommand():
+    # a fresh interpreter: this process has imported selftest already
+    src = str(Path(grouplin.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, grouplin.cli; print('grouplin.selftest' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+    bogus = subprocess.run([sys.executable, "-m", "grouplin.cli", "selftest", "bogus"], env=env, capture_output=True, text=True)
+    assert bogus.returncode == 2
+    assert "invalid choice: 'bogus'" in bogus.stderr
 
 
 def test_group_json_parses_back_to_same_group(tmp_path):

@@ -26,6 +26,7 @@ from grouplin import (
     simulate_strategy,
     trivial_term_bound,
 )
+from grouplin.cli import run_pipeline
 from grouplin.decoder import expected_character, left_table, right_table
 from grouplin.reduction import powers
 
@@ -77,11 +78,6 @@ def test_kappa_formula_values():
     assert kappa(Fraction(1, 4), Fraction(1, 8)) == math.ceil(ratio)
 
 
-def test_kappa_clamps_to_label_count():
-    assert kappa(Fraction(1, 4), Fraction(1, 2), d_size=2) == 2
-    assert kappa(Fraction(1, 4), Fraction(1, 2), d_size=10) == 4
-
-
 @pytest.mark.parametrize(
     "eps, k",
     [(Fraction(1, 2), 3), (Fraction(1, 3), 5), (Fraction(1, 4001), 11000)],
@@ -103,11 +99,14 @@ def test_kappa_is_the_least_degree():
             assert k == 1 or (1 - eps) ** (k - 1) > delta / 4
 
 
-def test_kappa_clamp_logs_the_raw_degree(caplog):
-    delta = 4 * Fraction(2, 3) ** 5
-    with caplog.at_level("WARNING", logger="grouplin.decoder"):
-        assert kappa(delta - Fraction(1, 10**30), Fraction(1, 3), d_size=2) == 2
-    assert "truncation degree 6 clamped to |D| = 2" in caplog.text
+@pytest.mark.parametrize("tname", sorted(catalog.templates()))
+def test_one_label_instances_decode_above_the_floor(tname):
+    # |D| = 1 on lc_tiny while kappa = 21: a kappa clamped to |D| dropped
+    # the degree-|D| terms, and every template decoded to 0, below alpha
+    t = catalog.template(tname)
+    report = run_pipeline(catalog.label_cover("lc_tiny"), t, EPS, DELTA)["decoder"]
+    assert report["kappa"] == kappa(DELTA, EPS) == 21
+    assert report["expected_value"] >= float(report["alpha"]) > 0
 
 
 def test_kappa_rejects_bad_params():

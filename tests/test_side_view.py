@@ -5,7 +5,6 @@ per-equation reference loops in ``reference_solvers``."""
 
 import operator
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -115,31 +114,32 @@ def test_the_view_is_the_system_where_nothing_can_merge(tname):
         assert view.rows(system.arrays.rhs) is system.arrays.rhs
 
 
-def test_keys_past_int64_leave_the_rows_unmerged():
-    # the key packs n_vars^3 * 8 * |G2| values; |G2| = 2 on z4_to_z2
+def test_rows_past_the_packed_int64_key_still_merge():
+    # (v0, v1, v2, three sign bits, side constant) packs into n^3 * 8 * |G2|
+    # values, past int64 for n >= 832,256 variables on a Z2 side; _codes
+    # ranks the code there, so the view still merges, exactly as the small
+    # system's does, and the solvers keep equal to the reference
     t = catalog.template("z4_to_z2")
-    system = build_system(catalog.label_cover("lc_tiny"), t, ReductionParams(EPS))
-    enc = system.arrays
-    n = round(2 ** (59 / 3))
-    while n**3 * 16 >= 2**63:
-        n -= 1
-    assert (n + 1) ** 3 * 16 >= 2**63
-    # the largest count of variables that packs: the top variable id lands
-    # in the key's highest digits, so an overflow would split or join groups
-    top = SimpleNamespace(
-        template=t,
-        variables=range(n),
-        arrays=reduction.SystemArrays(
-            enc.var_ids + (n - 1 - enc.var_ids.max()), enc.signs, enc.rhs, enc.weight_class, enc.weights
-        ),
+    small = build_system(catalog.label_cover("lc_tiny"), t, ReductionParams(EPS))
+    enc = small.arrays
+    n = 832256
+    assert n**3 * 16 >= 2**63 > (n - 1) ** 3 * 16
+    # the top variable ids land in the code's highest digits
+    arrays = reduction.SystemArrays(
+        enc.var_ids + (n - 1 - enc.var_ids.max()), enc.signs, enc.rhs, enc.weight_class, enc.weights
     )
-    view = reduction._side_view(top, 2)
-    keys = _keys(system, 2)
-    assert len(view.rep) == len(np.unique(keys, axis=0)) < len(enc)
-    assert (keys == keys[view.rep][view.group]).all()
-    past = SimpleNamespace(template=t, variables=range(n + 1), arrays=enc)
-    view = reduction._side_view(past, 2)
-    assert view.rep is None and view.group is None
+    system = LinSystem.from_arrays(t, [f"x{i}" for i in range(n)], arrays)
+    view = side_view(system, 2)
+    # groups are numbered in the order of the rows, a negative sign above
+    # a positive one
+    keys = [(*row[:3], *(-s for s in row[3:6]), row[6]) for row in _keys(system, 2).tolist()]
+    groups = {key: g for g, key in enumerate(sorted(set(keys)))}
+    assert view.group.tolist() == [groups[key] for key in keys]
+    assert len(view.rep) < len(enc)
+    assert np.array_equal(view.group, side_view(small, 2).group)
+    # derandomize visits every variable, 40 us each even where no row
+    # touches it; its input, the view, is the small system's
+    assert random_expectation(system, t, 2) == ref.random_expectation(system, t, 2)
 
 
 def test_python_int_numerators_are_summed_per_group():
