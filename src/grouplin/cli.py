@@ -25,7 +25,7 @@ from .reduction import (
     projection_family,
 )
 from .reps import irreps
-from .solvers import brute_force_opt, derandomize, non_cubic_solve, random_expectation
+from .solvers import brute_force_opt, derandomize, derandomized_value, non_cubic_solve, random_expectation
 
 
 # the selftest registry's modules, here as only its subcommand imports it
@@ -106,7 +106,7 @@ def _cmd_solve(args) -> int:
         _emit({"value": random_expectation(system, template, side)})
     elif args.method == "derand":
         assignment = derandomize(system, template, side)
-        _emit({"value": evaluate(system, assignment, side), "assignment": assignment})
+        _emit({"value": derandomized_value(system, template, side), "assignment": assignment})
     else:
         if args.c is None:
             raise InvalidParams("--c is required for the noncubic method")
@@ -174,8 +174,7 @@ def run_pipeline(
     proj1 = projection_family(lc, template, h_d, h_e, side=1)
     completeness = evaluate_family(lc, template, params, proj1, side=1)
 
-    solver_assignment = derandomize(system, template, side=2)
-    solver_value = evaluate(system, solver_assignment, side=2)
+    solver_value = derandomized_value(system, template, side=2)
     expectation = random_expectation(system, template, side=2)
 
     if family is None:

@@ -35,6 +35,7 @@ from .decoder import (
     simulate_strategy,
     trivial_term_bound,
 )
+from .errors import CapExceeded
 from .fourier import (
     MatrixFn,
     ScalarFn,
@@ -59,12 +60,13 @@ from .reduction import (
     evaluate,
     evaluate_family,
     family_assignment,
+    make_label_cover,
     powers,
     projection_family,
     tuple_system,
 )
 from .reps import eta, irreps, multiplicity, regular_representation
-from .solvers import brute_force_opt, derandomize, non_cubic_solve, random_expectation
+from .solvers import brute_force_opt, derandomize, derandomized_value, non_cubic_solve, random_expectation
 
 GROUP_NAMES = ("z2", "z3", "z4", "z2xz2", "s3", "d4", "q8", "s4")
 
@@ -574,6 +576,28 @@ def _check_warm_equals_cold(seed):
     return bad == 0, float(bad), f"{len(catalog.templates())} pairs x {len(sweep) + 1} eps x 2 sides"
 
 
+def _check_derandomized_value(seed):
+    # the value weighed from the counts kept with derandomize's path is its
+    # assignment's, over an eps sweep on one shared memo; lc_tiny's edge
+    # doubled beside a single one joins weights at eps = |G1| / (|G1| + 1)
+    rng = np.random.default_rng(seed)
+    sweep = [Fraction(1, 8), Fraction(3, 17), Fraction(9, 10), Fraction(int(rng.integers(1, 99)), 100)]
+    edge = ("u0", "v0", {"d0": "e0"})
+    doubled = make_label_cover(["d0"], ["e0"], ["u0", "u1"], ["v0"], [edge, edge, ("u1", *edge[1:])])
+    bad, cases, skipped = 0, 0, []
+    pairs = itertools.product(catalog.templates().items(), {**catalog.label_covers(), "doubled": doubled}.items())
+    for (tname, t), (lname, lc) in pairs:
+        try:
+            for eps in sweep + [Fraction(len(t.g1), len(t.g1) + 1), sweep[0]]:
+                system = build_system(lc, t, ReductionParams(eps))
+                for side in (1, 2):
+                    value = evaluate(system, derandomize(system, t, side), side)
+                    bad, cases = bad + (derandomized_value(system, t, side) != value), cases + 1
+        except CapExceeded:
+            skipped.append(f"{tname}/{lname}")
+    return bad == 0, float(bad), f"{cases} cases, over the cap: {skipped}"
+
+
 def _check_noncubic_sound(seed):
     t = catalog.template("z3_id")
     rng = np.random.default_rng(seed)
@@ -750,6 +774,7 @@ def registry() -> tuple[Check, ...]:
     )
     add("solvers", "unsatisfiable-rejection-sound", _check_noncubic_sound)
     add("solvers", "warm-equals-cold[lc_tiny]", _check_warm_equals_cold)
+    add("solvers", "derandomized-value", _check_derandomized_value)
 
     for tname in ("z2_id", "s3_sign", "s3_a3_incl"):
         add("decoder", f"averaging-consistency[{tname}]", _check_averaging, tname)

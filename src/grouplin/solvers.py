@@ -12,12 +12,13 @@ pattern once per scoring pass. A row's weight is a sum of its weight
 classes' weights, so what they score is hits per weight class, which no
 weight enters: ``random_expectation`` keeps one total per class, and
 ``derandomize`` keeps its path, the counts per class and the choice at each
-variable. Both are kept in the view's memo, next to the incidence
-``derandomize`` builds, with the system (with its support, for an exact
-reduction), for as long as the system's weight classes stay the same. A
-call then only weighs the counts with integer numerators over the weights'
-common denominator; ``derandomize`` rescores the path from the first
-variable whose choice the new weights change.
+variable that rows touch, and the hits per class of the assignment the path
+ends in, which ``derandomized_value`` weighs. All are kept in the view's
+memo, next to the incidence ``derandomize`` builds, with the system (with
+its support, for an exact reduction), for as long as the system's weight
+classes stay the same. A call then only weighs the counts with integer
+numerators over the weights' common denominator; ``derandomize`` rescores
+the path from the first variable whose choice the new weights change.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidParams, enum_cap
 from .groups import Template, cube_image
-from .reduction import LinSystem, SideTables, SideView, _codes, _firsts, evaluate, side_tables, side_view
+from .reduction import LinSystem, SideTables, SideView, _codes, _firsts, side_tables, side_view
 
 # Cells of (assignment or pattern) x (equation or grid point) per kernel
 # block, which bounds the kernels' scratch memory.
@@ -134,10 +135,13 @@ class _Counts:
 
     ``totals`` holds ``random_expectation``'s hits over the whole grid, as
     (weight class, hits) pairs. ``derandomize``'s path holds, per variable
-    in order, the weight classes of its rows (``classes``), their int64 hit
-    counts per value of the variable given the values chosen before it
-    (``counts``), and the choice (``choice``, an index into the constants
-    subgroup). Its first ``valid`` variables are one consistent path."""
+    that rows touch, in order, a step: the variable, the weight classes of
+    its rows and their int64 hit counts per value of the variable given the
+    values chosen before it. ``choice`` holds each variable's choice, an
+    index into the constants subgroup (0 where no row touches it).
+    ``assigned`` holds the hits of the assignment the path ends in, times
+    |h|^2, as (weight class, hits) pairs; it is None until ``_path`` has
+    walked a new path to its end."""
 
     def __init__(self, system: LinSystem, side: int):
         enc = system.arrays
@@ -147,12 +151,9 @@ class _Counts:
         self.row_class, self.vec_start, self.vec_class, self.vec_count = _row_classes(
             side_view(system, side), self.weight_class, n
         )
-        self.totals = None
-        n_vars = len(system.variables)
-        self.classes: list = [None] * n_vars
-        self.counts: list = [None] * n_vars
-        self.choice = np.zeros(n_vars, dtype=np.int64)
-        self.valid = 0
+        self.totals = self.assigned = None
+        self.path: list = []
+        self.choice = np.zeros(len(system.variables), dtype=np.int64)
 
     def holds(self, system: LinSystem) -> bool:
         """Whether the system has the weight classes these counts are for:
@@ -381,22 +382,24 @@ def random_expectation(system: LinSystem, template: Template, side: int) -> Frac
     tables, h = _side(system, template, side)
     kept = _counts(system, side)
     if kept.totals is None:
-        patterns = _Patterns(tables, h)
         enc, view = system.arrays, side_view(system, side)
-        var_ids, signs = view.rows(enc.var_ids), view.rows(enc.signs)
+        shape = _shapes(_ranks(view.rows(enc.var_ids).T), view.rows(enc.signs).T < 0, 0)
         rhs = tables.rhs_map[view.rows(enc.rhs)]
-        parts = []
-        for lo in range(0, len(rhs), _KEY_BLOCK):
-            sl = slice(lo, lo + _KEY_BLOCK)
-            shape = _shapes(_ranks(var_ids[sl].T), signs[sl].T < 0, 0)
-            pos = patterns.lookup(shape, rhs[sl])
-            hits = patterns.hits.sum(axis=1, keepdims=True)
-            parts.append(kept.count(np.arange(lo, lo + len(pos)), pos, hits))
-        classes, totals = kept.by_class(*_merged(parts, 1))
-        kept.totals = list(zip(classes.tolist(), totals[:, 0].tolist()))
-    nums, denom = _numerators(system.arrays.weights)
-    total = sum(nums[c] * t for c, t in kept.totals)
-    return Fraction(total, denom * len(h) ** 3)
+        classes, hits = _class_hits(kept, _Patterns(tables, h), np.arange(len(rhs)), shape, rhs)
+        kept.totals = list(zip(classes.tolist(), hits.sum(axis=1).tolist()))
+    return _weigh(system, kept.totals, len(h) ** 3)
+
+
+def _class_hits(kept: _Counts, patterns: _Patterns, rows: np.ndarray, shape: np.ndarray, known: np.ndarray):
+    """The hits of the view's ``rows``, whose keys are ``shape`` plus
+    ``known``, summed per weight class: the weight classes, ascending, and
+    their sums, one column per value of unknown 0."""
+    parts = []
+    for lo in range(0, len(rows), _KEY_BLOCK):
+        sl = slice(lo, lo + _KEY_BLOCK)
+        pos = patterns.lookup(shape[sl], known[sl])
+        parts.append(kept.count(rows[sl], pos, patterns.hits))
+    return kept.by_class(*_merged(parts, patterns.k))
 
 
 def _incidence(var_ids: np.ndarray, signs: np.ndarray, n_vars: int):
@@ -435,22 +438,39 @@ def derandomize(system: LinSystem, template: Template, side: int) -> dict[str, i
     while its choices stay best under the system's weights, and rescores it
     from the first variable where they do not.
     """
+    kept, h = _path(system, template, side)
+    return {x: int(val) for x, val in zip(system.variables, h[kept.choice])}
+
+
+def derandomized_value(system: LinSystem, template: Template, side: int) -> Fraction:
+    """The exact weight that ``derandomize``'s assignment satisfies, weighed
+    from the hits per weight class kept with its path."""
+    kept, h = _path(system, template, side)
+    return _weigh(system, kept.assigned, len(h) ** 2)
+
+
+def _weigh(system: LinSystem, class_hits, scale: int) -> Fraction:
+    """(weight class, hits) pairs weighed by the system's weights, over
+    ``scale``."""
+    nums, denom = _numerators(system.arrays.weights)
+    return Fraction(sum(nums[c] * t for c, t in class_hits), denom * scale)
+
+
+def _path(system: LinSystem, template: Template, side: int):
+    """The view's ``_Counts`` with ``derandomize``'s path for the system's
+    weights, and the constants subgroup. The kept path is followed while its
+    choices stay best; from the first step where one does not, it is
+    replaced and the assignment it ends in is counted."""
     tables, h = _side(system, template, side)
     kept = _counts(system, side)
     nums, _ = _numerators(system.arrays.weights)
     start = 0
-    while start < kept.valid and _best(
-        [nums[c] for c in kept.classes[start]], kept.counts[start]
-    ) == kept.choice[start]:
+    for x, classes, counts in kept.path:
+        if _best([nums[c] for c in classes], counts) != kept.choice[x]:
+            break
         start += 1
-    if start < len(system.variables):
-        _rescore(system, side, tables, h, kept, nums, start)
-    return {x: int(val) for x, val in zip(system.variables, h[kept.choice])}
-
-
-def _rescore(system, side, tables, h, kept: _Counts, nums: list[int], start: int) -> None:
-    """Replace the path from variable ``start`` on, the choices before it
-    fixed."""
+    if start == len(kept.path) and kept.assigned is not None:
+        return kept, h
     patterns = _Patterns(tables, h)
     enc, view = system.arrays, side_view(system, side)
     # the incidence depends on the view's rows alone, so it is kept with the view
@@ -460,22 +480,21 @@ def _rescore(system, side, tables, h, kept: _Counts, nums: list[int], start: int
     eqs, shape, indptr = view.memo["incidence"]
     # the rhs plus the key parts of the slots already fixed, per row
     known = tables.rhs_map[view.rows(enc.rhs)].astype(np.int64)
-    kept.valid = start
-    for x in range(len(system.variables)):
-        end = indptr[x + 1]
-        blocks = [slice(lo, min(lo + _KEY_BLOCK, end)) for lo in range(indptr[x], end, _KEY_BLOCK)]
-        if x >= start:
-            parts = []
-            for b in blocks:
-                pos = patterns.lookup(shape[b], known[eqs[b]])
-                parts.append(kept.count(eqs[b], pos, patterns.hits))
-            cls, counts = kept.by_class(*_merged(parts, len(h)))
-            kept.classes[x], kept.counts[x] = cls.tolist(), counts
-            kept.choice[x] = _best([nums[c] for c in kept.classes[x]], counts)
-            kept.valid = x + 1
-        fixed = patterns.fixed_keys(h[kept.choice[x]])
-        for b in blocks:
-            known[eqs[b]] += fixed[shape[b]]
+    del kept.path[start:]
+    kept.assigned = None
+    for step, x in enumerate(np.flatnonzero(indptr[1:] > indptr[:-1]).tolist()):
+        own = slice(indptr[x], indptr[x + 1])
+        rows = eqs[own]
+        if step >= start:
+            classes, counts = _class_hits(kept, patterns, rows, shape[own], known[rows])
+            classes = classes.tolist()
+            kept.choice[x] = _best([nums[c] for c in classes], counts)
+            kept.path.append((x, classes, counts))
+        known[rows] += patterns.fixed_keys(h[kept.choice[x]])[shape[own]]
+    # every slot is fixed now: shape 0, |h|^2 per hit at every value
+    classes, hits = _class_hits(kept, patterns, np.arange(len(known)), np.zeros(len(known), dtype=np.int16), known)
+    kept.assigned = list(zip(classes.tolist(), hits[:, 0].tolist()))
+    return kept, h
 
 
 def unsatisfiable_mask(system: LinSystem, template: Template) -> np.ndarray:
@@ -505,11 +524,9 @@ def non_cubic_solve(system: LinSystem, template: Template, c: Fraction) -> dict:
     )
     if unsat > 1 - c:
         return {"status": "reject", "unsat_weight": unsat}
-    assignment = derandomize(system, template, 2)
-    value = evaluate(system, assignment, 2)
     return {
         "status": "accept",
         "unsat_weight": unsat,
-        "assignment": assignment,
-        "value": value,
+        "assignment": derandomize(system, template, 2),
+        "value": derandomized_value(system, template, 2),
     }

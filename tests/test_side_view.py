@@ -18,6 +18,8 @@ from grouplin import (
     catalog,
     cli,
     derandomize,
+    derandomized_value,
+    evaluate,
     random_expectation,
     reduction,
     solvers,
@@ -137,9 +139,18 @@ def test_rows_past_the_packed_int64_key_still_merge():
     assert view.group.tolist() == [groups[key] for key in keys]
     assert len(view.rep) < len(enc)
     assert np.array_equal(view.group, side_view(small, 2).group)
-    # derandomize visits every variable, 40 us each even where no row
-    # touches it; its input, the view, is the small system's
     assert random_expectation(system, t, 2) == ref.random_expectation(system, t, 2)
+    # derandomize walks only the variables rows touch, the small system's
+    # renamed; the reference scores every other one 0 and keeps Im(phi)'s
+    # first element there, which is what its loop over all n would return
+    assignment = derandomize(system, t, 2)
+    offset = n - 1 - enc.var_ids.max()
+    expect = dict.fromkeys(system.variables, t.h2.members[0])
+    reference = ref.derandomize(small, t, 2)
+    for i, x in enumerate(small.variables[: n - offset]):
+        expect[f"x{i + offset}"] = reference[x]
+    assert assignment == expect
+    assert derandomized_value(system, t, 2) == evaluate(system, assignment, 2)
 
 
 def test_python_int_numerators_are_summed_per_group():
@@ -200,7 +211,7 @@ def test_many_weight_classes_keep_a_vector_per_row():
             assert derandomize(s, t, side) == ref.derandomize(s, t, side)
             assert random_expectation(s, t, side) == ref.random_expectation(s, t, side)
         kept = solvers._counts(system, side)
-        assert all(len(cls) == len(set(cls)) <= 70 for cls in kept.classes)
+        assert all(len(cls) == len(set(cls)) <= 70 for _, cls, _ in kept.path)
 
 
 def test_rows_that_share_weight_classes_are_kept_per_weight_class():
@@ -224,8 +235,9 @@ def test_rows_that_share_weight_classes_are_kept_per_weight_class():
         assert derandomize(system, t, side) == ref.derandomize(system, t, side)
         assert random_expectation(system, t, side) == ref.random_expectation(system, t, side)
         kept = solvers._counts(system, side)
-        assert all(cls == sorted(set(cls)) for cls in kept.classes)
-        assert max(map(len, kept.classes)) > 1
+        classes = [cls for _, cls, _ in kept.path]
+        assert all(cls == sorted(set(cls)) for cls in classes)
+        assert max(map(len, classes)) > 1
 
 
 @pytest.mark.parametrize("tname", ("s3_sign", "z4_to_z2"))

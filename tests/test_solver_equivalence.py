@@ -20,6 +20,7 @@ from grouplin import (
     catalog,
     cli,
     derandomize,
+    derandomized_value,
     evaluate,
     family_assignment,
     projection_family,
@@ -31,7 +32,7 @@ from grouplin.groups import (
     make_homomorphism,
     validate_template,
 )
-from grouplin.reduction import LinEquation, LinSystem, SystemArrays
+from grouplin.reduction import LinEquation, LinSystem, SystemArrays, side_view
 from grouplin.solvers import non_cubic_solve, unsatisfiable_mask
 
 TEMPLATES = sorted(catalog.templates())
@@ -172,10 +173,10 @@ def cold(system):
     return LinSystem.from_arrays(system.template, system.variables, system.arrays)
 
 
-@pytest.mark.parametrize("side", (1, 2))
-def test_weights_that_flip_a_middle_variable_replace_the_kept_tail(side, monkeypatch):
-    # over Z3: x = 1 wins alone; y = 1 (class 1) and y = 2 (class 2) pull
-    # against each other, so the weights pick y; z = y - x follows y
+def flipping_systems():
+    """Two Z3 systems on one memo. x = 1 wins alone; y = 1 (class 1) and
+    y = 2 (class 2) pull against each other, so the weights pick y; z = y - x
+    follows y."""
     t = catalog.template("z3_id")
     eqs = [
         LinEquation((("x", 1), ("y", 1), ("y", -1)), 1, Fraction(1, 10)),
@@ -184,24 +185,58 @@ def test_weights_that_flip_a_middle_variable_replace_the_kept_tail(side, monkeyp
         LinEquation((("z", 1), ("y", -1), ("x", 1)), 0, Fraction(2, 10)),
     ]
     one = LinSystem(t, ("x", "y", "z"), eqs)
-    two = reweighed(one, [Fraction(k, 10) for k in (1, 3, 4, 2)])
-    lookups = []
+    return t, one, reweighed(one, [Fraction(k, 10) for k in (1, 3, 4, 2)])
+
+
+@pytest.mark.parametrize("side", (1, 2))
+def test_weights_that_flip_a_middle_variable_replace_the_kept_tail(side, monkeypatch):
+    t, one, two = flipping_systems()
+    lookups, assigned = [], []
     lookup = solvers._Patterns.lookup
 
     def counting(self, shape, known):
-        lookups.append(len(shape))
+        # a variable's rows hold it as unknown 0; all-fixed rows (shape 0)
+        # count the assignment the path ends in
+        (lookups if shape.any() else assigned).append(len(shape))
         return lookup(self, shape, known)
 
     monkeypatch.setattr(solvers._Patterns, "lookup", counting)
     expect = {"x": 1, "y": 1, "z": 0}, {"x": 1, "y": 2, "z": 1}
     for system, assignment, scored in ((one, expect[0], 3), (two, expect[1], 2), (one, expect[0], 2)):
         lookups.clear()
+        assigned.clear()
         got = derandomize(system, t, side)
-        # x keeps its kept choice; y and z, one block each, are rescored
+        # x keeps its kept choice; y and z, one block each, are rescored,
+        # and the new assignment is counted once, over every view row
         assert len(lookups) == scored
+        assert assigned == [len(side_view(system, side).rows(system.arrays.rhs))]
         assert got == assignment == ref.derandomize(system, t, side)
+        assert derandomized_value(system, t, side) == evaluate(system, got, side)
+        assert assigned == [len(side_view(system, side).rows(system.arrays.rhs))]
         assert random_expectation(system, t, side) == ref.random_expectation(system, t, side)
     assert one._side_views is two._side_views
+
+
+@pytest.mark.parametrize("side", (1, 2))
+def test_an_interrupted_rescore_is_finished_by_the_next_call(side, monkeypatch):
+    # the second system rescores y, then z; stopped at z, the path ends
+    # after y and the old assignment's counts are gone
+    t, one, two = flipping_systems()
+    derandomize(one, t, side)
+    calls, best = [], solvers._best
+
+    def stopping(nums, counts):
+        calls.append(len(calls))
+        if len(calls) == 4:  # x and y checked, y rescored, then z
+            raise KeyboardInterrupt
+        return best(nums, counts)
+
+    monkeypatch.setattr(solvers, "_best", stopping)
+    with pytest.raises(KeyboardInterrupt):
+        derandomize(two, t, side)
+    monkeypatch.setattr(solvers, "_best", best)
+    assert derandomize(two, t, side) == ref.derandomize(two, t, side)
+    assert derandomized_value(two, t, side) == evaluate(two, ref.derandomize(two, t, side), side)
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,6 +253,20 @@ def test_weight_sweeps_over_one_shared_view_match_cold_solves(system, side, data
         assignment = derandomize(warm, t, side)
         assert assignment == derandomize(cold(warm), t, side)
         assert random_expectation(warm, t, side) == random_expectation(cold(warm), t, side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=small_systems(), side=st.sampled_from((1, 2)), data=st.data())
+def test_derandomized_values_over_one_shared_view_match_the_reference(system, side, data):
+    t = system.template
+    n = len(system.arrays.weights)
+    used = np.bincount(system.arrays.weight_class, minlength=n).tolist()
+    for _ in range(4):
+        raw = data.draw(st.lists(st.integers(1, 60), min_size=n, max_size=n, unique=True))
+        total = sum(r * c for r, c in zip(raw, used))
+        warm = reweighed(system, [Fraction(r, total) for r in raw])
+        value = evaluate(warm, ref.derandomize(warm, t, side), side)
+        assert derandomized_value(warm, t, side) == value
 
 
 @pytest.mark.parametrize("side", (1, 2))

@@ -19,6 +19,7 @@ from grouplin import (
     ReductionParams,
     build_system,
     catalog,
+    cli,
     derandomize,
     random_expectation,
     reduction,
@@ -247,6 +248,34 @@ def test_a_warm_eps_sweep_scores_no_pattern(monkeypatch):
         fresh = LinSystem.from_arrays(t, system.variables, system.arrays)
         assert result == (derandomize(fresh, t, side), random_expectation(fresh, t, side))
     assert scored
+
+
+def test_a_warm_pipeline_evaluates_nothing(monkeypatch):
+    # the derandomized value is weighed from the counts kept with the path
+    t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
+    sweep = (EPS2, Fraction(1, 100), Fraction(1, 5), EPS1)
+    delta = Fraction(1, 4)
+    run_pipeline(lc, t, EPS1, delta)
+    calls = []
+    evaluate, hits = reduction.evaluate, solvers._Patterns._hits
+
+    def evaluating(*args):
+        calls.append("evaluate")
+        return evaluate(*args)
+
+    def scoring(self, slots, rhs):
+        calls.append("_hits")
+        return hits(self, slots, rhs)
+
+    for module in (reduction, cli):
+        monkeypatch.setattr(module, "evaluate", evaluating)
+    monkeypatch.setattr(solvers._Patterns, "_hits", scoring)
+    warm = [run_pipeline(lc, t, eps, delta) for eps in sweep]
+    assert calls == []
+    for eps, report in zip(sweep, warm):
+        reduction._support.cache_clear()
+        assert report == run_pipeline(lc, t, eps, delta)
+    assert "_hits" in calls and "evaluate" not in calls
 
 
 def test_a_warm_build_checks_only_its_weights(monkeypatch):
