@@ -583,7 +583,7 @@ def _check_derandomized_value(seed):
     rng = np.random.default_rng(seed)
     sweep = [Fraction(1, 8), Fraction(3, 17), Fraction(9, 10), Fraction(int(rng.integers(1, 99)), 100)]
     edge = ("u0", "v0", {"d0": "e0"})
-    doubled = make_label_cover(["d0"], ["e0"], ["u0", "u1"], ["v0"], [edge, edge, ("u1", *edge[1:])])
+    doubled = make_label_cover(["d0"], ["e0"], ["u0", "u1"], ["v0"], [edge, edge, ("u1", "v0", {"d0": "e0"})])
     bad, cases, skipped = 0, 0, []
     pairs = itertools.product(catalog.templates().items(), {**catalog.label_covers(), "doubled": doubled}.items())
     for (tname, t), (lname, lc) in pairs:
@@ -592,7 +592,8 @@ def _check_derandomized_value(seed):
                 system = build_system(lc, t, ReductionParams(eps))
                 for side in (1, 2):
                     value = evaluate(system, derandomize(system, t, side), side)
-                    bad, cases = bad + (derandomized_value(system, t, side) != value), cases + 1
+                    bad += derandomized_value(system, t, side) != value
+                    cases += 1
         except CapExceeded:
             skipped.append(f"{tname}/{lname}")
     return bad == 0, float(bad), f"{cases} cases, over the cap: {skipped}"

@@ -492,7 +492,8 @@ def _path(system: LinSystem, template: Template, side: int):
             kept.path.append((x, classes, counts))
         known[rows] += patterns.fixed_keys(h[kept.choice[x]])[shape[own]]
     # every slot is fixed now: shape 0, |h|^2 per hit at every value
-    classes, hits = _class_hits(kept, patterns, np.arange(len(known)), np.zeros(len(known), dtype=np.int16), known)
+    rows = np.arange(len(known))
+    classes, hits = _class_hits(kept, patterns, rows, np.zeros(len(rows), dtype=np.int16), known)
     kept.assigned = list(zip(classes.tolist(), hits[:, 0].tolist()))
     return kept, h
 
