@@ -24,6 +24,7 @@ from .reduction import (
     lc_value,
     payoff_distribution,
     powers,
+    support,
 )
 from .reps import IrrepSet, UnitaryRep, eta, irreps
 
@@ -39,13 +40,17 @@ def _ln(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
+@functools.lru_cache(maxsize=8)
 def kappa(delta: Fraction, eps: Fraction) -> int:
     """Truncation degree: the least k >= 1 with (1 - eps)^k <= delta / 4.
 
     Exact: a float estimate of log(delta/4) / log(1 - eps) is only a first
     guess, checked and corrected by one step in rational arithmetic. It is
     not clamped to |D|: the influences keep degrees 0 < deg < k, so a clamp
-    to |D| would drop the degree-|D| terms.
+    to |D| would drop the degree-|D| terms. Memoized for the last 8
+    (delta, eps): a run asks for it in ``decode`` and in ``alpha``, and the
+    rational check costs milliseconds at small eps (k = 11,092 at
+    eps = 1/4001, delta = 1/4).
     """
     delta, eps = Fraction(delta), Fraction(eps)
     if not 0 < eps < 1:
@@ -277,31 +282,49 @@ def influence_probs(ctx: DecoderContext, omega: UnitaryRep, which, kappa_value: 
     composed with omega) or ("u", name, y, z) for a left vertex (uses the
     sign-averaged table). Labels map to the truncated Fourier mass of the
     representations non-trivial at that coordinate; the total is at most 1.
+
+    Only the truncation depends on eps. The entry's terms (``_terms``) are
+    kept with the support's entry for the family's content
+    (``reduction.Support.family``), next to its side-2 payoff counts, per
+    (omega, vertex, entry), and a call sums the kept terms below
+    ``kappa_value`` in representation order, so the floats add up as they
+    do over a fresh transform.
     """
     side, name, r, c = which
-    if side == "v":
-        fn = right_table(ctx, omega, name)
-        rhos, labels = ctx.prod_e, ctx.lc.e_labels
-    elif side == "u":
-        fn = left_table(ctx, omega, name)
-        rhos, labels = ctx.prod_d, ctx.lc.d_labels
-    else:
+    if side not in ("v", "u"):
         raise InvalidParams("which must start with 'v' or 'u'")
+    kept = support(ctx.lc, ctx.template).family(ctx.family).influences
+    key = (omega, ctx.g1_irreps, side, name, r, c)
+    if key not in kept:
+        kept[key] = _terms(ctx, omega, side, name, r, c)
+    out = {l: 0.0 for l in (ctx.lc.e_labels if side == "v" else ctx.lc.d_labels)}
+    for deg, mass, labels in kept[key]:
+        if deg < kappa_value:
+            for label in labels:
+                out[label] += mass
+    return out
+
+
+def _terms(ctx: DecoderContext, omega: UnitaryRep, side: str, name: str, r: int, c: int) -> list:
+    """The (r, c) entry of a vertex table's transform, per representation
+    of positive degree with non-zero mass, in order: its degree, its mass
+    (dim times the squared block norm, over the degree) and the labels of
+    the coordinates where it is non-trivial."""
+    if side == "v":
+        fn, rhos, labels = right_table(ctx, omega, name), ctx.prod_e, ctx.lc.e_labels
+    else:
+        fn, rhos, labels = left_table(ctx, omega, name), ctx.prod_d, ctx.lc.d_labels
     # the (r, c) entry as a 1 x 1 matrix table
     table = transform(replace(fn, values=fn.values[:, r : r + 1, c : c + 1]), rhos)
-    out = {l: 0.0 for l in labels}
+    terms = []
     for rho in rhos:
         deg = rho.degree
-        if deg == 0 or deg >= kappa_value:
+        if deg == 0:
             continue
-        block = table.blocks[rho.comps]
-        mass = rho.dim * float(np.sum(np.abs(block) ** 2)) / deg
-        if mass == 0.0:
-            continue
-        for pos, comp in enumerate(rho.comps):
-            if comp != 0:
-                out[labels[pos]] += mass
-    return out
+        mass = rho.dim * float(np.sum(np.abs(table.blocks[rho.comps]) ** 2)) / deg
+        if mass != 0.0:
+            terms.append((deg, mass, [labels[pos] for pos, comp in enumerate(rho.comps) if comp != 0]))
+    return terms
 
 
 @dataclass(frozen=True)

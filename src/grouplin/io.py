@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from fractions import Fraction
 from io import StringIO
 
@@ -34,12 +35,38 @@ from .reduction import (
 )
 
 
+# Digits per piece where an integer is too long for ``str`` (``_int_str``):
+# under the least limit ``sys.set_int_max_str_digits`` accepts, 640.
+_PIECE_DIGITS = 500
+_PIECE = 10**_PIECE_DIGITS
+
+
 def frac_str(x: Fraction) -> str:
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
+
+
+def _int_str(n: int) -> str:
+    """The decimal digits of ``n``. Past the interpreter's limit on
+    int-to-str conversion (``sys.get_int_max_str_digits``), which stays as
+    it is for other code, they are written ``_PIECE_DIGITS`` at a time: an
+    exact value such as alpha at eps = 1/4001 has a denominator of 28,696
+    bits."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    head, pieces = abs(n), []
+    while head >= _PIECE:
+        head, low = divmod(head, _PIECE)
+        pieces.append(f"{low:0{_PIECE_DIGITS}d}")
+    return "-" * (n < 0) + str(head) + "".join(reversed(pieces))
 
 
 def parse_frac(s) -> Fraction:
+    """A rational from "p/q" or an integer. Integers keep the interpreter's
+    limit on their digits (``sys.get_int_max_str_digits``): a longer one is
+    refused, naming the limit."""
     if isinstance(s, Fraction):
         return s
     if isinstance(s, int) and not isinstance(s, bool):
@@ -51,6 +78,13 @@ def parse_frac(s) -> Fraction:
             return Fraction(int(num), int(den))
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
+        limit = sys.get_int_max_str_digits()
+        digits = max(sum(ch.isdigit() for ch in part) for part in text.split("/"))
+        if limit and digits > limit:
+            raise InvalidParams(
+                f"an integer of {digits} digits in {_shorten(repr(s))} is over the limit of"
+                f" {limit} digits for integer strings"
+            ) from exc
         raise InvalidParams(f"not a rational: {s!r}") from exc
 
 

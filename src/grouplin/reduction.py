@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,8 +33,9 @@ EQUATION_BLOCK = 16384
 # an eps sweep solves one pair again and again. A kept support holds its exact
 # encoding with both side views, their incidence and the solvers' hit counts
 # after both solvers ran on both sides, about 62 bytes per equation on
-# s3_a3_incl/lc2 (23 MB for 373,248 equations), so at most about 125 MB at
-# the default cap of 2M tuples.
+# s3_a3_incl/lc2 (23 MB for 373,248 equations; 4 more per equation at an eps
+# that joins row weights), so at most about 125 MB at the default cap of 2M
+# tuples.
 SUPPORT_CACHE = 1
 
 
@@ -109,10 +112,11 @@ class LinSystem:
     first use. ``LinSystem(template, variables, equations)`` encodes
     hand-built equations and ``LinSystem.from_arrays`` takes an encoding as
     it is; both validate the encoding. An exact system built from a
-    ``Support`` checks only its weights (``rows_checked``), as the support
-    checks its rows once. ``side_view`` memoizes each side's grouping of the equations on
-    the system, as ``equations`` is; the exact systems of one ``Support``
-    share their arrays and so that memo.
+    ``Support`` checks only its weights against the support's equations per
+    weight class (``class_totals``), as the support checks its rows and
+    weight classes once. ``side_view`` memoizes each side's grouping of the
+    equations on the system, as ``equations`` is; the exact systems of one
+    ``Support`` share their arrays and so that memo.
     """
 
     def __init__(self, template: Template, variables, equations):
@@ -122,19 +126,21 @@ class LinSystem:
 
     @classmethod
     def from_arrays(
-        cls, template: Template, variables, arrays: SystemArrays, rows_checked: bool = False
+        cls, template: Template, variables, arrays: SystemArrays, class_totals: np.ndarray | None = None
     ) -> LinSystem:
         system = cls.__new__(cls)
-        system._set(template, tuple(variables), arrays, rows_checked)
+        system._set(template, tuple(variables), arrays, class_totals)
         return system
 
-    def _set(self, template, variables, arrays, rows_checked: bool = False):
-        """Take the encoding as the system's. ``rows_checked`` skips the
-        checks of the variables and rows, which a support's exact rows pass
-        once; the weights are checked on every system."""
-        if not rows_checked:
+    def _set(self, template, variables, arrays, class_totals=None):
+        """Take the encoding as the system's. ``class_totals``, the
+        equations per weight class that a support counts when it checks its
+        variables, rows and weight classes, skips those checks; the weights
+        are checked on every system."""
+        if class_totals is None:
             _validate_rows(template, variables, arrays)
-        _validate_weights(arrays)
+            class_totals = _class_totals(arrays)
+        _validate_weights(arrays, class_totals)
         self.template = template
         self.variables = variables
         self.arrays = SystemArrays(
@@ -210,19 +216,25 @@ def _validate_rows(template: Template, variables: tuple[str, ...], rows) -> None
         raise InvalidParams(f"rhs {rows.rhs[~inside][0]} outside Dom(phi)")
 
 
-def _validate_weights(enc: SystemArrays) -> None:
-    """The checks on a system's weights: one class per equation, in range,
-    and non-negative weights that sum to exactly 1."""
+def _class_totals(enc: SystemArrays) -> np.ndarray:
+    """The equations per weight class, after the checks on the classes: one
+    per equation, in range."""
     m = len(enc.rhs)
     if enc.weight_class.shape != (m,):
         raise InvalidParams("one weight class per equation")
-    if any(w < 0 for w in enc.weights):
-        raise InvalidParams("weights must be non-negative")
     if m and not 0 <= enc.weight_class.min() <= enc.weight_class.max() < len(enc.weights):
         raise InvalidParams("weight class out of range")
-    total = enc.weigh(np.bincount(enc.weight_class, minlength=len(enc.weights)))
-    if total != 1:
-        raise InvalidParams(f"weights sum to {total}, not 1")
+    return np.bincount(enc.weight_class, minlength=len(enc.weights))
+
+
+def _validate_weights(enc: SystemArrays, class_totals) -> None:
+    """The checks on a system's weights: non-negative, and summing to
+    exactly 1 over ``class_totals``, the equations per weight class."""
+    if any(w < 0 for w in enc.weights):
+        raise InvalidParams("weights must be non-negative")
+    nums, denom = _numerators(enc.weights)
+    if sum(map(operator.mul, nums, class_totals.tolist())) != denom:
+        raise InvalidParams(f"weights sum to {enc.weigh(class_totals)}, not 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,6 +260,13 @@ class SystemArrays:
 
 def _weigh(weights, counts) -> Fraction:
     return sum((w * int(c) for w, c in zip(weights, counts) if c), Fraction(0))
+
+
+def _numerators(weights) -> tuple[list[int], int]:
+    """The weights times their common denominator, as Python ints, and that
+    denominator."""
+    denom = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (denom // w.denominator) for w in weights], denom
 
 
 @dataclass(frozen=True, eq=False)
@@ -628,10 +647,32 @@ class Rows:
     def weighed(self, weights) -> SystemArrays:
         """The encoding with weight ``weights[k]`` per tuple of class ``k``;
         unused row weights are dropped and equal ones joined."""
-        weight_class, row_weights = _compact(
-            self.row_class, [_weigh(weights, row) for row in self.class_counts.tolist()]
+        return self.encoding(*self.joined(weights))
+
+    def joined(self, weights) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+        """Per row class, its weight class at ``weights[k]`` per tuple of
+        class ``k``, with unused row weights dropped (-1) and equal ones
+        joined; and the joined weights, in order of first use."""
+        ids: dict[Fraction, int] = {}
+        remap = tuple(
+            ids.setdefault(_weigh(weights, row), len(ids)) if used else -1
+            for row, used in zip(self.class_counts.tolist(), self.used)
         )
-        return SystemArrays(self.var_ids, self.signs, self.rhs, weight_class, row_weights)
+        return remap, tuple(ids)
+
+    def encoding(self, remap, weights) -> SystemArrays:
+        """The encoding with weight class ``remap[c]`` for row class ``c``:
+        the row classes themselves where ``remap`` drops and joins none."""
+        if remap == tuple(range(len(remap))):
+            weight_class = self.row_class
+        else:
+            weight_class = np.array(remap)[self.row_class].astype(np.int32)
+        return SystemArrays(self.var_ids, self.signs, self.rhs, weight_class, weights)
+
+    @functools.cached_property
+    def used(self) -> list[bool]:
+        """Whether any row has the row class, per row class."""
+        return (np.bincount(self.row_class, minlength=len(self.class_counts)) > 0).tolist()
 
 
 def _tuple_rows(blocks, n_cls: int) -> Rows:
@@ -680,12 +721,18 @@ def _merge(rows: Rows) -> Rows:
     )
 
 
-def _compact(weight_class: np.ndarray, weights) -> tuple[np.ndarray, tuple[Fraction, ...]]:
-    """Weight classes with unused ones dropped and equal ones joined."""
-    used = np.bincount(weight_class, minlength=len(weights)) > 0
-    ids: dict[Fraction, int] = {}
-    remap = np.array([ids.setdefault(w, len(ids)) if u else -1 for w, u in zip(weights, used)])
-    return remap[weight_class].astype(np.int32), tuple(ids)
+@dataclass(eq=False)
+class KeptFamily:
+    """The eps-free work on one family, which its support keeps for the
+    last family of each side: the counts of ``payoff_distribution`` and the
+    decoder's influence terms (``decoder.influence_probs``). ``key`` is the
+    family's content, per vertex its name and its table's dtype, shape and
+    bytes, not its identity: a run builds its families anew, and their
+    tables are mutable arrays."""
+
+    key: tuple
+    counts: np.ndarray | None = None  # int64 [|G|, |D|+1], read-only
+    influences: dict = field(default_factory=dict)
 
 
 class Support:
@@ -698,6 +745,12 @@ class Support:
     Exact systems built from one support share those arrays, which are
     read-only, and its ``side_views`` memo, so the solvers group, index and
     score each side once. Sampled systems are drawn on every build.
+
+    What no weight enters is kept too, so an eps sweep only weighs counts:
+    the exact encoding's weight classes with their equation totals, for
+    the last pattern of equal row weights (``weighed``), and per side, for
+    the last family by content, its payoff counts and the decoder's
+    influence terms (``family``). All of it goes with the support.
     """
 
     def __init__(self, lc: LabelCoverInstance, template: Template):
@@ -711,6 +764,10 @@ class Support:
         # exact equation; sampled draws can repeat one anyway
         self.mergeable = len({(u, v) for u, v, _ in lc.edges}) < len(lc.edges)
         self.side_views: dict[int, SideView] = {}
+        self.families: dict[int, KeptFamily] = {}  # per side
+        # (remap, weight class array, equations per class) of the last
+        # pattern of equal row weights
+        self.weight_classes: tuple | None = None
         # the first variable of each left and of each right vertex
         self.u_off = {u: k * self.pd.n for k, u in enumerate(lc.u_names)}
         self.v_off = {v: len(lc.u_names) * self.pd.n + k * self.pe.n for k, v in enumerate(lc.v_names)}
@@ -731,6 +788,37 @@ class Support:
         for array in (rows.var_ids, rows.signs, rows.rhs, rows.row_class, rows.class_counts):
             _read_only(array)
         return rows
+
+    def weighed(self, weights) -> tuple[SystemArrays, np.ndarray]:
+        """The exact encoding at the noise-class ``weights``, and its
+        equations per weight class. The weight classes depend only on which
+        row weights are equal, which eps can change (|G1| / (|G1| + 1) joins
+        two on lc_tiny with a doubled edge), so the classes and totals of
+        the last such pattern are kept, read-only, and checked when they are
+        made. Callers check the enumeration cap first."""
+        rows = self.exact
+        remap, weights = rows.joined(weights)
+        if self.weight_classes is None or self.weight_classes[0] != remap:
+            arrays = rows.encoding(remap, weights)
+            totals = _class_totals(arrays)
+            self.weight_classes = (remap, _read_only(arrays.weight_class), _read_only(totals))
+        _, weight_class, totals = self.weight_classes
+        return SystemArrays(rows.var_ids, rows.signs, rows.rhs, weight_class, weights), totals
+
+    def family(self, family: AssignmentFamily) -> KeptFamily:
+        """The kept entry of the family's side for the family's content; a
+        family with other content replaces it. Callers check the family's
+        shape first."""
+        key = []
+        for names, tables in ((self.lc.v_names, family.a_tables), (self.lc.u_names, family.b_tables)):
+            for x in names:
+                table = np.asarray(tables[x])
+                key.append((x, table.dtype.str, table.shape, table.tobytes()))
+        key = tuple(key)
+        kept = self.families.get(family.side)
+        if kept is None or kept.key != key:
+            kept = self.families[family.side] = KeptFamily(key)
+        return kept
 
     def tuple_rows(self) -> Rows:
         """One row per tuple (edge, a, b, nu, s1, s2), one block per edge;
@@ -777,7 +865,8 @@ def _system(lc, template, params: ReductionParams, merge: bool) -> LinSystem:
     weights = _class_weights(lc, sup.pe, sup.pd, params.eps)
     if sup.mergeable and not merge:
         return LinSystem.from_arrays(template, sup.variables, sup.tuple_rows().weighed(weights))
-    system = LinSystem.from_arrays(template, sup.variables, sup.exact.weighed(weights), rows_checked=True)
+    arrays, totals = sup.weighed(weights)
+    system = LinSystem.from_arrays(template, sup.variables, arrays, class_totals=totals)
     # the support's rows are this system's rows, so their side views are too
     system.__dict__["_side_views"] = sup.side_views
     return system
@@ -870,22 +959,40 @@ def payoff_distribution(
     x_a = (a o pi)^-1. The mass at the identity is the payoff of the family.
     Elements with non-zero mass are listed in element order.
 
-    The tuples are counted per (z, noise class) without enumerating them.
-    Write B^(s)(y) = B(y^s)^s. Per left vertex, h[g, k, y] counts the
-    (nu, s2) with nu of class k and B^(s2)(y nu) = g (``_noise_counts``),
-    and C[beta, y] counts the (edge, a, b, s1) with
-    A'(a) * B^(s1)(b) = beta and b^-1 x_a = y. Then z = beta * g, and
-    contracting C with h over y gives the counts. They stay in int64, and
-    exact arithmetic touches only the |D|+1 class weights.
+    The tuples are counted per (z, noise class) by ``_payoff_counts``, and
+    exact arithmetic touches only the |D|+1 class weights. No weight enters
+    the counts, so the support keeps them for the last family of each side,
+    by content (``Support.family``), and a call at another eps only weighs
+    them. The caps and the family's shape are checked on every call.
     """
     if side != family.side:
         raise InvalidParams("family built for the other side")
     sup = support(lc, template)
-    pe, pd, geo = sup.pe, sup.pd, sup.geo
-    _check_payoff_cap(lc, pe, pd, params.cap)
-    _check_family_shape(lc, template, pe, pd, family)
-    group = template.g1 if side == 1 else template.g2
-    hom = identity_hom(template.h1) if side == 1 else template.phi
+    _check_payoff_cap(lc, sup.pe, sup.pd, params.cap)
+    _check_family_shape(lc, template, sup.pe, sup.pd, family)
+    kept = sup.family(family)
+    if kept.counts is None:
+        kept.counts = _read_only(_payoff_counts(sup, family))
+    nums, denom = _numerators(_class_weights(lc, sup.pe, sup.pd, params.eps))
+    return {
+        z: Fraction(sum(map(operator.mul, nums, row)), denom)
+        for z, row in enumerate(kept.counts.tolist())
+        if any(row)
+    }
+
+
+def _payoff_counts(sup: Support, family: AssignmentFamily) -> np.ndarray:
+    """counts[z, k]: the tuples of noise class k whose folded product is z.
+
+    Write B^(s)(y) = B(y^s)^s. Per left vertex, h[g, k, y] counts the
+    (nu, s2) with nu of class k and B^(s2)(y nu) = g (``_noise_counts``),
+    and C[beta, y] counts the (edge, a, b, s1) with
+    A'(a) * B^(s1)(b) = beta and b^-1 x_a = y. Then z = beta * g, and
+    contracting C with h over y gives the counts. They stay in int64.
+    """
+    lc, template, pe, pd, geo = sup.lc, sup.template, sup.pe, sup.pd, sup.geo
+    group = template.g1 if family.side == 1 else template.g2
+    hom = identity_hom(template.h1) if family.side == 1 else template.phi
     table = np.asarray(group.table, dtype=np.int64)
     inverses = np.asarray(group.inverses, dtype=np.int64)
     n, n_cls = len(group), pd.m + 1
@@ -906,8 +1013,7 @@ def payoff_distribution(
         h = _noise_counts(signed, pd, n).reshape(n * n_cls, pd.n)
         by_beta_g = by_beta_y.reshape(n, pd.n) @ h.T
         np.add.at(counts, table, by_beta_g.reshape(n, n, n_cls))
-    weights = _class_weights(lc, pe, pd, params.eps)
-    return {z: _weigh(weights, row) for z, row in enumerate(counts.tolist()) if any(row)}
+    return counts
 
 
 def evaluate_family(

@@ -264,11 +264,15 @@ def right_regular(group: FiniteGroup, h: Subgroup) -> UnitaryRep:
     return UnitaryRep(group, mats)
 
 
+@functools.lru_cache(maxsize=256)
 def eta(omega: UnitaryRep, h: Subgroup) -> int:
     """Multiplicity of the trivial representation in ``omega`` restricted to h.
 
     By Frobenius reciprocity this equals the multiplicity of ``omega`` in the
     right-regular representation on H\\G; both are computed and compared.
+    Memoized per (omega, h), for the last 256 pairs, so the comparison runs
+    on the first computation only; ``omega`` is keyed by identity, as the
+    memoized ``irreps`` hand out the same representations.
     """
     chi = omega.character()
     via_restriction = _snap_integer(

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import catalog, io
+from . import catalog, io, reduction
 from .cli import SELFTEST_MODULES as MODULES
 from .decoder import (
     expected_character,
@@ -55,12 +55,14 @@ from .reduction import (
     LinEquation,
     LinSystem,
     ReductionParams,
+    SystemArrays,
     _codes,
     build_system,
     evaluate,
     evaluate_family,
     family_assignment,
     make_label_cover,
+    payoff_distribution,
     powers,
     projection_family,
     tuple_system,
@@ -561,8 +563,7 @@ def _check_distinct_var_expectation(seed, *tnames):
 def _check_warm_equals_cold(seed):
     # the exact systems of one support share the solvers' kept hit counts, so
     # each eps after the first solves warm; a copy with its own memo is cold
-    rng = np.random.default_rng(seed)
-    sweep = [Fraction(1, 8), Fraction(3, 17), Fraction(9, 10), Fraction(int(rng.integers(1, 99)), 100)]
+    sweep = _sweep(seed)
     lc = catalog.label_cover("lc_tiny")
     bad = 0
     for tname in catalog.templates():
@@ -576,16 +577,25 @@ def _check_warm_equals_cold(seed):
     return bad == 0, float(bad), f"{len(catalog.templates())} pairs x {len(sweep) + 1} eps x 2 sides"
 
 
+def doubled_tiny():
+    """lc_tiny's edge doubled beside a single one: at eps = |G1| / (|G1| + 1)
+    two equations of noise class k + 1 weigh one of class k, so equal row
+    weights join."""
+    edge = ("u0", "v0", {"d0": "e0"})
+    return make_label_cover(["d0"], ["e0"], ["u0", "u1"], ["v0"], [edge, edge, ("u1", "v0", {"d0": "e0"})])
+
+
+def _sweep(seed) -> list[Fraction]:
+    rng = np.random.default_rng(seed)
+    return [Fraction(1, 8), Fraction(3, 17), Fraction(9, 10), Fraction(int(rng.integers(1, 99)), 100)]
+
+
 def _check_derandomized_value(seed):
     # the value weighed from the counts kept with derandomize's path is its
-    # assignment's, over an eps sweep on one shared memo; lc_tiny's edge
-    # doubled beside a single one joins weights at eps = |G1| / (|G1| + 1)
-    rng = np.random.default_rng(seed)
-    sweep = [Fraction(1, 8), Fraction(3, 17), Fraction(9, 10), Fraction(int(rng.integers(1, 99)), 100)]
-    edge = ("u0", "v0", {"d0": "e0"})
-    doubled = make_label_cover(["d0"], ["e0"], ["u0", "u1"], ["v0"], [edge, edge, ("u1", "v0", {"d0": "e0"})])
+    # assignment's, over an eps sweep on one shared memo, also where weights join
+    sweep = _sweep(seed)
     bad, cases, skipped = 0, 0, []
-    pairs = itertools.product(catalog.templates().items(), {**catalog.label_covers(), "doubled": doubled}.items())
+    pairs = itertools.product(catalog.templates().items(), {**catalog.label_covers(), "doubled": doubled_tiny()}.items())
     for (tname, t), (lname, lc) in pairs:
         try:
             for eps in sweep + [Fraction(len(t.g1), len(t.g1) + 1), sweep[0]]:
@@ -597,6 +607,42 @@ def _check_derandomized_value(seed):
         except CapExceeded:
             skipped.append(f"{tname}/{lname}")
     return bad == 0, float(bad), f"{cases} cases, over the cap: {skipped}"
+
+
+def flipping_systems():
+    """Two Z3 systems on one memo, as the exact systems of one support
+    share theirs, whose ``derandomize`` choices differ. x = 1 wins alone;
+    y = 1 (class 1) and y = 2 (class 2) pull against each other, so the
+    weights pick y; z = y - x follows y."""
+    t = catalog.template("z3_id")
+    eqs = [
+        LinEquation((("x", 1), ("y", 1), ("y", -1)), 1, Fraction(1, 10)),
+        LinEquation((("y", 1), ("x", 1), ("x", -1)), 1, Fraction(4, 10)),
+        LinEquation((("y", 1), ("z", 1), ("z", -1)), 2, Fraction(3, 10)),
+        LinEquation((("z", 1), ("y", -1), ("x", 1)), 0, Fraction(2, 10)),
+    ]
+    one = LinSystem(t, ("x", "y", "z"), eqs)
+    enc = one.arrays
+    weights = tuple(Fraction(k, 10) for k in (1, 3, 4, 2))
+    two = LinSystem.from_arrays(t, one.variables, SystemArrays(enc.var_ids, enc.signs, enc.rhs, enc.weight_class, weights))
+    two.__dict__["_side_views"] = one._side_views
+    return t, one, two
+
+
+def _check_weight_flip(seed):
+    # weights that flip a choice make derandomize rescore its kept path from
+    # there; the rescored path and its assignment's counts are a cold solve's
+    t, one, two = flipping_systems()
+    bad, flips = 0, 0
+    for side in (1, 2):
+        got = []
+        for system in (one, two, one, two):
+            got.append(derandomize(system, t, side))
+            cold = LinSystem.from_arrays(t, system.variables, system.arrays)
+            bad += got[-1] != derandomize(cold, t, side)
+            bad += derandomized_value(system, t, side) != evaluate(system, got[-1], side)
+        flips += got[0] != got[1]
+    return bad == 0 and flips == 2, float(bad), f"choices flip on {flips} of 2 sides"
 
 
 def _check_noncubic_sound(seed):
@@ -693,6 +739,42 @@ def _check_simulation(seed, tname):
     return ok, gap, f"analytic={value:.5f} mc={mean:.5f} sigma={sigma:.2e}"
 
 
+def _kept_outputs(lc, t, eps, families, delta=Fraction(1, 4)):
+    """What a support keeps serves: the built system, both payoff
+    distributions and, where the promise allows, the decode."""
+    params = ReductionParams(eps)
+    system = build_system(lc, t, params)
+    enc = system.arrays
+    arrays = [x.tobytes() for x in (enc.var_ids, enc.signs, enc.rhs, enc.weight_class)], enc.weights
+    payoffs = [payoff_distribution(lc, t, params, families[side], side) for side in (1, 2)]
+    decoded = None
+    if Fraction(1, len(t.h2)) + delta <= 1 - eps:
+        strategy, value, choice = decode(make_context(lc, t, eps, delta, families[2]))
+        decoded = strategy, value, (choice.index, choice.margin, choice.x, choice.y, choice.z)
+    return arrays, payoffs, decoded
+
+
+def _check_kept_equals_cold(seed):
+    # over an eps sweep, the weight classes, payoff counts and influence
+    # terms a support keeps give what a cold support gives, also where
+    # weights join; every pair of lc_tiny, and lc_tiny with a doubled edge
+    sweep = _sweep(seed) + [Fraction(1, 100)]
+    bad, cases = 0, 0
+    for tname, t in catalog.templates().items():
+        for lc in (catalog.label_cover("lc_tiny"), doubled_tiny()):
+            families = {
+                side: projection_family(lc, t, dict.fromkeys(lc.u_names, "d0"), dict.fromkeys(lc.v_names, "e0"), side)
+                for side in (1, 2)
+            }
+            eps_list = sweep + [Fraction(len(t.g1), len(t.g1) + 1), sweep[0]]
+            warm = [_kept_outputs(lc, t, eps, families) for eps in eps_list]
+            for eps, kept in zip(eps_list, warm):
+                reduction._support.cache_clear()
+                bad += kept != _kept_outputs(lc, t, eps, families)
+                cases += 1
+    return bad == 0, float(bad), f"{cases} cases"
+
+
 def _check_json_roundtrip(seed):
     """Canonical JSON reads back to the same bytes, and the streaming
     system writer gives exactly those bytes."""
@@ -776,6 +858,7 @@ def registry() -> tuple[Check, ...]:
     add("solvers", "unsatisfiable-rejection-sound", _check_noncubic_sound)
     add("solvers", "warm-equals-cold[lc_tiny]", _check_warm_equals_cold)
     add("solvers", "derandomized-value", _check_derandomized_value)
+    add("solvers", "weight-flip-rescore", _check_weight_flip)
 
     for tname in ("z2_id", "s3_sign", "s3_a3_incl"):
         add("decoder", f"averaging-consistency[{tname}]", _check_averaging, tname)
@@ -785,6 +868,7 @@ def registry() -> tuple[Check, ...]:
     add("decoder", "skew-symmetry", _check_skew_symmetry, tol=1e-12)
     add("decoder", "strategy-simulation[z2_id]", _check_simulation, "z2_id")
     add("decoder", "strategy-simulation[s3_a3_incl]", _check_simulation, "s3_a3_incl")
+    add("decoder", "warm-equals-cold[lc_tiny]", _check_kept_equals_cold)
 
     add("io", "json-canonical-roundtrip", _check_json_roundtrip)
     return tuple(rows)

@@ -24,7 +24,6 @@ the path from the first variable whose choice the new weights change.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import weakref
 from fractions import Fraction
@@ -33,7 +32,16 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidParams, enum_cap
 from .groups import Template, cube_image
-from .reduction import LinSystem, SideTables, SideView, _codes, _firsts, side_tables, side_view
+from .reduction import (
+    LinSystem,
+    SideTables,
+    SideView,
+    _codes,
+    _firsts,
+    _numerators,
+    side_tables,
+    side_view,
+)
 
 # Cells of (assignment or pattern) x (equation or grid point) per kernel
 # block, which bounds the kernels' scratch memory.
@@ -79,13 +87,6 @@ def _check_template(system: LinSystem, template: Template) -> None:
             f"template {template.name!r} differs from the system's template {own.name!r}"
             " in G1, G2 or phi"
         )
-
-
-def _numerators(weights) -> tuple[list[int], int]:
-    """The weights times their common denominator, as Python ints, and that
-    denominator."""
-    denom = math.lcm(*(w.denominator for w in weights))
-    return [w.numerator * (denom // w.denominator) for w in weights], denom
 
 
 def _small(values: np.ndarray, bound: int) -> np.ndarray:
@@ -220,7 +221,7 @@ class _Counts:
 def _counts(system: LinSystem, side: int) -> _Counts:
     """The view's ``_Counts`` for the system's weight classes, kept in the
     view's memo and shared by the exact systems of one support. A system
-    whose weight classes differ replaces it: ``_compact`` can join equal
+    whose weight classes differ replaces it: ``Rows.joined`` can join equal
     weights at some eps."""
     memo = side_view(system, side).memo
     kept = memo.get("counts")

@@ -465,6 +465,55 @@ def test_invalid_eps_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def _digits(text: str) -> int:
+    """An integer of any length from its digits, read in pieces under the
+    interpreter's limit on integer strings, which stays as it is."""
+    value = 0
+    for lo in range(0, len(text), 1000):
+        piece = text[lo : lo + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+@pytest.mark.parametrize("command", ["pipeline", "decode"])
+def test_a_small_eps_writes_its_exact_alpha(tmp_path, capsys, command):
+    # at eps = 1/4001 kappa is 11,092 and alpha's denominator has 8,638
+    # digits, over the interpreter's limit of 4,300 for int-to-str
+    lc, t = catalog.label_cover("lc1"), catalog.template("s3_sign")
+    family = write(tmp_path, "fam.json", io.family_to_obj(projection_family(lc, t, {"u0": "d0"}, {"v0": "e0"}, side=2)))
+    extra = ("--family", family) if command == "decode" else ()
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, command, "lc1", "--template", "s3_sign", "--eps", "1/4001", "--delta", "1/4", *extra)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    report = report if command == "decode" else report["decoder"]
+    num, den = report["alpha"].split("/")
+    assert len(den) > limit and sys.get_int_max_str_digits() == limit
+    assert Fraction(_digits(num), _digits(den)) == grouplin.alpha(Fraction(1, 4), Fraction(1, 4001), 6, 2)
+    assert report["kappa"] == 11092
+
+
+def test_frac_str_writes_integers_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for x in (Fraction(-(10**5000) + 7, 3**9000), Fraction(10**1000), Fraction(5, 7)):
+        num, den = io.frac_str(x).split("/")
+        assert Fraction(-_digits(num[1:]) if num[0] == "-" else _digits(num), _digits(den)) == x
+    assert io.frac_str(Fraction(10**5000)) == "1" + "0" * 5000 + "/1"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_a_too_long_integer_exits_2_naming_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 1)
+    for eps in (f"1/{long}", long):
+        code, out, err = run(capsys, "pipeline", "lc1", "--template", "s3_sign", "--eps", eps, "--delta", "1/4")
+        assert (code, out) == (2, "")
+        assert f"an integer of {limit + 1} digits" in err and f"limit of {limit} digits" in err
+        assert "not a rational" not in err and len(err) < 200
+    with pytest.raises(InvalidParams, match="not a rational"):
+        io.parse_frac("1/" + "x" * (limit + 1))
+
+
 def test_pipeline_reports_exact_completeness(tmp_path, capsys):
     lc_path = write(tmp_path, "lc.json", io.lc_to_obj(catalog.label_cover("lc1")))
     code, out, _ = run(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,9 +27,12 @@ from grouplin import (
     simulate_strategy,
     trivial_term_bound,
 )
+from grouplin import reduction, reps
 from grouplin.cli import run_pipeline
 from grouplin.decoder import expected_character, left_table, right_table
+from grouplin.fourier import transform
 from grouplin.reduction import powers
+from grouplin.reps import irreps
 
 EPS = Fraction(1, 8)
 DELTA = Fraction(1, 4)
@@ -267,6 +271,66 @@ def test_influence_sums_below_one(ctx_a3):
         for y in range(2):
             probs = influence_probs(ctx_a3, omega, ("v", "v0", x, y), 2)
             assert sum(probs.values()) <= 1 + 1e-9
+
+
+def _fresh_influences(ctx, omega, which, kappa_value):
+    """The truncated masses summed over a fresh transform, representation by
+    representation, with nothing kept: the float sums the kept terms must
+    reproduce bit for bit."""
+    side, name, r, c = which
+    if side == "v":
+        fn, rhos, labels = right_table(ctx, omega, name), ctx.prod_e, ctx.lc.e_labels
+    else:
+        fn, rhos, labels = left_table(ctx, omega, name), ctx.prod_d, ctx.lc.d_labels
+    table = transform(replace(fn, values=fn.values[:, r : r + 1, c : c + 1]), rhos)
+    out = {l: 0.0 for l in labels}
+    for rho in rhos:
+        if 0 < rho.degree < kappa_value:
+            mass = rho.dim * float(np.sum(np.abs(table.blocks[rho.comps]) ** 2)) / rho.degree
+            for pos, comp in enumerate(rho.comps):
+                if comp != 0 and mass != 0.0:
+                    out[labels[pos]] += mass
+    return out
+
+
+@pytest.mark.parametrize("tname", ["s3_a3_incl", "z3_id", "s3_sign"])
+def test_kept_influence_terms_replay_every_truncation_bit_for_bit(tname):
+    # random tables, so that the masses are not sums exact in any order
+    t, lc = catalog.template(tname), catalog.label_cover("lc2")
+    pe, pd = powers(lc, t)
+    rng = np.random.default_rng(7)
+    a_tables = {v: rng.integers(0, len(t.g2), size=pe.n) for v in lc.v_names}
+    b_tables = {u: rng.integers(0, len(t.g2), size=pd.n) for u in lc.u_names}
+    ctx = make_context(lc, t, EPS, DELTA, AssignmentFamily(2, a_tables, b_tables))
+    for omega in ctx.g2_irreps.irreps[1:]:
+        entries = [(side, x, r, c) for side, names in (("v", lc.v_names), ("u", lc.u_names)) for x in names
+                   for r in range(omega.dim) for c in range(omega.dim)]
+        for k in (21, 1, 2, 3, len(lc.d_labels), len(lc.d_labels) + 1, 2):
+            for which in entries:
+                got = influence_probs(ctx, omega, which, k)
+                assert list(got.items()) == list(_fresh_influences(ctx, omega, which, k).items())
+    kept = reduction.support(lc, ctx.template).family(ctx.family).influences
+    assert len(kept) == sum(len(lc.v_names + lc.u_names) * r.dim**2 for r in ctx.g2_irreps.irreps[1:])
+
+
+def test_one_run_computes_kappa_once_and_each_eta_once(monkeypatch):
+    t, lc = catalog.template("s3_a3_incl"), catalog.label_cover("lc1")
+    checks = []
+    multiplicity = reps.multiplicity
+    monkeypatch.setattr(reps, "multiplicity", lambda *args: checks.append(args) or multiplicity(*args))
+    kappa.cache_clear()
+    reps.eta.cache_clear()
+    for eps in (EPS, Fraction(1, 9), EPS):
+        run_pipeline(lc, t, eps, DELTA)
+    # decode and alpha ask for kappa once per run each, and each new
+    # (delta, eps) computes it once
+    info = kappa.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+    # select_omega asks for eta of each non-trivial omega and of the winner;
+    # the reciprocity check runs once per omega, in the first run
+    omegas = catalog.template("s3_a3_incl").g2
+    assert [omega for omega, _ in checks] == list(irreps(omegas).irreps[1:])
+    assert reps.eta.cache_info().maxsize == 256
 
 
 def test_decode_planted_z2(ctx_z2):

@@ -33,6 +33,7 @@ from grouplin.groups import (
     validate_template,
 )
 from grouplin.reduction import LinEquation, LinSystem, SystemArrays, side_view
+from grouplin.selftest import flipping_systems
 from grouplin.solvers import non_cubic_solve, unsatisfiable_mask
 
 TEMPLATES = sorted(catalog.templates())
@@ -171,21 +172,6 @@ def reweighed(system, weights):
 def cold(system):
     """The same system with a memo of its own."""
     return LinSystem.from_arrays(system.template, system.variables, system.arrays)
-
-
-def flipping_systems():
-    """Two Z3 systems on one memo. x = 1 wins alone; y = 1 (class 1) and
-    y = 2 (class 2) pull against each other, so the weights pick y; z = y - x
-    follows y."""
-    t = catalog.template("z3_id")
-    eqs = [
-        LinEquation((("x", 1), ("y", 1), ("y", -1)), 1, Fraction(1, 10)),
-        LinEquation((("y", 1), ("x", 1), ("x", -1)), 1, Fraction(4, 10)),
-        LinEquation((("y", 1), ("z", 1), ("z", -1)), 2, Fraction(3, 10)),
-        LinEquation((("z", 1), ("y", -1), ("x", 1)), 0, Fraction(2, 10)),
-    ]
-    one = LinSystem(t, ("x", "y", "z"), eqs)
-    return t, one, reweighed(one, [Fraction(k, 10) for k in (1, 3, 4, 2)])
 
 
 @pytest.mark.parametrize("side", (1, 2))

@@ -2,11 +2,13 @@
 one eps after a build at another, on a warm support, must equal a cold build,
 every cap must still be checked on every call, and the arrays systems share
 must be read-only. A warm eps checks only its weights, computes its class
-weights once per run, and solves from the hit counts kept with the view
-without scoring a pattern."""
+weights once per run, solves from the hit counts kept with the view without
+scoring a pattern, and weighs the payoff counts and replays the influence
+terms kept for the last family of each side."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,15 +16,24 @@ from hypothesis import strategies as st
 import reference_reduction as ref
 import reference_solvers as ref_solvers
 from grouplin import (
+    AssignmentFamily,
     CapExceeded,
     InvalidParams,
+    NoOmega,
     ReductionParams,
     build_system,
     catalog,
     cli,
+    decode,
+    decoder,
     derandomize,
+    make_context,
+    payoff_distribution,
+    projection_family,
     random_expectation,
     reduction,
+    reps,
+    selftest,
     solvers,
 )
 from grouplin.cli import main, run_pipeline
@@ -270,12 +281,157 @@ def test_a_warm_pipeline_evaluates_nothing(monkeypatch):
     for module in (reduction, cli):
         monkeypatch.setattr(module, "evaluate", evaluating)
     monkeypatch.setattr(solvers._Patterns, "_hits", scoring)
+    # nor does it count a payoff, transform a table or check an eta
+    for module, name in ((reduction, "_payoff_counts"), (decoder, "transform"), (reps, "multiplicity")):
+        monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
     warm = [run_pipeline(lc, t, eps, delta) for eps in sweep]
     assert calls == []
     for eps, report in zip(sweep, warm):
         reduction._support.cache_clear()
         assert report == run_pipeline(lc, t, eps, delta)
-    assert "_hits" in calls and "evaluate" not in calls
+    assert {"_hits", "_payoff_counts", "transform"} <= set(calls)
+    assert "evaluate" not in calls and "multiplicity" not in calls  # eta is memoized apart from the support
+
+
+def _counting(calls: list, name: str, fn):
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return counting
+
+
+def _families(lc, t):
+    """The planted families of both sides, and a side-2 one with some
+    entries changed, so that it decodes to another strategy."""
+    labels = dict.fromkeys(lc.u_names, lc.d_labels[-1]), dict.fromkeys(lc.v_names, lc.e_labels[0])
+    families = {side: projection_family(lc, t, *labels, side) for side in (1, 2)}
+    planted = families[2]
+    changed = AssignmentFamily(2, dict(planted.a_tables), {u: b.copy() for u, b in planted.b_tables.items()})
+    for b in changed.b_tables.values():
+        b[:: max(3, len(b) // 4)] = len(t.g2) - 1
+    return families, changed
+
+
+def _outputs(lc, t, eps, families, changed):
+    """What the kept state serves at one eps: the built system, both payoff
+    distributions and two decodes, of families of another content one after
+    the other (which replace the side's kept family)."""
+    params = ReductionParams(eps)
+    system = build_system(lc, t, params)
+    payoffs = [payoff_distribution(lc, t, params, families[side], side) for side in (1, 2)]
+    decoded = []
+    if Fraction(1, len(t.h2)) + DELTA <= 1 - eps:
+        for family in (families[2], changed):
+            try:
+                strategy, value, choice = decode(make_context(lc, t, eps, DELTA, family))
+                decoded.append((strategy, value, choice.index, choice.margin, (choice.x, choice.y, choice.z)))
+            except NoOmega:
+                decoded.append("no omega")
+    return system, payoffs, decoded
+
+
+DELTA = Fraction(1, 4)
+
+
+@pytest.mark.parametrize(
+    "tname,lc_name",
+    [(tname, lc_name) for tname in sorted(catalog.templates()) for lc_name in ("lc_tiny", "doubled")]
+    + [("s3_sign", "lc1"), ("s3_a3_incl", "lc1")],
+)
+def test_kept_counts_weights_and_terms_equal_cold_ones_over_an_eps_sweep(tname, lc_name, monkeypatch):
+    t = catalog.template(tname)
+    lc = selftest.doubled_tiny() if lc_name == "doubled" else catalog.label_cover(lc_name)
+    joining = Fraction(len(t.g1), len(t.g1) + 1)
+    sweep = (EPS1, EPS2, Fraction(1, 100), joining, Fraction(1, 5), EPS1, joining)
+    families, changed = _families(lc, t)
+    reduction._support.cache_clear()
+    calls = []
+    monkeypatch.setattr(reduction, "_payoff_counts", _counting(calls, "count", reduction._payoff_counts))
+    monkeypatch.setattr(decoder, "transform", _counting(calls, "transform", decoder.transform))
+    warm = [_outputs(lc, t, eps, families, changed) for eps in sweep]
+    # side 1 is counted once; side 2 whenever its family's content changes
+    side_2 = [f for _, _, decoded in warm for f in ["planted"] + ["planted", "changed"] * bool(decoded)]
+    changes = sum(k == 0 or f != side_2[k - 1] for k, f in enumerate(side_2))
+    assert calls.count("count") == 1 + changes
+    decodes = len(side_2) > len(warm)
+    transforms = calls.count("transform")
+    for eps, (system, payoffs, decoded) in zip(sweep, warm):
+        reduction._support.cache_clear()
+        cold_system, cold_payoffs, cold_decoded = _outputs(lc, t, eps, families, changed)
+        assert_same_system(system, cold_system)
+        assert payoffs == cold_payoffs and decoded == cold_decoded
+    assert calls.count("transform") > transforms or not decodes
+    if lc_name == "doubled":
+        # equal row weights join at this eps, and the kept classes follow
+        assert len(warm[3][0].arrays.weights) < len(warm[2][0].arrays.weights)
+        assert warm[0][0].arrays.weight_class is warm[2][0].arrays.weight_class
+
+
+def test_a_family_changed_in_place_is_counted_again():
+    t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
+    families, _ = _families(lc, t)
+    family, params = families[2], ReductionParams(EPS1)
+    planted = payoff_distribution(lc, t, params, family, 2)
+    decoded = decode(make_context(lc, t, EPS1, DELTA, family))
+    family.b_tables["u0"][:4] = 1 - family.b_tables["u0"][:4]
+    changed = payoff_distribution(lc, t, params, family, 2)
+    changed_decode = decode(make_context(lc, t, EPS1, DELTA, family))
+    assert changed != planted and changed_decode[1] != decoded[1]
+    reduction._support.cache_clear()
+    assert changed == payoff_distribution(lc, t, params, family, 2)
+    assert changed_decode == decode(make_context(lc, t, EPS1, DELTA, family))
+    # a copy of equal content, even in another dtype, gives the same result
+    copy = AssignmentFamily(2, {"v0": family.a_tables["v0"].astype(np.int32)}, {"u0": family.b_tables["u0"].tolist()})
+    assert payoff_distribution(lc, t, params, copy, 2) == changed
+
+
+def test_a_warm_payoff_still_checks_the_cap_and_the_family():
+    t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
+    families, _ = _families(lc, t)
+    for side in (1, 2):
+        payoff_distribution(lc, t, ReductionParams(EPS1), families[side], side)
+    # one cell per (edge, a, b, s1) and |D| + 1 per point of u0's h table
+    cells = 2 * 6 * 36 + 3 * 36
+    for side in (1, 2):
+        with pytest.raises(CapExceeded, match=f"needs {cells} cells, cap is {cells - 1}"):
+            payoff_distribution(lc, t, ReductionParams(EPS2, cap=cells - 1), families[side], side)
+        assert payoff_distribution(lc, t, ReductionParams(EPS2, cap=cells), families[side], side)
+    family = families[2]
+    a, b = family.a_tables["v0"], family.b_tables["u0"]
+    for a_tables, b_tables, message in (
+        ({"v0": a}, {"u0": b[:-1]}, "must have 36 entries"),
+        ({"v0": a}, {"u0": b, "uX": b}, "not a vertex in U"),
+        ({"v0": a + 2}, {"u0": b}, "outside 0..1"),
+    ):
+        bad = AssignmentFamily(2, a_tables, b_tables)
+        with pytest.raises(InvalidParams, match=message):
+            payoff_distribution(lc, t, ReductionParams(EPS2), bad, 2)
+        with pytest.raises(InvalidParams, match=message):
+            make_context(lc, t, EPS2, DELTA, bad)
+    with pytest.raises(InvalidParams, match="other side"):
+        payoff_distribution(lc, t, ReductionParams(EPS2), family, 1)
+
+
+def test_the_kept_state_is_bounded_and_goes_with_the_support():
+    t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
+    sup = reduction.support(lc, t)
+    families, changed = _families(lc, t)
+    for family in (families[1], families[2], changed):
+        payoff_distribution(lc, t, ReductionParams(EPS1), family, family.side)
+    decode(make_context(lc, t, EPS1, DELTA, changed))
+    # the last family of each side, with the decoder's terms beside its counts
+    assert sorted(sup.families) == [1, 2]
+    assert sup.families[2] is sup.family(changed) and sup.families[2].influences
+    assert sup.families[1] is sup.family(families[1])
+    build_system(lc, t, ReductionParams(EPS1))
+    assert sup.weight_classes is not None
+    for array in (sup.families[2].counts, *sup.weight_classes[1:]):
+        assert not array.flags.writeable
+    other = catalog.label_cover("lc_tiny")
+    build_system(other, t, ReductionParams(EPS1))
+    assert reduction.support(lc, t) is not sup
+    assert reduction.support(lc, t).families == {} and reduction.support(lc, t).weight_classes is None
 
 
 def test_a_warm_build_checks_only_its_weights(monkeypatch):
@@ -288,14 +444,16 @@ def test_a_warm_build_checks_only_its_weights(monkeypatch):
         return check(template, variables, rows)
 
     monkeypatch.setattr(reduction, "_validate_rows", counting)
+    totals = []
+    monkeypatch.setattr(reduction, "_class_totals", _counting(totals, "totals", reduction._class_totals))
     build_system(lc, t, ReductionParams(EPS1))
-    assert passes == [31104]  # the support's rows, once
+    assert passes == [31104] and len(totals) == 1  # the support's rows and weight classes, once
     weights = build_system(lc, t, ReductionParams(EPS2)).arrays.weights
-    assert passes == [31104]
+    assert passes == [31104] and len(totals) == 1
     # sampled systems are checked row by row on every build
     sampled = ReductionParams(EPS2, mode="sampled", sample_count=100, seed=1)
     rows = [len(build_system(lc, t, sampled).arrays) for _ in range(2)]
-    assert passes == [31104, *rows]
+    assert passes == [31104, *rows] and len(totals) == 3
     # bad weights still raise on a warm build
     w0, w1, w2 = weights
     for bad, message in (((w0 + 2 * w1, -w1, w2), "non-negative"), ((2 * w0, w1, w2), "weights sum to")):
