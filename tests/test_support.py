@@ -41,6 +41,7 @@ from grouplin.reduction import LinSystem, tuple_system
 from test_reduction_equivalence import CATALOG_PAIRS, REFERENCE_BUDGET, _tuple_count, instances
 
 EPS1, EPS2 = Fraction(1, 8), Fraction(3, 17)
+DELTA = Fraction(1, 4)
 
 
 def _cold(build, lc, t, params):
@@ -329,9 +330,6 @@ def _outputs(lc, t, eps, families, changed):
             except NoOmega:
                 decoded.append("no omega")
     return system, payoffs, decoded
-
-
-DELTA = Fraction(1, 4)
 
 
 @pytest.mark.parametrize(
