@@ -18,12 +18,12 @@ from .fourier import MatrixFn, _block_product, inverse, product_irreps, transfor
 from .groups import GroupPower, Template, fold
 from .reduction import (
     AssignmentFamily,
+    KeptFamily,
     LabelCoverInstance,
     ReductionParams,
     composed_inverse,
     lc_value,
     payoff_distribution,
-    powers,
     support,
 )
 from .reps import IrrepSet, UnitaryRep, eta, irreps
@@ -44,13 +44,11 @@ def _ln(x: Fraction) -> float:
 def kappa(delta: Fraction, eps: Fraction) -> int:
     """Truncation degree: the least k >= 1 with (1 - eps)^k <= delta / 4.
 
-    Exact: a float estimate of log(delta/4) / log(1 - eps) is only a first
-    guess, checked and corrected by one step in rational arithmetic. It is
-    not clamped to |D|: the influences keep degrees 0 < deg < k, so a clamp
-    to |D| would drop the degree-|D| terms. Memoized for the last 8
-    (delta, eps): a run asks for it in ``decode`` and in ``alpha``, and the
-    rational check costs milliseconds at small eps (k = 11,092 at
-    eps = 1/4001, delta = 1/4).
+    Exact: a float guess of log(delta/4) / log(1 - eps), corrected by one
+    step in integers (with 1 - eps = r/q and delta/4 = a/b, the test is
+    r^k b <= a q^k). Not clamped to |D|: the influences keep degrees
+    0 < deg < k. Memoized for the last 8 (delta, eps), as a run asks for it
+    in ``decode`` and in ``alpha``.
     """
     delta, eps = Fraction(delta), Fraction(eps)
     if not 0 < eps < 1:
@@ -61,10 +59,11 @@ def kappa(delta: Fraction, eps: Fraction) -> int:
     value = max(1, math.ceil(_ln(target) / _ln(q)))
     # the float guess is off by less than one, so checking value - 1 and
     # value settles it
-    below = q ** (value - 1)
-    if below * q > target:
+    (r, d), (a, b) = (q.numerator, q.denominator), (target.numerator, target.denominator)
+    r_below, d_below = r ** (value - 1), d ** (value - 1)
+    if r_below * r * b > a * d_below * d:
         value += 1
-    elif value > 1 and below <= target:
+    elif value > 1 and r_below * b <= a * d_below:
         value -= 1
     return value
 
@@ -73,7 +72,7 @@ def alpha(delta: Fraction, eps: Fraction, g1_size: int, g2_size: int) -> Fractio
     """The guaranteed Label Cover value delta^2 / (4 k |G1|^k |G2|^4)."""
     delta = Fraction(delta)
     k = kappa(delta, eps)
-    return delta**2 / (4 * k * Fraction(g1_size) ** k * Fraction(g2_size) ** 4)
+    return Fraction(delta.numerator**2, delta.denominator**2 * 4 * k * g1_size**k * g2_size**4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,9 +95,10 @@ class DecoderContext:
     z_mass: dict  # element of G2 -> Fraction
     value: Fraction
 
-    @property
-    def threshold(self) -> Fraction:
-        return Fraction(1, len(self.template.h2)) + self.delta
+    @functools.cached_property
+    def kept(self) -> KeptFamily:
+        """The support's entry for the family; ``make_context`` sets it."""
+        return support(self.lc, self.template).family(self.family)
 
 
 def make_context(
@@ -130,8 +130,8 @@ def make_context(
         )
     g1_ir = irreps(template.g1, seed=seed)
     g2_ir = irreps(template.g2, seed=seed)
-    pe, pd = powers(lc, template)
-    return DecoderContext(
+    sup = support(lc, template)
+    ctx = DecoderContext(
         lc=lc,
         template=template,
         eps=eps,
@@ -141,13 +141,15 @@ def make_context(
         leftover=leftover,
         g1_irreps=g1_ir,
         g2_irreps=g2_ir,
-        pe=pe,
-        pd=pd,
+        pe=sup.pe,
+        pd=sup.pd,
         prod_e=product_irreps(g1_ir, lc.e_labels),
         prod_d=product_irreps(g1_ir, lc.d_labels),
         z_mass=mass,
         value=value,
     )
+    ctx.__dict__["kept"] = sup.families[2]  # the entry the payoff count just used
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -284,8 +286,8 @@ def influence_probs(ctx: DecoderContext, omega: UnitaryRep, which, kappa_value: 
     representations non-trivial at that coordinate; the total is at most 1.
 
     Only the truncation depends on eps. The entry's terms (``_terms``) are
-    kept with the support's entry for the family's content
-    (``reduction.Support.family``), next to its side-2 payoff counts, per
+    kept with the support's entry for the family's content, which the
+    context carries (``ctx.kept``), next to its side-2 payoff counts, per
     (omega, vertex, entry), and a call sums the kept terms below
     ``kappa_value`` in representation order, so the floats add up as they
     do over a fresh transform.
@@ -293,7 +295,7 @@ def influence_probs(ctx: DecoderContext, omega: UnitaryRep, which, kappa_value: 
     side, name, r, c = which
     if side not in ("v", "u"):
         raise InvalidParams("which must start with 'v' or 'u'")
-    kept = support(ctx.lc, ctx.template).family(ctx.family).influences
+    kept = ctx.kept.influences
     key = (omega, ctx.g1_irreps, side, name, r, c)
     if key not in kept:
         kept[key] = _terms(ctx, omega, side, name, r, c)

@@ -115,8 +115,13 @@ class ProductIrrep:
 
 
 def product_irreps(base: IrrepSet, labels) -> tuple[ProductIrrep, ...]:
-    """All irreducibles of ``G^D`` in row-major component order."""
-    labels = tuple(str(x) for x in labels)
+    """All irreducibles of ``G^D`` in row-major component order, kept for
+    the last 32 (irreps, labels)."""
+    return _product_irreps(base, tuple(str(x) for x in labels))
+
+
+@functools.lru_cache(maxsize=32)
+def _product_irreps(base: IrrepSet, labels: tuple[str, ...]) -> tuple[ProductIrrep, ...]:
     k = len(base.irreps)
     return tuple(
         ProductIrrep(base, labels, comps)
@@ -301,17 +306,6 @@ def noise_classes(power: GroupPower) -> np.ndarray:
     """The noise class of every tuple in flat order: its number of
     non-identity coordinates."""
     return (power.coords_matrix() != power.group.identity).sum(axis=1)
-
-
-def noise_class_weights(size: int, m: int, eps: Fraction) -> list[Fraction]:
-    """Exact probability of one noise tuple of class k in G^m, |G| = size,
-    for k = 0..m: per coordinate the tuple is the identity with probability
-    1-eps and uniform otherwise."""
-    if not 0 < eps < 1:
-        raise InvalidParams(f"noise rate must be in (0,1), got {eps}")
-    w_id = (1 - eps) + Fraction(eps, size)
-    w_other = Fraction(eps, size)
-    return [w_id ** (m - k) * w_other**k for k in range(m + 1)]
 
 
 def noise_apply(fn: GroupFn, eps: Fraction) -> GroupFn:

@@ -57,9 +57,6 @@ class FiniteGroup:
             n += 1
         return n
 
-    def label(self, i: int) -> str:
-        return self.elements[i]
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order {len(self)})"
 
@@ -250,6 +247,14 @@ class Template:
     h1: Subgroup
     h2: Subgroup
     witness: tuple[int, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """Computed once, as hashing the groups' tables costs microseconds."""
+        return hash((self.name, self.g1, self.g2, self.phi, self.h1, self.h2, self.witness))
 
     @property
     def trivially_tractable(self) -> bool:

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidParams, MissingVariable, enum_cap
-from .fourier import noise_class_weights, noise_classes
+from .errors import CapExceeded, InvalidParams, MissingVariable, enum_cap, table_cap
+from .fourier import noise_classes
 from .groups import (
     FiniteGroup,
     GroupPower,
@@ -108,15 +108,12 @@ class LinSystem:
     """A weighted equation system over a template; weights sum to one.
 
     The system is its integer encoding ``arrays``, which the solvers and
-    ``evaluate`` run on; ``equations`` decodes it into ``LinEquation``s on
-    first use. ``LinSystem(template, variables, equations)`` encodes
-    hand-built equations and ``LinSystem.from_arrays`` takes an encoding as
-    it is; both validate the encoding. An exact system built from a
-    ``Support`` checks only its weights against the support's equations per
-    weight class (``class_totals``), as the support checks its rows and
-    weight classes once. ``side_view`` memoizes each side's grouping of the
-    equations on the system, as ``equations`` is; the exact systems of one
-    ``Support`` share their arrays and so that memo.
+    ``evaluate`` run on; ``equations`` decodes it on first use.
+    ``LinSystem(template, variables, equations)`` encodes hand-built
+    equations and ``LinSystem.from_arrays`` takes an encoding as it is; both
+    validate it, except that an exact system of a ``Support`` checks only its
+    weights (``class_totals``). ``side_view`` memoizes each side's grouping
+    on the system; the exact systems of one ``Support`` share it.
     """
 
     def __init__(self, template: Template, variables, equations):
@@ -150,6 +147,7 @@ class LinSystem:
             arrays.weight_class.astype(np.int32, copy=False),
             tuple(arrays.weights),
         )
+        self.arrays.__dict__["numerators"] = arrays.numerators  # as checked
 
     @functools.cached_property
     def _side_views(self) -> dict[int, SideView]:
@@ -228,11 +226,12 @@ def _class_totals(enc: SystemArrays) -> np.ndarray:
 
 
 def _validate_weights(enc: SystemArrays, class_totals) -> None:
-    """The checks on a system's weights: non-negative, and summing to
-    exactly 1 over ``class_totals``, the equations per weight class."""
-    if any(w < 0 for w in enc.weights):
+    """The checks on a system's weights, on their integer numerators:
+    non-negative, and summing to exactly 1 over ``class_totals``, the
+    equations per weight class."""
+    nums, denom = enc.numerators
+    if any(n < 0 for n in nums):
         raise InvalidParams("weights must be non-negative")
-    nums, denom = _numerators(enc.weights)
     if sum(map(operator.mul, nums, class_totals.tolist())) != denom:
         raise InvalidParams(f"weights sum to {enc.weigh(class_totals)}, not 1")
 
@@ -255,18 +254,14 @@ class SystemArrays:
 
     def weigh(self, counts) -> Fraction:
         """Sum over weight classes of weight times count, exactly."""
-        return _weigh(self.weights, counts)
+        nums, denom = self.numerators
+        return Fraction(sum(n * int(c) for n, c in zip(nums, counts)), denom)
 
-
-def _weigh(weights, counts) -> Fraction:
-    return sum((w * int(c) for w, c in zip(weights, counts) if c), Fraction(0))
-
-
-def _numerators(weights) -> tuple[list[int], int]:
-    """The weights times their common denominator, as Python ints, and that
-    denominator."""
-    denom = math.lcm(*(w.denominator for w in weights))
-    return [w.numerator * (denom // w.denominator) for w in weights], denom
+    @functools.cached_property
+    def numerators(self) -> tuple[list[int], int]:
+        """The weights times their common denominator, and that denominator."""
+        denom = math.lcm(*(w.denominator for w in self.weights))
+        return [w.numerator * (denom // w.denominator) for w in self.weights], denom
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,6 +284,7 @@ class SideTables:
         return self.table[self.table[t0, t1], t2]
 
 
+@functools.lru_cache(maxsize=16)  # per (template, side); the arrays are read-only
 def side_tables(template: Template, side: int) -> SideTables:
     if side not in (1, 2):
         raise InvalidParams("side must be 1 or 2")
@@ -298,9 +294,9 @@ def side_tables(template: Template, side: int) -> SideTables:
         rhs_map[a] = a if side == 1 else b
     return SideTables(
         group,
-        np.array(group.table, dtype=np.int16),
-        np.array(group.inverses, dtype=np.int16),
-        rhs_map,
+        _read_only(np.array(group.table, dtype=np.int16)),
+        _read_only(np.array(group.inverses, dtype=np.int16)),
+        _read_only(rhs_map),
     )
 
 
@@ -596,18 +592,14 @@ class Geometry:
         )
 
 
-def _class_weights(lc, pe, pd, eps) -> tuple[Fraction, ...]:
-    """Weight of a tuple whose noise has class k, for k = 0..|D|: the edge,
-    a, b and sign probabilities times the noise probability."""
-    return _tuple_weights(len(lc.edges), pe.n, pd.n, pd.m, len(pd.group), Fraction(eps))
-
-
-@functools.lru_cache(maxsize=1)
-def _tuple_weights(n_edges: int, n_e: int, n_d: int, m: int, order: int, eps: Fraction):
-    """``_class_weights`` from the sizes they depend on, kept for the last
-    of them: a run builds its system and counts its payoffs at one eps."""
-    base = Fraction(1, n_edges * n_e * n_d * 4)
-    return tuple(base * w for w in noise_class_weights(order, m, eps))
+def _class_numerators(lc, pe, pd, eps: Fraction) -> tuple[list[int], int]:
+    """The weight of a tuple of noise class k = 0..|D| as integer numerators
+    over one denominator. At eps = p/q a noise coordinate is e with
+    probability (q|G1| - p|G1| + p) / q|G1|, each other element p / q|G1|."""
+    p, q, size = eps.numerator, eps.denominator, len(pd.group)
+    stay = q * size - p * (size - 1)
+    nums = [stay ** (pd.m - k) * p**k for k in range(pd.m + 1)]
+    return nums, (q * size) ** pd.m * len(lc.edges) * pe.n * pd.n * 4
 
 
 def _sampled_draws(lc, pe, pd, params):
@@ -644,35 +636,43 @@ class Rows:
     row_class: np.ndarray     # int32 [m]
     class_counts: np.ndarray  # int64 [c, classes]
 
-    def weighed(self, weights) -> SystemArrays:
-        """The encoding with weight ``weights[k]`` per tuple of class ``k``;
-        unused row weights are dropped and equal ones joined."""
-        return self.encoding(*self.joined(weights))
+    def weighed(self, nums, denom) -> SystemArrays:
+        """The encoding with weight ``nums[k] / denom`` per tuple of class
+        ``k``; unused row weights are dropped and equal ones joined."""
+        remap, joined = self.joined(nums)
+        return _weighed(self, self.encoding(remap), joined, denom)
 
-    def joined(self, weights) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-        """Per row class, its weight class at ``weights[k]`` per tuple of
-        class ``k``, with unused row weights dropped (-1) and equal ones
-        joined; and the joined weights, in order of first use."""
-        ids: dict[Fraction, int] = {}
+    def joined(self, nums) -> tuple[tuple[int, ...], list[int]]:
+        """Per row class, its weight class at numerator ``nums[k]`` per
+        tuple of class ``k``, with unused row weights dropped (-1) and equal
+        ones joined; and the joined numerators, in order of first use."""
+        ids: dict[int, int] = {}
         remap = tuple(
-            ids.setdefault(_weigh(weights, row), len(ids)) if used else -1
+            ids.setdefault(sum(map(operator.mul, nums, row)), len(ids)) if used else -1
             for row, used in zip(self.class_counts.tolist(), self.used)
         )
-        return remap, tuple(ids)
+        return remap, list(ids)
 
-    def encoding(self, remap, weights) -> SystemArrays:
-        """The encoding with weight class ``remap[c]`` for row class ``c``:
-        the row classes themselves where ``remap`` drops and joins none."""
+    def encoding(self, remap) -> np.ndarray:
+        """The weight class array with weight class ``remap[c]`` for row
+        class ``c``: the row classes themselves where ``remap`` drops and
+        joins none."""
         if remap == tuple(range(len(remap))):
-            weight_class = self.row_class
-        else:
-            weight_class = np.array(remap)[self.row_class].astype(np.int32)
-        return SystemArrays(self.var_ids, self.signs, self.rhs, weight_class, weights)
+            return self.row_class
+        return np.array(remap)[self.row_class].astype(np.int32)
 
     @functools.cached_property
     def used(self) -> list[bool]:
         """Whether any row has the row class, per row class."""
         return (np.bincount(self.row_class, minlength=len(self.class_counts)) > 0).tolist()
+
+
+def _weighed(rows, weight_class: np.ndarray, nums: list[int], denom: int) -> SystemArrays:
+    """The rows' encoding at weights ``nums[c] / denom``, with its numerators."""
+    weights = tuple(Fraction(n, denom) for n in nums)
+    arrays = SystemArrays(rows.var_ids, rows.signs, rows.rhs, weight_class, weights)
+    arrays.__dict__["numerators"] = nums, denom
+    return arrays
 
 
 def _tuple_rows(blocks, n_cls: int) -> Rows:
@@ -747,10 +747,11 @@ class Support:
     score each side once. Sampled systems are drawn on every build.
 
     What no weight enters is kept too, so an eps sweep only weighs counts:
-    the exact encoding's weight classes with their equation totals, for
-    the last pattern of equal row weights (``weighed``), and per side, for
-    the last family by content, its payoff counts and the decoder's
-    influence terms (``family``). All of it goes with the support.
+    the weight classes with their totals for the last pattern of equal row
+    weights (``weighed``), and per side, for the last family by content, its
+    payoff counts and the decoder's influence terms (``family``). The last
+    eps's integer class weights are kept (``class_weights``). All of it goes
+    with the support.
     """
 
     def __init__(self, lc: LabelCoverInstance, template: Template):
@@ -768,6 +769,7 @@ class Support:
         # (remap, weight class array, equations per class) of the last
         # pattern of equal row weights
         self.weight_classes: tuple | None = None
+        self.eps_weights: tuple | None = None  # (eps, class_weights(eps)) of the last eps
         # the first variable of each left and of each right vertex
         self.u_off = {u: k * self.pd.n for k, u in enumerate(lc.u_names)}
         self.v_off = {v: len(lc.u_names) * self.pd.n + k * self.pe.n for k, v in enumerate(lc.v_names)}
@@ -789,21 +791,28 @@ class Support:
             _read_only(array)
         return rows
 
-    def weighed(self, weights) -> tuple[SystemArrays, np.ndarray]:
-        """The exact encoding at the noise-class ``weights``, and its
-        equations per weight class. The weight classes depend only on which
-        row weights are equal, which eps can change (|G1| / (|G1| + 1) joins
-        two on lc_tiny with a doubled edge), so the classes and totals of
-        the last such pattern are kept, read-only, and checked when they are
-        made. Callers check the enumeration cap first."""
+    def class_weights(self, eps: Fraction) -> tuple[list[int], int]:
+        """``_class_numerators`` at eps, kept for the last eps (compared by
+        ``==``), as a run builds its system and both payoffs at one eps."""
+        if self.eps_weights is None or self.eps_weights[0] != eps:
+            self.eps_weights = eps, _class_numerators(self.lc, self.pe, self.pd, eps)
+        return self.eps_weights[1]
+
+    def weighed(self, eps: Fraction) -> tuple[SystemArrays, np.ndarray]:
+        """The exact encoding at eps, and its equations per weight class.
+        The weight classes depend only on which row weights are equal, which
+        eps can change (|G1| / (|G1| + 1) joins two on lc_tiny with a
+        doubled edge), so the classes and totals of the last such pattern
+        are kept, read-only, and checked when they are made. Callers check
+        the enumeration cap first."""
         rows = self.exact
-        remap, weights = rows.joined(weights)
+        nums, denom = self.class_weights(eps)
+        remap, joined = rows.joined(nums)
         if self.weight_classes is None or self.weight_classes[0] != remap:
-            arrays = rows.encoding(remap, weights)
-            totals = _class_totals(arrays)
-            self.weight_classes = (remap, _read_only(arrays.weight_class), _read_only(totals))
+            arrays = _weighed(rows, rows.encoding(remap), joined, denom)
+            self.weight_classes = (remap, _read_only(arrays.weight_class), _read_only(_class_totals(arrays)))
         _, weight_class, totals = self.weight_classes
-        return SystemArrays(rows.var_ids, rows.signs, rows.rhs, weight_class, weights), totals
+        return _weighed(rows, weight_class, joined, denom), totals
 
     def family(self, family: AssignmentFamily) -> KeptFamily:
         """The kept entry of the family's side for the family's content; a
@@ -850,8 +859,10 @@ def support(lc: LabelCoverInstance, template: Template) -> Support:
     checks it; the enumeration caps stay with the callers, which check them
     on every call too."""
     sup = _support(lc, template)
-    sup.pe.check_cap()
-    sup.pd.check_cap()
+    limit = table_cap()  # read once for both powers
+    for power in (sup.pe, sup.pd):
+        if power.n > limit:
+            power.check_cap()
     return sup
 
 
@@ -859,13 +870,11 @@ def _system(lc, template, params: ReductionParams, merge: bool) -> LinSystem:
     sup = support(lc, template)
     if params.mode == "sampled":
         rows = _merge(sup.sampled_rows(params)) if merge else sup.sampled_rows(params)
-        weights = [Fraction(1, params.sample_count)]
-        return LinSystem.from_arrays(template, sup.variables, rows.weighed(weights))
+        return LinSystem.from_arrays(template, sup.variables, rows.weighed([1], params.sample_count))
     _check_exact_cap(lc, sup.pe, sup.pd, params.cap)
-    weights = _class_weights(lc, sup.pe, sup.pd, params.eps)
     if sup.mergeable and not merge:
-        return LinSystem.from_arrays(template, sup.variables, sup.tuple_rows().weighed(weights))
-    arrays, totals = sup.weighed(weights)
+        return LinSystem.from_arrays(template, sup.variables, sup.tuple_rows().weighed(*sup.class_weights(params.eps)))
+    arrays, totals = sup.weighed(params.eps)
     system = LinSystem.from_arrays(template, sup.variables, arrays, class_totals=totals)
     # the support's rows are this system's rows, so their side views are too
     system.__dict__["_side_views"] = sup.side_views
@@ -899,10 +908,14 @@ def build_system(lc: LabelCoverInstance, template: Template, params: ReductionPa
 
 def _assignment_values(system: LinSystem, assignment: dict, order: int) -> np.ndarray:
     """The assignment as an array in variable order; every variable must be
-    present with a value in ``0..order-1``."""
+    present with a value in ``0..order-1``, and no other name."""
     for x in system.variables:
         if x not in assignment:
             raise MissingVariable(x)
+    if len(assignment) > len(system.variables):
+        names = set(system.variables)
+        extra = next(x for x in assignment if x not in names)
+        raise InvalidParams(f"the assignment names {extra}, which is not a variable of the system")
     values = [int(assignment[x]) for x in system.variables]
     for x, val in zip(system.variables, values):
         if not 0 <= val < order:
@@ -959,11 +972,10 @@ def payoff_distribution(
     x_a = (a o pi)^-1. The mass at the identity is the payoff of the family.
     Elements with non-zero mass are listed in element order.
 
-    The tuples are counted per (z, noise class) by ``_payoff_counts``, and
-    exact arithmetic touches only the |D|+1 class weights. No weight enters
-    the counts, so the support keeps them for the last family of each side,
-    by content (``Support.family``), and a call at another eps only weighs
-    them. The caps and the family's shape are checked on every call.
+    The tuples are counted per (z, noise class) by ``_payoff_counts``; the
+    support keeps the counts for the last family of each side, by content
+    (``Support.family``), and a call weighs them with the eps's integer
+    class weights. The caps and the family's shape are checked every call.
     """
     if side != family.side:
         raise InvalidParams("family built for the other side")
@@ -973,7 +985,7 @@ def payoff_distribution(
     kept = sup.family(family)
     if kept.counts is None:
         kept.counts = _read_only(_payoff_counts(sup, family))
-    nums, denom = _numerators(_class_weights(lc, sup.pe, sup.pd, params.eps))
+    nums, denom = sup.class_weights(params.eps)
     return {
         z: Fraction(sum(map(operator.mul, nums, row)), denom)
         for z, row in enumerate(kept.counts.tolist())

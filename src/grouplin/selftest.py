@@ -69,6 +69,7 @@ from .reduction import (
 )
 from .reps import eta, irreps, multiplicity, regular_representation
 from .solvers import brute_force_opt, derandomize, derandomized_value, non_cubic_solve, random_expectation
+from .solvers import _best, _counts, _first_changed
 
 GROUP_NAMES = ("z2", "z3", "z4", "z2xz2", "s3", "d4", "q8", "s4")
 
@@ -645,6 +646,25 @@ def _check_weight_flip(seed):
     return bad == 0 and flips == 2, float(bad), f"choices flip on {flips} of 2 sides"
 
 
+def _check_path_check(seed):
+    # the one-pass check of derandomize's kept path finds the first changed
+    # step as a ``_best`` scan does, on the flipping systems and a catalog sweep
+    t, one, two = flipping_systems()
+    cases = [(system, side) for system in (one, two, one) for side in (1, 2)]
+    for t in catalog.templates().values():
+        for eps in _sweep(seed) + [Fraction(len(t.g1), len(t.g1) + 1)]:
+            cases += [(build_system(doubled_tiny(), t, ReductionParams(eps)), side) for side in (1, 2)]
+    bad, changed = 0, 0
+    for system, side in cases:
+        kept, nums = _counts(system, side), system.arrays.numerators[0]
+        flips = [_best([nums[c] for c in cls], counts) != kept.choice[x] for x, cls, counts in kept.path]
+        scan = flips.index(True) if any(flips) else len(flips)
+        bad += _first_changed(kept, nums) != scan
+        changed += scan < len(kept.path)
+        derandomize(system, system.template, side)
+    return bad == 0 and changed >= 4, float(bad), f"{len(cases)} checks, {changed} with a changed step"
+
+
 def _check_noncubic_sound(seed):
     t = catalog.template("z3_id")
     rng = np.random.default_rng(seed)
@@ -859,6 +879,7 @@ def registry() -> tuple[Check, ...]:
     add("solvers", "warm-equals-cold[lc_tiny]", _check_warm_equals_cold)
     add("solvers", "derandomized-value", _check_derandomized_value)
     add("solvers", "weight-flip-rescore", _check_weight_flip)
+    add("solvers", "path-check", _check_path_check)
 
     for tname in ("z2_id", "s3_sign", "s3_a3_incl"):
         add("decoder", f"averaging-consistency[{tname}]", _check_averaging, tname)

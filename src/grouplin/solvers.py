@@ -4,21 +4,14 @@ assignment, its derandomization, and the accept/reject routine that handles
 unsatisfiable cube equations.
 
 The first three run on the system's integer encoding (``LinSystem.arrays``)
-and stay exact. ``brute_force_opt`` counts hits per weight class in int64
-and weighs the counts as ``Fraction``s. ``random_expectation`` and
-``derandomize`` run on the side's view of the system (``side_view``), where
-equations equal on that side are one row, and score each distinct equation
-pattern once per scoring pass. A row's weight is a sum of its weight
-classes' weights, so what they score is hits per weight class, which no
-weight enters: ``random_expectation`` keeps one total per class, and
-``derandomize`` keeps its path, the counts per class and the choice at each
-variable that rows touch, and the hits per class of the assignment the path
-ends in, which ``derandomized_value`` weighs. All are kept in the view's
-memo, next to the incidence ``derandomize`` builds, with the system (with
-its support, for an exact reduction), for as long as the system's weight
-classes stay the same. A call then only weighs the counts with integer
-numerators over the weights' common denominator; ``derandomize`` rescores
-the path from the first variable whose choice the new weights change.
+and stay exact. ``random_expectation`` and ``derandomize`` run on the side's
+view (``side_view``), where equations equal on that side are one row, and
+score each distinct equation pattern once per pass. What they score is hits
+per weight class, which no weight enters, so the view's memo keeps them for
+as long as the weight classes stay the same: ``random_expectation``'s totals,
+and ``derandomize``'s path with the hits of the assignment it ends in. A call
+weighs them with the weights' integer numerators; ``derandomize`` checks its
+path in one pass and rescores it from the first choice that changes.
 """
 
 from __future__ import annotations
@@ -38,7 +31,6 @@ from .reduction import (
     SideView,
     _codes,
     _firsts,
-    _numerators,
     side_tables,
     side_view,
 )
@@ -142,7 +134,7 @@ class _Counts:
     index into the constants subgroup (0 where no row touches it).
     ``assigned`` holds the hits of the assignment the path ends in, times
     |h|^2, as (weight class, hits) pairs; it is None until ``_path`` has
-    walked a new path to its end."""
+    walked a new path to its end. ``stack`` is the path as ``_first_changed`` scores it."""
 
     def __init__(self, system: LinSystem, side: int):
         enc = system.arrays
@@ -152,7 +144,7 @@ class _Counts:
         self.row_class, self.vec_start, self.vec_class, self.vec_count = _row_classes(
             side_view(system, side), self.weight_class, n
         )
-        self.totals = self.assigned = None
+        self.totals = self.assigned = self.stack = None
         self.path: list = []
         self.choice = np.zeros(len(system.variables), dtype=np.int64)
 
@@ -248,6 +240,25 @@ def _best(nums: list[int], counts: np.ndarray) -> int:
     smallest on ties, in Python ints."""
     scores = [sum(map(operator.mul, nums, col)) for col in counts.T.tolist()]
     return scores.index(max(scores))
+
+
+def _first_changed(kept: _Counts, nums: list[int]) -> int:
+    """The first step of the kept path whose choice is not ``_best`` under
+    the numerators ``nums``, or the path's length: all steps scored in one
+    pass, in int64 where it cannot overflow, else in Python ints."""
+    if not kept.path:
+        return 0
+    if kept.stack is None:
+        counts = np.concatenate([c for _, _, c in kept.path])
+        starts = np.cumsum([0] + [len(c) for _, _, c in kept.path[:-1]])
+        top = max(1, int(np.add.reduceat(counts, starts, axis=0).max()))
+        classes = np.concatenate([c for _, c, _ in kept.path])
+        kept.stack = np.array([x for x, _, _ in kept.path]), classes, counts, starts, top
+    steps, classes, counts, starts, top = kept.stack
+    dtype = np.int64 if max(nums) * top < 2**63 else object
+    scores = np.add.reduceat(counts.astype(dtype, copy=False) * np.array(nums, dtype)[classes, None], starts, axis=0)
+    changed = np.flatnonzero(scores.argmax(axis=1) != kept.choice[steps])
+    return int(changed[0]) if len(changed) else len(steps)
 
 
 class _Patterns:
@@ -435,9 +446,8 @@ def derandomize(system: LinSystem, template: Template, side: int) -> dict[str, i
     are fixed, x is unknown 0, and later ones are unknowns 1 and 2, uniform
     on the constants subgroup. Scores are weight numerators over the
     weights' common denominator times hits, so they compare exactly. The
-    path of hits per weight class is kept with the view: a call follows it
-    while its choices stay best under the system's weights, and rescores it
-    from the first variable where they do not.
+    path of hits per weight class is kept with the view: a call checks its
+    choices in one pass and rescores it from the first that changed.
     """
     kept, h = _path(system, template, side)
     return {x: int(val) for x, val in zip(system.variables, h[kept.choice])}
@@ -453,23 +463,18 @@ def derandomized_value(system: LinSystem, template: Template, side: int) -> Frac
 def _weigh(system: LinSystem, class_hits, scale: int) -> Fraction:
     """(weight class, hits) pairs weighed by the system's weights, over
     ``scale``."""
-    nums, denom = _numerators(system.arrays.weights)
+    nums, denom = system.arrays.numerators
     return Fraction(sum(nums[c] * t for c, t in class_hits), denom * scale)
 
 
 def _path(system: LinSystem, template: Template, side: int):
     """The view's ``_Counts`` with ``derandomize``'s path for the system's
-    weights, and the constants subgroup. The kept path is followed while its
-    choices stay best; from the first step where one does not, it is
-    replaced and the assignment it ends in is counted."""
+    weights, and the constants subgroup. From the first step whose choice
+    is no longer best, the kept path is replaced and its end counted."""
     tables, h = _side(system, template, side)
     kept = _counts(system, side)
-    nums, _ = _numerators(system.arrays.weights)
-    start = 0
-    for x, classes, counts in kept.path:
-        if _best([nums[c] for c in classes], counts) != kept.choice[x]:
-            break
-        start += 1
+    nums, _ = system.arrays.numerators
+    start = _first_changed(kept, nums)
     if start == len(kept.path) and kept.assigned is not None:
         return kept, h
     patterns = _Patterns(tables, h)
@@ -481,8 +486,8 @@ def _path(system: LinSystem, template: Template, side: int):
     eqs, shape, indptr = view.memo["incidence"]
     # the rhs plus the key parts of the slots already fixed, per row
     known = tables.rhs_map[view.rows(enc.rhs)].astype(np.int64)
+    kept.stack = kept.assigned = None
     del kept.path[start:]
-    kept.assigned = None
     for step, x in enumerate(np.flatnonzero(indptr[1:] > indptr[:-1]).tolist()):
         own = slice(indptr[x], indptr[x + 1])
         rows = eqs[own]

@@ -121,3 +121,16 @@ def derandomize(system, template, side):
                 best_val, best_elem = score, elem
         fixed[x] = best_elem
     return fixed
+
+
+def first_changed(path, choice, nums):
+    """The first step of a kept ``derandomize`` path whose choice is not the
+    best under the weight numerators ``nums``, or the path's length. Step by
+    step, as ``solvers._best`` scores one step: per value, the sum of
+    ``nums[c]`` times the step's count for weight class c, in Python ints,
+    the smallest value on ties."""
+    for step, (x, classes, counts) in enumerate(path):
+        scores = [sum(nums[c] * int(n) for c, n in zip(classes, col)) for col in counts.T.tolist()]
+        if scores.index(max(scores)) != choice[x]:
+            return step
+    return len(path)

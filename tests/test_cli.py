@@ -12,7 +12,7 @@ import grouplin
 from grouplin import catalog, io
 from grouplin.cli import main
 from grouplin.errors import InvalidParams, table_cap
-from grouplin.reduction import ReductionParams, make_label_cover, projection_family
+from grouplin.reduction import ReductionParams, build_system, make_label_cover, projection_family
 
 
 
@@ -179,8 +179,21 @@ def test_eval_rejects_malformed_files_with_exit_2(tmp_path, capsys, case):
     assert err.count("\n") == 1
 
 
+def _tiny_system():
+    return build_system(catalog.label_cover("lc_tiny"), catalog.template("z2_id"), ReductionParams(Fraction(1, 4)))
+
+
+def _eval_argv(path):
+    """``eval`` of the assignment at ``path`` on lc_tiny's z2_id system,
+    written beside it."""
+    system_path = os.path.join(os.path.dirname(path), "system.json")
+    Path(system_path).write_text(io.canonical_dumps(io.system_to_obj(_tiny_system(), "z2_id")), encoding="utf-8")
+    return ["eval", system_path, "--assignment", path]
+
+
 # input kind -> (a valid object of that kind, argv reading it from a path)
 INPUT_KINDS = {
+    "assignment": (lambda: dict.fromkeys(_tiny_system().variables, 0), _eval_argv),
     "family": (
         lambda: io.family_to_obj(
             projection_family(
@@ -217,6 +230,7 @@ MALFORMED_INPUTS = {
     "lc-repeated-label": ("lc", lambda lc: {**lc, "D": lc["D"] + lc["D"][:1]}),
     "lc-repeated-vertex": ("lc", lambda lc: {**lc, "V": lc["V"] + lc["V"][:1]}),
     "family-extra-vertex": ("family", _set(("A", "vX"), [0, 1])),
+    "assignment-extra-variable": ("assignment", lambda a: {**a, "zzz": 0, "zzzz": 1}),
     "group-not-an-object": ("group", lambda g: [1, 2]),
     "group-row-not-a-list": ("group", _set(("table", 0), 5)),
     "group-entry-float": ("group", _set(("table", 0, 0), 0.5)),
@@ -233,6 +247,7 @@ MALFORMED_INPUT_MESSAGES = {
     "lc-repeated-label": "d0 appears more than once in D",
     "lc-repeated-vertex": "v0 appears more than once in V",
     "family-extra-vertex": "family A table for vX, which is not a vertex in V",
+    "assignment-extra-variable": "the assignment names zzz, which is not a variable of the system",
     "group-ragged-row": '"table" row 1 has 1 entries, where row 0 has 2',
 }
 

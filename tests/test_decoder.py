@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -27,12 +28,14 @@ from grouplin import (
     simulate_strategy,
     trivial_term_bound,
 )
-from grouplin import reduction, reps
+import reference_decoder as ref_decoder
+from grouplin import io, reduction, reps
 from grouplin.cli import run_pipeline
 from grouplin.decoder import expected_character, left_table, right_table
 from grouplin.fourier import transform
 from grouplin.reduction import powers
 from grouplin.reps import irreps
+from test_cli import _digits
 
 EPS = Fraction(1, 8)
 DELTA = Fraction(1, 4)
@@ -122,6 +125,26 @@ def test_kappa_rejects_bad_params():
 
 def test_alpha_formula_value():
     assert alpha(Fraction(1, 4), Fraction(1, 2), 2, 2) == Fraction(1, 65536)
+
+
+def test_integer_kappa_and_alpha_equal_the_fraction_formulas():
+    for delta in (Fraction(1, 4), Fraction(1, 2), Fraction(2), Fraction(7, 2)):
+        for k in range(1, 401):
+            eps = Fraction(k, 4001)
+            assert kappa(delta, eps) == ref_decoder.kappa(delta, eps)
+            assert alpha(delta, eps, 6, 2) == ref_decoder.alpha(delta, eps, 6, 2)
+    # the exact boundaries (1 - eps)^k = delta / 4
+    for delta, eps, k in ((Fraction(1, 2), Fraction(1, 2), 3), (Fraction(1, 4), Fraction(3, 4), 2), (Fraction(2), Fraction(1, 2), 1)):
+        assert (1 - eps) ** k == delta / 4
+        assert kappa(delta, eps) == ref_decoder.kappa(delta, eps) == k
+        assert alpha(delta, eps, 6, 2) == ref_decoder.alpha(delta, eps, 6, 2)
+
+
+def test_alpha_at_a_small_eps_round_trips_through_frac_str():
+    value = alpha(DELTA, Fraction(1, 4001), 6, 2)
+    num, den = io.frac_str(value).split("/")
+    assert len(den) > sys.get_int_max_str_digits()
+    assert Fraction(_digits(num), _digits(den)) == value == ref_decoder.alpha(DELTA, Fraction(1, 4001), 6, 2)
 
 
 # -- context and omega selection ----------------------------------------------

@@ -141,6 +141,25 @@ def test_validate_template_no_extension_z4_to_z2():
         validate_template(z4, z2, phi)
 
 
+def test_validate_template_no_extension_q8_center_to_z2():
+    # a refused map is a fixture: Q8's centre {1, -1} -> Z2 with -1 -> 1
+    q8, center = catalog.subgroup_pairs()["q8/center"]
+    z2 = catalog.group("z2")
+    minus_one, i = q8.elements.index("-1"), q8.elements.index("i")
+    assert center.members == tuple(sorted((q8.identity, minus_one))) and q8.mul(i, i) == minus_one
+    # oracle: enumerate every map Q8 -> Z2; each homomorphism sends
+    # -1 = i^2 to the identity
+    homs = [
+        psi
+        for psi in itertools.product(range(2), repeat=len(q8))
+        if all(psi[q8.mul(a, b)] == z2.mul(psi[a], psi[b]) for a in range(len(q8)) for b in range(len(q8)))
+    ]
+    assert len(homs) == 4 and all(psi[minus_one] == z2.identity for psi in homs)
+    phi = make_homomorphism(center, z2, {q8.identity: z2.identity, minus_one: 1})
+    with pytest.raises(NoExtension):
+        validate_template(q8, z2, phi)
+
+
 def test_validate_template_sign_map():
     s3, z2 = catalog.group("s3"), catalog.group("z2")
     sign = {i: (0 if s3.elements[i] in ("e", "(123)", "(132)") else 1) for i in range(6)}

@@ -167,7 +167,7 @@ def test_python_int_numerators_are_summed_per_group():
         LinEquation((("y", 1), ("z", 1), ("z", 1)), 0, 1 - Fraction(1, p) - Fraction(1, q) - w),
     ]
     system = LinSystem(t, ("x", "y", "z"), eqs)
-    nums, _ = solvers._numerators(system.arrays.weights)
+    nums, _ = system.arrays.numerators
     assert max(nums) >= 2**63  # so the scores are Python ints
     assert len(side_view(system, 2).rep) == 3
     # the merged row's class counts both equations, one per weight class

@@ -207,14 +207,15 @@ def test_weights_that_flip_a_middle_variable_replace_the_kept_tail(side, monkeyp
 @pytest.mark.parametrize("side", (1, 2))
 def test_an_interrupted_rescore_is_finished_by_the_next_call(side, monkeypatch):
     # the second system rescores y, then z; stopped at z, the path ends
-    # after y and the old assignment's counts are gone
+    # after y and the old assignment's counts are gone. The kept path is
+    # checked in one pass, so every ``_best`` call is the rescore loop's.
     t, one, two = flipping_systems()
     derandomize(one, t, side)
     calls, best = [], solvers._best
 
     def stopping(nums, counts):
         calls.append(nums)
-        if len(calls) == 4:  # x and y checked, y rescored, then z
+        if len(calls) == 2:  # y rescored, then z
             raise KeyboardInterrupt
         return best(nums, counts)
 
@@ -222,6 +223,8 @@ def test_an_interrupted_rescore_is_finished_by_the_next_call(side, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         derandomize(two, t, side)
     monkeypatch.setattr(solvers, "_best", best)
+    kept = solvers._counts(two, side)
+    assert [x for x, _, _ in kept.path] == [0, 1] and kept.assigned is None and kept.stack is None
     assert derandomize(two, t, side) == ref.derandomize(two, t, side)
     assert derandomized_value(two, t, side) == evaluate(two, ref.derandomize(two, t, side), side)
 
@@ -254,6 +257,28 @@ def test_derandomized_values_over_one_shared_view_match_the_reference(system, si
         warm = reweighed(system, [Fraction(r, total) for r in raw])
         value = evaluate(warm, ref.derandomize(warm, t, side), side)
         assert derandomized_value(warm, t, side) == value
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=small_systems(), side=st.sampled_from((1, 2)), data=st.data())
+def test_the_batched_path_check_finds_the_first_changed_step(system, side, data):
+    # weights from a few values, so that scores tie and choices flip; the
+    # check of the kept path and the rescored assignment equal a
+    # step-by-step scan and the reference
+    t = system.template
+    n = len(system.arrays.weights)
+    used = np.bincount(system.arrays.weight_class, minlength=n).tolist()
+    derandomize(system, t, side)
+    for _ in range(4):
+        raw = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        warm = reweighed(system, [Fraction(r, sum(map(int.__mul__, raw, used))) for r in raw])
+        kept = solvers._counts(warm, side)
+        nums, _ = warm.arrays.numerators
+        assert solvers._first_changed(kept, nums) == ref.first_changed(kept.path, kept.choice, nums)
+        # numerators whose scores pass int64 are scored in Python ints, ties included
+        huge = data.draw(st.lists(st.sampled_from((0, 1, 2**61, 2**62 - 1, 2**62, 2**70)), min_size=n, max_size=n))
+        assert solvers._first_changed(kept, huge) == ref.first_changed(kept.path, kept.choice, huge)
+        assert derandomize(warm, t, side) == ref.derandomize(warm, t, side)
 
 
 @pytest.mark.parametrize("side", (1, 2))

@@ -6,6 +6,7 @@ weights once per run, solves from the hit counts kept with the view without
 scoring a pattern, and weighs the payoff counts and replays the influence
 terms kept for the last family of each side."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from grouplin import (
     decode,
     decoder,
     derandomize,
+    groups,
     make_context,
     payoff_distribution,
     projection_family,
@@ -263,11 +265,22 @@ def test_a_warm_eps_sweep_scores_no_pattern(monkeypatch):
 
 
 def test_a_warm_pipeline_evaluates_nothing(monkeypatch):
-    # the derandomized value is weighed from the counts kept with the path
-    t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
+    # the derandomized value is weighed from the counts kept with the path;
+    # the template is a copy whose hash no lookup has computed yet
+    t, lc = replace(catalog.template("s3_sign")), catalog.label_cover("lc1")
     sweep = (EPS2, Fraction(1, 100), Fraction(1, 5), EPS1)
     delta = Fraction(1, 4)
+    hashes, keys, payoffs, bests = [], [], [], []
+    template_hash = groups.Template.__dict__["_hash"]
+    monkeypatch.setattr(template_hash, "func", _counting(hashes, "hash", template_hash.func))
+    monkeypatch.setattr(reduction.Support, "family", _counting(keys, "key", reduction.Support.family))
+    payoff = _counting(payoffs, "payoff", reduction.payoff_distribution)
+    for module in (reduction, decoder):
+        monkeypatch.setattr(module, "payoff_distribution", payoff)
+    monkeypatch.setattr(solvers, "_best", _counting(bests, "_best", solvers._best))
     run_pipeline(lc, t, EPS1, delta)
+    assert hashes == ["hash"]
+    hashes.clear(), keys.clear(), payoffs.clear(), bests.clear()
     calls = []
     evaluate, hits = reduction.evaluate, solvers._Patterns._hits
 
@@ -287,10 +300,15 @@ def test_a_warm_pipeline_evaluates_nothing(monkeypatch):
         monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
     warm = [run_pipeline(lc, t, eps, delta) for eps in sweep]
     assert calls == []
+    # no template hash is computed again, one family key is made per
+    # payoff, and no step of the kept path is checked on its own, as no
+    # choice flips
+    assert hashes == [] and bests == []
+    assert len(payoffs) == 2 * len(sweep) and len(keys) <= len(payoffs)
     for eps, report in zip(sweep, warm):
         reduction._support.cache_clear()
         assert report == run_pipeline(lc, t, eps, delta)
-    assert {"_hits", "_payoff_counts", "transform"} <= set(calls)
+    assert {"_hits", "_payoff_counts", "transform"} <= set(calls) and bests
     assert "evaluate" not in calls and "multiplicity" not in calls  # eta is memoized apart from the support
 
 
@@ -446,39 +464,39 @@ def test_a_warm_build_checks_only_its_weights(monkeypatch):
     monkeypatch.setattr(reduction, "_class_totals", _counting(totals, "totals", reduction._class_totals))
     build_system(lc, t, ReductionParams(EPS1))
     assert passes == [31104] and len(totals) == 1  # the support's rows and weight classes, once
-    weights = build_system(lc, t, ReductionParams(EPS2)).arrays.weights
+    weights = build_system(lc, t, ReductionParams(EPS2)).arrays.numerators
     assert passes == [31104] and len(totals) == 1
     # sampled systems are checked row by row on every build
     sampled = ReductionParams(EPS2, mode="sampled", sample_count=100, seed=1)
     rows = [len(build_system(lc, t, sampled).arrays) for _ in range(2)]
     assert passes == [31104, *rows] and len(totals) == 3
-    # bad weights still raise on a warm build
-    w0, w1, w2 = weights
-    for bad, message in (((w0 + 2 * w1, -w1, w2), "non-negative"), ((2 * w0, w1, w2), "weights sum to")):
-        monkeypatch.setattr(reduction, "_class_weights", lambda *args, bad=bad: bad)
+    # bad weights still raise on a warm build, at an eps the support has
+    # not weighed yet; the support is dropped after, as it keeps them
+    (n0, n1, n2), denom = weights
+    bad_weights = ((Fraction(1, 5), [n0 + 2 * n1, -n1, n2], "non-negative"), (Fraction(1, 6), [2 * n0, n1, n2], "weights sum to"))
+    for eps, bad, message in bad_weights:
+        monkeypatch.setattr(reduction, "_class_numerators", lambda *args, bad=bad: (bad, denom))
         with pytest.raises(InvalidParams, match=message):
-            build_system(lc, t, ReductionParams(EPS2))
+            build_system(lc, t, ReductionParams(eps))
+    reduction._support.cache_clear()
     assert passes == [31104, *rows]
 
 
 def test_one_pipeline_run_computes_its_class_weights_once(monkeypatch):
     t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
     calls = []
-    weights = reduction.noise_class_weights
-
-    def counting(*args):
-        calls.append(args)
-        return weights(*args)
-
-    monkeypatch.setattr(reduction, "noise_class_weights", counting)
-    reduction._tuple_weights.cache_clear()
+    monkeypatch.setattr(reduction, "_class_numerators", _counting(calls, "weights", reduction._class_numerators))
+    reduction._support.cache_clear()
     run_pipeline(lc, t, EPS1, Fraction(1, 4))
     # build_system and both payoff_distribution calls share one computation
-    assert calls == [(6, 2, EPS1)]
-    info = reduction._tuple_weights.cache_info()
-    assert (info.hits, info.misses, info.maxsize) == (2, 1, 1)
-    kept = reduction._class_weights(lc, *reduction.powers(lc, t), EPS1)
-    assert isinstance(kept, tuple) and all(isinstance(w, Fraction) for w in kept)
+    assert calls == ["weights"]
+    sup = reduction.support(lc, t)
+    nums, denom = sup.class_weights(EPS1)
+    assert calls == ["weights"] and all(type(n) is int for n in [*nums, denom])
+    assert build_system(lc, t, ReductionParams(EPS1)).arrays.weights == tuple(Fraction(n, denom) for n in nums)
+    run_pipeline(lc, t, EPS1, Fraction(1, 4))
+    assert calls == ["weights"]
+    # one weighing per eps, and only the last eps's is kept
     for k in range(3):
-        reduction._class_weights(lc, *reduction.powers(lc, t), Fraction(1, k + 2))
-    assert reduction._tuple_weights.cache_info().currsize == 1
+        run_pipeline(lc, t, Fraction(1, k + 5), Fraction(1, 16))
+    assert calls == ["weights"] * 4 and sup.eps_weights[0] == Fraction(1, 7)
