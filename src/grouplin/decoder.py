@@ -94,11 +94,7 @@ class DecoderContext:
     prod_d: tuple
     z_mass: dict  # element of G2 -> Fraction
     value: Fraction
-
-    @functools.cached_property
-    def kept(self) -> KeptFamily:
-        """The support's entry for the family; ``make_context`` sets it."""
-        return support(self.lc, self.template).family(self.family)
+    kept: KeptFamily  # the support's side-2 entry the payoff count used
 
 
 def make_context(
@@ -131,7 +127,7 @@ def make_context(
     g1_ir = irreps(template.g1, seed=seed)
     g2_ir = irreps(template.g2, seed=seed)
     sup = support(lc, template)
-    ctx = DecoderContext(
+    return DecoderContext(
         lc=lc,
         template=template,
         eps=eps,
@@ -147,9 +143,8 @@ def make_context(
         prod_d=product_irreps(g1_ir, lc.d_labels),
         z_mass=mass,
         value=value,
+        kept=sup.families[2],
     )
-    ctx.__dict__["kept"] = sup.families[2]  # the entry the payoff count just used
-    return ctx
 
 
 @dataclass(frozen=True)

@@ -361,11 +361,11 @@ class GroupPower:
         self._coords.flags.writeable = False  # coords_matrix() hands it to every caller
         self._table = np.asarray(group.table)
 
-    def check_cap(self) -> None:
-        """Refuse the power when |G|^|D| exceeds the table cap. It runs on
-        construction, and again wherever a kept power is reused, since the
-        cap can change in between."""
-        limit = table_cap()
+    def check_cap(self, limit: int | None = None) -> None:
+        """Refuse the power when |G|^|D| exceeds the table cap (``limit``,
+        read when not given). It runs on construction, and again wherever a
+        kept power is reused, since the cap can change in between."""
+        limit = table_cap() if limit is None else limit
         if self.n > limit:
             raise CapExceeded(
                 f"|G|^|D| = {self.n} exceeds the table cap {limit}"

@@ -860,9 +860,8 @@ def support(lc: LabelCoverInstance, template: Template) -> Support:
     on every call too."""
     sup = _support(lc, template)
     limit = table_cap()  # read once for both powers
-    for power in (sup.pe, sup.pd):
-        if power.n > limit:
-            power.check_cap()
+    sup.pe.check_cap(limit)
+    sup.pd.check_cap(limit)
     return sup
 
 

@@ -4,7 +4,7 @@ correct; the equivalence tests hold the kernel to them.
 
 Coset representatives and noise weights are computed here by the original
 per-tuple loops, independently of ``groups.coset_arrays`` and
-``fourier.noise_class_weights``.
+``reduction._class_numerators``.
 """
 
 from __future__ import annotations
