@@ -16,14 +16,7 @@ import sys
 from . import io
 from .decoder import alpha, decode, derandomize_strategy, make_context
 from .errors import CapExceeded, GroupLinError, InvalidParams, NoOmega
-from .reduction import (
-    ReductionParams,
-    best_labeling,
-    build_system,
-    evaluate,
-    evaluate_family,
-    projection_family,
-)
+from .reduction import ReductionParams, build_system, evaluate, evaluate_family, planted
 from .reps import irreps
 from .solvers import brute_force_opt, derandomize, derandomized_value, non_cubic_solve, random_expectation
 
@@ -165,20 +158,21 @@ def run_pipeline(
 ) -> dict:
     """Chain reduction, planted completeness, solver, and decoder into one
     report. ``family`` defaults to the side-2 planted projections of the best
-    Label Cover labeling (found exhaustively, within the enumeration cap)."""
+    Label Cover labeling (found exhaustively, within the enumeration cap).
+    The labeling and its planted families are kept with the support
+    (``reduction.planted``), as no eps enters them."""
     eps, delta = io.parse_frac(eps), io.parse_frac(delta)
     params = ReductionParams(eps, seed=seed)
-    lc_opt, h_d, h_e = best_labeling(lc)
+    lc_opt, proj1, proj2 = planted(lc, template)
     system = build_system(lc, template, params)
 
-    proj1 = projection_family(lc, template, h_d, h_e, side=1)
     completeness = evaluate_family(lc, template, params, proj1, side=1)
 
     solver_value = derandomized_value(system, template, side=2)
     expectation = random_expectation(system, template, side=2)
 
     if family is None:
-        family = projection_family(lc, template, h_d, h_e, side=2)
+        family = proj2
     decoder_report = _decode_report(lc, template, eps, delta, family, seed, leftover)
 
     return {

@@ -8,7 +8,8 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -32,38 +33,49 @@ log = logging.getLogger(__name__)
 
 _TIE = 1e-12
 
+# kappa's float ratio is off by a few units in the last place; within this
+# relative distance of an integer its rounding is checked in integers
+_KAPPA_GUARD = 1e-9
 
-def _ln(x: Fraction) -> float:
-    """Natural log of a rational in (0, 1), accurate near 0 and near 1."""
-    if x > Fraction(1, 2):
-        return math.log1p(-float(1 - x))
-    return math.log(x.numerator) - math.log(x.denominator)
+
+def _ln(num: int, den: int) -> float:
+    """Natural log of num / den in (0, 1), accurate near 0 and near 1."""
+    if 2 * num > den:
+        return math.log1p(-((den - num) / den))
+    ratio = num / den  # correctly rounded
+    return math.log(ratio) if ratio >= sys.float_info.min else math.log(num) - math.log(den)
 
 
 @functools.lru_cache(maxsize=8)
 def kappa(delta: Fraction, eps: Fraction) -> int:
     """Truncation degree: the least k >= 1 with (1 - eps)^k <= delta / 4.
 
-    Exact: a float guess of log(delta/4) / log(1 - eps), corrected by one
-    step in integers (with 1 - eps = r/q and delta/4 = a/b, the test is
-    r^k b <= a q^k). Not clamped to |D|: the influences keep degrees
+    With eps = p/q and delta / 4 = a/b, that is ln(a/b) / ln((q-p)/q)
+    rounded up, and the ratio is taken from floats. Its error is far below
+    ``_KAPPA_GUARD`` relative, so only a ratio within that of an integer is
+    settled in integers, by (q-p)^k b <= a q^k at the rounded-up ratio and
+    one below. Not clamped to |D|: the influences keep degrees
     0 < deg < k. Memoized for the last 8 (delta, eps), as a run asks for it
     in ``decode`` and in ``alpha``.
     """
     delta, eps = Fraction(delta), Fraction(eps)
-    if not 0 < eps < 1:
+    p, q = eps.numerator, eps.denominator
+    a, b = delta.numerator, 4 * delta.denominator
+    if not 0 < p < q:
         raise InvalidParams(f"eps must be in (0,1), got {eps}")
-    if not 0 < delta < 4:
+    if not 0 < a < b:
         raise InvalidParams(f"delta must be in (0,4), got {delta}")
-    q, target = 1 - eps, delta / 4
-    value = max(1, math.ceil(_ln(target) / _ln(q)))
+    r = q - p
+    ratio = _ln(a, b) / _ln(r, q)
+    value = max(1, math.ceil(ratio))
+    if abs(ratio - round(ratio)) > _KAPPA_GUARD * ratio:
+        return value
     # the float guess is off by less than one, so checking value - 1 and
     # value settles it
-    (r, d), (a, b) = (q.numerator, q.denominator), (target.numerator, target.denominator)
-    r_below, d_below = r ** (value - 1), d ** (value - 1)
-    if r_below * r * b > a * d_below * d:
+    r_below, q_below = r ** (value - 1), q ** (value - 1)
+    if r_below * r * b > a * q_below * q:
         value += 1
-    elif value > 1 and r_below * b <= a * d_below:
+    elif value > 1 and r_below * b <= a * q_below:
         value -= 1
     return value
 
@@ -324,14 +336,31 @@ def _terms(ctx: DecoderContext, omega: UnitaryRep, side: str, name: str, r: int,
     return terms
 
 
+@dataclass(eq=False)
+class Decoded:
+    """The eps-free outcome of ``decode`` for one (omega, leftover, irreps,
+    truncation), kept on the side-2 ``KeptFamily``: the entry indices, the
+    label maps found there and their agreement, and ``derandomize_strategy``'s
+    rounding of those maps on ``lc`` once it is asked for."""
+
+    xyz: tuple[int, int, int]
+    v_probs: dict
+    u_probs: dict
+    value: float
+    lc: LabelCoverInstance
+    rounding: tuple | None = None  # (h_d, h_e, value)
+
+
 @dataclass(frozen=True)
 class Strategy:
-    """Sub-probability label distributions per vertex, plus the leftover rule."""
+    """Sub-probability label distributions per vertex, plus the leftover rule.
+    ``decoded`` is the kept outcome a ``decode`` read the maps from."""
 
     v_probs: dict
     u_probs: dict
     kappa: int
     leftover: str
+    decoded: Decoded | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for probs in list(self.v_probs.values()) + list(self.u_probs.values()):
@@ -357,16 +386,38 @@ def _agreement(lc: LabelCoverInstance, u_probs: dict, v_probs: dict) -> float:
     return total / len(lc.edges)
 
 
+def _copy(maps: dict) -> dict:
+    return {x: dict(probs) for x, probs in maps.items()}
+
+
 def decode(ctx: DecoderContext):
     """Search the entry indices maximizing the truncated-influence strategy.
 
     Returns (strategy, expected_value, omega_choice). The existence argument
     only promises a good triple of indices; searching all of them dominates
     it at cubic cost in the dimension.
+
+    Past the choice of omega, only the truncation depends on eps, and no
+    product irrep has a degree above its coordinate count, so the outcome
+    of the search is kept on the context's family entry (``ctx.kept``) per
+    (omega, leftover, irreps, min(kappa, max(|D|, |E|) + 1)). The strategy
+    carries the raw kappa and copies of the kept maps.
     """
     choice = select_omega(ctx)
-    omega = choice.omega
     k = kappa(ctx.delta, ctx.eps)
+    lc = ctx.lc
+    key = (choice.omega, ctx.leftover, ctx.g1_irreps, min(k, max(len(lc.d_labels), len(lc.e_labels)) + 1))
+    kept = ctx.kept.decodes
+    if key not in kept:
+        kept[key] = _search(ctx, choice.omega, key[-1])
+    found = kept[key]
+    x, y, z = found.xyz
+    strategy = Strategy(_copy(found.v_probs), _copy(found.u_probs), k, ctx.leftover, found)
+    return strategy, found.value, replace(choice, x=x, y=y, z=z)
+
+
+def _search(ctx: DecoderContext, omega: UnitaryRep, k: int) -> Decoded:
+    """``decode``'s search over the entry indices at truncation ``k``."""
     dim = omega.dim
 
     @functools.cache
@@ -383,8 +434,8 @@ def decode(ctx: DecoderContext):
                 value = _agreement(ctx.lc, strategy.u_probs, strategy.v_probs)
                 if best is None or value > best[1] + _TIE:
                     best = (strategy, value, (x, y, z))
-    strategy, value, (x, y, z) = best
-    return strategy, value, replace(choice, x=x, y=y, z=z)
+    strategy, value, xyz = best
+    return Decoded(xyz, strategy.v_probs, strategy.u_probs, value, ctx.lc)
 
 
 def derandomize_strategy(lc: LabelCoverInstance, strategy: Strategy):
@@ -392,8 +443,21 @@ def derandomize_strategy(lc: LabelCoverInstance, strategy: Strategy):
 
     Fixes right vertices then left vertices, each to the label that keeps the
     expected agreement maximal (ties to the first label); returns the
-    labeling and its exact Label Cover value.
+    labeling and its exact Label Cover value. The rounding of a strategy
+    from ``decode`` is kept with its ``decoded`` outcome, and returned (as
+    copies) while the instance and the maps equal that outcome's.
     """
+    found = strategy.decoded
+    if found is None or found.lc != lc or (strategy.v_probs, strategy.u_probs) != (found.v_probs, found.u_probs):
+        return _rounding(lc, strategy)
+    if found.rounding is None:
+        found.rounding = _rounding(lc, strategy)
+    h_d, h_e, value = found.rounding
+    return dict(h_d), dict(h_e), value
+
+
+def _rounding(lc: LabelCoverInstance, strategy: Strategy):
+    """``derandomize_strategy``'s walk."""
     v_dist = {v: dict(strategy.v_probs[v]) for v in lc.v_names}
     u_dist = {u: dict(strategy.u_probs[u]) for u in lc.u_names}
 

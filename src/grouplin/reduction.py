@@ -724,15 +724,17 @@ def _merge(rows: Rows) -> Rows:
 @dataclass(eq=False)
 class KeptFamily:
     """The eps-free work on one family, which its support keeps for the
-    last family of each side: the counts of ``payoff_distribution`` and the
-    decoder's influence terms (``decoder.influence_probs``). ``key`` is the
-    family's content, per vertex its name and its table's dtype, shape and
-    bytes, not its identity: a run builds its families anew, and their
-    tables are mutable arrays."""
+    last family of each side: the counts of ``payoff_distribution``, the
+    decoder's influence terms (``decoder.influence_probs``) and its decode
+    outcomes (``decoder.decode``). ``key`` is the family's content, per
+    vertex its name and its table's dtype, shape and bytes, not its
+    identity: a run builds its families anew, and their tables are mutable
+    arrays."""
 
     key: tuple
     counts: np.ndarray | None = None  # int64 [|G|, |D|+1], read-only
     influences: dict = field(default_factory=dict)
+    decodes: dict = field(default_factory=dict)
 
 
 class Support:
@@ -748,10 +750,11 @@ class Support:
 
     What no weight enters is kept too, so an eps sweep only weighs counts:
     the weight classes with their totals for the last pattern of equal row
-    weights (``weighed``), and per side, for the last family by content, its
-    payoff counts and the decoder's influence terms (``family``). The last
-    eps's integer class weights are kept (``class_weights``). All of it goes
-    with the support.
+    weights (``weighed``); per side, for the last family by content, its
+    payoff counts, the decoder's influence terms and decode outcomes
+    (``family``); and the instance's optimum with its planted families
+    (``planted``). The last eps's integer class weights are kept
+    (``class_weights``). All of it goes with the support.
     """
 
     def __init__(self, lc: LabelCoverInstance, template: Template):
@@ -815,19 +818,44 @@ class Support:
         return _weighed(rows, weight_class, joined, denom), totals
 
     def family(self, family: AssignmentFamily) -> KeptFamily:
-        """The kept entry of the family's side for the family's content; a
-        family with other content replaces it. Callers check the family's
-        shape first."""
+        """The kept entry of the family's side for the family's content. A
+        family with other content has its shape checked
+        (``_check_family_shape``) and replaces it; one of the kept content
+        passed that check when it was kept."""
+        key = self._family_key(family)
+        kept = self.families.get(family.side)
+        if kept is None or kept.key != key:
+            _check_family_shape(self.lc, self.template, self.pe, self.pd, family)
+            kept = self.families[family.side] = KeptFamily(key)
+        return kept
+
+    def _family_key(self, family: AssignmentFamily) -> tuple | None:
+        """The family's content: per vertex its name and its table's dtype,
+        shape and bytes. None where the tables are not one of the right
+        length per vertex and no other, which no kept family has, so that
+        the shape check reports the fault."""
+        sides = ((self.lc.v_names, family.a_tables, self.pe.n), (self.lc.u_names, family.b_tables, self.pd.n))
+        for names, tables, n in sides:
+            if len(tables) != len(names) or any(x not in tables or len(tables[x]) != n for x in names):
+                return None
         key = []
-        for names, tables in ((self.lc.v_names, family.a_tables), (self.lc.u_names, family.b_tables)):
+        for names, tables, _ in sides:
             for x in names:
                 table = np.asarray(tables[x])
                 key.append((x, table.dtype.str, table.shape, table.tobytes()))
-        key = tuple(key)
-        kept = self.families.get(family.side)
-        if kept is None or kept.key != key:
-            kept = self.families[family.side] = KeptFamily(key)
-        return kept
+        return tuple(key)
+
+    @functools.cached_property
+    def planted(self) -> tuple[Fraction, AssignmentFamily, AssignmentFamily]:
+        """``reduction.planted``: the optimum of the instance and the
+        projection families of its labeling on sides 1 and 2, with
+        read-only tables. Callers check the search's cap first."""
+        value, h_d, h_e = _labeling_search(self.lc)
+        families = [projection_family(self.lc, self.template, h_d, h_e, side) for side in (1, 2)]
+        for family in families:
+            for table in (*family.a_tables.values(), *family.b_tables.values()):
+                _read_only(table)
+        return value, *families
 
     def tuple_rows(self) -> Rows:
         """One row per tuple (edge, a, b, nu, s1, s2), one block per edge;
@@ -974,13 +1002,13 @@ def payoff_distribution(
     The tuples are counted per (z, noise class) by ``_payoff_counts``; the
     support keeps the counts for the last family of each side, by content
     (``Support.family``), and a call weighs them with the eps's integer
-    class weights. The caps and the family's shape are checked every call.
+    class weights. The caps are checked every call, and the family's shape
+    whenever its content is not the kept family's.
     """
     if side != family.side:
         raise InvalidParams("family built for the other side")
     sup = support(lc, template)
     _check_payoff_cap(lc, sup.pe, sup.pd, params.cap)
-    _check_family_shape(lc, template, sup.pe, sup.pd, family)
     kept = sup.family(family)
     if kept.counts is None:
         kept.counts = _read_only(_payoff_counts(sup, family))
@@ -1084,6 +1112,21 @@ def best_labeling(lc: LabelCoverInstance):
     first optimum wins. The search evaluates |D|^|U| * |E|^|V| labelings on
     every edge, and that count is held to the enumeration cap.
     """
+    _check_labeling_cap(lc)
+    return _labeling_search(lc)
+
+
+def planted(lc: LabelCoverInstance, template: Template) -> tuple[Fraction, AssignmentFamily, AssignmentFamily]:
+    """``best_labeling``'s value and the side-1 and side-2 projection
+    families of its labeling, kept with the support of (lc, template) as
+    none of them depends on eps. The families' tables are read-only and
+    shared. The search's enumeration cap is checked on every call, before
+    the support's table cap, as ``best_labeling`` checks it."""
+    _check_labeling_cap(lc)
+    return support(lc, template).planted
+
+
+def _check_labeling_cap(lc: LabelCoverInstance) -> None:
     n_labelings = len(lc.d_labels) ** len(lc.u_names) * len(lc.e_labels) ** len(lc.v_names)
     limit = enum_cap()
     if n_labelings * len(lc.edges) > limit:
@@ -1091,6 +1134,10 @@ def best_labeling(lc: LabelCoverInstance):
             f"{n_labelings} labelings x {len(lc.edges)} edges ="
             f" {n_labelings * len(lc.edges)} edge checks exceed the cap {limit}"
         )
+
+
+def _labeling_search(lc: LabelCoverInstance):
+    """``best_labeling``'s search; callers check its cap first."""
     best = None
     for d_combo in itertools.product(lc.d_labels, repeat=len(lc.u_names)):
         for e_combo in itertools.product(lc.e_labels, repeat=len(lc.v_names)):

@@ -25,6 +25,7 @@ import numpy as np
 from . import catalog, io, reduction
 from .cli import SELFTEST_MODULES as MODULES
 from .decoder import (
+    derandomize_strategy,
     expected_character,
     high_degree_mass,
     kappa,
@@ -63,6 +64,7 @@ from .reduction import (
     family_assignment,
     make_label_cover,
     payoff_distribution,
+    planted,
     powers,
     projection_family,
     tuple_system,
@@ -795,6 +797,33 @@ def _check_kept_equals_cold(seed):
     return bad == 0, float(bad), f"{cases} cases"
 
 
+def _decoded(lc, t, eps, delta, family):
+    """A decode with its rounding, as the pipeline reports it."""
+    strategy, value, choice = decode(make_context(lc, t, eps, delta, family))
+    return strategy, value, choice, derandomize_strategy(lc, strategy)
+
+
+def _check_kept_decode(seed):
+    # over an eps sweep and back, the decode outcome kept per truncation
+    # gives what a cleared support gives, and kappa is the least k >= 1
+    # with (1 - eps)^k <= delta / 4; every catalog pair, where the promise
+    # allows eps
+    delta = Fraction(1, 4)
+    sweep = _sweep(seed) + [Fraction(1, 4001), Fraction(1, 8)]
+    bad, cases = 0, 0
+    for t, lc in itertools.product(catalog.templates().values(), catalog.label_covers().values()):
+        family = planted(lc, t)[2]
+        eps_list = [eps for eps in sweep if Fraction(1, len(t.h2)) + delta <= 1 - eps]
+        warm = [_decoded(lc, t, eps, delta, family) for eps in eps_list]
+        for eps, kept in zip(eps_list, warm):
+            reduction._support.cache_clear()
+            bad += kept != _decoded(lc, t, eps, delta, family)
+            k = kept[0].kappa
+            bad += not (1 - eps) ** k <= delta / 4 < (1 - eps) ** (k - 1)
+            cases += 1
+    return bad == 0, float(bad), f"{cases} cases"
+
+
 def _check_json_roundtrip(seed):
     """Canonical JSON reads back to the same bytes, and the streaming
     system writer gives exactly those bytes."""
@@ -890,6 +919,7 @@ def registry() -> tuple[Check, ...]:
     add("decoder", "strategy-simulation[z2_id]", _check_simulation, "z2_id")
     add("decoder", "strategy-simulation[s3_a3_incl]", _check_simulation, "s3_a3_incl")
     add("decoder", "warm-equals-cold[lc_tiny]", _check_kept_equals_cold)
+    add("decoder", "kept-decode", _check_kept_decode)
 
     add("io", "json-canonical-roundtrip", _check_json_roundtrip)
     return tuple(rows)

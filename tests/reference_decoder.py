@@ -1,6 +1,7 @@
-"""Reference decoder formulas: ``kappa``'s correction step and ``alpha`` in
-``Fraction`` arithmetic, as they were before ``grouplin.decoder`` moved
-them to integers. The equivalence tests hold the integer versions to them.
+"""Reference decoder formulas: ``kappa`` with its correction step always
+taken in ``Fraction`` powers, and ``alpha`` in ``Fraction`` arithmetic, as
+they were before ``grouplin.decoder`` moved them to integers. The
+equivalence tests hold the integer versions to them.
 """
 
 from __future__ import annotations
@@ -8,7 +9,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from grouplin.decoder import _ln
+
+def _ln(x: Fraction) -> float:
+    """Natural log of a rational in (0, 1), accurate near 0 and near 1."""
+    if x > Fraction(1, 2):
+        return math.log1p(-float(1 - x))
+    return math.log(x.numerator) - math.log(x.denominator)
 
 
 def kappa(delta, eps) -> int:

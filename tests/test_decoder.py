@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grouplin import (
     AssignmentFamily,
@@ -138,6 +140,32 @@ def test_integer_kappa_and_alpha_equal_the_fraction_formulas():
         assert (1 - eps) ** k == delta / 4
         assert kappa(delta, eps) == ref_decoder.kappa(delta, eps) == k
         assert alpha(delta, eps, 6, 2) == ref_decoder.alpha(delta, eps, 6, 2)
+
+
+@st.composite
+def kappa_params(draw):
+    """(delta, eps) with eps, delta and delta / 4 at least 1/1000, so that
+    the reference's powers stay small; half of them on or a tiny step off
+    an exact power (1 - eps)^k = delta / 4, where the float ratio alone
+    cannot tell the answer."""
+    eps = Fraction(draw(st.integers(1, 999)), 1000)
+    if draw(st.booleans()):
+        return Fraction(draw(st.integers(1, 3999)), 1000), eps
+    k = draw(st.integers(1, max(1, math.floor(math.log(1 / 4000) / math.log(1 - eps)))))
+    step = draw(st.sampled_from((0, 1, -1))) * Fraction(1, 10**30)
+    return 4 * (1 - eps) ** k + step, eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=kappa_params())
+@example(params=(Fraction(1, 2), Fraction(1, 2)))  # (1/2)^3 = 1/8 = delta / 4
+@example(params=(Fraction(1, 4), Fraction(3, 4)))  # (1/4)^2 = 1/16
+@example(params=(4 * Fraction(2, 3) ** 5 + Fraction(1, 10**30), Fraction(1, 3)))
+@example(params=(4 * Fraction(2, 3) ** 5 - Fraction(1, 10**30), Fraction(1, 3)))
+def test_integer_kappa_equals_the_big_power_form(params):
+    delta, eps = params
+    kappa.cache_clear()
+    assert kappa(delta, eps) == ref_decoder.kappa(delta, eps)
 
 
 def test_alpha_at_a_small_eps_round_trips_through_frac_str():

@@ -6,6 +6,7 @@ weights once per run, solves from the hit counts kept with the view without
 scoring a pattern, and weighs the payoff counts and replays the influence
 terms kept for the last family of each side."""
 
+import copy
 from dataclasses import replace
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from grouplin import (
     decode,
     decoder,
     derandomize,
+    derandomize_strategy,
     groups,
     make_context,
     payoff_distribution,
@@ -295,8 +297,20 @@ def test_a_warm_pipeline_evaluates_nothing(monkeypatch):
     for module in (reduction, cli):
         monkeypatch.setattr(module, "evaluate", evaluating)
     monkeypatch.setattr(solvers._Patterns, "_hits", scoring)
-    # nor does it count a payoff, transform a table or check an eta
-    for module, name in ((reduction, "_payoff_counts"), (decoder, "transform"), (reps, "multiplicity")):
+    # nor does it count a payoff, transform a table, check an eta, search
+    # the labelings, build a planted family, check a family's shape, search
+    # the decoder's entries or round its strategy
+    eps_free = (
+        (reduction, "_payoff_counts"),
+        (decoder, "transform"),
+        (reps, "multiplicity"),
+        (reduction, "_labeling_search"),
+        (reduction, "projection_family"),
+        (reduction, "_check_family_shape"),
+        (decoder, "_search"),
+        (decoder, "_rounding"),
+    )
+    for module, name in eps_free:
         monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
     warm = [run_pipeline(lc, t, eps, delta) for eps in sweep]
     assert calls == []
@@ -305,10 +319,17 @@ def test_a_warm_pipeline_evaluates_nothing(monkeypatch):
     # choice flips
     assert hashes == [] and bests == []
     assert len(payoffs) == 2 * len(sweep) and len(keys) <= len(payoffs)
+    # the labeling search's cap is still read on every call
+    labelings = len(lc.d_labels) ** len(lc.u_names) * len(lc.e_labels) ** len(lc.v_names) * len(lc.edges)
+    monkeypatch.setenv("GROUPLIN_CAP", str(labelings - 1))
+    with pytest.raises(CapExceeded, match=f"edge checks exceed the cap {labelings - 1}"):
+        run_pipeline(lc, t, EPS1, delta)
+    monkeypatch.delenv("GROUPLIN_CAP")
+    assert run_pipeline(lc, t, sweep[-1], delta) == warm[-1] and calls == []
     for eps, report in zip(sweep, warm):
         reduction._support.cache_clear()
         assert report == run_pipeline(lc, t, eps, delta)
-    assert {"_hits", "_payoff_counts", "transform"} <= set(calls) and bests
+    assert {"_hits"} | {name for _, name in eps_free if name != "multiplicity"} <= set(calls) and bests
     assert "evaluate" not in calls and "multiplicity" not in calls  # eta is memoized apart from the support
 
 
@@ -427,6 +448,87 @@ def test_a_warm_payoff_still_checks_the_cap_and_the_family():
             make_context(lc, t, EPS2, DELTA, bad)
     with pytest.raises(InvalidParams, match="other side"):
         payoff_distribution(lc, t, ReductionParams(EPS2), family, 1)
+
+
+def test_a_warm_family_check_still_refuses_a_bad_family(monkeypatch):
+    t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
+    family = _families(lc, t)[0][2]
+    run_pipeline(lc, t, EPS1, DELTA, family=family)
+    checks = []
+    monkeypatch.setattr(reduction, "_check_family_shape", _counting(checks, "check", reduction._check_family_shape))
+    run_pipeline(lc, t, EPS2, DELTA, family=family)
+    assert checks == []  # the kept content passed the check when it was kept
+
+    def refused(bad, message):
+        for call in (
+            lambda: payoff_distribution(lc, t, ReductionParams(EPS1), bad, 2),
+            lambda: make_context(lc, t, EPS1, DELTA, bad),
+            lambda: run_pipeline(lc, t, EPS1, DELTA, family=bad),
+        ):
+            with pytest.raises(InvalidParams, match=message):
+                call()
+
+    a, b = family.a_tables["v0"], family.b_tables["u0"]
+    before = b[5]
+    b[5] = len(t.g2)  # in place: the dict and array the kept key was made from
+    refused(family, f"value {len(t.g2)} in the family table for u0 outside 0..1")
+    b[5] = before
+    refused(AssignmentFamily(2, {"v0": a}, {}), "family table for u0 must have 36 entries")
+    # every table as kept, and one more
+    refused(AssignmentFamily(2, {"v0": a, "vX": a}, {"u0": b}), "family A table for vX, which is not a vertex in V")
+    assert len(checks) == 9
+    assert run_pipeline(lc, t, EPS1, DELTA, family=family) == run_pipeline(lc, t, EPS1, DELTA, family=_families(lc, t)[0][2])
+
+
+def _five_labels():
+    """One edge from |D| = 5 onto |E| = 1."""
+    labels = [f"d{k}" for k in range(5)]
+    return reduction.make_label_cover(labels, ["e0"], ["u0"], ["v0"], [("u0", "v0", dict.fromkeys(labels, "e0"))])
+
+
+def test_the_kept_decode_follows_the_truncation_boundary():
+    # kappa = 5 at eps = 1/2 and delta = 1/6, the least the promise
+    # 1/|H2| + delta <= 1 - eps allows with |H2| = 3: the decoder drops the
+    # degree-5 terms there and keeps them at eps = 1/8 (kappa = 24)
+    t, lc, delta = catalog.template("z3_id"), _five_labels(), Fraction(1, 6)
+    planted = projection_family(lc, t, {"u0": "d2"}, {"v0": "e0"}, side=2)
+    b = planted.b_tables["u0"].copy()
+    b[::10] = (b[::10] + 1) % 3
+    family = AssignmentFamily(2, planted.a_tables, {"u0": b})
+    sweep = [(eps, leftover) for leftover in ("giveup", "normalize") for eps in (Fraction(1, 2), EPS1, Fraction(1, 2))]
+    assert [decoder.kappa(delta, eps) for eps, _ in sweep[:2]] == [5, 24]
+    reduction._support.cache_clear()
+    warm = [decode(make_context(lc, t, eps, delta, family, leftover=leftover)) for eps, leftover in sweep]
+    decodes = reduction.support(lc, t).families[2].decodes
+    # per leftover rule, one outcome per min(kappa, max(|D|, |E|) + 1)
+    assert sorted(key[1:2] + key[-1:] for key in decodes) == [("giveup", 5), ("giveup", 6), ("normalize", 5), ("normalize", 6)]
+    assert warm[0][0] != warm[1][0] and warm[0][0].kappa == 5 and warm[1][0].kappa == 24
+    assert warm[0][0].u_probs != warm[3][0].u_probs
+    for (eps, leftover), got in zip(sweep, warm):
+        reduction._support.cache_clear()
+        assert got == decode(make_context(lc, t, eps, delta, family, leftover=leftover))
+
+
+def test_a_returned_report_shares_nothing_kept(monkeypatch):
+    t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
+    first = run_pipeline(lc, t, EPS1, DELTA)
+    expect = copy.deepcopy(first)
+    report = first["decoder"]
+    for maps in (report["strategy"]["v_probs"], report["strategy"]["u_probs"]):
+        for probs in maps.values():
+            probs[next(iter(probs))] = 0.5
+    report["derandomized"]["hD"]["u0"] = report["derandomized"]["hE"]["v0"] = "x"
+    assert run_pipeline(lc, t, EPS1, DELTA) == expect
+    # a decoded strategy whose maps changed is rounded afresh
+    ctx = make_context(lc, t, EPS1, DELTA, reduction.planted(lc, t)[2])
+    strategy, _, _ = decode(ctx)
+    assert derandomize_strategy(lc, strategy) == strategy.decoded.rounding
+    walks = []
+    monkeypatch.setattr(decoder, "_rounding", _counting(walks, "walk", decoder._rounding))
+    assert derandomize_strategy(lc, strategy) == strategy.decoded.rounding and walks == []
+    strategy.u_probs["u0"][next(iter(strategy.u_probs["u0"]))] = 0.0
+    derandomize_strategy(lc, strategy)
+    assert walks == ["walk"] and decode(ctx)[0].u_probs != strategy.u_probs
 
 
 def test_the_kept_state_is_bounded_and_goes_with_the_support():
