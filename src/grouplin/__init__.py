@@ -24,8 +24,6 @@ from .groups import (
     fold,
     full_subgroup,
     identity_hom,
-    is_cubic,
-    is_unsatisfiable_equation,
     make_group,
     make_homomorphism,
     subgroup,
@@ -40,23 +38,17 @@ from .reps import (
     irreps,
     multiplicity,
     regular_representation,
-    restrict,
     right_regular,
-    trivial_multiplicity,
 )
 from .fourier import (
     FourierTable,
     MatrixFn,
     ProductIrrep,
-    ScalarFn,
-    coeff,
     convolve,
     inverse,
     noise_apply,
     plancherel_gap,
     product_irreps,
-    pullback,
-    similar,
     transform,
 )
 from .reduction import (
@@ -88,7 +80,6 @@ from .decoder import (
     make_context,
     penalized_margin,
     select_omega,
-    simulate_strategy,
     trivial_term_bound,
 )
 

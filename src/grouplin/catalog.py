@@ -11,7 +11,6 @@ import itertools
 
 from .groups import (
     FiniteGroup,
-    Subgroup,
     Template,
     full_subgroup,
     make_group,
@@ -136,19 +135,6 @@ def group(name: str) -> FiniteGroup:
     if name not in pool:
         raise KeyError(f"unknown catalog group {name!r}")
     return pool[name]
-
-
-def subgroup_pairs() -> dict[str, tuple[FiniteGroup, Subgroup]]:
-    """Named (group, subgroup) pairs used throughout the test suites."""
-    s3 = group("s3")
-    z4 = group("z4")
-    q8 = group("q8")
-    return {
-        "s3/a3": (s3, subgroup(s3, (0, 4, 5))),
-        "s3/<(12)>": (s3, subgroup(s3, (0, 1))),
-        "z4/{0,2}": (z4, subgroup(z4, (0, 2))),
-        "q8/center": (q8, subgroup(q8, (0, 1))),
-    }
 
 
 @functools.lru_cache(maxsize=None)

@@ -291,23 +291,15 @@ def influence_probs(ctx: DecoderContext, omega: UnitaryRep, which, kappa_value: 
     composed with omega) or ("u", name, y, z) for a left vertex (uses the
     sign-averaged table). Labels map to the truncated Fourier mass of the
     representations non-trivial at that coordinate; the total is at most 1.
-
-    Only the truncation depends on eps. The entry's terms (``_terms``) are
-    kept with the support's entry for the family's content, which the
-    context carries (``ctx.kept``), next to its side-2 payoff counts, per
-    (omega, vertex, entry), and a call sums the kept terms below
-    ``kappa_value`` in representation order, so the floats add up as they
-    do over a fresh transform.
+    The entry's terms (``_terms``) below ``kappa_value`` are summed in
+    representation order. Only the truncation depends on eps, and ``decode``
+    keeps its outcome per truncation, so a warm decode calls this not at all.
     """
     side, name, r, c = which
     if side not in ("v", "u"):
         raise InvalidParams("which must start with 'v' or 'u'")
-    kept = ctx.kept.influences
-    key = (omega, ctx.g1_irreps, side, name, r, c)
-    if key not in kept:
-        kept[key] = _terms(ctx, omega, side, name, r, c)
     out = {l: 0.0 for l in (ctx.lc.e_labels if side == "v" else ctx.lc.d_labels)}
-    for deg, mass, labels in kept[key]:
+    for deg, mass, labels in _terms(ctx, omega, side, name, r, c):
         if deg < kappa_value:
             for label in labels:
                 out[label] += mass
@@ -478,32 +470,3 @@ def _rounding(lc: LabelCoverInstance, strategy: Strategy):
     h_d = fix(u_dist, lc.u_names, lc.d_labels)
     return h_d, h_e, lc_value(lc, h_d, h_e)
 
-
-def simulate_strategy(
-    lc: LabelCoverInstance, strategy: Strategy, samples: int, seed: int = 0
-):
-    """Monte-Carlo estimate of the expected agreement; returns (mean, sigma)
-    where sigma is the standard error of the mean."""
-    rng = np.random.default_rng(seed)
-
-    def draw(probs, labels):
-        p = np.array([max(probs.get(l, 0.0), 0.0) for l in labels])
-        give_up = max(0.0, 1.0 - p.sum())
-        full = np.append(p, give_up)
-        full /= full.sum()
-        return rng.choice(len(labels) + 1, size=samples, p=full)
-
-    v_draws = {v: draw(strategy.v_probs[v], lc.e_labels) for v in lc.v_names}
-    u_draws = {u: draw(strategy.u_probs[u], lc.d_labels) for u in lc.u_names}
-    epos = {l: k for k, l in enumerate(lc.e_labels)}
-    acc = np.zeros(samples)
-    for u, v, pi in lc.edge_maps():
-        du, ev = u_draws[u], v_draws[v]
-        ok = np.zeros(samples, dtype=bool)
-        for k, d in enumerate(lc.d_labels):
-            ok |= (du == k) & (ev == epos[str(pi[d])])
-        acc += ok
-    values = acc / len(lc.edges)
-    mean = float(values.mean())
-    sigma = float(values.std(ddof=1) / math.sqrt(samples))
-    return mean, sigma

@@ -24,20 +24,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapExceeded, DimensionMismatch, IncompleteTable, InvalidParams
+from .errors import DimensionMismatch, IncompleteTable, InvalidParams
 from .groups import GroupPower
 from .reps import IrrepSet, irreps
-
-_DENSE_DIM_LIMIT = 64  # above this, dense (n, dim, dim) matrices are refused
 
 
 @dataclass(frozen=True, eq=False)
 class ProductIrrep:
-    """An irreducible of ``G^D``: one base irreducible per index position.
-
-    Entries are indexed by tuples; a flat entry index decodes through the
-    mixed-radix system given by the component dimensions.
-    """
+    """An irreducible of ``G^D``: one base irreducible per index position,
+    the tensor product of the components, first position most significant."""
 
     base: IrrepSet
     labels: tuple[str, ...]
@@ -58,56 +53,6 @@ class ProductIrrep:
     def degree(self) -> int:
         """Number of non-trivial components."""
         return sum(1 for c in self.comps if c != 0)
-
-    def entry_coords(self, i: int) -> tuple[int, ...]:
-        out = []
-        for d in reversed(self.dims):
-            out.append(i % d)
-            i //= d
-        return tuple(reversed(out))
-
-    def matrices(self, power: GroupPower) -> np.ndarray:
-        """Dense (n, dim, dim) matrices; components combine by tensor product.
-
-        Refused above the dense limit; use ``entry_table`` there instead.
-        """
-        self._check_power(power)
-        return self._tensor(power.coords_matrix())
-
-    def entry_table(self, power: GroupPower, i: int, j: int) -> np.ndarray:
-        """The scalar function g -> rho_{i,j}(g) as a dense table."""
-        self._check_power(power)
-        return self._entries(power.coords_matrix(), i, j)
-
-    def _tensor(self, coords: np.ndarray) -> np.ndarray:
-        """The matrices at tuples given by coordinates, one column per component."""
-        if self.dim > _DENSE_DIM_LIMIT:
-            raise CapExceeded(
-                f"dimension {self.dim} above the dense limit; use entry_table"
-            )
-        n = len(coords)
-        out = np.ones((n, 1, 1), dtype=complex)
-        for pos, c in enumerate(self.comps):
-            comp = self.base.irreps[c].matrices[coords[:, pos]]
-            out = np.einsum("gab,gcd->gacbd", out, comp).reshape(
-                n, out.shape[1] * comp.shape[1], out.shape[2] * comp.shape[2]
-            )
-        return out
-
-    def _entries(self, coords: np.ndarray, i: int, j: int) -> np.ndarray:
-        ci, cj = self.entry_coords(i), self.entry_coords(j)
-        out = np.ones(len(coords), dtype=complex)
-        for pos, c in enumerate(self.comps):
-            out = out * self.base.irreps[c].matrices[coords[:, pos], ci[pos], cj[pos]]
-        return out
-
-    def character_table(self, power: GroupPower) -> np.ndarray:
-        self._check_power(power)
-        coords = power.coords_matrix()
-        out = np.ones(power.n, dtype=complex)
-        for pos, c in enumerate(self.comps):
-            out = out * self.base.irreps[c].character()[coords[:, pos]]
-        return out
 
     def _check_power(self, power: GroupPower) -> None:
         if power.labels != self.labels or power.group != self.base.group:
@@ -130,26 +75,9 @@ def _product_irreps(base: IrrepSet, labels: tuple[str, ...]) -> tuple[ProductIrr
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarFn:
-    """A complex-valued function on ``G^D`` as a dense table."""
-
-    power: GroupPower
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.power.n,):
-            raise DimensionMismatch(f"expected {self.power.n} values, got {v.shape}")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def matrix_size(self) -> int | None:
-        return None
-
-
-@dataclass(frozen=True, eq=False)
 class MatrixFn:
-    """A square-matrix-valued function on ``G^D`` as a dense table."""
+    """A square-matrix-valued function on ``G^D`` as a dense table; a
+    complex-valued one is a 1 x 1 matrix function."""
 
     power: GroupPower
     values: np.ndarray
@@ -165,25 +93,14 @@ class MatrixFn:
         return self.values.shape[1]
 
 
-GroupFn = ScalarFn | MatrixFn
-
-
-def coeff(fn: GroupFn, rho: ProductIrrep, i: int, j: int):
-    """Fourier coefficient <F, rho_{i,j}>: scalar, or an NxN matrix."""
-    entry = rho.entry_table(fn.power, i, j)
-    if isinstance(fn, ScalarFn):
-        return complex(np.mean(fn.values * np.conj(entry)))
-    return np.einsum("g,gxy->xy", np.conj(entry), fn.values) / fn.power.n
-
-
 @dataclass(frozen=True, eq=False)
 class FourierTable:
     """All Fourier coefficients of one function, grouped by representation."""
 
     power: GroupPower
     base: IrrepSet
-    blocks: dict  # comps tuple -> (d, d) or (d, d, N, N) array
-    matrix_size: int | None
+    blocks: dict  # comps tuple -> (d, d, N, N) array
+    matrix_size: int
 
 
 def _base_entries(base: IrrepSet) -> np.ndarray:
@@ -211,7 +128,7 @@ def _block_index(dims: tuple[int, ...], comps: tuple[int, ...]) -> np.ndarray:
     """(dim, dim) rows of the block of the product irreducible ``comps`` (of
     base irreducibles of dimensions ``dims``) in a per-axis coefficient array:
     entry (i, j) combines the base columns (c_k, i_k, j_k), first position
-    most significant, in the Kronecker order of ``ProductIrrep.matrices``."""
+    most significant, in the Kronecker order of the tensor product."""
     starts = np.cumsum([0] + [d * d for d in dims])  # starts[-1] = |G|
     index = np.zeros((1, 1), dtype=np.int64)
     for c in comps:
@@ -230,7 +147,7 @@ def _check_rhos(rhos, power: GroupPower, base: IrrepSet) -> None:
             raise DimensionMismatch("representations of different irreducible sets")
 
 
-def transform(fn: GroupFn, rhos: tuple[ProductIrrep, ...]) -> FourierTable:
+def transform(fn: MatrixFn, rhos: tuple[ProductIrrep, ...]) -> FourierTable:
     """The Fourier transform of ``fn``: one block per representation passed."""
     if not rhos:
         raise InvalidParams("pass the product representations to expand in")
@@ -243,12 +160,12 @@ def transform(fn: GroupFn, rhos: tuple[ProductIrrep, ...]) -> FourierTable:
     return FourierTable(fn.power, base, blocks, fn.matrix_size)
 
 
-def inverse(table: FourierTable, rhos: tuple[ProductIrrep, ...]) -> GroupFn:
+def inverse(table: FourierTable, rhos: tuple[ProductIrrep, ...]) -> MatrixFn:
     """Fourier inversion: F(g) = sum_rho dim_rho sum_ij F^(rho_ij) rho_ij(g)."""
     power, base = table.power, table.base
     _check_rhos(rhos, power, base)
-    extra = () if table.matrix_size is None else (table.matrix_size,) * 2
-    coeffs = np.zeros((power.n,) + extra, dtype=complex)
+    size = table.matrix_size
+    coeffs = np.zeros((power.n, size, size), dtype=complex)
     dims = base.dims()
     seen = set()
     for rho in rhos:
@@ -260,13 +177,10 @@ def inverse(table: FourierTable, rhos: tuple[ProductIrrep, ...]) -> GroupFn:
     if len(seen) < len(table.blocks):
         raise IncompleteTable("representations passed do not cover the table")
     backward = _base_entries(base) * np.repeat(dims, [d * d for d in dims])
-    out = _per_axis(power, coeffs, backward.T)
-    if table.matrix_size is None:
-        return ScalarFn(power, out)
-    return MatrixFn(power, out)
+    return MatrixFn(power, _per_axis(power, coeffs, backward.T))
 
 
-def plancherel_gap(fn: GroupFn, rhos: tuple[ProductIrrep, ...]) -> float:
+def plancherel_gap(fn: MatrixFn, rhos: tuple[ProductIrrep, ...]) -> float:
     """| ||F||^2 - sum_rho dim_rho sum_ij |F^(rho_ij)|^2 |."""
     table = transform(fn, rhos)
     lhs = float(np.mean(np.sum(np.abs(np.reshape(fn.values, (fn.power.n, -1))) ** 2, axis=1)))
@@ -279,13 +193,12 @@ def plancherel_gap(fn: GroupFn, rhos: tuple[ProductIrrep, ...]) -> float:
 
 def _block_product(tf: FourierTable, th: FourierTable) -> FourierTable:
     """The convolution theorem, block by block: (F*H)^(rho) = F^(rho) H^(rho),
-    as products of (d, d) blocks whose entries are scalars or N x N matrices."""
-    spec = "ik,kj->ij" if tf.matrix_size is None else "ikxz,kjzy->ijxy"
-    blocks = {comps: np.einsum(spec, b, th.blocks[comps]) for comps, b in tf.blocks.items()}
+    as products of (d, d) blocks whose entries are N x N matrices."""
+    blocks = {comps: np.einsum("ikxz,kjzy->ijxy", b, th.blocks[comps]) for comps, b in tf.blocks.items()}
     return replace(tf, blocks=blocks)
 
 
-def convolve(f: GroupFn, h: GroupFn) -> GroupFn:
+def convolve(f: MatrixFn, h: MatrixFn) -> MatrixFn:
     """(F*H)(g) = |G^D|^-1 sum_t F(t) H(t^-1 g).
 
     Computed by the convolution theorem: transform both, multiply the blocks
@@ -308,7 +221,7 @@ def noise_classes(power: GroupPower) -> np.ndarray:
     return (power.coords_matrix() != power.group.identity).sum(axis=1)
 
 
-def noise_apply(fn: GroupFn, eps: Fraction) -> GroupFn:
+def noise_apply(fn: MatrixFn, eps: Fraction) -> MatrixFn:
     """H(a) = E_nu[F(a * nu)] with the product noise distribution: per
     coordinate, v <- (1 - eps) v + eps * mean(v)."""
     eps = Fraction(eps)
@@ -316,58 +229,5 @@ def noise_apply(fn: GroupFn, eps: Fraction) -> GroupFn:
         raise InvalidParams(f"noise rate must be in (0,1), got {eps}")
     size = len(fn.power.group)
     kernel = (1 - float(eps)) * np.eye(size) + float(eps) / size
-    return type(fn)(fn.power, _per_axis(fn.power, fn.values, kernel))
+    return MatrixFn(fn.power, _per_axis(fn.power, fn.values, kernel))
 
-
-@dataclass(frozen=True, eq=False)
-class PullbackRep:
-    """``rho^pi``: a representation of ``G^E`` pulled back along pi: D -> E.
-
-    Entries keep the index tuples of ``rho``; the matrix at ``g`` is the
-    tensor product over D-positions of the components evaluated at g(pi(d)).
-    """
-
-    rho: ProductIrrep
-    positions: tuple[int, ...]  # for each D-slot, the E-slot pi maps it to
-    e_labels: tuple[str, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.rho.dim
-
-    def matrices(self, e_power: GroupPower) -> np.ndarray:
-        self._check(e_power)
-        return self.rho._tensor(e_power.coords_matrix()[:, list(self.positions)])
-
-    def entry_table(self, e_power: GroupPower, i: int, j: int) -> np.ndarray:
-        self._check(e_power)
-        return self.rho._entries(e_power.coords_matrix()[:, list(self.positions)], i, j)
-
-    def _check(self, e_power: GroupPower) -> None:
-        if e_power.labels != self.e_labels or e_power.group != self.rho.base.group:
-            raise DimensionMismatch("pullback and power disagree")
-
-
-def pullback(rho: ProductIrrep, pi: dict, e_labels) -> PullbackRep:
-    """The representation of ``G^E`` obtained by precomposing with pi."""
-    e_labels = tuple(str(x) for x in e_labels)
-    epos = {l: k for k, l in enumerate(e_labels)}
-    positions = []
-    for d in rho.labels:
-        e = pi.get(d, pi.get(str(d)))
-        if e is None or str(e) not in epos:
-            raise InvalidParams(f"pi does not map label {d} into E")
-        positions.append(epos[str(e)])
-    return PullbackRep(rho, tuple(positions), e_labels)
-
-
-def similar(tau: ProductIrrep, rho: ProductIrrep, pi: dict) -> bool:
-    """True iff every position where ``tau`` is non-trivial has a non-trivial
-    ``rho`` component mapping onto it under pi."""
-    epos = {l: k for k, l in enumerate(tau.labels)}
-    hit = [False] * len(tau.labels)
-    for pos, d in enumerate(rho.labels):
-        e = str(pi.get(d, pi.get(str(d))))
-        if e in epos and rho.comps[pos] != 0:
-            hit[epos[e]] = True
-    return all(hit[k] for k, c in enumerate(tau.comps) if c != 0)

@@ -43,10 +43,6 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         return self.inverses[i]
 
-    def pow_sign(self, i: int, s: int) -> int:
-        """``i`` raised to ``s`` for ``s`` in {-1, +1}."""
-        return i if s == 1 else self.inverses[i]
-
     def cube(self, i: int) -> int:
         return self.table[self.table[i][i]][i]
 
@@ -56,9 +52,6 @@ class FiniteGroup:
             x = self.table[x][i]
             n += 1
         return n
-
-    def __repr__(self) -> str:
-        return f"FiniteGroup({self.name}, order {len(self)})"
 
 
 def make_group(elements, table, name: str = "group") -> FiniteGroup:
@@ -126,22 +119,6 @@ class Subgroup:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, i: int) -> bool:
-        return i in self._member_set
-
-    @functools.cached_property
-    def _member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
-    def as_group(self, name: str | None = None) -> FiniteGroup:
-        """The subgroup as a standalone group (members re-indexed 0..|H|-1)."""
-        pos = {m: k for k, m in enumerate(self.members)}
-        table = [
-            [pos[self.parent.mul(a, b)] for b in self.members] for a in self.members
-        ]
-        labels = [self.parent.elements[m] for m in self.members]
-        return make_group(labels, table, name or f"{self.parent.name}-sub")
-
 
 def subgroup(parent: FiniteGroup, members) -> Subgroup:
     """Wrap a member set as a Subgroup, checking the subgroup axioms."""
@@ -194,16 +171,6 @@ class Homomorphism:
     target: FiniteGroup
     mapping: tuple[tuple[int, int], ...]  # (element of source, image in target)
 
-    def apply(self, i: int) -> int:
-        try:
-            return self._map[i]
-        except KeyError:
-            raise InvalidParams(f"element {i} outside the domain") from None
-
-    @functools.cached_property
-    def _map(self) -> dict[int, int]:
-        return dict(self.mapping)
-
     @property
     def image(self) -> Subgroup:
         return subgroup(self.target, {b for _, b in self.mapping})
@@ -255,11 +222,6 @@ class Template:
     def _hash(self) -> int:
         """Computed once, as hashing the groups' tables costs microseconds."""
         return hash((self.name, self.g1, self.g2, self.phi, self.h1, self.h2, self.witness))
-
-    @property
-    def trivially_tractable(self) -> bool:
-        """Image of phi is the trivial subgroup; every system is vacuous."""
-        return len(self.h2) == 1
 
 
 def _generating_set(group: FiniteGroup) -> list[int]:
@@ -378,31 +340,6 @@ class GroupPower:
             idx %= w
         return tuple(out)
 
-    def index(self, coords) -> int:
-        return sum(int(c) * w for c, w in zip(coords, self._weights))
-
-    @property
-    def identity_index(self) -> int:
-        return self.index([self.group.identity] * self.m)
-
-    def mul(self, i: int, j: int) -> int:
-        t = self.group.table
-        return self.index(
-            [t[a][b] for a, b in zip(self.coords(i), self.coords(j))]
-        )
-
-    def inv(self, i: int) -> int:
-        inv = self.group.inverses
-        return self.index([inv[a] for a in self.coords(i)])
-
-    def pow_sign(self, i: int, s: int) -> int:
-        return i if s == 1 else self.inv(i)
-
-    def act(self, h: int, i: int) -> int:
-        """Diagonal left action: multiply every coordinate by ``h``."""
-        t = self.group.table
-        return self.index([t[h][a] for a in self.coords(i)])
-
     def coords_matrix(self) -> np.ndarray:
         return self._coords
 
@@ -478,27 +415,3 @@ def fold(values, power: GroupPower, phi: Homomorphism, cosets=None) -> np.ndarra
 def cube_image(group: FiniteGroup) -> frozenset[int]:
     return frozenset(group.cube(g) for g in range(len(group)))
 
-
-def is_cubic(template: Template) -> bool:
-    """True iff every element of Im(phi) has a cube root in g2."""
-    cubes = cube_image(template.g2)
-    return all(h in cubes for h in template.h2.members)
-
-
-def is_unsatisfiable_equation(eq, template: Template) -> bool:
-    """True iff ``eq`` is x^3 = h or x^-3 = h with phi(h)^{+-1} not a cube.
-
-    ``eq`` must expose ``terms`` (three (variable, exponent) pairs) and
-    ``rhs`` (an element of Dom(phi)).
-    """
-    variables = {v for v, _ in eq.terms}
-    exponents = [s for _, s in eq.terms]
-    if len(variables) != 1:
-        return False
-    if exponents not in ([1, 1, 1], [-1, -1, -1]):
-        return False
-    g2 = template.g2
-    target = template.phi.apply(eq.rhs)
-    if exponents[0] == -1:
-        target = g2.inv(target)
-    return target not in cube_image(g2)

@@ -411,15 +411,6 @@ class _Packer:
         return LinSystem.from_arrays(template, variables, arrays)
 
 
-def obj_to_system(obj: dict, template: Template) -> LinSystem:
-    """A system from its JSON object, each equation packed as the file
-    reader packs it."""
-    obj = _object(obj, "a system")
-    packer = _Packer()
-    rows = [packer(eq.items()) if type(eq) is dict else eq for eq in _list(obj, "equations")]
-    return packer.system({**obj, "equations": rows}, template)
-
-
 def load_system(path: str, template: Template | None = None):
     """Returns (system, template_ref); resolves the template when not given.
     Each equation is packed into integer columns as soon as it is parsed,

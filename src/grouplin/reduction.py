@@ -724,16 +724,14 @@ def _merge(rows: Rows) -> Rows:
 @dataclass(eq=False)
 class KeptFamily:
     """The eps-free work on one family, which its support keeps for the
-    last family of each side: the counts of ``payoff_distribution``, the
-    decoder's influence terms (``decoder.influence_probs``) and its decode
-    outcomes (``decoder.decode``). ``key`` is the family's content, per
-    vertex its name and its table's dtype, shape and bytes, not its
-    identity: a run builds its families anew, and their tables are mutable
-    arrays."""
+    last family of each side: the counts of ``payoff_distribution`` and the
+    decoder's outcomes (``decoder.decode``). ``key`` is the family's
+    content, per vertex its name and its table's dtype, shape and bytes, not
+    its identity: a run builds its families anew, and their tables are
+    mutable arrays."""
 
     key: tuple
     counts: np.ndarray | None = None  # int64 [|G|, |D|+1], read-only
-    influences: dict = field(default_factory=dict)
     decodes: dict = field(default_factory=dict)
 
 
@@ -751,10 +749,10 @@ class Support:
     What no weight enters is kept too, so an eps sweep only weighs counts:
     the weight classes with their totals for the last pattern of equal row
     weights (``weighed``); per side, for the last family by content, its
-    payoff counts, the decoder's influence terms and decode outcomes
-    (``family``); and the instance's optimum with its planted families
-    (``planted``). The last eps's integer class weights are kept
-    (``class_weights``). All of it goes with the support.
+    payoff counts and the decoder's outcomes (``family``); and the
+    instance's optimum with its planted families (``planted``). The last
+    eps's integer class weights are kept (``class_weights``). All of it goes
+    with the support.
     """
 
     def __init__(self, lc: LabelCoverInstance, template: Template):
@@ -893,44 +891,30 @@ def support(lc: LabelCoverInstance, template: Template) -> Support:
     return sup
 
 
-def _system(lc, template, params: ReductionParams, merge: bool) -> LinSystem:
+def build_system(lc: LabelCoverInstance, template: Template, params: ReductionParams) -> LinSystem:
+    """The weighted equation system of the reduction, with exact weights.
+
+    The tuple (edge, a, b, nu, s1, s2) of the sampling procedure (or each
+    draw, in sampled mode) gives the equation
+
+        v[a_rep] * u[b^s1]^s1 * u[c^s2]^s2 = h_a,   c = b^-1 (a o pi)^-1 nu
+
+    with weight the product of the edge, a, b, nu, and sign probabilities.
+    Equations with identical (terms, rhs) are merged by summing weights; the
+    term order of the construction is preserved, not sorted, and equations
+    keep the order of the tuples. In exact mode the equations come from the
+    support of (lc, template), so only the weights are computed per call.
+    """
     sup = support(lc, template)
     if params.mode == "sampled":
-        rows = _merge(sup.sampled_rows(params)) if merge else sup.sampled_rows(params)
+        rows = _merge(sup.sampled_rows(params))
         return LinSystem.from_arrays(template, sup.variables, rows.weighed([1], params.sample_count))
     _check_exact_cap(lc, sup.pe, sup.pd, params.cap)
-    if sup.mergeable and not merge:
-        return LinSystem.from_arrays(template, sup.variables, sup.tuple_rows().weighed(*sup.class_weights(params.eps)))
     arrays, totals = sup.weighed(params.eps)
     system = LinSystem.from_arrays(template, sup.variables, arrays, class_totals=totals)
     # the support's rows are this system's rows, so their side views are too
     system.__dict__["_side_views"] = sup.side_views
     return system
-
-
-def tuple_system(lc: LabelCoverInstance, template: Template, params: ReductionParams) -> LinSystem:
-    """The reduction with one equation per tuple of the sampling procedure
-    (or per draw, in sampled mode), identical equations not merged.
-
-    The tuple (edge, a, b, nu, s1, s2) gives the equation
-
-        v[a_rep] * u[b^s1]^s1 * u[c^s2]^s2 = h_a,   c = b^-1 (a o pi)^-1 nu
-
-    with weight the product of the edge, a, b, nu, and sign probabilities.
-    """
-    return _system(lc, template, params, merge=False)
-
-
-def build_system(lc: LabelCoverInstance, template: Template, params: ReductionParams) -> LinSystem:
-    """The weighted equation system of the reduction, with exact weights.
-
-    Equations with identical (terms, rhs) are merged by summing weights; the
-    term order of the construction is preserved, not sorted, and equations
-    keep the order of the tuples (edge, a, b, nu, s1, s2). In exact mode the
-    equations come from the support of (lc, template), so only the weights
-    are computed per call.
-    """
-    return _system(lc, template, params, merge=True)
 
 
 def _assignment_values(system: LinSystem, assignment: dict, order: int) -> np.ndarray:
@@ -955,6 +939,13 @@ def evaluate(system: LinSystem, assignment: dict, side: int) -> Fraction:
 
     On side 2 the constants are interpreted through phi.
     """
+    return system.arrays.weigh(class_hits(system, assignment, side))
+
+
+def class_hits(system: LinSystem, assignment: dict, side: int) -> np.ndarray:
+    """The equations ``assignment`` satisfies, per weight class: what
+    ``evaluate`` weighs. They depend on the weights only through which
+    equations share a class."""
     tables = side_tables(system.template, side)
     values = _assignment_values(system, assignment, len(tables.group))
     enc = system.arrays
@@ -964,7 +955,7 @@ def evaluate(system: LinSystem, assignment: dict, side: int) -> Fraction:
         t = tables.term_values(values[enc.var_ids[sl]], enc.signs[sl])
         hit = tables.products(t[:, 0], t[:, 1], t[:, 2]) == tables.rhs_map[enc.rhs[sl]]
         counts += np.bincount(enc.weight_class[sl][hit], minlength=len(enc.weights))
-    return enc.weigh(counts)
+    return counts
 
 
 def _noise_counts(tables, pd: GroupPower, order: int) -> np.ndarray:
@@ -1105,23 +1096,12 @@ def lc_value(lc: LabelCoverInstance, h_d: dict[str, str], h_e: dict[str, str]) -
     return Fraction(hits, len(lc.edges))
 
 
-def best_labeling(lc: LabelCoverInstance):
-    """An optimal labeling, by exhaustive search: (value, h_d, h_e).
-
-    Labelings are tried with U then V in order and labels in order; the
-    first optimum wins. The search evaluates |D|^|U| * |E|^|V| labelings on
-    every edge, and that count is held to the enumeration cap.
-    """
-    _check_labeling_cap(lc)
-    return _labeling_search(lc)
-
-
 def planted(lc: LabelCoverInstance, template: Template) -> tuple[Fraction, AssignmentFamily, AssignmentFamily]:
-    """``best_labeling``'s value and the side-1 and side-2 projection
-    families of its labeling, kept with the support of (lc, template) as
-    none of them depends on eps. The families' tables are read-only and
-    shared. The search's enumeration cap is checked on every call, before
-    the support's table cap, as ``best_labeling`` checks it."""
+    """The optimum of the instance (``_labeling_search``) and the side-1
+    and side-2 projection families of its labeling, kept with the support
+    of (lc, template) as none of them depends on eps. The families' tables
+    are read-only and shared. The search's enumeration cap is checked on
+    every call, before the support's table cap."""
     _check_labeling_cap(lc)
     return support(lc, template).planted
 
@@ -1137,7 +1117,12 @@ def _check_labeling_cap(lc: LabelCoverInstance) -> None:
 
 
 def _labeling_search(lc: LabelCoverInstance):
-    """``best_labeling``'s search; callers check its cap first."""
+    """An optimal labeling, by exhaustive search: (value, h_d, h_e).
+
+    Labelings are tried with U then V in order and labels in order; the
+    first optimum wins. The search evaluates |D|^|U| * |E|^|V| labelings on
+    every edge; callers hold that count to the enumeration cap
+    (``_check_labeling_cap``) first."""
     best = None
     for d_combo in itertools.product(lc.d_labels, repeat=len(lc.u_names)):
         for e_combo in itertools.product(lc.e_labels, repeat=len(lc.v_names)):

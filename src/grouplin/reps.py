@@ -225,18 +225,6 @@ def multiplicity(rho: UnitaryRep, gamma: UnitaryRep) -> int:
     return _snap_integer(val, "multiplicity")
 
 
-def trivial_multiplicity(gamma: UnitaryRep) -> int:
-    val = complex(np.mean(gamma.character()))
-    return _snap_integer(val, "trivial multiplicity")
-
-
-def restrict(rho: UnitaryRep, h: Subgroup) -> UnitaryRep:
-    """The same matrices, with the domain restricted to the subgroup."""
-    if h.parent != rho.group:
-        raise InvalidParams("subgroup of a different group")
-    return UnitaryRep(h.as_group(), rho.matrices[np.array(h.members)])
-
-
 def right_regular(group: FiniteGroup, h: Subgroup) -> UnitaryRep:
     """Permutation representation on the right cosets H\\G.
 

@@ -506,7 +506,7 @@ def _path(system: LinSystem, template: Template, side: int):
 
 def unsatisfiable_mask(system: LinSystem, template: Template) -> np.ndarray:
     """Which equations are x^3 = h or x^-3 = h with phi(h)^{+-1} not a cube
-    in G2 (the test of ``groups.is_unsatisfiable_equation``), as a bool
+    in G2 (the per-equation test in ``tests/reference_groups.py``), as a bool
     array over the system's encoding."""
     _check_template(system, template)
     enc = system.arrays

@@ -24,16 +24,19 @@ from grouplin.reduction import (
     _check_exact_cap,
     _check_family_shape,
     powers,
+    support,
     var_u,
     var_v,
 )
+
+from reference_groups import act, apply, index, inv, mul, pow_sign
 
 
 def _coset_data(sub, power, flat):
     """The least tuple of H*g and the h in H that reaches it."""
     best = best_h = None
     for h in sub.members:
-        cand = power.act(h, flat)
+        cand = act(power, h, flat)
         if best is None or cand < best:
             best, best_h = cand, h
     return best, best_h
@@ -59,7 +62,7 @@ def _fold(values, power, phi):
     out = np.empty(power.n, dtype=np.int64)
     for g in range(power.n):
         rep, h = _coset_data(phi.source, power, g)
-        out[g] = g2.mul(g2.inv(phi.apply(h)), int(values[rep]))
+        out[g] = g2.mul(g2.inv(apply(phi, h)), int(values[rep]))
     return out
 
 
@@ -82,14 +85,14 @@ def raw_equations(lc, template, params):
             a_rep, h_a = _coset_data(template.h1, pe, a)
             va = var_v(v, a_rep)
             a_coords = pe.coords(a)
-            ap_inv = pd.inv(pd.index([a_coords[p] for p in positions]))
+            ap_inv = inv(pd, index(pd, [a_coords[p] for p in positions]))
             for b in range(pd.n):
-                b_inv = pd.inv(b)
-                mid = pd.mul(b_inv, ap_inv)
+                b_inv = inv(pd, b)
+                mid = mul(pd, b_inv, ap_inv)
                 ub = {1: var_u(u, b), -1: var_u(u, b_inv)}
                 for nu in range(pd.n):
-                    c = pd.mul(mid, nu)
-                    uc = {1: var_u(u, c), -1: var_u(u, pd.inv(c))}
+                    c = mul(pd, mid, nu)
+                    uc = {1: var_u(u, c), -1: var_u(u, inv(pd, c))}
                     w = base * nu_w[nu]
                     for s1 in (1, -1):
                         for s2 in (1, -1):
@@ -111,17 +114,17 @@ def sampled_equations(lc, template, params):
             g1.identity if rng.random() >= float(params.eps) else int(rng.integers(len(g1)))
             for _ in range(pd.m)
         ]
-        nu = pd.index(nu_coords)
+        nu = index(pd, nu_coords)
         s1 = 1 if rng.integers(2) == 0 else -1
         s2 = 1 if rng.integers(2) == 0 else -1
         a_rep, h_a = _coset_data(template.h1, pe, a)
         a_coords = pe.coords(a)
-        ap_inv = pd.inv(pd.index([a_coords[p] for p in positions]))
-        c = pd.mul(pd.mul(pd.inv(b), ap_inv), nu)
+        ap_inv = inv(pd, index(pd, [a_coords[p] for p in positions]))
+        c = mul(pd, mul(pd, inv(pd, b), ap_inv), nu)
         terms = (
             (var_v(v, a_rep), 1),
-            (var_u(u, pd.pow_sign(b, s1)), s1),
-            (var_u(u, pd.pow_sign(c, s2)), s2),
+            (var_u(u, pow_sign(pd, b, s1)), s1),
+            (var_u(u, pow_sign(pd, c, s2)), s2),
         )
         yield terms, h_a, w
 
@@ -142,6 +145,19 @@ def build_system(lc, template, params):
     variables += [var_v(v, a) for v in lc.v_names for a in range(pe.n)]
     equations = tuple(LinEquation(terms, rhs, w) for (terms, rhs), w in merged.items())
     return LinSystem(template, tuple(variables), equations)
+
+
+def tuple_system(lc, template, params):
+    """``build_system`` without the merge: one equation per tuple of the
+    sampling procedure (or per draw, in sampled mode), from the support's
+    unmerged rows, identical equations kept apart."""
+    sup = support(lc, template)
+    if params.mode == "sampled":
+        rows = sup.sampled_rows(params).weighed([1], params.sample_count)
+    else:
+        _check_exact_cap(lc, sup.pe, sup.pd, params.cap)
+        rows = sup.tuple_rows().weighed(*sup.class_weights(params.eps))
+    return LinSystem.from_arrays(template, sup.variables, rows)
 
 
 def merge(rows):
@@ -186,14 +202,14 @@ def payoff_distribution(lc, template, params, family, side):
         for a in range(pe.n):
             za = int(a_folded[a])
             a_coords = pe.coords(a)
-            ap_inv = pd.inv(pd.index([a_coords[p] for p in positions]))
+            ap_inv = inv(pd, index(pd, [a_coords[p] for p in positions]))
             for b in range(pd.n):
-                b_inv = pd.inv(b)
-                mid = pd.mul(b_inv, ap_inv)
+                b_inv = inv(pd, b)
+                mid = mul(pd, b_inv, ap_inv)
                 tb = {1: int(b_table[b]), -1: group.inv(int(b_table[b_inv]))}
                 for nu in range(pd.n):
-                    c = pd.mul(mid, nu)
-                    tc = {1: int(b_table[c]), -1: group.inv(int(b_table[pd.inv(c)]))}
+                    c = mul(pd, mid, nu)
+                    tc = {1: int(b_table[c]), -1: group.inv(int(b_table[inv(pd, c)]))}
                     w = base * nu_w[nu]
                     for s1 in (1, -1):
                         zb = group.mul(za, tb[s1])

@@ -16,6 +16,8 @@ from fractions import Fraction
 
 from grouplin.errors import CapExceeded, InvalidParams, MissingVariable, enum_cap
 
+from reference_groups import apply, pow_sign
+
 
 def _side_group(template, side):
     if side == 1:
@@ -26,13 +28,13 @@ def _side_group(template, side):
 
 
 def _rhs(template, eq, side):
-    return eq.rhs if side == 1 else template.phi.apply(eq.rhs)
+    return eq.rhs if side == 1 else apply(template.phi, eq.rhs)
 
 
 def _term_value(group, assignment, var, sign):
     if var not in assignment:
         raise MissingVariable(var)
-    return group.pow_sign(int(assignment[var]), sign)
+    return pow_sign(group, int(assignment[var]), sign)
 
 
 def evaluate(system, assignment, side):
@@ -80,7 +82,7 @@ def _equation_probability(system, eq, side, fixed, domain):
         acc = group.identity
         for var, sign in eq.terms:
             val = fixed.get(var, local.get(var))
-            acc = group.mul(acc, group.pow_sign(val, sign))
+            acc = group.mul(acc, pow_sign(group, val, sign))
         if acc == rhs:
             hits += 1
     return Fraction(hits, len(domain) ** len(free)) if free else Fraction(hits)

@@ -25,7 +25,8 @@ from grouplin import (
     select_omega,
 )
 from grouplin.reduction import LinEquation, LinSystem
-from grouplin.selftest import GROUP_NAMES
+from grouplin.selftest import GROUP_NAMES, subgroup_pairs
+from test_decoder import assert_simulation_agrees
 
 
 def _report(n, text):
@@ -69,7 +70,7 @@ def test_criterion_2_character_dimension_sums():
 @criterion(3)
 def test_criterion_3_frobenius_suite():
     expected = {"s3/a3": 2, "s3/<(12)>": 3, "z4/{0,2}": 2, "q8/center": 4}
-    for key, (g, h) in catalog.subgroup_pairs().items():
+    for key, (g, h) in subgroup_pairs().items():
         assert len(g) // len(h) == expected[key]
     assert_checks("reps:induced-trivial-sum")
     _report(3, "trivial-multiplicity sums are 2, 3, 2, 4 exactly")
@@ -167,5 +168,6 @@ def test_criterion_9_end_to_end_soundness():
 
 @criterion(10)
 def test_criterion_10_strategy_simulation():
-    assert_checks("decoder:strategy-simulation")
+    for tname in ("z2_id", "s3_a3_incl"):
+        assert_simulation_agrees(tname)
     _report(10, "analytic strategy value within 3 sigma of Monte-Carlo on both contexts")

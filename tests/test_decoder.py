@@ -27,11 +27,13 @@ from grouplin import (
     penalized_margin,
     projection_family,
     select_omega,
-    simulate_strategy,
     trivial_term_bound,
 )
 import reference_decoder as ref_decoder
-from grouplin import io, reduction, reps
+from reference_decoder import simulate_strategy
+from reference_fourier import coeff, scalar
+from reference_groups import act, apply, pow_sign
+from grouplin import io, reps
 from grouplin.cli import run_pipeline
 from grouplin.decoder import expected_character, left_table, right_table
 from grouplin.fourier import transform
@@ -259,8 +261,8 @@ def test_folded_table_equivariance_through_omega():
     for _ in range(20):
         a = int(rng.integers(pe.n))
         h = int(rng.choice(t.h1.members))
-        lhs = a_fn.values[pe.act(h, a)]
-        rhs = omega.matrices[t.phi.apply(h)] @ a_fn.values[a]
+        lhs = a_fn.values[act(pe, h, a)]
+        rhs = omega.matrices[apply(t.phi, h)] @ a_fn.values[a]
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -326,8 +328,8 @@ def test_influence_sums_below_one(ctx_a3):
 
 def _fresh_influences(ctx, omega, which, kappa_value):
     """The truncated masses summed over a fresh transform, representation by
-    representation, with nothing kept: the float sums the kept terms must
-    reproduce bit for bit."""
+    representation: the float sums ``influence_probs`` must reproduce bit for
+    bit at every truncation."""
     side, name, r, c = which
     if side == "v":
         fn, rhos, labels = right_table(ctx, omega, name), ctx.prod_e, ctx.lc.e_labels
@@ -360,8 +362,6 @@ def test_kept_influence_terms_replay_every_truncation_bit_for_bit(tname):
             for which in entries:
                 got = influence_probs(ctx, omega, which, k)
                 assert list(got.items()) == list(_fresh_influences(ctx, omega, which, k).items())
-    kept = reduction.support(lc, ctx.template).family(ctx.family).influences
-    assert len(kept) == sum(len(lc.v_names + lc.u_names) * r.dim**2 for r in ctx.g2_irreps.irreps[1:])
 
 
 def test_one_run_computes_kappa_once_and_each_eta_once(monkeypatch):
@@ -554,10 +554,24 @@ def test_expected_character_agrees_with_system_path():
         for eq in system.equations:
             acc = g2.identity
             for var, s in eq.terms:
-                acc = g2.mul(acc, g2.pow_sign(assignment[var], s))
-            z = g2.mul(g2.inv(t.phi.apply(eq.rhs)), acc)
+                acc = g2.mul(acc, pow_sign(g2, assignment[var], s))
+            z = g2.mul(g2.inv(apply(t.phi, eq.rhs)), acc)
             total += float(eq.weight) * complex(chi[z])
         assert total == pytest.approx(expected_character(ctx, omega), abs=1e-9)
+
+
+def assert_simulation_agrees(tname):
+    """The decoded strategy's exact value on lc1 is within 3 sigma of a
+    Monte-Carlo estimate of it."""
+    ctx = planted_context(tname)
+    strategy, value, _ = decode(ctx)
+    mean, sigma = simulate_strategy(ctx.lc, strategy, samples=100_000, seed=0)
+    assert abs(mean - value) <= max(3 * sigma, 1e-12), f"analytic={value:.5f} mc={mean:.5f} sigma={sigma:.2e}"
+
+
+@pytest.mark.parametrize("tname", ["z2_id", "s3_a3_incl"])
+def test_strategy_simulation(tname):
+    assert_simulation_agrees(tname)
 
 
 def test_decode_is_deterministic():
@@ -592,9 +606,6 @@ def test_exhaustive_family_optimum_matches_noise_floor():
 def test_influence_total_matches_plancherel_identity():
     # with no truncation, summing the per-coordinate influences counts every
     # non-trivial representation exactly once
-    from grouplin import ScalarFn, plancherel_gap, product_irreps
-    from grouplin.fourier import coeff as fourier_coeff
-
     ctx = planted_context("s3_a3_incl")
     omega = select_omega(ctx).omega
     k_open = len(ctx.lc.d_labels) + 1
@@ -602,12 +613,12 @@ def test_influence_total_matches_plancherel_identity():
         for y in range(omega.dim):
             probs = influence_probs(ctx, omega, ("v", "v0", x, y), k_open)
             a_fn = right_table(ctx, omega, "v0")
-            scalar = ScalarFn(ctx.pe, a_fn.values[:, x, y])
+            entry = scalar(ctx.pe, a_fn.values[:, x, y])
             total_mass = 0.0
             trivial_mass = None
             for rho in ctx.prod_e:
                 block = sum(
-                    abs(fourier_coeff(scalar, rho, i, j)) ** 2
+                    abs(coeff(entry, rho, i, j)) ** 2
                     for i in range(rho.dim)
                     for j in range(rho.dim)
                 )

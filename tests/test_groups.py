@@ -13,8 +13,6 @@ from grouplin import (
     fold,
     full_subgroup,
     identity_hom,
-    is_cubic,
-    is_unsatisfiable_equation,
     make_group,
     make_homomorphism,
     subgroup,
@@ -22,8 +20,10 @@ from grouplin import (
     validate_template,
 )
 from grouplin import InvalidParams, catalog
-from grouplin.groups import coset_arrays
+from grouplin.groups import coset_arrays, cube_image
 from grouplin.reduction import LinEquation
+from grouplin.selftest import subgroup_pairs
+from reference_groups import act, apply, index, inv, is_unsatisfiable_equation, mul
 
 
 
@@ -143,7 +143,7 @@ def test_validate_template_no_extension_z4_to_z2():
 
 def test_validate_template_no_extension_q8_center_to_z2():
     # a refused map is a fixture: Q8's centre {1, -1} -> Z2 with -1 -> 1
-    q8, center = catalog.subgroup_pairs()["q8/center"]
+    q8, center = subgroup_pairs()["q8/center"]
     z2 = catalog.group("z2")
     minus_one, i = q8.elements.index("-1"), q8.elements.index("i")
     assert center.members == tuple(sorted((q8.identity, minus_one))) and q8.mul(i, i) == minus_one
@@ -175,7 +175,7 @@ def test_validate_template_sign_map():
 def test_coset_data_full_group_z2():
     z2 = catalog.group("z2")
     power = GroupPower(z2, ["a", "b"])
-    (rep,), (h,) = coset_arrays(full_subgroup(z2), power, [power.index((1, 0))])
+    (rep,), (h,) = coset_arrays(full_subgroup(z2), power, [index(power, (1, 0))])
     assert power.coords(rep) == (0, 1)
     assert h == 1
 
@@ -230,7 +230,7 @@ def test_fold_equivariance(seed):
     for _ in range(20):
         g = int(rng.integers(power.n))
         h = int(rng.choice(t.h1.members))
-        assert folded[power.act(h, g)] == t.g2.mul(t.phi.apply(h), int(folded[g]))
+        assert folded[act(power, h, g)] == t.g2.mul(apply(t.phi, h), int(folded[g]))
 
 
 def test_coset_arrays_on_an_index_match_the_full_pass():
@@ -256,7 +256,9 @@ def test_fold_reuses_given_cosets():
     [("z2_id", True), ("z3_id", False), ("z4_to_z2", True), ("s3_sign", True)],
 )
 def test_is_cubic_examples(tname, expected):
-    assert is_cubic(catalog.template(tname)) is expected
+    # every element of Im(phi) has a cube root in G2
+    t = catalog.template(tname)
+    assert (set(t.h2.members) <= cube_image(t.g2)) is expected
 
 
 def test_s3_cube_image_misses_three_cycles():
@@ -278,30 +280,33 @@ def test_unsatisfiable_equation_detection():
     assert not is_unsatisfiable_equation(mixed, t)
 
 
-def test_trivially_tractable_flag():
-    z2 = catalog.group("z2")
-    phi = make_homomorphism(full_subgroup(z2), z2, {0: 0, 1: 0})
-    t = validate_template(z2, z2, phi)
-    assert t.trivially_tractable
-    assert not catalog.template("z2_id").trivially_tractable
-
-
 def test_group_power_flat_encoding_is_row_major():
     z4 = catalog.group("z4")
     power = GroupPower(z4, ["a", "b"])
-    assert power.index((1, 2)) == 6
+    assert power.encode(np.array((1, 2))) == 6
     assert power.coords(6) == (1, 2)
-    flats = [power.index(c) for c in itertools.product(range(4), repeat=2)]
-    assert flats == sorted(flats)
+    flats = [int(power.encode(np.array(c))) for c in itertools.product(range(4), repeat=2)]
+    assert flats == sorted(flats) == [index(power, c) for c in itertools.product(range(4), repeat=2)]
+
+
+def test_scalar_tuple_arithmetic_matches_the_array_kernels():
+    power = GroupPower(catalog.group("s3"), ["a", "b"])
+    every = np.arange(power.n)
+    assert [index(power, c) for c in power.coords_matrix()] == every.tolist()
+    assert [inv(power, i) for i in every] == power.inv_array().tolist()
+    for i in every:
+        assert [mul(power, i, j) for j in every] == power.mul_array(i, every).tolist()
+    for h in range(len(power.group)):
+        diagonal = power.encode(np.full(power.m, h))
+        assert [act(power, h, i) for i in every] == power.mul_array(diagonal, every).tolist()
 
 
 def test_subgroup_membership_and_homomorphism_lookup():
     t = catalog.template("s3_a3_incl")
-    assert [x in t.h1 for x in range(6)] == [True, False, False, False, True, True]
-    assert 7 not in t.h1
-    assert [t.phi.apply(h) for h in t.h1.members] == [0, 4, 5]
+    assert [x in t.h1.members for x in range(6)] == [True, False, False, False, True, True]
+    assert [apply(t.phi, h) for h in t.h1.members] == [0, 4, 5]
     with pytest.raises(InvalidParams, match="outside the domain"):
-        t.phi.apply(1)
+        apply(t.phi, 1)
 
 
 def test_catalog_builds_s4_once():

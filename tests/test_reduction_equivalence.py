@@ -1,6 +1,6 @@
-"""The geometry kernel behind ``build_system``, ``tuple_system`` and
-``payoff_distribution``, the array-backed ``io.obj_to_system`` and the
-streaming ``io.write_system``, against the per-tuple reference loops in
+"""The geometry kernel behind ``build_system``, its unmerged rows and
+``payoff_distribution``, the array-backed system reader and the streaming
+``io.write_system``, against the per-tuple reference loops in
 ``reference_reduction``: identical equations, Fractions and bytes."""
 
 import copy
@@ -30,7 +30,7 @@ from grouplin import (
     projection_family,
 )
 from grouplin.cli import main
-from grouplin.reduction import LinEquation, LinSystem, tuple_system
+from grouplin.reduction import LinEquation, LinSystem
 
 TEMPLATES = sorted(catalog.templates())
 EPS_CHOICES = (Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(7, 9))
@@ -115,7 +115,7 @@ def test_build_system_matches_reference(case, data):
     # the unmerged tuples, in the procedure's order
     raw = ref.raw_equations if params.mode == "exact" else ref.sampled_equations
     unmerged = tuple(LinEquation(*row) for row in raw(lc, t, params))
-    assert tuple_system(lc, t, params).equations == unmerged
+    assert ref.tuple_system(lc, t, params).equations == unmerged
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,11 +221,23 @@ def test_parallel_edges_merge_like_the_reference():
     pi = {"d0": "e0"}
     lc = make_label_cover(["d0"], ["e0"], ["u0"], ["v0"], [("u0", "v0", pi), ("u0", "v0", pi)])
     params = ReductionParams(Fraction(1, 4))
-    system, tuples = build_system(lc, t, params), tuple_system(lc, t, params)
+    system, tuples = build_system(lc, t, params), ref.tuple_system(lc, t, params)
     assert 2 * len(system.arrays) == len(tuples.arrays)
     expect = ref.build_system(lc, t, params)
     assert system.equations == expect.equations
     assert_same_text(_written(system, "z3_id"), io.canonical_dumps(ref.system_to_obj(expect, "z3_id")))
+
+
+def test_merge_invariance():
+    # merging identical equations keeps every assignment's value
+    t, lc = catalog.template("z2_id"), make_label_cover(["d0"], ["e0"], ["u0"], ["v0"], [("u0", "v0", {"d0": "e0"})] * 2)
+    params = ReductionParams(Fraction(1, 4))
+    system, tuples = build_system(lc, t, params), ref.tuple_system(lc, t, params)
+    assert len(system.arrays) < len(tuples.arrays)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        assignment = {x: int(rng.integers(2)) for x in system.variables}
+        assert evaluate(system, assignment, side=1) == evaluate(tuples, assignment, side=1)
 
 
 def test_equations_view_is_built_once():
@@ -307,9 +319,18 @@ def a3_obj():
     return t, io.system_to_obj(system, "s3_a3_incl"), system
 
 
+def obj_to_system(obj, template):
+    """A system from its JSON object, each equation packed as the file
+    reader packs it."""
+    obj = io._object(obj, "a system")
+    packer = io._Packer()
+    rows = [packer(eq.items()) if type(eq) is dict else eq for eq in io._list(obj, "equations")]
+    return packer.system({**obj, "equations": rows}, template)
+
+
 def test_obj_to_system_roundtrip(a3_obj):
     t, obj, system = a3_obj
-    loaded = io.obj_to_system(obj, t)
+    loaded = obj_to_system(obj, t)
     assert io.system_to_obj(loaded, "s3_a3_incl") == obj
     assert loaded.equations == system.equations
     assert _weights(loaded.arrays) == _weights(system.arrays)
@@ -376,7 +397,7 @@ def test_obj_to_system_rejects_malformed_equations(a3_obj, case):
     mutate, message = MALFORMED[case]
     bad = mutate(copy.deepcopy(obj))
     with pytest.raises(InvalidParams, match=message):
-        io.obj_to_system(bad, t)
+        obj_to_system(bad, t)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -16,7 +16,7 @@ def test_check(check):
 
 def test_check_names_are_unique():
     ids = [c.id for c in selftest.registry()]
-    assert len(ids) == len(set(ids)) == 127
+    assert len(ids) == len(set(ids)) == 117
 
 
 def test_modules_are_the_cli_choices():
@@ -25,10 +25,11 @@ def test_modules_are_the_cli_choices():
 
 
 def test_failed_exact_check_reports_a_residual(monkeypatch):
-    monkeypatch.setattr(selftest, "is_cubic", lambda t: False)
-    (check,) = selftest.lookup("groups:cubic[z2_id]")
+    # both irreducibles of Z2 have dimension 1, so both multiplicities are off
+    monkeypatch.setattr(selftest, "multiplicity", lambda rho, gamma: 0)
+    (check,) = selftest.lookup("reps:regular-multiplicities[z2]")
     result = check.run()
-    assert not result.ok and result.residual == 1
+    assert not result.ok and result.residual == 2
 
 
 def test_crashing_check_fails():

@@ -26,15 +26,11 @@ from grouplin import (
     projection_family,
     random_expectation,
 )
-from grouplin.groups import (
-    full_subgroup,
-    is_unsatisfiable_equation,
-    make_homomorphism,
-    validate_template,
-)
+from grouplin.groups import full_subgroup, make_homomorphism, validate_template
 from grouplin.reduction import LinEquation, LinSystem, SystemArrays, side_view
 from grouplin.selftest import flipping_systems
 from grouplin.solvers import non_cubic_solve, unsatisfiable_mask
+from reference_groups import is_unsatisfiable_equation
 
 TEMPLATES = sorted(catalog.templates())
 EPS = Fraction(1, 8)

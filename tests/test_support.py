@@ -41,7 +41,7 @@ from grouplin import (
     solvers,
 )
 from grouplin.cli import main, run_pipeline
-from grouplin.reduction import LinSystem, tuple_system
+from grouplin.reduction import LinSystem
 from test_reduction_equivalence import CATALOG_PAIRS, REFERENCE_BUDGET, _tuple_count, instances
 
 EPS1, EPS2 = Fraction(1, 8), Fraction(3, 17)
@@ -119,7 +119,7 @@ def test_a_warm_build_equals_a_cold_one_with_parallel_edges(case, other):
         assert derandomize(warm, t, side) == ref_solvers.derandomize(expect, t, side)
         assert random_expectation(warm, t, side) == ref_solvers.random_expectation(expect, t, side)
     # the unmerged tuples are not the support's rows and share no views
-    tuples = tuple_system(lc, t, params)
+    tuples = ref.tuple_system(lc, t, params)
     assert tuples.equations == tuple(reduction.LinEquation(*row) for row in ref.raw_equations(lc, t, params))
     assert tuples._side_views is not warm._side_views
 
@@ -132,7 +132,7 @@ def test_sampled_systems_are_drawn_on_every_build():
     assert sampled.arrays.var_ids is not exact.arrays.var_ids
     assert sampled._side_views is not exact._side_views
     assert_same_system(sampled, _cold(build_system, lc, t, params))
-    assert_same_system(tuple_system(lc, t, params), _cold(tuple_system, lc, t, params))
+    assert_same_system(ref.tuple_system(lc, t, params), _cold(ref.tuple_system, lc, t, params))
 
 
 def test_exact_systems_of_one_support_share_their_side_views():
@@ -189,7 +189,7 @@ def test_a_warm_support_still_checks_the_cap_argument():
     t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
     _warm(lc, t)
     tuples = _tuple_count("s3_sign", "lc1")
-    for build in (build_system, tuple_system):
+    for build in (build_system, ref.tuple_system):
         with pytest.raises(CapExceeded, match=f"exact mode needs {tuples} tuples, cap is {tuples - 1}"):
             build(lc, t, ReductionParams(EPS2, cap=tuples - 1))
         assert len(build(lc, t, ReductionParams(EPS2, cap=tuples)).arrays) == tuples
@@ -204,7 +204,7 @@ def test_a_warm_support_still_checks_grouplin_cap(monkeypatch, capsys, env, mess
     t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
     _warm(lc, t)
     monkeypatch.setenv("GROUPLIN_CAP", env)
-    for build in (build_system, tuple_system):
+    for build in (build_system, ref.tuple_system):
         with pytest.raises(CapExceeded, match=message):
             build(lc, t, ReductionParams(EPS2))
     monkeypatch.delenv("GROUPLIN_CAP")
@@ -538,9 +538,9 @@ def test_the_kept_state_is_bounded_and_goes_with_the_support():
     for family in (families[1], families[2], changed):
         payoff_distribution(lc, t, ReductionParams(EPS1), family, family.side)
     decode(make_context(lc, t, EPS1, DELTA, changed))
-    # the last family of each side, with the decoder's terms beside its counts
+    # the last family of each side, with the decoder's outcomes beside its counts
     assert sorted(sup.families) == [1, 2]
-    assert sup.families[2] is sup.family(changed) and sup.families[2].influences
+    assert sup.families[2] is sup.family(changed) and sup.families[2].decodes
     assert sup.families[1] is sup.family(families[1])
     build_system(lc, t, ReductionParams(EPS1))
     assert sup.weight_classes is not None
