@@ -33,9 +33,8 @@ EQUATION_BLOCK = 16384
 # an eps sweep solves one pair again and again. A kept support holds its exact
 # encoding with both side views, their incidence and the solvers' hit counts
 # after both solvers ran on both sides, about 62 bytes per equation on
-# s3_a3_incl/lc2 (23 MB for 373,248 equations; 4 more per equation at an eps
-# that joins row weights), so at most about 125 MB at the default cap of 2M
-# tuples.
+# s3_a3_incl/lc2 at every eps (23 MB for 373,248 equations), so at most
+# about 125 MB at the default cap of 2M tuples.
 SUPPORT_CACHE = 1
 
 
@@ -638,41 +637,13 @@ class Rows:
 
     def weighed(self, nums, denom) -> SystemArrays:
         """The encoding with weight ``nums[k] / denom`` per tuple of class
-        ``k``; unused row weights are dropped and equal ones joined."""
-        remap, joined = self.joined(nums)
-        return _weighed(self, self.encoding(remap), joined, denom)
-
-    def joined(self, nums) -> tuple[tuple[int, ...], list[int]]:
-        """Per row class, its weight class at numerator ``nums[k]`` per
-        tuple of class ``k``, with unused row weights dropped (-1) and equal
-        ones joined; and the joined numerators, in order of first use."""
-        ids: dict[int, int] = {}
-        remap = tuple(
-            ids.setdefault(sum(map(operator.mul, nums, row)), len(ids)) if used else -1
-            for row, used in zip(self.class_counts.tolist(), self.used)
-        )
-        return remap, list(ids)
-
-    def encoding(self, remap) -> np.ndarray:
-        """The weight class array with weight class ``remap[c]`` for row
-        class ``c``: the row classes themselves where ``remap`` drops and
-        joins none."""
-        if remap == tuple(range(len(remap))):
-            return self.row_class
-        return np.array(remap)[self.row_class].astype(np.int32)
-
-    @functools.cached_property
-    def used(self) -> list[bool]:
-        """Whether any row has the row class, per row class."""
-        return (np.bincount(self.row_class, minlength=len(self.class_counts)) > 0).tolist()
-
-
-def _weighed(rows, weight_class: np.ndarray, nums: list[int], denom: int) -> SystemArrays:
-    """The rows' encoding at weights ``nums[c] / denom``, with its numerators."""
-    weights = tuple(Fraction(n, denom) for n in nums)
-    arrays = SystemArrays(rows.var_ids, rows.signs, rows.rhs, weight_class, weights)
-    arrays.__dict__["numerators"] = nums, denom
-    return arrays
+        ``k``, with its numerators: the row classes are its weight classes,
+        also where two row classes weigh the same."""
+        nums = [sum(map(operator.mul, nums, row)) for row in self.class_counts.tolist()]
+        weights = tuple(Fraction(n, denom) for n in nums)
+        arrays = SystemArrays(self.var_ids, self.signs, self.rhs, self.row_class, weights)
+        arrays.__dict__["numerators"] = nums, denom
+        return arrays
 
 
 def _tuple_rows(blocks, n_cls: int) -> Rows:
@@ -747,12 +718,12 @@ class Support:
     score each side once. Sampled systems are drawn on every build.
 
     What no weight enters is kept too, so an eps sweep only weighs counts:
-    the weight classes with their totals for the last pattern of equal row
-    weights (``weighed``); per side, for the last family by content, its
-    payoff counts and the decoder's outcomes (``family``); and the
-    instance's optimum with its planted families (``planted``). The last
-    eps's integer class weights are kept (``class_weights``). All of it goes
-    with the support.
+    the equations per weight class of the exact systems, whose weight
+    classes are the rows' row classes at every eps (``weighed``); per side,
+    for the last family by content, its payoff counts and the decoder's
+    outcomes (``family``); and the instance's optimum with its planted
+    families (``planted``). The last eps's integer class weights are kept
+    (``class_weights``). All of it goes with the support.
     """
 
     def __init__(self, lc: LabelCoverInstance, template: Template):
@@ -767,9 +738,7 @@ class Support:
         self.mergeable = len({(u, v) for u, v, _ in lc.edges}) < len(lc.edges)
         self.side_views: dict[int, SideView] = {}
         self.families: dict[int, KeptFamily] = {}  # per side
-        # (remap, weight class array, equations per class) of the last
-        # pattern of equal row weights
-        self.weight_classes: tuple | None = None
+        self.class_totals: np.ndarray | None = None  # equations per row class, once weighed
         self.eps_weights: tuple | None = None  # (eps, class_weights(eps)) of the last eps
         # the first variable of each left and of each right vertex
         self.u_off = {u: k * self.pd.n for k, u in enumerate(lc.u_names)}
@@ -801,19 +770,13 @@ class Support:
 
     def weighed(self, eps: Fraction) -> tuple[SystemArrays, np.ndarray]:
         """The exact encoding at eps, and its equations per weight class.
-        The weight classes depend only on which row weights are equal, which
-        eps can change (|G1| / (|G1| + 1) joins two on lc_tiny with a
-        doubled edge), so the classes and totals of the last such pattern
-        are kept, read-only, and checked when they are made. Callers check
-        the enumeration cap first."""
-        rows = self.exact
-        nums, denom = self.class_weights(eps)
-        remap, joined = rows.joined(nums)
-        if self.weight_classes is None or self.weight_classes[0] != remap:
-            arrays = _weighed(rows, rows.encoding(remap), joined, denom)
-            self.weight_classes = (remap, _read_only(arrays.weight_class), _read_only(_class_totals(arrays)))
-        _, weight_class, totals = self.weight_classes
-        return _weighed(rows, weight_class, joined, denom), totals
+        The weight classes are the rows' row classes at every eps, so their
+        totals are counted, and checked, once, and kept read-only. Callers
+        check the enumeration cap first."""
+        arrays = self.exact.weighed(*self.class_weights(eps))
+        if self.class_totals is None:
+            self.class_totals = _read_only(_class_totals(arrays))
+        return arrays, self.class_totals
 
     def family(self, family: AssignmentFamily) -> KeptFamily:
         """The kept entry of the family's side for the family's content. A

@@ -548,8 +548,8 @@ def _check_warm_equals_cold(seed):
 
 def doubled_tiny():
     """lc_tiny's edge doubled beside a single one: at eps = |G1| / (|G1| + 1)
-    two equations of noise class k + 1 weigh one of class k, so equal row
-    weights join."""
+    two equations of noise class k + 1 weigh one of class k, so two row
+    classes weigh the same."""
     edge = ("u0", "v0", {"d0": "e0"})
     return make_label_cover(["d0"], ["e0"], ["u0", "u1"], ["v0"], [edge, edge, ("u1", "v0", {"d0": "e0"})])
 
@@ -561,9 +561,9 @@ def _sweep(seed) -> list[Fraction]:
 
 def _check_derandomized_value(seed):
     # the value weighed from the counts kept with derandomize's path is its
-    # assignment's, over an eps sweep on one shared memo, also where weights
-    # join; the assignment's hits are counted once per distinct assignment
-    # and weight class array, and weighed at each eps
+    # assignment's, over an eps sweep on one shared memo, also where two row
+    # weights are equal; the assignment's hits are counted once per distinct
+    # assignment and weight class array, and weighed at each eps
     sweep = _sweep(seed)
     bad, cases, skipped = 0, 0, []
     pairs = itertools.product(catalog.templates().items(), {**catalog.label_covers(), "doubled": doubled_tiny()}.items())
@@ -631,7 +631,7 @@ def _check_path_check(seed):
     bad, changed = 0, 0
     for system, side in cases:
         kept, nums = _counts(system, side), system.arrays.numerators[0]
-        flips = [_best([nums[c] for c in cls], counts) != kept.choice[x] for x, cls, counts in kept.path]
+        flips = [_best(nums, counts) != kept.choice[x] for x, counts in kept.path]
         scan = flips.index(True) if any(flips) else len(flips)
         bad += _first_changed(kept, nums) != scan
         changed += scan < len(kept.path)
@@ -740,9 +740,10 @@ def _kept_outputs(lc, t, eps, families, delta=Fraction(1, 4)):
 
 
 def _check_kept_equals_cold(seed):
-    # over an eps sweep, the weight classes, payoff counts and decode
+    # over an eps sweep, the weight class totals, payoff counts and decode
     # outcomes a support keeps give what a cold support gives, also where
-    # weights join; every pair of lc_tiny, and lc_tiny with a doubled edge
+    # two row weights are equal; every pair of lc_tiny, and lc_tiny with a
+    # doubled edge
     sweep = _sweep(seed) + [Fraction(1, 100)]
     bad, cases = 0, 0
     for tname, t in catalog.templates().items():

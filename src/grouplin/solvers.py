@@ -7,33 +7,25 @@ The first three run on the system's integer encoding (``LinSystem.arrays``)
 and stay exact. ``random_expectation`` and ``derandomize`` run on the side's
 view (``side_view``), where equations equal on that side are one row, and
 score each distinct equation pattern once per pass. What they score is hits
-per weight class, which no weight enters, so the view's memo keeps them for
-as long as the weight classes stay the same: ``random_expectation``'s totals,
-and ``derandomize``'s path with the hits of the assignment it ends in. A call
+per weight class, summed densely through each row's vector of equations per
+weight class. No weight enters them, and a system's weight classes stay the
+same for its lifetime (the exact systems of one support share theirs), so
+the view's memo keeps them: ``random_expectation``'s totals, and
+``derandomize``'s path with the hits of the assignment it ends in. A call
 weighs them with the weights' integer numerators; ``derandomize`` checks its
 path in one pass and rescores it from the first choice that changes.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
-import weakref
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import CapExceeded, InvalidParams, enum_cap
 from .groups import Template, cube_image
-from .reduction import (
-    LinSystem,
-    SideTables,
-    SideView,
-    _codes,
-    _firsts,
-    side_tables,
-    side_view,
-)
+from .reduction import LinSystem, SideTables, _codes, side_tables, side_view
 
 # Cells of (assignment or pattern) x (equation or grid point) per kernel
 # block, which bounds the kernels' scratch memory.
@@ -87,88 +79,53 @@ def _small(values: np.ndarray, bound: int) -> np.ndarray:
     return values.astype(np.min_scalar_type(bound))
 
 
-def _row_classes(view: SideView, weight_class: np.ndarray, n_classes: int):
-    """Per row of the view, its vector of equation counts per weight class,
-    as an index into the distinct vectors, and those vectors as sparse rows
-    ``(start, cls, count)``: vector q counts ``count[i]`` equations of class
-    ``cls[i]`` for each i in ``start[q]:start[q + 1]``, classes ascending.
-    Where nothing merges, a row's vector is its equation's class. A vector
-    is coded as the digits of one int64; where the code would pass int64
-    (many weight classes, or large groups), every row keeps its own
-    vector."""
-    if view.group is None:
-        q = np.arange(n_classes + 1)
-        return weight_class, q, _small(q[:-1], n_classes), np.ones(n_classes, dtype=np.uint8)
-    size = np.bincount(view.group)
-    base = int(size.max()) + 1
-    if base**n_classes >= 2**63:
-        pair, count = np.unique(view.group.astype(np.int64) * n_classes + weight_class, return_counts=True)
-        q, cls = np.divmod(pair, n_classes)
-        row_class, n_vectors = _small(np.arange(len(size)), len(size)), len(size)
-    else:
-        place = base ** np.arange(n_classes, dtype=np.int64)
-        code = np.zeros(len(size), dtype=np.int64)
-        np.add.at(code, view.group, place[weight_class])
-        distinct, row_class = np.unique(code, return_inverse=True)
-        digits = distinct[:, None] // place % base
-        q, cls = np.nonzero(digits)
-        count = digits[q, cls]
-        row_class, n_vectors = _small(row_class, len(distinct)), len(distinct)
-    start = np.zeros(n_vectors + 1, dtype=np.int64)
-    np.cumsum(np.bincount(q, minlength=n_vectors), out=start[1:])
-    return row_class, start, _small(cls, n_classes), _small(count, base)
-
-
 class _Counts:
-    """A side view's rows by weight class, for one content of the system's
-    weight classes, and the hit counts per weight class the solvers derive
-    from them, which no weight enters. A row class is a distinct vector of
-    equation counts per weight class (``_row_classes``); where nothing
-    merges it is the weight class.
+    """A side view's rows by weight class, for the system's weight classes,
+    which stay the same for the system's lifetime (the exact systems of one
+    support share theirs), and the hit counts per weight class the solvers
+    derive from them, which no weight enters. A row class is a distinct
+    vector of equation counts per weight class, told apart by its
+    ``reduction._codes``; where nothing merges it is the weight class.
+    ``vectors`` holds them dense, [row classes x weight classes], in the
+    smallest unsigned dtype.
 
-    ``totals`` holds ``random_expectation``'s hits over the whole grid, as
-    (weight class, hits) pairs. ``derandomize``'s path holds, per variable
-    that rows touch, in order, a step: the variable, the weight classes of
-    its rows and their int64 hit counts per value of the variable given the
-    values chosen before it. ``choice`` holds each variable's choice, an
-    index into the constants subgroup (0 where no row touches it).
-    ``assigned`` holds the hits of the assignment the path ends in, times
-    |h|^2, as (weight class, hits) pairs; it is None until ``_path`` has
-    walked a new path to its end. ``stack`` is the path as ``_first_changed`` scores it."""
+    ``totals`` holds ``random_expectation``'s hits over the whole grid per
+    weight class. ``derandomize``'s path holds, per variable that rows
+    touch, in order, a step: the variable and its rows' int64 hit counts,
+    [weight classes x |h|], per value of the variable given the values
+    chosen before it. ``choice`` holds each variable's choice, an index into
+    the constants subgroup (0 where no row touches it). ``assigned`` holds
+    the hits per weight class of the assignment the path ends in, times
+    |h|^2; it is None until ``_path`` has walked a new path to its end.
+    ``stack`` is the path as ``_first_changed`` scores it."""
 
     def __init__(self, system: LinSystem, side: int):
-        enc = system.arrays
-        n = self.n_classes = len(enc.weights)
-        self.weight_class = _small(enc.weight_class, n)
-        self.source = weakref.ref(enc.weight_class)
-        self.row_class, self.vec_start, self.vec_class, self.vec_count = _row_classes(
-            side_view(system, side), self.weight_class, n
-        )
+        enc, view = system.arrays, side_view(system, side)
+        n = len(enc.weights)
+        if view.group is None:
+            self.row_class, self.vectors = _small(enc.weight_class, n), np.eye(n, dtype=np.uint8)
+        else:
+            rows = len(view.rep)
+            counts = np.bincount(view.group.astype(np.int64) * n + enc.weight_class, minlength=rows * n)
+            top = int(counts.max())
+            counts = _small(counts, top).reshape(rows, n)
+            distinct, row_class = np.unique(_codes(counts.T, [top + 1] * n), return_inverse=True)
+            rep = np.empty(len(distinct), dtype=np.int64)
+            rep[row_class] = np.arange(rows)  # a row of each row class
+            self.row_class, self.vectors = _small(row_class, len(distinct)), counts[rep]
         self.totals = self.assigned = self.stack = None
         self.path: list = []
         self.choice = np.zeros(len(system.variables), dtype=np.int64)
 
-    def holds(self, system: LinSystem) -> bool:
-        """Whether the system has the weight classes these counts are for:
-        the array they were last checked against, while it lives, or one
-        equal to it."""
-        enc = system.arrays
-        if self.source() is enc.weight_class:
-            return True
-        if len(enc.weights) == self.n_classes and np.array_equal(self.weight_class, enc.weight_class):
-            self.source = weakref.ref(enc.weight_class)
-            return True
-        return False
-
-    def count(self, rows: np.ndarray, pos: np.ndarray, hits: np.ndarray):
+    def count(self, rows: np.ndarray, pos: np.ndarray, hits: np.ndarray) -> np.ndarray:
         """The hits of view rows whose keys sit at ``pos`` in the ``hits``
-        table, summed per row class: the row classes, ascending, and their
-        sums. The rows are counted per (row class, key) pair, densely where
-        the grid of pairs has at most ``_DENSE_PER_ROW`` cells per row,
-        sorted otherwise."""
+        table, summed per weight class: [weight classes x |h|]. The rows are
+        counted per (row class, key) pair, densely where the grid of pairs
+        has at most ``_DENSE_PER_ROW`` cells per row, sorted otherwise, and
+        each pair counts its row class's vector."""
         n_keys = len(hits)
         pair = self.row_class[rows].astype(np.int64) * n_keys + pos
-        size = (len(self.vec_start) - 1) * n_keys
+        size = len(self.vectors) * n_keys
         if size <= _DENSE_PER_ROW * len(rows):
             n = np.bincount(pair, minlength=size)
             pair = np.flatnonzero(n)
@@ -176,63 +133,16 @@ class _Counts:
         else:
             pair, n = np.unique(pair, return_counts=True)
         row_class, key = np.divmod(pair, n_keys)
-        first = _firsts(row_class)
-        return row_class[first], np.add.reduceat(hits[key] * n[:, None], first, axis=0)
-
-    def by_class(self, row_class: np.ndarray, sums: np.ndarray):
-        """Sums per row class (``row_class`` ascending) as sums per weight
-        class: the weight classes, ascending, and their sums, each row
-        class's sums counted once per equation of the class in its vector.
-        The plan for all row classes, the common case, is kept."""
-        if len(row_class) == len(self.vec_start) - 1:
-            plan = self.every_row_class
-        else:
-            plan = self._plan(row_class)
-        n, order, count, classes, first = plan
-        return classes, np.add.reduceat(sums.repeat(n, axis=0)[order] * count, first, axis=0)
-
-    @functools.cached_property
-    def every_row_class(self):
-        """``_plan`` for all row classes."""
-        return self._plan(np.arange(len(self.vec_start) - 1))
-
-    def _plan(self, row_class: np.ndarray):
-        """How ``by_class`` gathers the given row classes' vector entries
-        and sums them per weight class."""
-        lo = self.vec_start[row_class]
-        n = self.vec_start[row_class + 1] - lo
-        end = np.cumsum(n)
-        entry = np.arange(end[-1] if len(end) else 0) + np.repeat(lo - end + n, n)
-        order = np.argsort(self.vec_class[entry], kind="stable")
-        entry = entry[order]
-        cls = self.vec_class[entry]
-        first = _firsts(cls)
-        return n, order, self.vec_count[entry, None], cls[first], first
+        return self.vectors[row_class].T @ (hits[key] * n[:, None])
 
 
 def _counts(system: LinSystem, side: int) -> _Counts:
-    """The view's ``_Counts`` for the system's weight classes, kept in the
-    view's memo and shared by the exact systems of one support. A system
-    whose weight classes differ replaces it: ``Rows.joined`` can join equal
-    weights at some eps."""
+    """The view's ``_Counts``, kept in the view's memo and shared by the
+    exact systems of one support."""
     memo = side_view(system, side).memo
-    kept = memo.get("counts")
-    if kept is None or not kept.holds(system):
-        kept = memo["counts"] = _Counts(system, side)
-    return kept
-
-
-def _merged(parts, width: int):
-    """``(row classes, sums)`` parts, each with its row classes ascending,
-    summed per row class."""
-    if len(parts) == 1:
-        return parts[0]
-    row_class = np.concatenate([q for q, _ in parts] + [np.zeros(0, dtype=np.int64)])
-    sums = np.concatenate([n for _, n in parts] + [np.zeros((0, width), dtype=np.int64)])
-    order = np.argsort(row_class, kind="stable")
-    row_class = row_class[order]
-    first = _firsts(row_class)
-    return row_class[first], np.add.reduceat(sums[order], first, axis=0)
+    if "counts" not in memo:
+        memo["counts"] = _Counts(system, side)
+    return memo["counts"]
 
 
 def _best(nums: list[int], counts: np.ndarray) -> int:
@@ -249,14 +159,12 @@ def _first_changed(kept: _Counts, nums: list[int]) -> int:
     if not kept.path:
         return 0
     if kept.stack is None:
-        counts = np.concatenate([c for _, _, c in kept.path])
-        starts = np.cumsum([0] + [len(c) for _, _, c in kept.path[:-1]])
-        top = max(1, int(np.add.reduceat(counts, starts, axis=0).max()))
-        classes = np.concatenate([c for _, c, _ in kept.path])
-        kept.stack = np.array([x for x, _, _ in kept.path]), classes, counts, starts, top
-    steps, classes, counts, starts, top = kept.stack
+        counts = np.stack([c for _, c in kept.path])  # [steps, weight classes, |h|]
+        top = max(1, int(counts.sum(axis=1).max()))
+        kept.stack = np.array([x for x, _ in kept.path]), counts, top
+    steps, counts, top = kept.stack
     dtype = np.int64 if max(nums) * top < 2**63 else object
-    scores = np.add.reduceat(counts.astype(dtype, copy=False) * np.array(nums, dtype)[classes, None], starts, axis=0)
+    scores = np.array(nums, dtype) @ counts.astype(dtype, copy=False)  # [steps, |h|]
     changed = np.flatnonzero(scores.argmax(axis=1) != kept.choice[steps])
     return int(changed[0]) if len(changed) else len(steps)
 
@@ -388,8 +296,8 @@ def random_expectation(system: LinSystem, template: Template, side: int) -> Frac
 
     An equation's hit probability depends only on its pattern key
     (repetitions, signs, rhs), so it is computed once per key. The hits per
-    weight class are counted once, and kept with the view for as long as
-    the system's weight classes stay the same; a call only weighs them.
+    weight class are counted once and kept with the view; a call only
+    weighs them.
     """
     tables, h = _side(system, template, side)
     kept = _counts(system, side)
@@ -397,21 +305,20 @@ def random_expectation(system: LinSystem, template: Template, side: int) -> Frac
         enc, view = system.arrays, side_view(system, side)
         shape = _shapes(_ranks(view.rows(enc.var_ids).T), view.rows(enc.signs).T < 0, 0)
         rhs = tables.rhs_map[view.rows(enc.rhs)]
-        classes, hits = _class_hits(kept, _Patterns(tables, h), np.arange(len(rhs)), shape, rhs)
-        kept.totals = list(zip(classes.tolist(), hits.sum(axis=1).tolist()))
-    return _weigh(system, kept.totals, len(h) ** 3)
+        kept.totals = _class_hits(kept, _Patterns(tables, h), np.arange(len(rhs)), shape, rhs).sum(axis=1).tolist()
+    return system.arrays.weigh(kept.totals) / len(h) ** 3
 
 
 def _class_hits(kept: _Counts, patterns: _Patterns, rows: np.ndarray, shape: np.ndarray, known: np.ndarray):
     """The hits of the view's ``rows``, whose keys are ``shape`` plus
-    ``known``, summed per weight class: the weight classes, ascending, and
-    their sums, one column per value of unknown 0."""
-    parts = []
+    ``known``, summed per weight class: [weight classes x |h|], one column
+    per value of unknown 0."""
+    sums = 0
     for lo in range(0, len(rows), _KEY_BLOCK):
         sl = slice(lo, lo + _KEY_BLOCK)
         pos = patterns.lookup(shape[sl], known[sl])
-        parts.append(kept.count(rows[sl], pos, patterns.hits))
-    return kept.by_class(*_merged(parts, patterns.k))
+        sums = sums + kept.count(rows[sl], pos, patterns.hits)
+    return sums
 
 
 def _incidence(var_ids: np.ndarray, signs: np.ndarray, n_vars: int):
@@ -457,14 +364,7 @@ def derandomized_value(system: LinSystem, template: Template, side: int) -> Frac
     """The exact weight that ``derandomize``'s assignment satisfies, weighed
     from the hits per weight class kept with its path."""
     kept, h = _path(system, template, side)
-    return _weigh(system, kept.assigned, len(h) ** 2)
-
-
-def _weigh(system: LinSystem, class_hits, scale: int) -> Fraction:
-    """(weight class, hits) pairs weighed by the system's weights, over
-    ``scale``."""
-    nums, denom = system.arrays.numerators
-    return Fraction(sum(nums[c] * t for c, t in class_hits), denom * scale)
+    return system.arrays.weigh(kept.assigned) / len(h) ** 2
 
 
 def _path(system: LinSystem, template: Template, side: int):
@@ -492,15 +392,13 @@ def _path(system: LinSystem, template: Template, side: int):
         own = slice(indptr[x], indptr[x + 1])
         rows = eqs[own]
         if step >= start:
-            classes, counts = _class_hits(kept, patterns, rows, shape[own], known[rows])
-            classes = classes.tolist()
-            kept.choice[x] = _best([nums[c] for c in classes], counts)
-            kept.path.append((x, classes, counts))
+            counts = _class_hits(kept, patterns, rows, shape[own], known[rows])
+            kept.choice[x] = _best(nums, counts)
+            kept.path.append((x, counts))
         known[rows] += patterns.fixed_keys(h[kept.choice[x]])[shape[own]]
     # every slot is fixed now: shape 0, |h|^2 per hit at every value
     rows = np.arange(len(known))
-    classes, hits = _class_hits(kept, patterns, rows, np.zeros(len(rows), dtype=np.int16), known)
-    kept.assigned = list(zip(classes.tolist(), hits[:, 0].tolist()))
+    kept.assigned = _class_hits(kept, patterns, rows, np.zeros(len(rows), dtype=np.int16), known)[:, 0].tolist()
     return kept, h
 
 

@@ -131,8 +131,8 @@ def first_changed(path, choice, nums):
     step, as ``solvers._best`` scores one step: per value, the sum of
     ``nums[c]`` times the step's count for weight class c, in Python ints,
     the smallest value on ties."""
-    for step, (x, classes, counts) in enumerate(path):
-        scores = [sum(nums[c] * int(n) for c, n in zip(classes, col)) for col in counts.T.tolist()]
+    for step, (x, counts) in enumerate(path):
+        scores = [sum(num * int(n) for num, n in zip(nums, col)) for col in counts.T.tolist()]
         if scores.index(max(scores)) != choice[x]:
             return step
     return len(path)

@@ -39,10 +39,22 @@ def kernel(template):
     return [a for a, b in template.phi.mapping if b == template.g2.identity]
 
 
-def vector(kept, q):
-    """Row class q's equation counts per weight class, as a dict."""
-    span = slice(kept.vec_start[q], kept.vec_start[q + 1])
-    return dict(zip(kept.vec_class[span].tolist(), kept.vec_count[span].tolist()))
+def assert_row_classes(system, side):
+    """Each view row's dense vector (its row class's in ``_Counts``) is a
+    Python count of its equations per weight class, in the smallest
+    unsigned dtype, and two rows share a row class exactly when their
+    vectors are equal."""
+    enc, view = system.arrays, side_view(system, side)
+    rows = len(view.rows(enc.rhs))
+    group = range(rows) if view.group is None else view.group.tolist()
+    expect = [[0] * len(enc.weights) for _ in range(rows)]
+    for g, c in zip(group, enc.weight_class.tolist()):
+        expect[g][c] += 1
+    kept = solvers._counts(system, side)
+    assert kept.vectors[kept.row_class].tolist() == expect
+    assert kept.vectors.dtype == np.min_scalar_type(max(map(max, expect)))
+    assert len(set(kept.row_class.tolist())) == len(set(map(tuple, expect)))
+    return kept
 
 
 @st.composite
@@ -50,7 +62,10 @@ def kernel_copies(draw):
     """A small system whose equations each come with up to three copies
     differing only in the constant, multiplied on the left or the right by
     an element of ker(phi). Each equation's weight is split among its
-    copies, and the rows are shuffled."""
+    copies, and the rows are shuffled. Or, instead of the split weights,
+    each row takes one of up to 64 weight classes drawn at random, some
+    unused, so that a row's vector of counts per class can have more
+    digits than one int64 holds."""
     system = draw(small_systems(KERNEL_TEMPLATES))
     t = system.template
     ker = kernel(t)
@@ -61,7 +76,17 @@ def kernel_copies(draw):
         for k, part in zip(shifts, parts):
             rhs = t.g1.mul(eq.rhs, k) if draw(st.booleans()) else t.g1.mul(k, eq.rhs)
             rows.append(LinEquation(eq.terms, rhs, eq.weight * Fraction(part, sum(parts))))
-    return LinSystem(t, system.variables, draw(st.permutations(rows)))
+    split = LinSystem(t, system.variables, draw(st.permutations(rows)))
+    n = draw(st.integers(0, 64))
+    if n == 0:
+        return split
+    enc = split.arrays
+    weight_class = draw(st.lists(st.integers(0, n - 1), min_size=len(enc), max_size=len(enc)))
+    raw = draw(st.lists(st.integers(1, 200), min_size=n, max_size=n, unique=True))
+    total = sum(raw[c] for c in weight_class)
+    weights = tuple(Fraction(r, total) for r in raw)
+    arrays = reduction.SystemArrays(enc.var_ids, enc.signs, enc.rhs, np.array(weight_class), weights)
+    return LinSystem.from_arrays(t, split.variables, arrays)
 
 
 @settings(max_examples=100, deadline=None)
@@ -69,6 +94,7 @@ def kernel_copies(draw):
 def test_kernel_copies_match_reference(system, data):
     for side in (1, 2):
         _check_small_system(system, side, data)
+        assert_row_classes(system, side)
 
 
 def _keys(system, side):
@@ -96,13 +122,7 @@ def test_side_two_groups_equations_equal_modulo_the_kernel(tname, lc_name, rows)
     assert (keys == keys[view.rep][view.group]).all()
     assert np.array_equal(view.group[view.rep], np.arange(distinct))
     # each row's class vector counts its group's equations per weight class
-    enc = system.arrays
-    counts = np.zeros((distinct, len(enc.weights)), dtype=np.int64)
-    np.add.at(counts, (view.group, enc.weight_class), 1)
-    kept = solvers._counts(system, 2)
-    assert [vector(kept, q) for q in kept.row_class.tolist()] == [
-        {c: n for c, n in enumerate(row) if n} for row in counts.tolist()
-    ]
+    assert_row_classes(system, 2)
 
 
 @pytest.mark.parametrize("tname", TEMPLATES)
@@ -171,9 +191,9 @@ def test_python_int_numerators_are_summed_per_group():
     assert max(nums) >= 2**63  # so the scores are Python ints
     assert len(side_view(system, 2).rep) == 3
     # the merged row's class counts both equations, one per weight class
-    kept = solvers._counts(system, 2)
+    kept = assert_row_classes(system, 2)
     merged = kept.row_class[side_view(system, 2).group[0]]
-    assert vector(kept, merged) == {c: 1 for c in system.arrays.weight_class[:2].tolist()}
+    assert kept.vectors[merged].tolist() == [1, 1, 0, 0]
     for side, x in ((1, 2), (2, 1)):
         assignment = derandomize(system, t, side)
         assert assignment["x"] == x
@@ -184,9 +204,10 @@ def test_python_int_numerators_are_summed_per_group():
 def test_many_weight_classes_keep_a_vector_per_row():
     # 70 distinct weights, in pairs one kernel element apart, and some
     # equations twice: the pairs merge on side 2, and 70 classes are too
-    # many to code a row's class counts in int64, so every row keeps its
-    # own vector. The path keeps counts per weight class, so a warm call
-    # with other weights weighs at most 70 per variable, not one per row.
+    # many to code a row's class counts as the digits of one int64, so the
+    # rows' vectors are told apart by their ``_codes``. The path keeps
+    # counts per weight class, so a warm call with other weights weighs 70
+    # per value and variable, not one per row.
     t = catalog.template("z4_to_z2")
     rng = np.random.default_rng(5)
     names = [f"x{i}" for i in range(5)]
@@ -198,11 +219,10 @@ def test_many_weight_classes_keep_a_vector_per_row():
         eqs.append(LinEquation(terms, (rhs + 2) % 4, Fraction(2 * k + 2, total)))
     eqs += eqs[2:6:2]  # weights 3/total and 5/total, twice each
     system = LinSystem(t, names, eqs)
-    kept = solvers._counts(system, 2)
+    kept = assert_row_classes(system, 2)
     rows = len(side_view(system, 2).rep)
     assert len(system.arrays.weights) == 70 and rows < 70
-    assert kept.row_class.tolist() == list(range(rows))
-    assert kept.vec_count.max() == 2
+    assert kept.vectors.max() == 2
     used = np.bincount(system.arrays.weight_class).tolist()
     raw = [(37 * k) % 71 + 1 for k in range(70)]
     other = reweighed(system, [Fraction(r, sum(map(operator.mul, raw, used))) for r in raw])
@@ -211,13 +231,14 @@ def test_many_weight_classes_keep_a_vector_per_row():
             assert derandomize(s, t, side) == ref.derandomize(s, t, side)
             assert random_expectation(s, t, side) == ref.random_expectation(s, t, side)
         kept = solvers._counts(system, side)
-        assert all(len(cls) == len(set(cls)) <= 70 for _, cls, _ in kept.path)
+        assert all(counts.shape == (70, len(t.h1 if side == 1 else t.h2)) for _, counts in kept.path)
 
 
 def test_rows_that_share_weight_classes_are_kept_per_weight_class():
     # s3_sign/lc_tiny with 45 weight classes drawn at random: 4^45 passes
-    # int64, so every side-2 row keeps its own vector, and many rows share
-    # classes. Each variable keeps one count per weight class, ascending.
+    # int64, and many side-2 rows share classes. Each row's vector is its
+    # equations' count per weight class, and each variable keeps one count
+    # per weight class and value.
     t = catalog.template("s3_sign")
     built = build_system(catalog.label_cover("lc_tiny"), t, ReductionParams(EPS))
     enc = built.arrays
@@ -229,15 +250,14 @@ def test_rows_that_share_weight_classes_are_kept_per_weight_class():
         enc.var_ids, enc.signs, enc.rhs, weight_class, tuple(Fraction(r, total) for r in raw)
     )
     system = LinSystem.from_arrays(t, built.variables, arrays)
-    rows = len(side_view(system, 2).rep)
-    assert solvers._counts(system, 2).row_class.tolist() == list(range(rows))
     for side in (1, 2):
+        assert_row_classes(system, side)
         assert derandomize(system, t, side) == ref.derandomize(system, t, side)
         assert random_expectation(system, t, side) == ref.random_expectation(system, t, side)
         kept = solvers._counts(system, side)
-        classes = [cls for _, cls, _ in kept.path]
-        assert all(cls == sorted(set(cls)) for cls in classes)
-        assert max(map(len, classes)) > 1
+        assert all(counts.shape == (45, len(t.h1 if side == 1 else t.h2)) for _, counts in kept.path)
+        # some step counts the rows of more than one weight class
+        assert max(int((counts.any(axis=1)).sum()) for _, counts in kept.path) > 1
 
 
 @pytest.mark.parametrize("tname", ("s3_sign", "z4_to_z2"))

@@ -30,6 +30,7 @@ from grouplin import (
     decoder,
     derandomize,
     derandomize_strategy,
+    derandomized_value,
     groups,
     make_context,
     payoff_distribution,
@@ -266,6 +267,33 @@ def test_a_warm_eps_sweep_scores_no_pattern(monkeypatch):
     assert scored
 
 
+@pytest.mark.parametrize("tname", sorted(catalog.templates()))
+def test_an_eps_sweep_where_row_weights_meet_keeps_its_counts(tname, monkeypatch):
+    # at |G1| / (|G1| + 1) two of doubled_tiny's row weights are equal; the
+    # weight classes are the rows' row classes at every eps, so a sweep that
+    # alternates it with 1/8 builds each side's counts once and scores
+    # patterns on its first op only, and every op equals a cold build
+    t, lc = catalog.template(tname), selftest.doubled_tiny()
+    sweep = [EPS1, Fraction(len(t.g1), len(t.g1) + 1)] * 3
+    builds, scored = [], []
+    monkeypatch.setattr(solvers._Counts, "__init__", _counting(builds, "build", solvers._Counts.__init__))
+    monkeypatch.setattr(solvers._Patterns, "_hits", _counting(scored, "_hits", solvers._Patterns._hits))
+
+    def op(eps):
+        system = build_system(lc, t, ReductionParams(eps))
+        solve = (derandomize, derandomized_value, random_expectation)
+        return [tuple(f(system, t, side) for f in solve) for side in (1, 2)]
+
+    reduction._support.cache_clear()
+    warm = [op(sweep[0])]
+    first = len(scored)
+    warm += [op(eps) for eps in sweep[1:]]
+    assert builds == ["build"] * 2 and first and len(scored) == first
+    for eps, got in zip(sweep, warm):
+        reduction._support.cache_clear()
+        assert got == op(eps)
+
+
 def test_a_warm_pipeline_evaluates_nothing(monkeypatch):
     # the derandomized value is weighed from the counts kept with the path;
     # the template is a copy whose hash no lookup has computed yet
@@ -387,6 +415,7 @@ def test_kept_counts_weights_and_terms_equal_cold_ones_over_an_eps_sweep(tname, 
     monkeypatch.setattr(reduction, "_payoff_counts", _counting(calls, "count", reduction._payoff_counts))
     monkeypatch.setattr(decoder, "transform", _counting(calls, "transform", decoder.transform))
     warm = [_outputs(lc, t, eps, families, changed) for eps in sweep]
+    sup = reduction.support(lc, t)
     # side 1 is counted once; side 2 whenever its family's content changes
     side_2 = [f for _, _, decoded in warm for f in ["planted"] + ["planted", "changed"] * bool(decoded)]
     changes = sum(k == 0 or f != side_2[k - 1] for k, f in enumerate(side_2))
@@ -399,10 +428,12 @@ def test_kept_counts_weights_and_terms_equal_cold_ones_over_an_eps_sweep(tname, 
         assert_same_system(system, cold_system)
         assert payoffs == cold_payoffs and decoded == cold_decoded
     assert calls.count("transform") > transforms or not decodes
+    # every eps has the rows' row classes as its weight classes
+    assert all(system.arrays.weight_class is sup.exact.row_class for system, _, _ in warm)
     if lc_name == "doubled":
-        # equal row weights join at this eps, and the kept classes follow
-        assert len(warm[3][0].arrays.weights) < len(warm[2][0].arrays.weights)
-        assert warm[0][0].arrays.weight_class is warm[2][0].arrays.weight_class
+        # two row weights are equal at this eps, and both stay classes
+        weights = warm[3][0].arrays.weights
+        assert len(set(weights)) < len(weights) == len(warm[2][0].arrays.weights)
 
 
 def test_a_family_changed_in_place_is_counted_again():
@@ -543,13 +574,12 @@ def test_the_kept_state_is_bounded_and_goes_with_the_support():
     assert sup.families[2] is sup.family(changed) and sup.families[2].decodes
     assert sup.families[1] is sup.family(families[1])
     build_system(lc, t, ReductionParams(EPS1))
-    assert sup.weight_classes is not None
-    for array in (sup.families[2].counts, *sup.weight_classes[1:]):
+    for array in (sup.families[2].counts, sup.class_totals):
         assert not array.flags.writeable
     other = catalog.label_cover("lc_tiny")
     build_system(other, t, ReductionParams(EPS1))
     assert reduction.support(lc, t) is not sup
-    assert reduction.support(lc, t).families == {} and reduction.support(lc, t).weight_classes is None
+    assert reduction.support(lc, t).families == {} and reduction.support(lc, t).class_totals is None
 
 
 def test_a_warm_build_checks_only_its_weights(monkeypatch):
