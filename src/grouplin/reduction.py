@@ -32,9 +32,9 @@ EQUATION_BLOCK = 16384
 # Supports kept at once (``support``): the last (instance, template) pair, as
 # an eps sweep solves one pair again and again. A kept support holds its exact
 # encoding with both side views, their incidence and the solvers' hit counts
-# after both solvers ran on both sides, about 62 bytes per equation on
-# s3_a3_incl/lc2 at every eps (23 MB for 373,248 equations), so at most
-# about 125 MB at the default cap of 2M tuples.
+# after both solvers ran on both sides, about 60 bytes per equation on
+# s3_a3_incl/lc2 at every eps (22 MB for 373,248 equations), so at most
+# about 120 MB at the default cap of 2M tuples.
 SUPPORT_CACHE = 1
 
 
@@ -307,7 +307,7 @@ class SideView:
     ``rep`` holds one equation of each group and ``group`` each equation's.
     Both are None when the view is the system as it is. ``memo`` keeps what
     the solvers derive from the view's rows, such as their incidence and
-    their hit counts per weight class, for as long as the view lives."""
+    their hit counts per row class, for as long as the view lives."""
 
     rep: np.ndarray | None    # int32 [g]
     group: np.ndarray | None  # int32 [m]

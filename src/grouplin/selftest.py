@@ -630,8 +630,9 @@ def _check_path_check(seed):
             cases += [(build_system(doubled_tiny(), t, ReductionParams(eps)), side) for side in (1, 2)]
     bad, changed = 0, 0
     for system, side in cases:
-        kept, nums = _counts(system, side), system.arrays.numerators[0]
-        flips = [_best(nums, counts) != kept.choice[x] for x, counts in kept.path]
+        kept = _counts(system, side)
+        nums = kept.numerators(system.arrays.numerators[0])
+        flips = [_best([nums[c] for c in cls], counts) != kept.choice[x] for x, cls, counts in kept.path]
         scan = flips.index(True) if any(flips) else len(flips)
         bad += _first_changed(kept, nums) != scan
         changed += scan < len(kept.path)

@@ -7,13 +7,14 @@ The first three run on the system's integer encoding (``LinSystem.arrays``)
 and stay exact. ``random_expectation`` and ``derandomize`` run on the side's
 view (``side_view``), where equations equal on that side are one row, and
 score each distinct equation pattern once per pass. What they score is hits
-per weight class, summed densely through each row's vector of equations per
-weight class. No weight enters them, and a system's weight classes stay the
-same for its lifetime (the exact systems of one support share theirs), so
-the view's memo keeps them: ``random_expectation``'s totals, and
-``derandomize``'s path with the hits of the assignment it ends in. A call
-weighs them with the weights' integer numerators; ``derandomize`` checks its
-path in one pass and rescores it from the first choice that changes.
+per row class: rows whose equations count the same per weight class share
+one, and a row class weighs its vector of counts. No weight enters the
+hits, and a system's weight classes stay the same for its lifetime (the
+exact systems of one support share theirs), so the view's memo keeps them:
+``random_expectation``'s totals, and ``derandomize``'s path with the hits
+of the assignment it ends in. A call weighs them with the weights' integer
+numerators; ``derandomize`` checks its path in one pass and rescores it
+from the first choice that changes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidParams, enum_cap
 from .groups import Template, cube_image
-from .reduction import LinSystem, SideTables, _codes, side_tables, side_view
+from .reduction import LinSystem, SideTables, _codes, _firsts, side_tables, side_view
 
 # Cells of (assignment or pattern) x (equation or grid point) per kernel
 # block, which bounds the kernels' scratch memory.
@@ -35,8 +36,9 @@ _BLOCK_CELLS = 1 << 18
 # which bounds the solvers' scratch memory.
 _KEY_BLOCK = 1 << 14
 
-# A block of rows is counted on a dense grid of (row class, key) pairs when
-# the grid has at most this many cells per row, and by sorting otherwise.
+# Codes, such as a block's (row class, key) pairs, are counted on a dense
+# grid when it has at most this many cells per code, and by sorting
+# otherwise.
 _DENSE_PER_ROW = 4
 
 # A slot of an equation is coded as one int. Codes 0..n-1 are known term
@@ -80,73 +82,115 @@ def _small(values: np.ndarray, bound: int) -> np.ndarray:
 
 
 class _Counts:
-    """A side view's rows by weight class, for the system's weight classes,
+    """A side view's rows by row class, for the system's weight classes,
     which stay the same for the system's lifetime (the exact systems of one
-    support share theirs), and the hit counts per weight class the solvers
+    support share theirs), and the hit counts per row class the solvers
     derive from them, which no weight enters. A row class is a distinct
-    vector of equation counts per weight class, told apart by its
-    ``reduction._codes``; where nothing merges it is the weight class.
-    ``vectors`` holds them dense, [row classes x weight classes], in the
-    smallest unsigned dtype.
+    vector of equation counts per weight class, told apart by the
+    ``reduction._codes`` of its nonzero entries; where nothing merges it is
+    the weight class. Vector q counts ``vec_n[i]`` equations of class
+    ``vec_cls[i]`` for each i in ``vec_start[q]:vec_start[q + 1]``, classes
+    ascending, and no row has more than ``most`` equations. So everything
+    here takes space linear in the equations, whatever the number of weight
+    classes. A row class weighs its vector's numerators (``numerators``).
 
-    ``totals`` holds ``random_expectation``'s hits over the whole grid per
-    weight class. ``derandomize``'s path holds, per variable that rows
-    touch, in order, a step: the variable and its rows' int64 hit counts,
-    [weight classes x |h|], per value of the variable given the values
-    chosen before it. ``choice`` holds each variable's choice, an index into
-    the constants subgroup (0 where no row touches it). ``assigned`` holds
-    the hits per weight class of the assignment the path ends in, times
-    |h|^2; it is None until ``_path`` has walked a new path to its end.
-    ``stack`` is the path as ``_first_changed`` scores it."""
+    ``totals`` holds ``random_expectation``'s hits over the whole grid, as
+    (row classes, hits) lists. ``derandomize``'s path holds, per variable
+    that rows touch, in order, a step: the variable, the row classes of its
+    rows, ascending, and their int64 hit counts, [row classes x |h|], per
+    value of the variable given the values chosen before it. ``choice``
+    holds each variable's choice, an index into the constants subgroup (0
+    where no row touches it). ``assigned`` holds the hits of the assignment
+    the path ends in, times |h|^2, as (row classes, hits) lists; it is None
+    until ``_path`` has walked a new path to its end. ``stack`` is the path
+    as ``_first_changed`` scores it."""
 
     def __init__(self, system: LinSystem, side: int):
         enc, view = system.arrays, side_view(system, side)
-        n = len(enc.weights)
+        self.weight_class, n = enc.weight_class, len(enc.weights)
         if view.group is None:
-            self.row_class, self.vectors = _small(enc.weight_class, n), np.eye(n, dtype=np.uint8)
+            self.row_class, self.vec_start = enc.weight_class, np.arange(n + 1)
+            self.vec_cls, self.vec_n, self.most = np.arange(n), np.ones(n, dtype=np.uint8), 1
         else:
-            rows = len(view.rep)
-            counts = np.bincount(view.group.astype(np.int64) * n + enc.weight_class, minlength=rows * n)
-            top = int(counts.max())
-            counts = _small(counts, top).reshape(rows, n)
-            distinct, row_class = np.unique(_codes(counts.T, [top + 1] * n), return_inverse=True)
-            rep = np.empty(len(distinct), dtype=np.int64)
-            rep[row_class] = np.arange(rows)  # a row of each row class
-            self.row_class, self.vectors = _small(row_class, len(distinct)), counts[rep]
-        self.totals = self.assigned = self.stack = None
+            # each row's nonzero counts, (row, class) ascending, as one int
+            # each; the rows with each number of them are coded together
+            pair, count = _pairs(view.group.astype(np.int64) * n + enc.weight_class, len(view.rep) * n)
+            row, cls = np.divmod(pair, n)
+            size = np.bincount(row, minlength=len(view.rep))
+            start, top = np.cumsum(size) - size, int(count.max())
+            digit = cls * (top + 1) + count
+            by_size = np.argsort(_small(size, int(size.max())), kind="stable")
+            lengths = np.bincount(size)
+            row_class, reps = np.empty(len(size), dtype=np.int64), []
+            for length, these in zip(lengths.nonzero()[0], np.split(by_size, np.cumsum(lengths[lengths > 0]))):
+                code = _codes([digit[start[these] + j] for j in range(length)], [n * (top + 1)] * length)
+                distinct, _ = _pairs(code, int(code.max()) + 1)
+                inverse = np.searchsorted(distinct, code)
+                row_class[these] = sum(map(len, reps)) + inverse
+                reps.append(np.empty(len(distinct), dtype=np.int64))
+                reps[-1][inverse] = these  # a row of each row class
+            rep = np.concatenate(reps)
+            end = np.cumsum(size[rep])
+            at = np.arange(end[-1]) + np.repeat(start[rep] - end + size[rep], size[rep])  # the reps' entries
+            self.row_class, self.vec_start = _small(row_class, len(rep)), np.concatenate([[0], end])
+            self.vec_cls, self.vec_n, self.most = _small(cls[at], n), _small(count[at], top), top * (len(lengths) - 1)
+        self.totals, self.assigned, self.stack, self.weighed = None, None, None, (None, None)
         self.path: list = []
         self.choice = np.zeros(len(system.variables), dtype=np.int64)
 
-    def count(self, rows: np.ndarray, pos: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    def count(self, rows: np.ndarray, pos: np.ndarray, hits: np.ndarray):
         """The hits of view rows whose keys sit at ``pos`` in the ``hits``
-        table, summed per weight class: [weight classes x |h|]. The rows are
-        counted per (row class, key) pair, densely where the grid of pairs
-        has at most ``_DENSE_PER_ROW`` cells per row, sorted otherwise, and
-        each pair counts its row class's vector."""
+        table, summed per row class: the row classes, ascending, and their
+        sums. The rows are counted per (row class, key) pair."""
         n_keys = len(hits)
-        pair = self.row_class[rows].astype(np.int64) * n_keys + pos
-        size = len(self.vectors) * n_keys
-        if size <= _DENSE_PER_ROW * len(rows):
-            n = np.bincount(pair, minlength=size)
-            pair = np.flatnonzero(n)
-            n = n[pair]
-        else:
-            pair, n = np.unique(pair, return_counts=True)
+        pair, n = _pairs(self.row_class[rows].astype(np.int64) * n_keys + pos, (len(self.vec_start) - 1) * n_keys)
         row_class, key = np.divmod(pair, n_keys)
-        return self.vectors[row_class].T @ (hits[key] * n[:, None])
+        first = _firsts(row_class)
+        return row_class[first], np.add.reduceat(hits[key] * n[:, None], first, axis=0)
+
+    def numerators(self, nums: list[int]) -> list[int]:
+        """Per row class, what one of its rows weighs in the weight
+        numerators ``nums``: its vector's counts times their classes'
+        numerators, summed, in int64 where that cannot overflow. The last
+        result is kept."""
+        if self.weighed[0] is not nums:
+            dtype = np.int64 if max(nums) * self.most < 2**63 else object
+            terms = self.vec_n.astype(dtype) * np.array(nums, dtype)[self.vec_cls]
+            self.weighed = nums, np.add.reduceat(terms, self.vec_start[:-1]).tolist()
+        return self.weighed[1]
+
+    def weigh(self, system: LinSystem, sums) -> Fraction:
+        """``sums``, (row classes, hits), weighed exactly in the system's
+        weights."""
+        nums, denom = system.arrays.numerators
+        weight = self.numerators(nums)
+        return Fraction(sum(weight[q] * n for q, n in zip(*sums)), denom)
+
+
+def _pairs(pair: np.ndarray, size: int):
+    """The distinct codes in ``pair``, all below ``size``, ascending, and
+    how often each occurs: counted on a dense grid where it has at most
+    ``_DENSE_PER_ROW`` cells per code, by sorting otherwise."""
+    if size <= _DENSE_PER_ROW * len(pair):
+        n = np.bincount(pair, minlength=size)
+        pair = np.flatnonzero(n)
+        return pair, n[pair]
+    return np.unique(pair, return_counts=True)
 
 
 def _counts(system: LinSystem, side: int) -> _Counts:
     """The view's ``_Counts``, kept in the view's memo and shared by the
-    exact systems of one support."""
+    exact systems of one support, which share one weight class array. A
+    system with another array replaces it."""
     memo = side_view(system, side).memo
-    if "counts" not in memo:
-        memo["counts"] = _Counts(system, side)
-    return memo["counts"]
+    kept = memo.get("counts")
+    if kept is None or kept.weight_class is not system.arrays.weight_class:
+        kept = memo["counts"] = _Counts(system, side)
+    return kept
 
 
 def _best(nums: list[int], counts: np.ndarray) -> int:
-    """The index i with the largest sum of ``nums[c] * counts[c, i]``, the
+    """The index i with the largest sum of ``nums[j] * counts[j, i]``, the
     smallest on ties, in Python ints."""
     scores = [sum(map(operator.mul, nums, col)) for col in counts.T.tolist()]
     return scores.index(max(scores))
@@ -159,12 +203,14 @@ def _first_changed(kept: _Counts, nums: list[int]) -> int:
     if not kept.path:
         return 0
     if kept.stack is None:
-        counts = np.stack([c for _, c in kept.path])  # [steps, weight classes, |h|]
-        top = max(1, int(counts.sum(axis=1).max()))
-        kept.stack = np.array([x for x, _ in kept.path]), counts, top
-    steps, counts, top = kept.stack
+        counts = np.concatenate([c for _, _, c in kept.path])
+        starts = np.cumsum([0] + [len(c) for _, _, c in kept.path[:-1]])
+        top = max(1, int(np.add.reduceat(counts, starts, axis=0).max()))
+        classes = np.concatenate([c for _, c, _ in kept.path])
+        kept.stack = np.array([x for x, _, _ in kept.path]), classes, counts, starts, top
+    steps, classes, counts, starts, top = kept.stack
     dtype = np.int64 if max(nums) * top < 2**63 else object
-    scores = np.array(nums, dtype) @ counts.astype(dtype, copy=False)  # [steps, |h|]
+    scores = np.add.reduceat(counts.astype(dtype, copy=False) * np.array(nums, dtype)[classes, None], starts, axis=0)
     changed = np.flatnonzero(scores.argmax(axis=1) != kept.choice[steps])
     return int(changed[0]) if len(changed) else len(steps)
 
@@ -305,20 +351,25 @@ def random_expectation(system: LinSystem, template: Template, side: int) -> Frac
         enc, view = system.arrays, side_view(system, side)
         shape = _shapes(_ranks(view.rows(enc.var_ids).T), view.rows(enc.signs).T < 0, 0)
         rhs = tables.rhs_map[view.rows(enc.rhs)]
-        kept.totals = _class_hits(kept, _Patterns(tables, h), np.arange(len(rhs)), shape, rhs).sum(axis=1).tolist()
-    return system.arrays.weigh(kept.totals) / len(h) ** 3
+        row_class, hits = _class_hits(kept, _Patterns(tables, h), np.arange(len(rhs)), shape, rhs)
+        kept.totals = row_class.tolist(), hits.sum(axis=1).tolist()
+    return kept.weigh(system, kept.totals) / len(h) ** 3
 
 
 def _class_hits(kept: _Counts, patterns: _Patterns, rows: np.ndarray, shape: np.ndarray, known: np.ndarray):
     """The hits of the view's ``rows``, whose keys are ``shape`` plus
-    ``known``, summed per weight class: [weight classes x |h|], one column
-    per value of unknown 0."""
-    sums = 0
+    ``known``, summed per row class: the row classes, ascending, and their
+    sums, one column per value of unknown 0."""
+    parts = []
     for lo in range(0, len(rows), _KEY_BLOCK):
         sl = slice(lo, lo + _KEY_BLOCK)
-        pos = patterns.lookup(shape[sl], known[sl])
-        sums = sums + kept.count(rows[sl], pos, patterns.hits)
-    return sums
+        parts.append(kept.count(rows[sl], patterns.lookup(shape[sl], known[sl]), patterns.hits))
+    if len(parts) == 1:
+        return parts[0]
+    row_class = np.concatenate([q for q, _ in parts])
+    order = np.argsort(row_class, kind="stable")
+    first = _firsts(row_class[order])
+    return row_class[order][first], np.add.reduceat(np.concatenate([n for _, n in parts])[order], first, axis=0)
 
 
 def _incidence(var_ids: np.ndarray, signs: np.ndarray, n_vars: int):
@@ -364,7 +415,7 @@ def derandomized_value(system: LinSystem, template: Template, side: int) -> Frac
     """The exact weight that ``derandomize``'s assignment satisfies, weighed
     from the hits per weight class kept with its path."""
     kept, h = _path(system, template, side)
-    return system.arrays.weigh(kept.assigned) / len(h) ** 2
+    return kept.weigh(system, kept.assigned) / len(h) ** 2
 
 
 def _path(system: LinSystem, template: Template, side: int):
@@ -373,7 +424,7 @@ def _path(system: LinSystem, template: Template, side: int):
     is no longer best, the kept path is replaced and its end counted."""
     tables, h = _side(system, template, side)
     kept = _counts(system, side)
-    nums, _ = system.arrays.numerators
+    nums = kept.numerators(system.arrays.numerators[0])
     start = _first_changed(kept, nums)
     if start == len(kept.path) and kept.assigned is not None:
         return kept, h
@@ -392,13 +443,14 @@ def _path(system: LinSystem, template: Template, side: int):
         own = slice(indptr[x], indptr[x + 1])
         rows = eqs[own]
         if step >= start:
-            counts = _class_hits(kept, patterns, rows, shape[own], known[rows])
-            kept.choice[x] = _best(nums, counts)
-            kept.path.append((x, counts))
+            row_class, counts = _class_hits(kept, patterns, rows, shape[own], known[rows])
+            kept.choice[x] = _best([nums[q] for q in row_class.tolist()], counts)
+            kept.path.append((x, row_class, counts))
         known[rows] += patterns.fixed_keys(h[kept.choice[x]])[shape[own]]
     # every slot is fixed now: shape 0, |h|^2 per hit at every value
     rows = np.arange(len(known))
-    kept.assigned = _class_hits(kept, patterns, rows, np.zeros(len(rows), dtype=np.int16), known)[:, 0].tolist()
+    row_class, hits = _class_hits(kept, patterns, rows, np.zeros(len(rows), dtype=np.int16), known)
+    kept.assigned = row_class.tolist(), hits[:, 0].tolist()
     return kept, h
 
 

@@ -4,6 +4,7 @@ the solvers score each such group once. Grouped scores must equal the
 per-equation reference loops in ``reference_solvers``."""
 
 import operator
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -39,22 +40,33 @@ def kernel(template):
     return [a for a, b in template.phi.mapping if b == template.g2.identity]
 
 
-def assert_row_classes(system, side):
-    """Each view row's dense vector (its row class's in ``_Counts``) is a
-    Python count of its equations per weight class, in the smallest
-    unsigned dtype, and two rows share a row class exactly when their
-    vectors are equal."""
+def assert_entries(system, side):
+    """Each view row's vector in ``_Counts`` (its row class's entries) is a
+    Python count of its equations per weight class: the classes it has,
+    ascending, each with its number of equations, in the smallest unsigned
+    dtypes. Two rows share a row class exactly when their vectors are
+    equal. Returns the vector per row."""
     enc, view = system.arrays, side_view(system, side)
     rows = len(view.rows(enc.rhs))
     group = range(rows) if view.group is None else view.group.tolist()
-    expect = [[0] * len(enc.weights) for _ in range(rows)]
+    expect = [{} for _ in range(rows)]
     for g, c in zip(group, enc.weight_class.tolist()):
-        expect[g][c] += 1
+        expect[g][c] = expect[g].get(c, 0) + 1
+    expect = [sorted(e.items()) for e in expect]
     kept = solvers._counts(system, side)
-    assert kept.vectors[kept.row_class].tolist() == expect
-    assert kept.vectors.dtype == np.min_scalar_type(max(map(max, expect)))
-    assert len(set(kept.row_class.tolist())) == len(set(map(tuple, expect)))
-    return kept
+    start = kept.vec_start.tolist()
+    vectors = [list(zip(kept.vec_cls[a:b].tolist(), kept.vec_n[a:b].tolist())) for a, b in zip(start, start[1:])]
+    got = [vectors[q] for q in kept.row_class.tolist()]
+    assert got == expect
+    assert max(sum(n for _, n in e) for e in expect) <= kept.most
+    if view.group is None:  # the row classes are the system's weight classes
+        assert kept.row_class is enc.weight_class and len(vectors) == len(enc.weights)
+    else:
+        assert len(vectors) == len(set(map(tuple, vectors)))
+        assert kept.vec_cls.dtype == np.min_scalar_type(len(enc.weights))
+        assert kept.vec_n.dtype == np.min_scalar_type(max(max(n for _, n in e) for e in expect))
+        assert kept.row_class.dtype == np.min_scalar_type(len(vectors))
+    return got
 
 
 @st.composite
@@ -94,7 +106,7 @@ def kernel_copies(draw):
 def test_kernel_copies_match_reference(system, data):
     for side in (1, 2):
         _check_small_system(system, side, data)
-        assert_row_classes(system, side)
+        assert_entries(system, side)
 
 
 def _keys(system, side):
@@ -121,8 +133,8 @@ def test_side_two_groups_equations_equal_modulo_the_kernel(tname, lc_name, rows)
     # each equation agrees with its group's rep, and each group is one key
     assert (keys == keys[view.rep][view.group]).all()
     assert np.array_equal(view.group[view.rep], np.arange(distinct))
-    # each row's class vector counts its group's equations per weight class
-    assert_row_classes(system, 2)
+    # each row's entries count its group's equations per weight class
+    assert_entries(system, 2)
 
 
 @pytest.mark.parametrize("tname", TEMPLATES)
@@ -190,10 +202,9 @@ def test_python_int_numerators_are_summed_per_group():
     nums, _ = system.arrays.numerators
     assert max(nums) >= 2**63  # so the scores are Python ints
     assert len(side_view(system, 2).rep) == 3
-    # the merged row's class counts both equations, one per weight class
-    kept = assert_row_classes(system, 2)
-    merged = kept.row_class[side_view(system, 2).group[0]]
-    assert kept.vectors[merged].tolist() == [1, 1, 0, 0]
+    # the merged row counts both equations, one per weight class
+    entries = assert_entries(system, 2)
+    assert entries[side_view(system, 2).group[0]] == [(0, 1), (1, 1)]
     for side, x in ((1, 2), (2, 1)):
         assignment = derandomize(system, t, side)
         assert assignment["x"] == x
@@ -201,13 +212,26 @@ def test_python_int_numerators_are_summed_per_group():
         assert random_expectation(system, t, side) == ref.random_expectation(system, t, side)
 
 
+def assert_path_classes(system, side):
+    """Each step of the kept path holds counts for exactly the row classes
+    of the view rows touching its variable, ascending, one column per
+    element of the constants subgroup."""
+    enc, t = system.arrays, system.template
+    width = len(t.h1 if side == 1 else t.h2)
+    kept = solvers._counts(system, side)
+    var_ids = side_view(system, side).rows(enc.var_ids)
+    for x, row_class, counts in kept.path:
+        touching = (var_ids == x).any(axis=1)
+        assert row_class.tolist() == np.unique(kept.row_class[touching]).tolist()
+        assert counts.shape == (len(row_class), width)
+
+
 def test_many_weight_classes_keep_a_vector_per_row():
     # 70 distinct weights, in pairs one kernel element apart, and some
-    # equations twice: the pairs merge on side 2, and 70 classes are too
-    # many to code a row's class counts as the digits of one int64, so the
-    # rows' vectors are told apart by their ``_codes``. The path keeps
-    # counts per weight class, so a warm call with other weights weighs 70
-    # per value and variable, not one per row.
+    # equations twice: the pairs merge on side 2, so a row has up to two
+    # weight classes, and a class up to two equations in a row. Each path
+    # step keeps the counts of the weight classes its rows have, so a warm
+    # call with other weights weighs those per value and variable.
     t = catalog.template("z4_to_z2")
     rng = np.random.default_rng(5)
     names = [f"x{i}" for i in range(5)]
@@ -219,10 +243,9 @@ def test_many_weight_classes_keep_a_vector_per_row():
         eqs.append(LinEquation(terms, (rhs + 2) % 4, Fraction(2 * k + 2, total)))
     eqs += eqs[2:6:2]  # weights 3/total and 5/total, twice each
     system = LinSystem(t, names, eqs)
-    kept = assert_row_classes(system, 2)
-    rows = len(side_view(system, 2).rep)
-    assert len(system.arrays.weights) == 70 and rows < 70
-    assert kept.vectors.max() == 2
+    entries = assert_entries(system, 2)
+    assert len(system.arrays.weights) == 70 and len(entries) < 70
+    assert max(map(len, entries)) == 2 and max(n for row in entries for _, n in row) == 2
     used = np.bincount(system.arrays.weight_class).tolist()
     raw = [(37 * k) % 71 + 1 for k in range(70)]
     other = reweighed(system, [Fraction(r, sum(map(operator.mul, raw, used))) for r in raw])
@@ -230,15 +253,14 @@ def test_many_weight_classes_keep_a_vector_per_row():
         for s in (system, other, system):
             assert derandomize(s, t, side) == ref.derandomize(s, t, side)
             assert random_expectation(s, t, side) == ref.random_expectation(s, t, side)
-        kept = solvers._counts(system, side)
-        assert all(counts.shape == (70, len(t.h1 if side == 1 else t.h2)) for _, counts in kept.path)
+        assert_path_classes(system, side)
 
 
 def test_rows_that_share_weight_classes_are_kept_per_weight_class():
-    # s3_sign/lc_tiny with 45 weight classes drawn at random: 4^45 passes
-    # int64, and many side-2 rows share classes. Each row's vector is its
+    # s3_sign/lc_tiny with 45 weight classes drawn at random, so that many
+    # side-2 rows have several classes. Each row's entries are its
     # equations' count per weight class, and each variable keeps one count
-    # per weight class and value.
+    # per weight class of its rows and value.
     t = catalog.template("s3_sign")
     built = build_system(catalog.label_cover("lc_tiny"), t, ReductionParams(EPS))
     enc = built.arrays
@@ -251,13 +273,45 @@ def test_rows_that_share_weight_classes_are_kept_per_weight_class():
     )
     system = LinSystem.from_arrays(t, built.variables, arrays)
     for side in (1, 2):
-        assert_row_classes(system, side)
+        assert (max(map(len, assert_entries(system, side))) > 1) == (side == 2)
         assert derandomize(system, t, side) == ref.derandomize(system, t, side)
         assert random_expectation(system, t, side) == ref.random_expectation(system, t, side)
-        kept = solvers._counts(system, side)
-        assert all(counts.shape == (45, len(t.h1 if side == 1 else t.h2)) for _, counts in kept.path)
-        # some step counts the rows of more than one weight class
-        assert max(int((counts.any(axis=1)).sum()) for _, counts in kept.path) > 1
+        assert_path_classes(system, side)
+        # some step counts the rows of more than one row class
+        assert max(len(q) for _, q, _ in solvers._counts(system, side).path) > 1
+
+
+def test_memory_stays_linear_in_thousands_of_weight_classes():
+    # 6,000 equations over 600 variables, each of its own weight, in pairs
+    # one kernel element apart that merge on side 2. Entries, steps and
+    # scratch grow with the equations, not with equations x classes: one
+    # dense [equations x classes] byte array alone would take 36 MB.
+    t = catalog.template("z4_to_z2")
+    rng = np.random.default_rng(3)
+    half, n_vars = 3000, 600
+    var_ids = np.repeat(rng.integers(n_vars, size=(half, 3)), 2, axis=0).astype(np.int32)
+    signs = np.repeat(rng.choice(np.array([-1, 1], dtype=np.int8), size=(half, 3)), 2, axis=0)
+    rhs = np.repeat(rng.integers(4, size=half), 2)
+    rhs[1::2] = (rhs[1::2] + 2) % 4  # 2 is ker(phi)'s other element
+    m = 2 * half
+    total = m * (m + 1) // 2
+    arrays = reduction.SystemArrays(
+        var_ids, signs, rhs.astype(np.int16), rng.permutation(m).astype(np.int32),
+        tuple(Fraction(k + 1, total) for k in range(m)),
+    )
+    system = LinSystem.from_arrays(t, tuple(f"x{i}" for i in range(n_vars)), arrays)
+    assert len(side_view(system, 2).rep) == half
+    tracemalloc.start()
+    try:
+        for side in (1, 2):
+            value = derandomized_value(system, t, side)
+            expectation = random_expectation(system, t, side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert value == evaluate(system, derandomize(system, t, 2), 2)
+    assert expectation == ref.random_expectation(system, t, 2)
 
 
 @pytest.mark.parametrize("tname", ("s3_sign", "z4_to_z2"))

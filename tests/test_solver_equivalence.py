@@ -220,7 +220,7 @@ def test_an_interrupted_rescore_is_finished_by_the_next_call(side, monkeypatch):
         derandomize(two, t, side)
     monkeypatch.setattr(solvers, "_best", best)
     kept = solvers._counts(two, side)
-    assert [x for x, _ in kept.path] == [0, 1] and kept.assigned is None and kept.stack is None
+    assert [x for x, _, _ in kept.path] == [0, 1] and kept.assigned is None and kept.stack is None
     assert derandomize(two, t, side) == ref.derandomize(two, t, side)
     assert derandomized_value(two, t, side) == evaluate(two, ref.derandomize(two, t, side), side)
 
@@ -269,9 +269,36 @@ def test_the_batched_path_check_finds_the_first_changed_step(system, side, data)
         raw = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
         warm = reweighed(system, [Fraction(r, sum(map(int.__mul__, raw, used))) for r in raw])
         kept = solvers._counts(warm, side)
-        nums, _ = warm.arrays.numerators
-        assert solvers._first_changed(kept, nums) == ref.first_changed(kept.path, kept.choice, nums)
         # numerators whose scores pass int64 are scored in Python ints, ties included
         huge = data.draw(st.lists(st.sampled_from((0, 1, 2**61, 2**62 - 1, 2**62, 2**70)), min_size=n, max_size=n))
-        assert solvers._first_changed(kept, huge) == ref.first_changed(kept.path, kept.choice, huge)
+        for nums in (warm.arrays.numerators[0], huge):
+            per_row = kept.numerators(nums)
+            assert [per_row[q] for q in kept.row_class.tolist()] == ref.row_numerators(warm, side, nums)
+            assert solvers._first_changed(kept, per_row) == ref.first_changed(kept.path, kept.choice, per_row)
         assert derandomize(warm, t, side) == ref.derandomize(warm, t, side)
+
+
+@pytest.mark.parametrize("side", (1, 2))
+def test_joined_weight_classes_replace_the_kept_counts(side):
+    # the second system shares the first's side views but joins classes 1
+    # and 2 into one weight class: the kept counts are for one weight class
+    # array, so each system in turn replaces them
+    t = catalog.template("z4_to_z2")
+    eqs = [
+        LinEquation((("x", 1), ("y", 1), ("y", -1)), 1, Fraction(1, 10)),
+        LinEquation((("y", 1), ("x", 1), ("x", -1)), 1, Fraction(4, 10)),
+        LinEquation((("y", 1), ("z", 1), ("z", -1)), 2, Fraction(3, 10)),
+        LinEquation((("z", 1), ("y", -1), ("x", 1)), 3, Fraction(2, 10)),
+    ]
+    one = LinSystem(t, ("x", "y", "z"), eqs)
+    enc = one.arrays
+    joined = SystemArrays(
+        enc.var_ids, enc.signs, enc.rhs, np.array([0, 1, 1, 2]), (Fraction(1, 20), Fraction(2, 5), Fraction(3, 20))
+    )
+    two = LinSystem.from_arrays(t, one.variables, joined)
+    two.__dict__["_side_views"] = one._side_views
+    for system in (one, two, one):
+        assert derandomize(system, t, side) == ref.derandomize(system, t, side)
+        assert random_expectation(system, t, side) == ref.random_expectation(system, t, side)
+        assert derandomized_value(system, t, side) == evaluate(system, ref.derandomize(system, t, side), side)
+        assert solvers._counts(system, side).weight_class is system.arrays.weight_class
