@@ -95,13 +95,13 @@ class _Counts:
     classes. A row class weighs its vector's numerators (``numerators``).
 
     ``totals`` holds ``random_expectation``'s hits over the whole grid, as
-    (row classes, hits) lists. ``derandomize``'s path holds, per variable
+    (row class, hits) pairs. ``derandomize``'s path holds, per variable
     that rows touch, in order, a step: the variable, the row classes of its
     rows, ascending, and their int64 hit counts, [row classes x |h|], per
     value of the variable given the values chosen before it. ``choice``
     holds each variable's choice, an index into the constants subgroup (0
     where no row touches it). ``assigned`` holds the hits of the assignment
-    the path ends in, times |h|^2, as (row classes, hits) lists; it is None
+    the path ends in, times |h|^2, as (row class, hits) pairs; it is None
     until ``_path`` has walked a new path to its end. ``stack`` is the path
     as ``_first_changed`` scores it."""
 
@@ -159,12 +159,12 @@ class _Counts:
             self.weighed = nums, np.add.reduceat(terms, self.vec_start[:-1]).tolist()
         return self.weighed[1]
 
-    def weigh(self, system: LinSystem, sums) -> Fraction:
-        """``sums``, (row classes, hits), weighed exactly in the system's
-        weights."""
+    def weigh(self, system: LinSystem, hits, scale: int) -> Fraction:
+        """(row class, hits) pairs weighed exactly in the system's weights,
+        over ``scale``."""
         nums, denom = system.arrays.numerators
         weight = self.numerators(nums)
-        return Fraction(sum(weight[q] * n for q, n in zip(*sums)), denom)
+        return Fraction(sum(weight[q] * n for q, n in hits), denom * scale)
 
 
 def _pairs(pair: np.ndarray, size: int):
@@ -352,8 +352,8 @@ def random_expectation(system: LinSystem, template: Template, side: int) -> Frac
         shape = _shapes(_ranks(view.rows(enc.var_ids).T), view.rows(enc.signs).T < 0, 0)
         rhs = tables.rhs_map[view.rows(enc.rhs)]
         row_class, hits = _class_hits(kept, _Patterns(tables, h), np.arange(len(rhs)), shape, rhs)
-        kept.totals = row_class.tolist(), hits.sum(axis=1).tolist()
-    return kept.weigh(system, kept.totals) / len(h) ** 3
+        kept.totals = list(zip(row_class.tolist(), hits.sum(axis=1).tolist()))
+    return kept.weigh(system, kept.totals, len(h) ** 3)
 
 
 def _class_hits(kept: _Counts, patterns: _Patterns, rows: np.ndarray, shape: np.ndarray, known: np.ndarray):
@@ -415,7 +415,7 @@ def derandomized_value(system: LinSystem, template: Template, side: int) -> Frac
     """The exact weight that ``derandomize``'s assignment satisfies, weighed
     from the hits per weight class kept with its path."""
     kept, h = _path(system, template, side)
-    return kept.weigh(system, kept.assigned) / len(h) ** 2
+    return kept.weigh(system, kept.assigned, len(h) ** 2)
 
 
 def _path(system: LinSystem, template: Template, side: int):
@@ -450,7 +450,7 @@ def _path(system: LinSystem, template: Template, side: int):
     # every slot is fixed now: shape 0, |h|^2 per hit at every value
     rows = np.arange(len(known))
     row_class, hits = _class_hits(kept, patterns, rows, np.zeros(len(rows), dtype=np.int16), known)
-    kept.assigned = row_class.tolist(), hits[:, 0].tolist()
+    kept.assigned = list(zip(row_class.tolist(), hits[:, 0].tolist()))
     return kept, h
 
 
