@@ -123,7 +123,7 @@ class _Counts:
             lengths = np.bincount(size)
             row_class, reps = np.empty(len(size), dtype=np.int64), []
             for length, these in zip(lengths.nonzero()[0], np.split(by_size, np.cumsum(lengths[lengths > 0]))):
-                code = _codes([digit[start[these] + j] for j in range(length)], [n * (top + 1)] * length)
+                code = _codes(digit[start[these] + np.arange(length)[:, None]], [n * (top + 1)] * length)
                 distinct, _ = _pairs(code, int(code.max()) + 1)
                 inverse = np.searchsorted(distinct, code)
                 row_class[these] = sum(map(len, reps)) + inverse
