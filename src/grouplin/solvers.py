@@ -342,7 +342,7 @@ def random_expectation(system: LinSystem, template: Template, side: int) -> Frac
 
     An equation's hit probability depends only on its pattern key
     (repetitions, signs, rhs), so it is computed once per key. The hits per
-    weight class are counted once and kept with the view; a call only
+    row class are counted once and kept with the view; a call only
     weighs them.
     """
     tables, h = _side(system, template, side)
@@ -404,7 +404,7 @@ def derandomize(system: LinSystem, template: Template, side: int) -> dict[str, i
     are fixed, x is unknown 0, and later ones are unknowns 1 and 2, uniform
     on the constants subgroup. Scores are weight numerators over the
     weights' common denominator times hits, so they compare exactly. The
-    path of hits per weight class is kept with the view: a call checks its
+    path of hits per row class is kept with the view: a call checks its
     choices in one pass and rescores it from the first that changed.
     """
     kept, h = _path(system, template, side)
@@ -413,7 +413,7 @@ def derandomize(system: LinSystem, template: Template, side: int) -> dict[str, i
 
 def derandomized_value(system: LinSystem, template: Template, side: int) -> Fraction:
     """The exact weight that ``derandomize``'s assignment satisfies, weighed
-    from the hits per weight class kept with its path."""
+    from the hits per row class kept with its path."""
     kept, h = _path(system, template, side)
     return kept.weigh(system, kept.assigned, len(h) ** 2)
 
