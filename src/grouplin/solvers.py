@@ -114,7 +114,7 @@ class _Counts:
         else:
             # each row's nonzero counts, (row, class) ascending, as one int
             # each; the rows with each number of them are coded together
-            pair, count = _pairs(view.group.astype(np.int64) * n + enc.weight_class, len(view.rep) * n)
+            pair, count = _pairs(view.group * np.int64(n) + enc.weight_class, len(view.rep) * n)
             row, cls = np.divmod(pair, n)
             size = np.bincount(row, minlength=len(view.rep))
             start, top = np.cumsum(size) - size, int(count.max())
@@ -143,7 +143,7 @@ class _Counts:
         table, summed per row class: the row classes, ascending, and their
         sums. The rows are counted per (row class, key) pair."""
         n_keys = len(hits)
-        pair, n = _pairs(self.row_class[rows].astype(np.int64) * n_keys + pos, (len(self.vec_start) - 1) * n_keys)
+        pair, n = _pairs(self.row_class[rows] * np.int64(n_keys) + pos, (len(self.vec_start) - 1) * n_keys)
         row_class, key = np.divmod(pair, n_keys)
         first = _firsts(row_class)
         return row_class[first], np.add.reduceat(hits[key] * n[:, None], first, axis=0)
