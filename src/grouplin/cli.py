@@ -162,7 +162,7 @@ def run_pipeline(
     The labeling and its planted families are kept with the support
     (``reduction.planted``), as no eps enters them."""
     eps, delta = io.parse_frac(eps), io.parse_frac(delta)
-    params = ReductionParams(eps, seed=seed)
+    params = ReductionParams(eps)
     lc_opt, proj1, proj2 = planted(lc, template)
     system = build_system(lc, template, params)
 

@@ -46,7 +46,6 @@ def _ln(num: int, den: int) -> float:
     return math.log(ratio) if ratio >= sys.float_info.min else math.log(num) - math.log(den)
 
 
-@functools.lru_cache(maxsize=8)
 def kappa(delta: Fraction, eps: Fraction) -> int:
     """Truncation degree: the least k >= 1 with (1 - eps)^k <= delta / 4.
 
@@ -55,8 +54,7 @@ def kappa(delta: Fraction, eps: Fraction) -> int:
     ``_KAPPA_GUARD`` relative, so only a ratio within that of an integer is
     settled in integers, by (q-p)^k b <= a q^k at the rounded-up ratio and
     one below. Not clamped to |D|: the influences keep degrees
-    0 < deg < k. Memoized for the last 8 (delta, eps), as a run asks for it
-    in ``decode`` and in ``alpha``.
+    0 < deg < k.
     """
     delta, eps = Fraction(delta), Fraction(eps)
     p, q = eps.numerator, eps.denominator
@@ -215,7 +213,7 @@ def right_table(ctx: DecoderContext, omega: UnitaryRep, v: str) -> MatrixFn:
 def left_table(ctx: DecoderContext, omega: UnitaryRep, u: str) -> MatrixFn:
     """The sign-averaged composition for a left vertex; skew-symmetric."""
     w = omega.matrices
-    b_table = np.asarray(ctx.family.b_tables[u], dtype=np.int64)
+    b_table = ctx.family.b_tables[u]
     inv_d = ctx.pd.inv_array()
     direct = w[b_table]
     reflected = w[b_table[inv_d]].conj().transpose(0, 2, 1)

@@ -431,8 +431,8 @@ def load_system(path: str, template: Template | None = None):
 def family_to_obj(family: AssignmentFamily) -> dict:
     return {
         "side": "g1" if family.side == 1 else "g2",
-        "A": {v: [int(x) for x in tbl] for v, tbl in family.a_tables.items()},
-        "B": {u: [int(x) for x in tbl] for u, tbl in family.b_tables.items()},
+        "A": {v: tbl.tolist() for v, tbl in family.a_tables.items()},
+        "B": {u: tbl.tolist() for u, tbl in family.b_tables.items()},
     }
 
 

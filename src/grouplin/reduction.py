@@ -7,8 +7,10 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -391,15 +393,22 @@ def _groups(key: np.ndarray) -> SideView:
 @dataclass(frozen=True, eq=False)
 class AssignmentFamily:
     """Long-code tables: one table over G1^E per right vertex and one over
-    G1^D per left vertex, valued in G1 (side 1) or G2 (side 2)."""
+    G1^D per left vertex, valued in G1 (side 1) or G2 (side 2).
+
+    A family is a fixed value: the constructor copies each table into a
+    read-only int64 array, held in a read-only mapping, so a support can
+    keep what it derives from a family by the family's identity."""
 
     side: int
-    a_tables: dict  # v -> np.ndarray of element indices over G1^E
-    b_tables: dict  # u -> np.ndarray over G1^D
+    a_tables: Mapping  # v -> int64 [|G1|^|E|] of element indices
+    b_tables: Mapping  # u -> int64 [|G1|^|D|]
 
     def __post_init__(self):
         if self.side not in (1, 2):
             raise InvalidParams("side must be 1 or 2")
+        for name in ("a_tables", "b_tables"):
+            tables = {x: _read_only(np.array(table, dtype=np.int64)) for x, table in getattr(self, name).items()}
+            object.__setattr__(self, name, MappingProxyType(tables))
 
 
 @dataclass(frozen=True)
@@ -434,12 +443,6 @@ def var_v(v: str, a_flat: int) -> str:
     return f"{v}[{a_flat}]"
 
 
-def powers(lc: LabelCoverInstance, template: Template) -> tuple[GroupPower, GroupPower]:
-    """G1^E and G1^D, shared through the support of (lc, template)."""
-    sup = support(lc, template)
-    return sup.pe, sup.pd
-
-
 def _check_exact_cap(lc, pe, pd, cap):
     raw = len(lc.edges) * pe.n * pd.n * pd.n * 4
     limit = enum_cap(cap)
@@ -464,7 +467,7 @@ def _check_payoff_cap(lc, pe, pd, cap):
 
 
 def _check_family_shape(lc, template, pe, pd, family):
-    """Every vertex has a table with one entry per tuple, valued in
+    """Every vertex has a flat table with one entry per tuple, valued in
     0..|G|-1 for the group G of the family's side, and no other name has
     one."""
     order = len(template.g1 if family.side == 1 else template.g2)
@@ -474,9 +477,9 @@ def _check_family_shape(lc, template, pe, pd, family):
             if x not in names:
                 raise InvalidParams(f"family {key} table for {x}, which is not a vertex in {side}")
         for x in names:
-            if x not in tables or len(tables[x]) != n:
+            if x not in tables or tables[x].shape != (n,):
                 raise InvalidParams(f"family table for {x} must have {n} entries")
-            values = np.asarray(tables[x])
+            values = tables[x]
             bad = values[(values < 0) | (values >= order)]
             if len(bad):
                 raise InvalidParams(
@@ -696,12 +699,10 @@ def _merge(rows: Rows) -> Rows:
 class KeptFamily:
     """The eps-free work on one family, which its support keeps for the
     last family of each side: the counts of ``payoff_distribution`` and the
-    decoder's outcomes (``decoder.decode``). ``key`` is the family's
-    content, per vertex its name and its table's dtype, shape and bytes, not
-    its identity: a run builds its families anew, and their tables are
-    mutable arrays."""
+    decoder's outcomes (``decoder.decode``). The family is the key: it is
+    immutable, so one family object has one content."""
 
-    key: tuple
+    family: AssignmentFamily
     counts: np.ndarray | None = None  # int64 [|G|, |D|+1], read-only
     decodes: dict = field(default_factory=dict)
 
@@ -720,10 +721,9 @@ class Support:
     What no weight enters is kept too, so an eps sweep only weighs counts:
     the equations per weight class of the exact systems, whose weight
     classes are the rows' row classes at every eps (``weighed``); per side,
-    for the last family by content, its payoff counts and the decoder's
-    outcomes (``family``); and the instance's optimum with its planted
-    families (``planted``). The last eps's integer class weights are kept
-    (``class_weights``). All of it goes with the support.
+    for the last family (the same object), its payoff counts and the
+    decoder's outcomes (``family``); and the instance's optimum with its
+    planted families (``planted``). All of it goes with the support.
     """
 
     def __init__(self, lc: LabelCoverInstance, template: Template):
@@ -739,7 +739,6 @@ class Support:
         self.side_views: dict[int, SideView] = {}
         self.families: dict[int, KeptFamily] = {}  # per side
         self.class_totals: np.ndarray | None = None  # equations per row class, once weighed
-        self.eps_weights: tuple | None = None  # (eps, class_weights(eps)) of the last eps
         # the first variable of each left and of each right vertex
         self.u_off = {u: k * self.pd.n for k, u in enumerate(lc.u_names)}
         self.v_off = {v: len(lc.u_names) * self.pd.n + k * self.pe.n for k, v in enumerate(lc.v_names)}
@@ -761,62 +760,33 @@ class Support:
             _read_only(array)
         return rows
 
-    def class_weights(self, eps: Fraction) -> tuple[list[int], int]:
-        """``_class_numerators`` at eps, kept for the last eps (compared by
-        ``==``), as a run builds its system and both payoffs at one eps."""
-        if self.eps_weights is None or self.eps_weights[0] != eps:
-            self.eps_weights = eps, _class_numerators(self.lc, self.pe, self.pd, eps)
-        return self.eps_weights[1]
-
     def weighed(self, eps: Fraction) -> tuple[SystemArrays, np.ndarray]:
         """The exact encoding at eps, and its equations per weight class.
         The weight classes are the rows' row classes at every eps, so their
         totals are counted, and checked, once, and kept read-only. Callers
         check the enumeration cap first."""
-        arrays = self.exact.weighed(*self.class_weights(eps))
+        arrays = self.exact.weighed(*_class_numerators(self.lc, self.pe, self.pd, eps))
         if self.class_totals is None:
             self.class_totals = _read_only(_class_totals(arrays))
         return arrays, self.class_totals
 
     def family(self, family: AssignmentFamily) -> KeptFamily:
-        """The kept entry of the family's side for the family's content. A
-        family with other content has its shape checked
-        (``_check_family_shape``) and replaces it; one of the kept content
-        passed that check when it was kept."""
-        key = self._family_key(family)
+        """The kept entry of the family's side for this family object.
+        Another family has its shape checked (``_check_family_shape``) and
+        replaces it; the kept one passed that check when it was kept."""
         kept = self.families.get(family.side)
-        if kept is None or kept.key != key:
+        if kept is None or kept.family is not family:
             _check_family_shape(self.lc, self.template, self.pe, self.pd, family)
-            kept = self.families[family.side] = KeptFamily(key)
+            kept = self.families[family.side] = KeptFamily(family)
         return kept
-
-    def _family_key(self, family: AssignmentFamily) -> tuple | None:
-        """The family's content: per vertex its name and its table's dtype,
-        shape and bytes. None where the tables are not one of the right
-        length per vertex and no other, which no kept family has, so that
-        the shape check reports the fault."""
-        sides = ((self.lc.v_names, family.a_tables, self.pe.n), (self.lc.u_names, family.b_tables, self.pd.n))
-        for names, tables, n in sides:
-            if len(tables) != len(names) or any(x not in tables or len(tables[x]) != n for x in names):
-                return None
-        key = []
-        for names, tables, _ in sides:
-            for x in names:
-                table = np.asarray(tables[x])
-                key.append((x, table.dtype.str, table.shape, table.tobytes()))
-        return tuple(key)
 
     @functools.cached_property
     def planted(self) -> tuple[Fraction, AssignmentFamily, AssignmentFamily]:
         """``reduction.planted``: the optimum of the instance and the
-        projection families of its labeling on sides 1 and 2, with
-        read-only tables. Callers check the search's cap first."""
+        projection families of its labeling on sides 1 and 2. Callers check
+        the search's cap first."""
         value, h_d, h_e = _labeling_search(self.lc)
-        families = [projection_family(self.lc, self.template, h_d, h_e, side) for side in (1, 2)]
-        for family in families:
-            for table in (*family.a_tables.values(), *family.b_tables.values()):
-                _read_only(table)
-        return value, *families
+        return value, *(projection_family(self.lc, self.template, h_d, h_e, side) for side in (1, 2))
 
     def tuple_rows(self) -> Rows:
         """One row per tuple (edge, a, b, nu, s1, s2), one block per edge;
@@ -954,10 +924,10 @@ def payoff_distribution(
     Elements with non-zero mass are listed in element order.
 
     The tuples are counted per (z, noise class) by ``_payoff_counts``; the
-    support keeps the counts for the last family of each side, by content
+    support keeps the counts for the last family object of each side
     (``Support.family``), and a call weighs them with the eps's integer
     class weights. The caps are checked every call, and the family's shape
-    whenever its content is not the kept family's.
+    whenever it is not the kept family.
     """
     if side != family.side:
         raise InvalidParams("family built for the other side")
@@ -966,7 +936,7 @@ def payoff_distribution(
     kept = sup.family(family)
     if kept.counts is None:
         kept.counts = _read_only(_payoff_counts(sup, family))
-    nums, denom = sup.class_weights(params.eps)
+    nums, denom = _class_numerators(lc, sup.pe, sup.pd, params.eps)
     return {
         z: Fraction(sum(map(operator.mul, nums, row)), denom)
         for z, row in enumerate(kept.counts.tolist())
@@ -995,7 +965,7 @@ def _payoff_counts(sup: Support, family: AssignmentFamily) -> np.ndarray:
     for u, v, pi in lc.edge_maps():
         edges_at.setdefault(u, []).append((v, pi))
     for u, edges in edges_at.items():
-        b_table = np.asarray(family.b_tables[u], dtype=np.int64)
+        b_table = family.b_tables[u]
         signed = (b_table, inverses[b_table[geo.inv_d]])  # B^(+1), B^(-1)
         by_beta_y = np.zeros(n * pd.n, dtype=np.int64)
         for v, pi in edges:
@@ -1042,7 +1012,8 @@ def projection_family(
     side: int,
 ) -> AssignmentFamily:
     """Long-code projections for a labeling; side 2 goes through the witness."""
-    pe, pd = powers(lc, template)
+    sup = support(lc, template)
+    pe, pd = sup.pe, sup.pd
     epos = {l: k for k, l in enumerate(lc.e_labels)}
     dpos = {l: k for k, l in enumerate(lc.d_labels)}
     psi = np.array(template.witness if side == 2 else range(len(template.g1)))
@@ -1062,8 +1033,8 @@ def lc_value(lc: LabelCoverInstance, h_d: dict[str, str], h_e: dict[str, str]) -
 def planted(lc: LabelCoverInstance, template: Template) -> tuple[Fraction, AssignmentFamily, AssignmentFamily]:
     """The optimum of the instance (``_labeling_search``) and the side-1
     and side-2 projection families of its labeling, kept with the support
-    of (lc, template) as none of them depends on eps. The families' tables
-    are read-only and shared. The search's enumeration cap is checked on
+    of (lc, template) as none of them depends on eps. The families are
+    immutable and shared. The search's enumeration cap is checked on
     every call, before the support's table cap."""
     _check_labeling_cap(lc)
     return support(lc, template).planted

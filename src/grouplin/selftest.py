@@ -61,8 +61,8 @@ from .reduction import (
     make_label_cover,
     payoff_distribution,
     planted,
-    powers,
     projection_family,
+    support,
 )
 from .reps import eta, irreps, multiplicity, regular_representation
 from .solvers import brute_force_opt, derandomize, derandomized_value, non_cubic_solve, random_expectation
@@ -419,13 +419,13 @@ def _check_two_paths(seed):
     for tname, side in (("z2_id", 2), ("s3_a3_incl", 1), ("s3_a3_incl", 2)):
         t = catalog.template(tname)
         system = build_system(lc, t, params)
-        pe, pd = powers(lc, t)
+        sup = support(lc, t)
         order = len(t.g1 if side == 1 else t.g2)
         for _ in range(10 if tname == "z2_id" else 5):
             fam = AssignmentFamily(
                 side,
-                {"v0": rng.integers(0, order, size=pe.n)},
-                {"u0": rng.integers(0, order, size=pd.n)},
+                {"v0": rng.integers(0, order, size=sup.pe.n)},
+                {"u0": rng.integers(0, order, size=sup.pd.n)},
             )
             via_family = evaluate_family(lc, t, params, fam, side=side)
             via_system = evaluate(system, family_assignment(lc, t, fam), side=side)
@@ -705,7 +705,7 @@ def _check_skew_symmetry(seed):
     omega = ctx.g2_irreps.irreps[-1]
     fam = AssignmentFamily(
         2,
-        {v: tbl for v, tbl in ctx.family.a_tables.items()},
+        ctx.family.a_tables,
         {"u0": rng.integers(0, 6, size=ctx.pd.n)},
     )
     ctx2 = make_context(ctx.lc, ctx.template, ctx.eps, ctx.delta, fam, seed=seed)

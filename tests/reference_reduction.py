@@ -23,7 +23,7 @@ from grouplin.reduction import (
     Rows,
     _check_exact_cap,
     _check_family_shape,
-    powers,
+    _class_numerators,
     support,
     var_u,
     var_v,
@@ -75,7 +75,8 @@ def raw_equations(lc, template, params):
 
     with weight the product of the edge, a, b, nu, and sign probabilities.
     """
-    pe, pd = powers(lc, template)
+    sup = support(lc, template)
+    pe, pd = sup.pe, sup.pd
     _check_exact_cap(lc, pe, pd, params.cap)
     nu_w = noise_weights(pd, params.eps)
     base = Fraction(1, len(lc.edges)) * Fraction(1, pe.n) * Fraction(1, pd.n) * Fraction(1, 4)
@@ -100,7 +101,8 @@ def raw_equations(lc, template, params):
 
 
 def sampled_equations(lc, template, params):
-    pe, pd = powers(lc, template)
+    sup = support(lc, template)
+    pe, pd = sup.pe, sup.pd
     rng = np.random.default_rng(params.seed)
     g1 = template.g1
     w = Fraction(1, params.sample_count)
@@ -132,7 +134,8 @@ def sampled_equations(lc, template, params):
 def build_system(lc, template, params):
     """Identical (terms, rhs) merged by summing weights, in order of first
     occurrence."""
-    pe, pd = powers(lc, template)
+    sup = support(lc, template)
+    pe, pd = sup.pe, sup.pd
     gen = (
         raw_equations(lc, template, params)
         if params.mode == "exact"
@@ -156,7 +159,7 @@ def tuple_system(lc, template, params):
         rows = sup.sampled_rows(params).weighed([1], params.sample_count)
     else:
         _check_exact_cap(lc, sup.pe, sup.pd, params.cap)
-        rows = sup.tuple_rows().weighed(*sup.class_weights(params.eps))
+        rows = sup.tuple_rows().weighed(*_class_numerators(lc, sup.pe, sup.pd, params.eps))
     return LinSystem.from_arrays(template, sup.variables, rows)
 
 
@@ -187,7 +190,8 @@ def merge(rows):
 def payoff_distribution(lc, template, params, family, side):
     if side != family.side:
         raise InvalidParams("family built for the other side")
-    pe, pd = powers(lc, template)
+    sup = support(lc, template)
+    pe, pd = sup.pe, sup.pd
     _check_exact_cap(lc, pe, pd, params.cap)
     _check_family_shape(lc, template, pe, pd, family)
     group = template.g1 if side == 1 else template.g2

@@ -333,10 +333,11 @@ def test_decode_command(tmp_path, capsys):
 def test_decode_exit_code_on_promise_violation(tmp_path, capsys):
     t = catalog.template("z2_id")
     lc = catalog.label_cover("lc1")
-    from grouplin.reduction import powers
+    from grouplin.reduction import support
     import numpy as np
 
-    pe, pd = powers(lc, t)
+    sup = support(lc, t)
+    pe, pd = sup.pe, sup.pd
     fam = io.family_to_obj(
         __import__("grouplin").AssignmentFamily(
             2, {"v0": np.zeros(pe.n, dtype=int)}, {"u0": np.zeros(pd.n, dtype=int)}

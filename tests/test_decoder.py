@@ -37,7 +37,7 @@ from grouplin import io, reps
 from grouplin.cli import run_pipeline
 from grouplin.decoder import expected_character, left_table, right_table
 from grouplin.fourier import transform
-from grouplin.reduction import powers
+from grouplin.reduction import support
 from grouplin.reps import irreps
 from test_cli import _digits
 
@@ -72,7 +72,8 @@ def ctx_sign():
 def constant_identity_context():
     t = catalog.template("z2_id")
     lc = catalog.label_cover("lc1")
-    pe, pd = powers(lc, t)
+    sup = support(lc, t)
+    pe, pd = sup.pe, sup.pd
     fam = AssignmentFamily(
         2, {"v0": np.zeros(pe.n, dtype=int)}, {"u0": np.zeros(pd.n, dtype=int)}
     )
@@ -166,7 +167,6 @@ def kappa_params(draw):
 @example(params=(4 * Fraction(2, 3) ** 5 - Fraction(1, 10**30), Fraction(1, 3)))
 def test_integer_kappa_equals_the_big_power_form(params):
     delta, eps = params
-    kappa.cache_clear()
     assert kappa(delta, eps) == ref_decoder.kappa(delta, eps)
 
 
@@ -248,7 +248,8 @@ def test_left_table_collapses_for_self_inverse_groups(ctx_z2):
 def test_folded_table_equivariance_through_omega():
     t = catalog.template("s3_a3_incl")
     lc = catalog.label_cover("lc1")
-    pe, pd = powers(lc, t)
+    sup = support(lc, t)
+    pe, pd = sup.pe, sup.pd
     rng = np.random.default_rng(1)
     fam = AssignmentFamily(
         2,
@@ -350,7 +351,8 @@ def _fresh_influences(ctx, omega, which, kappa_value):
 def test_kept_influence_terms_replay_every_truncation_bit_for_bit(tname):
     # random tables, so that the masses are not sums exact in any order
     t, lc = catalog.template(tname), catalog.label_cover("lc2")
-    pe, pd = powers(lc, t)
+    sup = support(lc, t)
+    pe, pd = sup.pe, sup.pd
     rng = np.random.default_rng(7)
     a_tables = {v: rng.integers(0, len(t.g2), size=pe.n) for v in lc.v_names}
     b_tables = {u: rng.integers(0, len(t.g2), size=pd.n) for u in lc.u_names}
@@ -364,19 +366,14 @@ def test_kept_influence_terms_replay_every_truncation_bit_for_bit(tname):
                 assert list(got.items()) == list(_fresh_influences(ctx, omega, which, k).items())
 
 
-def test_one_run_computes_kappa_once_and_each_eta_once(monkeypatch):
+def test_one_run_computes_each_eta_once(monkeypatch):
     t, lc = catalog.template("s3_a3_incl"), catalog.label_cover("lc1")
     checks = []
     multiplicity = reps.multiplicity
     monkeypatch.setattr(reps, "multiplicity", lambda *args: checks.append(args) or multiplicity(*args))
-    kappa.cache_clear()
     reps.eta.cache_clear()
     for eps in (EPS, Fraction(1, 9), EPS):
         run_pipeline(lc, t, eps, DELTA)
-    # decode and alpha ask for kappa once per run each, and each new
-    # (delta, eps) computes it once
-    info = kappa.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
     # select_omega asks for eta of each non-trivial omega and of the winner;
     # the reciprocity check runs once per omega, in the first run
     omegas = catalog.template("s3_a3_incl").g2
@@ -493,7 +490,8 @@ def test_measured_bounds_hold_for_random_families():
     # only foldedness of the right tables and skew-symmetry of the left ones
     t = catalog.template("s3_a3_incl")
     lc = catalog.label_cover("lc_tiny")
-    pe, pd = powers(lc, t)
+    sup = support(lc, t)
+    pe, pd = sup.pe, sup.pd
     rng = np.random.default_rng(12)
     for _ in range(5):
         fam = AssignmentFamily(
@@ -538,7 +536,8 @@ def test_expected_character_agrees_with_system_path():
     lc = catalog.label_cover("lc1")
     params = ReductionParams(EPS)
     system = build_system(lc, t, params)
-    pe, pd = powers(lc, t)
+    sup = support(lc, t)
+    pe, pd = sup.pe, sup.pd
     rng = np.random.default_rng(17)
     fam = AssignmentFamily(
         2,
@@ -592,7 +591,8 @@ def test_exhaustive_family_optimum_matches_noise_floor():
     t = catalog.template("z2_id")
     lc = catalog.label_cover("lc1")
     params = ReductionParams(EPS)
-    pe, pd = powers(lc, t)
+    sup = support(lc, t)
+    pe, pd = sup.pe, sup.pd
     best = Fraction(0)
     for a_bits in it.product(range(2), repeat=pe.n):
         for b_bits in it.product(range(2), repeat=pd.n):

@@ -23,7 +23,7 @@ from grouplin import (
 )
 from grouplin import reduction, selftest
 from grouplin.groups import coset_arrays
-from grouplin.reduction import LinEquation, LinSystem, _labeling_search, planted, powers
+from grouplin.reduction import LinEquation, LinSystem, _labeling_search, planted, support
 from checks import assert_passes
 from reference_groups import apply, pow_sign
 from reference_reduction import raw_equations
@@ -132,7 +132,8 @@ def test_merging_preserves_value(z2_setup):
 
 def test_constant_identity_family_value(z2_setup):
     t, lc = z2_setup
-    pe, pd = powers(lc, t)
+    sup = support(lc, t)
+    pe, pd = sup.pe, sup.pd
     fam = AssignmentFamily(
         2, {"v0": np.zeros(pe.n, dtype=int)}, {"u0": np.zeros(pd.n, dtype=int)}
     )
@@ -148,7 +149,8 @@ def test_constant_identity_family_counts_identity_constants():
         t = catalog.template(tname)
         params = ReductionParams(Fraction(1, 4))
         system = build_system(lc, t, params)
-        pe, pd = powers(lc, t)
+        sup = support(lc, t)
+        pe, pd = sup.pe, sup.pd
         fam = AssignmentFamily(
             2, {"v0": np.zeros(pe.n, dtype=int)}, {"u0": np.zeros(pd.n, dtype=int)}
         )
@@ -233,7 +235,8 @@ def test_two_paths_agree_on_non_abelian_random_families():
         lc = catalog.label_cover(lc_name)
         params = ReductionParams(Fraction(1, 8))
         system = build_system(lc, t, params)
-        pe, pd = powers(lc, t)
+        sup = support(lc, t)
+        pe, pd = sup.pe, sup.pd
         for _ in range(trials):
             fam = AssignmentFamily(
                 2,
@@ -270,20 +273,26 @@ def test_family_shape_validated():
 def test_family_values_validated(z2_setup, table, bad):
     t, lc = z2_setup
     fam = projection_family(lc, t, {"u0": "d0"}, {"v0": "e0"}, side=2)
-    tables = fam.a_tables if table == "a" else fam.b_tables
-    name = next(iter(tables))
-    tables[name] = tables[name].copy()
-    tables[name][0] = bad
-    with pytest.raises(InvalidParams, match="outside"):
-        payoff_distribution(lc, t, ReductionParams(Fraction(1, 4)), fam, side=2)
-    with pytest.raises(InvalidParams, match="outside"):
-        family_assignment(lc, t, fam)
+    tables = {"a": dict(fam.a_tables), "b": dict(fam.b_tables)}
+    name = next(iter(tables[table]))
+    flat = tables[table][name]
+    values = flat.copy()
+    values[0] = bad
+    # a table of the right length that is not flat is refused too
+    for value, message in ((values, "outside"), (np.stack([flat, flat], axis=1), f"must have {len(flat)} entries")):
+        tables[table][name] = value
+        changed = AssignmentFamily(2, tables["a"], tables["b"])
+        with pytest.raises(InvalidParams, match=message):
+            payoff_distribution(lc, t, ReductionParams(Fraction(1, 4)), changed, side=2)
+        with pytest.raises(InvalidParams, match=message):
+            family_assignment(lc, t, changed)
 
 
 def test_family_range_is_the_sides_group():
     # 2 is an element of Z4 (side 1) but not of Z2 (side 2)
     t, lc = catalog.template("z4_to_z2"), catalog.label_cover("lc_tiny")
-    pe, pd = powers(lc, t)
+    sup = support(lc, t)
+    pe, pd = sup.pe, sup.pd
     tables = ({"v0": np.full(pe.n, 2)}, {"u0": np.zeros(pd.n, dtype=int)})
     family_assignment(lc, t, AssignmentFamily(1, *tables))
     with pytest.raises(InvalidParams, match="outside"):

@@ -30,7 +30,7 @@ from grouplin import (
     projection_family,
 )
 from grouplin.cli import main
-from grouplin.reduction import LinEquation, LinSystem
+from grouplin.reduction import LinEquation, LinSystem, support
 
 TEMPLATES = sorted(catalog.templates())
 EPS_CHOICES = (Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(7, 9))
@@ -147,7 +147,8 @@ def test_write_system_single_equation():
 def test_payoff_distribution_matches_reference(case, side, data):
     _, t, lc, eps = case
     params = ReductionParams(eps)
-    pe, pd = ref.powers(lc, t)
+    sup = support(lc, t)
+    pe, pd = sup.pe, sup.pd
     order = len(t.g1 if side == 1 else t.g2)
     table = lambda size: np.array(data.draw(st.lists(st.integers(0, order - 1), min_size=size, max_size=size)))
     family = AssignmentFamily(
@@ -173,7 +174,8 @@ def _tuple_count(tname, lc_name):
 def _catalog_families(tname, lc_name, side, seed):
     """The planted projection family of d0/e0 and a seeded random family."""
     t, lc = catalog.template(tname), catalog.label_cover(lc_name)
-    pe, pd = ref.powers(lc, t)
+    sup = support(lc, t)
+    pe, pd = sup.pe, sup.pd
     order = len(t.g1 if side == 1 else t.g2)
     rng = np.random.default_rng(seed)
     planted = projection_family(

@@ -1,10 +1,9 @@
 """The eps-free support of the reduction (``reduction.support``): a build at
 one eps after a build at another, on a warm support, must equal a cold build,
 every cap must still be checked on every call, and the arrays systems share
-must be read-only. A warm eps checks only its weights, computes its class
-weights once per run, solves from the hit counts kept with the view without
-scoring a pattern, and weighs the payoff counts and replays the influence
-terms kept for the last family of each side."""
+must be read-only. A warm eps checks only its weights, solves from the hit
+counts kept with the view without scoring a pattern, and weighs the payoff
+counts and replays the decodes kept for the last family of each side."""
 
 import copy
 from dataclasses import replace
@@ -342,7 +341,7 @@ def test_a_warm_pipeline_evaluates_nothing(monkeypatch):
         monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
     warm = [run_pipeline(lc, t, eps, delta) for eps in sweep]
     assert calls == []
-    # no template hash is computed again, one family key is made per
+    # no template hash is computed again, one kept family is looked up per
     # payoff, and no step of the kept path is checked on its own, as no
     # choice flips
     assert hashes == [] and bests == []
@@ -374,17 +373,16 @@ def _families(lc, t):
     entries changed, so that it decodes to another strategy."""
     labels = dict.fromkeys(lc.u_names, lc.d_labels[-1]), dict.fromkeys(lc.v_names, lc.e_labels[0])
     families = {side: projection_family(lc, t, *labels, side) for side in (1, 2)}
-    planted = families[2]
-    changed = AssignmentFamily(2, dict(planted.a_tables), {u: b.copy() for u, b in planted.b_tables.items()})
-    for b in changed.b_tables.values():
+    b_tables = {u: b.copy() for u, b in families[2].b_tables.items()}
+    for b in b_tables.values():
         b[:: max(3, len(b) // 4)] = len(t.g2) - 1
-    return families, changed
+    return families, AssignmentFamily(2, families[2].a_tables, b_tables)
 
 
 def _outputs(lc, t, eps, families, changed):
     """What the kept state serves at one eps: the built system, both payoff
     distributions and two decodes, of families of another content one after
-    the other (which replace the side's kept family)."""
+    the other (each replaces the side's kept family)."""
     params = ReductionParams(eps)
     system = build_system(lc, t, params)
     payoffs = [payoff_distribution(lc, t, params, families[side], side) for side in (1, 2)]
@@ -416,7 +414,7 @@ def test_kept_counts_weights_and_terms_equal_cold_ones_over_an_eps_sweep(tname, 
     monkeypatch.setattr(decoder, "transform", _counting(calls, "transform", decoder.transform))
     warm = [_outputs(lc, t, eps, families, changed) for eps in sweep]
     sup = reduction.support(lc, t)
-    # side 1 is counted once; side 2 whenever its family's content changes
+    # side 1 is counted once; side 2 whenever its family changes
     side_2 = [f for _, _, decoded in warm for f in ["planted"] + ["planted", "changed"] * bool(decoded)]
     changes = sum(k == 0 or f != side_2[k - 1] for k, f in enumerate(side_2))
     assert calls.count("count") == 1 + changes
@@ -436,22 +434,32 @@ def test_kept_counts_weights_and_terms_equal_cold_ones_over_an_eps_sweep(tname, 
         assert len(set(weights)) < len(weights) == len(warm[2][0].arrays.weights)
 
 
-def test_a_family_changed_in_place_is_counted_again():
+def test_a_family_is_a_read_only_copy_of_its_tables():
     t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
-    families, _ = _families(lc, t)
-    family, params = families[2], ReductionParams(EPS1)
-    planted = payoff_distribution(lc, t, params, family, 2)
+    planted, params = _families(lc, t)[0][2], ReductionParams(EPS1)
+    source = planted.b_tables["u0"].copy()
+    family = AssignmentFamily(2, planted.a_tables, {"u0": source})
+    payoff = payoff_distribution(lc, t, params, family, 2)
     decoded = decode(make_context(lc, t, EPS1, DELTA, family))
-    family.b_tables["u0"][:4] = 1 - family.b_tables["u0"][:4]
-    changed = payoff_distribution(lc, t, params, family, 2)
-    changed_decode = decode(make_context(lc, t, EPS1, DELTA, family))
-    assert changed != planted and changed_decode[1] != decoded[1]
-    reduction._support.cache_clear()
-    assert changed == payoff_distribution(lc, t, params, family, 2)
-    assert changed_decode == decode(make_context(lc, t, EPS1, DELTA, family))
-    # a copy of equal content, even in another dtype, gives the same result
-    copy = AssignmentFamily(2, {"v0": family.a_tables["v0"].astype(np.int32)}, {"u0": family.b_tables["u0"].tolist()})
-    assert payoff_distribution(lc, t, params, copy, 2) == changed
+    with pytest.raises(ValueError, match="read-only"):
+        family.b_tables["u0"][:4] = 0
+    for tables in (family.a_tables, family.b_tables):
+        with pytest.raises(TypeError):
+            tables["u0"] = source
+    # an edit to the caller's array after construction reaches no result,
+    # warm or cold, though a family built from it gives others
+    source[:4] = 1 - source[:4]
+    for _ in range(2):
+        assert payoff_distribution(lc, t, params, family, 2) == payoff
+        assert decode(make_context(lc, t, EPS1, DELTA, family)) == decoded
+        reduction._support.cache_clear()
+    edited = AssignmentFamily(2, planted.a_tables, {"u0": source})
+    assert payoff_distribution(lc, t, params, edited, 2) != payoff
+    assert decode(make_context(lc, t, EPS1, DELTA, edited))[1] != decoded[1]
+    # a new family of equal content in another dtype gives equal results
+    copy = AssignmentFamily(2, {"v0": planted.a_tables["v0"].astype(np.int32)}, {"u0": planted.b_tables["u0"].tolist()})
+    assert payoff_distribution(lc, t, params, copy, 2) == payoff
+    assert decode(make_context(lc, t, EPS1, DELTA, copy)) == decoded
 
 
 def test_a_warm_payoff_still_checks_the_cap_and_the_family():
@@ -488,7 +496,7 @@ def test_a_warm_family_check_still_refuses_a_bad_family(monkeypatch):
     checks = []
     monkeypatch.setattr(reduction, "_check_family_shape", _counting(checks, "check", reduction._check_family_shape))
     run_pipeline(lc, t, EPS2, DELTA, family=family)
-    assert checks == []  # the kept content passed the check when it was kept
+    assert checks == []  # the kept family passed the check when it was kept
 
     def refused(bad, message):
         for call in (
@@ -500,15 +508,42 @@ def test_a_warm_family_check_still_refuses_a_bad_family(monkeypatch):
                 call()
 
     a, b = family.a_tables["v0"], family.b_tables["u0"]
-    before = b[5]
-    b[5] = len(t.g2)  # in place: the dict and array the kept key was made from
-    refused(family, f"value {len(t.g2)} in the family table for u0 outside 0..1")
-    b[5] = before
+    outside = b.copy()
+    outside[5] = len(t.g2)
+    refused(AssignmentFamily(2, {"v0": a}, {"u0": outside}), f"value {len(t.g2)} in the family table for u0 outside 0..1")
     refused(AssignmentFamily(2, {"v0": a}, {}), "family table for u0 must have 36 entries")
     # every table as kept, and one more
     refused(AssignmentFamily(2, {"v0": a, "vX": a}, {"u0": b}), "family A table for vX, which is not a vertex in V")
     assert len(checks) == 9
     assert run_pipeline(lc, t, EPS1, DELTA, family=family) == run_pipeline(lc, t, EPS1, DELTA, family=_families(lc, t)[0][2])
+
+
+def test_a_warm_pipeline_neither_checks_nor_counts_the_callers_family(monkeypatch):
+    # the benchmark's pipeline op: s3_sign/lc1 at eps = k/4001, with one
+    # side-2 family of a seeded labeling passed on every call
+    t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
+    rng = np.random.default_rng([1, 2])
+    h_d = {u: lc.d_labels[rng.integers(len(lc.d_labels))] for u in lc.u_names}
+    h_e = {v: lc.e_labels[rng.integers(len(lc.e_labels))] for v in lc.v_names}
+    family = projection_family(lc, t, h_d, h_e, side=2)
+    sweep = [Fraction(k, 4001) for k in (17, 1000, 3, 250, 17)]
+    reduction._support.cache_clear()
+    calls = []
+    for name in ("_check_family_shape", "_payoff_counts"):
+        monkeypatch.setattr(reduction, name, _counting(calls, name, getattr(reduction, name)))
+    run_pipeline(lc, t, sweep[0], DELTA, family=family)
+    # the planted side-1 family and the caller's side-2 one, once each
+    assert sorted(calls) == ["_check_family_shape"] * 2 + ["_payoff_counts"] * 2
+    calls.clear()
+    warm = [run_pipeline(lc, t, eps, DELTA, family=family) for eps in sweep]
+    assert calls == []
+    # a new family of equal content is another key: checked and counted once
+    same = AssignmentFamily(2, family.a_tables, family.b_tables)
+    assert run_pipeline(lc, t, sweep[-1], DELTA, family=same) == warm[-1]
+    assert calls == ["_check_family_shape", "_payoff_counts"]
+    for eps, report in zip(sweep, warm):
+        reduction._support.cache_clear()
+        assert report == run_pipeline(lc, t, eps, DELTA, family=family)
 
 
 def _five_labels():
@@ -612,23 +647,3 @@ def test_a_warm_build_checks_only_its_weights(monkeypatch):
             build_system(lc, t, ReductionParams(eps))
     reduction._support.cache_clear()
     assert passes == [31104, *rows]
-
-
-def test_one_pipeline_run_computes_its_class_weights_once(monkeypatch):
-    t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
-    calls = []
-    monkeypatch.setattr(reduction, "_class_numerators", _counting(calls, "weights", reduction._class_numerators))
-    reduction._support.cache_clear()
-    run_pipeline(lc, t, EPS1, Fraction(1, 4))
-    # build_system and both payoff_distribution calls share one computation
-    assert calls == ["weights"]
-    sup = reduction.support(lc, t)
-    nums, denom = sup.class_weights(EPS1)
-    assert calls == ["weights"] and all(type(n) is int for n in [*nums, denom])
-    assert build_system(lc, t, ReductionParams(EPS1)).arrays.weights == tuple(Fraction(n, denom) for n in nums)
-    run_pipeline(lc, t, EPS1, Fraction(1, 4))
-    assert calls == ["weights"]
-    # one weighing per eps, and only the last eps's is kept
-    for k in range(3):
-        run_pipeline(lc, t, Fraction(1, k + 5), Fraction(1, 16))
-    assert calls == ["weights"] * 4 and sup.eps_weights[0] == Fraction(1, 7)
