@@ -215,12 +215,6 @@ def convolve(f: MatrixFn, h: MatrixFn) -> MatrixFn:
     return inverse(_block_product(transform(f, rhos), transform(h, rhos)), rhos)
 
 
-def noise_classes(power: GroupPower) -> np.ndarray:
-    """The noise class of every tuple in flat order: its number of
-    non-identity coordinates."""
-    return (power.coords_matrix() != power.group.identity).sum(axis=1)
-
-
 def noise_apply(fn: MatrixFn, eps: Fraction) -> MatrixFn:
     """H(a) = E_nu[F(a * nu)] with the product noise distribution: per
     coordinate, v <- (1 - eps) v + eps * mean(v)."""

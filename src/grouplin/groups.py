@@ -343,6 +343,11 @@ class GroupPower:
     def coords_matrix(self) -> np.ndarray:
         return self._coords
 
+    def noise_classes(self) -> np.ndarray:
+        """The noise class of every tuple in flat order: its number of
+        non-identity coordinates."""
+        return (self._coords != self.group.identity).sum(axis=1)
+
     def inv_array(self) -> np.ndarray:
         inv = np.asarray(self.group.inverses)
         return self.encode(inv[self.coords_matrix()])

@@ -12,6 +12,7 @@ import os
 import sys
 from fractions import Fraction
 from io import StringIO
+from itertools import chain
 
 import numpy as np
 
@@ -272,55 +273,51 @@ def system_to_obj(system: LinSystem, template_ref: str) -> dict:
     return json.loads(out.getvalue())
 
 
-# One equation as ``canonical_dumps`` lays it out inside the system object:
-# rhs, (name, sign) x 3, weight. Names and weights arrive JSON-escaped.
-_EQUATION = """    {
-      "rhs": %d,
-      "terms": [
-        [
-          %s,
-          %d
-        ],
-        [
-          %s,
-          %d
-        ],
-        [
-          %s,
-          %d
-        ]
-      ],
-      "weight": %s
-    }"""
 WRITE_CHUNK = 4096  # equations rendered per write: ~1 MB of text
 
 
 def write_system(system: LinSystem, template_ref: str, out) -> None:
     """Write the system as canonical JSON (the layout ``canonical_dumps``
-    gives its object) to the text stream ``out``, straight from the arrays: equations are rendered a
-    chunk at a time, and each name and weight is JSON-escaped once, so
-    neither the per-equation objects nor the whole text are ever built. A
-    valid system has an equation and a variable (its weights sum to 1), so
-    neither list is empty."""
+    gives its object) to the text stream ``out``, straight from the arrays.
+
+    An equation is seven fragments: a head per rhs value, a term per
+    (variable, sign) with a separator after each of the first two, and a
+    tail per weight class. The three fragment tables are rendered once,
+    each name and weight JSON-escaped once, so they grow with the variables
+    and weight classes, not with the equations. A chunk of ``WRITE_CHUNK``
+    equations picks its fragments by numpy indexing into those tables and
+    is written with one join, so neither the per-equation objects nor the
+    whole text are ever built. A valid system has an equation and a
+    variable (its weights sum to 1), so neither list is empty."""
     enc = system.arrays
     names = [json.dumps(v) for v in system.variables]
-    weights = [json.dumps(frac_str(w)) for w in enc.weights]
+    # A head opens with the comma that ends the equation before it; the
+    # file's first equation drops it.
+    heads = np.array(
+        [',\n    {\n      "rhs": %d,\n      "terms": [\n        ' % h for h in range(len(system.template.g1))],
+        dtype=object,
+    )
+    # term 2k is variable k with sign 1, term 2k + 1 is variable k with sign -1
+    terms = np.array(
+        ["[\n          %s,\n          %d\n        ]" % (name, sign) for name in names for sign in (1, -1)],
+        dtype=object,
+    )
+    tails = np.array(
+        ['\n      ],\n      "weight": %s\n    }' % json.dumps(frac_str(w)) for w in enc.weights],
+        dtype=object,
+    )
     out.write('{\n  "equations": [\n')
     for lo in range(0, len(enc), WRITE_CHUNK):
         sl = slice(lo, lo + WRITE_CHUNK)
-        rows = zip(
-            enc.rhs[sl].tolist(),
-            enc.var_ids[sl].tolist(),
-            enc.signs[sl].tolist(),
-            enc.weight_class[sl].tolist(),
-        )
-        out.write(
-            (",\n" if lo else "")
-            + ",\n".join(
-                _EQUATION % (h, names[x], s, names[y], t, names[z], r, weights[c])
-                for h, (x, y, z), (s, t, r), c in rows
-            )
-        )
+        term_ids = enc.var_ids[sl] * 2 + (enc.signs[sl] < 0)
+        cells = np.empty((len(term_ids), 7), dtype=object)
+        cells[:, 0] = heads[enc.rhs[sl]]
+        cells[:, 1::2] = terms[term_ids]
+        cells[:, 2:5:2] = ",\n        "  # between two terms
+        cells[:, 6] = tails[enc.weight_class[sl]]
+        if not lo:
+            cells[0, 0] = cells[0, 0][2:]
+        out.write("".join(cells.ravel().tolist()))
     out.write(
         '\n  ],\n  "template": '
         + json.dumps(template_ref)
@@ -340,29 +337,30 @@ class _Row:
 _ROW = _Row()
 
 
+_FIELDS = 8  # per packed equation: 3 variable ids, 3 signs, rhs, weight class
+
+
 class _Packer:
-    """Packs equation objects into integer columns one at a time. As the
-    ``object_pairs_hook`` of ``json.load`` it sees every object the moment
-    the scanner closes it: an object with "rhs", "terms" and "weight" is
-    packed and replaced by ``_ROW``, so its dict, term lists and name
-    strings are freed straight away; any other object stays a dict.
+    """Packs equation objects into one flat list of integers as they are
+    parsed. As the ``object_hook`` of ``json.load`` it sees every object's
+    dict the moment the scanner closes it: an object with "rhs", "terms" and
+    "weight" is packed as ``_FIELDS`` values and replaced by ``_ROW``, so its
+    dict, term lists and name strings are freed straight away; any other
+    object stays a dict.
 
     Variables get provisional ids in order of first use, remapped to the
     file's ``variables`` list at the end (sorted keys put it after
     ``equations``). Each distinct weight text is parsed once; equal values
-    share a class, in order of first occurrence."""
+    share a class, in order of first occurrence. Signs and rhs are packed as
+    the file has them and checked once all are packed."""
 
     def __init__(self):
         self.ids: dict[str, int] = {}
-        self.var_ids: list = []
-        self.signs: list = []
-        self.rhs: list = []
-        self.weight_class: list = []
+        self.flat: list = []
         self.by_text: dict[str, int] = {}
         self.classes: dict[Fraction, int] = {}
 
-    def __call__(self, pairs):
-        obj = dict(pairs)
+    def __call__(self, obj: dict):
         try:
             rhs, terms, weight = obj["rhs"], obj["terms"], obj["weight"]
         except KeyError:
@@ -372,19 +370,21 @@ class _Packer:
         a, b, c = terms
         if not (type(a) is list and type(b) is list and type(c) is list and len(a) == len(b) == len(c) == 2):
             raise InvalidParams("a term is a [variable, sign] pair")
-        ids = self.ids
-        self.var_ids += (
-            ids.setdefault(str(a[0]), len(ids)),
-            ids.setdefault(str(b[0]), len(ids)),
-            ids.setdefault(str(c[0]), len(ids)),
-        )
-        self.signs += (a[1], b[1], c[1])
-        self.rhs.append(rhs)
         text = str(weight)
         cls = self.by_text.get(text)
         if cls is None:
             cls = self.by_text[text] = self.classes.setdefault(parse_frac(weight), len(self.classes))
-        self.weight_class.append(cls)
+        ids = self.ids
+        self.flat += (
+            ids.setdefault(str(a[0]), len(ids)),
+            ids.setdefault(str(b[0]), len(ids)),
+            ids.setdefault(str(c[0]), len(ids)),
+            a[1],
+            b[1],
+            c[1],
+            rhs,
+            cls,
+        )
         return _ROW
 
     def system(self, obj, template: Template) -> LinSystem:
@@ -394,21 +394,28 @@ class _Packer:
         eqs = _list(obj, "equations")
         if not all(eq is _ROW for eq in eqs):
             raise InvalidParams('an equation is an object with "terms", "rhs" and "weight"')
-        if len(eqs) != len(self.rhs):
+        flat = self.flat
+        if len(eqs) * _FIELDS != len(flat):
             raise InvalidParams('an object with "terms", "rhs" and "weight" lies outside "equations"')
         index = {v: k for k, v in enumerate(variables)}
         try:
             remap = np.fromiter((index[v] for v in self.ids), np.int64, len(self.ids))
         except KeyError as exc:
             raise InvalidParams(f"equation uses unknown variable {exc.args[0]}") from None
+        columns = [flat[k::_FIELDS] for k in range(_FIELDS)]
         arrays = SystemArrays(
-            var_ids=remap[np.array(self.var_ids, dtype=np.int64)].reshape(-1, 3),
-            signs=_integers(self.signs, "a sign").reshape(-1, 3),
-            rhs=_integers(self.rhs, "rhs"),
-            weight_class=np.array(self.weight_class, dtype=np.int64),
+            var_ids=remap[np.array(_by_row(columns[:3]), dtype=np.int64)].reshape(-1, 3),
+            signs=_integers(_by_row(columns[3:6]), "a sign").reshape(-1, 3),
+            rhs=_integers(columns[6], "rhs"),
+            weight_class=np.array(columns[7], dtype=np.int64),
             weights=tuple(self.classes),
         )
         return LinSystem.from_arrays(template, variables, arrays)
+
+
+def _by_row(columns: list[list]) -> list:
+    """The values of equal-length columns, row after row."""
+    return list(chain.from_iterable(zip(*columns)))
 
 
 def load_system(path: str, template: Template | None = None):
@@ -417,7 +424,7 @@ def load_system(path: str, template: Template | None = None):
     so the file's equation objects are never all held at once."""
     packer = _Packer()
     with open(path, encoding="utf-8") as fh:
-        obj = _object(json.load(fh, object_pairs_hook=packer), "a system file")
+        obj = _object(json.load(fh, object_hook=packer), "a system file")
     ref = obj.get("template", "")
     if not isinstance(ref, str):
         raise InvalidParams(f'"template" must be a string, not {type(ref).__name__}')

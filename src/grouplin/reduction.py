@@ -15,7 +15,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import CapExceeded, InvalidParams, MissingVariable, enum_cap, table_cap
-from .fourier import noise_classes
 from .groups import (
     FiniteGroup,
     GroupPower,
@@ -397,7 +396,8 @@ class AssignmentFamily:
 
     A family is a fixed value: the constructor copies each table into a
     read-only int64 array, held in a read-only mapping, so a support can
-    keep what it derives from a family by the family's identity."""
+    keep what it derives from a family by the family's identity. A table
+    of floats, bools or objects is refused rather than truncated."""
 
     side: int
     a_tables: Mapping  # v -> int64 [|G1|^|E|] of element indices
@@ -407,8 +407,17 @@ class AssignmentFamily:
         if self.side not in (1, 2):
             raise InvalidParams("side must be 1 or 2")
         for name in ("a_tables", "b_tables"):
-            tables = {x: _read_only(np.array(table, dtype=np.int64)) for x, table in getattr(self, name).items()}
+            tables = {x: _read_only(_integer_table(x, table)) for x, table in getattr(self, name).items()}
             object.__setattr__(self, name, MappingProxyType(tables))
+
+
+def _integer_table(name: str, table) -> np.ndarray:
+    """An int64 copy of a family table whose values are integers. An empty
+    table holds no value to truncate; the shape check refuses it."""
+    values = np.asarray(table)
+    if values.size and values.dtype.kind not in "iu":
+        raise InvalidParams(f"the family table for {name} holds {values.dtype} values, not integers")
+    return values.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -542,7 +551,7 @@ class Geometry:
         self.h1 = h1
         self.pe, self.pd = pe, pd
         self.inv_d = _read_only(pd.inv_array())
-        self.noise_class = _read_only(noise_classes(pd))
+        self.noise_class = _read_only(pd.noise_classes())
 
     @functools.cached_property
     def cosets(self) -> tuple[np.ndarray, np.ndarray]:

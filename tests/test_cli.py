@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -608,6 +609,75 @@ def test_the_cli_imports_selftest_only_for_its_subcommand():
     bogus = subprocess.run([sys.executable, "-m", "grouplin.cli", "selftest", "bogus"], env=env, capture_output=True, text=True)
     assert bogus.returncode == 2
     assert "invalid choice: 'bogus'" in bogus.stderr
+
+
+# What ``grouplin/__init__`` exported eagerly before its names became lazy.
+PACKAGE_NAMES = {
+    "CapExceeded", "DecompositionFailed", "DimensionMismatch", "GroupLinError", "IncompleteTable",
+    "InvalidParams", "MissingVariable", "NoExtension", "NoIdentity", "NoInverse", "NoOmega",
+    "NonIntegerMultiplicity", "NotAssociative",
+    "FiniteGroup", "GroupPower", "Homomorphism", "Subgroup", "Template", "fold", "full_subgroup",
+    "identity_hom", "make_group", "make_homomorphism", "subgroup", "subgroup_closure",
+    "trivial_subgroup", "validate_template",
+    "IrrepSet", "UnitaryRep", "eta", "irreps", "multiplicity", "regular_representation", "right_regular",
+    "FourierTable", "MatrixFn", "ProductIrrep", "convolve", "inverse", "noise_apply", "plancherel_gap",
+    "product_irreps", "transform",
+    "AssignmentFamily", "LabelCoverInstance", "LinEquation", "LinSystem", "ReductionParams",
+    "build_system", "evaluate", "evaluate_family", "family_assignment", "lc_value",
+    "make_label_cover", "payoff_distribution", "projection_family",
+    "brute_force_opt", "derandomize", "derandomized_value", "non_cubic_solve", "random_expectation",
+    "DecoderContext", "OmegaChoice", "Strategy", "alpha", "decode", "derandomize_strategy",
+    "high_degree_mass", "influence_probs", "kappa", "make_context", "penalized_margin",
+    "select_omega", "trivial_term_bound",
+}
+
+# Runs ``grouplin.cli`` as ``python -m`` does, then prints the grouplin
+# modules loaded, as the last line of stderr, whatever the command exits with.
+MODULES_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("grouplin.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(sorted(m for m in sys.modules if m.startswith("grouplin")), file=sys.stderr)
+"""
+
+
+def test_a_reduce_eval_or_help_child_loads_only_the_modules_it_runs(tmp_path):
+    src = str(Path(grouplin.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    t = catalog.template("z2_id")
+    system = build_system(catalog.label_cover("lc_tiny"), t, ReductionParams(Fraction(1, 8)))
+    system_path = tmp_path / "system.json"
+    with open(system_path, "w", encoding="utf-8") as fh:
+        io.write_system(system, "z2_id", fh)
+    assignment = write(tmp_path, "assignment.json", dict.fromkeys(system.variables, 0))
+    runs = {
+        "reduce": ["reduce", "lc_tiny", "--template", "z2_id", "--eps", "1/8"],
+        "eval": ["eval", str(system_path), "--assignment", assignment],
+        "--help": ["--help"],
+    }
+    for name, argv in runs.items():
+        child = subprocess.run(
+            [sys.executable, "-c", MODULES_PROBE, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert child.returncode == 0, (name, child.stderr)
+        loaded = set(ast.literal_eval(child.stderr.splitlines()[-1]))
+        assert {"grouplin.io", "grouplin.reduction"} <= loaded, name
+        unused = {f"grouplin.{m}" for m in ("decoder", "solvers", "fourier", "reps", "selftest")}
+        assert loaded & unused == set(), name
+        assert child.stdout.startswith("usage: grouplin" if name == "--help" else "{"), name
+
+
+def test_the_package_exports_its_names_lazily():
+    namespace = {}
+    exec("from grouplin import *", namespace)
+    assert PACKAGE_NAMES <= set(namespace)
+    assert PACKAGE_NAMES <= set(grouplin.__all__) and PACKAGE_NAMES <= set(dir(grouplin))
+    for name in PACKAGE_NAMES:
+        module = getattr(grouplin, name).__module__
+        assert module.startswith("grouplin.") and getattr(sys.modules[module], name) is getattr(grouplin, name)
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        grouplin.nonesuch
 
 
 def test_group_json_parses_back_to_same_group(tmp_path):

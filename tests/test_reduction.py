@@ -278,14 +278,22 @@ def test_family_values_validated(z2_setup, table, bad):
     flat = tables[table][name]
     values = flat.copy()
     values[0] = bad
-    # a table of the right length that is not flat is refused too
-    for value, message in ((values, "outside"), (np.stack([flat, flat], axis=1), f"must have {len(flat)} entries")):
+    cases = [
+        (values, "outside"),
+        # a table of the right length that is not flat is refused too
+        (np.stack([flat, flat], axis=1), f"must have {len(flat)} entries"),
+        # as are values that int64 would truncate back to the planted table
+        (flat + 0.7, "float64 values, not integers"),
+        (flat.astype(bool).tolist(), "bool values, not integers"),
+        (flat.astype(object), "object values, not integers"),
+    ]
+    for value, message in cases:
         tables[table][name] = value
-        changed = AssignmentFamily(2, tables["a"], tables["b"])
         with pytest.raises(InvalidParams, match=message):
+            changed = AssignmentFamily(2, tables["a"], tables["b"])
             payoff_distribution(lc, t, ReductionParams(Fraction(1, 4)), changed, side=2)
         with pytest.raises(InvalidParams, match=message):
-            family_assignment(lc, t, changed)
+            family_assignment(lc, t, AssignmentFamily(2, tables["a"], tables["b"]))
 
 
 def test_family_range_is_the_sides_group():

@@ -5,6 +5,7 @@
 
 import copy
 import io as text_io
+from dataclasses import replace
 import json
 import tracemalloc
 from fractions import Fraction
@@ -140,6 +141,81 @@ def test_write_system_single_equation():
     expect = io.canonical_dumps(ref.system_to_obj(system, 'tpl"\\\u2603'))
     assert _written(system, 'tpl"\\\u2603') == expect
     assert '"rhs": 4' in expect and len(system.arrays) == 1
+
+
+def _numbered_system(template, m: int) -> LinSystem:
+    """``m`` seeded equations, the k-th of weight k / (1 + ... + m), so
+    every equation is a weight class of its own."""
+    rng = np.random.default_rng(m)
+    names = tuple(f"x{i}" for i in range(50))
+    total = m * (m + 1) // 2
+    eqs = [
+        LinEquation(
+            tuple((names[v], int(sg)) for v, sg in zip(rng.integers(len(names), size=3), rng.choice([1, -1], size=3))),
+            int(rng.choice(template.h1.members)),
+            Fraction(k, total),
+        )
+        for k in range(1, m + 1)
+    ]
+    return LinSystem(template, names, eqs)
+
+
+@pytest.mark.parametrize("m", [io.WRITE_CHUNK, io.WRITE_CHUNK + 1])
+def test_write_system_at_the_chunk_edge(m):
+    system = _numbered_system(catalog.template("s3_a3_incl"), m)
+    assert len(system.arrays) == len(system.arrays.weights) == m
+    assert_same_text(_written(system, "s3_a3_incl"), io.canonical_dumps(ref.system_to_obj(system, "s3_a3_incl")))
+
+
+def test_write_system_sampled_with_many_weight_classes():
+    t = catalog.template("z3_id")
+    params = ReductionParams(Fraction(1, 8), mode="sampled", sample_count=50000, seed=3)
+    system = build_system(catalog.label_cover("lc1"), t, params)
+    assert len(system.arrays.weights) > 50
+    assert_same_text(_written(system, "z3_id"), io.canonical_dumps(ref.system_to_obj(system, "z3_id")))
+
+
+class _Sink:
+    """A text stream that keeps only the length of its longest write."""
+
+    def __init__(self):
+        self.longest = 0
+
+    def write(self, text: str) -> None:
+        self.longest = max(self.longest, len(text))
+
+
+def _write_peak(system) -> tuple[int, int]:
+    """The peak bytes traced while writing ``system`` to a sink, and the
+    length of its longest write: one chunk's text."""
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        io.write_system(system, "s3_sign", sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sink.longest
+
+
+def test_write_system_peak_memory_is_one_chunk():
+    """s3_sign/lc1 (31,104 equations, 8 chunks) against its first
+    ``WRITE_CHUNK`` equations reweighed to sum to 1: the writer holds one
+    chunk's fragments and text at a time (about 1.5x the text; joining one
+    string per equation took 3x), so the whole system peaks no higher than
+    one chunk, up to 1% for chunk texts that differ in length."""
+    t = catalog.template("s3_sign")
+    system = build_system(catalog.label_cover("lc1"), t, ReductionParams(Fraction(1, 8)))
+    enc, head = system.arrays, slice(0, io.WRITE_CHUNK)
+    counts = np.bincount(enc.weight_class[head], minlength=len(enc.weights))
+    total = sum(w * int(c) for w, c in zip(enc.weights, counts))
+    rows = {k: getattr(enc, k)[head] for k in ("var_ids", "signs", "rhs", "weight_class")}
+    prefix = LinSystem.from_arrays(t, system.variables, replace(enc, **rows, weights=tuple(w / total for w in enc.weights)))
+    peak, chunk_text = _write_peak(system)
+    prefix_peak, _ = _write_peak(prefix)
+    assert len(enc) > 7 * io.WRITE_CHUNK
+    assert peak <= 2 * chunk_text
+    assert peak <= 1.01 * prefix_peak
 
 
 @settings(max_examples=60, deadline=None)
@@ -327,7 +403,7 @@ def obj_to_system(obj, template):
     reader packs it."""
     obj = io._object(obj, "a system")
     packer = io._Packer()
-    rows = [packer(eq.items()) if type(eq) is dict else eq for eq in io._list(obj, "equations")]
+    rows = [packer(eq) if type(eq) is dict else eq for eq in io._list(obj, "equations")]
     return packer.system({**obj, "equations": rows}, template)
 
 
