@@ -22,9 +22,9 @@ import sys
 from .errors import CapExceeded, GroupLinError, InvalidParams, NoOmega
 from .reduction import ReductionParams, build_system, evaluate, evaluate_family, planted
 
-# A handler imports the modules that only its command runs (reps, fourier,
-# solvers, decoder, selftest), so a reduce or eval child loads io,
-# reduction, groups and catalog alone.
+# A handler imports the modules that only its command runs (reps, solvers,
+# selftest; decoder and solvers through ``_pipeline_modules``), so a reduce
+# or eval child loads io, reduction, groups and catalog alone.
 
 # the selftest registry's modules, here as only its subcommand imports it
 SELFTEST_MODULES = ("groups", "reps", "fourier", "reduction", "solvers", "decoder", "io")
