@@ -22,9 +22,11 @@ import sys
 from .errors import CapExceeded, GroupLinError, InvalidParams, NoOmega
 from .reduction import ReductionParams, build_system, evaluate, evaluate_family, planted
 
-# A handler imports the modules that only its command runs (reps, solvers,
-# selftest; decoder and solvers through ``_pipeline_modules``), so a reduce
-# or eval child loads io, reduction, groups and catalog alone.
+# Run as a program (``python -m grouplin.cli``), a handler imports the
+# modules that only its command runs (reps, solvers, selftest; decoder and
+# solvers through ``_pipeline_modules``), so a reduce or eval child loads io,
+# reduction, groups and catalog alone. Imported as a module, cli loads
+# solvers and decoder with itself (see the end of this file).
 
 # the selftest registry's modules, here as only its subcommand imports it
 SELFTEST_MODULES = ("groups", "reps", "fourier", "reduction", "solvers", "decoder", "io")
@@ -118,8 +120,9 @@ def _cmd_solve(args) -> int:
 
 @functools.cache
 def _pipeline_modules():
-    """``solvers`` and ``decoder``, imported on the first call. A warm
-    ``run_pipeline`` resolves them once rather than paying an import
+    """``solvers`` and ``decoder``, imported once per process: when cli is
+    imported, or by the first pipeline or decode command of a program run.
+    A warm ``run_pipeline`` resolves them here rather than paying an import
     statement per call (about 2.5 us of a 0.16 ms op on s3_sign/lc1)."""
     from . import decoder, solvers
 
@@ -357,3 +360,8 @@ def main(argv=None) -> int:
 
 if __name__ == "__main__":
     sys.exit(main())
+else:
+    # An importer calls run_pipeline in its own process, or wraps the
+    # functions cli calls in their modules (perfbench's tracer), so both
+    # modules are loaded once cli is, before the caller's data is allocated.
+    _pipeline_modules()

@@ -12,7 +12,6 @@ import os
 import sys
 from fractions import Fraction
 from io import StringIO
-from itertools import chain
 
 import numpy as np
 
@@ -402,20 +401,17 @@ class _Packer:
             remap = np.fromiter((index[v] for v in self.ids), np.int64, len(self.ids))
         except KeyError as exc:
             raise InvalidParams(f"equation uses unknown variable {exc.args[0]}") from None
-        columns = [flat[k::_FIELDS] for k in range(_FIELDS)]
+        # the packed values as they came, one row per equation (fromiter
+        # keeps a JSON list that stands as a sign one value)
+        rows = np.fromiter(flat, dtype=object, count=len(flat)).reshape(-1, _FIELDS)
         arrays = SystemArrays(
-            var_ids=remap[np.array(_by_row(columns[:3]), dtype=np.int64)].reshape(-1, 3),
-            signs=_integers(_by_row(columns[3:6]), "a sign").reshape(-1, 3),
-            rhs=_integers(columns[6], "rhs"),
-            weight_class=np.array(columns[7], dtype=np.int64),
+            var_ids=remap[rows[:, :3].astype(np.int64)],
+            signs=_integers(rows[:, 3:6].ravel().tolist(), "a sign").reshape(-1, 3),
+            rhs=_integers(rows[:, 6].tolist(), "rhs"),
+            weight_class=rows[:, 7].astype(np.int64),
             weights=tuple(self.classes),
         )
         return LinSystem.from_arrays(template, variables, arrays)
-
-
-def _by_row(columns: list[list]) -> list:
-    """The values of equal-length columns, row after row."""
-    return list(chain.from_iterable(zip(*columns)))
 
 
 def load_system(path: str, template: Template | None = None):

@@ -611,6 +611,18 @@ def test_the_cli_imports_selftest_only_for_its_subcommand():
     assert "invalid choice: 'bogus'" in bogus.stderr
 
 
+def test_importing_the_cli_loads_the_pipeline_modules():
+    # Imported rather than run, cli has solvers and decoder loaded: the
+    # benchmark's tracer wraps their functions in their modules at that point.
+    src = str(Path(grouplin.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, grouplin.cli; print(sorted(m for m in sys.modules if m.startswith('grouplin.')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    loaded = set(ast.literal_eval(out.stdout))
+    assert {"grouplin.cli", "grouplin.solvers", "grouplin.decoder"} <= loaded
+    assert "grouplin.selftest" not in loaded
+
+
 # What ``grouplin/__init__`` exported eagerly before its names became lazy.
 PACKAGE_NAMES = {
     "CapExceeded", "DecompositionFailed", "DimensionMismatch", "GroupLinError", "IncompleteTable",
