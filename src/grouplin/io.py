@@ -416,8 +416,8 @@ class _Packer:
 
 def load_system(path: str, template: Template | None = None):
     """Returns (system, template_ref); resolves the template when not given.
-    Each equation is packed into integer columns as soon as it is parsed,
-    so the file's equation objects are never all held at once."""
+    Each equation is packed into one flat list of integers as soon as it is
+    parsed, so the file's equation objects are never all held at once."""
     packer = _Packer()
     with open(path, encoding="utf-8") as fh:
         obj = _object(json.load(fh, object_hook=packer), "a system file")
