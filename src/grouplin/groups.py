@@ -123,6 +123,9 @@ class Subgroup:
 def subgroup(parent: FiniteGroup, members) -> Subgroup:
     """Wrap a member set as a Subgroup, checking the subgroup axioms."""
     ms = frozenset(int(m) for m in members)
+    for m in sorted(ms):
+        if not 0 <= m < len(parent):
+            raise InvalidParams(f"subgroup member {m} out of range")
     if parent.identity not in ms:
         raise InvalidParams("subgroup must contain the identity")
     for a in ms:

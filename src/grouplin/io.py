@@ -122,8 +122,8 @@ def _list(obj: dict, key: str) -> list:
     return value
 
 
-def _string(obj: dict, key: str) -> str:
-    value = obj.get(key)
+def _string(obj: dict, key: str, default: str | None = None) -> str:
+    value = obj.get(key, default)
     if not isinstance(value, str):
         raise InvalidParams(f'"{key}" must be a JSON string, not {type(value).__name__}')
     return value
@@ -165,7 +165,7 @@ def obj_to_group(obj) -> FiniteGroup:
         if len(row) != len(rows[0]):
             raise InvalidParams(f'"table" row {i} has {len(row)} entries, where row 0 has {len(rows[0])}')
     table = [_integers(row, "a table entry") for row in rows]
-    return make_group(_list(obj, "elements"), table, obj.get("name", "group"))
+    return make_group(_list(obj, "elements"), table, _string(obj, "name", "group"))
 
 
 def _resolve_ref(ref: str, base_dir: str) -> str:
@@ -226,7 +226,7 @@ def obj_to_template(obj, base_dir: str = ".") -> Template:
     else:
         dom = subgroup(g1, domain)
     phi = make_homomorphism(dom, g2, mapping)
-    return validate_template(g1, g2, phi, obj.get("name", "template"))
+    return validate_template(g1, g2, phi, _string(obj, "name", "template"))
 
 
 def load_template(ref: str, base_dir: str = ".") -> Template:

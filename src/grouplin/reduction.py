@@ -305,13 +305,15 @@ class SideView:
     """A system's equations as one side sees them. Equations whose variable
     ids, signs and side constant (``rhs_map[rhs]``) agree are one constraint
     there: they form a group, scored once. Groups ascend in their ``_codes``;
-    ``rep`` holds one equation of each group and ``group`` each equation's.
-    Both are None when the view is the system as it is. ``memo`` keeps what
-    the solvers derive from the view's rows, such as their incidence and
-    their hit counts per row class, for as long as the view lives."""
+    ``rep`` holds one equation of each group, ``group`` each equation's, and
+    ``order`` the equations group by group. All three are None when the
+    view is the system as it is. ``memo`` keeps what the solvers derive
+    from the view's rows, such as their incidence and their hit counts per
+    weight class, for as long as the view lives."""
 
     rep: np.ndarray | None    # int32 [g]
     group: np.ndarray | None  # int32 [m]
+    order: np.ndarray | None  # int32 [m]
     memo: dict = field(default_factory=dict, repr=False)
 
     def rows(self, values: np.ndarray) -> np.ndarray:
@@ -335,7 +337,7 @@ def _side_view(system: LinSystem, side: int) -> SideView:
     tables = side_tables(system.template, side)
     dom = list(system.template.h1.members)
     if len(set(tables.rhs_map[dom].tolist())) == len(dom):
-        return SideView(None, None)
+        return SideView(None, None, None)
     enc = system.arrays
     columns, sizes = _row_columns(enc, tables.rhs_map[enc.rhs], len(system.variables), len(tables.group))
     return _groups(_codes(columns, sizes))
@@ -383,10 +385,11 @@ def _groups(key: np.ndarray) -> SideView:
     first = _firsts(key[order])
     del key
     if len(first) == len(order):
-        return SideView(None, None)
+        return SideView(None, None, None)
+    order = order.astype(np.int32)
     group = np.empty(len(order), dtype=np.int32)
     group[order] = np.repeat(np.arange(len(first), dtype=np.int32), np.diff(first, append=len(order)))
-    return SideView(order[first].astype(np.int32), group)
+    return SideView(order[first], group, order)
 
 
 @dataclass(frozen=True, eq=False)

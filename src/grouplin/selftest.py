@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import catalog, io, reduction
+from . import catalog, decoder, io, reduction
 from .cli import SELFTEST_MODULES as MODULES
 from .decoder import (
     derandomize_strategy,
@@ -631,7 +631,7 @@ def _check_path_check(seed):
     bad, changed = 0, 0
     for system, side in cases:
         kept = _counts(system, side)
-        nums = kept.numerators(system.arrays.numerators[0])
+        nums = system.arrays.numerators[0]
         flips = [_best([nums[c] for c in cls], counts) != kept.choice[x] for x, cls, counts in kept.path]
         scan = flips.index(True) if any(flips) else len(flips)
         bad += _first_changed(kept, nums) != scan
@@ -708,7 +708,13 @@ def _check_skew_symmetry(seed):
         ctx.family.a_tables,
         {"u0": rng.integers(0, 6, size=ctx.pd.n)},
     )
-    ctx2 = make_context(ctx.lc, ctx.template, ctx.eps, ctx.delta, fam, seed=seed)
+    # the random family is below the promise threshold on purpose, so the
+    # decoder's warning about it is kept out of the run's output
+    disabled, decoder.log.disabled = decoder.log.disabled, True
+    try:
+        ctx2 = make_context(ctx.lc, ctx.template, ctx.eps, ctx.delta, fam, seed=seed)
+    finally:
+        decoder.log.disabled = disabled
     b_fn = left_table(ctx2, omega, "u0")
     inv_arr = ctx2.pd.inv_array()
     res = float(

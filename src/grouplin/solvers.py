@@ -7,10 +7,10 @@ The first three run on the system's integer encoding (``LinSystem.arrays``)
 and stay exact. ``random_expectation`` and ``derandomize`` run on the side's
 view (``side_view``), where equations equal on that side are one row, and
 score each distinct equation pattern once per pass. What they score is hits
-per row class: rows whose equations count the same per weight class share
-one, and a row class weighs its vector of counts. No weight enters the
-hits, and a system's weight classes stay the same for its lifetime (the
-exact systems of one support share theirs), so the view's memo keeps them:
+per weight class: the equations of one row share its key and so its hits,
+and each is counted under its own weight class. No weight enters the hits,
+and a system's weight classes stay the same for its lifetime (the exact
+systems of one support share theirs), so the view's memo keeps them:
 ``random_expectation``'s totals, and ``derandomize``'s path with the hits
 of the assignment it ends in. A call weighs them with the weights' integer
 numerators; ``derandomize`` checks its path in one pass and rescores it
@@ -36,7 +36,7 @@ _BLOCK_CELLS = 1 << 18
 # which bounds the solvers' scratch memory.
 _KEY_BLOCK = 1 << 14
 
-# Codes, such as a block's (row class, key) pairs, are counted on a dense
+# Codes, such as a block's (weight class, key) pairs, are counted on a dense
 # grid when it has at most this many cells per code, and by sorting
 # otherwise.
 _DENSE_PER_ROW = 4
@@ -82,89 +82,62 @@ def _small(values: np.ndarray, bound: int) -> np.ndarray:
 
 
 class _Counts:
-    """A side view's rows by row class, for the system's weight classes,
-    which stay the same for the system's lifetime (the exact systems of one
-    support share theirs), and the hit counts per row class the solvers
-    derive from them, which no weight enters. A row class is a distinct
-    vector of equation counts per weight class, told apart by the
-    ``reduction._codes`` of its nonzero entries; where nothing merges it is
-    the weight class. Vector q counts ``vec_n[i]`` equations of class
-    ``vec_cls[i]`` for each i in ``vec_start[q]:vec_start[q + 1]``, classes
-    ascending, and no row has more than ``most`` equations. So everything
-    here takes space linear in the equations, whatever the number of weight
-    classes. A row class weighs its vector's numerators (``numerators``).
+    """A side view's rows with their equations' weight classes, which stay
+    the same for the system's lifetime (the exact systems of one support
+    share theirs), and the hit counts per weight class the solvers derive
+    from them, which no weight enters. The view's row r holds equations of
+    the weight classes ``cls[start[r]:start[r] + size[r]]``, taken in the
+    view's ``order`` and kept in the smallest unsigned dtypes; where
+    nothing merges, ``start`` and ``size`` are None and ``cls`` is the
+    system's own ``weight_class``, one equation per row. So everything here
+    takes space linear in the equations, whatever the number of weight
+    classes.
 
     ``totals`` holds ``random_expectation``'s hits over the whole grid, as
-    (row class, hits) pairs. ``derandomize``'s path holds, per variable
-    that rows touch, in order, a step: the variable, the row classes of its
-    rows, ascending, and their int64 hit counts, [row classes x |h|], per
-    value of the variable given the values chosen before it. ``choice``
-    holds each variable's choice, an index into the constants subgroup (0
-    where no row touches it). ``assigned`` holds the hits of the assignment
-    the path ends in, times |h|^2, as (row class, hits) pairs; it is None
-    until ``_path`` has walked a new path to its end. ``stack`` is the path
-    as ``_first_changed`` scores it."""
+    (weight class, hits) pairs. ``derandomize``'s path holds, per variable
+    that rows touch, in order, a step: the variable, the weight classes of
+    its rows' equations, ascending, and their int64 hit counts, [classes x
+    |h|], per value of the variable given the values chosen before it.
+    ``choice`` holds each variable's choice, an index into the constants
+    subgroup (0 where no row touches it). ``assigned`` holds the hits of
+    the assignment the path ends in, times |h|^2, as (weight class, hits)
+    pairs; it is None until ``_path`` has walked a new path to its end.
+    ``stack`` is the path as ``_first_changed`` scores it."""
 
     def __init__(self, system: LinSystem, side: int):
         enc, view = system.arrays, side_view(system, side)
-        self.weight_class, n = enc.weight_class, len(enc.weights)
-        if view.group is None:
-            self.row_class, self.vec_start = enc.weight_class, np.arange(n + 1)
-            self.vec_cls, self.vec_n, self.most = np.arange(n), np.ones(n, dtype=np.uint8), 1
-        else:
-            # each row's nonzero counts, (row, class) ascending, as one int
-            # each; the rows with each number of them are coded together
-            pair, count = _pairs(view.group * np.int64(n) + enc.weight_class, len(view.rep) * n)
-            row, cls = np.divmod(pair, n)
-            size = np.bincount(row, minlength=len(view.rep))
-            start, top = np.cumsum(size) - size, int(count.max())
-            digit = cls * (top + 1) + count
-            by_size = np.argsort(_small(size, int(size.max())), kind="stable")
-            lengths = np.bincount(size)
-            row_class, reps = np.empty(len(size), dtype=np.int64), []
-            for length, these in zip(lengths.nonzero()[0], np.split(by_size, np.cumsum(lengths[lengths > 0]))):
-                code = _codes(digit[start[these] + np.arange(length)[:, None]], [n * (top + 1)] * length)
-                distinct, _ = _pairs(code, int(code.max()) + 1)
-                inverse = np.searchsorted(distinct, code)
-                row_class[these] = sum(map(len, reps)) + inverse
-                reps.append(np.empty(len(distinct), dtype=np.int64))
-                reps[-1][inverse] = these  # a row of each row class
-            rep = np.concatenate(reps)
-            end = np.cumsum(size[rep])
-            at = np.arange(end[-1]) + np.repeat(start[rep] - end + size[rep], size[rep])  # the reps' entries
-            self.row_class, self.vec_start = _small(row_class, len(rep)), np.concatenate([[0], end])
-            self.vec_cls, self.vec_n, self.most = _small(cls[at], n), _small(count[at], top), top * (len(lengths) - 1)
-        self.totals, self.assigned, self.stack, self.weighed = None, None, None, (None, None)
+        self.weight_class, self.n_cls = enc.weight_class, len(enc.weights)
+        self.cls, self.start, self.size = enc.weight_class, None, None
+        if view.group is not None:
+            size = np.bincount(view.group, minlength=len(view.rep))
+            self.cls = _small(enc.weight_class[view.order], self.n_cls)
+            self.start, self.size = _small(np.cumsum(size) - size, len(enc)), _small(size, int(size.max()))
+        self.totals, self.assigned, self.stack = None, None, None
         self.path: list = []
         self.choice = np.zeros(len(system.variables), dtype=np.int64)
 
     def count(self, rows: np.ndarray, pos: np.ndarray, hits: np.ndarray):
         """The hits of view rows whose keys sit at ``pos`` in the ``hits``
-        table, summed per row class: the row classes, ascending, and their
-        sums. The rows are counted per (row class, key) pair."""
+        table, summed per weight class of their equations: the classes,
+        ascending, and their sums. The equations of one row share its key,
+        and they are counted per (weight class, key) pair."""
+        if self.size is not None:
+            size = self.size[rows]
+            end = np.cumsum(size, dtype=np.int64)
+            pos = pos.repeat(size)
+            rows = (self.start[rows] - end + size).repeat(size) + np.arange(len(pos))
         n_keys = len(hits)
-        pair, n = _pairs(self.row_class[rows] * np.int64(n_keys) + pos, (len(self.vec_start) - 1) * n_keys)
-        row_class, key = np.divmod(pair, n_keys)
-        first = _firsts(row_class)
-        return row_class[first], np.add.reduceat(hits[key] * n[:, None], first, axis=0)
+        pair, n = _pairs(self.cls[rows] * np.int64(n_keys) + pos, self.n_cls * n_keys)
+        cls, key = np.divmod(pair, n_keys)
+        first = _firsts(cls)
+        return cls[first], np.add.reduceat(hits[key] * n[:, None], first, axis=0)
 
-    def numerators(self, nums: list[int]) -> list[int]:
-        """Per row class, what one of its rows weighs in the weight
-        numerators ``nums``: its vector's counts times their classes'
-        numerators, summed, in int64 where that cannot overflow. The last
-        result is kept."""
-        if self.weighed[0] is not nums:
-            dtype = np.int64 if max(nums) * self.most < 2**63 else object
-            terms = self.vec_n.astype(dtype) * np.array(nums, dtype)[self.vec_cls]
-            self.weighed = nums, np.add.reduceat(terms, self.vec_start[:-1]).tolist()
-        return self.weighed[1]
 
-    def weigh(self, system: LinSystem, hits, scale: int) -> Fraction:
-        """(row class, hits) pairs weighed exactly in the system's weights,
-        over ``scale``."""
-        nums, denom = system.arrays.numerators
-        weight = self.numerators(nums)
-        return Fraction(sum(weight[q] * n for q, n in hits), denom * scale)
+def _weigh(system: LinSystem, hits, scale: int) -> Fraction:
+    """(weight class, hits) pairs weighed exactly in the system's weights,
+    over ``scale``."""
+    nums, denom = system.arrays.numerators
+    return Fraction(sum(nums[c] * n for c, n in hits), denom * scale)
 
 
 def _pairs(pair: np.ndarray, size: int):
@@ -342,7 +315,7 @@ def random_expectation(system: LinSystem, template: Template, side: int) -> Frac
 
     An equation's hit probability depends only on its pattern key
     (repetitions, signs, rhs), so it is computed once per key. The hits per
-    row class are counted once and kept with the view; a call only
+    weight class are counted once and kept with the view; a call only
     weighs them.
     """
     tables, h = _side(system, template, side)
@@ -351,14 +324,14 @@ def random_expectation(system: LinSystem, template: Template, side: int) -> Frac
         enc, view = system.arrays, side_view(system, side)
         shape = _shapes(_ranks(view.rows(enc.var_ids).T), view.rows(enc.signs).T < 0, 0)
         rhs = tables.rhs_map[view.rows(enc.rhs)]
-        row_class, hits = _class_hits(kept, _Patterns(tables, h), np.arange(len(rhs)), shape, rhs)
-        kept.totals = list(zip(row_class.tolist(), hits.sum(axis=1).tolist()))
-    return kept.weigh(system, kept.totals, len(h) ** 3)
+        cls, hits = _class_hits(kept, _Patterns(tables, h), np.arange(len(rhs)), shape, rhs)
+        kept.totals = list(zip(cls.tolist(), hits.sum(axis=1).tolist()))
+    return _weigh(system, kept.totals, len(h) ** 3)
 
 
 def _class_hits(kept: _Counts, patterns: _Patterns, rows: np.ndarray, shape: np.ndarray, known: np.ndarray):
     """The hits of the view's ``rows``, whose keys are ``shape`` plus
-    ``known``, summed per row class: the row classes, ascending, and their
+    ``known``, summed per weight class: the classes, ascending, and their
     sums, one column per value of unknown 0."""
     parts = []
     for lo in range(0, len(rows), _KEY_BLOCK):
@@ -366,10 +339,10 @@ def _class_hits(kept: _Counts, patterns: _Patterns, rows: np.ndarray, shape: np.
         parts.append(kept.count(rows[sl], patterns.lookup(shape[sl], known[sl]), patterns.hits))
     if len(parts) == 1:
         return parts[0]
-    row_class = np.concatenate([q for q, _ in parts])
-    order = np.argsort(row_class, kind="stable")
-    first = _firsts(row_class[order])
-    return row_class[order][first], np.add.reduceat(np.concatenate([n for _, n in parts])[order], first, axis=0)
+    cls = np.concatenate([c for c, _ in parts])
+    order = np.argsort(cls, kind="stable")
+    first = _firsts(cls[order])
+    return cls[order][first], np.add.reduceat(np.concatenate([n for _, n in parts])[order], first, axis=0)
 
 
 def _incidence(var_ids: np.ndarray, signs: np.ndarray, n_vars: int):
@@ -404,7 +377,7 @@ def derandomize(system: LinSystem, template: Template, side: int) -> dict[str, i
     are fixed, x is unknown 0, and later ones are unknowns 1 and 2, uniform
     on the constants subgroup. Scores are weight numerators over the
     weights' common denominator times hits, so they compare exactly. The
-    path of hits per row class is kept with the view: a call checks its
+    path of hits per weight class is kept with the view: a call checks its
     choices in one pass and rescores it from the first that changed.
     """
     kept, h = _path(system, template, side)
@@ -413,9 +386,9 @@ def derandomize(system: LinSystem, template: Template, side: int) -> dict[str, i
 
 def derandomized_value(system: LinSystem, template: Template, side: int) -> Fraction:
     """The exact weight that ``derandomize``'s assignment satisfies, weighed
-    from the hits per row class kept with its path."""
+    from the hits per weight class kept with its path."""
     kept, h = _path(system, template, side)
-    return kept.weigh(system, kept.assigned, len(h) ** 2)
+    return _weigh(system, kept.assigned, len(h) ** 2)
 
 
 def _path(system: LinSystem, template: Template, side: int):
@@ -424,7 +397,7 @@ def _path(system: LinSystem, template: Template, side: int):
     is no longer best, the kept path is replaced and its end counted."""
     tables, h = _side(system, template, side)
     kept = _counts(system, side)
-    nums = kept.numerators(system.arrays.numerators[0])
+    nums = system.arrays.numerators[0]
     start = _first_changed(kept, nums)
     if start == len(kept.path) and kept.assigned is not None:
         return kept, h
@@ -443,14 +416,14 @@ def _path(system: LinSystem, template: Template, side: int):
         own = slice(indptr[x], indptr[x + 1])
         rows = eqs[own]
         if step >= start:
-            row_class, counts = _class_hits(kept, patterns, rows, shape[own], known[rows])
-            kept.choice[x] = _best([nums[q] for q in row_class.tolist()], counts)
-            kept.path.append((x, row_class, counts))
+            cls, counts = _class_hits(kept, patterns, rows, shape[own], known[rows])
+            kept.choice[x] = _best([nums[c] for c in cls.tolist()], counts)
+            kept.path.append((x, cls, counts))
         known[rows] += patterns.fixed_keys(h[kept.choice[x]])[shape[own]]
     # every slot is fixed now: shape 0, |h|^2 per hit at every value
     rows = np.arange(len(known))
-    row_class, hits = _class_hits(kept, patterns, rows, np.zeros(len(rows), dtype=np.int16), known)
-    kept.assigned = list(zip(row_class.tolist(), hits[:, 0].tolist()))
+    cls, hits = _class_hits(kept, patterns, rows, np.zeros(len(rows), dtype=np.int16), known)
+    kept.assigned = list(zip(cls.tolist(), hits[:, 0].tolist()))
     return kept, h
 
 

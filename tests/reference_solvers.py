@@ -15,7 +15,6 @@ import itertools
 from fractions import Fraction
 
 from grouplin.errors import CapExceeded, InvalidParams, MissingVariable, enum_cap
-from grouplin.reduction import side_view
 
 from reference_groups import apply, pow_sign
 
@@ -128,23 +127,12 @@ def derandomize(system, template, side):
 
 def first_changed(path, choice, nums):
     """The first step of a kept ``derandomize`` path whose choice is not the
-    best under the row class numerators ``nums``, or the path's length. Step
-    by step, as ``solvers._best`` scores one step: per value, the sum of
-    ``nums[q]`` times the step's count for row class q, in Python ints, the
-    smallest value on ties."""
+    best under the weight class numerators ``nums``, or the path's length.
+    Step by step, as ``solvers._best`` scores one step: per value, the sum
+    of ``nums[c]`` times the step's count for weight class c, in Python
+    ints, the smallest value on ties."""
     for step, (x, classes, counts) in enumerate(path):
         scores = [sum(nums[c] * int(n) for c, n in zip(classes, col)) for col in counts.T.tolist()]
         if scores.index(max(scores)) != choice[x]:
             return step
     return len(path)
-
-
-def row_numerators(system, side, nums):
-    """Per row of the side's view, the weight numerators ``nums`` of its
-    equations' classes summed, in Python ints, one equation at a time."""
-    enc, view = system.arrays, side_view(system, side)
-    group = range(len(enc)) if view.group is None else view.group.tolist()
-    out = [0] * (len(enc) if view.rep is None else len(view.rep))
-    for g, c in zip(group, enc.weight_class.tolist()):
-        out[g] += nums[c]
-    return out

@@ -242,6 +242,16 @@ MALFORMED_INPUTS = {
     "template-hom-not-an-object": ("template", lambda t: {**t, "homomorphism": 5}),
     "template-map-float": ("template", _set(("homomorphism", "map", "1"), 1.5)),
     "template-domain-float": ("template", _set(("homomorphism", "domain", 1), 1.0)),
+    "template-domain-past-g1": (
+        "template",
+        lambda t: {"g1": "z2", "g2": "z2", "homomorphism": {"domain": [0, 7], "map": {"0": 0, "7": 1}}},
+    ),
+    "template-domain-negative": (
+        "template",
+        lambda t: {"g1": "z2", "g2": "z2", "homomorphism": {"domain": [0, 1, -1], "map": {"0": 0, "1": 1, "-1": 1}}},
+    ),
+    "template-name-not-a-string": ("template", lambda t: {**t, "name": {"a": 1}}),
+    "group-name-not-a-string": ("group", lambda g: {**g, "name": 5}),
 }
 # case -> what its message must name
 MALFORMED_INPUT_MESSAGES = {
@@ -250,6 +260,10 @@ MALFORMED_INPUT_MESSAGES = {
     "family-extra-vertex": "family A table for vX, which is not a vertex in V",
     "assignment-extra-variable": "the assignment names zzz, which is not a variable of the system",
     "group-ragged-row": '"table" row 1 has 1 entries, where row 0 has 2',
+    "template-domain-past-g1": "subgroup member 7 out of range",
+    "template-domain-negative": "subgroup member -1 out of range",
+    "template-name-not-a-string": '"name" must be a JSON string, not dict',
+    "group-name-not-a-string": '"name" must be a JSON string, not int',
 }
 
 
@@ -599,10 +613,15 @@ def test_selftest_unknown_module_exit_code(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def child_env():
+    """The environment of a fresh interpreter that imports this grouplin."""
+    src = str(Path(grouplin.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_the_cli_imports_selftest_only_for_its_subcommand():
     # a fresh interpreter: this process has imported selftest already
-    src = str(Path(grouplin.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = child_env()
     probe = "import sys, grouplin.cli; print('grouplin.selftest' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
@@ -611,11 +630,17 @@ def test_the_cli_imports_selftest_only_for_its_subcommand():
     assert "invalid choice: 'bogus'" in bogus.stderr
 
 
+def test_a_passing_selftest_writes_nothing_to_stderr():
+    child = subprocess.run([sys.executable, "-m", "grouplin.cli", "selftest"], env=child_env(), capture_output=True, text=True)
+    assert child.returncode == 0
+    assert child.stdout.splitlines()[-1].startswith("OK: ")
+    assert child.stderr == ""
+
+
 def test_importing_the_cli_loads_the_pipeline_modules():
     # Imported rather than run, cli has solvers and decoder loaded: the
     # benchmark's tracer wraps their functions in their modules at that point.
-    src = str(Path(grouplin.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = child_env()
     probe = "import sys, grouplin.cli; print(sorted(m for m in sys.modules if m.startswith('grouplin.')))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     loaded = set(ast.literal_eval(out.stdout))
@@ -655,8 +680,7 @@ finally:
 
 
 def test_a_reduce_eval_or_help_child_loads_only_the_modules_it_runs(tmp_path):
-    src = str(Path(grouplin.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = child_env()
     t = catalog.template("z2_id")
     system = build_system(catalog.label_cover("lc_tiny"), t, ReductionParams(Fraction(1, 8)))
     system_path = tmp_path / "system.json"

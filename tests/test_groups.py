@@ -102,6 +102,13 @@ def test_subgroup_closure_z4_order_two_element():
     assert subgroup_closure(z4, [2]).members == (0, 2)
 
 
+@pytest.mark.parametrize("members, bad", [((0, 7), 7), ((0, 1, -1), -1)])
+def test_subgroup_refuses_members_outside_the_group(members, bad):
+    # a negative index would wrap through the table and pass the axioms
+    with pytest.raises(InvalidParams, match=f"subgroup member {bad} out of range"):
+        subgroup(catalog.group("z2"), members)
+
+
 @given(st.lists(st.integers(min_value=0, max_value=5), max_size=4))
 @settings(max_examples=30, deadline=None)
 def test_subgroup_closure_is_a_subgroup(seeds):

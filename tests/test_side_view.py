@@ -5,6 +5,7 @@ per-equation reference loops in ``reference_solvers``."""
 
 import operator
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -41,32 +42,30 @@ def kernel(template):
 
 
 def assert_entries(system, side):
-    """Each view row's vector in ``_Counts`` (its row class's entries) is a
-    Python count of its equations per weight class: the classes it has,
-    ascending, each with its number of equations, in the smallest unsigned
-    dtypes. Two rows share a row class exactly when their vectors are
-    equal. Returns the vector per row."""
+    """Each view row's slice of the CSR table in ``_Counts`` holds the
+    weight classes of the equations a grouping by ``view.group`` puts in
+    that row, in the smallest unsigned dtypes; where nothing merges, the
+    table is the system's own weight classes, one equation per row.
+    Returns per row its classes, ascending, each with its number of
+    equations."""
     enc, view = system.arrays, side_view(system, side)
     rows = len(view.rows(enc.rhs))
     group = range(rows) if view.group is None else view.group.tolist()
-    expect = [{} for _ in range(rows)]
+    expect = [[] for _ in range(rows)]
     for g, c in zip(group, enc.weight_class.tolist()):
-        expect[g][c] = expect[g].get(c, 0) + 1
-    expect = [sorted(e.items()) for e in expect]
+        expect[g].append(c)
     kept = solvers._counts(system, side)
-    start = kept.vec_start.tolist()
-    vectors = [list(zip(kept.vec_cls[a:b].tolist(), kept.vec_n[a:b].tolist())) for a, b in zip(start, start[1:])]
-    got = [vectors[q] for q in kept.row_class.tolist()]
-    assert got == expect
-    assert max(sum(n for _, n in e) for e in expect) <= kept.most
-    if view.group is None:  # the row classes are the system's weight classes
-        assert kept.row_class is enc.weight_class and len(vectors) == len(enc.weights)
+    if view.group is None:
+        assert kept.cls is enc.weight_class and kept.start is None and kept.size is None
+        got = [[c] for c in kept.cls.tolist()]
     else:
-        assert len(vectors) == len(set(map(tuple, vectors)))
-        assert kept.vec_cls.dtype == np.min_scalar_type(len(enc.weights))
-        assert kept.vec_n.dtype == np.min_scalar_type(max(max(n for _, n in e) for e in expect))
-        assert kept.row_class.dtype == np.min_scalar_type(len(vectors))
-    return got
+        start, size = kept.start.tolist(), kept.size.tolist()
+        assert start == np.cumsum([0] + size[:-1]).tolist() and sum(size) == len(enc)
+        got = [kept.cls[a : a + n].tolist() for a, n in zip(start, size)]
+        assert kept.cls.dtype == np.min_scalar_type(len(enc.weights))
+        assert kept.size.dtype == np.min_scalar_type(max(map(len, expect)))
+    assert [sorted(g) for g in got] == [sorted(e) for e in expect]
+    return [sorted(Counter(e).items()) for e in expect]
 
 
 @st.composite
@@ -76,8 +75,7 @@ def kernel_copies(draw):
     an element of ker(phi). Each equation's weight is split among its
     copies, and the rows are shuffled. Or, instead of the split weights,
     each row takes one of up to 64 weight classes drawn at random, some
-    unused, so that a row's vector of counts per class can have more
-    digits than one int64 holds."""
+    unused, so that one view row holds equations of several classes."""
     system = draw(small_systems(KERNEL_TEMPLATES))
     t = system.template
     ker = kernel(t)
@@ -128,12 +126,15 @@ def test_side_two_groups_equations_equal_modulo_the_kernel(tname, lc_name, rows)
     assert distinct < len(system.arrays)
     assert rows is None or distinct == rows
     view = side_view(system, 2)
-    assert view.rep.dtype == view.group.dtype == np.int32
+    assert view.rep.dtype == view.group.dtype == view.order.dtype == np.int32
     assert len(view.rep) == distinct and len(view.group) == len(system.arrays)
     # each equation agrees with its group's rep, and each group is one key
     assert (keys == keys[view.rep][view.group]).all()
     assert np.array_equal(view.group[view.rep], np.arange(distinct))
-    # each row's entries count its group's equations per weight class
+    # order lists every equation once, group by group
+    assert np.array_equal(np.sort(view.order), np.arange(len(system.arrays)))
+    assert (np.diff(view.group[view.order]) >= 0).all()
+    # each row's slice of the table holds its group's weight classes
     assert_entries(system, 2)
 
 
@@ -144,7 +145,7 @@ def test_the_view_is_the_system_where_nothing_can_merge(tname):
     sides = (1, 2) if len(kernel(t)) == 1 else (1,)
     for side in sides:
         view = side_view(system, side)
-        assert view.rep is None and view.group is None
+        assert view.rep is None and view.group is None and view.order is None
         assert view.rows(system.arrays.rhs) is system.arrays.rhs
 
 
@@ -213,17 +214,19 @@ def test_python_int_numerators_are_summed_per_group():
 
 
 def assert_path_classes(system, side):
-    """Each step of the kept path holds counts for exactly the row classes
-    of the view rows touching its variable, ascending, one column per
-    element of the constants subgroup."""
+    """Each step of the kept path holds counts for exactly the weight
+    classes of the equations in the view rows touching its variable,
+    ascending, one column per element of the constants subgroup."""
     enc, t = system.arrays, system.template
     width = len(t.h1 if side == 1 else t.h2)
     kept = solvers._counts(system, side)
-    var_ids = side_view(system, side).rows(enc.var_ids)
-    for x, row_class, counts in kept.path:
+    view = side_view(system, side)
+    row = np.arange(len(enc)) if view.group is None else view.group
+    var_ids = view.rows(enc.var_ids)
+    for x, cls, counts in kept.path:
         touching = (var_ids == x).any(axis=1)
-        assert row_class.tolist() == np.unique(kept.row_class[touching]).tolist()
-        assert counts.shape == (len(row_class), width)
+        assert cls.tolist() == np.unique(enc.weight_class[touching[row]]).tolist()
+        assert counts.shape == (len(cls), width)
 
 
 def test_many_weight_classes_keep_a_vector_per_row():
@@ -277,7 +280,7 @@ def test_rows_that_share_weight_classes_are_kept_per_weight_class():
         assert derandomize(system, t, side) == ref.derandomize(system, t, side)
         assert random_expectation(system, t, side) == ref.random_expectation(system, t, side)
         assert_path_classes(system, side)
-        # some step counts the rows of more than one row class
+        # some step counts the equations of more than one weight class
         assert max(len(q) for _, q, _ in solvers._counts(system, side).path) > 1
 
 
