@@ -13,20 +13,19 @@ from __future__ import annotations
 from . import io  # isort: skip
 
 import argparse
-import functools
 import json
 import logging
 import math
 import sys
 
 from .errors import CapExceeded, GroupLinError, InvalidParams, NoOmega
-from .reduction import ReductionParams, build_system, evaluate, evaluate_family, planted
+from .reduction import ReductionParams, build_system, evaluate
 
 # Run as a program (``python -m grouplin.cli``), a handler imports the
-# modules that only its command runs (reps, solvers, selftest; decoder and
-# solvers through ``_pipeline_modules``), so a reduce or eval child loads io,
-# reduction, groups and catalog alone. Imported as a module, cli loads
-# solvers and decoder with itself (see the end of this file).
+# modules that only its command runs (reps, solvers, selftest, and report
+# with decoder and solvers), so a reduce or eval child loads io, reduction,
+# groups and catalog alone. Imported as a module, cli loads report, and
+# solvers and decoder under it, with itself (see the end of this file).
 
 # the selftest registry's modules, here as only its subcommand imports it
 SELFTEST_MODULES = ("groups", "reps", "fourier", "reduction", "solvers", "decoder", "io")
@@ -118,108 +117,25 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-@functools.cache
-def _pipeline_modules():
-    """``solvers`` and ``decoder``, imported once per process: when cli is
-    imported, or by the first pipeline or decode command of a program run.
-    A warm ``run_pipeline`` resolves them here rather than paying an import
-    statement per call (about 2.5 us of a 0.16 ms op on s3_sign/lc1)."""
-    from . import decoder, solvers
-
-    return solvers, decoder
-
-
-def _decode_report(lc, template, eps, delta, family, seed, leftover) -> dict:
-    _, decoder = _pipeline_modules()
-    ctx = decoder.make_context(lc, template, eps, delta, family, seed=seed, leftover=leftover)
-    strategy, value, choice = decoder.decode(ctx)
-    h_d, h_e, rounded = decoder.derandomize_strategy(lc, strategy)
-    return {
-        "family_value": ctx.value,
-        "omega": choice.index,
-        "eta": choice.eta,
-        "margin": choice.margin,
-        "xyz": [choice.x, choice.y, choice.z],
-        "kappa": strategy.kappa,
-        "alpha": decoder.alpha(delta, eps, len(template.g1), len(template.g2)),
-        "strategy": {
-            "v_probs": strategy.v_probs,
-            "u_probs": strategy.u_probs,
-            "leftover": strategy.leftover,
-        },
-        "expected_value": value,
-        "derandomized": {"hD": h_d, "hE": h_e, "value": rounded},
-        "seed": seed,
-    }
-
-
 def _cmd_decode(args) -> int:
+    from . import report
+
     lc = io.load_lc(args.lc)
     template = io.load_template(args.template)
     family = io.load_family(args.family)
-    report = _decode_report(
-        lc,
-        template,
-        io.parse_frac(args.eps),
-        io.parse_frac(args.delta),
-        family,
-        args.seed,
-        args.leftover,
-    )
-    _emit(report)
+    eps, delta = io.parse_frac(args.eps), io.parse_frac(args.delta)
+    _emit(report.decode_report(lc, template, eps, delta, family, args.seed, args.leftover))
     return 0
 
 
-def run_pipeline(
-    lc,
-    template,
-    eps,
-    delta,
-    family=None,
-    seed: int = 0,
-    leftover: str = "giveup",
-) -> dict:
-    """Chain reduction, planted completeness, solver, and decoder into one
-    report. ``family`` defaults to the side-2 planted projections of the best
-    Label Cover labeling (found exhaustively, within the enumeration cap).
-    The labeling and its planted families are kept with the support
-    (``reduction.planted``), as no eps enters them."""
-    solvers, _ = _pipeline_modules()
-    eps, delta = io.parse_frac(eps), io.parse_frac(delta)
-    params = ReductionParams(eps)
-    lc_opt, proj1, proj2 = planted(lc, template)
-    system = build_system(lc, template, params)
-
-    completeness = evaluate_family(lc, template, params, proj1, side=1)
-
-    solver_value = solvers.derandomized_value(system, template, side=2)
-    expectation = solvers.random_expectation(system, template, side=2)
-
-    if family is None:
-        family = proj2
-    decoder_report = _decode_report(lc, template, eps, delta, family, seed, leftover)
-
-    return {
-        "lc_optimum": lc_opt,
-        "completeness": completeness,
-        "system_size": {
-            "variables": len(system.variables),
-            "equations": len(system.arrays),
-        },
-        "solver": {
-            "random_expectation": expectation,
-            "derandomized_value": solver_value,
-        },
-        "decoder": decoder_report,
-    }
-
-
 def _cmd_pipeline(args) -> int:
+    from . import report
+
     lc = io.load_lc(args.lc)
     template = io.load_template(args.template)
     family = io.load_family(args.family) if args.family else None
     _emit(
-        run_pipeline(
+        report.pipeline_report(
             lc,
             template,
             args.eps,
@@ -362,6 +278,7 @@ if __name__ == "__main__":
     sys.exit(main())
 else:
     # An importer calls run_pipeline in its own process, or wraps the
-    # functions cli calls in their modules (perfbench's tracer), so both
-    # modules are loaded once cli is, before the caller's data is allocated.
-    _pipeline_modules()
+    # functions it calls in their modules (perfbench's tracer), so report,
+    # solvers and decoder are loaded once cli is, before the caller's data
+    # is allocated.
+    from .report import pipeline_report as run_pipeline  # noqa: E402, F401

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParams, NoOmega
+from .errors import InvalidParams, NoOmega, read_caps
 from .fourier import MatrixFn, _block_product, inverse, product_irreps, transform
 from .groups import GroupPower, Template, fold
 from .reduction import (
@@ -22,10 +22,10 @@ from .reduction import (
     KeptFamily,
     LabelCoverInstance,
     ReductionParams,
+    bind,
     composed_inverse,
     lc_value,
     payoff_distribution,
-    support,
 )
 from .reps import IrrepSet, UnitaryRep, eta, irreps
 
@@ -80,8 +80,11 @@ def kappa(delta: Fraction, eps: Fraction) -> int:
 
 def alpha(delta: Fraction, eps: Fraction, g1_size: int, g2_size: int) -> Fraction:
     """The guaranteed Label Cover value delta^2 / (4 k |G1|^k |G2|^4)."""
-    delta = Fraction(delta)
-    k = kappa(delta, eps)
+    return _alpha(Fraction(delta), kappa(delta, eps), g1_size, g2_size)
+
+
+def _alpha(delta: Fraction, k: int, g1_size: int, g2_size: int) -> Fraction:
+    """``alpha`` at the truncation degree ``k``, which ``decode`` computed."""
     return Fraction(delta.numerator**2, delta.denominator**2 * 4 * k * g1_size**k * g2_size**4)
 
 
@@ -116,27 +119,30 @@ def make_context(
     seed: int = 0,
     leftover: str = "giveup",
 ) -> DecoderContext:
-    eps, delta = Fraction(eps), Fraction(delta)
+    return _context(lc, template, Fraction(eps), Fraction(delta), family, seed, leftover, None)
+
+
+def _context(lc, template, eps: Fraction, delta: Fraction, family, seed, leftover, params) -> DecoderContext:
+    """``make_context``. ``params`` are those of the op the context belongs
+    to, which bound them (``reduction.bind``) and validated eps; with None,
+    it makes and binds its own once the promise is checked."""
     if leftover not in ("giveup", "normalize"):
         raise InvalidParams(f"unknown leftover rule {leftover}")
     if family.side != 2:
         raise InvalidParams("the decoder consumes side-2 families")
-    h2 = len(template.h2)
-    if Fraction(1, h2) + delta > 1 - eps:
-        raise InvalidParams(
-            f"need 1/|Im(phi)| + delta <= 1 - eps, got {Fraction(1, h2) + delta} > {1 - eps}"
-        )
-    mass = payoff_distribution(lc, template, ReductionParams(eps), family, side=2)
+    threshold = Fraction(1, len(template.h2)) + delta
+    if threshold > 1 - eps:
+        raise InvalidParams(f"need 1/|Im(phi)| + delta <= 1 - eps, got {threshold} > {1 - eps}")
+    if params is None:
+        params = ReductionParams(eps)
+        bind(lc, template, params, read_caps())
+    mass = payoff_distribution(lc, template, params, family, side=2)
     value = mass.get(template.g2.identity, Fraction(0))
-    if value < Fraction(1, h2) + delta:
-        log.warning(
-            "family value %s is below the promise threshold %s",
-            value,
-            Fraction(1, h2) + delta,
-        )
+    if value < threshold:
+        log.warning("family value %s is below the promise threshold %s", value, threshold)
     g1_ir = irreps(template.g1, seed=seed)
     g2_ir = irreps(template.g2, seed=seed)
-    sup = support(lc, template)
+    sup = params.resolved[0]
     return DecoderContext(
         lc=lc,
         template=template,

@@ -25,6 +25,13 @@ def table_cap() -> int:
     return _env_cap(DEFAULT_TABLE_CAP)
 
 
+def read_caps() -> tuple[int, int]:
+    """The enumeration and table caps from one read of GROUPLIN_CAP, which
+    sets both; for the calls of one op that checks both (``reduction.bind``)."""
+    cap = _env_cap(0)
+    return (cap, cap) if cap else (DEFAULT_ENUM_CAP, DEFAULT_TABLE_CAP)
+
+
 def _env_cap(default: int) -> int:
     env = os.environ.get(_ENV_CAP)
     if not env:

@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidParams, MissingVariable, enum_cap, table_cap
+from .errors import CapExceeded, InvalidParams, MissingVariable, enum_cap, read_caps, table_cap
 from .groups import (
     FiniteGroup,
     GroupPower,
@@ -32,10 +32,9 @@ EQUATION_BLOCK = 16384
 
 # Supports kept at once (``support``): the last (instance, template) pair, as
 # an eps sweep solves one pair again and again. A kept support holds its exact
-# encoding with both side views, their incidence and the solvers' hit counts
-# after both solvers ran on both sides, about 60 bytes per equation on
-# s3_a3_incl/lc2 at every eps (22 MB for 373,248 equations), so at most
-# about 120 MB at the default cap of 2M tuples.
+# encoding with both side views, their incidence and the solvers' hit counts,
+# about 60 bytes per equation on s3_a3_incl/lc2 after both solvers ran on both
+# sides (22 MB for 373,248 equations), so at most 120 MB at the 2M tuple cap.
 SUPPORT_CACHE = 1
 
 
@@ -430,6 +429,8 @@ class ReductionParams:
     sample_count: int | None = None
     seed: int = 0
     cap: int | None = None
+    # what the calls of one op share (``bind``); None on a caller's own params
+    resolved: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "eps", Fraction(self.eps))
@@ -772,12 +773,12 @@ class Support:
             _read_only(array)
         return rows
 
-    def weighed(self, eps: Fraction) -> tuple[SystemArrays, np.ndarray]:
-        """The exact encoding at eps, and its equations per weight class.
-        The weight classes are the rows' row classes at every eps, so their
-        totals are counted, and checked, once, and kept read-only. Callers
-        check the enumeration cap first."""
-        arrays = self.exact.weighed(*_class_numerators(self.lc, self.pe, self.pd, eps))
+    def weighed(self, nums) -> tuple[SystemArrays, np.ndarray]:
+        """The exact encoding at an eps's class numerators, and its equations
+        per weight class. The weight classes are the rows' row classes at
+        every eps, so their totals are counted, and checked, once, and kept
+        read-only. Callers check the enumeration cap first."""
+        arrays = self.exact.weighed(*nums)
         if self.class_totals is None:
             self.class_totals = _read_only(_class_totals(arrays))
         return arrays, self.class_totals
@@ -824,16 +825,30 @@ def _support(lc: LabelCoverInstance, template: Template) -> Support:
     return Support(lc, template)
 
 
-def support(lc: LabelCoverInstance, template: Template) -> Support:
+def support(lc: LabelCoverInstance, template: Template, limit: int | None = None) -> Support:
     """The support of (lc, template), kept for the last ``SUPPORT_CACHE``
-    pairs. The table cap is checked on every call, as building the powers
-    checks it; the enumeration caps stay with the callers, which check them
-    on every call too."""
+    pairs. The table cap (``limit``, read when not given) is checked every
+    call, as building the powers checks it; callers check the enumeration
+    caps, on every call too."""
     sup = _support(lc, template)
-    limit = table_cap()  # read once for both powers
+    limit = table_cap() if limit is None else limit
     sup.pe.check_cap(limit)
     sup.pd.check_cap(limit)
     return sup
+
+
+def _resolve(lc, template, params: ReductionParams, caps: tuple[int, int]):
+    """What one op's calls at params.eps share: the support, its table cap checked, the
+    enumeration cap (params' own, else the one read) and the noise classes' weights."""
+    sup = support(lc, template, caps[1])
+    return sup, caps[0] if params.cap is None else params.cap, _class_numerators(lc, sup.pe, sup.pd, params.eps)
+
+
+def bind(lc, template, params: ReductionParams, caps: tuple[int, int]) -> Support:
+    """Keep ``_resolve`` on one op's params: its ``build_system`` and
+    ``payoff_distribution`` calls take it instead of their own."""
+    object.__setattr__(params, "resolved", _resolve(lc, template, params, caps))
+    return params.resolved[0]
 
 
 def build_system(lc: LabelCoverInstance, template: Template, params: ReductionParams) -> LinSystem:
@@ -850,12 +865,12 @@ def build_system(lc: LabelCoverInstance, template: Template, params: ReductionPa
     keep the order of the tuples. In exact mode the equations come from the
     support of (lc, template), so only the weights are computed per call.
     """
-    sup = support(lc, template)
+    sup, cap, nums = params.resolved or _resolve(lc, template, params, read_caps())
     if params.mode == "sampled":
         rows = _merge(sup.sampled_rows(params))
         return LinSystem.from_arrays(template, sup.variables, rows.weighed([1], params.sample_count))
-    _check_exact_cap(lc, sup.pe, sup.pd, params.cap)
-    arrays, totals = sup.weighed(params.eps)
+    _check_exact_cap(lc, sup.pe, sup.pd, cap)
+    arrays, totals = sup.weighed(nums)
     system = LinSystem.from_arrays(template, sup.variables, arrays, class_totals=totals)
     # the support's rows are this system's rows, so their side views are too
     system.__dict__["_side_views"] = sup.side_views
@@ -921,34 +936,26 @@ def _noise_counts(tables, pd: GroupPower, order: int) -> np.ndarray:
 
 
 def payoff_distribution(
-    lc: LabelCoverInstance,
-    template: Template,
-    params: ReductionParams,
-    family: AssignmentFamily,
-    side: int,
+    lc: LabelCoverInstance, template: Template, params: ReductionParams, family: AssignmentFamily, side: int
 ) -> dict[int, Fraction]:
-    """Exact distribution of the folded three-query product.
+    """Exact distribution of the folded three-query product: the mass of
+    each element z = A'_v(a) * B_u(b^s1)^s1 * B_u(c^s2)^s2, where A' is A_v
+    folded over the identity (side 1) or over phi (side 2) and c = b^-1 x_a
+    nu with x_a = (a o pi)^-1, listed in element order where non-zero. The
+    mass at the identity is the payoff of the family.
 
-    Returns the probability mass of each group element
-    z = A'_v(a) * B_u(b^s1)^s1 * B_u(c^s2)^s2, where A' is A_v folded over
-    the identity (side 1) or over phi (side 2) and c = b^-1 x_a nu with
-    x_a = (a o pi)^-1. The mass at the identity is the payoff of the family.
-    Elements with non-zero mass are listed in element order.
-
-    The tuples are counted per (z, noise class) by ``_payoff_counts``; the
-    support keeps the counts for the last family object of each side
-    (``Support.family``), and a call weighs them with the eps's integer
-    class weights. The caps are checked every call, and the family's shape
-    whenever it is not the kept family.
+    The support keeps the counts per (z, noise class) of the last family
+    object of each side (``_payoff_counts``, ``Support.family``), which a
+    call weighs at eps. The caps are checked every call, and the family's
+    shape whenever it is not the kept family.
     """
     if side != family.side:
         raise InvalidParams("family built for the other side")
-    sup = support(lc, template)
-    _check_payoff_cap(lc, sup.pe, sup.pd, params.cap)
+    sup, cap, (nums, denom) = params.resolved or _resolve(lc, template, params, read_caps())
+    _check_payoff_cap(lc, sup.pe, sup.pd, cap)
     kept = sup.family(family)
     if kept.counts is None:
         kept.counts = _read_only(_payoff_counts(sup, family))
-    nums, denom = _class_numerators(lc, sup.pe, sup.pd, params.eps)
     return {
         z: Fraction(sum(map(operator.mul, nums, row)), denom)
         for z, row in enumerate(kept.counts.tolist())
@@ -992,11 +999,7 @@ def _payoff_counts(sup: Support, family: AssignmentFamily) -> np.ndarray:
 
 
 def evaluate_family(
-    lc: LabelCoverInstance,
-    template: Template,
-    params: ReductionParams,
-    family: AssignmentFamily,
-    side: int,
+    lc: LabelCoverInstance, template: Template, params: ReductionParams, family: AssignmentFamily, side: int
 ) -> Fraction:
     """Payoff of a family: the identity mass of ``payoff_distribution``,
     counted exactly over the sampling procedure without building the
@@ -1017,11 +1020,7 @@ def family_assignment(
 
 
 def projection_family(
-    lc: LabelCoverInstance,
-    template: Template,
-    h_d: dict[str, str],
-    h_e: dict[str, str],
-    side: int,
+    lc: LabelCoverInstance, template: Template, h_d: dict[str, str], h_e: dict[str, str], side: int
 ) -> AssignmentFamily:
     """Long-code projections for a labeling; side 2 goes through the witness."""
     sup = support(lc, template)
@@ -1052,9 +1051,9 @@ def planted(lc: LabelCoverInstance, template: Template) -> tuple[Fraction, Assig
     return support(lc, template).planted
 
 
-def _check_labeling_cap(lc: LabelCoverInstance) -> None:
+def _check_labeling_cap(lc: LabelCoverInstance, cap: int | None = None) -> None:
     n_labelings = len(lc.d_labels) ** len(lc.u_names) * len(lc.e_labels) ** len(lc.v_names)
-    limit = enum_cap()
+    limit = enum_cap(cap)
     if n_labelings * len(lc.edges) > limit:
         raise CapExceeded(
             f"{n_labelings} labelings x {len(lc.edges)} edges ="

@@ -38,7 +38,15 @@ class UnitaryRep:
         return self.matrices.shape[1]
 
     def character(self) -> np.ndarray:
-        return np.trace(self.matrices, axis1=1, axis2=2)
+        """The trace of every matrix, computed once per rep: a read-only
+        array that every caller shares."""
+        return self._character
+
+    @functools.cached_property
+    def _character(self) -> np.ndarray:
+        chi = np.trace(self.matrices, axis1=1, axis2=2)
+        chi.flags.writeable = False
+        return chi
 
     def homomorphism_residual(self) -> float:
         t = self.group.table

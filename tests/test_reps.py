@@ -58,6 +58,16 @@ def test_irreps_are_memoized_and_read_only():
             rep.matrices[0, 0, 0] = 2
 
 
+def test_a_character_is_computed_once_per_rep_and_read_only():
+    for rep in irreps(catalog.group("s4")).irreps:
+        chi = rep.character()
+        assert rep.character() is chi and not chi.flags.writeable
+        expect = np.trace(rep.matrices, axis1=1, axis2=2)
+        assert chi.dtype == expect.dtype and chi.tobytes() == expect.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            chi[0] = 0
+
+
 def test_character_of_trivial_and_sign(irrep_sets):
     iset = irrep_sets["s3"]
     assert np.allclose(iset.irreps[0].character(), 1.0)

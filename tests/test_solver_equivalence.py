@@ -149,7 +149,8 @@ def test_kernels_match_reference_on_lc1_side_two(tname):
 def test_pipeline_report_matches_reference(tname, monkeypatch):
     t, lc = catalog.template(tname), catalog.label_cover("lc_tiny")
     report = cli.run_pipeline(lc, t, EPS, DELTA)
-    # run_pipeline calls its solvers through the module, so it runs these
+    # the pipeline report (report.py) calls its solvers through the module,
+    # so it runs these
     monkeypatch.setattr(solvers, "random_expectation", ref.random_expectation)
     monkeypatch.setattr(
         solvers,
