@@ -11,6 +11,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -195,12 +196,19 @@ def select_omega(ctx: DecoderContext) -> OmegaChoice:
     Raises NoOmega when every margin is negative, which means the family
     value is below the promise threshold.
     """
-    omegas = ctx.g2_irreps.irreps
-    margins = [penalized_margin(ctx, omega) for omega in omegas[1:]]
-    best: OmegaChoice | None = None
+    index, margin = _omega(ctx)
+    omega = ctx.g2_irreps.irreps[index]
+    return OmegaChoice(index, omega, eta(omega, ctx.template.h2), margin)
+
+
+def _omega(ctx: DecoderContext) -> tuple[int, float]:
+    """``select_omega``'s choice as the index of the representation and its
+    margin, which ``decode`` builds its ``OmegaChoice`` from."""
+    margins = [penalized_margin(ctx, omega) for omega in ctx.g2_irreps.irreps[1:]]
+    best = None
     for idx, margin in enumerate(margins, start=1):
-        if margin >= 0 and (best is None or margin > best.margin + _TIE):
-            best = OmegaChoice(idx, omegas[idx], eta(omegas[idx], ctx.template.h2), margin)
+        if margin >= 0 and (best is None or margin > best[1] + _TIE):
+            best = idx, margin
     if best is None:
         closest = int(np.argmax(margins)) + 1
         raise NoOmega(
@@ -336,12 +344,13 @@ def _terms(ctx: DecoderContext, omega: UnitaryRep, side: str, name: str, r: int,
 class Decoded:
     """The eps-free outcome of ``decode`` for one (omega, leftover, irreps,
     truncation), kept on the side-2 ``KeptFamily``: the entry indices, the
-    label maps found there and their agreement, and ``derandomize_strategy``'s
-    rounding of those maps on ``lc`` once it is asked for."""
+    label maps found there, read-only, and their agreement, and
+    ``derandomize_strategy``'s rounding of those maps on ``lc`` once it is
+    asked for."""
 
     xyz: tuple[int, int, int]
-    v_probs: dict
-    u_probs: dict
+    v_probs: MappingProxyType
+    u_probs: MappingProxyType
     value: float
     lc: LabelCoverInstance
     rounding: tuple | None = None  # (h_d, h_e, value)
@@ -382,8 +391,23 @@ def _agreement(lc: LabelCoverInstance, u_probs: dict, v_probs: dict) -> float:
     return total / len(lc.edges)
 
 
-def _copy(maps: dict) -> dict:
+def _copy(maps) -> dict:
     return {x: dict(probs) for x, probs in maps.items()}
+
+
+def _read_only(maps: dict) -> MappingProxyType:
+    return MappingProxyType({x: MappingProxyType(probs) for x, probs in maps.items()})
+
+
+def _kept_strategy(found: Decoded, k: int, leftover: str) -> Strategy:
+    """A ``Strategy`` over copies of a kept outcome's maps. Those passed the
+    check of ``Strategy.__post_init__`` when ``_search`` kept them, and are
+    read-only, so it is not run again; every other strategy runs it."""
+    strategy = object.__new__(Strategy)
+    vars(strategy).update(
+        v_probs=_copy(found.v_probs), u_probs=_copy(found.u_probs), kappa=k, leftover=leftover, decoded=found
+    )
+    return strategy
 
 
 def decode(ctx: DecoderContext):
@@ -399,17 +423,17 @@ def decode(ctx: DecoderContext):
     (omega, leftover, irreps, min(kappa, max(|D|, |E|) + 1)). The strategy
     carries the raw kappa and copies of the kept maps.
     """
-    choice = select_omega(ctx)
+    index, margin = _omega(ctx)
+    omega = ctx.g2_irreps.irreps[index]
     k = kappa(ctx.delta, ctx.eps)
     lc = ctx.lc
-    key = (choice.omega, ctx.leftover, ctx.g1_irreps, min(k, max(len(lc.d_labels), len(lc.e_labels)) + 1))
+    key = (omega, ctx.leftover, ctx.g1_irreps, min(k, max(len(lc.d_labels), len(lc.e_labels)) + 1))
     kept = ctx.kept.decodes
     if key not in kept:
-        kept[key] = _search(ctx, choice.omega, key[-1])
+        kept[key] = _search(ctx, omega, key[-1])
     found = kept[key]
-    x, y, z = found.xyz
-    strategy = Strategy(_copy(found.v_probs), _copy(found.u_probs), k, ctx.leftover, found)
-    return strategy, found.value, replace(choice, x=x, y=y, z=z)
+    choice = OmegaChoice(index, omega, eta(omega, ctx.template.h2), margin, *found.xyz)
+    return _kept_strategy(found, k, ctx.leftover), found.value, choice
 
 
 def _search(ctx: DecoderContext, omega: UnitaryRep, k: int) -> Decoded:
@@ -431,7 +455,7 @@ def _search(ctx: DecoderContext, omega: UnitaryRep, k: int) -> Decoded:
                 if best is None or value > best[1] + _TIE:
                     best = (strategy, value, (x, y, z))
     strategy, value, xyz = best
-    return Decoded(xyz, strategy.v_probs, strategy.u_probs, value, ctx.lc)
+    return Decoded(xyz, _read_only(strategy.v_probs), _read_only(strategy.u_probs), value, ctx.lc)
 
 
 def derandomize_strategy(lc: LabelCoverInstance, strategy: Strategy):

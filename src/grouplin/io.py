@@ -12,6 +12,7 @@ import os
 import sys
 from fractions import Fraction
 from io import StringIO
+from types import MappingProxyType
 
 import numpy as np
 
@@ -102,7 +103,7 @@ def jsonable(x):
         return float(x)
     if isinstance(x, np.ndarray):
         return [jsonable(v) for v in x.tolist()]
-    if isinstance(x, dict):
+    if isinstance(x, (dict, MappingProxyType)):  # read-only maps, such as a kept decode's
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]

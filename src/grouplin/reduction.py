@@ -942,25 +942,24 @@ def payoff_distribution(
     each element z = A'_v(a) * B_u(b^s1)^s1 * B_u(c^s2)^s2, where A' is A_v
     folded over the identity (side 1) or over phi (side 2) and c = b^-1 x_a
     nu with x_a = (a o pi)^-1, listed in element order where non-zero. The
-    mass at the identity is the payoff of the family.
+    mass at the identity is the payoff of the family. A call weighs the
+    counts per (z, noise class) kept for the family (``_kept_counts``)."""
+    counts, (nums, denom) = _kept_counts(lc, template, params, family, side)
+    return {z: Fraction(sum(map(operator.mul, nums, row)), denom) for z, row in enumerate(counts.tolist()) if any(row)}
 
-    The support keeps the counts per (z, noise class) of the last family
-    object of each side (``_payoff_counts``, ``Support.family``), which a
-    call weighs at eps. The caps are checked every call, and the family's
-    shape whenever it is not the kept family.
-    """
+
+def _kept_counts(lc, template, params: ReductionParams, family: AssignmentFamily, side: int):
+    """The family's payoff counts, kept with its support (``Support.family``),
+    and eps's class numerators. The side and the caps are checked on every
+    call, and the family's shape whenever it is not the kept family."""
     if side != family.side:
         raise InvalidParams("family built for the other side")
-    sup, cap, (nums, denom) = params.resolved or _resolve(lc, template, params, read_caps())
+    sup, cap, nums = params.resolved or _resolve(lc, template, params, read_caps())
     _check_payoff_cap(lc, sup.pe, sup.pd, cap)
     kept = sup.family(family)
     if kept.counts is None:
         kept.counts = _read_only(_payoff_counts(sup, family))
-    return {
-        z: Fraction(sum(map(operator.mul, nums, row)), denom)
-        for z, row in enumerate(kept.counts.tolist())
-        if any(row)
-    }
+    return kept.counts, nums
 
 
 def _payoff_counts(sup: Support, family: AssignmentFamily) -> np.ndarray:
@@ -1003,10 +1002,10 @@ def evaluate_family(
 ) -> Fraction:
     """Payoff of a family: the identity mass of ``payoff_distribution``,
     counted exactly over the sampling procedure without building the
-    system."""
-    dist = payoff_distribution(lc, template, params, family, side)
-    group = template.g1 if side == 1 else template.g2
-    return dist.get(group.identity, Fraction(0))
+    system, weighed from the identity's row of the kept counts alone."""
+    counts, (nums, denom) = _kept_counts(lc, template, params, family, side)
+    row = counts[(template.g1 if side == 1 else template.g2).identity].tolist()
+    return Fraction(sum(map(operator.mul, nums, row)), denom)
 
 
 def family_assignment(

@@ -640,6 +640,23 @@ def _check_path_check(seed):
     return bad == 0 and changed >= 4, float(bad), f"{len(cases)} checks, {changed} with a changed step"
 
 
+def _check_tied_path_martingale(seed):
+    # a step where every value has the same hits in every weight class
+    # keeps the conditional expectation, so where every step of the kept
+    # path ties, the derandomized value is the random expectation, exactly;
+    # the two are weighed from independent counts (the path's end and the
+    # expectation's totals). Every step ties on these pairs.
+    bad, cases, steps = 0, 0, 0
+    for t, name in itertools.product(catalog.templates().values(), ("lc_tiny", "lc1")):
+        for eps in (Fraction(1, 8), Fraction(3, 17), Fraction(1, 4001)):
+            system = build_system(catalog.label_cover(name), t, ReductionParams(eps))
+            for side in (1, 2):
+                value, kept = derandomized_value(system, t, side), _counts(system, side)
+                bad += not all(kept.tied) or value != random_expectation(system, t, side)
+                cases, steps = cases + 1, steps + sum(kept.tied)
+    return bad == 0, float(bad), f"{cases} cases, {steps} tied steps"
+
+
 def _check_noncubic_sound(seed):
     t = catalog.template("z3_id")
     rng = np.random.default_rng(seed)
@@ -876,6 +893,7 @@ def registry() -> tuple[Check, ...]:
     add("solvers", "derandomized-value", _check_derandomized_value)
     add("solvers", "weight-flip-rescore", _check_weight_flip)
     add("solvers", "path-check", _check_path_check)
+    add("solvers", "tied-path-martingale", _check_tied_path_martingale)
 
     for tname in ("z2_id", "s3_sign", "s3_a3_incl"):
         add("decoder", f"averaging-consistency[{tname}]", _check_averaging, tname)

@@ -14,7 +14,8 @@ systems of one support share theirs), so the view's memo keeps them:
 ``random_expectation``'s totals, and ``derandomize``'s path with the hits
 of the assignment it ends in. A call weighs them with the weights' integer
 numerators; ``derandomize`` checks its path in one pass and rescores it
-from the first choice that changes.
+from the first choice that changes. A step where every value has the same
+hits in every weight class ties under any weights, so the check skips it.
 """
 
 from __future__ import annotations
@@ -98,11 +99,14 @@ class _Counts:
     that rows touch, in order, a step: the variable, the weight classes of
     its rows' equations, ascending, and their int64 hit counts, [classes x
     |h|], per value of the variable given the values chosen before it.
-    ``choice`` holds each variable's choice, an index into the constants
-    subgroup (0 where no row touches it). ``assigned`` holds the hits of
-    the assignment the path ends in, times |h|^2, as (weight class, hits)
-    pairs; it is None until ``_path`` has walked a new path to its end.
-    ``stack`` is the path as ``_first_changed`` scores it."""
+    ``tied`` flags, per step, a weight-free tie: every value has the same
+    hits in every weight class, so the step scores equally under any
+    weights and ``_best`` keeps index 0. ``choice`` holds each variable's
+    choice, an index into the constants subgroup (0 where no row touches
+    it). ``assigned`` holds the hits of the assignment the path ends in,
+    times |h|^2, as (weight class, hits) pairs; it is None until ``_path``
+    has walked a new path to its end. ``stack`` is the path's untied steps
+    as ``_first_changed`` scores them, and () where every step ties."""
 
     def __init__(self, system: LinSystem, side: int):
         enc, view = system.arrays, side_view(system, side)
@@ -114,6 +118,7 @@ class _Counts:
             self.start, self.size = _small(np.cumsum(size) - size, len(enc)), _small(size, int(size.max()))
         self.totals, self.assigned, self.stack = None, None, None
         self.path: list = []
+        self.tied: list[bool] = []
         self.choice = np.zeros(len(system.variables), dtype=np.int64)
 
     def count(self, rows: np.ndarray, pos: np.ndarray, hits: np.ndarray):
@@ -171,21 +176,27 @@ def _best(nums: list[int], counts: np.ndarray) -> int:
 
 def _first_changed(kept: _Counts, nums: list[int]) -> int:
     """The first step of the kept path whose choice is not ``_best`` under
-    the numerators ``nums``, or the path's length: all steps scored in one
-    pass, in int64 where it cannot overflow, else in Python ints."""
-    if not kept.path:
-        return 0
+    the numerators ``nums``, or the path's length. A tied step keeps its
+    choice under any numerators, so only the others are scored, in one
+    pass, in int64 where it cannot overflow, else in Python ints; where
+    every step ties, none is."""
     if kept.stack is None:
-        counts = np.concatenate([c for _, _, c in kept.path])
-        starts = np.cumsum([0] + [len(c) for _, _, c in kept.path[:-1]])
-        top = max(1, int(np.add.reduceat(counts, starts, axis=0).max()))
-        classes = np.concatenate([c for _, c, _ in kept.path])
-        kept.stack = np.array([x for x, _, _ in kept.path]), classes, counts, starts, top
-    steps, classes, counts, starts, top = kept.stack
+        at = [i for i, tied in enumerate(kept.tied) if not tied]
+        kept.stack = ()
+        if at:
+            path = [kept.path[i] for i in at]
+            counts = np.concatenate([c for _, _, c in path])
+            starts = np.cumsum([0] + [len(c) for _, _, c in path[:-1]])
+            top = max(1, int(np.add.reduceat(counts, starts, axis=0).max()))
+            classes = np.concatenate([c for _, c, _ in path])
+            kept.stack = np.array(at), np.array([x for x, _, _ in path]), classes, counts, starts, top
+    if not kept.stack:
+        return len(kept.path)
+    at, steps, classes, counts, starts, top = kept.stack
     dtype = np.int64 if max(nums) * top < 2**63 else object
     scores = np.add.reduceat(counts.astype(dtype, copy=False) * np.array(nums, dtype)[classes, None], starts, axis=0)
     changed = np.flatnonzero(scores.argmax(axis=1) != kept.choice[steps])
-    return int(changed[0]) if len(changed) else len(steps)
+    return int(at[changed[0]]) if len(changed) else len(kept.path)
 
 
 class _Patterns:
@@ -411,7 +422,7 @@ def _path(system: LinSystem, template: Template, side: int):
     # the rhs plus the key parts of the slots already fixed, per row
     known = tables.rhs_map[view.rows(enc.rhs)].astype(np.int64)
     kept.stack = kept.assigned = None
-    del kept.path[start:]
+    del kept.path[start:], kept.tied[start:]
     for step, x in enumerate(np.flatnonzero(indptr[1:] > indptr[:-1]).tolist()):
         own = slice(indptr[x], indptr[x + 1])
         rows = eqs[own]
@@ -419,6 +430,7 @@ def _path(system: LinSystem, template: Template, side: int):
             cls, counts = _class_hits(kept, patterns, rows, shape[own], known[rows])
             kept.choice[x] = _best([nums[c] for c in cls.tolist()], counts)
             kept.path.append((x, cls, counts))
+            kept.tied.append(bool((counts == counts[:, :1]).all()))
         known[rows] += patterns.fixed_keys(h[kept.choice[x]])[shape[own]]
     # every slot is fixed now: shape 0, |h|^2 per hit at every value
     rows = np.arange(len(known))

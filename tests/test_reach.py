@@ -50,6 +50,7 @@ ALLOWED = {
     # each report equal to the one these build.
     "reduction.planted": "the public optimum and planted families; the pipeline checks its cap with the op's caps",
     "decoder.alpha": "the public alpha at (delta, eps); the reports take it at the kappa decode computed",
+    "decoder.select_omega": "the public choice of omega; decode builds its choice once, with the entry indices",
     "decoder._edge_terms": "item 5's decode report will call it",
     "decoder.trivial_term_bound": "item 5's decode report will call it",
     "decoder.high_degree_mass": "item 5's decode report will call it",

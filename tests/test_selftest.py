@@ -16,7 +16,7 @@ def test_check(check):
 
 def test_check_names_are_unique():
     ids = [c.id for c in selftest.registry()]
-    assert len(ids) == len(set(ids)) == 117
+    assert len(ids) == len(set(ids)) == 118
 
 
 def test_modules_are_the_cli_choices():

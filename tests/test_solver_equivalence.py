@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_solvers as ref
@@ -279,6 +279,34 @@ def test_the_batched_path_check_finds_the_first_changed_step(system, side, data)
         for nums in (warm.arrays.numerators[0], huge):
             assert solvers._first_changed(kept, nums) == ref.first_changed(kept.path, kept.choice, nums)
         assert derandomize(warm, t, side) == ref.derandomize(warm, t, side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=small_systems(), side=st.sampled_from((1, 2)), data=st.data())
+def test_the_path_check_scores_only_untied_steps(system, side, data):
+    # paths that mix weight-free ties (every value has the same hits in
+    # every weight class) with other steps: the flags mark exactly the tied
+    # steps, the check stacks only the others, and it finds what a
+    # step-by-step scan finds, under random weights and after a flip
+    # rescored the path
+    t = system.template
+    derandomize(system, t, side)
+    tied = solvers._counts(system, side).tied
+    assume(any(tied) and not all(tied))
+    n = len(system.arrays.weights)
+    used = np.bincount(system.arrays.weight_class, minlength=n).tolist()
+    for _ in range(4):
+        raw = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        warm = reweighed(system, [Fraction(r, sum(map(int.__mul__, raw, used))) for r in raw])
+        kept = solvers._counts(warm, side)
+        nums = data.draw(st.lists(st.sampled_from((0, 1, 2, 3, 2**62, 2**70)), min_size=n, max_size=n))
+        for numerators in (warm.arrays.numerators[0], nums):
+            assert solvers._first_changed(kept, numerators) == ref.first_changed(kept.path, kept.choice, numerators)
+        assert derandomize(warm, t, side) == ref.derandomize(warm, t, side)
+        assert kept.tied == [all(len(set(row)) == 1 for row in counts.tolist()) for _, _, counts in kept.path]
+        solvers._first_changed(kept, nums)
+        untied = [step for step, flag in enumerate(kept.tied) if not flag]
+        assert (kept.stack[0].tolist() if kept.stack else []) == untied
 
 
 @pytest.mark.parametrize("side", (1, 2))

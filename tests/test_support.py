@@ -31,6 +31,7 @@ from grouplin import (
     derandomize_strategy,
     derandomized_value,
     groups,
+    io,
     make_context,
     payoff_distribution,
     projection_family,
@@ -345,10 +346,11 @@ def test_a_warm_pipeline_evaluates_nothing(monkeypatch):
     warm = [run_pipeline(lc, t, eps, delta) for eps in sweep]
     assert calls == []
     # no template hash is computed again, one kept family is looked up per
-    # payoff, and no step of the kept path is checked on its own, as no
-    # choice flips
+    # payoff read (the completeness's identity row and the decoder's
+    # distribution), and no step of the kept path is checked on its own, as
+    # no choice flips
     assert hashes == [] and bests == []
-    assert len(payoffs) == 2 * len(sweep) and len(keys) <= len(payoffs)
+    assert len(keys) == 2 * len(sweep) and len(payoffs) == len(sweep)
     # the labeling search's cap is still read on every call
     labelings = len(lc.d_labels) ** len(lc.u_names) * len(lc.e_labels) ** len(lc.v_names) * len(lc.edges)
     monkeypatch.setenv("GROUPLIN_CAP", str(labelings - 1))
@@ -650,3 +652,76 @@ def test_a_warm_build_checks_only_its_weights(monkeypatch):
             build_system(lc, t, ReductionParams(eps))
     reduction._support.cache_clear()
     assert passes == [31104, *rows]
+
+
+def _random_family(lc, t, side, seed):
+    """A family of seeded random tables into the side's group."""
+    sup, rng = reduction.support(lc, t), np.random.default_rng(seed)
+    order = len(t.g1 if side == 1 else t.g2)
+    a_tables = {v: rng.integers(order, size=sup.pe.n) for v in lc.v_names}
+    return AssignmentFamily(side, a_tables, {u: rng.integers(order, size=sup.pd.n) for u in lc.u_names})
+
+
+@pytest.mark.parametrize("tname", sorted(catalog.templates()))
+@pytest.mark.parametrize("lc_name", ("lc_tiny", "lc1"))
+def test_the_completeness_row_is_the_identity_mass(tname, lc_name):
+    # evaluate_family weighs the identity's row of the kept counts alone:
+    # the payoff distribution's identity mass, 0 where it has none, for
+    # planted and random families of both sides, warm and cold
+    t, lc = catalog.template(tname), catalog.label_cover(lc_name)
+    planted_families = reduction.planted(lc, t)[1:]
+    for side in (1, 2):
+        identity = (t.g1 if side == 1 else t.g2).identity
+        for family in (planted_families[side - 1], *(_random_family(lc, t, side, seed) for seed in (1, 2))):
+            for eps in (EPS1, EPS2, EPS1):
+                params = ReductionParams(eps)
+                expect = payoff_distribution(lc, t, params, family, side).get(identity, Fraction(0))
+                assert reduction.evaluate_family(lc, t, params, family, side) == expect
+                reduction._support.cache_clear()
+                assert reduction.evaluate_family(lc, t, ReductionParams(eps), family, side) == expect
+
+
+def test_a_warm_catalog_op_scores_no_path_step():
+    # every step of every catalog pair's side-2 path is a weight-free tie,
+    # so the path check a warm op makes stacks no step
+    for t, lc_name in ((t, name) for t in catalog.templates().values() for name in ("lc_tiny", "lc1")):
+        lc = catalog.label_cover(lc_name)
+        for eps in (EPS1, EPS2):
+            run_pipeline(lc, t, eps, DELTA)
+        kept = solvers._counts(build_system(lc, t, ReductionParams(EPS2)), 2)
+        assert kept.path and all(kept.tied) and kept.stack == ()
+
+
+def test_a_returned_strategy_shares_no_kept_map():
+    # decode's strategy holds copies of the kept outcome's maps, which are
+    # read-only: changing the copies changes no later report, and the kept
+    # maps refuse a change and still render as JSON
+    t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
+    expect = copy.deepcopy(run_pipeline(lc, t, EPS1, DELTA))
+    strategy, _, _ = decode(make_context(lc, t, EPS1, DELTA, reduction.planted(lc, t)[2]))
+    kept = strategy.decoded
+    assert strategy == decoder.Strategy(kept.v_probs, kept.u_probs, strategy.kappa, strategy.leftover)
+    for maps in (strategy.v_probs, strategy.u_probs):
+        for probs in maps.values():
+            probs[next(iter(probs))] = 0.75
+        maps["extra"] = {}
+    for maps in (kept.v_probs, kept.u_probs):
+        with pytest.raises(TypeError):
+            next(iter(maps.values()))["x"] = 0.5
+        with pytest.raises(TypeError):
+            maps["extra"] = {}
+    assert run_pipeline(lc, t, EPS1, DELTA) == expect
+    assert io.jsonable(kept.v_probs) == io.jsonable(expect["decoder"]["strategy"]["v_probs"])
+
+
+@pytest.mark.parametrize("side", (1, 2))
+def test_a_family_that_never_pays_completes_to_zero(side):
+    # A = (12) everywhere on s3_a3_incl folds to a product outside A3 at every
+    # tuple: the identity's row of the counts is all zero
+    t, lc = catalog.template("s3_a3_incl"), catalog.label_cover("lc_tiny")
+    sup = reduction.support(lc, t)
+    family = AssignmentFamily(side, {"v0": np.full(sup.pe.n, 1)}, {"u0": np.zeros(sup.pd.n, dtype=int)})
+    params = ReductionParams(EPS1)
+    assert 0 not in payoff_distribution(lc, t, params, family, side)
+    value = reduction.evaluate_family(lc, t, params, family, side)
+    assert value == 0 and isinstance(value, Fraction)
