@@ -359,7 +359,9 @@ class Decoded:
 @dataclass(frozen=True)
 class Strategy:
     """Sub-probability label distributions per vertex, plus the leftover rule.
-    ``decoded`` is the kept outcome a ``decode`` read the maps from."""
+    ``decoded`` is the kept outcome a ``decode`` read the maps from; the
+    maps of a strategy ``decode`` returns were checked when they were kept
+    (``_kept_strategy``)."""
 
     v_probs: dict
     u_probs: dict

@@ -374,7 +374,7 @@ def test_one_run_computes_each_eta_once(monkeypatch):
     reps.eta.cache_clear()
     for eps in (EPS, Fraction(1, 9), EPS):
         run_pipeline(lc, t, eps, DELTA)
-    # select_omega asks for eta of each non-trivial omega and of the winner;
+    # the choice of omega asks for eta of each non-trivial omega and of the winner;
     # the reciprocity check runs once per omega, in the first run
     omegas = catalog.template("s3_a3_incl").g2
     assert [omega for omega, _ in checks] == list(irreps(omegas).irreps[1:])

@@ -44,7 +44,9 @@ METHODS = ("brute", "expect", "derand", "noncubic")
 
 def _families(workdir: Path) -> None:
     """The decode inputs of every pair: its planted side-2 family, and that
-    family with the first right table's second entry moved by one."""
+    family with the first right table's second entry moved by one; and an
+    all-zero family of z2_id/lc1, below the promise threshold."""
+    _write(workdir / "zeros_z2_id_lc1.json", {"A": {"v0": [0, 0]}, "B": {"u0": [0, 0, 0, 0]}, "side": "g2"})
     for t in TEMPLATES:
         template = catalog.template(t)
         for name in INSTANCES:
@@ -66,7 +68,6 @@ def _assignments(workdir: Path) -> None:
             _, proj1, proj2 = reduction.planted(lc, template)
             for side, family in ((1, proj1), (2, proj2)):
                 _write(workdir / f"assign{side}_{t}_{name}.json", reduction.family_assignment(lc, template, family))
-    _write(workdir / "zeros_z2_id_lc1.json", {"A": {"v0": [0, 0]}, "B": {"u0": [0, 0, 0, 0]}, "side": "g2"})
 
 
 def _write(path: Path, obj) -> None:
