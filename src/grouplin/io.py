@@ -450,7 +450,7 @@ def obj_to_family(obj) -> AssignmentFamily:
 
 def _tables(obj: dict, key: str) -> dict:
     tables = _object(obj.get(key), f'"{key}"')
-    return {name: _integers(_list(tables, name), f"a {key} table value") for name in tables}
+    return {name: _integers(_list(tables, name), f"a value in the {key} table of vertex {name!r}") for name in tables}
 
 
 def load_family(path: str) -> AssignmentFamily:

@@ -62,11 +62,12 @@ from .reduction import (
     payoff_distribution,
     planted,
     projection_family,
+    side_view,
     support,
 )
 from .reps import eta, irreps, multiplicity, regular_representation
 from .solvers import brute_force_opt, derandomize, derandomized_value, non_cubic_solve, random_expectation
-from .solvers import _best, _counts, _first_changed
+from .solvers import _counts
 
 GROUP_NAMES = ("z2", "z3", "z4", "z2xz2", "s3", "d4", "q8", "s4")
 
@@ -605,8 +606,8 @@ def flipping_systems():
 
 
 def _check_weight_flip(seed):
-    # weights that flip a choice make derandomize rescore its kept path from
-    # there; the rescored path and its assignment's counts are a cold solve's
+    # weights that flip a choice make derandomize walk again; the new walk
+    # and its assignment's counts are a cold solve's
     t, one, two = flipping_systems()
     bad, flips = 0, 0
     for side in (1, 2):
@@ -621,39 +622,49 @@ def _check_weight_flip(seed):
 
 
 def _check_path_check(seed):
-    # the one-pass check of derandomize's kept path finds the first changed
-    # step as a ``_best`` scan does, on the flipping systems and a catalog sweep
+    # derandomize reuses its kept walk where every untied step still picks
+    # its choice, and walks again otherwise. The flipping systems' weights
+    # flip y, so each warm solve walks again, as a cold solve does; on a
+    # doubled-instance sweep every step ties, so each solve with a kept walk
+    # reuses it (all but the first per template and side, at least), and
+    # its value is the random expectation
     t, one, two = flipping_systems()
-    cases = [(system, side) for system in (one, two, one) for side in (1, 2)]
+    bad, walks, reused = 0, 0, 0
+    for system, side in itertools.product((one, two, one), (1, 2)):
+        end = _counts(system, side).assigned
+        got = derandomize(system, t, side)
+        walks += _counts(system, side).assigned is not end
+        bad += got != derandomize(LinSystem.from_arrays(t, system.variables, system.arrays), t, side)
     for t in catalog.templates().values():
         for eps in _sweep(seed) + [Fraction(len(t.g1), len(t.g1) + 1)]:
-            cases += [(build_system(doubled_tiny(), t, ReductionParams(eps)), side) for side in (1, 2)]
-    bad, changed = 0, 0
-    for system, side in cases:
-        kept = _counts(system, side)
-        nums = system.arrays.numerators[0]
-        flips = [_best([nums[c] for c in cls], counts) != kept.choice[x] for x, cls, counts in kept.path]
-        scan = flips.index(True) if any(flips) else len(flips)
-        bad += _first_changed(kept, nums) != scan
-        changed += scan < len(kept.path)
-        derandomize(system, system.template, side)
-    return bad == 0 and changed >= 4, float(bad), f"{len(cases)} checks, {changed} with a changed step"
+            system = build_system(doubled_tiny(), t, ReductionParams(eps))
+            for side in (1, 2):
+                kept = _counts(system, side)
+                end = kept.assigned
+                value = derandomized_value(system, t, side)
+                reused += end is not None and kept.assigned is end
+                bad += bool(kept.untied) or (end is not None and kept.assigned is not end)
+                bad += value != random_expectation(system, t, side)
+    detail = f"{walks} walks in 6 flipping solves, {reused} doubled solves reuse a walk"
+    return bad == 0 and walks == 6 and reused >= 40, float(bad), detail
 
 
 def _check_tied_path_martingale(seed):
     # a step where every value has the same hits in every weight class
     # keeps the conditional expectation, so where every step of the kept
-    # path ties, the derandomized value is the random expectation, exactly;
-    # the two are weighed from independent counts (the path's end and the
-    # expectation's totals). Every step ties on these pairs.
+    # walk ties, the derandomized value is the random expectation, exactly;
+    # the two are weighed from independent counts (the walk's end and the
+    # expectation's totals). Every step ties on these pairs: one per
+    # variable the view's incidence gives rows.
     bad, cases, steps = 0, 0, 0
     for t, name in itertools.product(catalog.templates().values(), ("lc_tiny", "lc1")):
         for eps in (Fraction(1, 8), Fraction(3, 17), Fraction(1, 4001)):
             system = build_system(catalog.label_cover(name), t, ReductionParams(eps))
             for side in (1, 2):
                 value, kept = derandomized_value(system, t, side), _counts(system, side)
-                bad += not all(kept.tied) or value != random_expectation(system, t, side)
-                cases, steps = cases + 1, steps + sum(kept.tied)
+                indptr = side_view(system, side).memo["incidence"][2]
+                bad += bool(kept.untied) or value != random_expectation(system, t, side)
+                cases, steps = cases + 1, steps + int(np.count_nonzero(np.diff(indptr)))
     return bad == 0, float(bad), f"{cases} cases, {steps} tied steps"
 
 

@@ -11,11 +11,13 @@ per weight class: the equations of one row share its key and so its hits,
 and each is counted under its own weight class. No weight enters the hits,
 and a system's weight classes stay the same for its lifetime (the exact
 systems of one support share theirs), so the view's memo keeps them:
-``random_expectation``'s totals, and ``derandomize``'s path with the hits
+``random_expectation``'s totals, and ``derandomize``'s walk with the hits
 of the assignment it ends in. A call weighs them with the weights' integer
-numerators; ``derandomize`` checks its path in one pass and rescores it
-from the first choice that changes. A step where every value has the same
-hits in every weight class ties under any weights, so the check skips it.
+numerators. A step where every value has the same hits in every weight
+class ties under any weights, so the walk keeps only its untied steps: where
+each still picks its choice, the kept walk is reused whole, else redone.
+Every step ties on the catalog's 30 pair x side cases and on the doubled
+instance, so there a warm call scores no step.
 """
 
 from __future__ import annotations
@@ -95,18 +97,17 @@ class _Counts:
     classes.
 
     ``totals`` holds ``random_expectation``'s hits over the whole grid, as
-    (weight class, hits) pairs. ``derandomize``'s path holds, per variable
-    that rows touch, in order, a step: the variable, the weight classes of
-    its rows' equations, ascending, and their int64 hit counts, [classes x
-    |h|], per value of the variable given the values chosen before it.
-    ``tied`` flags, per step, a weight-free tie: every value has the same
-    hits in every weight class, so the step scores equally under any
-    weights and ``_best`` keeps index 0. ``choice`` holds each variable's
-    choice, an index into the constants subgroup (0 where no row touches
-    it). ``assigned`` holds the hits of the assignment the path ends in,
-    times |h|^2, as (weight class, hits) pairs; it is None until ``_path``
-    has walked a new path to its end. ``stack`` is the path's untied steps
-    as ``_first_changed`` scores them, and () where every step ties."""
+    (weight class, hits) pairs. ``derandomize`` walks the variables that
+    rows touch, in order; a step scores one variable by the hits, per weight
+    class of its rows' equations and value, given the values chosen before
+    it. ``choice`` holds each variable's choice, an index into the
+    constants subgroup (0 where no row touches it). ``untied`` holds the
+    walk's steps that are not weight-free ties, as the variable, the weight
+    classes, ascending, and their int64 hit counts, [classes x |h|]; a tied
+    step, where every value has the same hits in every weight class, keeps
+    index 0 under any weights. ``assigned`` holds the hits of the assignment
+    the walk ends in, times |h|^2, as (weight class, hits) pairs; it is None
+    until ``_path`` has walked to the end."""
 
     def __init__(self, system: LinSystem, side: int):
         enc, view = system.arrays, side_view(system, side)
@@ -116,9 +117,8 @@ class _Counts:
             size = np.bincount(view.group, minlength=len(view.rep))
             self.cls = _small(enc.weight_class[view.order], self.n_cls)
             self.start, self.size = _small(np.cumsum(size) - size, len(enc)), _small(size, int(size.max()))
-        self.totals, self.assigned, self.stack = None, None, None
-        self.path: list = []
-        self.tied: list[bool] = []
+        self.totals, self.assigned = None, None
+        self.untied: list = []
         self.choice = np.zeros(len(system.variables), dtype=np.int64)
 
     def count(self, rows: np.ndarray, pos: np.ndarray, hits: np.ndarray):
@@ -174,29 +174,11 @@ def _best(nums: list[int], counts: np.ndarray) -> int:
     return scores.index(max(scores))
 
 
-def _first_changed(kept: _Counts, nums: list[int]) -> int:
-    """The first step of the kept path whose choice is not ``_best`` under
-    the numerators ``nums``, or the path's length. A tied step keeps its
-    choice under any numerators, so only the others are scored, in one
-    pass, in int64 where it cannot overflow, else in Python ints; where
-    every step ties, none is."""
-    if kept.stack is None:
-        at = [i for i, tied in enumerate(kept.tied) if not tied]
-        kept.stack = ()
-        if at:
-            path = [kept.path[i] for i in at]
-            counts = np.concatenate([c for _, _, c in path])
-            starts = np.cumsum([0] + [len(c) for _, _, c in path[:-1]])
-            top = max(1, int(np.add.reduceat(counts, starts, axis=0).max()))
-            classes = np.concatenate([c for _, c, _ in path])
-            kept.stack = np.array(at), np.array([x for x, _, _ in path]), classes, counts, starts, top
-    if not kept.stack:
-        return len(kept.path)
-    at, steps, classes, counts, starts, top = kept.stack
-    dtype = np.int64 if max(nums) * top < 2**63 else object
-    scores = np.add.reduceat(counts.astype(dtype, copy=False) * np.array(nums, dtype)[classes, None], starts, axis=0)
-    changed = np.flatnonzero(scores.argmax(axis=1) != kept.choice[steps])
-    return int(at[changed[0]]) if len(changed) else len(kept.path)
+def _holds(kept: _Counts, nums: list[int]) -> bool:
+    """Whether every untied step of the kept walk still picks its choice as
+    ``_best`` under the numerators ``nums``, so that the walk holds for
+    them: a tied step keeps its choice under any numerators."""
+    return all(_best([nums[c] for c in cls.tolist()], counts) == kept.choice[x] for x, cls, counts in kept.untied)
 
 
 class _Patterns:
@@ -388,8 +370,8 @@ def derandomize(system: LinSystem, template: Template, side: int) -> dict[str, i
     are fixed, x is unknown 0, and later ones are unknowns 1 and 2, uniform
     on the constants subgroup. Scores are weight numerators over the
     weights' common denominator times hits, so they compare exactly. The
-    path of hits per weight class is kept with the view: a call checks its
-    choices in one pass and rescores it from the first that changed.
+    walk's untied steps are kept with the view: a call reuses the walk
+    where they hold, and walks again from the first variable otherwise.
     """
     kept, h = _path(system, template, side)
     return {x: int(val) for x, val in zip(system.variables, h[kept.choice])}
@@ -403,14 +385,13 @@ def derandomized_value(system: LinSystem, template: Template, side: int) -> Frac
 
 
 def _path(system: LinSystem, template: Template, side: int):
-    """The view's ``_Counts`` with ``derandomize``'s path for the system's
-    weights, and the constants subgroup. From the first step whose choice
-    is no longer best, the kept path is replaced and its end counted."""
+    """The view's ``_Counts`` with ``derandomize``'s walk for the system's
+    weights, and the constants subgroup. Where the kept walk does not hold
+    for them, the whole walk is redone and its end counted."""
     tables, h = _side(system, template, side)
     kept = _counts(system, side)
     nums = system.arrays.numerators[0]
-    start = _first_changed(kept, nums)
-    if start == len(kept.path) and kept.assigned is not None:
+    if kept.assigned is not None and _holds(kept, nums):
         return kept, h
     patterns = _Patterns(tables, h)
     enc, view = system.arrays, side_view(system, side)
@@ -421,16 +402,14 @@ def _path(system: LinSystem, template: Template, side: int):
     eqs, shape, indptr = view.memo["incidence"]
     # the rhs plus the key parts of the slots already fixed, per row
     known = tables.rhs_map[view.rows(enc.rhs)].astype(np.int64)
-    kept.stack = kept.assigned = None
-    del kept.path[start:], kept.tied[start:]
-    for step, x in enumerate(np.flatnonzero(indptr[1:] > indptr[:-1]).tolist()):
+    kept.assigned, kept.untied = None, []
+    for x in np.flatnonzero(indptr[1:] > indptr[:-1]).tolist():
         own = slice(indptr[x], indptr[x + 1])
         rows = eqs[own]
-        if step >= start:
-            cls, counts = _class_hits(kept, patterns, rows, shape[own], known[rows])
-            kept.choice[x] = _best([nums[c] for c in cls.tolist()], counts)
-            kept.path.append((x, cls, counts))
-            kept.tied.append(bool((counts == counts[:, :1]).all()))
+        cls, counts = _class_hits(kept, patterns, rows, shape[own], known[rows])
+        kept.choice[x] = _best([nums[c] for c in cls.tolist()], counts)
+        if not (counts == counts[:, :1]).all():
+            kept.untied.append((x, cls, counts))
         known[rows] += patterns.fixed_keys(h[kept.choice[x]])[shape[own]]
     # every slot is fixed now: shape 0, |h|^2 per hit at every value
     rows = np.arange(len(known))

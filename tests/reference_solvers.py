@@ -126,13 +126,38 @@ def derandomize(system, template, side):
 
 
 def first_changed(path, choice, nums):
-    """The first step of a kept ``derandomize`` path whose choice is not the
-    best under the weight class numerators ``nums``, or the path's length.
-    Step by step, as ``solvers._best`` scores one step: per value, the sum
-    of ``nums[c]`` times the step's count for weight class c, in Python
-    ints, the smallest value on ties."""
+    """The first step of a kept ``derandomize`` walk (steps of variable,
+    weight classes and counts) whose choice is not the best under the
+    weight class numerators ``nums``, or the walk's length. Step by step,
+    as ``solvers._best`` scores one step: per value, the sum of ``nums[c]``
+    times the step's count for weight class c, in Python ints, the smallest
+    value on ties."""
     for step, (x, classes, counts) in enumerate(path):
         scores = [sum(nums[c] * int(n) for c, n in zip(classes, col)) for col in counts.T.tolist()]
         if scores.index(max(scores)) != choice[x]:
             return step
     return len(path)
+
+
+def untied_variables(system, template, side, assignment):
+    """The variables, in order, whose ``derandomize`` step is not a
+    weight-free tie: with the variables before it fixed as in
+    ``assignment`` and later ones uniform on the constants subgroup, the
+    equations of some weight class that touch it hit with different
+    probabilities at two of its values."""
+    _, h = _side_group(template, side)
+    classes = system.arrays.weight_class.tolist()
+    out, fixed = [], {}
+    for x in system.variables:
+        touching = [k for k, eq in enumerate(system.equations) if any(v == x for v, _ in eq.terms)]
+        probs = {}  # (weight class, value) -> summed hit probability
+        for elem in h.members:
+            for k in touching:
+                key = classes[k], elem
+                probs[key] = probs.get(key, 0) + _equation_probability(
+                    system, system.equations[k], side, {**fixed, x: elem}, h.members
+                )
+        if any(len({probs[c, elem] for elem in h.members}) > 1 for c in {classes[k] for k in touching}):
+            out.append(x)
+        fixed[x] = assignment[x]
+    return out

@@ -490,6 +490,17 @@ def test_decode_and_pipeline_reject_out_of_range_family_values(tmp_path, capsys,
         assert "outside" in err
 
 
+def test_a_nested_family_table_names_its_table_and_vertex(tmp_path, capsys):
+    t, lc = catalog.template("z2_id"), catalog.label_cover("lc_tiny")
+    fam = io.family_to_obj(projection_family(lc, t, {"u0": "d0"}, {"v0": "e0"}, side=2))
+    fam["A"]["v0"] = [fam["A"]["v0"][:2], *fam["A"]["v0"][2:]]
+    fam_path = write(tmp_path, "family.json", fam)
+    common = ["--template", "z2_id", "--family", fam_path, "--eps", "1/4", "--delta", "1/4"]
+    code, out, err = run(capsys, "decode", "lc_tiny", *common)
+    assert (code, out) == (2, "")
+    assert "a value in the A table of vertex 'v0' must be an integer, got [0, 1]" in err
+
+
 def test_invalid_eps_exit_code(tmp_path, capsys):
     lc_path = write(tmp_path, "lc.json", io.lc_to_obj(catalog.label_cover("lc1")))
     code, _, _ = run(capsys, "reduce", lc_path, "--template", "z2_id", "--eps", "0")

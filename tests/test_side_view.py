@@ -214,8 +214,8 @@ def test_python_int_numerators_are_summed_per_group():
 
 
 def assert_path_classes(system, side):
-    """Each step of the kept path holds counts for exactly the weight
-    classes of the equations in the view rows touching its variable,
+    """Each untied step of the kept walk holds counts for exactly the
+    weight classes of the equations in the view rows touching its variable,
     ascending, one column per element of the constants subgroup."""
     enc, t = system.arrays, system.template
     width = len(t.h1 if side == 1 else t.h2)
@@ -223,7 +223,8 @@ def assert_path_classes(system, side):
     view = side_view(system, side)
     row = np.arange(len(enc)) if view.group is None else view.group
     var_ids = view.rows(enc.var_ids)
-    for x, cls, counts in kept.path:
+    assert kept.untied
+    for x, cls, counts in kept.untied:
         touching = (var_ids == x).any(axis=1)
         assert cls.tolist() == np.unique(enc.weight_class[touching[row]]).tolist()
         assert counts.shape == (len(cls), width)
@@ -281,7 +282,7 @@ def test_rows_that_share_weight_classes_are_kept_per_weight_class():
         assert random_expectation(system, t, side) == ref.random_expectation(system, t, side)
         assert_path_classes(system, side)
         # some step counts the equations of more than one weight class
-        assert max(len(q) for _, q, _ in solvers._counts(system, side).path) > 1
+        assert max(len(q) for _, q, _ in solvers._counts(system, side).untied) > 1
 
 
 def test_memory_stays_linear_in_thousands_of_weight_classes():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_solvers as ref
@@ -175,58 +175,66 @@ def cold(system):
     return LinSystem.from_arrays(system.template, system.variables, system.arrays)
 
 
-@pytest.mark.parametrize("side", (1, 2))
-def test_weights_that_flip_a_middle_variable_replace_the_kept_tail(side, monkeypatch):
-    t, one, two = flipping_systems()
+def _counting_lookups(monkeypatch):
+    """Patch ``_Patterns.lookup`` to record its calls: the sizes of the
+    lookups of a variable's rows, where it is unknown 0, and of the
+    all-fixed rows (shape 0) that count the assignment a walk ends in."""
     lookups, assigned = [], []
     lookup = solvers._Patterns.lookup
 
     def counting(self, shape, known):
-        # a variable's rows hold it as unknown 0; all-fixed rows (shape 0)
-        # count the assignment the path ends in
         (lookups if shape.any() else assigned).append(len(shape))
         return lookup(self, shape, known)
 
     monkeypatch.setattr(solvers._Patterns, "lookup", counting)
+    return lookups, assigned
+
+
+@pytest.mark.parametrize("side", (1, 2))
+def test_a_flip_costs_one_full_walk_and_the_same_weights_none(side, monkeypatch):
+    # the second system's weights flip y: each switch between the systems
+    # walks x, y and z again, one block each, and counts the new assignment
+    # once over every view row; a call with the kept weights looks nothing up
+    t, one, two = flipping_systems()
+    lookups, assigned = _counting_lookups(monkeypatch)
     expect = {"x": 1, "y": 1, "z": 0}, {"x": 1, "y": 2, "z": 1}
-    for system, assignment, scored in ((one, expect[0], 3), (two, expect[1], 2), (one, expect[0], 2)):
+    rows = len(side_view(one, side).rows(one.arrays.rhs))
+    calls = (one, expect[0], 3), (two, expect[1], 3), (one, expect[0], 3), (one, expect[0], 0)
+    for system, assignment, walked in calls:
         lookups.clear()
         assigned.clear()
         got = derandomize(system, t, side)
-        # x keeps its kept choice; y and z, one block each, are rescored,
-        # and the new assignment is counted once, over every view row
-        rows = len(side_view(system, side).rows(system.arrays.rhs))
-        assert len(lookups) == scored and assigned == [rows]
+        assert len(lookups) == walked and assigned == [rows] * (walked > 0)
         assert got == assignment == ref.derandomize(system, t, side)
         # the value is read from the kept counts, with no lookup
         assert derandomized_value(system, t, side) == evaluate(system, got, side)
-        assert len(lookups) == scored and assigned == [rows]
+        assert len(lookups) == walked and assigned == [rows] * (walked > 0)
         assert random_expectation(system, t, side) == ref.random_expectation(system, t, side)
     assert one._side_views is two._side_views
 
 
 @pytest.mark.parametrize("side", (1, 2))
 def test_an_interrupted_rescore_is_finished_by_the_next_call(side, monkeypatch):
-    # the second system rescores y, then z; stopped at z, the path ends
-    # after y and the old assignment's counts are gone. The kept path is
-    # checked in one pass, so every ``_best`` call is the rescore loop's.
+    # the second system's weights flip y, so it walks again; stopped at z,
+    # the walk has no end counted, and the next call walks it whole
     t, one, two = flipping_systems()
     derandomize(one, t, side)
-    calls, best = [], solvers._best
+    lookups, assigned = _counting_lookups(monkeypatch)
+    counting = solvers._Patterns.lookup
 
-    def stopping(nums, counts):
-        calls.append(nums)
-        if len(calls) == 2:  # y rescored, then z
+    def stopping(self, shape, known):
+        if len(lookups) == 2:  # x and y walked, then z
             raise KeyboardInterrupt
-        return best(nums, counts)
+        return counting(self, shape, known)
 
-    monkeypatch.setattr(solvers, "_best", stopping)
+    monkeypatch.setattr(solvers._Patterns, "lookup", stopping)
     with pytest.raises(KeyboardInterrupt):
         derandomize(two, t, side)
-    monkeypatch.setattr(solvers, "_best", best)
-    kept = solvers._counts(two, side)
-    assert [x for x, _, _ in kept.path] == [0, 1] and kept.assigned is None and kept.stack is None
+    assert solvers._counts(two, side).assigned is None
+    monkeypatch.setattr(solvers._Patterns, "lookup", counting)
+    lookups.clear()
     assert derandomize(two, t, side) == ref.derandomize(two, t, side)
+    assert len(lookups) == 3 and len(assigned) == 1
     assert derandomized_value(two, t, side) == evaluate(two, ref.derandomize(two, t, side), side)
 
 
@@ -262,51 +270,29 @@ def test_derandomized_values_over_one_shared_view_match_the_reference(system, si
 
 @settings(max_examples=80, deadline=None)
 @given(system=small_systems(), side=st.sampled_from((1, 2)), data=st.data())
-def test_the_batched_path_check_finds_the_first_changed_step(system, side, data):
-    # weights from a few values, so that scores tie and choices flip; the
-    # check of the kept path and the rescored assignment equal a
-    # step-by-step scan and the reference
-    t = system.template
-    n = len(system.arrays.weights)
-    used = np.bincount(system.arrays.weight_class, minlength=n).tolist()
-    derandomize(system, t, side)
-    for _ in range(4):
-        raw = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-        warm = reweighed(system, [Fraction(r, sum(map(int.__mul__, raw, used))) for r in raw])
-        kept = solvers._counts(warm, side)
-        # numerators whose scores pass int64 are scored in Python ints, ties included
-        huge = data.draw(st.lists(st.sampled_from((0, 1, 2**61, 2**62 - 1, 2**62, 2**70)), min_size=n, max_size=n))
-        for nums in (warm.arrays.numerators[0], huge):
-            assert solvers._first_changed(kept, nums) == ref.first_changed(kept.path, kept.choice, nums)
-        assert derandomize(warm, t, side) == ref.derandomize(warm, t, side)
-
-
-@settings(max_examples=60, deadline=None)
-@given(system=small_systems(), side=st.sampled_from((1, 2)), data=st.data())
 def test_the_path_check_scores_only_untied_steps(system, side, data):
-    # paths that mix weight-free ties (every value has the same hits in
-    # every weight class) with other steps: the flags mark exactly the tied
-    # steps, the check stacks only the others, and it finds what a
-    # step-by-step scan finds, under random weights and after a flip
-    # rescored the path
+    # weights from a few values, so that scores tie and choices flip: the
+    # kept walk holds exactly where a step-by-step scan of its untied steps
+    # finds no changed choice, under the weights and under numerators up
+    # to 2^70; the warm solve and its value are the reference's, and the
+    # untied steps are exactly those whose counts are not all equal
     t = system.template
-    derandomize(system, t, side)
-    tied = solvers._counts(system, side).tied
-    assume(any(tied) and not all(tied))
     n = len(system.arrays.weights)
     used = np.bincount(system.arrays.weight_class, minlength=n).tolist()
+    derandomize(system, t, side)
     for _ in range(4):
         raw = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
         warm = reweighed(system, [Fraction(r, sum(map(int.__mul__, raw, used))) for r in raw])
         kept = solvers._counts(warm, side)
-        nums = data.draw(st.lists(st.sampled_from((0, 1, 2, 3, 2**62, 2**70)), min_size=n, max_size=n))
-        for numerators in (warm.arrays.numerators[0], nums):
-            assert solvers._first_changed(kept, numerators) == ref.first_changed(kept.path, kept.choice, numerators)
-        assert derandomize(warm, t, side) == ref.derandomize(warm, t, side)
-        assert kept.tied == [all(len(set(row)) == 1 for row in counts.tolist()) for _, _, counts in kept.path]
-        solvers._first_changed(kept, nums)
-        untied = [step for step, flag in enumerate(kept.tied) if not flag]
-        assert (kept.stack[0].tolist() if kept.stack else []) == untied
+        huge = data.draw(st.lists(st.sampled_from((0, 1, 2, 3, 2**61, 2**62, 2**70)), min_size=n, max_size=n))
+        for nums in (warm.arrays.numerators[0], huge):
+            scan = ref.first_changed(kept.untied, kept.choice, nums) == len(kept.untied)
+            assert solvers._holds(kept, nums) == scan
+        assignment = ref.derandomize(warm, t, side)
+        assert derandomize(warm, t, side) == assignment
+        assert derandomized_value(warm, t, side) == evaluate(warm, assignment, side)
+        untied = [warm.variables[x] for x, _, _ in kept.untied]
+        assert untied == ref.untied_variables(warm, t, side, assignment)
 
 
 @pytest.mark.parametrize("side", (1, 2))

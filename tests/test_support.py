@@ -681,15 +681,22 @@ def test_the_completeness_row_is_the_identity_mass(tname, lc_name):
                 assert reduction.evaluate_family(lc, t, ReductionParams(eps), family, side) == expect
 
 
-def test_a_warm_catalog_op_scores_no_path_step():
-    # every step of every catalog pair's side-2 path is a weight-free tie,
-    # so the path check a warm op makes stacks no step
-    for t, lc_name in ((t, name) for t in catalog.templates().values() for name in ("lc_tiny", "lc1")):
-        lc = catalog.label_cover(lc_name)
-        for eps in (EPS1, EPS2):
-            run_pipeline(lc, t, eps, DELTA)
-        kept = solvers._counts(build_system(lc, t, ReductionParams(EPS2)), 2)
-        assert kept.path and all(kept.tied) and kept.stack == ()
+def test_a_warm_catalog_op_scores_no_path_step(monkeypatch):
+    # every step of the side-2 walk is a weight-free tie on every template
+    # with lc_tiny, lc1 and the doubled instance, so a second op, at a new
+    # eps, reuses the kept walk without a ``_best`` call, and reads
+    # random_expectation's kept totals without a pattern lookup
+    calls = []
+    monkeypatch.setattr(solvers, "_best", _counting(calls, "best", solvers._best))
+    monkeypatch.setattr(solvers._Patterns, "lookup", _counting(calls, "lookup", solvers._Patterns.lookup))
+    for t in catalog.templates().values():
+        for lc in (catalog.label_cover("lc_tiny"), catalog.label_cover("lc1"), selftest.doubled_tiny()):
+            run_pipeline(lc, t, EPS1, DELTA)
+            calls.clear()
+            run_pipeline(lc, t, EPS2, DELTA)
+            assert calls == [], (t.name, lc.u_names)
+            kept = solvers._counts(build_system(lc, t, ReductionParams(EPS2)), 2)
+            assert kept.assigned is not None and kept.untied == []
 
 
 def test_a_returned_strategy_shares_no_kept_map():
