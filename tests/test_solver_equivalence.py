@@ -270,12 +270,11 @@ def test_derandomized_values_over_one_shared_view_match_the_reference(system, si
 
 @settings(max_examples=80, deadline=None)
 @given(system=small_systems(), side=st.sampled_from((1, 2)), data=st.data())
-def test_the_path_check_scores_only_untied_steps(system, side, data):
+def test_the_batched_path_check_finds_the_first_changed_step(system, side, data):
     # weights from a few values, so that scores tie and choices flip: the
-    # kept walk holds exactly where a step-by-step scan of its untied steps
-    # finds no changed choice, under the weights and under numerators up
-    # to 2^70; the warm solve and its value are the reference's, and the
-    # untied steps are exactly those whose counts are not all equal
+    # check of the kept walk holds exactly where a step-by-step scan of its
+    # untied steps finds no changed choice, under the weights and under
+    # numerators up to 2^70, and the warm solve is the reference's
     t = system.template
     n = len(system.arrays.weights)
     used = np.bincount(system.arrays.weight_class, minlength=n).tolist()
@@ -288,6 +287,23 @@ def test_the_path_check_scores_only_untied_steps(system, side, data):
         for nums in (warm.arrays.numerators[0], huge):
             scan = ref.first_changed(kept.untied, kept.choice, nums) == len(kept.untied)
             assert solvers._holds(kept, nums) == scan
+        assert derandomize(warm, t, side) == ref.derandomize(warm, t, side)
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=small_systems(), side=st.sampled_from((1, 2)), data=st.data())
+def test_the_path_check_scores_only_untied_steps(system, side, data):
+    # weights from a few values, so that scores tie and choices flip: the
+    # warm solve and its value are the reference's, and the untied steps
+    # are exactly those whose counts are not all equal
+    t = system.template
+    n = len(system.arrays.weights)
+    used = np.bincount(system.arrays.weight_class, minlength=n).tolist()
+    derandomize(system, t, side)
+    for _ in range(4):
+        raw = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        warm = reweighed(system, [Fraction(r, sum(map(int.__mul__, raw, used))) for r in raw])
+        kept = solvers._counts(warm, side)
         assignment = ref.derandomize(warm, t, side)
         assert derandomize(warm, t, side) == assignment
         assert derandomized_value(warm, t, side) == evaluate(warm, assignment, side)
