@@ -12,6 +12,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,13 +80,9 @@ def kappa(delta: Fraction, eps: Fraction) -> int:
     return value
 
 
-def alpha(delta: Fraction, eps: Fraction, g1_size: int, g2_size: int) -> Fraction:
-    """The guaranteed Label Cover value delta^2 / (4 k |G1|^k |G2|^4)."""
-    return _alpha(Fraction(delta), kappa(delta, eps), g1_size, g2_size)
-
-
-def _alpha(delta: Fraction, k: int, g1_size: int, g2_size: int) -> Fraction:
-    """``alpha`` at the truncation degree ``k``, which ``decode`` computed."""
+def alpha(delta: Fraction, k: int, g1_size: int, g2_size: int) -> Fraction:
+    """The guaranteed Label Cover value delta^2 / (4 k |G1|^k |G2|^4) at the
+    truncation degree ``k = kappa(delta, eps)``, which ``decode`` computes."""
     return Fraction(delta.numerator**2, delta.denominator**2 * 4 * k * g1_size**k * g2_size**4)
 
 
@@ -104,8 +101,6 @@ class DecoderContext:
     g2_irreps: IrrepSet
     pe: GroupPower
     pd: GroupPower
-    prod_e: tuple
-    prod_d: tuple
     z_mass: dict  # element of G2 -> Fraction
     value: Fraction
     kept: KeptFamily  # the support's side-2 entry the payoff count used
@@ -119,14 +114,15 @@ def make_context(
     family: AssignmentFamily,
     seed: int = 0,
     leftover: str = "giveup",
+    params: ReductionParams | None = None,
 ) -> DecoderContext:
-    return _context(lc, template, Fraction(eps), Fraction(delta), family, seed, leftover, None)
-
-
-def _context(lc, template, eps: Fraction, delta: Fraction, family, seed, leftover, params) -> DecoderContext:
-    """``make_context``. ``params`` are those of the op the context belongs
-    to, which bound them (``reduction.bind``) and validated eps; with None,
-    it makes and binds its own once the promise is checked."""
+    """The decoder's context for a side-2 family. ``params`` are those of
+    the op the context belongs to, which bound them (``reduction.bind``),
+    validated eps and parsed eps and delta to ``Fraction``s; with None, it
+    converts them and makes and binds its own params once the promise is
+    checked."""
+    if params is None:
+        eps, delta = Fraction(eps), Fraction(delta)
     if leftover not in ("giveup", "normalize"):
         raise InvalidParams(f"unknown leftover rule {leftover}")
     if family.side != 2:
@@ -156,17 +152,15 @@ def _context(lc, template, eps: Fraction, delta: Fraction, family, seed, leftove
         g2_irreps=g2_ir,
         pe=sup.pe,
         pd=sup.pd,
-        prod_e=product_irreps(g1_ir, lc.e_labels),
-        prod_d=product_irreps(g1_ir, lc.d_labels),
         z_mass=mass,
         value=value,
         kept=sup.families[2],
     )
 
 
-@dataclass(frozen=True)
-class OmegaChoice:
-    """The selected representation with its penalty, margin, and entry indices."""
+class OmegaChoice(NamedTuple):
+    """The selected representation with its penalty, margin, and entry
+    indices, which ``decode`` fills in."""
 
     index: int
     omega: UnitaryRep
@@ -196,14 +190,6 @@ def select_omega(ctx: DecoderContext) -> OmegaChoice:
     Raises NoOmega when every margin is negative, which means the family
     value is below the promise threshold.
     """
-    index, margin = _omega(ctx)
-    omega = ctx.g2_irreps.irreps[index]
-    return OmegaChoice(index, omega, eta(omega, ctx.template.h2), margin)
-
-
-def _omega(ctx: DecoderContext) -> tuple[int, float]:
-    """``select_omega``'s choice as the index of the representation and its
-    margin, which ``decode`` builds its ``OmegaChoice`` from."""
     margins = [penalized_margin(ctx, omega) for omega in ctx.g2_irreps.irreps[1:]]
     best = None
     for idx, margin in enumerate(margins, start=1):
@@ -215,7 +201,9 @@ def _omega(ctx: DecoderContext) -> tuple[int, float]:
             "no non-trivial representation has non-negative margin; the largest"
             f" is {margins[closest - 1]:.6g}, at irrep {closest}"
         )
-    return best
+    index, margin = best
+    omega = ctx.g2_irreps.irreps[index]
+    return OmegaChoice(index, omega, eta(omega, ctx.template.h2), margin)
 
 
 def right_table(ctx: DecoderContext, omega: UnitaryRep, v: str) -> MatrixFn:
@@ -243,12 +231,13 @@ def _edge_terms(ctx: DecoderContext, omega: UnitaryRep, kappa_value: int):
     non-negative diagonal trace, since B(g^-1) = B(g)^dagger; this is checked.
     """
     one_minus_eps = 1.0 - float(ctx.eps)
+    rhos = product_irreps(ctx.g1_irreps, ctx.lc.d_labels)
     for u, v, pi in ctx.lc.edge_maps():
         a_fn = right_table(ctx, omega, v)
-        b_hat = transform(left_table(ctx, omega, u), ctx.prod_d)
+        b_hat = transform(left_table(ctx, omega, u), rhos)
         squares = _block_product(b_hat, b_hat)
         scaled = {}
-        for rho in ctx.prod_d:
+        for rho in rhos:
             block = squares.blocks[rho.comps]
             diag_trace = float(np.real(np.einsum("iixx->", block)))
             if diag_trace < -1e-9:
@@ -257,7 +246,7 @@ def _edge_terms(ctx: DecoderContext, omega: UnitaryRep, kappa_value: int):
                 )
             high = rho.degree >= kappa_value
             scaled[rho.comps] = block * (one_minus_eps**rho.degree if high else 0.0)
-        w_table = inverse(replace(squares, blocks=scaled), ctx.prod_d).values
+        w_table = inverse(replace(squares, blocks=scaled), rhos).values
         ap_inv = composed_inverse(ctx.pe, ctx.pd, pi, ctx.lc.e_labels)
         yield a_fn.values, np.mean(a_fn.values, axis=0), w_table[ap_inv]
 
@@ -324,9 +313,10 @@ def _terms(ctx: DecoderContext, omega: UnitaryRep, side: str, name: str, r: int,
     (dim times the squared block norm, over the degree) and the labels of
     the coordinates where it is non-trivial."""
     if side == "v":
-        fn, rhos, labels = right_table(ctx, omega, name), ctx.prod_e, ctx.lc.e_labels
+        fn, labels = right_table(ctx, omega, name), ctx.lc.e_labels
     else:
-        fn, rhos, labels = left_table(ctx, omega, name), ctx.prod_d, ctx.lc.d_labels
+        fn, labels = left_table(ctx, omega, name), ctx.lc.d_labels
+    rhos = product_irreps(ctx.g1_irreps, labels)
     # the (r, c) entry as a 1 x 1 matrix table
     table = transform(replace(fn, values=fn.values[:, r : r + 1, c : c + 1]), rhos)
     terms = []
@@ -359,9 +349,7 @@ class Decoded:
 @dataclass(frozen=True)
 class Strategy:
     """Sub-probability label distributions per vertex, plus the leftover rule.
-    ``decoded`` is the kept outcome a ``decode`` read the maps from; the
-    maps of a strategy ``decode`` returns were checked when they were kept
-    (``_kept_strategy``)."""
+    ``decoded`` is the kept outcome a ``decode`` read the maps from."""
 
     v_probs: dict
     u_probs: dict
@@ -401,17 +389,6 @@ def _read_only(maps: dict) -> MappingProxyType:
     return MappingProxyType({x: MappingProxyType(probs) for x, probs in maps.items()})
 
 
-def _kept_strategy(found: Decoded, k: int, leftover: str) -> Strategy:
-    """A ``Strategy`` over copies of a kept outcome's maps. Those passed the
-    check of ``Strategy.__post_init__`` when ``_search`` kept them, and are
-    read-only, so it is not run again; every other strategy runs it."""
-    strategy = object.__new__(Strategy)
-    vars(strategy).update(
-        v_probs=_copy(found.v_probs), u_probs=_copy(found.u_probs), kappa=k, leftover=leftover, decoded=found
-    )
-    return strategy
-
-
 def decode(ctx: DecoderContext):
     """Search the entry indices maximizing the truncated-influence strategy.
 
@@ -425,17 +402,16 @@ def decode(ctx: DecoderContext):
     (omega, leftover, irreps, min(kappa, max(|D|, |E|) + 1)). The strategy
     carries the raw kappa and copies of the kept maps.
     """
-    index, margin = _omega(ctx)
-    omega = ctx.g2_irreps.irreps[index]
+    choice = select_omega(ctx)
     k = kappa(ctx.delta, ctx.eps)
     lc = ctx.lc
-    key = (omega, ctx.leftover, ctx.g1_irreps, min(k, max(len(lc.d_labels), len(lc.e_labels)) + 1))
+    key = (choice.omega, ctx.leftover, ctx.g1_irreps, min(k, max(len(lc.d_labels), len(lc.e_labels)) + 1))
     kept = ctx.kept.decodes
     if key not in kept:
-        kept[key] = _search(ctx, omega, key[-1])
+        kept[key] = _search(ctx, choice.omega, key[-1])
     found = kept[key]
-    choice = OmegaChoice(index, omega, eta(omega, ctx.template.h2), margin, *found.xyz)
-    return _kept_strategy(found, k, ctx.leftover), found.value, choice
+    strategy = Strategy(_copy(found.v_probs), _copy(found.u_probs), k, ctx.leftover, found)
+    return strategy, found.value, OmegaChoice(*choice[:4], *found.xyz)
 
 
 def _search(ctx: DecoderContext, omega: UnitaryRep, k: int) -> Decoded:

@@ -463,6 +463,14 @@ def _check_exact_cap(lc, pe, pd, cap):
         raise CapExceeded(f"exact mode needs {raw} tuples, cap is {limit}")
 
 
+def _check_draw_cap(count, cap):
+    """Sampled mode draws one tuple per sample, in a Python loop, into
+    arrays allocated up front: the draws are held to the enumeration cap."""
+    limit = enum_cap(cap)
+    if count > limit:
+        raise CapExceeded(f"sampled mode draws {count} tuples, cap is {limit}")
+
+
 def _check_payoff_cap(lc, pe, pd, cap):
     """The factored count's work, held to the enumeration cap: one cell per
     (edge, a, b, s1) of the grid it counts over, plus, per left vertex with
@@ -522,7 +530,6 @@ class Tuples:
         v[a_rep] * u[b^s1]^s1 * u[c^s2]^s2 = h_a.
     """
 
-    a: np.ndarray
     a_rep: np.ndarray
     h_a: np.ndarray
     b: np.ndarray
@@ -534,7 +541,7 @@ class Tuples:
     @property
     def shape(self) -> tuple[int, ...]:
         return np.broadcast_shapes(
-            self.a.shape, self.b.shape, self.c.shape, self.s1.shape, self.s2.shape, self.k.shape
+            self.a_rep.shape, self.b.shape, self.c.shape, self.s1.shape, self.s2.shape, self.k.shape
         )
 
 
@@ -570,11 +577,10 @@ class Geometry:
 
     def edge_tuples(self, pi: dict) -> Tuples:
         """Every tuple of one edge, on the grid [a, b, nu, s1, s2]."""
-        a, d = np.arange(self.pe.n), np.arange(self.pd.n)
+        d = np.arange(self.pd.n)
         c = self.pd.mul_array(self.mid(pi)[:, :, None], d[None, None, :])
         a_rep, h_a = self.cosets
         return self._tuples(
-            a[:, None, None, None, None],
             a_rep[:, None, None, None, None],
             h_a[:, None, None, None, None],
             d[None, :, None, None, None],
@@ -592,11 +598,10 @@ class Geometry:
             ap_inv[drawn] = composed_inverse(self.pe, self.pd, pi, self.lc.e_labels, a[drawn])
         mid = self.pd.mul_array(self.inv_d[b], ap_inv)
         a_rep, h_a = coset_arrays(self.h1, self.pe, a)
-        return self._tuples(a, a_rep, h_a, b, self.pd.mul_array(mid, nu), nu, s1, s2)
+        return self._tuples(a_rep, h_a, b, self.pd.mul_array(mid, nu), nu, s1, s2)
 
-    def _tuples(self, a, a_rep, h_a, b, c, nu, s1, s2) -> Tuples:
+    def _tuples(self, a_rep, h_a, b, c, nu, s1, s2) -> Tuples:
         return Tuples(
-            a=a,
             a_rep=a_rep,
             h_a=h_a,
             b=np.where(s1 > 0, b, self.inv_d[b]),
@@ -867,6 +872,7 @@ def build_system(lc: LabelCoverInstance, template: Template, params: ReductionPa
     """
     sup, cap, nums = params.resolved or _resolve(lc, template, params, read_caps())
     if params.mode == "sampled":
+        _check_draw_cap(params.sample_count, cap)
         rows = _merge(sup.sampled_rows(params))
         return LinSystem.from_arrays(template, sup.variables, rows.weighed([1], params.sample_count))
     _check_exact_cap(lc, sup.pe, sup.pd, cap)

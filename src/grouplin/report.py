@@ -43,7 +43,7 @@ def pipeline_report(
 
     if family is None:
         family = proj2
-    ctx = decoder._context(lc, template, eps, delta, family, seed, leftover, params)
+    ctx = decoder.make_context(lc, template, eps, delta, family, seed=seed, leftover=leftover, params=params)
 
     return {
         "lc_optimum": lc_opt,
@@ -78,7 +78,7 @@ def _decoded(ctx: decoder.DecoderContext) -> dict:
         "margin": choice.margin,
         "xyz": [choice.x, choice.y, choice.z],
         "kappa": strategy.kappa,
-        "alpha": decoder._alpha(ctx.delta, strategy.kappa, len(ctx.template.g1), len(ctx.template.g2)),
+        "alpha": decoder.alpha(ctx.delta, strategy.kappa, len(ctx.template.g1), len(ctx.template.g2)),
         "strategy": {
             "v_probs": strategy.v_probs,
             "u_probs": strategy.u_probs,

@@ -754,7 +754,7 @@ def _check_skew_symmetry(seed):
 def _check_decode_floor(seed, tname):
     ctx = _planted_context(tname, seed)
     strategy, value, choice = decode(ctx)
-    floor = float(alpha(ctx.delta, ctx.eps, len(ctx.template.g1), len(ctx.template.g2)))
+    floor = float(alpha(ctx.delta, kappa(ctx.delta, ctx.eps), len(ctx.template.g1), len(ctx.template.g2)))
     ok = value >= floor and choice.margin >= 0
     return ok, max(floor - value, 0.0), f"value={value:.4f} floor={floor:.2e}"
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from grouplin.decoder import left_table, right_table
 from grouplin.errors import CapExceeded, IncompleteTable, InvalidParams
-from grouplin.fourier import FourierTable, MatrixFn
+from grouplin.fourier import FourierTable, MatrixFn, product_irreps
 from grouplin.reduction import composed_inverse
 
 from reference_groups import inv, mul
@@ -166,7 +166,7 @@ def high_degree_mass(ctx, omega, kappa_value: int) -> float:
         m = convolve(b_fn, b_fn).values
         n_mat = m.shape[1]
         w_table = np.zeros((ctx.pd.n, n_mat, n_mat), dtype=complex)
-        for rho in ctx.prod_d:
+        for rho in product_irreps(ctx.g1_irreps, ctx.lc.d_labels):
             mats = matrices(rho, ctx.pd)
             block = np.einsum("gxy,gij->ijxy", m, np.conj(mats)) / ctx.pd.n
             if float(np.real(np.einsum("iixx->", block))) < -1e-9:

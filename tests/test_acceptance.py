@@ -152,7 +152,7 @@ def test_criterion_9_end_to_end_soundness():
     strategy, value, choice = decode(ctx)
     k_formula = kappa(Fraction(1, 4), Fraction(1, 8))
     floor = Fraction(1, 4) ** 2 / (4 * k_formula * Fraction(2) ** k_formula * 2**4)
-    assert alpha(ctx.delta, ctx.eps, 2, 2) == floor
+    assert alpha(ctx.delta, kappa(ctx.delta, ctx.eps), 2, 2) == floor
     assert_checks("decoder:decoded-value-floor[z2_id]")
     h_d, h_e, rounded = derandomize_strategy(ctx.lc, strategy)
     assert (h_d, h_e) == ({"u0": "d0"}, {"v0": "e0"})

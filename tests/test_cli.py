@@ -303,6 +303,19 @@ def test_reduce_needs_a_positive_sample_count(capsys, samples, mode):
         ReductionParams(Fraction(1, 4), mode=mode, sample_count=int(samples))
 
 
+def test_sampled_draws_are_held_to_the_enumeration_cap(capsys, monkeypatch):
+    # refused before the draw arrays are allocated or the draw loop starts
+    argv = ["reduce", "lc_tiny", "--template", "z2_id", "--eps", "1/4", "--mode", "sampled", "--samples"]
+    code, out, err = run(capsys, *argv, "1000000000000")
+    assert (code, out) == (3, "")
+    assert err.startswith("cap exceeded: sampled mode draws 1000000000000 tuples")
+    monkeypatch.setenv("GROUPLIN_CAP", "20")
+    assert run(capsys, *argv, "20")[0] == 0
+    code, out, err = run(capsys, *argv, "21")
+    assert (code, out) == (3, "")
+    assert err.startswith("cap exceeded: sampled mode draws 21 tuples, cap is 20")
+
+
 def test_solve_noncubic_requires_c(tmp_path, capsys):
     lc_path = write(tmp_path, "lc.json", io.lc_to_obj(catalog.label_cover("lc1")))
     code, out, _ = run(capsys, "reduce", lc_path, "--template", "z3_id", "--eps", "1/4")
@@ -531,7 +544,8 @@ def test_a_small_eps_writes_its_exact_alpha(tmp_path, capsys, command):
     report = report if command == "decode" else report["decoder"]
     num, den = report["alpha"].split("/")
     assert len(den) > limit and sys.get_int_max_str_digits() == limit
-    assert Fraction(_digits(num), _digits(den)) == grouplin.alpha(Fraction(1, 4), Fraction(1, 4001), 6, 2)
+    k = grouplin.kappa(Fraction(1, 4), Fraction(1, 4001))
+    assert Fraction(_digits(num), _digits(den)) == grouplin.alpha(Fraction(1, 4), k, 6, 2)
     assert report["kappa"] == 11092
 
 

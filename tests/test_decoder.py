@@ -36,7 +36,7 @@ from reference_groups import act, apply, pow_sign
 from grouplin import io, reps
 from grouplin.cli import run_pipeline
 from grouplin.decoder import expected_character, left_table, right_table
-from grouplin.fourier import transform
+from grouplin.fourier import product_irreps, transform
 from grouplin.reduction import support
 from grouplin.reps import irreps
 from test_cli import _digits
@@ -129,7 +129,7 @@ def test_kappa_rejects_bad_params():
 
 
 def test_alpha_formula_value():
-    assert alpha(Fraction(1, 4), Fraction(1, 2), 2, 2) == Fraction(1, 65536)
+    assert alpha(Fraction(1, 4), kappa(Fraction(1, 4), Fraction(1, 2)), 2, 2) == Fraction(1, 65536)
 
 
 def test_integer_kappa_and_alpha_equal_the_fraction_formulas():
@@ -137,12 +137,12 @@ def test_integer_kappa_and_alpha_equal_the_fraction_formulas():
         for k in range(1, 401):
             eps = Fraction(k, 4001)
             assert kappa(delta, eps) == ref_decoder.kappa(delta, eps)
-            assert alpha(delta, eps, 6, 2) == ref_decoder.alpha(delta, eps, 6, 2)
+            assert alpha(delta, kappa(delta, eps), 6, 2) == ref_decoder.alpha(delta, eps, 6, 2)
     # the exact boundaries (1 - eps)^k = delta / 4
     for delta, eps, k in ((Fraction(1, 2), Fraction(1, 2), 3), (Fraction(1, 4), Fraction(3, 4), 2), (Fraction(2), Fraction(1, 2), 1)):
         assert (1 - eps) ** k == delta / 4
         assert kappa(delta, eps) == ref_decoder.kappa(delta, eps) == k
-        assert alpha(delta, eps, 6, 2) == ref_decoder.alpha(delta, eps, 6, 2)
+        assert alpha(delta, k, 6, 2) == ref_decoder.alpha(delta, eps, 6, 2)
 
 
 @st.composite
@@ -171,7 +171,7 @@ def test_integer_kappa_equals_the_big_power_form(params):
 
 
 def test_alpha_at_a_small_eps_round_trips_through_frac_str():
-    value = alpha(DELTA, Fraction(1, 4001), 6, 2)
+    value = alpha(DELTA, kappa(DELTA, Fraction(1, 4001)), 6, 2)
     num, den = io.frac_str(value).split("/")
     assert len(den) > sys.get_int_max_str_digits()
     assert Fraction(_digits(num), _digits(den)) == value == ref_decoder.alpha(DELTA, Fraction(1, 4001), 6, 2)
@@ -333,9 +333,10 @@ def _fresh_influences(ctx, omega, which, kappa_value):
     bit at every truncation."""
     side, name, r, c = which
     if side == "v":
-        fn, rhos, labels = right_table(ctx, omega, name), ctx.prod_e, ctx.lc.e_labels
+        fn, labels = right_table(ctx, omega, name), ctx.lc.e_labels
     else:
-        fn, rhos, labels = left_table(ctx, omega, name), ctx.prod_d, ctx.lc.d_labels
+        fn, labels = left_table(ctx, omega, name), ctx.lc.d_labels
+    rhos = product_irreps(ctx.g1_irreps, labels)
     table = transform(replace(fn, values=fn.values[:, r : r + 1, c : c + 1]), rhos)
     out = {l: 0.0 for l in labels}
     for rho in rhos:
@@ -383,7 +384,7 @@ def test_one_run_computes_each_eta_once(monkeypatch):
 
 def test_decode_planted_z2(ctx_z2):
     strategy, value, choice = decode(ctx_z2)
-    floor = alpha(ctx_z2.delta, ctx_z2.eps, 2, 2)
+    floor = alpha(ctx_z2.delta, kappa(ctx_z2.delta, ctx_z2.eps), 2, 2)
     assert value >= float(floor)
     assert value == pytest.approx(1.0, abs=1e-9)
     assert (choice.x, choice.y, choice.z) == (0, 0, 0)
@@ -395,7 +396,7 @@ def test_decode_planted_z2(ctx_z2):
 def test_decode_a3_inclusion(ctx_a3):
     strategy, value, choice = decode(ctx_a3)
     assert value == pytest.approx(0.25, abs=1e-9)
-    floor = alpha(ctx_a3.delta, ctx_a3.eps, 6, 6)
+    floor = alpha(ctx_a3.delta, kappa(ctx_a3.delta, ctx_a3.eps), 6, 6)
     assert value >= float(floor)
     _, _, v = derandomize_strategy(ctx_a3.lc, strategy)
     assert v == 1
@@ -479,7 +480,7 @@ def test_corrupted_family_still_decodes():
         k = kappa(delta, eps)
         assert high_degree_mass(ctx, rep, k) <= rep.dim * float(delta) / 2 + 1e-9
     strategy, decoded, _ = decode(ctx)
-    floor = alpha(delta, eps, 2, 2)
+    floor = alpha(delta, kappa(delta, eps), 2, 2)
     assert decoded >= float(floor)
     mean, sigma = simulate_strategy(lc, strategy, samples=100_000, seed=5)
     assert abs(mean - decoded) <= max(3 * sigma, 1e-12)
@@ -616,7 +617,7 @@ def test_influence_total_matches_plancherel_identity():
             entry = scalar(ctx.pe, a_fn.values[:, x, y])
             total_mass = 0.0
             trivial_mass = None
-            for rho in ctx.prod_e:
+            for rho in product_irreps(ctx.g1_irreps, ctx.lc.e_labels):
                 block = sum(
                     abs(coeff(entry, rho, i, j)) ** 2
                     for i in range(rho.dim)

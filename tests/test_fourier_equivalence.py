@@ -174,10 +174,11 @@ def test_decoder_expansions_match_reference(ctx):
         assert abs(measured - ref.trivial_term_sum(ctx, omega)) <= TOL
         for k in range(1, len(ctx.lc.d_labels) + 2):
             assert abs(high_degree_mass(ctx, omega, k) - ref.high_degree_mass(ctx, omega, k)) <= TOL
-            for side, names, table, power, rhos, labels in (
-                ("v", ctx.lc.v_names, right_table, ctx.pe, ctx.prod_e, ctx.lc.e_labels),
-                ("u", ctx.lc.u_names, left_table, ctx.pd, ctx.prod_d, ctx.lc.d_labels),
+            for side, names, table, power, labels in (
+                ("v", ctx.lc.v_names, right_table, ctx.pe, ctx.lc.e_labels),
+                ("u", ctx.lc.u_names, left_table, ctx.pd, ctx.lc.d_labels),
             ):
+                rhos = product_irreps(ctx.g1_irreps, labels)
                 for name in names:
                     values = table(ctx, omega, name).values
                     for r in range(omega.dim):

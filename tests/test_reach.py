@@ -40,17 +40,15 @@ ALLOWED = {
     "io.group_to_obj": "a format writer the tests make input files with",
     "io.template_to_obj": "a format writer the tests make input files with",
     "io.family_to_obj": "a format writer the tests make input files with",
-    "reduction.LinEquation.__post_init__": "perfbench's spans and the tests build systems by hand",
-    "reduction.LinSystem.__init__": "perfbench's spans and the tests build systems by hand",
+    "reduction.LinEquation.__post_init__": "the selftest registry and the tests build systems by hand",
+    "reduction.LinSystem.__init__": "the selftest registry and the tests build systems by hand",
     "reduction.LinSystem.equations": "perfbench's spans count equations and their terms",
     "reduction._encode": "LinSystem's hand-built equations are encoded here",
     "reduction.family_assignment": "item 2 inverts it for decoding what the solvers find",
-    # The reports resolve these once per op, so the commands enter the code
-    # behind them but not the public wrappers; tests/test_report.py holds
-    # each report equal to the one these build.
+    # The reports resolve this once per op, so the commands enter the code
+    # behind it but not the public wrapper; tests/test_report.py holds each
+    # report equal to the one it builds.
     "reduction.planted": "the public optimum and planted families; the pipeline checks its cap with the op's caps",
-    "decoder.alpha": "the public alpha at (delta, eps); the reports take it at the kappa decode computed",
-    "decoder.select_omega": "the public choice of omega; decode builds its choice once, with the entry indices",
     "decoder._edge_terms": "item 5's decode report will call it",
     "decoder.trivial_term_bound": "item 5's decode report will call it",
     "decoder.high_degree_mass": "item 5's decode report will call it",

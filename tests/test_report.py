@@ -20,6 +20,7 @@ from grouplin import (
     evaluate_family,
     groups,
     io,
+    kappa,
     make_context,
     random_expectation,
     reduction,
@@ -62,7 +63,7 @@ def public_report(lc, t, eps, delta):
             "margin": choice.margin,
             "xyz": [choice.x, choice.y, choice.z],
             "kappa": strategy.kappa,
-            "alpha": alpha(delta, eps, len(t.g1), len(t.g2)),
+            "alpha": alpha(delta, kappa(delta, eps), len(t.g1), len(t.g2)),
             "strategy": {"v_probs": strategy.v_probs, "u_probs": strategy.u_probs, "leftover": strategy.leftover},
             "expected_value": value,
             "derandomized": {"hD": h_d, "hE": h_e, "value": rounded},

@@ -55,3 +55,15 @@ def test_traced_run_books_its_counters(spans):
     assert tracer.counts["reduction.equations"] > 0
     traced = {name for name, *_ in tracer.spans}
     assert {"cli.run_pipeline", "reduction.build_system", "fourier.convolve"} <= traced
+    # the pipeline's decoder block runs the public decoder functions, so
+    # their spans sit inside the pipeline's
+    pipeline = next(i for i, span in enumerate(tracer.spans) if span[0] == "cli.run_pipeline")
+
+    def within(idx):
+        while idx is not None and idx != pipeline:
+            idx = tracer.spans[idx][3]
+        return idx == pipeline
+
+    booked = {span[0] for i, span in enumerate(tracer.spans) if within(i)}
+    assert {"decoder.make_context", "decoder.select_omega", "decoder.decode", "decoder.derandomize_strategy"} <= booked
+
