@@ -4,6 +4,11 @@ bytes must not change. Each run goes through ``cli.main`` in process, with
 it; ``tests/golden.json`` holds its exit code and the sha256 of its stdout
 and its stderr.
 
+The corpus ends with one in-process entry, ``SWEEP``: ``run_pipeline`` on
+s3_sign/lc1 over 1,000 seeded eps = k/4001 with a seeded side-2 planted
+family, warm after its first eps, the canonical JSON of its reports hashed
+as its stdout.
+
 The run list is fixed before the changes it judges, and is never trimmed to
 let one pass. A change that alters a hash regenerates the file with
 
@@ -22,13 +27,16 @@ import logging
 import os
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
 from grouplin import catalog, io, reduction  # noqa: E402
-from grouplin.cli import main  # noqa: E402
+from grouplin.cli import main, run_pipeline  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -40,6 +48,8 @@ INSTANCES = ("lc_tiny", "lc1", "lc2")
 # that are evaluated and solved (reading a file sets the corpus's time)
 SOLVED = {"lc_tiny": EPS, "lc1": ("3/17",)}
 METHODS = ("brute", "expect", "derand", "noncubic")
+SWEEP = "run_pipeline s3_sign lc1 --eps k/4001 for k in a seeded permutation of 1..1000 --delta 1/4 --family seeded planted"
+SWEEP_SEED = 30
 
 
 def _families(workdir: Path) -> None:
@@ -123,10 +133,25 @@ def runs() -> list[tuple[str, ...]]:
     return out
 
 
-def _run(argv: list[str]) -> tuple[int, str, str]:
-    """``cli.main(argv)`` as a new process runs it: its exit code, stdout and
-    stderr, with logging set up afresh (``main`` configures the root logger
-    only where it has no handler)."""
+def _sweep() -> int:
+    """Print the reports of ``SWEEP``, an eps sweep over one support, as one
+    canonical JSON list. The eps are k/4001 for every k in 1..1000, in a
+    seeded order, and the family projects a seeded labeling."""
+    t, lc = catalog.template("s3_sign"), catalog.label_cover("lc1")
+    rng = np.random.default_rng(SWEEP_SEED)
+    h_d = {u: lc.d_labels[rng.integers(len(lc.d_labels))] for u in lc.u_names}
+    h_e = {v: lc.e_labels[rng.integers(len(lc.e_labels))] for v in lc.v_names}
+    family = reduction.projection_family(lc, t, h_d, h_e, side=2)
+    sweep = [Fraction(int(k), 4001) for k in rng.permutation(np.arange(1, 1001))]
+    reports = [run_pipeline(lc, t, eps, Fraction(1, 4), family=family) for eps in sweep]
+    print(io.canonical_dumps(io.jsonable(reports)))
+    return 0
+
+
+def _run(call) -> tuple[int, str, str]:
+    """``call()``, such as ``cli.main(argv)``, as a new process runs it: its
+    exit code, stdout and stderr, with logging set up afresh (``main``
+    configures the root logger only where it has no handler)."""
     out, err = _io.StringIO(), _io.StringIO()
     root = logging.getLogger()
     handlers, level = root.handlers[:], root.level
@@ -134,7 +159,7 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = main(argv)
+                code = call()
             except SystemExit as exc:  # argparse's refusals
                 code = exc.code
     finally:
@@ -162,10 +187,12 @@ def corpus() -> dict[str, dict]:
                 argv, target = list(run), None
                 if ">" in argv:
                     argv, target = argv[: argv.index(">")], argv[-1]
-                code, out, err = _run(argv)
+                code, out, err = _run(lambda: main(argv))
                 if target is not None:
                     (workdir / target).write_text(out, encoding="utf-8")
                 result[" ".join(run)] = {"code": code, "stdout": _sha(out), "stderr": _sha(err)}
+            code, out, err = _run(_sweep)
+            result[SWEEP] = {"code": code, "stdout": _sha(out), "stderr": _sha(err)}
             return result
     finally:
         os.chdir(saved_cwd)
