@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParams, NoOmega, read_caps
+from .errors import InvalidParams, NoOmega
 from .fourier import MatrixFn, _block_product, inverse, product_irreps, transform
 from .groups import GroupPower, Template, fold
 from .reduction import (
@@ -116,13 +116,15 @@ def make_context(
     leftover: str = "giveup",
     params: ReductionParams | None = None,
 ) -> DecoderContext:
-    """The decoder's context for a side-2 family. ``params`` are those of
-    the op the context belongs to, which bound them (``reduction.bind``),
-    validated eps and parsed eps and delta to ``Fraction``s; with None, it
-    converts them and makes and binds its own params once the promise is
-    checked."""
-    if params is None:
+    """The decoder's context for a side-2 family, at eps and delta given as
+    ``Fraction``s or as text. ``params`` are those of the op the context
+    belongs to and must be at the same eps; once the promise is checked,
+    they are bound to (lc, template) (``reduction.bind``) unless they are
+    already. With None, it makes its own."""
+    if not isinstance(eps, Fraction) or not isinstance(delta, Fraction):
         eps, delta = Fraction(eps), Fraction(delta)
+    if params is not None and params.eps != eps:
+        raise InvalidParams(f"the params are at eps {params.eps}, the context at eps {eps}")
     if leftover not in ("giveup", "normalize"):
         raise InvalidParams(f"unknown leftover rule {leftover}")
     if family.side != 2:
@@ -130,16 +132,14 @@ def make_context(
     threshold = Fraction(1, len(template.h2)) + delta
     if threshold > 1 - eps:
         raise InvalidParams(f"need 1/|Im(phi)| + delta <= 1 - eps, got {threshold} > {1 - eps}")
-    if params is None:
-        params = ReductionParams(eps)
-        bind(lc, template, params, read_caps())
+    params = params or ReductionParams(eps)
+    sup = bind(lc, template, params)
     mass = payoff_distribution(lc, template, params, family, side=2)
     value = mass.get(template.g2.identity, Fraction(0))
     if value < threshold:
         log.warning("family value %s is below the promise threshold %s", value, threshold)
     g1_ir = irreps(template.g1, seed=seed)
     g2_ir = irreps(template.g2, seed=seed)
-    sup = params.resolved[0]
     return DecoderContext(
         lc=lc,
         template=template,

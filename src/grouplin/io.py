@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from io import StringIO
@@ -221,6 +222,9 @@ def obj_to_template(obj, base_dir: str = ".") -> Template:
     domain = _integers(_list(hom_obj, "domain"), "a domain element").tolist()
     map_obj = _object(hom_obj.get("map"), '"map"')
     images = _integers(list(map_obj.values()), "a map value").tolist()
+    for key in map_obj:
+        if not re.fullmatch("-?[0-9]+", key):
+            raise InvalidParams(f"a map key must be an integer, got {_shorten(json.dumps(key))}")
     mapping = dict(zip(map(int, map_obj), images))
     if sorted(domain) == list(range(len(g1))):
         dom = full_subgroup(g1)
@@ -256,7 +260,7 @@ def obj_to_lc(obj) -> LabelCoverInstance:
         _list(obj, "E"),
         _list(obj, "U"),
         _list(obj, "V"),
-        [(e["u"], e["v"], _object(e.get("pi"), '"pi"')) for e in edges],
+        [(_string(e, "u"), _string(e, "v"), _object(e.get("pi"), '"pi"')) for e in edges],
     )
 
 

@@ -110,9 +110,9 @@ class LinSystem:
     ``evaluate`` run on; ``equations`` decodes it on first use.
     ``LinSystem(template, variables, equations)`` encodes hand-built
     equations and ``LinSystem.from_arrays`` takes an encoding as it is; both
-    validate it, except that an exact system of a ``Support`` checks only its
-    weights (``class_totals``). ``side_view`` memoizes each side's grouping
-    on the system; the exact systems of one ``Support`` share it.
+    validate it in full and count ``class_totals``, the equations per weight
+    class; ``reweighed`` checks only its new weights. ``side_view`` memoizes
+    each side's grouping in ``_side_views``, which a reweighed system shares.
     """
 
     def __init__(self, template: Template, variables, equations):
@@ -121,22 +121,17 @@ class LinSystem:
         self.__dict__["equations"] = equations
 
     @classmethod
-    def from_arrays(
-        cls, template: Template, variables, arrays: SystemArrays, class_totals: np.ndarray | None = None
-    ) -> LinSystem:
+    def from_arrays(cls, template: Template, variables, arrays: SystemArrays) -> LinSystem:
         system = cls.__new__(cls)
-        system._set(template, tuple(variables), arrays, class_totals)
+        system._set(template, tuple(variables), arrays)
         return system
 
-    def _set(self, template, variables, arrays, class_totals=None):
-        """Take the encoding as the system's. ``class_totals``, the
-        equations per weight class that a support counts when it checks its
-        variables, rows and weight classes, skips those checks; the weights
-        are checked on every system."""
-        if class_totals is None:
-            _validate_rows(template, variables, arrays)
-            class_totals = _class_totals(arrays)
-        _validate_weights(arrays, class_totals)
+    def _set(self, template, variables, arrays):
+        """Take the encoding as the system's, once its variables, rows,
+        weight classes and weights pass their checks."""
+        _validate_rows(template, variables, arrays)
+        self.class_totals = _read_only(_class_totals(arrays))
+        _validate_weights(arrays, self.class_totals)
         self.template = template
         self.variables = variables
         self.arrays = SystemArrays(
@@ -147,10 +142,21 @@ class LinSystem:
             tuple(arrays.weights),
         )
         self.arrays.__dict__["numerators"] = arrays.numerators  # as checked
+        self._side_views: dict[int, SideView] = {}
 
-    @functools.cached_property
-    def _side_views(self) -> dict[int, SideView]:
-        return {}
+    def reweighed(self, nums, denom: int) -> LinSystem:
+        """The same equations, variables and weight classes, class k
+        weighing ``nums[k] / denom``. Only the weights are checked, over the
+        class totals counted when this system was validated; the new system
+        shares this one's side views, and so the solvers' kept counts."""
+        enc = self.arrays
+        arrays = SystemArrays(enc.var_ids, enc.signs, enc.rhs, enc.weight_class, tuple(Fraction(n, denom) for n in nums))
+        arrays.__dict__["numerators"] = list(nums), denom
+        _validate_weights(arrays, self.class_totals)
+        system = LinSystem.__new__(LinSystem)
+        system.template, system.variables, system.arrays = self.template, self.variables, arrays
+        system.class_totals, system._side_views = self.class_totals, self._side_views
+        return system
 
     @functools.cached_property
     def equations(self) -> tuple[LinEquation, ...]:
@@ -194,7 +200,7 @@ def _encode(variables: tuple[str, ...], equations: tuple[LinEquation, ...]) -> S
 
 def _validate_rows(template: Template, variables: tuple[str, ...], rows) -> None:
     """The checks on a system's variables and on the terms and constants of
-    its rows (``SystemArrays`` or ``Rows``), vectorised over the rows."""
+    its rows, vectorised over the rows."""
     if len(set(variables)) != len(variables):
         raise InvalidParams("variable names must be distinct")
     m, n_vars = len(rows.rhs), len(variables)
@@ -229,6 +235,8 @@ def _validate_weights(enc: SystemArrays, class_totals) -> None:
     non-negative, and summing to exactly 1 over ``class_totals``, the
     equations per weight class."""
     nums, denom = enc.numerators
+    if len(nums) != len(class_totals):
+        raise InvalidParams(f"{len(nums)} weights for {len(class_totals)} weight classes")
     if any(n < 0 for n in nums):
         raise InvalidParams("weights must be non-negative")
     if sum(map(operator.mul, nums, class_totals.tolist())) != denom:
@@ -321,8 +329,8 @@ class SideView:
 
 
 def side_view(system: LinSystem, side: int) -> SideView:
-    """The side's view of the system, computed once per (system, side), or
-    once per (support, side) for the exact systems of one support."""
+    """The side's view of the system, computed once per (system, side) and
+    shared by the systems reweighed from it (``LinSystem.reweighed``)."""
     views = system._side_views
     if side not in views:
         views[side] = _side_view(system, side)
@@ -429,7 +437,7 @@ class ReductionParams:
     sample_count: int | None = None
     seed: int = 0
     cap: int | None = None
-    # what the calls of one op share (``bind``); None on a caller's own params
+    # what the calls of one op on one pair share (``bind``); None on a caller's own params
     resolved: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -656,11 +664,15 @@ class Rows:
     row_class: np.ndarray     # int32 [m]
     class_counts: np.ndarray  # int64 [c, classes]
 
+    def numerators(self, nums) -> list[int]:
+        """Each row class's numerator at ``nums[k]`` per tuple of class ``k``."""
+        return [sum(map(operator.mul, nums, row)) for row in self.class_counts.tolist()]
+
     def weighed(self, nums, denom) -> SystemArrays:
         """The encoding with weight ``nums[k] / denom`` per tuple of class
         ``k``, with its numerators: the row classes are its weight classes,
         also where two row classes weigh the same."""
-        nums = [sum(map(operator.mul, nums, row)) for row in self.class_counts.tolist()]
+        nums = self.numerators(nums)
         weights = tuple(Fraction(n, denom) for n in nums)
         arrays = SystemArrays(self.var_ids, self.signs, self.rhs, self.row_class, weights)
         arrays.__dict__["numerators"] = nums, denom
@@ -731,17 +743,16 @@ class Support:
     For every eps the exact system has the same equations and variables;
     eps sets only the |D|+1 noise-class weights. A support holds the powers
     G1^E and G1^D, the tuple ``Geometry``, the variable names and, from the
-    first exact build that passes the cap, the exact encoding as ``Rows``.
-    Exact systems built from one support share those arrays, which are
-    read-only, and its ``side_views`` memo, so the solvers group, index and
-    score each side once. Sampled systems are drawn on every build.
+    first exact build that passes the cap, the exact encoding as ``Rows``
+    and the system on it that every exact build reweighs (``first``). So
+    exact systems of one support share its read-only arrays, class totals
+    and side views: the solvers group, index and score each side once, and
+    a build checks only its weights. Sampled systems are drawn on every build.
 
     What no weight enters is kept too, so an eps sweep only weighs counts:
-    the equations per weight class of the exact systems, whose weight
-    classes are the rows' row classes at every eps (``weighed``); per side,
-    for the last family (the same object), its payoff counts and the
-    decoder's outcomes (``family``); and the instance's optimum with its
-    planted families (``planted``). All of it goes with the support.
+    per side, for the last family (the same object), its payoff counts and
+    the decoder's outcomes (``family``); and the instance's optimum with
+    its planted families (``planted``). All of it goes with the support.
     """
 
     def __init__(self, lc: LabelCoverInstance, template: Template):
@@ -754,9 +765,8 @@ class Support:
         # name the edge's endpoints, so only parallel u-v edges can repeat an
         # exact equation; sampled draws can repeat one anyway
         self.mergeable = len({(u, v) for u, v, _ in lc.edges}) < len(lc.edges)
-        self.side_views: dict[int, SideView] = {}
         self.families: dict[int, KeptFamily] = {}  # per side
-        self.class_totals: np.ndarray | None = None  # equations per row class, once weighed
+        self.first: LinSystem | None = None  # the first exact system built
         # the first variable of each left and of each right vertex
         self.u_off = {u: k * self.pd.n for k, u in enumerate(lc.u_names)}
         self.v_off = {v: len(lc.u_names) * self.pd.n + k * self.pe.n for k, v in enumerate(lc.v_names)}
@@ -769,24 +779,12 @@ class Support:
 
     @functools.cached_property
     def exact(self) -> Rows:
-        """The exact encoding, merged where parallel edges repeat equations,
-        with its variables and rows validated once for every system built
-        on it. Callers check the enumeration cap first."""
+        """The exact encoding, merged where parallel edges repeat equations.
+        Callers check the enumeration cap first."""
         rows = _merge(self.tuple_rows()) if self.mergeable else self.tuple_rows()
-        _validate_rows(self.template, self.variables, rows)
         for array in (rows.var_ids, rows.signs, rows.rhs, rows.row_class, rows.class_counts):
             _read_only(array)
         return rows
-
-    def weighed(self, nums) -> tuple[SystemArrays, np.ndarray]:
-        """The exact encoding at an eps's class numerators, and its equations
-        per weight class. The weight classes are the rows' row classes at
-        every eps, so their totals are counted, and checked, once, and kept
-        read-only. Callers check the enumeration cap first."""
-        arrays = self.exact.weighed(*nums)
-        if self.class_totals is None:
-            self.class_totals = _read_only(_class_totals(arrays))
-        return arrays, self.class_totals
 
     def family(self, family: AssignmentFamily) -> KeptFamily:
         """The kept entry of the family's side for this family object.
@@ -842,17 +840,22 @@ def support(lc: LabelCoverInstance, template: Template, limit: int | None = None
     return sup
 
 
-def _resolve(lc, template, params: ReductionParams, caps: tuple[int, int]):
-    """What one op's calls at params.eps share: the support, its table cap checked, the
-    enumeration cap (params' own, else the one read) and the noise classes' weights."""
+def _resolve(lc, template, params: ReductionParams, caps: tuple[int, int] | None = None):
+    """What one op's calls on (lc, template) at params.eps share: the support, its table cap checked,
+    the enumeration cap (params' own, else the one read) and the noise classes' weights. Params
+    bound to this pair hold it (``bind``); others resolve on their own."""
+    r = params.resolved
+    if r is not None and r[3] is lc and r[4] is template:
+        return r[:3]
+    caps = read_caps() if caps is None else caps
     sup = support(lc, template, caps[1])
     return sup, caps[0] if params.cap is None else params.cap, _class_numerators(lc, sup.pe, sup.pd, params.eps)
 
 
-def bind(lc, template, params: ReductionParams, caps: tuple[int, int]) -> Support:
-    """Keep ``_resolve`` on one op's params: its ``build_system`` and
-    ``payoff_distribution`` calls take it instead of their own."""
-    object.__setattr__(params, "resolved", _resolve(lc, template, params, caps))
+def bind(lc, template, params: ReductionParams, caps: tuple[int, int] | None = None) -> Support:
+    """Keep ``_resolve`` on one op's params with its pair: the op's
+    ``build_system`` and ``payoff_distribution`` calls on that pair take it."""
+    object.__setattr__(params, "resolved", (*_resolve(lc, template, params, caps), lc, template))
     return params.resolved[0]
 
 
@@ -867,20 +870,18 @@ def build_system(lc: LabelCoverInstance, template: Template, params: ReductionPa
     with weight the product of the edge, a, b, nu, and sign probabilities.
     Equations with identical (terms, rhs) are merged by summing weights; the
     term order of the construction is preserved, not sorted, and equations
-    keep the order of the tuples. In exact mode the equations come from the
-    support of (lc, template), so only the weights are computed per call.
+    keep the order of the tuples. In exact mode a call reweighs the support's
+    first exact system: only the weights are computed, and checked, per call.
     """
-    sup, cap, nums = params.resolved or _resolve(lc, template, params, read_caps())
+    sup, cap, nums = _resolve(lc, template, params)
     if params.mode == "sampled":
         _check_draw_cap(params.sample_count, cap)
         rows = _merge(sup.sampled_rows(params))
         return LinSystem.from_arrays(template, sup.variables, rows.weighed([1], params.sample_count))
     _check_exact_cap(lc, sup.pe, sup.pd, cap)
-    arrays, totals = sup.weighed(nums)
-    system = LinSystem.from_arrays(template, sup.variables, arrays, class_totals=totals)
-    # the support's rows are this system's rows, so their side views are too
-    system.__dict__["_side_views"] = sup.side_views
-    return system
+    if sup.first is None:
+        sup.first = LinSystem.from_arrays(template, sup.variables, sup.exact.weighed(*nums))
+    return sup.first.reweighed(sup.exact.numerators(nums[0]), nums[1])
 
 
 def _assignment_values(system: LinSystem, assignment: dict, order: int) -> np.ndarray:
@@ -960,7 +961,7 @@ def _kept_counts(lc, template, params: ReductionParams, family: AssignmentFamily
     call, and the family's shape whenever it is not the kept family."""
     if side != family.side:
         raise InvalidParams("family built for the other side")
-    sup, cap, nums = params.resolved or _resolve(lc, template, params, read_caps())
+    sup, cap, nums = _resolve(lc, template, params)
     _check_payoff_cap(lc, sup.pe, sup.pd, cap)
     kept = sup.family(family)
     if kept.counts is None:

@@ -51,7 +51,6 @@ from .reduction import (
     LinEquation,
     LinSystem,
     ReductionParams,
-    SystemArrays,
     _codes,
     build_system,
     class_hits,
@@ -598,11 +597,7 @@ def flipping_systems():
         LinEquation((("z", 1), ("y", -1), ("x", 1)), 0, Fraction(2, 10)),
     ]
     one = LinSystem(t, ("x", "y", "z"), eqs)
-    enc = one.arrays
-    weights = tuple(Fraction(k, 10) for k in (1, 3, 4, 2))
-    two = LinSystem.from_arrays(t, one.variables, SystemArrays(enc.var_ids, enc.signs, enc.rhs, enc.weight_class, weights))
-    two.__dict__["_side_views"] = one._side_views
-    return t, one, two
+    return t, one, one.reweighed([1, 3, 4, 2], 10)
 
 
 def _check_weight_flip(seed):

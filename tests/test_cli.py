@@ -228,6 +228,9 @@ MALFORMED_INPUTS = {
     "lc-edges-not-a-list": ("lc", lambda lc: {**lc, "edges": 5}),
     "lc-edge-not-an-object": ("lc", lambda lc: {**lc, "edges": [5]}),
     "lc-pi-not-an-object": ("lc", _set(("edges", 0, "pi"), [1])),
+    "lc-edge-u-missing": ("lc", lambda lc: {**lc, "edges": [{"v": "v0", "pi": {"d0": "e0"}}]}),
+    "lc-edge-u-not-a-string": ("lc", _set(("edges", 0, "u"), ["x"])),
+    "lc-edge-v-not-a-string": ("lc", _set(("edges", 0, "v"), 0)),
     "lc-repeated-label": ("lc", lambda lc: {**lc, "D": lc["D"] + lc["D"][:1]}),
     "lc-repeated-vertex": ("lc", lambda lc: {**lc, "V": lc["V"] + lc["V"][:1]}),
     "family-extra-vertex": ("family", _set(("A", "vX"), [0, 1])),
@@ -241,6 +244,10 @@ MALFORMED_INPUTS = {
     "template-group-not-a-string": ("template", lambda t: {**t, "g1": 5}),
     "template-hom-not-an-object": ("template", lambda t: {**t, "homomorphism": 5}),
     "template-map-float": ("template", _set(("homomorphism", "map", "1"), 1.5)),
+    "template-map-key-not-an-integer": (
+        "template",
+        lambda t: {"g1": "z2", "g2": "z2", "homomorphism": {"domain": [0, 1], "map": {"x": 0, "1": 1}}},
+    ),
     "template-domain-float": ("template", _set(("homomorphism", "domain", 1), 1.0)),
     "template-domain-past-g1": (
         "template",
@@ -260,6 +267,10 @@ MALFORMED_INPUT_MESSAGES = {
     "family-extra-vertex": "family A table for vX, which is not a vertex in V",
     "assignment-extra-variable": "the assignment names zzz, which is not a variable of the system",
     "group-ragged-row": '"table" row 1 has 1 entries, where row 0 has 2',
+    "lc-edge-u-missing": '"u" must be a JSON string, not NoneType',
+    "lc-edge-u-not-a-string": '"u" must be a JSON string, not list',
+    "lc-edge-v-not-a-string": '"v" must be a JSON string, not int',
+    "template-map-key-not-an-integer": 'a map key must be an integer, got "x"',
     "template-domain-past-g1": "subgroup member 7 out of range",
     "template-domain-negative": "subgroup member -1 out of range",
     "template-name-not-a-string": '"name" must be a JSON string, not dict',

@@ -33,7 +33,7 @@ import reference_decoder as ref_decoder
 from reference_decoder import simulate_strategy
 from reference_fourier import coeff, scalar
 from reference_groups import act, apply, pow_sign
-from grouplin import io, reps
+from grouplin import io, reduction, reps
 from grouplin.cli import run_pipeline
 from grouplin.decoder import expected_character, left_table, right_table
 from grouplin.fourier import product_irreps, transform
@@ -186,6 +186,29 @@ def test_context_rejects_infeasible_parameters():
 
 def test_planted_family_value(ctx_z2):
     assert ctx_z2.value == Fraction(15, 16)
+
+
+def test_a_context_binds_params_that_no_op_bound():
+    params = ReductionParams(EPS)
+    ctx = planted_context("z2_id", params=params)
+    assert ctx.value == Fraction(15, 16) and ctx.z_mass == planted_context("z2_id").z_mass
+    assert params.resolved[0] is support(catalog.label_cover("lc1"), catalog.template("z2_id"))
+
+
+def test_a_context_refuses_params_at_another_eps():
+    # params bound at 1/4 would weigh the family at 1/4 (7/8), not at 1/8 (15/16)
+    t, lc = catalog.template("z2_id"), catalog.label_cover("lc1")
+    params = ReductionParams(Fraction(1, 4))
+    reduction.bind(lc, t, params)
+    with pytest.raises(InvalidParams, match="the params are at eps 1/4, the context at eps 1/8"):
+        planted_context("z2_id", params=params)
+    assert planted_context("z2_id", eps=Fraction(1, 4), params=params).value == Fraction(7, 8)
+
+
+def test_a_context_with_params_takes_eps_and_delta_as_text():
+    ctx = planted_context("z2_id", eps="1/8", delta="1/4", params=ReductionParams(EPS))
+    assert (ctx.eps, ctx.delta) == (EPS, DELTA) and ctx.z_mass == planted_context("z2_id").z_mass
+    assert decode(ctx)[1:] == decode(planted_context("z2_id"))[1:]
 
 
 def test_trivial_representation_margin_is_negative(ctx_z2):

@@ -27,6 +27,7 @@ from grouplin import (
     report,
 )
 from grouplin.cli import main, run_pipeline
+from grouplin.errors import read_caps
 from grouplin.reduction import ReductionParams
 
 DELTA = Fraction(1, 4)
@@ -196,3 +197,18 @@ def test_an_op_binds_its_resolution_to_its_own_params_only():
     sup = reduction.bind(lc, t, bound, (7, 30))
     assert bound.resolved[0] is sup is reduction.support(lc, t)
     assert bound == params and hash(bound) == hash(params) and repr(bound) == repr(params)
+
+
+def test_params_bound_to_one_pair_resolve_another_on_their_own():
+    # lc_tiny's 32 equations are not lc1's 128, nor are z2_id's rows s3_sign's
+    t, lc_tiny = catalog.template("z2_id"), catalog.label_cover("lc_tiny")
+    bound = ReductionParams(EPS1)
+    reduction.bind(lc_tiny, t, bound, read_caps())
+    for other_lc, other_t in ((catalog.label_cover("lc1"), t), (catalog.label_cover("lc1"), catalog.template("s3_sign"))):
+        got, fresh = build_system(other_lc, other_t, bound), build_system(other_lc, other_t, ReductionParams(EPS1))
+        assert got.template is other_t and got.equations == fresh.equations
+        family = reduction.planted(other_lc, other_t)[2]
+        expect = reduction.payoff_distribution(other_lc, other_t, ReductionParams(EPS1), family, 2)
+        assert reduction.payoff_distribution(other_lc, other_t, bound, family, 2) == expect
+    assert len(build_system(lc_tiny, t, bound).arrays) == 32
+    assert bound.resolved[3:] == (lc_tiny, t)

@@ -4,6 +4,8 @@ in ``reference_solvers``: identical assignments and identical Fractions.
 Systems that differ only in their weights and share one side-view memo, as
 the exact systems of one support do, must solve as if each were cold."""
 
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import reference_solvers as ref
 from grouplin import (
+    InvalidParams,
     ReductionParams,
     solvers,
     brute_force_opt,
@@ -163,11 +166,8 @@ def test_pipeline_report_matches_reference(tname, monkeypatch):
 def reweighed(system, weights):
     """The system with other class weights, sharing its side views (and so
     the solvers' memo) as the exact systems of one support do."""
-    enc = system.arrays
-    arrays = SystemArrays(enc.var_ids, enc.signs, enc.rhs, enc.weight_class, tuple(weights))
-    other = LinSystem.from_arrays(system.template, system.variables, arrays)
-    other.__dict__["_side_views"] = system._side_views
-    return other
+    denom = math.lcm(*(w.denominator for w in weights))
+    return system.reweighed([w.numerator * (denom // w.denominator) for w in weights], denom)
 
 
 def cold(system):
@@ -236,6 +236,41 @@ def test_an_interrupted_rescore_is_finished_by_the_next_call(side, monkeypatch):
     assert derandomize(two, t, side) == ref.derandomize(two, t, side)
     assert len(lookups) == 3 and len(assigned) == 1
     assert derandomized_value(two, t, side) == evaluate(two, ref.derandomize(two, t, side), side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=small_systems(), data=st.data())
+def test_a_reweighed_system_solves_as_a_cold_one_with_its_weights(system, data):
+    # any non-negative integer numerators, equal ones and zeros too, over
+    # the denominator that makes them sum to 1
+    t, enc = system.template, system.arrays
+    n = len(enc.weights)
+
+    def fresh(nums, denom):
+        weights = tuple(Fraction(r, denom) for r in nums)
+        return LinSystem.from_arrays(t, system.variables, replace(enc, weights=weights))
+
+    used = st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(lambda r: any(r[k] for k in enc.weight_class))
+    nums = data.draw(used)
+    denom = sum(r * c for r, c in zip(nums, system.class_totals.tolist()))
+    warm, expect = system.reweighed(nums, denom), fresh(nums, denom)
+    assert warm._side_views is system._side_views and warm.arrays.weights == expect.arrays.weights
+    for side in (1, 2):
+        derandomize(system, t, side)  # the shared views keep the first system's counts
+        assignment = derandomize(warm, t, side)
+        assert assignment == derandomize(expect, t, side)
+        assert derandomized_value(warm, t, side) == derandomized_value(expect, t, side)
+        assert random_expectation(warm, t, side) == random_expectation(expect, t, side)
+        assert evaluate(warm, assignment, side) == evaluate(expect, assignment, side)
+    # only the weights are checked, a cold system's checks with its messages
+    for wrong in (nums + [1], nums[:-1]):
+        with pytest.raises(InvalidParams, match=f"{len(wrong)} weights for {n} weight classes"):
+            system.reweighed(wrong, denom)
+    negative = [-1, *nums[1:]]
+    for args, message in (((negative, denom), "weights must be non-negative"), ((nums, denom + 1), "weights sum to")):
+        for build in (system.reweighed, fresh):
+            with pytest.raises(InvalidParams, match=message):
+                build(*args)
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,7 +364,7 @@ def test_joined_weight_classes_replace_the_kept_counts(side):
         enc.var_ids, enc.signs, enc.rhs, np.array([0, 1, 1, 2]), (Fraction(1, 20), Fraction(2, 5), Fraction(3, 20))
     )
     two = LinSystem.from_arrays(t, one.variables, joined)
-    two.__dict__["_side_views"] = one._side_views
+    two._side_views = one._side_views
     for system in (one, two, one):
         assert derandomize(system, t, side) == ref.derandomize(system, t, side)
         assert random_expectation(system, t, side) == ref.random_expectation(system, t, side)

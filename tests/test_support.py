@@ -614,12 +614,12 @@ def test_the_kept_state_is_bounded_and_goes_with_the_support():
     assert sup.families[2] is sup.family(changed) and sup.families[2].decodes
     assert sup.families[1] is sup.family(families[1])
     build_system(lc, t, ReductionParams(EPS1))
-    for array in (sup.families[2].counts, sup.class_totals):
+    for array in (sup.families[2].counts, sup.first.class_totals):
         assert not array.flags.writeable
     other = catalog.label_cover("lc_tiny")
     build_system(other, t, ReductionParams(EPS1))
     assert reduction.support(lc, t) is not sup
-    assert reduction.support(lc, t).families == {} and reduction.support(lc, t).class_totals is None
+    assert reduction.support(lc, t).families == {} and reduction.support(lc, t).first is None
 
 
 def test_a_warm_build_checks_only_its_weights(monkeypatch):
