@@ -24,10 +24,10 @@ from .reduction import (
     KeptFamily,
     LabelCoverInstance,
     ReductionParams,
-    bind,
     composed_inverse,
     lc_value,
     payoff_distribution,
+    support,
 )
 from .reps import IrrepSet, UnitaryRep, eta, irreps
 
@@ -118,9 +118,8 @@ def make_context(
 ) -> DecoderContext:
     """The decoder's context for a side-2 family, at eps and delta given as
     ``Fraction``s or as text. ``params`` are those of the op the context
-    belongs to and must be at the same eps; once the promise is checked,
-    they are bound to (lc, template) (``reduction.bind``) unless they are
-    already. With None, it makes its own."""
+    belongs to, whose caps its calls check against, and must be at the same
+    eps. With None, it makes its own."""
     if not isinstance(eps, Fraction) or not isinstance(delta, Fraction):
         eps, delta = Fraction(eps), Fraction(delta)
     if params is not None and params.eps != eps:
@@ -133,7 +132,7 @@ def make_context(
     if threshold > 1 - eps:
         raise InvalidParams(f"need 1/|Im(phi)| + delta <= 1 - eps, got {threshold} > {1 - eps}")
     params = params or ReductionParams(eps)
-    sup = bind(lc, template, params)
+    sup = support(lc, template, params.caps[1])
     mass = payoff_distribution(lc, template, params, family, side=2)
     value = mass.get(template.g2.identity, Fraction(0))
     if value < threshold:

@@ -10,39 +10,30 @@ DEFAULT_TABLE_CAP = 20_000    # dense function tables over a direct power
 _ENV_CAP = "GROUPLIN_CAP"
 
 
-def enum_cap(override: int | None = None) -> int:
-    """Cap on exhaustive enumerations; GROUPLIN_CAP overrides the default."""
-    if override is not None:
-        if override <= 0:
-            raise InvalidParams(f"cap must be a positive integer, got {override}")
-        return override
-    return _env_cap(DEFAULT_ENUM_CAP)
-
-
-def table_cap() -> int:
-    """Cap on dense tables over a direct power; GROUPLIN_CAP overrides the
-    default."""
-    return _env_cap(DEFAULT_TABLE_CAP)
-
-
 def read_caps() -> tuple[int, int]:
-    """The enumeration and table caps from one read of GROUPLIN_CAP, which
-    sets both; for the calls of one op that checks both (``reduction.bind``)."""
-    cap = _env_cap(0)
-    return (cap, cap) if cap else (DEFAULT_ENUM_CAP, DEFAULT_TABLE_CAP)
-
-
-def _env_cap(default: int) -> int:
+    """The enumeration and table caps: the defaults, or both set by one read
+    of GROUPLIN_CAP. The one place the environment is read; a
+    ``ReductionParams`` reads it once, when it is made, and keeps the caps."""
     env = os.environ.get(_ENV_CAP)
     if not env:
-        return default
+        return DEFAULT_ENUM_CAP, DEFAULT_TABLE_CAP
     try:
         cap = int(env)
     except ValueError:
         cap = 0
     if cap <= 0:
         raise InvalidParams(f"{_ENV_CAP} must be a positive integer, got {env[:40]!r}")
-    return cap
+    return cap, cap
+
+
+def enum_cap(override: int | None = None) -> int:
+    """Cap on exhaustive enumerations: ``override`` when given, which must
+    be positive, else the one ``read_caps`` gives."""
+    if override is None:
+        return read_caps()[0]
+    if override <= 0:
+        raise InvalidParams(f"cap must be a positive integer, got {override}")
+    return override
 
 
 class GroupLinError(Exception):

@@ -16,7 +16,7 @@ from .errors import (
     NoIdentity,
     NoInverse,
     NotAssociative,
-    table_cap,
+    read_caps,
 )
 
 
@@ -330,7 +330,7 @@ class GroupPower:
         """Refuse the power when |G|^|D| exceeds the table cap (``limit``,
         read when not given). It runs on construction, and again wherever a
         kept power is reused, since the cap can change in between."""
-        limit = table_cap() if limit is None else limit
+        limit = read_caps()[1] if limit is None else limit
         if self.n > limit:
             raise CapExceeded(
                 f"|G|^|D| = {self.n} exceeds the table cap {limit}"

@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidParams, MissingVariable, enum_cap, read_caps, table_cap
+from .errors import CapExceeded, InvalidParams, MissingVariable, enum_cap, read_caps
 from .groups import (
     FiniteGroup,
     GroupPower,
@@ -149,6 +149,8 @@ class LinSystem:
         weighing ``nums[k] / denom``. Only the weights are checked, over the
         class totals counted when this system was validated; the new system
         shares this one's side views, and so the solvers' kept counts."""
+        if denom <= 0:
+            raise InvalidParams(f"the weights' denominator must be positive, got {denom}")
         enc = self.arrays
         arrays = SystemArrays(enc.var_ids, enc.signs, enc.rhs, enc.weight_class, tuple(Fraction(n, denom) for n in nums))
         arrays.__dict__["numerators"] = list(nums), denom
@@ -437,8 +439,9 @@ class ReductionParams:
     sample_count: int | None = None
     seed: int = 0
     cap: int | None = None
-    # what the calls of one op on one pair share (``bind``); None on a caller's own params
-    resolved: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (enumeration cap, table cap) that every call on these params checks
+    # against: read once, when they are made, with ``cap`` in place of the first
+    caps: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "eps", Fraction(self.eps))
@@ -447,13 +450,16 @@ class ReductionParams:
         if self.mode not in ("exact", "sampled"):
             raise InvalidParams(f"unknown mode {self.mode}")
         count = self.sample_count
-        if type(count) is int and count > 0:
-            return
-        if self.mode == "sampled":
-            raise InvalidParams(f"sampled mode needs a positive integer sample_count, got {count}")
-        if count is not None:
-            # exact mode draws nothing, but a count it is given must still be one
-            raise InvalidParams(f"exact mode takes only a positive integer sample_count, got {count}")
+        if not (type(count) is int and count > 0):
+            if self.mode == "sampled":
+                raise InvalidParams(f"sampled mode needs a positive integer sample_count, got {count}")
+            if count is not None:
+                # exact mode draws nothing, but a count it is given must still be one
+                raise InvalidParams(f"exact mode takes only a positive integer sample_count, got {count}")
+        if self.cap is not None:
+            enum_cap(self.cap)  # refuses a cap below one, before the environment is read
+        enum, table = read_caps()
+        object.__setattr__(self, "caps", (self.cap or enum, table))
 
 
 def var_u(u: str, b_flat: int) -> str:
@@ -464,22 +470,20 @@ def var_v(v: str, a_flat: int) -> str:
     return f"{v}[{a_flat}]"
 
 
-def _check_exact_cap(lc, pe, pd, cap):
+def _check_exact_cap(lc, pe, pd, cap: int):
     raw = len(lc.edges) * pe.n * pd.n * pd.n * 4
-    limit = enum_cap(cap)
-    if raw > limit:
-        raise CapExceeded(f"exact mode needs {raw} tuples, cap is {limit}")
+    if raw > cap:
+        raise CapExceeded(f"exact mode needs {raw} tuples, cap is {cap}")
 
 
-def _check_draw_cap(count, cap):
+def _check_draw_cap(count, cap: int):
     """Sampled mode draws one tuple per sample, in a Python loop, into
     arrays allocated up front: the draws are held to the enumeration cap."""
-    limit = enum_cap(cap)
-    if count > limit:
-        raise CapExceeded(f"sampled mode draws {count} tuples, cap is {limit}")
+    if count > cap:
+        raise CapExceeded(f"sampled mode draws {count} tuples, cap is {cap}")
 
 
-def _check_payoff_cap(lc, pe, pd, cap):
+def _check_payoff_cap(lc, pe, pd, cap: int):
     """The factored count's work, held to the enumeration cap: one cell per
     (edge, a, b, s1) of the grid it counts over, plus, per left vertex with
     an edge, |D| noise passes and one contraction over the |G1|^|D| points
@@ -487,9 +491,8 @@ def _check_payoff_cap(lc, pe, pd, cap):
     fit in int64."""
     n_left = len({u for u, _, _ in lc.edges})
     cells = len(lc.edges) * 2 * pe.n * pd.n + n_left * (pd.m + 1) * pd.n
-    limit = enum_cap(cap)
-    if cells > limit:
-        raise CapExceeded(f"the payoff distribution needs {cells} cells, cap is {limit}")
+    if cells > cap:
+        raise CapExceeded(f"the payoff distribution needs {cells} cells, cap is {cap}")
     tuples = len(lc.edges) * pe.n * pd.n * pd.n * 4
     if tuples >= 2**63:
         raise CapExceeded(f"{tuples} tuples overflow the int64 counts")
@@ -752,7 +755,9 @@ class Support:
     What no weight enters is kept too, so an eps sweep only weighs counts:
     per side, for the last family (the same object), its payoff counts and
     the decoder's outcomes (``family``); and the instance's optimum with
-    its planted families (``planted``). All of it goes with the support.
+    its planted families (``planted``). All of it goes with the support,
+    as do the noise classes' weights at the last eps (``class_numerators``),
+    which every call of one op weighs.
     """
 
     def __init__(self, lc: LabelCoverInstance, template: Template):
@@ -767,6 +772,7 @@ class Support:
         self.mergeable = len({(u, v) for u, v, _ in lc.edges}) < len(lc.edges)
         self.families: dict[int, KeptFamily] = {}  # per side
         self.first: LinSystem | None = None  # the first exact system built
+        self._weighed: tuple | None = None  # (eps, its class numerators) for the last eps
         # the first variable of each left and of each right vertex
         self.u_off = {u: k * self.pd.n for k, u in enumerate(lc.u_names)}
         self.v_off = {v: len(lc.u_names) * self.pd.n + k * self.pe.n for k, v in enumerate(lc.v_names)}
@@ -804,6 +810,12 @@ class Support:
         value, h_d, h_e = _labeling_search(self.lc)
         return value, *(projection_family(self.lc, self.template, h_d, h_e, side) for side in (1, 2))
 
+    def class_numerators(self, eps: Fraction) -> tuple[list[int], int]:
+        """``_class_numerators`` at eps, kept for the last eps."""
+        if self._weighed is None or self._weighed[0] != eps:
+            self._weighed = eps, _class_numerators(self.lc, self.pe, self.pd, eps)
+        return self._weighed[1]
+
     def tuple_rows(self) -> Rows:
         """One row per tuple (edge, a, b, nu, s1, s2), one block per edge;
         the row class is the noise class."""
@@ -834,29 +846,18 @@ def support(lc: LabelCoverInstance, template: Template, limit: int | None = None
     call, as building the powers checks it; callers check the enumeration
     caps, on every call too."""
     sup = _support(lc, template)
-    limit = table_cap() if limit is None else limit
+    limit = read_caps()[1] if limit is None else limit
     sup.pe.check_cap(limit)
     sup.pd.check_cap(limit)
     return sup
 
 
-def _resolve(lc, template, params: ReductionParams, caps: tuple[int, int] | None = None):
-    """What one op's calls on (lc, template) at params.eps share: the support, its table cap checked,
-    the enumeration cap (params' own, else the one read) and the noise classes' weights. Params
-    bound to this pair hold it (``bind``); others resolve on their own."""
-    r = params.resolved
-    if r is not None and r[3] is lc and r[4] is template:
-        return r[:3]
-    caps = read_caps() if caps is None else caps
-    sup = support(lc, template, caps[1])
-    return sup, caps[0] if params.cap is None else params.cap, _class_numerators(lc, sup.pe, sup.pd, params.eps)
-
-
-def bind(lc, template, params: ReductionParams, caps: tuple[int, int] | None = None) -> Support:
-    """Keep ``_resolve`` on one op's params with its pair: the op's
-    ``build_system`` and ``payoff_distribution`` calls on that pair take it."""
-    object.__setattr__(params, "resolved", (*_resolve(lc, template, params, caps), lc, template))
-    return params.resolved[0]
+def _resolve(lc, template, params: ReductionParams):
+    """What a call on (lc, template) with params works from: the support,
+    its table cap checked against the params' caps, their enumeration cap,
+    and eps's class numerators."""
+    sup = support(lc, template, params.caps[1])
+    return sup, params.caps[0], sup.class_numerators(params.eps)
 
 
 def build_system(lc: LabelCoverInstance, template: Template, params: ReductionParams) -> LinSystem:
@@ -1047,23 +1048,26 @@ def lc_value(lc: LabelCoverInstance, h_d: dict[str, str], h_e: dict[str, str]) -
     return Fraction(hits, len(lc.edges))
 
 
-def planted(lc: LabelCoverInstance, template: Template) -> tuple[Fraction, AssignmentFamily, AssignmentFamily]:
+def planted(
+    lc: LabelCoverInstance, template: Template, params: ReductionParams | None = None
+) -> tuple[Fraction, AssignmentFamily, AssignmentFamily]:
     """The optimum of the instance (``_labeling_search``) and the side-1
     and side-2 projection families of its labeling, kept with the support
     of (lc, template) as none of them depends on eps. The families are
     immutable and shared. The search's enumeration cap is checked on
-    every call, before the support's table cap."""
-    _check_labeling_cap(lc)
-    return support(lc, template).planted
+    every call, before the support's table cap, against the caps of
+    ``params`` (read when not given)."""
+    cap, limit = read_caps() if params is None else params.caps
+    _check_labeling_cap(lc, cap)
+    return support(lc, template, limit).planted
 
 
-def _check_labeling_cap(lc: LabelCoverInstance, cap: int | None = None) -> None:
+def _check_labeling_cap(lc: LabelCoverInstance, cap: int) -> None:
     n_labelings = len(lc.d_labels) ** len(lc.u_names) * len(lc.e_labels) ** len(lc.v_names)
-    limit = enum_cap(cap)
-    if n_labelings * len(lc.edges) > limit:
+    if n_labelings * len(lc.edges) > cap:
         raise CapExceeded(
             f"{n_labelings} labelings x {len(lc.edges)} edges ="
-            f" {n_labelings * len(lc.edges)} edge checks exceed the cap {limit}"
+            f" {n_labelings * len(lc.edges)} edge checks exceed the cap {cap}"
         )
 
 

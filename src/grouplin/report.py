@@ -1,17 +1,14 @@
 """The reports of the ``pipeline`` and ``decode`` commands.
 
-``pipeline_report`` is the pipeline's entry at one eps. It reads
-``GROUPLIN_CAP`` once, takes the support once and weighs eps once, and binds
-them to the op's one ``ReductionParams`` (``reduction.bind``), through which
-``build_system``, ``evaluate_family`` and the decoder's context reach them.
-Every cap check those calls make still runs on every op, against the caps
-read for it.
+``pipeline_report`` is the pipeline's entry at one eps. Its calls share one
+``ReductionParams``, which read the caps once when it was made: every cap
+check of ``planted``, ``build_system``, ``evaluate_family`` and the decoder's
+context runs on every op, against those caps.
 """
 
 from __future__ import annotations
 
 from . import decoder, io, reduction, solvers
-from .errors import read_caps
 
 
 def pipeline_report(
@@ -30,10 +27,7 @@ def pipeline_report(
     (``reduction.planted``), as no eps enters them."""
     eps, delta = io.parse_frac(eps), io.parse_frac(delta)
     params = reduction.ReductionParams(eps)
-    caps = read_caps()
-    # reduction.planted's checks, in its order: the search's cap, then the table cap
-    reduction._check_labeling_cap(lc, caps[0])
-    lc_opt, proj1, proj2 = reduction.bind(lc, template, params, caps).planted
+    lc_opt, proj1, proj2 = reduction.planted(lc, template, params)
     system = reduction.build_system(lc, template, params)
 
     completeness = reduction.evaluate_family(lc, template, params, proj1, side=1)

@@ -77,7 +77,7 @@ def raw_equations(lc, template, params):
     """
     sup = support(lc, template)
     pe, pd = sup.pe, sup.pd
-    _check_exact_cap(lc, pe, pd, params.cap)
+    _check_exact_cap(lc, pe, pd, params.caps[0])
     nu_w = noise_weights(pd, params.eps)
     base = Fraction(1, len(lc.edges)) * Fraction(1, pe.n) * Fraction(1, pd.n) * Fraction(1, 4)
     for u, v, pi in lc.edge_maps():
@@ -158,7 +158,7 @@ def tuple_system(lc, template, params):
     if params.mode == "sampled":
         rows = sup.sampled_rows(params).weighed([1], params.sample_count)
     else:
-        _check_exact_cap(lc, sup.pe, sup.pd, params.cap)
+        _check_exact_cap(lc, sup.pe, sup.pd, params.caps[0])
         rows = sup.tuple_rows().weighed(*_class_numerators(lc, sup.pe, sup.pd, params.eps))
     return LinSystem.from_arrays(template, sup.variables, rows)
 
@@ -192,7 +192,7 @@ def payoff_distribution(lc, template, params, family, side):
         raise InvalidParams("family built for the other side")
     sup = support(lc, template)
     pe, pd = sup.pe, sup.pd
-    _check_exact_cap(lc, pe, pd, params.cap)
+    _check_exact_cap(lc, pe, pd, params.caps[0])
     _check_family_shape(lc, template, pe, pd, family)
     group = template.g1 if side == 1 else template.g2
     hom = identity_hom(template.h1) if side == 1 else template.phi

@@ -12,7 +12,7 @@ import pytest
 import grouplin
 from grouplin import catalog, io
 from grouplin.cli import main
-from grouplin.errors import InvalidParams, table_cap
+from grouplin.errors import InvalidParams, read_caps
 from grouplin.reduction import ReductionParams, build_system, make_label_cover, projection_family
 
 
@@ -439,7 +439,10 @@ def test_grouplin_cap_must_be_a_positive_integer(capsys, monkeypatch, env):
     assert (code, out) == (2, "")
     assert f"GROUPLIN_CAP must be a positive integer, got {env!r}" in err
     with pytest.raises(InvalidParams, match="GROUPLIN_CAP"):
-        table_cap()
+        read_caps()
+    # the params check their own fields before they read the cap
+    for argv in (["reduce", "lc_tiny", "--template", "z2_id"], ["pipeline", "lc_tiny", "--template", "z2_id", "--delta", "1/4"]):
+        assert run(capsys, *argv, "--eps", "2") == (2, "", "error: InvalidParams: eps must be in (0,1), got 2\n")
 
 
 SEEDED = {

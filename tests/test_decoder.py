@@ -1,6 +1,6 @@
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +35,7 @@ from reference_fourier import coeff, scalar
 from reference_groups import act, apply, pow_sign
 from grouplin import io, reduction, reps
 from grouplin.cli import run_pipeline
-from grouplin.decoder import expected_character, left_table, right_table
+from grouplin.decoder import DecoderContext, expected_character, left_table, right_table
 from grouplin.fourier import product_irreps, transform
 from grouplin.reduction import support
 from grouplin.reps import irreps
@@ -188,18 +188,20 @@ def test_planted_family_value(ctx_z2):
     assert ctx_z2.value == Fraction(15, 16)
 
 
-def test_a_context_binds_params_that_no_op_bound():
-    params = ReductionParams(EPS)
-    ctx = planted_context("z2_id", params=params)
-    assert ctx.value == Fraction(15, 16) and ctx.z_mass == planted_context("z2_id").z_mass
-    assert params.resolved[0] is support(catalog.label_cover("lc1"), catalog.template("z2_id"))
+def test_a_context_from_a_callers_params_equals_one_without_them():
+    t, lc = catalog.template("z2_id"), catalog.label_cover("lc1")
+    family = planted_context("z2_id").family
+    own = make_context(lc, t, EPS, DELTA, family)
+    ctx = make_context(lc, t, EPS, DELTA, family, params=ReductionParams(EPS))
+    assert ctx.value == Fraction(15, 16) and ctx.pe is support(lc, t).pe
+    for f in fields(DecoderContext):
+        mine, theirs = getattr(ctx, f.name), getattr(own, f.name)
+        assert mine is theirs or mine == theirs, f.name
 
 
 def test_a_context_refuses_params_at_another_eps():
-    # params bound at 1/4 would weigh the family at 1/4 (7/8), not at 1/8 (15/16)
-    t, lc = catalog.template("z2_id"), catalog.label_cover("lc1")
+    # params at 1/4 would weigh the family at 1/4 (7/8), not at 1/8 (15/16)
     params = ReductionParams(Fraction(1, 4))
-    reduction.bind(lc, t, params)
     with pytest.raises(InvalidParams, match="the params are at eps 1/4, the context at eps 1/8"):
         planted_context("z2_id", params=params)
     assert planted_context("z2_id", eps=Fraction(1, 4), params=params).value == Fraction(7, 8)

@@ -1,8 +1,10 @@
 """The library runs on the standard library and numpy alone: every import in
 ``src/grouplin`` names a standard module, numpy, or the package itself. A
-host with more installed (scipy, say) would not show a stray import."""
+host with more installed (scipy, say) would not show a stray import. And it
+reads its environment in one module, ``errors``, where the caps are read."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -34,3 +36,9 @@ def test_the_check_sees_a_stray_import(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text("import os\nfrom . import io\nif True:\n    from scipy import linalg\n", encoding="utf-8")
     assert [name for _, name in imported(path) if name not in ALLOWED] == ["scipy"]
+
+
+def test_only_errors_reads_the_environment():
+    # GROUPLIN_CAP is read by errors.read_caps alone, and kept by the params
+    readers = [p.name for p in sorted(PACKAGE.glob("*.py")) if re.search(r"os\.environ|getenv|GROUPLIN_CAP", p.read_text(encoding="utf-8"))]
+    assert readers == ["errors.py"]

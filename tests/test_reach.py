@@ -45,10 +45,6 @@ ALLOWED = {
     "reduction.LinSystem.equations": "perfbench's spans count equations and their terms",
     "reduction._encode": "LinSystem's hand-built equations are encoded here",
     "reduction.family_assignment": "item 2 inverts it for decoding what the solvers find",
-    # The reports resolve this once per op, so the commands enter the code
-    # behind it but not the public wrapper; tests/test_report.py holds each
-    # report equal to the one it builds.
-    "reduction.planted": "the public optimum and planted families; the pipeline checks its cap with the op's caps",
     "decoder._edge_terms": "item 5's decode report will call it",
     "decoder.trivial_term_bound": "item 5's decode report will call it",
     "decoder.high_degree_mass": "item 5's decode report will call it",

@@ -1,8 +1,8 @@
 """The pipeline's per-eps report (``report.pipeline_report``, which
 ``cli.run_pipeline`` names): it equals the report built from the public
 functions on the catalog, warm and cold, and a warm op reads
-``GROUPLIN_CAP`` once while every cap check still runs against the value
-read for that op."""
+``GROUPLIN_CAP`` once, when it makes its params, while every cap check
+still runs against the caps the params keep."""
 
 import os
 from fractions import Fraction
@@ -27,7 +27,6 @@ from grouplin import (
     report,
 )
 from grouplin.cli import main, run_pipeline
-from grouplin.errors import read_caps
 from grouplin.reduction import ReductionParams
 
 DELTA = Fraction(1, 4)
@@ -134,20 +133,26 @@ def test_a_warm_op_reads_grouplin_cap_once_and_runs_every_check(monkeypatch, env
     for name in ("_check_labeling_cap", "_check_exact_cap", "_check_payoff_cap"):
         monkeypatch.setattr(reduction, name, _counting(checks, name, getattr(reduction, name)))
     monkeypatch.setattr(groups.GroupPower, "check_cap", _counting(checks, "table", groups.GroupPower.check_cap))
-    weights = []
+    weights, numerators = [], []
     check_weights = reduction._validate_weights
     monkeypatch.setattr(reduction, "_validate_weights", lambda *args: weights.append(args) or check_weights(*args))
+    monkeypatch.setattr(reduction, "_class_numerators", _counting(numerators, "eps", reduction._class_numerators))
     sweep = (EPS2, Fraction(1, 100), EPS1)
     warm = [run_pipeline(lc, t, eps, DELTA) for eps in sweep]
     assert reads == ["GROUPLIN_CAP"] * len(sweep)
-    # per op: the labeling search's cap, the table cap on both powers, the
-    # exact build's cap and the payoff cells' cap of both payoff counts,
-    # each against the cap read for the op, and the weight-sum check
+    # per op, each against the caps read for it: the labeling search's cap
+    # and the table cap on both powers (planted), the table caps and the
+    # exact build's cap (build_system), the table caps and the payoff cells'
+    # cap (evaluate_family), the table caps of the decoder's context and of
+    # its payoff count, with its cells' cap; and the weight-sum check
     enum, table = (2_000_000, 20_000) if env is None else (31104, 31104)
-    per_op = [("_check_labeling_cap", enum), ("table", table), ("table", table), ("_check_exact_cap", enum)]
-    per_op += [("_check_payoff_cap", enum)] * 2
+    tables = [("table", table)] * 2
+    per_op = [("_check_labeling_cap", enum), *tables, *tables, ("_check_exact_cap", enum)]
+    per_op += [*tables, ("_check_payoff_cap", enum), *tables, *tables, ("_check_payoff_cap", enum)]
     assert checks == per_op * len(sweep)
     assert len(weights) == len(sweep)
+    # eps is weighed once per op, the support keeping its numerators
+    assert numerators == [("eps", eps) for eps in sweep]
     assert warm[-1] == first
 
 
@@ -186,29 +191,56 @@ def test_an_invalid_cap_between_two_warm_ops_exits_2(monkeypatch, capsys, env):
     assert (out.out, out.err) == ("", expect)
 
 
-def test_an_op_binds_its_resolution_to_its_own_params_only():
-    # a caller's params carry nothing bound, so a public call resolves, and
-    # so reads the cap, every time
-    t, lc = catalog.template("z2_id"), catalog.label_cover("lc_tiny")
+def test_one_params_object_serves_each_pair_on_its_own():
+    # the params carry caps and no pair: lc_tiny's 32 equations are not
+    # lc1's 128, nor are z2_id's rows s3_sign's
     params = ReductionParams(EPS1)
-    build_system(lc, t, params)
-    assert params.resolved is None
-    bound = ReductionParams(EPS1)
-    sup = reduction.bind(lc, t, bound, (7, 30))
-    assert bound.resolved[0] is sup is reduction.support(lc, t)
-    assert bound == params and hash(bound) == hash(params) and repr(bound) == repr(params)
+    sizes = []
+    for tname in ("z2_id", "s3_sign"):
+        t = catalog.template(tname)
+        for lc in map(catalog.label_cover, ("lc_tiny", "lc1", "lc_tiny")):
+            got = build_system(lc, t, params)
+            family = reduction.planted(lc, t, params)[2]
+            mass = reduction.payoff_distribution(lc, t, params, family, 2)
+            reduction._support.cache_clear()
+            cold = build_system(lc, t, ReductionParams(EPS1))
+            assert got.template is t and got.variables == cold.variables and got.equations == cold.equations
+            assert mass == reduction.payoff_distribution(lc, t, ReductionParams(EPS1), family, 2)
+            sizes.append(len(got.arrays))
+    assert sizes == [32, 128, 32, 864, 31104, 864]
 
 
-def test_params_bound_to_one_pair_resolve_another_on_their_own():
-    # lc_tiny's 32 equations are not lc1's 128, nor are z2_id's rows s3_sign's
-    t, lc_tiny = catalog.template("z2_id"), catalog.label_cover("lc_tiny")
-    bound = ReductionParams(EPS1)
-    reduction.bind(lc_tiny, t, bound, read_caps())
-    for other_lc, other_t in ((catalog.label_cover("lc1"), t), (catalog.label_cover("lc1"), catalog.template("s3_sign"))):
-        got, fresh = build_system(other_lc, other_t, bound), build_system(other_lc, other_t, ReductionParams(EPS1))
-        assert got.template is other_t and got.equations == fresh.equations
-        family = reduction.planted(other_lc, other_t)[2]
-        expect = reduction.payoff_distribution(other_lc, other_t, ReductionParams(EPS1), family, 2)
-        assert reduction.payoff_distribution(other_lc, other_t, bound, family, 2) == expect
-    assert len(build_system(lc_tiny, t, bound).arrays) == 32
-    assert bound.resolved[3:] == (lc_tiny, t)
+def test_params_compare_hash_and_print_without_their_caps(monkeypatch):
+    monkeypatch.setenv("GROUPLIN_CAP", "31104")
+    capped = ReductionParams(EPS1)
+    monkeypatch.delenv("GROUPLIN_CAP")
+    plain = ReductionParams(EPS1)
+    assert capped.caps == (31104, 31104) and plain.caps == (2_000_000, 20_000)
+    assert capped == plain and hash(capped) == hash(plain) and repr(capped) == repr(plain)
+    assert ReductionParams(EPS1, cap=7).caps == (7, 20_000)
+
+
+def test_params_keep_the_caps_they_were_made_under(monkeypatch):
+    t, lc = catalog.template(S3_LC1[0]), catalog.label_cover(S3_LC1[1])
+    made = ReductionParams(EPS1)
+    lc_opt, proj1, proj2 = reduction.planted(lc, t, made)
+    monkeypatch.setenv("GROUPLIN_CAP", "10")
+    # made before the change, the params still pass every check at the defaults
+    assert made.caps == (2_000_000, 20_000)
+    assert reduction.planted(lc, t, made)[0] == lc_opt
+    assert len(build_system(lc, t, made).arrays) == 31104
+    assert evaluate_family(lc, t, made, proj1, side=1) == 1 - EPS1 * Fraction(5, 6)
+    assert make_context(lc, t, EPS1, DELTA, proj2, params=made).value == 1 - EPS1 / 2
+    # made after it, they hold every call to 10 once the variable is gone
+    capped = ReductionParams(EPS1)
+    monkeypatch.delenv("GROUPLIN_CAP")
+    assert capped.caps == (10, 10)
+    calls = (
+        lambda: reduction.planted(lc, t, capped),
+        lambda: build_system(lc, t, capped),
+        lambda: evaluate_family(lc, t, capped, proj1, side=1),
+        lambda: make_context(lc, t, EPS1, DELTA, proj2, params=capped),
+    )
+    for call in calls:
+        with pytest.raises(CapExceeded, match=r"\|G\|\^\|D\| = 36 exceeds the table cap 10"):
+            call()

@@ -271,6 +271,10 @@ def test_a_reweighed_system_solves_as_a_cold_one_with_its_weights(system, data):
         for build in (system.reweighed, fresh):
             with pytest.raises(InvalidParams, match=message):
                 build(*args)
+    # a denominator below one is refused before any weight is built
+    for args in (([0] * n, 0), (nums, -denom)):
+        with pytest.raises(InvalidParams, match=f"the weights' denominator must be positive, got {args[1]}"):
+            system.reweighed(*args)
 
 
 @settings(max_examples=60, deadline=None)
